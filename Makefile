@@ -13,6 +13,9 @@ test:
 # exactly one well-formed JSON document on stdout (chatter is stderr),
 # and a live `probkb serve` must answer /metrics + /statusz scrapes,
 # keep a well-formed access log, and print its shutdown summary.
+# Last, the repository benchmark's smoke run: its harness builds against
+# lib/ and reads the inference reports, so a lib/ change that breaks it
+# fails here.
 check: build
 	PROBKB_DOMAINS=1 PROBKB_DEBUG=1 dune runtest --force
 	PROBKB_DOMAINS=4 PROBKB_DEBUG=1 dune runtest --force
@@ -32,6 +35,7 @@ check: build
 	      and d[2]=={"found":False}, d; print("session smoke ok")'
 	python3 scripts/serve_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	rm -rf _smoke
+	python3 perfbench/smoke.py
 
 bench:
 	dune exec bench/main.exe -- --quick -e parallel -e pipeline \

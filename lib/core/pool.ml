@@ -77,6 +77,11 @@ let ensure_workers t =
     t.workers <- Array.of_list (List.rev !ws)
   end
 
+(* Set on the submitting domain while it runs its own share of a
+   parallel region, alongside the workers. *)
+let sharing = Domain.DLS.new_key (fun () -> false)
+let in_region () = Domain.DLS.get sharing
+
 let run_inline t f =
   for w = 0 to t.size - 1 do
     f w
@@ -102,6 +107,8 @@ let run t f =
       t.generation <- t.generation + 1;
       Condition.broadcast t.ready;
       Mutex.unlock t.mutex;
+      let outer = Domain.DLS.get sharing in
+      Domain.DLS.set sharing true;
       let main_err =
         try
           f 0;
@@ -113,6 +120,7 @@ let run t f =
           None
         with e -> Some e
       in
+      Domain.DLS.set sharing outer;
       Mutex.lock t.mutex;
       while t.pending > 0 do
         Condition.wait t.finished t.mutex

@@ -45,6 +45,12 @@ val shutdown : t -> unit
     calls run inline sequentially. *)
 val run : t -> (int -> unit) -> unit
 
+(** [in_region ()] is [true] while the calling domain runs its own share
+    of a {!run} region ([f 0], and any worker indexes it covers) while
+    worker domains run theirs.  A size-1 pool and a nested (inline)
+    submission run no workers, so they leave it as it was. *)
+val in_region : unit -> bool
+
 (** [parallel_for t ~n f] executes [f i] for every [i] in [0 .. n - 1],
     dynamically scheduled over the pool.  The iterations must be
     independent (write disjoint state); their execution order is

@@ -59,8 +59,14 @@ type compiled = {
   singleton : bool array;
   adj_off : int array;
   adj : int array;
+  slot_roles : int array;
+  slot_weights : float array;
 }
 
+let role_inert = 0
+let role_prior = 1
+let role_head = 2
+let role_body = 3
 let nvars c = Array.length c.var_ids
 
 let compile g =
@@ -134,7 +140,49 @@ let compile g =
         adj.(cursor.(v)) <- f;
         cursor.(v) <- cursor.(v) + 1)
   done;
-  { var_ids; var_of_id; head; body1; body2; fweight; singleton; adj_off; adj }
+  (* The role-coded copy of [adj]: what flipping the slot's variable [v]
+     does to the factor, decided once here rather than by evaluating
+     [satisfied] with [v] true and false on every update. *)
+  let slot_roles = Array.make (3 * deg.(nv)) (-1) in
+  let slot_weights = Array.make deg.(nv) 0. in
+  let code k role x y w =
+    slot_roles.(3 * k) <- role;
+    slot_roles.((3 * k) + 1) <- x;
+    slot_roles.((3 * k) + 2) <- y;
+    slot_weights.(k) <- w
+  in
+  for v = 0 to nv - 1 do
+    for k = adj_off.(v) to adj_off.(v + 1) - 1 do
+      let f = adj.(k) in
+      let h = head.(f) and b1 = body1.(f) and b2 = body2.(f) in
+      if singleton.(f) then code k role_prior (-1) (-1) fweight.(f)
+      else if v <> h then begin
+        (* [v] is a body atom; [x] is the other one, if there is one. *)
+        let x = if v = b1 then b2 else b1 in
+        code k role_body (if x = v then -1 else x) h (-.fweight.(f))
+      end
+      else if v = b1 || v = b2 then code k role_inert (-1) (-1) 0.
+      else begin
+        (* A clause has at least one body atom; with one, it fills both
+           other-variable fields. *)
+        let x = if b1 >= 0 then b1 else b2 in
+        code k role_head x (if b2 >= 0 then b2 else x) fweight.(f)
+      end
+    done
+  done;
+  {
+    var_ids;
+    var_of_id;
+    head;
+    body1;
+    body2;
+    fweight;
+    singleton;
+    adj_off;
+    adj;
+    slot_roles;
+    slot_weights;
+  }
 
 let satisfied c f assignment =
   if c.singleton.(f) then assignment.(c.head.(f))

@@ -68,10 +68,39 @@ type compiled = {
   singleton : bool array;  (** true for prior factors *)
   adj_off : int array;  (** CSR offsets, length [nvars + 1] *)
   adj : int array;  (** factor indexes, grouped by variable *)
+  slot_roles : int array;
+      (** the role-coded copy of [adj], three ints per slot [k]: at [3k]
+          the factor's role for the slot's variable, at [3k+1] and [3k+2]
+          its other variables (see the role constants below) *)
+  slot_weights : float array;
+      (** per slot: the factor's weight, negated for {!role_body} *)
 }
 
-(** [compile g] builds the dense view.  Factors with non-finite weights are
-    excluded (hard rules are handled by quality control, not inference). *)
+(** {2 Roles}
+
+    What flipping variable [v] from false to true does to the log-weight
+    of one factor [f] it appears in; [x] and [y] are the slot's other
+    variables.  The Gibbs conditional sums these terms over [v]'s slots
+    in slot order (Inference.Gibbs.log_odds). *)
+
+(** [v] is the head and also a body atom of [f]: the factor is satisfied
+    either way, so no term. *)
+val role_inert : int
+
+(** [f] is [v]'s singleton prior: always [+w]. *)
+val role_prior : int
+
+(** [v] is the head: [+w] iff [x] and [y] are true.  [x] and [y] are the
+    body atoms; a clause with one body atom stores it in both. *)
+val role_head : int
+
+(** [v] is a body atom: [-w] iff [x] is true or [-1] (no other body
+    atom), and the head [y] is false. *)
+val role_body : int
+
+(** [compile g] builds the dense view, the role-coded adjacency
+    included.  Factors with non-finite weights are excluded (hard rules
+    are handled by quality control, not inference). *)
 val compile : t -> compiled
 
 (** [nvars c] is the number of distinct variables. *)

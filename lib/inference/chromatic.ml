@@ -150,6 +150,7 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
                     let rng =
                       Random.State.make [| options.seed; s; chunk_id0.(k) + j |]
                     in
+                    let out = { Gibbs.value = 0. } in
                     (* Three copies of the inner loop so the estimate and
                        diagnostics tests happen once per chunk, not once
                        per variable, and the Welford + lag-1 update is
@@ -164,7 +165,8 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
                       and cross = vw.Diagnostics.Online.v_cross in
                       for i = lo to hi - 1 do
                         let v = cls.(i) in
-                        let p = Gibbs.conditional c assignment v in
+                        Gibbs.conditional c assignment v out;
+                        let p = out.value in
                         assignment.(v) <- Random.State.float rng 1. < p;
                         acc.(v) <- acc.(v) +. p;
                         let d = p -. mean.(v) in
@@ -177,14 +179,16 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
                     | true, None ->
                       for i = lo to hi - 1 do
                         let v = cls.(i) in
-                        let p = Gibbs.conditional c assignment v in
+                        Gibbs.conditional c assignment v out;
+                        let p = out.value in
                         assignment.(v) <- Random.State.float rng 1. < p;
                         acc.(v) <- acc.(v) +. p
                       done
                     | false, _ ->
                       for i = lo to hi - 1 do
                         let v = cls.(i) in
-                        let p = Gibbs.conditional c assignment v in
+                        Gibbs.conditional c assignment v out;
+                        let p = out.value in
                         assignment.(v) <- Random.State.float rng 1. < p
                       done)))
           by_color)

@@ -15,9 +15,11 @@ let run_chain c (options : Gibbs.options) seed =
   let assignment = Array.init n (fun _ -> Random.State.bool rng) in
   let mean = Array.make n 0. and m2 = Array.make n 0. in
   let count = ref 0 in
+  let out = { Gibbs.value = 0. } in
   let sweep estimate =
     for v = 0 to n - 1 do
-      let p1 = Gibbs.conditional c assignment v in
+      Gibbs.conditional c assignment v out;
+      let p1 = out.value in
       assignment.(v) <- Random.State.float rng 1. < p1;
       if estimate then begin
         let d = p1 -. mean.(v) in

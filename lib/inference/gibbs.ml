@@ -4,21 +4,31 @@ type options = { burn_in : int; samples : int; seed : int }
 
 let default_options = { burn_in = 200; samples = 800; seed = 42 }
 
-let conditional c assignment v =
+(* The role-coded terms in slot order: the same ±w terms, in the same
+   order, that comparing [Fgraph.satisfied] with [v] true and false adds
+   slot by slot, so the sum is the same float. *)
+let[@inline] log_odds c assignment v =
+  let roles = c.Fgraph.slot_roles and weights = c.Fgraph.slot_weights in
   let delta = ref 0. in
-  let prev = assignment.(v) in
   for k = c.Fgraph.adj_off.(v) to c.Fgraph.adj_off.(v + 1) - 1 do
-    let f = c.Fgraph.adj.(k) in
-    assignment.(v) <- true;
-    let s1 = Fgraph.satisfied c f assignment in
-    assignment.(v) <- false;
-    let s0 = Fgraph.satisfied c f assignment in
-    if s1 <> s0 then
-      delta :=
-        !delta +. if s1 then c.Fgraph.fweight.(f) else -.c.Fgraph.fweight.(f)
+    let role = roles.(3 * k) in
+    if
+      role = Fgraph.role_prior
+      || role = Fgraph.role_head
+         && assignment.(roles.((3 * k) + 1))
+         && assignment.(roles.((3 * k) + 2))
+      || role = Fgraph.role_body
+         && (let x = roles.((3 * k) + 1) in
+             x < 0 || assignment.(x))
+         && not assignment.(roles.((3 * k) + 2))
+    then delta := !delta +. weights.(k)
   done;
-  assignment.(v) <- prev;
-  1. /. (1. +. exp (-. !delta))
+  !delta
+
+type cell = { mutable value : float }
+
+let[@inline] conditional c assignment v out =
+  out.value <- 1. /. (1. +. exp (-.log_odds c assignment v))
 
 type run_info = { sweeps_run : int }
 
@@ -27,9 +37,11 @@ let marginals_info ?(options = default_options) c =
   let rng = Random.State.make [| options.seed |] in
   let assignment = Array.init n (fun _ -> Random.State.bool rng) in
   let acc = Array.make n 0. in
+  let out = { value = 0. } in
   let sweep estimate =
     for v = 0 to n - 1 do
-      let p1 = conditional c assignment v in
+      conditional c assignment v out;
+      let p1 = out.value in
       assignment.(v) <- Random.State.float rng 1. < p1;
       if estimate then acc.(v) <- acc.(v) +. p1
     done

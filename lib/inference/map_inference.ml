@@ -18,20 +18,11 @@ let score c assignment =
   done;
   !total
 
-(* The score change of flipping variable [v], using only its factors. *)
+(* The score change of flipping variable [v]: the Gibbs log-odds is the
+   change of setting [v] true, so a true [v] flips by its negation. *)
 let flip_delta c assignment v =
-  let delta = ref 0. in
-  for k = c.Fgraph.adj_off.(v) to c.Fgraph.adj_off.(v + 1) - 1 do
-    let f = c.Fgraph.adj.(k) in
-    let before = Fgraph.satisfied c f assignment in
-    assignment.(v) <- not assignment.(v);
-    let after = Fgraph.satisfied c f assignment in
-    assignment.(v) <- not assignment.(v);
-    if before <> after then
-      delta :=
-        !delta +. if after then c.Fgraph.fweight.(f) else -.c.Fgraph.fweight.(f)
-  done;
-  !delta
+  let delta = Gibbs.log_odds c assignment v in
+  if assignment.(v) then -.delta else delta
 
 let icm ?(max_sweeps = 100) ~seed c =
   let n = Fgraph.nvars c in

@@ -20,6 +20,10 @@ val default_options : options
     log-probability of the world. *)
 val score : Factor_graph.Fgraph.compiled -> bool array -> float
 
+(** [flip_delta c assignment v] is the change of {!score} when [v] is
+    flipped: {!Gibbs.log_odds}, negated when [v] is true. *)
+val flip_delta : Factor_graph.Fgraph.compiled -> bool array -> int -> float
+
 (** [icm ?max_sweeps ~seed c] is greedy coordinate ascent from a random
     start: flip any variable that increases the score, until a local
     optimum.  Returns the assignment and its score. *)

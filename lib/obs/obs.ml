@@ -350,8 +350,11 @@ type t = {
   (* Parent for spans opened on a domain with an empty local stack: worker
      domains inherit the creator domain's innermost open span, so work
      fanned out through the pool nests under the span that submitted it.
-     Pool submissions are synchronous barriers, so this value is stable
-     for the whole parallel region. *)
+     The creator's own spans move it only outside a pool region: while it
+     runs its share of a region ([Pool.in_region]), its spans nest by its
+     local stack and leave this at the span open at submission — else a
+     worker's span would nest under whichever span the creator happened
+     to have open. *)
   ambient_parent : int Atomic.t;
   creator_dom : int;
   registry : registry;
@@ -479,7 +482,8 @@ let begin_span ?(cat = "") t name =
     in
     b.seq <- b.seq + 1;
     b.stack <- s :: b.stack;
-    if b.dom_id = t.creator_dom then Atomic.set t.ambient_parent s.id;
+    if b.dom_id = t.creator_dom && not (Pool.in_region ()) then
+      Atomic.set t.ambient_parent s.id;
     Sp s
   end
 
@@ -516,7 +520,8 @@ let end_span ?(attrs = []) t sp =
       b.closed <- take cap [] b.closed;
       b.n_closed <- cap
     | _ -> ());
-    if b.dom_id = t.creator_dom then Atomic.set t.ambient_parent s.parent
+    if b.dom_id = t.creator_dom && not (Pool.in_region ()) then
+      Atomic.set t.ambient_parent s.parent
 
 let with_span ?cat ?(attrs = []) t name f =
   if not t.enabled then f ()

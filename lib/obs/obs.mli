@@ -11,9 +11,10 @@
 
     Spans fanned out through [Pool] nest under the span that submitted
     them: a worker domain whose local span stack is empty parents new
-    spans on the creator domain's innermost open span.  Because pool
-    submissions are synchronous barriers, the resulting merged tree is
-    the same for any pool size.
+    spans on the span the creator domain had open when it submitted the
+    region, whatever spans the creator opens during its own share.
+    Because pool submissions are synchronous barriers, the resulting
+    merged tree is the same for any pool size.
 
     Exports: {!Summary} (aggregated tree + counters, with JSON in both
     directions), and {!write_chrome_trace} (Chrome [trace_event] format,

@@ -197,6 +197,146 @@ let test_chromatic_pool_deterministic () =
       let b = Inference.Chromatic.marginals ~options:opts ~pool:p4 c in
       Alcotest.(check bool) "marginals bit-identical across pools" true (a = b))
 
+(* --- the conditional kernel against its satisfied-flip oracle --- *)
+
+(* A factor as [(shape, i1, i2, i3, w)]; [add_factor] maps each shape to
+   one of the forms [Fgraph.add_singleton] / [add_clause] accept. *)
+let add_factor g (shape, i1, i2, i3, w) =
+  match shape with
+  | 0 -> Fgraph.add_singleton g ~i:i1 ~w
+  | 1 -> Fgraph.add_clause g ~i1 ~w () (* no body: a prior *)
+  | 2 -> Fgraph.add_clause g ~i1 ~i2 ~w ()
+  | 3 -> Fgraph.add_clause g ~i1 ~i3 ~w () (* only body2 present *)
+  | 4 -> Fgraph.add_clause g ~i1 ~i2 ~i3 ~w ()
+  | 5 -> Fgraph.add_clause g ~i1 ~i2 ~i3:i2 ~w () (* body1 = body2 *)
+  | 6 -> Fgraph.add_clause g ~i1 ~i2:i1 ~i3 ~w () (* head = body1 *)
+  | 7 -> Fgraph.add_clause g ~i1 ~i2 ~i3:i1 ~w () (* head = body2 *)
+  | _ -> Fgraph.add_clause g ~i1 ~i3:i1 ~w () (* head = lone body2 *)
+
+(* Random graphs over at most 8 fact ids — so ids collide often —
+   with mixed-sign weights up to |w| = 1e3, a duplicated prefix of the
+   factor list, and one assignment bit per id. *)
+let arb_kernel_case =
+  let open QCheck.Gen in
+  let gen =
+    let* nids = int_range 1 8 in
+    let id = int_bound (nids - 1) in
+    let weight =
+      oneof
+        [
+          float_range (-1e3) 1e3;
+          float_range (-3.) 3.;
+          oneofl [ 0.; -0.; 1e3; -1e3 ];
+        ]
+    in
+    let factor =
+      let+ shape = int_bound 8
+      and+ i1 = id
+      and+ i2 = id
+      and+ i3 = id
+      and+ w = weight in
+      (shape, i1, i2, i3, w)
+    in
+    let* factors = list_size (int_range 1 16) factor in
+    let* dups = int_bound 3 in
+    let+ bits = array_repeat nids bool in
+    (factors @ List.filteri (fun i _ -> i < dups) factors, bits)
+  in
+  let print (factors, bits) =
+    Printf.sprintf "factors [%s] bits [%s]"
+      (String.concat "; "
+         (List.map
+            (fun (s, a, b, c, w) -> Printf.sprintf "(%d,%d,%d,%d,%h)" s a b c w)
+            factors))
+      (String.concat ""
+         (Array.to_list (Array.map (fun b -> if b then "1" else "0") bits)))
+  in
+  QCheck.make ~print gen
+
+let test_kernel_matches_oracle =
+  Tutil.qcheck_case ~count:1000 "kernel = satisfied-flip oracle, bit for bit"
+    arb_kernel_case
+    (fun (factors, bits) ->
+      let c = compile_graph (fun g -> List.iter (add_factor g) factors) in
+      let a = Array.init (Fgraph.nvars c) (fun v -> bits.(v)) in
+      let out = { Inference.Gibbs.value = Float.nan } in
+      for v = 0 to Fgraph.nvars c - 1 do
+        let before = Array.copy a in
+        Inference.Gibbs.conditional c a v out;
+        if a <> before then QCheck.Test.fail_reportf "var %d: assignment written" v;
+        let expect = Gibbs_oracle.conditional c a v in
+        if Int64.bits_of_float out.value <> Int64.bits_of_float expect then
+          QCheck.Test.fail_reportf "var %d: conditional %h, oracle %h" v
+            out.value expect;
+        let got = Inference.Map_inference.flip_delta c a v
+        and expect = Gibbs_oracle.flip_delta c a v in
+        if got <> expect then
+          QCheck.Test.fail_reportf "var %d: flip delta %h, oracle %h" v got
+            expect
+      done;
+      true)
+
+let digest_marginals m =
+  let b = Buffer.create (8 * Array.length m) in
+  Array.iter (fun p -> Buffer.add_int64_le b (Int64.bits_of_float p)) m;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Marginals pinned end to end: digests of every marginal's bits on the
+   ReVerb-Sherlock generator KB at scale 0.005 (3,812 variables; Hybrid
+   samples 227 of them), recorded with the satisfied-flip conditional
+   ({!Gibbs_oracle}) on x86-64 Linux (glibc libm).  The role-coded kernel
+   must reproduce them bit for bit, at pool sizes 1 and 4. *)
+let test_marginals_pinned () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  let c = Fgraph.compile (Grounding.Ground.run kb).Grounding.Ground.graph in
+  List.iter
+    (fun d ->
+      let pool = Pool.create d in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown pool)
+        (fun () ->
+          Alcotest.(check string)
+            (Printf.sprintf "chromatic, pool %d" d)
+            "1481f2d9674b2e5224357d3626284782"
+            (digest_marginals (Inference.Chromatic.marginals ~pool c));
+          Alcotest.(check string)
+            (Printf.sprintf "hybrid, pool %d" d)
+            "f4509210a34923091d72910637ff2844"
+            (digest_marginals (fst (Inference.Hybrid.solve ~pool c)))))
+    [ 1; 4 ]
+
+(* Allocation guard.  Per variable update a chromatic sweep allocates the
+   boxed uniform draw of [Random.State.float] (2 words) and its share of
+   the per-chunk RNG set-up; a conditional that returned a boxed float
+   would add 2 more. *)
+let test_chromatic_alloc_per_update () =
+  let n = 3000 in
+  let c =
+    compile_graph (fun g ->
+        for i = 0 to n - 1 do
+          Fgraph.add_singleton g ~i ~w:(float_of_int (i mod 7) -. 3.)
+        done;
+        for i = 1 to n - 1 do
+          Fgraph.add_clause g ~i1:i ~i2:(i - 1) ~w:0.7 ()
+        done;
+        for i = 0 to (n / 3) - 1 do
+          Fgraph.add_clause g ~i1:(3 * i) ~i2:((3 * i) + 1)
+            ~i3:((3 * i) + 2) ~w:(-0.4) ()
+        done)
+  in
+  let options = { Inference.Gibbs.burn_in = 20; samples = 80; seed = 3 } in
+  let pool = Pool.create 1 in
+  let w0 = Gc.minor_words () in
+  ignore (Inference.Chromatic.marginals ~options ~pool c);
+  let words = Gc.minor_words () -. w0 in
+  let per_update = words /. float_of_int (100 * Fgraph.nvars c) in
+  if per_update > 3. then
+    Alcotest.failf "%.2f minor words per variable update (limit 3)" per_update
+
 let test_schedule_stats () =
   let c = random_graph 9 10 12 in
   let s = Inference.Chromatic.schedule_stats c in
@@ -513,6 +653,13 @@ let () =
           Alcotest.test_case "pool deterministic" `Quick
             test_chromatic_pool_deterministic;
           Alcotest.test_case "schedule stats" `Quick test_schedule_stats;
+        ] );
+      ( "kernel",
+        [
+          test_kernel_matches_oracle;
+          Alcotest.test_case "marginals pinned" `Quick test_marginals_pinned;
+          Alcotest.test_case "allocation per update" `Quick
+            test_chromatic_alloc_per_update;
         ] );
       ( "bp",
         [
