@@ -11,8 +11,10 @@ test:
 # pool, with the debug assertions (e.g. colouring verification) on.
 # Then the observability smoke: `--explain --metrics json` must put
 # exactly one well-formed JSON document on stdout (chatter is stderr),
-# and a live `probkb serve` must answer /metrics + /statusz scrapes,
-# keep a well-formed access log, and print its shutdown summary.
+# a `probkb session` must run DRed retract and ingest epochs with the
+# same replies at pools 1 and 4, and a live `probkb serve` must answer
+# /metrics + /statusz scrapes, keep a well-formed access log, and print
+# its shutdown summary.
 # Last, the repository benchmark's smoke run: its harness builds against
 # lib/ and reads the inference reports, so a lib/ change that breaks it
 # fails here.
@@ -33,6 +35,7 @@ check: build
 	  | python3 -c 'import json,sys; d=[json.loads(l) for l in sys.stdin]; \
 	    assert len(d)==3 and "epoch" in d[0] and "epoch" in d[1] \
 	      and d[2]=={"found":False}, d; print("session smoke ok")'
+	python3 scripts/session_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	python3 scripts/serve_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	rm -rf _smoke
 	python3 perfbench/smoke.py

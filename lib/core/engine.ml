@@ -200,8 +200,10 @@ let gibbs_options t =
 
 (* The engine's read view: a live (graph-less) snapshot over the KB's
    fact indexes.  Cached because [Local.of_kb] memoizes rule-adjacency
-   buckets and two partial-key TΠ indexes; invalidated whenever facts or
-   rules change — [expand], [incorporate], and every session epoch. *)
+   buckets; invalidated whenever facts or rules change — [expand],
+   [incorporate], and every session epoch.  The partial-key TΠ indexes
+   the walk probes are not the view's: [Storage] owns and maintains
+   them, and the delta joins share them. *)
 let read_view t =
   match t.read with
   | Some s -> s

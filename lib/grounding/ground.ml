@@ -199,6 +199,11 @@ let run ?(options = default_options) kb =
                position-independent; each worker scans with its own
                batches). *)
             let src = fact_src () in
+            (* The delta queries probe TΠ's partial-key indexes; their
+               first build mutates the store, so it happens here, before
+               the workers share it. *)
+            if semi_naive && !delta <> None then
+              Storage.build_partial_indexes pi;
             let results =
               Pool.map_reduce (Pool.get_default ()) ~n:(Array.length pats)
                 ~map:(fun i ->

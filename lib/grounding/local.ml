@@ -65,38 +65,18 @@ let adjacency_of_graph g =
     factor_of = Fgraph.factor g;
   }
 
-type walker = {
-  prepared : Queries.prepared;
-  pi : Storage.t;
-  (* Partial-key indexes over TΠ, built on first use and shared by every
-     query through this source.  [idx_xc] leaves y free, [idx_yc] leaves x
-     free — between them they cover every body-atom probe of P1..P6 with
-     one bound variable missing. *)
-  mutable idx_xc : Index.t option; (* (R, x, C1, C2) *)
-  mutable idx_yc : Index.t option; (* (R, C1, y, C2) *)
-}
-
+type walker = { prepared : Queries.prepared; pi : Storage.t }
 type source = Graph of adjacency | Backward of walker
 
 let of_adjacency adj = Graph adj
-let of_kb prepared pi = Backward { prepared; pi; idx_xc = None; idx_yc = None }
+let of_kb prepared pi = Backward { prepared; pi }
 
-(* TΠ columns: I=0 R=1 x=2 C1=3 y=4 C2=5. *)
-let xc_index w =
-  match w.idx_xc with
-  | Some i -> i
-  | None ->
-    let i = Index.build (Storage.table w.pi) [| 1; 2; 3; 5 |] in
-    w.idx_xc <- Some i;
-    i
-
-let yc_index w =
-  match w.idx_yc with
-  | Some i -> i
-  | None ->
-    let i = Index.build (Storage.table w.pi) [| 1; 3; 4; 5 |] in
-    w.idx_yc <- Some i;
-    i
+(* TΠ's maintained partial-key indexes: [x_key] = (R, C1, C2, x) leaves
+   y free, [y_key] = (R, C1, C2, y) leaves x free — between them they
+   cover every body-atom probe of P1..P6 with one bound variable
+   missing. *)
+let x_index w = Storage.partial_index w.pi Storage.x_key
+let y_index w = Storage.partial_index w.pi Storage.y_key
 
 (* Iterate the live facts matching a partial key: the physical index may
    hold tombstoned rows, so each candidate is confirmed against the
@@ -177,28 +157,28 @@ let expand_backward w fid emit =
           | Some q -> emit2 q Fgraph.null
           | None -> ())
         | Pattern.P3 ->
-          (* q(z, x): z free ⇒ probe (R2, C3, x, C1) with x free on q's x
+          (* q(z, x): z free ⇒ probe (R2, C3, C1, x), x bound on q's y
              column; r(z, y) fully bound once z is known. *)
-          two_atom ~q_idx:(yc_index w)
-            ~q_kv:[| g 1; g 5; fx; g 3 |]
+          two_atom ~q_idx:(y_index w)
+            ~q_kv:[| g 1; g 5; g 3; fx |]
             ~z_col:2
             ~r_probe:(fun z ->
               Storage.find pi ~r:(g 2) ~x:z ~c1:(g 5) ~y:fy ~c2:(g 4))
         | Pattern.P4 ->
-          two_atom ~q_idx:(xc_index w)
-            ~q_kv:[| g 1; fx; g 3; g 5 |]
+          two_atom ~q_idx:(x_index w)
+            ~q_kv:[| g 1; g 3; g 5; fx |]
             ~z_col:4
             ~r_probe:(fun z ->
               Storage.find pi ~r:(g 2) ~x:z ~c1:(g 5) ~y:fy ~c2:(g 4))
         | Pattern.P5 ->
-          two_atom ~q_idx:(yc_index w)
-            ~q_kv:[| g 1; g 5; fx; g 3 |]
+          two_atom ~q_idx:(y_index w)
+            ~q_kv:[| g 1; g 5; g 3; fx |]
             ~z_col:2
             ~r_probe:(fun z ->
               Storage.find pi ~r:(g 2) ~x:fy ~c1:(g 4) ~y:z ~c2:(g 5))
         | Pattern.P6 ->
-          two_atom ~q_idx:(xc_index w)
-            ~q_kv:[| g 1; fx; g 3; g 5 |]
+          two_atom ~q_idx:(x_index w)
+            ~q_kv:[| g 1; g 3; g 5; fx |]
             ~z_col:4
             ~r_probe:(fun z ->
               Storage.find pi ~r:(g 2) ~x:fy ~c1:(g 4) ~y:z ~c2:(g 5)))
@@ -251,57 +231,57 @@ let expand_backward w fid emit =
           | None -> ())
         | Pattern.P3, Queries.Q_atom ->
           (* f = q(z, x) ⇒ z = f.x, head x = f.y; r(z, y) has y free. *)
-          with_r ~r_idx:(xc_index w)
-            ~r_kv:[| g 2; fx; g 5; g 4 |]
+          with_r ~r_idx:(x_index w)
+            ~r_kv:[| g 2; g 5; g 4; fx |]
             ~y_head_col:4
             ~head_x:(fun _ -> fy)
             ~head_y:(fun yh -> yh)
         | Pattern.P3, Queries.R_atom ->
           (* f = r(z, y) ⇒ z = f.x, head y = f.y; q(z, x) has x free. *)
-          with_q ~q_idx:(xc_index w)
-            ~q_kv:[| g 1; fx; g 5; g 3 |]
+          with_q ~q_idx:(x_index w)
+            ~q_kv:[| g 1; g 5; g 3; fx |]
             ~x_head_col:4
             ~head_x:(fun xh -> xh)
             ~head_y:(fun _ -> fy)
         | Pattern.P4, Queries.Q_atom ->
           (* f = q(x, z) ⇒ head x = f.x, z = f.y; r(z, y) has y free. *)
-          with_r ~r_idx:(xc_index w)
-            ~r_kv:[| g 2; fy; g 5; g 4 |]
+          with_r ~r_idx:(x_index w)
+            ~r_kv:[| g 2; g 5; g 4; fy |]
             ~y_head_col:4
             ~head_x:(fun _ -> fx)
             ~head_y:(fun yh -> yh)
         | Pattern.P4, Queries.R_atom ->
           (* f = r(z, y) ⇒ z = f.x, head y = f.y; q(x, z) has x free. *)
-          with_q ~q_idx:(yc_index w)
-            ~q_kv:[| g 1; g 3; fx; g 5 |]
+          with_q ~q_idx:(y_index w)
+            ~q_kv:[| g 1; g 3; g 5; fx |]
             ~x_head_col:2
             ~head_x:(fun xh -> xh)
             ~head_y:(fun _ -> fy)
         | Pattern.P5, Queries.Q_atom ->
           (* f = q(z, x) ⇒ z = f.x, head x = f.y; r(y, z) has y free. *)
-          with_r ~r_idx:(yc_index w)
-            ~r_kv:[| g 2; g 4; fx; g 5 |]
+          with_r ~r_idx:(y_index w)
+            ~r_kv:[| g 2; g 4; g 5; fx |]
             ~y_head_col:2
             ~head_x:(fun _ -> fy)
             ~head_y:(fun yh -> yh)
         | Pattern.P5, Queries.R_atom ->
           (* f = r(y, z) ⇒ head y = f.x, z = f.y; q(z, x) has x free. *)
-          with_q ~q_idx:(xc_index w)
-            ~q_kv:[| g 1; fy; g 5; g 3 |]
+          with_q ~q_idx:(x_index w)
+            ~q_kv:[| g 1; g 5; g 3; fy |]
             ~x_head_col:4
             ~head_x:(fun xh -> xh)
             ~head_y:(fun _ -> fx)
         | Pattern.P6, Queries.Q_atom ->
           (* f = q(x, z) ⇒ head x = f.x, z = f.y; r(y, z) has y free. *)
-          with_r ~r_idx:(yc_index w)
-            ~r_kv:[| g 2; g 4; fy; g 5 |]
+          with_r ~r_idx:(y_index w)
+            ~r_kv:[| g 2; g 4; g 5; fy |]
             ~y_head_col:2
             ~head_x:(fun _ -> fx)
             ~head_y:(fun yh -> yh)
         | Pattern.P6, Queries.R_atom ->
           (* f = r(y, z) ⇒ head y = f.x, z = f.y; q(x, z) has x free. *)
-          with_q ~q_idx:(yc_index w)
-            ~q_kv:[| g 1; g 3; fy; g 5 |]
+          with_q ~q_idx:(y_index w)
+            ~q_kv:[| g 1; g 3; g 5; fy |]
             ~x_head_col:2
             ~head_x:(fun xh -> xh)
             ~head_y:(fun _ -> fx))

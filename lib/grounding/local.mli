@@ -12,7 +12,8 @@
       live session's provenance index); expansion is a pure index walk.
     - {!of_kb} — no graph exists; rule bodies are expanded backward against
       the KB indexes using the memoized {!Queries.rule_adjacency} buckets
-      and two lazily-built partial-key indexes over [TΠ].  Requires the
+      and [TΠ]'s maintained partial-key indexes
+      ({!Kb.Storage.partial_index}).  Requires the
       {e fact} closure to have run (the Query 1 fixpoint — the same
       precondition as the batch Query 2) and, like the batch
       [singleton_factors], reads extraction priors from the weight column
@@ -83,8 +84,11 @@ type source
 val of_adjacency : adjacency -> source
 
 (** [of_kb p pi] walks backward against the KB indexes.  The source is
-    reusable across queries: the rule-adjacency buckets and the two
-    partial-key [TΠ] indexes are built once (lazily) and shared. *)
+    reusable across queries: the rule-adjacency buckets are built once
+    (lazily) and shared, and the partial-key [TΠ] indexes belong to
+    [pi], which keeps them current (built on the first walk if no delta
+    join has built them yet — the first walk mutates [pi], so do not
+    race it). *)
 val of_kb : Queries.prepared -> Kb.Storage.t -> source
 
 type result = {

@@ -426,6 +426,14 @@ let atoms_out_swapped s =
   let a = atoms_out s in
   [| a.(0); a.(3); a.(4); a.(1); a.(2) |]
 
+(* [factors_out] for the mirrored run of a two-atom pattern: the head
+   columns (x, C1)/(y, C2) *and* the body ids I2/I3 are swapped back to the
+   original orientation, so delta-built factor rows are textually identical
+   to the ones the batch Query 2 emits for the same instances. *)
+let factors_out_swapped s =
+  let a = factors_out s in
+  [| a.(0); a.(3); a.(4); a.(1); a.(2); a.(6); a.(5) |]
+
 let mirror_index p pat =
   match p.mirror_index.(Pattern.index pat) with
   | Some idx -> idx
@@ -438,36 +446,65 @@ let mirror_index p pat =
     p.mirror_index.(Pattern.index pat) <- Some idx;
     idx
 
+(* One union term of a two-atom delta query: Δ bound to the q atom of
+   [pat], or — [mirrored] — to its r atom, as the q atom of the mirrored
+   pattern.  Step 1 (the rules ⋈ Δ) has already run into [j]; step 2
+   joins [j] on [j_key] with TΠ on [t_key].  Step 2 walks the Δ-sized J
+   and probes TΠ's maintained partial-key index on [t_key] — never a
+   pass over TΠ — and emits exactly the rows of the scan join
+   [J ⋈ TΠ], in the same order ({!Join.index_probe_into}). *)
+type delta_term = {
+  j : Table.t;
+  j_key : int array;
+  t_key : int array;
+  atoms_out : Join.out_col array;
+  factors_out : Join.out_col array;
+  mirrored : bool;
+}
+
+let delta_terms p pat ~delta =
+  let term midx as_pat ~mirrored =
+    match shape_of as_pat with
+    | Shape.One_atom _ -> invalid_arg "Queries.delta_terms: one-atom pattern"
+    | Shape.Two_atom s2 as shape ->
+      {
+        j = step1 midx as_pat shape delta;
+        j_key = s2.j_key2;
+        t_key = s2.t_key2;
+        atoms_out =
+          (if mirrored then atoms_out_swapped shape else atoms_out shape);
+        factors_out =
+          (if mirrored then factors_out_swapped shape else factors_out shape);
+        mirrored;
+      }
+  in
+  let first = term p.m_index.(Pattern.index pat) pat ~mirrored:false in
+  [ first; term (mirror_index p pat) (mirror_pattern pat) ~mirrored:true ]
+
 let ground_atoms_delta p pat pi ~delta =
   let t = Storage.table pi in
   let midx = p.m_index.(Pattern.index pat) in
   match shape_of pat with
   | Shape.One_atom _ -> ground_atoms_tables midx pat ~q_tbl:delta ~r_tbl:t
   | Shape.Two_atom _ ->
-    (* Both union terms stream their probe output into one shared dedup
-       sink — no per-term result table, no union materialization, and
-       rows reachable through both body atoms appear once (the first
-       term's occurrence wins, as a sequential distinct would pick). *)
+    (* Both union terms stream into one shared dedup sink — no per-term
+       result table, no union materialization, and rows reachable
+       through both body atoms appear once (the first term's occurrence
+       wins, as a sequential distinct would pick).  The second term is
+       the mirrored pattern, its head columns swapped back inside the
+       projection. *)
     let sink =
       Sink.create
         ~dedup_key:(Array.init (Array.length atom_cols) Fun.id)
         ~name:("atoms_" ^ Pattern.to_string pat)
         atom_cols
     in
-    let probe_into index as_pat ~out =
-      match shape_of as_pat with
-      | Shape.One_atom _ -> assert false
-      | Shape.Two_atom s2 ->
-        let shape = shape_of as_pat in
-        let j = step1 index as_pat shape delta in
-        Join.hash_join_pre_into ~out:(out shape) ~oweight:Join.No_weight ~sink
-          (Index.build j s2.j_key2) (t, s2.t_key2)
-    in
-    (* Δ bound to the q atom… *)
-    probe_into midx pat ~out:atoms_out;
-    (* …then Δ bound to the r atom, via the mirrored pattern with the
-       head columns swapped back inside the projection. *)
-    probe_into (mirror_index p pat) (mirror_pattern pat) ~out:atoms_out_swapped;
+    List.iter
+      (fun d ->
+        Join.index_probe_into ~out:d.atoms_out ~oweight:Join.No_weight ~sink
+          (d.j, d.j_key)
+          (Storage.partial_index pi d.t_key))
+      (delta_terms p pat ~delta);
     let obs = Obs.ambient () in
     if Obs.enabled obs then Sink.record_distinct_obs obs sink;
     Sink.table sink
@@ -518,16 +555,7 @@ let ground_factors_spilled p pat pi ~src g =
   in
   resolve_heads rows pi g
 
-(* [factors_out] for the mirrored run of a two-atom pattern: the head
-   columns (x, C1)/(y, C2) *and* the body ids I2/I3 are swapped back to the
-   original orientation, so delta-built factor rows are textually identical
-   to the ones the batch Query 2 emits for the same instances. *)
-let factors_out_swapped s =
-  let a = factors_out s in
-  [| a.(0); a.(3); a.(4); a.(1); a.(2); a.(6); a.(5) |]
-
 let ground_factors_delta p pat pi ~delta ~watermark g =
-  let t = Storage.table pi in
   let s = shape_of pat in
   match s with
   | One_atom s1 ->
@@ -541,36 +569,29 @@ let ground_factors_delta p pat pi ~delta ~watermark g =
         (delta, s1.t_key)
     in
     resolve_heads rows pi g
-  | Two_atom s2 ->
-    (* Δ bound to the q atom (the r atom ranges over all of TΠ)… *)
-    let j = step1 p.m_index.(Pattern.index pat) pat s delta in
-    let n1 =
-      resolve_heads
-        (Join.hash_join
-           ~name:("factors_" ^ Pattern.to_string pat ^ "_dq")
-           ~cols:atom_i_cols ~out:(factors_out s)
-           ~oweight:(Join.Weight_of Join.Build) (j, s2.j_key2) (t, s2.t_key2))
-        pi g
-    in
-    (* …then Δ bound to the r atom via the mirrored pattern, with the q
-       atom restricted to *old* facts ([id < watermark]) so instances
-       whose body atoms are both new are not emitted twice. *)
-    let mp = mirror_pattern pat in
-    let ms = shape_of mp in
-    (match ms with
-    | One_atom _ -> assert false
-    | Two_atom ms2 ->
-      let j2 = step1 (mirror_index p pat) mp ms delta in
-      let rows2 =
-        Join.hash_join
-          ~name:("factors_" ^ Pattern.to_string pat ^ "_dr")
-          ~cols:atom_i_cols
-          ~out:(factors_out_swapped ms)
-          ~oweight:(Join.Weight_of Join.Build)
-          ~residual:(fun _ p_row -> Table.get t p_row 0 < watermark)
-          (j2, ms2.j_key2) (t, ms2.t_key2)
-      in
-      n1 + resolve_heads rows2 pi g)
+  | Two_atom _ ->
+    (* Δ bound to the q atom (the r atom ranges over all of TΠ), then Δ
+       bound to the r atom via the mirrored pattern, with the q atom
+       restricted to *old* facts ([id < watermark]) so instances whose
+       body atoms are both new are not emitted twice. *)
+    let t = Storage.table pi in
+    List.fold_left
+      (fun n d ->
+        let sink =
+          Sink.create ~weighted:true
+            ~name:("factors_" ^ Pattern.to_string pat ^ "_d")
+            atom_i_cols
+        in
+        let residual =
+          if d.mirrored then
+            Some (fun _ p_row -> Table.get t p_row 0 < watermark)
+          else None
+        in
+        Join.index_probe_into ~out:d.factors_out
+          ~oweight:(Join.Weight_of Join.Build) ?residual ~sink (d.j, d.j_key)
+          (Storage.partial_index pi d.t_key);
+        n + resolve_heads (Sink.table sink) pi g)
+      0 (delta_terms p pat ~delta)
 
 let singleton_factors pi g =
   let n = ref 0 in

@@ -121,6 +121,31 @@ val ground_atoms :
 val ground_atoms_spilled :
   prepared -> Mln.Pattern.t -> src:Relational.Segsrc.t -> Relational.Table.t
 
+(** One union term of a two-atom semi-naive query (see
+    {!ground_atoms_delta}): Δ bound to the q atom of the pattern, or —
+    [mirrored] — to its r atom, run as the q atom of the mirrored
+    pattern.  Step 1 (the rule partition ⋈ Δ) has already run into [j]
+    (columns {!j_cols}, rule weight carried); step 2 joins [j] on
+    [j_key] with [TΠ] on [t_key] — {!Kb.Storage.x_key} or
+    {!Kb.Storage.y_key} — projecting [atoms_out] or [factors_out], which
+    already put the head (and, for factors, the body ids) back in the
+    original pattern's orientation. *)
+type delta_term = {
+  j : Relational.Table.t;
+  j_key : int array;
+  t_key : int array;
+  atoms_out : Relational.Join.out_col array;
+  factors_out : Relational.Join.out_col array;
+  mirrored : bool;
+}
+
+(** [delta_terms p pat ~delta] is the q-atom term then the r-atom term of
+    two-atom pattern [pat] for the delta facts [delta] (a table with the
+    [TΠ] schema).
+    @raise Invalid_argument for a one-atom pattern. *)
+val delta_terms :
+  prepared -> Mln.Pattern.t -> delta:Relational.Table.t -> delta_term list
+
 (** [ground_atoms_delta p pat pi ~delta] is the semi-naive variant of
     Query 1-i: only derivations with at least one body atom bound to a
     [delta] fact (a table with the [TΠ] schema).  For two-atom patterns
@@ -129,7 +154,10 @@ val ground_atoms_spilled :
     P6↔P6 with transformed rule rows and the head columns swapped back
     inside the projection) — streaming both probe outputs into one
     shared dedup sink, so the union never materializes per-term
-    tables. *)
+    tables.  Step 2 of each term probes [TΠ]'s maintained partial-key
+    index ({!Kb.Storage.partial_index}, built here on first use) from
+    the Δ side instead of scanning [TΠ]; rows, their order and the dedup
+    winners are those of the scan join. *)
 val ground_atoms_delta :
   prepared ->
   Mln.Pattern.t ->

@@ -94,6 +94,23 @@ let active_patterns st =
 
 let tpi_cols = [| "I"; "R"; "x"; "C1"; "y"; "C2" |]
 
+(* The facts newer than [watermark] ([id >= watermark]) are a contiguous
+   suffix of [TΠ]: ids are assigned in insertion order and ascend along
+   the rows.  [new_rows t watermark] is the first row of that suffix,
+   found by walking back from the end — O(new facts). *)
+let new_rows t watermark =
+  let start = ref (Table.nrows t) in
+  while !start > 0 && Table.get t (!start - 1) 0 >= watermark do
+    decr start
+  done;
+  !start
+
+let suffix t start =
+  Table.sub t (Array.init (Table.nrows t - start) (( + ) start))
+
+let suffix_ids t start =
+  List.init (Table.nrows t - start) (fun i -> Table.get t (start + i) 0)
+
 (* The frontier of one overdelete wave as a delta table with the [TΠ]
    schema (the facts are still physically present — deleted facts must
    stay joinable while their consequence cone is computed). *)
@@ -466,16 +483,10 @@ let ingest ?(max_iterations = 15) st facts =
      table since ids are assigned in insertion order), plus one singleton
      per new or promoted base fact. *)
   let new_factors = ref 0 in
+  let t = Storage.table pi in
+  let start = new_rows t watermark in
   Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
-      let t = Storage.table pi in
-      let start = ref (Table.nrows t) in
-      while !start > 0 && Table.get t (!start - 1) 0 >= watermark do
-        decr start
-      done;
-      let fdelta =
-        Table.sub t
-          (Array.init (Table.nrows t - !start) (fun i -> !start + i))
-      in
+      let fdelta = suffix t start in
       if Table.nrows fdelta > 0 then
         List.iter
           (fun pat ->
@@ -506,15 +517,7 @@ let ingest ?(max_iterations = 15) st facts =
         r.Grounding.Ground.converged )
     | None -> (0, 0, true)
   in
-  let new_ids =
-    let acc = ref (List.rev promoted) in
-    let t = Storage.table pi in
-    for row = 0 to Table.nrows t - 1 do
-      let id = Table.get t row 0 in
-      if id >= watermark then acc := id :: !acc
-    done;
-    List.rev !acc
-  in
+  let new_ids = promoted @ suffix_ids t start in
   Obs.add st.obs "incremental.inserted" (List.length inserted);
   Obs.add st.obs "incremental.promoted" (List.length promoted);
   Obs.add st.obs "incremental.derived" derived;
@@ -556,6 +559,8 @@ let extend_rules ?(max_iterations = 15) st rules =
       st.kb
   in
   let new_factors = ref 0 in
+  let t = Storage.table pi in
+  let start = new_rows t watermark in
   Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
       (if rules <> [] then
          let rp = Queries.prepare (Mln.Partition.of_rules rules) in
@@ -565,15 +570,7 @@ let extend_rules ?(max_iterations = 15) st rules =
                new_factors :=
                  !new_factors + Queries.ground_factors rp pat pi st.graph)
            Pattern.all);
-      let t = Storage.table pi in
-      let start = ref (Table.nrows t) in
-      while !start > 0 && Table.get t (!start - 1) 0 >= watermark do
-        decr start
-      done;
-      let fdelta =
-        Table.sub t
-          (Array.init (Table.nrows t - !start) (fun i -> !start + i))
-      in
+      let fdelta = suffix t start in
       if Table.nrows fdelta > 0 then
         List.iter
           (fun pat ->
@@ -583,15 +580,7 @@ let extend_rules ?(max_iterations = 15) st rules =
                   ~watermark st.graph)
           old_patterns);
   Provenance.sync st.prov st.graph;
-  let new_ids =
-    let acc = ref [] in
-    let t = Storage.table pi in
-    for row = 0 to Table.nrows t - 1 do
-      let id = Table.get t row 0 in
-      if id >= watermark then acc := id :: !acc
-    done;
-    List.rev !acc
-  in
+  let new_ids = suffix_ids t start in
   {
     inserted = 0;
     promoted = 0;

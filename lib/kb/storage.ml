@@ -3,28 +3,59 @@ module Index = Relational.Index
 
 let cols = [| "I"; "R"; "x"; "C1"; "y"; "C2" |]
 let key_cols = [| 1; 2; 3; 4; 5 |]
+let x_key = [| 1; 3; 5; 2 |]
+let y_key = [| 1; 3; 5; 4 |]
 
 type t = {
   mutable facts : Table.t;
   mutable key_idx : Index.t;
+  mutable partial : (Index.t * Index.t) option;
+      (* on [x_key] and [y_key]; built on first demand, then maintained *)
   mutable next_id : int;
-  mutable id_map : (int, int) Hashtbl.t option; (* id -> row, lazy *)
   banned : (int * int * int * int * int, unit) Hashtbl.t;
   tombstones : (int, unit) Hashtbl.t; (* ids marked deleted, not yet compacted *)
   mutable index_rebuilds : int;
 }
+
+let debug_checks =
+  lazy
+    (match Sys.getenv_opt "PROBKB_DEBUG" with
+    | Some ("" | "0") | None -> false
+    | Some _ -> true)
 
 let create () =
   let facts = Table.create ~weighted:true ~name:"T_Pi" cols in
   {
     facts;
     key_idx = Index.build facts key_cols;
+    partial = None;
     next_id = 0;
-    id_map = None;
     banned = Hashtbl.create 16;
     tombstones = Hashtbl.create 16;
     index_rebuilds = 0;
   }
+
+let partial_of facts = (Index.build facts x_key, Index.build facts y_key)
+
+let build_partial_indexes s =
+  if s.partial = None then s.partial <- Some (partial_of s.facts)
+
+let partial_index s key =
+  build_partial_indexes s;
+  match s.partial with
+  | Some (ix, _) when key = x_key -> ix
+  | Some (_, iy) when key = y_key -> iy
+  | _ -> invalid_arg "Storage.partial_index: not a maintained key"
+
+(* Registers the table's newest row with every maintained index. *)
+let index_last_row s =
+  let row = Table.nrows s.facts - 1 in
+  Index.add s.key_idx row;
+  match s.partial with
+  | Some (ix, iy) ->
+    Index.add ix row;
+    Index.add iy row
+  | None -> ()
 
 let table s = s.facts
 let key_index s = s.key_idx
@@ -47,10 +78,7 @@ let add s ~r ~x ~c1 ~y ~c2 ~w =
     let id = s.next_id in
     s.next_id <- id + 1;
     Table.append_w s.facts [| id; r; x; c1; y; c2 |] w;
-    Index.add s.key_idx (Table.nrows s.facts - 1);
-    (match s.id_map with
-    | Some m -> Hashtbl.replace m id (Table.nrows s.facts - 1)
-    | None -> ());
+    index_last_row s;
     `Added id
 
 (* [tbl] has columns R x C1 y C2 at positions 0..4. *)
@@ -76,10 +104,7 @@ let merge_new s tbl =
       done;
       Table.append s.facts buf;
       (* inferred: null weight *)
-      Index.add s.key_idx (Table.nrows s.facts - 1);
-      (match s.id_map with
-      | Some m -> Hashtbl.replace m id (Table.nrows s.facts - 1)
-      | None -> ());
+      index_last_row s;
       incr added
     end
   done;
@@ -90,6 +115,15 @@ let ban_key_of_row s r =
     ( Table.get s.facts r 1, Table.get s.facts r 2, Table.get s.facts r 3,
       Table.get s.facts r 4, Table.get s.facts r 5 )
     ()
+
+(* [row_of_id]'s binary search relies on ids ascending along the rows:
+   appends take ids from [next_id], and compaction keeps row order. *)
+let check_ids_ascending s =
+  for row = 1 to Table.nrows s.facts - 1 do
+    if Table.get s.facts (row - 1) 0 >= Table.get s.facts row 0 then
+      failwith
+        (Printf.sprintf "Storage: fact ids not ascending at row %d" row)
+  done
 
 let mark_deleted s id = Hashtbl.replace s.tombstones id ()
 let pending_deletes s = Hashtbl.length s.tombstones
@@ -104,9 +138,10 @@ let flush_deletes ?(ban = false) s =
     let kept = Table.filter s.facts (fun r -> not (dead r)) in
     s.facts <- kept;
     s.key_idx <- Index.build kept key_cols;
+    if s.partial <> None then s.partial <- Some (partial_of kept);
     s.index_rebuilds <- s.index_rebuilds + 1;
-    s.id_map <- None;
     Hashtbl.reset s.tombstones;
+    if Lazy.force debug_checks then check_ids_ascending s;
     before - Table.nrows kept
   end
 
@@ -136,18 +171,16 @@ let iter f s =
   done
 
 let row_of_id s id =
-  let m =
-    match s.id_map with
-    | Some m -> m
-    | None ->
-      let m = Hashtbl.create (max 16 (Table.nrows s.facts)) in
-      for row = 0 to Table.nrows s.facts - 1 do
-        Hashtbl.replace m (Table.get s.facts row 0) row
-      done;
-      s.id_map <- Some m;
-      m
+  let rec search lo hi =
+    if lo >= hi then None
+    else
+      let mid = lo + ((hi - lo) / 2) in
+      let v = Table.get s.facts mid 0 in
+      if v = id then Some mid
+      else if v < id then search (mid + 1) hi
+      else search lo mid
   in
-  Hashtbl.find_opt m id
+  search 0 (Table.nrows s.facts)
 
 let ban_id s id =
   match row_of_id s id with
@@ -159,8 +192,8 @@ let copy s =
   {
     facts;
     key_idx = Index.build facts key_cols;
+    partial = None;
     next_id = s.next_id;
-    id_map = None;
     banned = Hashtbl.copy s.banned;
     tombstones = Hashtbl.copy s.tombstones;
     index_rebuilds = 0;

@@ -28,6 +28,32 @@ val table : t -> Relational.Table.t
     build side of joins against [TΠ]. *)
 val key_index : t -> Relational.Index.t
 
+(** {1 Partial-key indexes}
+
+    Two more indexes on [TΠ], each with one argument free: [x_key] is
+    [(R, C1, C2, x)] and [y_key] is [(R, C1, C2, y)], as column positions
+    of {!table}.  They are the [TΠ] side of step 2 of every two-atom
+    grounding query (the [r] atom, bound on z) and the backward walk's
+    one-argument-free probes.  Both are built together, on first demand;
+    from then on {!add} and {!merge_new} extend them and compaction
+    ({!flush_deletes}) rebuilds them, so they always index exactly the
+    rows of {!table} — tombstoned rows included until the flush.  A
+    bucket chain lists one key's rows in descending row order. *)
+
+val x_key : int array
+val y_key : int array
+
+(** [build_partial_indexes s] builds both partial-key indexes unless they
+    are built already.  The first build mutates [s]: call it (or
+    {!partial_index}) before sharing [s] with a pool region. *)
+val build_partial_indexes : t -> unit
+
+(** [partial_index s key] is the maintained index on [key], which must
+    equal {!x_key} or {!y_key} (building both on first use, as
+    {!build_partial_indexes}).
+    @raise Invalid_argument on any other key. *)
+val partial_index : t -> int array -> Relational.Index.t
+
 (** [size s] is the number of stored facts (tombstoned rows included until
     {!flush_deletes} compacts them away). *)
 val size : t -> int
@@ -119,8 +145,10 @@ val iter :
   (id:int -> r:int -> x:int -> c1:int -> y:int -> c2:int -> w:float -> unit) ->
   t -> unit
 
-(** [row_of_id s id] is the current row index of fact [id], if present
-    (linear scan cached in a lazily built map; invalidated on deletes). *)
+(** [row_of_id s id] is the current row index of fact [id], if present:
+    a binary search over the id column, whose ids ascend along the rows
+    (appends take them from {!next_id}; compaction keeps row order —
+    checked after every compaction under [PROBKB_DEBUG]). *)
 val row_of_id : t -> int -> int option
 
 (** [copy s] is an independent deep copy. *)

@@ -140,20 +140,3 @@ let count_matches idx kv =
   !n
 
 let size idx = idx.count
-
-let chain_stats idx =
-  let occupied = ref 0 and max_chain = ref 0 in
-  Array.iter
-    (fun cursor ->
-      if cursor <> 0 then begin
-        incr occupied;
-        let len = ref 0 in
-        let c = ref cursor in
-        while !c <> 0 do
-          incr len;
-          c := idx.next.(!c - 1)
-        done;
-        if !len > !max_chain then max_chain := !len
-      end)
-    idx.buckets;
-  (max 0 (idx.count - !occupied), !max_chain)

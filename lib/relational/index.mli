@@ -25,7 +25,10 @@ val key : t -> int array
 val add : t -> int -> unit
 
 (** [iter_matches idx kv f] applies [f r] to every indexed row [r] whose
-    key columns equal [kv] (length must equal the key arity). *)
+    key columns equal [kv] (length must equal the key arity), most
+    recently registered first — descending row order, since {!build} and
+    appends register rows in ascending order.  This holds whatever the
+    key's column order. *)
 val iter_matches : t -> int array -> (int -> unit) -> unit
 
 (** [first_match idx kv] is the first indexed row matching [kv], if any. *)
@@ -44,11 +47,6 @@ val count_matches : t -> int array -> int
 
 (** [size idx] is the number of indexed rows. *)
 val size : t -> int
-
-(** [chain_stats idx] is [(collisions, max_chain)]: how many indexed rows
-    share a bucket with an earlier row, and the longest bucket chain.
-    O(buckets + rows) — meant for telemetry, not hot paths. *)
-val chain_stats : t -> int * int
 
 (** [hash_key kv] is the hash used internally for a key tuple; exposed so
     the MPP layer hash-distributes rows consistently with join probes. *)

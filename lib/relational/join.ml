@@ -1,8 +1,9 @@
-(* The single physical join operator: a build/probe hash join executed on
-   the pipelined engine ({!Pipeline}) — the probe side streams in batches
+(* The physical join operator: a build/probe hash join executed on the
+   pipelined engine ({!Pipeline}) — the probe side streams in batches
    through a probe kernel into a {!Sink}, so the local operators, the
    query planner and the per-segment MPP joins all share one kernel
-   implementation.  The output spec types are re-exported from
+   implementation.  [index_probe_into] is its index-probe access path
+   for delta terms.  The output spec types are re-exported from
    [Pipeline]. *)
 
 type side = Pipeline.side = Build | Probe
@@ -44,10 +45,9 @@ let hash_join_pre_raw ~name ~cols ~out ~oweight ?(dedup = false) ?residual
   sink
 
 (* Telemetry wrapper: when the ambient trace is enabled, record rows
-   in/out, probe time, hash-chain statistics of the build index, and —
-   through the shared sink abstraction — the same dedup counters a
-   standalone DISTINCT reports; when disabled this is one branch over
-   the raw join. *)
+   in/out, probe time and — through the shared sink abstraction — the
+   same dedup counters a standalone DISTINCT reports; when disabled this
+   is one branch over the raw join. *)
 let hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
     (ptbl, pkey) =
   let obs = Obs.ambient () in
@@ -67,34 +67,71 @@ let hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
     Obs.add obs "join.probe_rows" (Table.nrows ptbl);
     Obs.add obs "join.rows_out" (Table.nrows result);
     Obs.add_time obs "join.probe_seconds" (Unix.gettimeofday () -. t0);
-    let collisions, max_chain = Index.chain_stats bidx in
-    Obs.add obs "join.hash_collisions" collisions;
-    Obs.gauge_max obs "join.max_hash_chain" (float_of_int max_chain);
     Sink.record_distinct_obs obs sink;
     result
   end
 
-(* Join into a caller-owned sink: several joins can stream into one
-   shared dedup sink (the grounding delta path unions its two join
-   branches this way without an intermediate table).  Emits the join.*
-   counters; dedup counters are the caller's to record once the sink is
-   complete ({!Sink.record_distinct_obs}). *)
-let hash_join_pre_into ~out ~oweight ?residual ?pool ~sink bidx (ptbl, pkey) =
+(* The delta-side access path: walk the small table [btbl] and probe
+   [idx], a maintained index of the large table, instead of indexing
+   [btbl] and scanning the large table.  The scan join emits its matches
+   in probe-row order and, within one probe row, in the build index's
+   chain order: descending [btbl] row.  Walking [btbl] meets the same
+   pairs in another order, so they are collected as codes that sort into
+   the scan's order — indexed row ascending, then [btbl] row descending —
+   and projected only then: the sink sees the scan's rows in the scan's
+   order, and keeps the same first occurrences. *)
+let index_probe_into ~out ~oweight ?residual ~sink (btbl, bkey) idx =
+  if Array.length (Index.key idx) <> Array.length bkey then
+    invalid_arg "Join.index_probe_into: key arity mismatch";
   let obs = Obs.ambient () in
-  if not (Obs.enabled obs) then
-    probe_into ~out ~oweight ?residual ?pool ~sink bidx (ptbl, pkey)
-  else begin
-    let before = Sink.rows_out sink in
-    let t0 = Unix.gettimeofday () in
-    probe_into ~out ~oweight ?residual ?pool ~sink bidx (ptbl, pkey);
+  let t0 = if Obs.enabled obs then Unix.gettimeofday () else 0. in
+  let before = Sink.rows_out sink in
+  let ptbl = Index.table idx in
+  let nb = Table.nrows btbl in
+  let keep = match residual with None -> fun _ _ -> true | Some f -> f in
+  let codes = ref [] in
+  let kv = Array.make (Array.length bkey) 0 in
+  for br = 0 to nb - 1 do
+    for i = 0 to Array.length bkey - 1 do
+      kv.(i) <- Table.get btbl br bkey.(i)
+    done;
+    Index.iter_matches idx kv (fun ir ->
+        if keep br ir then codes := ((ir * nb) + (nb - 1 - br)) :: !codes)
+  done;
+  let codes = Array.of_list !codes in
+  Array.sort Int.compare codes;
+  let width = Array.length out in
+  let ob =
+    Batch.create
+      ~capacity:(max 1 (min (Array.length codes) Batch.default_capacity))
+      ~weighted:(oweight <> No_weight) width
+  in
+  Array.iter
+    (fun code ->
+      let ir = code / nb and br = nb - 1 - (code mod nb) in
+      if Batch.is_full ob then begin
+        Sink.push_batch sink ob;
+        Batch.clear ob
+      end;
+      let i = Batch.alloc_row ob ~rid:ir in
+      for j = 0 to width - 1 do
+        Batch.set ob i j
+          (match out.(j) with
+          | Const v -> v
+          | Col (Build, c) -> Table.get btbl br c
+          | Col (Probe, c) -> Table.get ptbl ir c)
+      done;
+      match oweight with
+      | No_weight -> ()
+      | Weight_of Build -> Batch.set_weight ob i (Table.weight btbl br)
+      | Weight_of Probe -> Batch.set_weight ob i (Table.weight ptbl ir))
+    codes;
+  if not (Batch.is_empty ob) then Sink.push_batch sink ob;
+  if Obs.enabled obs then begin
     Obs.incr obs "join.joins";
-    Obs.add obs "join.build_rows" (Index.size bidx);
-    Obs.add obs "join.probe_rows" (Table.nrows ptbl);
+    Obs.add obs "join.probe_rows" nb;
     Obs.add obs "join.rows_out" (Sink.rows_out sink - before);
-    Obs.add_time obs "join.probe_seconds" (Unix.gettimeofday () -. t0);
-    let collisions, max_chain = Index.chain_stats bidx in
-    Obs.add obs "join.hash_collisions" collisions;
-    Obs.gauge_max obs "join.max_hash_chain" (float_of_int max_chain)
+    Obs.add_time obs "join.probe_seconds" (Unix.gettimeofday () -. t0)
   end
 
 (* Segmented-probe variant: the probe side is a spilled scan source
@@ -139,9 +176,6 @@ let hash_join_pre_src ~name ~cols ~out ~oweight ?(dedup = false) ?residual
     Obs.add obs "join.probe_rows" (Segsrc.rows psrc);
     Obs.add obs "join.rows_out" (Table.nrows result);
     Obs.add_time obs "join.probe_seconds" (Unix.gettimeofday () -. t0);
-    let collisions, max_chain = Index.chain_stats bidx in
-    Obs.add obs "join.hash_collisions" collisions;
-    Obs.gauge_max obs "join.max_hash_chain" (float_of_int max_chain);
     Sink.record_distinct_obs obs sink;
     result
   end
@@ -155,56 +189,6 @@ let hash_join ~name ~cols ~out ~oweight ?dedup ?residual ?pool (btbl, bkey)
     Obs.add_time obs "join.build_seconds" (Unix.gettimeofday () -. t0);
   hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
     (ptbl, pkey)
-
-let nested_loop ~name ~cols ~out ~oweight ?(dedup = false) ?residual
-    (btbl, bkey) (ptbl, pkey) =
-  if Array.length bkey <> Array.length pkey then
-    invalid_arg "Join.nested_loop: key arity mismatch";
-  let weighted = oweight <> No_weight in
-  let result = Table.create ~weighted ~name cols in
-  let dedup_idx =
-    if dedup then
-      Some (Index.build result (Array.init (Array.length out) Fun.id))
-    else None
-  in
-  let buf = Array.make (Array.length out) 0 in
-  let emit br pr =
-    for i = 0 to Array.length out - 1 do
-      buf.(i) <-
-        (match out.(i) with
-        | Const v -> v
-        | Col (Build, c) -> Table.get btbl br c
-        | Col (Probe, c) -> Table.get ptbl pr c)
-    done;
-    let fresh =
-      match dedup_idx with
-      | None -> true
-      | Some idx -> not (Index.mem idx buf)
-    in
-    if fresh then begin
-      (match oweight with
-      | No_weight -> Table.append result buf
-      | Weight_of Build -> Table.append_w result buf (Table.weight btbl br)
-      | Weight_of Probe -> Table.append_w result buf (Table.weight ptbl pr));
-      match dedup_idx with
-      | Some idx -> Index.add idx (Table.nrows result - 1)
-      | None -> ()
-    end
-  in
-  let keys_equal br pr =
-    let rec eq i =
-      i >= Array.length bkey
-      || Table.get btbl br bkey.(i) = Table.get ptbl pr pkey.(i) && eq (i + 1)
-    in
-    eq 0
-  in
-  let keep = match residual with None -> fun _ _ -> true | Some f -> f in
-  for pr = 0 to Table.nrows ptbl - 1 do
-    for br = 0 to Table.nrows btbl - 1 do
-      if keys_equal br pr && keep br pr then emit br pr
-    done
-  done;
-  result
 
 let semi_join_absent tbl key idx =
   Table.filter tbl (fun r -> not (Index.mem_row idx tbl key r))

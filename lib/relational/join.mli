@@ -2,9 +2,11 @@
 
     The grounding queries of the paper (Queries 1-i, 2-i, 3) are equi-joins
     between the rule partition tables [Mi] and the fact table [TΠ].  This
-    module provides the single physical operator they compile to: a
-    build/probe hash join with projection, optional residual predicate and
-    weight propagation.
+    module provides the physical operator they compile to: a build/probe
+    hash join with projection, optional residual predicate and weight
+    propagation — plus, for semi-naive delta terms, the same join run
+    from the small side against a maintained index of the large one
+    ({!index_probe_into}), with identical output.
 
     The output specification names, for each output column, which side and
     column it is read from; this is the SELECT clause of the SQL queries in
@@ -73,21 +75,35 @@ val hash_join_pre :
   Table.t * int array ->
   Table.t
 
-(** [hash_join_pre_into ~sink ...] is {!hash_join_pre} but streams the
-    join output into a caller-owned {!Sink.t} instead of a fresh table:
-    several joins can union into one shared dedup sink with no
-    intermediate table (the grounding delta path does exactly this).
-    The sink's schema must match the output spec.  Emits the [join.*]
-    counters; the caller records the sink's dedup counters once the sink
-    is complete ({!Sink.record_distinct_obs}). *)
-val hash_join_pre_into :
+(** [index_probe_into ~out ~oweight ?residual ~sink (b, bkey) idx] is
+    the index-probe access path of {!hash_join}: it walks the rows of [b]
+    and probes [idx] — a maintained index over the large table
+    [Index.table idx], e.g. a partial-key index of the fact table — with
+    each row's [bkey] columns, streaming the matches into the
+    caller-owned [sink] (whose schema must match [out]).  Several joins
+    can union into one shared dedup sink this way.
+
+    [out], [oweight] and [residual] keep their {!hash_join} meaning with
+    [b] as the [Build] side and the indexed table as the [Probe] side;
+    [residual] sees [(b row, indexed row)].  Matches are emitted in
+    exactly the order of [hash_join (b, bkey) (Index.table idx,
+    Index.key idx)] — indexed row ascending, then [b] row descending — so
+    the sink keeps the same rows, weights and first occurrences as that
+    scan, at O(|b| + matches · log matches) instead of a pass over the
+    indexed table.  Runs on the calling domain.  Emits the [join.*]
+    counters ([join.probe_rows] counts the rows of [b]; a maintained
+    index adds nothing to [join.build_rows]); the caller records the
+    sink's dedup counters once it is complete
+    ({!Sink.record_distinct_obs}).
+
+    @raise Invalid_argument if the key arities differ. *)
+val index_probe_into :
   out:out_col array ->
   oweight:out_weight ->
   ?residual:(int -> int -> bool) ->
-  ?pool:Pool.t ->
   sink:Sink.t ->
-  Index.t ->
   Table.t * int array ->
+  Index.t ->
   unit
 
 (** [hash_join_pre_src ...] is {!hash_join_pre} with a segmented
@@ -105,34 +121,6 @@ val hash_join_pre_src :
   ?pool:Pool.t ->
   Index.t ->
   Segsrc.t * int array ->
-  Table.t
-
-(** [probe_src_into ~sink ...] is {!hash_join_pre_into} with a segmented
-    probe side (no [join.*] telemetry — the caller owns the sink and the
-    counters, exactly as with {!hash_join_pre_into}). *)
-val probe_src_into :
-  out:out_col array ->
-  oweight:out_weight ->
-  ?residual:(int -> int -> bool) ->
-  ?pool:Pool.t ->
-  sink:Sink.t ->
-  Index.t ->
-  Segsrc.t * int array ->
-  unit
-
-(** [nested_loop ...] is a reference implementation of the same operator
-    with O(n·m) complexity.  It exists for differential testing only; it
-    honours the same [dedup] inline-DISTINCT flag as {!hash_join} so plan
-    fallbacks cannot silently produce duplicate rows. *)
-val nested_loop :
-  name:string ->
-  cols:string array ->
-  out:out_col array ->
-  oweight:out_weight ->
-  ?dedup:bool ->
-  ?residual:(int -> int -> bool) ->
-  Table.t * int array ->
-  Table.t * int array ->
   Table.t
 
 (** [semi_join_absent tbl key idx] is the anti-semi-join: the rows of [tbl]

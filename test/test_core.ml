@@ -162,7 +162,10 @@ let test_incorporate_batches_differential =
   (* Feeding the same extractions through [incorporate] in k batches must
      reach the same closure as one from-scratch expansion over their
      union — the insert-path mirror of the retract differential in
-     test_incremental. *)
+     test_incremental.  Both sides run to the fixpoint: under the default
+     15-iteration cap some generator seeds (67 and 93 of 0..100) stop the
+     from-scratch closure short of it, while k batches of up to 15
+     iterations each reach it. *)
   Tutil.qcheck_case ~count:10 "incorporate over batches = from-scratch expand"
     QCheck.(pair small_nat (int_range 2 5))
     (fun (seed, k) ->
@@ -184,14 +187,19 @@ let test_incorporate_batches_differential =
       List.iter (Kb.Gamma.add_rule inc_kb) (Kb.Gamma.rules proto);
       let engine =
         Probkb.Engine.create
-          ~config:(Probkb.Config.make ~inference:None ())
+          ~config:(Probkb.Config.make ~inference:None ~max_iterations:100 ())
           inc_kb
       in
       Array.iter
         (fun b -> ignore (Probkb.Engine.incorporate engine (List.rev b)))
         batches;
       let oracle = Tutil.copy_gamma proto in
-      ignore (Grounding.Ground.closure oracle);
+      let closed =
+        Grounding.Ground.closure
+          ~options:
+            { Grounding.Ground.default_options with max_iterations = 100 }
+          oracle
+      in
       let view kb =
         let acc = ref [] in
         Kb.Storage.iter
@@ -200,7 +208,7 @@ let test_incorporate_batches_differential =
           (Kb.Gamma.pi kb);
         List.sort compare !acc
       in
-      view inc_kb = view oracle)
+      closed.Grounding.Ground.converged && view inc_kb = view oracle)
 
 (* Minimal substring search to avoid extra dependencies. *)
 let contains s sub =

@@ -510,6 +510,152 @@ let test_session_constraints_via_dred () =
     (Storage.size (Gamma.pi kb));
   check_int "graph emptied" 0 (Fgraph.size (Probkb.Engine.Session.graph s))
 
+(* A session pinned end to end: a fixed stream of ingest, retract and
+   refresh epochs on the ReVerb-Sherlock KB at scale 0.005, digested
+   epoch by epoch — TΠ rows in order (id, key, weight bits), TΦ rows in
+   order (ids, weight bits), and every marginal's bits after each refresh.
+   The stream retracts random base facts (real overdelete cones), ingests
+   them back, and ingests then retracts fresh random facts.  The digest
+   was recorded before the delta joins switched from scanning TΠ to
+   probing its maintained indexes (x86-64 Linux, glibc libm); the
+   incremental layer must reproduce it bit for bit at pool sizes 1
+   and 4. *)
+let session_digest () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  let engine =
+    Probkb.Engine.create
+      ~config:
+        (Probkb.Config.make
+           ~inference:
+             (Some
+                (Inference.Marginal.Chromatic
+                   { Inference.Gibbs.burn_in = 10; samples = 40; seed = 3 }))
+           ())
+      kb
+  in
+  let s = Probkb.Engine.session engine in
+  let pi = Gamma.pi kb in
+  let b = Buffer.create 4096 in
+  let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let add_float w = Buffer.add_int64_le b (Int64.bits_of_float w) in
+  let record_state () =
+    Storage.iter
+      (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
+        List.iter add_int [ id; r; x; c1; y; c2 ];
+        add_float w)
+      pi;
+    Fgraph.iter
+      (fun _ (i1, i2, i3, w) ->
+        List.iter add_int [ i1; i2; i3 ];
+        add_float w)
+      (Probkb.Engine.Session.graph s)
+  in
+  let refresh () =
+    ignore (Probkb.Engine.Session.refresh_marginals s);
+    Storage.iter
+      (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w:_ ->
+        match Probkb.Engine.Session.marginal s id with
+        | Some p -> add_int id; add_float p
+        | None -> ())
+      pi
+  in
+  let rng = Workload.Rng.create 41 in
+  let base () =
+    let acc = ref [] in
+    Storage.iter
+      (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
+        if not (Table.is_null_weight w) then
+          acc := (id, (r, x, c1, y, c2, w)) :: !acc)
+      pi;
+    Array.of_list (List.rev !acc)
+  in
+  record_state ();
+  refresh ();
+  for round = 0 to 5 do
+    (* Retract three base facts, then extract them again. *)
+    let facts = base () in
+    let picks =
+      List.init 3 (fun _ -> facts.(Workload.Rng.int rng (Array.length facts)))
+      |> List.sort_uniq compare
+    in
+    ignore (Probkb.Engine.Session.retract s (List.map fst picks));
+    record_state ();
+    ignore (Probkb.Engine.Session.ingest s (List.map snd picks));
+    record_state ();
+    (* Ingest four fresh facts, then retract them. *)
+    let fresh =
+      List.init 4 (fun j ->
+          let r, x, c1, y, c2 = Workload.Reverb_sherlock.random_fact g rng in
+          (r, x, c1, y, c2, 0.6 +. (0.05 *. float_of_int j)))
+    in
+    ignore (Probkb.Engine.Session.ingest s fresh);
+    record_state ();
+    if round mod 2 = 1 then refresh ();
+    ignore
+      (Probkb.Engine.Session.retract_keys s
+         (List.map (fun (r, x, c1, y, c2, _) -> (r, x, c1, y, c2)) fresh));
+    record_state ()
+  done;
+  refresh ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_session_digest = "aa1a58b6d40e08d4b16aaa08bace539f"
+
+let test_session_digest_pinned () =
+  List.iter
+    (fun d ->
+      Pool.set_default_size d;
+      Fun.protect
+        ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
+        (fun () ->
+          Alcotest.(check string)
+            (Printf.sprintf "session digest at pool %d" d)
+            pinned_session_digest (session_digest ())))
+    [ 1; 4 ]
+
+(* An ingest epoch's joins cost O(Δ), not O(|TΠ|): with a trace on, one
+   4-fact ingest (semi-naive closure plus incremental factors) probes
+   fewer rows than TΠ holds.  Scanning TΠ in step 2 of the two-atom delta
+   terms put at least |TΠ| probe rows into every such term. *)
+let test_ingest_probe_rows_below_tpi () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  let engine =
+    Probkb.Engine.create
+      ~config:
+        (Probkb.Config.make ~inference:None ()
+        |> Probkb.Config.with_obs Obs.Config.enabled)
+      kb
+  in
+  let s = Probkb.Engine.session engine in
+  let probe_rows () =
+    Obs.Summary.counter
+      (Obs.Summary.of_trace (Probkb.Engine.trace engine))
+      "join.probe_rows"
+  in
+  let rng = Workload.Rng.create 5 in
+  let batch =
+    List.init 4 (fun _ ->
+        let r, x, c1, y, c2 = Workload.Reverb_sherlock.random_fact g rng in
+        (r, x, c1, y, c2, 0.7))
+  in
+  let before = probe_rows () in
+  let st = Probkb.Engine.Session.ingest s batch in
+  let probed = probe_rows () - before in
+  check_bool "the epoch inserted facts" true
+    (st.Probkb.Engine.Session.inserted > 0);
+  check_bool "the epoch ran joins" true (probed > 0);
+  if probed >= Storage.size (Gamma.pi kb) then
+    Alcotest.failf "ingest probed %d rows, TΠ holds %d" probed
+      (Storage.size (Gamma.pi kb))
+
 let () =
   Alcotest.run "incremental"
     [
@@ -545,5 +691,9 @@ let () =
             test_session_warm_start_determinism;
           Alcotest.test_case "constraints via DRed" `Quick
             test_session_constraints_via_dred;
+          Alcotest.test_case "session digest pinned" `Quick
+            test_session_digest_pinned;
+          Alcotest.test_case "ingest probes fewer rows than TΠ" `Quick
+            test_ingest_probe_rows_below_tpi;
         ] );
     ]

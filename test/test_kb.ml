@@ -99,6 +99,95 @@ let test_storage_copy_independent () =
   check_int "original unchanged" 1 (Storage.size s);
   check_int "copy grew" 2 (Storage.size c)
 
+(* The maintained partial-key indexes track the table through every
+   mutation: after a random sequence of add / merge_new / delete_ids /
+   copy, each index yields exactly a scan's matches, in descending row
+   order, for every key of the (small) key space; and [row_of_id] finds
+   every stored id and no other. *)
+type storage_op =
+  | Add of (int * int * int * int * int)
+  | Merge of (int * int * int * int * int) list
+  | Delete of int list
+  | Copy
+
+let gen_storage_op =
+  let open QCheck.Gen in
+  let v = int_bound 2 in
+  let key =
+    map (fun (r, x, c1, (y, c2)) -> (r, x, c1, y, c2)) (quad v v v (pair v v))
+  in
+  frequency
+    [
+      (4, map (fun k -> Add k) key);
+      (2, map (fun ks -> Merge ks) (list_size (int_bound 6) key));
+      (2, map (fun ids -> Delete ids) (list_size (int_bound 4) (int_bound 40)));
+      (1, return Copy);
+    ]
+
+let partial_indexes_match s =
+  let t = Storage.table s in
+  let check key =
+    let idx = Storage.partial_index s key in
+    let ok = ref (Relational.Index.size idx = Table.nrows t) in
+    for r = 0 to 2 do
+      for c1 = 0 to 2 do
+        for c2 = 0 to 2 do
+          for v = 0 to 2 do
+            let kv = [| r; c1; c2; v |] in
+            let scan = ref [] in
+            for row = 0 to Table.nrows t - 1 do
+              if Array.for_all2 (fun c k -> Table.get t row c = k) key kv then
+                scan := row :: !scan
+            done;
+            let probed = ref [] in
+            Relational.Index.iter_matches idx kv (fun row ->
+                probed := row :: !probed);
+            if List.rev !probed <> !scan then ok := false
+          done
+        done
+      done
+    done;
+    !ok
+  in
+  let ids_found =
+    List.for_all
+      (fun row -> Storage.row_of_id s (Table.get t row 0) = Some row)
+      (List.init (Table.nrows t) Fun.id)
+  in
+  let present id =
+    List.exists
+      (fun row -> Table.get t row 0 = id)
+      (List.init (Table.nrows t) Fun.id)
+  in
+  let absent_missed =
+    List.for_all
+      (fun id -> present id || Storage.row_of_id s id = None)
+      (List.init (Storage.next_id s + 2) (fun i -> i - 1))
+  in
+  check Storage.x_key && check Storage.y_key && ids_found && absent_missed
+
+let test_partial_indexes_qcheck =
+  Tutil.qcheck_case ~count:200 "partial indexes = scan after random mutations"
+    QCheck.(pair bool (make (Gen.list_size (Gen.int_bound 24) gen_storage_op)))
+    (fun (early, ops) ->
+      let s = ref (Storage.create ()) in
+      (* Built before the mutations (then maintained) or only at the end. *)
+      if early then Storage.build_partial_indexes !s;
+      List.iter
+        (function
+          | Add (r, x, c1, y, c2) ->
+            ignore (Storage.add !s ~r ~x ~c1 ~y ~c2 ~w:0.5)
+          | Merge ks ->
+            let t = Table.create ~name:"n" [| "R"; "x"; "C1"; "y"; "C2" |] in
+            List.iter
+              (fun (r, x, c1, y, c2) -> Table.append t [| r; x; c1; y; c2 |])
+              ks;
+            ignore (Storage.merge_new !s t)
+          | Delete ids -> ignore (Storage.delete_ids !s ids)
+          | Copy -> s := Storage.copy !s)
+        ops;
+      partial_indexes_match !s)
+
 let test_storage_merge_qcheck =
   Tutil.qcheck_case "merge_new = set union on keys"
     QCheck.(pair (list (pair (int_bound 4) (int_bound 4)))
@@ -309,6 +398,7 @@ let () =
             test_storage_batched_delete;
           Alcotest.test_case "copy" `Quick test_storage_copy_independent;
           test_storage_merge_qcheck;
+          test_partial_indexes_qcheck;
         ] );
       ( "gamma",
         [

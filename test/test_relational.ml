@@ -139,8 +139,8 @@ let test_join_matches_nested_loop () =
         ~oweight:Join.No_weight (a, [| 0 |]) (b, [| 0 |])
     in
     let slow =
-      Join.nested_loop ~name:"j" ~cols:[| "k"; "va"; "vb" |] ~out:join_out
-        ~oweight:Join.No_weight (a, [| 0 |]) (b, [| 0 |])
+      Join_oracle.nested_loop ~name:"j" ~cols:[| "k"; "va"; "vb" |]
+        ~out:join_out ~oweight:Join.No_weight (a, [| 0 |]) (b, [| 0 |])
     in
     if not (Tutil.table_rows_equal fast slow) then
       Alcotest.failf "join mismatch on trial %d" trial
@@ -202,7 +202,7 @@ let test_join_multi_column_key () =
       ~oweight:Join.No_weight (a, [| 0; 1 |]) (b, [| 1; 0 |])
   in
   let slow =
-    Join.nested_loop ~name:"j" ~cols:[| "va"; "vb" |] ~out
+    Join_oracle.nested_loop ~name:"j" ~cols:[| "va"; "vb" |] ~out
       ~oweight:Join.No_weight (a, [| 0; 1 |]) (b, [| 1; 0 |])
   in
   Alcotest.(check bool) "multi-key equal" true (Tutil.table_rows_equal fast slow)
@@ -525,7 +525,7 @@ let test_nested_loop_dedup () =
   Table.append b [| 1; 9 |];
   Table.append b [| 1; 9 |];
   let run dedup =
-    Join.nested_loop ~name:"j" ~cols:[| "k" |]
+    Join_oracle.nested_loop ~name:"j" ~cols:[| "k" |]
       ~out:[| Join.Col (Join.Build, 0) |]
       ~oweight:Join.No_weight ~dedup (a, [| 0 |]) (b, [| 0 |])
   in
