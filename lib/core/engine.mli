@@ -221,9 +221,10 @@ module Session : sig
   val marginal : t -> int -> float option
 
   (** [snapshot s] is the frozen snapshot of the session's current
-      epoch: every input of the read path — factor rows, fact↔factor
-      adjacency, key map, cached marginals — copied out of the live
-      state, sharing nothing mutable with later epochs.  Cached until
+      epoch: every input of the read path — [TΠ] and its key index,
+      [TΦ], the fact↔factor adjacency, cached marginals — copied out of
+      the live state as flat arrays, sharing nothing mutable with later
+      epochs.  Cached until
       the next epoch mutation, so repeated calls between epochs return
       the {e same} snapshot (what [Engine.Writer.publish] hands to
       concurrent readers). *)

@@ -50,17 +50,11 @@ type t = {
   trace : Obs.t;
   fingerprint : (int * (unit -> int)) option;
       (* frozen only: hash taken at freeze time + re-hash of the copied
-         factor arrays — equality is proof no writer tore through state
+         factor table — equality is proof no writer tore through state
          the snapshot still references *)
 }
 
 let sigmoid w = 1. /. (1. +. exp (-.w))
-
-let debug_checks =
-  lazy
-    (match Sys.getenv_opt "PROBKB_DEBUG" with
-    | Some ("" | "0") | None -> false
-    | Some _ -> true)
 
 let epoch t = t.epoch
 let frozen t = t.frozen
@@ -109,134 +103,136 @@ let live ?(epoch = 0) ?(gibbs = Inference.Gibbs.default_options)
     fingerprint = None;
   }
 
-(* FNV-1a over the copied factor arrays: cheap, deterministic, and any
+(* FNV-1a over the copied factor table: cheap, deterministic, and any
    in-place mutation of a row the snapshot references moves it. *)
-let fingerprint_of ~fi1 ~fi2 ~fi3 ~fw =
+let fingerprint_of phi =
+  let t = Fgraph.table ~g:phi in
   let h = ref 0x3f29ce484222325 in
   let mix v =
     h := (!h lxor v) * 0x100000001b3
   in
-  let n = Array.length fi1 in
+  let n = Table.nrows t in
   mix n;
   for f = 0 to n - 1 do
-    mix fi1.(f);
-    mix fi2.(f);
-    mix fi3.(f);
-    mix (Int64.to_int (Int64.bits_of_float fw.(f)))
+    mix (Table.get t f 0);
+    mix (Table.get t f 1);
+    mix (Table.get t f 2);
+    mix (Int64.to_int (Int64.bits_of_float (Table.weight t f)))
   done;
   !h land max_int
+
+let has_any iter id =
+  match iter id (fun _ -> raise_notrace Exit) with
+  | () -> false
+  | exception Exit -> true
 
 let freeze ?(epoch = 0) ?marginals ?(gibbs = Inference.Gibbs.default_options)
     ?(exact_max_vars = Inference.Exact.max_vars)
     ?(max_width = Inference.Jtree.default_max_width) ?(obs = Obs.null) ~pi
     ~graph () =
-  (* Copy the factor rows: frozen snapshots must not alias the live
-     graph ([Fgraph.retain] splices it in place under later epochs). *)
-  let n = Fgraph.size graph in
-  let fi1 = Array.make n 0
-  and fi2 = Array.make n 0
-  and fi3 = Array.make n 0
-  and fw = Array.make n 0.0 in
-  Fgraph.iter
-    (fun f (i1, i2, i3, w) ->
-      fi1.(f) <- i1;
-      fi2.(f) <- i2;
-      fi3.(f) <- i3;
-      fw.(f) <- w)
-    graph;
-  (* Fact↔factor adjacency over the copy — same shape as
-     [Local.adjacency_of_graph], so the walk behaves identically. *)
-  let derives = Hashtbl.create 256
-  and supports = Hashtbl.create 256
-  and singleton = Hashtbl.create 256 in
-  let push tbl k v =
-    Hashtbl.replace tbl k
-      (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+  (* Copies of the two tables' arrays — TΠ with its key index blitted,
+     not rehashed, and TΦ — so the snapshot aliases nothing a later
+     epoch mutates ([Storage] appends and compacts, [Fgraph.retain]
+     splices in place).  Reads then call the same functions the live
+     state answers with: [Storage.find] and [Storage.row_of_id] on the
+     TΠ copy, [Local.adjacency_of_graph] on the TΦ copy. *)
+  let pi = Storage.copy pi in
+  let phi = Fgraph.copy graph in
+  let adj = Local.adjacency_of_graph phi in
+  (* Cached marginals, dense by fact id; presence is kept apart from the
+     value.  Sized by [next_id], which grows with churn: ids are never
+     reused. *)
+  let m = match marginals with Some m -> m | None -> Hashtbl.create 1 in
+  let nids =
+    Hashtbl.fold (fun id _ n -> Int.max n (id + 1)) m (Storage.next_id pi)
   in
-  for f = 0 to n - 1 do
-    let i1 = fi1.(f) and i2 = fi2.(f) and i3 = fi3.(f) in
-    if i2 = Fgraph.null && i3 = Fgraph.null then Hashtbl.replace singleton i1 f
-    else begin
-      push derives i1 f;
-      if i2 <> Fgraph.null then push supports i2 f;
-      if i3 <> Fgraph.null && i3 <> i2 then push supports i3 f
-    end
-  done;
-  let iter_of tbl id k =
-    match Hashtbl.find tbl id with
-    | fs -> List.iter k fs
-    | exception Not_found -> ()
-  in
-  let adj =
-    {
-      Local.iter_derivations = iter_of derives;
-      iter_supports = iter_of supports;
-      singleton_of = (fun id -> Hashtbl.find_opt singleton id);
-      factor_of = (fun f -> (fi1.(f), fi2.(f), fi3.(f), fw.(f)));
-    }
-  in
-  (* Key map and weight column for the facts live at snapshot time.
-     [Storage.iter] still exposes tombstoned rows while a delete batch is
-     pending, so each key is confirmed through [Storage.find]. *)
-  let keys = Hashtbl.create (max 16 (Storage.size pi)) in
-  let weights = Hashtbl.create (max 16 (Storage.size pi)) in
-  Storage.iter
-    (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
-      match Storage.find pi ~r ~x ~c1 ~y ~c2 with
-      | Some live_id when live_id = id ->
-        Hashtbl.replace keys (r, x, c1, y, c2) id;
-        if not (Table.is_null_weight w) then Hashtbl.replace weights id w
-      | Some _ | None -> ())
-    pi;
-  let marg =
-    match marginals with
-    | None -> Hashtbl.create 16
-    | Some m -> Hashtbl.copy m
-  in
+  let cached = Array.make nids false and marg = Array.make nids 0. in
+  (* [Hashtbl.iter] passes a key's newest binding first — the one
+     [Hashtbl.find] answers. *)
+  Hashtbl.iter
+    (fun id p ->
+      if not cached.(id) then begin
+        cached.(id) <- true;
+        marg.(id) <- p
+      end)
+    m;
+  let n_marginals = Hashtbl.length m in
+  let has_marginal id = id >= 0 && id < nids && cached.(id) in
+  let marginal_of id = if has_marginal id then Some marg.(id) else None in
   let clamp id =
-    match Hashtbl.find_opt marg id with
-    | Some p -> p
-    | None -> (
-      match Hashtbl.find_opt singleton id with
-      | Some f -> sigmoid fw.(f)
-      | None -> 0.5)
+    if has_marginal id then marg.(id)
+    else
+      match adj.Local.singleton_of id with
+      | Some f ->
+        let _, _, _, w = Fgraph.factor phi f in
+        sigmoid w
+      | None -> 0.5
+  in
+  let find ~r ~x ~c1 ~y ~c2 = Storage.find pi ~r ~x ~c1 ~y ~c2 in
+  (* A tombstoned row stays in the table until the flush: a row is live
+     when its key still finds it. *)
+  let t = Storage.table pi in
+  let live row =
+    match
+      find ~r:(Table.get t row 1) ~x:(Table.get t row 2)
+        ~c1:(Table.get t row 3) ~y:(Table.get t row 4)
+        ~c2:(Table.get t row 5)
+    with
+    | Some id -> id = Table.get t row 0
+    | None -> false
+  in
+  (* The fact's extraction weight, if it is live and carries one. *)
+  let live_weight id =
+    match Storage.row_of_id pi id with
+    | Some row when live row && not (Table.is_null_weight (Table.weight t row))
+      ->
+      Some (Table.weight t row)
+    | Some _ | None -> None
   in
   let view_of id =
-    let base = Hashtbl.mem singleton id in
-    let known =
-      base || Hashtbl.mem weights id
-      || Hashtbl.mem derives id || Hashtbl.mem supports id
-    in
-    if not known then None
-    else
+    let base = Option.is_some (adj.Local.singleton_of id) in
+    let weight = live_weight id in
+    if
+      base || Option.is_some weight
+      || has_any adj.Local.iter_derivations id
+      || has_any adj.Local.iter_supports id
+    then
       Some
         {
           id;
           base;
-          weight =
-            Option.value ~default:Table.null_weight
-              (Hashtbl.find_opt weights id);
-          marginal = Hashtbl.find_opt marg id;
+          weight = Option.value ~default:Table.null_weight weight;
+          marginal = marginal_of id;
         }
+    else None
   in
-  let taken = fingerprint_of ~fi1 ~fi2 ~fi3 ~fw in
+  (* Live keys: after a flush every row is live and keys are unique; while
+     deletes are pending, count the live rows. *)
+  let facts =
+    if Storage.pending_deletes pi = 0 then Storage.size pi
+    else begin
+      let n = ref 0 in
+      Table.iter (fun row -> if live row then incr n) t;
+      !n
+    end
+  in
+  let taken = fingerprint_of phi in
   {
     epoch;
     frozen = true;
     source = Local.of_adjacency adj;
     clamp;
-    find =
-      (fun ~r ~x ~c1 ~y ~c2 -> Hashtbl.find_opt keys (r, x, c1, y, c2));
+    find;
     view_of;
-    marginal_of = (fun id -> Hashtbl.find_opt marg id);
-    facts = (fun () -> Hashtbl.length keys);
-    factors = (fun () -> n);
-    marginals_cached = (fun () -> Hashtbl.length marg);
+    marginal_of;
+    facts = (fun () -> facts);
+    factors = (fun () -> Fgraph.size phi);
+    marginals_cached = (fun () -> n_marginals);
     gibbs;
     exact_max_vars;
     max_width;
     trace = obs;
-    fingerprint = Some (taken, fun () -> fingerprint_of ~fi1 ~fi2 ~fi3 ~fw);
+    fingerprint = Some (taken, fun () -> fingerprint_of phi);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -247,7 +243,7 @@ let freeze ?(epoch = 0) ?marginals ?(gibbs = Inference.Gibbs.default_options)
    [Session.query_local] and the serving layer. *)
 
 let answer_by_id ?budget t id =
-  if t.frozen && Lazy.force debug_checks && not (verify_integrity t) then
+  if t.frozen && Obs.debug && not (verify_integrity t) then
     invalid_arg
       "Snapshot.answer_by_id: torn read — frozen state mutated under the \
        snapshot";

@@ -4,15 +4,17 @@
     ({!find}, {!view}) and cached-marginal reads ({!marginal}) without
     touching any mutable engine or session state.  Two flavours exist:
 
-    - {!freeze} copies everything the read path needs — the factor rows
-      of [TΦ], the fact↔factor adjacency, the fact-key map and the cached
-      marginals — out of a live session at a given epoch.  The result
-      shares {e nothing} mutable with the writer, so it can be handed to
-      any number of reader domains while the next epoch commits behind
-      it (the serving layer's MVCC-by-epoch read arm; see DESIGN.md
-      §13).  Storage's tombstone discipline keeps fact identifiers
-      stable across deletions, which is what makes the copy cheap: ids,
-      cached marginals and keys all carry over without remapping.
+    - {!freeze} copies everything the read path needs out of a live
+      session at a given epoch, as flat arrays: [TΠ] with its key index
+      ([Kb.Storage.copy]), the factor table [TΦ], a CSR fact↔factor
+      adjacency built over that copy ([Grounding.Local.adjacency_of_graph])
+      and the cached marginals, dense by fact id.  The result shares
+      {e nothing} mutable with the writer, so it can be handed to any
+      number of reader domains while the next epoch commits behind it
+      (the serving layer's MVCC-by-epoch read arm; see DESIGN.md §13).
+      Storage's tombstone discipline keeps fact identifiers stable
+      across deletions, which is what makes the copy cheap: ids, cached
+      marginals and keys all carry over without remapping.
     - {!live} wraps caller-supplied closures over live state.  Nothing
       is copied; the caller guarantees single-threaded access.  This is
       how [Engine.query_local] / [Session.query_local] reuse the same
@@ -23,10 +25,11 @@
     a frozen snapshot's answers are bit-identical to querying the
     session it was frozen from.
 
-    Under [PROBKB_DEBUG], every {!query_local} on a frozen snapshot
-    re-hashes the copied factor arrays and compares against the
-    fingerprint taken at freeze time — a torn read (a writer mutating
-    state a snapshot still references) trips the check immediately. *)
+    Under [PROBKB_DEBUG] ({!Obs.debug}), every {!query_local} on a
+    frozen snapshot re-hashes the copied factor table and compares
+    against the fingerprint taken at freeze time — a torn read (a writer
+    mutating state a snapshot still references) trips the check
+    immediately. *)
 
 (** A fact as seen through a snapshot (mirrors [Engine.Session.fact_view]). *)
 type view = {
@@ -63,15 +66,19 @@ type stats = {
 type t
 
 (** [freeze ?epoch ?marginals ?gibbs ?exact_max_vars ?max_width ?obs ~pi
-    ~graph ()] copies the read state out of [(pi, graph)] — one
-    O(facts + factors) pass, no re-grounding and no compile.
-    Tombstoned-but-unflushed facts are excluded (they are already
-    invisible to [Storage.find]).  [marginals] (copied) clamps boundary
-    facts in preference to extraction priors.  [exact_max_vars] /
+    ~graph ()] copies the read state out of [(pi, graph)] — array copies
+    and one counting sort over the factors, no rehashing, no
+    re-grounding and no compile.  Lookups run [Storage.find] and
+    [Storage.row_of_id] on the copy of [pi], so tombstoned-but-unflushed
+    facts are excluded exactly as they are from the live store.
+    [marginals] (copied into an array indexed by fact id, sized by
+    [Storage.next_id pi]) clamps boundary facts in preference to
+    extraction priors.  [exact_max_vars] /
     [max_width] are the neighbourhood dispatch knobs (defaults
     {!Inference.Exact.max_vars} / {!Inference.Jtree.default_max_width});
     [obs] receives the per-query spans; pass the server's trace, or
-    leave it [Obs.null]. *)
+    leave it [Obs.null].
+    @raise Invalid_argument if [marginals] holds a negative fact id. *)
 val freeze :
   ?epoch:int ->
   ?marginals:(int, float) Hashtbl.t ->
@@ -137,7 +144,7 @@ val query_local :
 val answer_by_id : ?budget:Grounding.Local.budget -> t -> int -> answer
 
 (** [verify_integrity t] re-hashes a frozen snapshot's copied factor
-    arrays against the fingerprint taken at freeze time; [true] means no
+    table against the fingerprint taken at freeze time; [true] means no
     writer has torn through the snapshot's state (always [true] for live
     snapshots, which make no sharing claim).  Runs automatically per
     query under [PROBKB_DEBUG]. *)

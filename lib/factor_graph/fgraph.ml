@@ -8,6 +8,7 @@ let create () =
   { tphi = Table.create ~weighted:true ~name:"T_Phi" [| "I1"; "I2"; "I3" |] }
 
 let table ~g = g.tphi
+let copy g = { tphi = Table.copy g.tphi }
 let add_singleton g ~i ~w = Table.append_w g.tphi [| i; null; null |] w
 
 let add_clause g ~i1 ?(i2 = null) ?(i3 = null) ~w () =

@@ -22,6 +22,9 @@ val create : unit -> t
     [I1, I2, I3] and a weight column. *)
 val table : g:t -> Relational.Table.t
 
+(** [copy g] is an independent copy of [g]'s table (one {!Relational.Table.copy}). *)
+val copy : t -> t
+
 (** [add_singleton g ~i ~w] records the singleton factor of fact [i] with
     prior weight [w]. *)
 val add_singleton : t -> i:int -> w:float -> unit

@@ -73,9 +73,18 @@ type adjacency = {
   factor_of : int -> int * int * int * float;  (** factor row by position *)
 }
 
-(** [adjacency_of_graph g] builds the adjacency by one scan of [g] — for
-    tests and one-off use; live sessions should reuse their provenance
-    index instead. *)
+(** [adjacency_of_graph g] builds the adjacency as flat arrays over
+    fact ids: two counting-sort passes over [g] give one CSR for
+    derivations and one for supports (offsets by fact id plus a flat
+    array of factor indexes), and a dense array of priors.  Each fact's
+    factors are listed in descending factor index; a fact with several
+    singleton factors reports the last.  The arrays are sized by the
+    largest fact id in [g].  Any materialized graph gets its adjacency
+    here — frozen snapshots included; live sessions reuse their
+    provenance index instead.  The result only reads [g], so it may be
+    shared across domains while nothing mutates [g].
+    @raise Invalid_argument if a factor holds a negative fact id (other
+    than {!Factor_graph.Fgraph.null} in a body slot). *)
 val adjacency_of_graph : Factor_graph.Fgraph.t -> adjacency
 
 type source

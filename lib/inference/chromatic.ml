@@ -45,12 +45,6 @@ let verify_coloring c colors =
     c.Fgraph.fweight;
   !ok
 
-let debug_checks =
-  lazy
-    (match Sys.getenv_opt "PROBKB_DEBUG" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
-
 (* Fixed chunking of a colour class, independent of the pool size: the RNG
    stream of a chunk is derived from (seed, sweep, global chunk id), so the
    Markov chain — and hence the marginals — is bit-identical for any
@@ -72,7 +66,7 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
   let n = Fgraph.nvars c in
   let t_start = if Obs.enabled obs then Unix.gettimeofday () else 0. in
   let colors = color c in
-  if Lazy.force debug_checks && not (verify_coloring c colors) then
+  if Obs.debug && not (verify_coloring c colors) then
     invalid_arg "Chromatic.marginals: improper coloring";
   let by_color = classes colors in
   let pool = match pool with Some p -> p | None -> Pool.get_default () in

@@ -17,12 +17,6 @@ type t = {
   mutable index_rebuilds : int;
 }
 
-let debug_checks =
-  lazy
-    (match Sys.getenv_opt "PROBKB_DEBUG" with
-    | Some ("" | "0") | None -> false
-    | Some _ -> true)
-
 let create () =
   let facts = Table.create ~weighted:true ~name:"T_Pi" cols in
   {
@@ -141,7 +135,7 @@ let flush_deletes ?(ban = false) s =
     if s.partial <> None then s.partial <- Some (partial_of kept);
     s.index_rebuilds <- s.index_rebuilds + 1;
     Hashtbl.reset s.tombstones;
-    if Lazy.force debug_checks then check_ids_ascending s;
+    if Obs.debug then check_ids_ascending s;
     before - Table.nrows kept
   end
 
@@ -191,7 +185,7 @@ let copy s =
   let facts = Table.copy s.facts in
   {
     facts;
-    key_idx = Index.build facts key_cols;
+    key_idx = Index.copy s.key_idx facts;
     partial = None;
     next_id = s.next_id;
     banned = Hashtbl.copy s.banned;

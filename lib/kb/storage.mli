@@ -151,5 +151,9 @@ val iter :
     checked after every compaction under [PROBKB_DEBUG]). *)
 val row_of_id : t -> int -> int option
 
-(** [copy s] is an independent deep copy. *)
+(** [copy s] is an independent deep copy.  The table is copied and the
+    key index blitted onto the copy ({!Relational.Index.copy}), not
+    rebuilt, so {!find} on the copy answers exactly as on [s]; pending
+    tombstones and banned keys carry over.  The partial-key indexes are
+    rebuilt on the copy's first demand. *)
 val copy : t -> t

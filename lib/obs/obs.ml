@@ -257,6 +257,13 @@ module Snapshot = struct
   let tee sinks s = List.iter (fun f -> f s) sinks
 end
 
+(* A plain value, not a [Lazy.t]: forcing one lazy value from two
+   domains at once raises [CamlinternalLazy.Undefined] in OCaml 5. *)
+let debug =
+  match Sys.getenv_opt "PROBKB_DEBUG" with
+  | None | Some ("" | "0") -> false
+  | Some _ -> true
+
 (* Volatile process stats for snapshot [perf] sections: OCaml heap and
    (when /proc is available) resident set size. *)
 let mem_stats () =

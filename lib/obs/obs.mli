@@ -169,6 +169,14 @@ module Snapshot : sig
   val tee : sink list -> sink
 end
 
+(** [debug] is [true] when the [PROBKB_DEBUG] environment variable is
+    set to anything but the empty string or ["0"].  It turns on the
+    internal consistency checks: the chromatic colouring verifier,
+    [Storage]'s id-order check after each compaction and the frozen
+    snapshot's per-query torn-read fingerprint.  Read once, when the
+    program starts, so every domain sees the same value. *)
+val debug : bool
+
 (** [mem_stats ()] is the volatile memory figures (OCaml heap MB, major
     collections, RSS when /proc is readable) for a snapshot's [perf]
     section. *)

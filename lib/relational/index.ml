@@ -82,6 +82,16 @@ let build tbl key =
   done;
   idx
 
+(* Rows are indexed in order, so chain entries past [count] are unused:
+   [ensure_next] regrows the copied chain on the next [add]. *)
+let copy idx tbl =
+  {
+    idx with
+    table = tbl;
+    buckets = Array.copy idx.buckets;
+    next = Array.sub idx.next 0 idx.count;
+  }
+
 let table idx = idx.table
 let key idx = idx.key
 

@@ -14,6 +14,13 @@ type t
     (given as column positions). *)
 val build : Table.t -> int array -> t
 
+(** [copy idx tbl] is an index over [tbl] that answers exactly as [idx]
+    does: a blit of [idx]'s bucket and chain arrays, no rehashing.  [tbl]
+    must hold the rows [idx] indexes, in the same positions (a
+    {!Table.copy} of [table idx]).  Later {!add}s to either index leave
+    the other untouched. *)
+val copy : t -> Table.t -> t
+
 (** [table idx] is the indexed table. *)
 val table : t -> Table.t
 

@@ -116,13 +116,17 @@ let writer_loop t =
       let t0 = Unix.gettimeofday () in
       let reply =
         try Protocol.apply ~obs:t.trace session job.rop
-        with e -> Protocol.error_json (Printexc.to_string e)
+        with e ->
+          Obs.incr t.trace "serve.errors";
+          Protocol.error_json (Printexc.to_string e)
       in
       (* Publish before replying: a client that writes then reads on one
          connection observes its own write. *)
+      let t1 = Unix.gettimeofday () in
       ignore (Writer.publish t.writer);
-      Obs.observe t.trace "serve.apply_seconds"
-        (Unix.gettimeofday () -. t0);
+      let t2 = Unix.gettimeofday () in
+      Obs.observe t.trace "serve.publish_seconds" (t2 -. t1);
+      Obs.observe t.trace "serve.apply_seconds" (t2 -. t0);
       Obs.gauge t.trace "serve.epoch_lag"
         (float_of_int (Writer.epoch_lag t.writer));
       Obs.gauge t.trace "serve.epoch"
@@ -192,6 +196,13 @@ let handle t line =
            @ spans)));
     reply
   in
+  (* An exception while resolving or answering becomes an error reply:
+     it must not end the reader domain and strand its client (a frozen
+     [query_local] documents [Invalid_argument] on a torn read). *)
+  let failed ~op e =
+    Obs.incr t.trace "serve.errors";
+    finish ~op ~kind:"error" (Protocol.error_json (Printexc.to_string e))
+  in
   match Protocol.op_of_line line with
   | Error m -> finish ~op:"?" ~kind:"error" (Protocol.error_json m)
   | Ok op -> (
@@ -200,17 +211,12 @@ let handle t line =
        ops intern; read ops only look up — either way the lock is held
        for symbol resolution only, never across grounding/inference. *)
     Mutex.lock t.symbols;
-    let resolved =
-      match Protocol.resolve t.kb op with
-      | r -> r
-      | exception e ->
-        Mutex.unlock t.symbols;
-        raise e
-    in
+    let resolved = try Ok (Protocol.resolve t.kb op) with e -> Error e in
     Mutex.unlock t.symbols;
     match resolved with
-    | Error m -> finish ~op:name ~kind:"error" (Protocol.error_json m)
-    | Ok rop ->
+    | Error e -> failed ~op:name e
+    | Ok (Error m) -> finish ~op:name ~kind:"error" (Protocol.error_json m)
+    | Ok (Ok rop) ->
       if Protocol.is_write op then begin
         let job = { rop; m = Mutex.create (); c = Condition.create (); reply = None } in
         enqueue t job;
@@ -218,8 +224,9 @@ let handle t line =
       end
       else begin
         Obs.incr t.trace "serve.reads";
-        finish ~op:name ~kind:"read"
-          (Protocol.answer ~obs:t.trace (Writer.published t.writer) rop)
+        match Protocol.answer ~obs:t.trace (Writer.published t.writer) rop with
+        | reply -> finish ~op:name ~kind:"read" reply
+        | exception e -> failed ~op:name e
       end)
 
 (* --- telemetry views ---------------------------------------------- *)
@@ -282,6 +289,10 @@ let untrack_conn t fd =
   t.conns <- List.filter (fun c -> c <> fd) t.conns;
   Mutex.unlock t.conns_m
 
+(* The socket is closed on every exit path, so a client is never left
+   waiting on a connection nobody serves, and the reader domain lives on
+   to accept the next one: an exception other than the connection's end
+   (a raising access-log sink, say) is counted in [serve.errors]. *)
 let serve_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -299,7 +310,8 @@ let serve_conn t fd =
      loop ()
    with
   | End_of_file | Sys_error _ -> ()
-  | Unix.Unix_error (_, _, _) -> ());
+  | Unix.Unix_error (_, _, _) -> ()
+  | _ -> Obs.incr t.trace "serve.errors");
   untrack_conn t fd;
   (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
 

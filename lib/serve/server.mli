@@ -22,10 +22,15 @@
     Telemetry on the server's trace: a ["serve.request"] span per
     request (op + outcome + [req_id] attributes), ["serve.requests"] /
     ["serve.reads"] / ["serve.writes"] / ["serve.slow_requests"]
-    counters, ["serve.queue_depth"] / ["serve.epoch_lag"] gauges
-    (current and [_max] high-water marks), and histograms:
+    counters, ["serve.errors"] (exceptions raised while resolving,
+    answering or applying an op, each answered with an error reply, and
+    exceptions that closed a connection),
+    ["serve.queue_depth"] / ["serve.epoch_lag"] gauges (current and
+    [_max] high-water marks), and histograms:
     ["serve.request_seconds"] (plus one ["|op=..."]-labelled series per
-    op), ["serve.apply_seconds"], ["serve.epoch_lag_dist"].  {!metrics_text}
+    op), ["serve.apply_seconds"] (apply and publish together),
+    ["serve.publish_seconds"] (the publish alone),
+    ["serve.epoch_lag_dist"].  {!metrics_text}
     renders it all as Prometheus text, {!status_json} as the /statusz
     document; wire both to {!Admin} for HTTP scraping, or scrape in-band
     with the [metrics] protocol op. *)

@@ -104,6 +104,7 @@ def main():
         "# TYPE serve_epoch_lag gauge",
         "serve_epoch_lag 0",
         "serve_apply_seconds_count 1",
+        "serve_publish_seconds_count 1",
     ]:
         if needle not in text:
             fail(f"/metrics missing {needle!r}\n{text}")

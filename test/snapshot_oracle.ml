@@ -1,0 +1,143 @@
+(* Test oracle for the frozen read path: [Snapshot.freeze] as it was
+   before it copied arrays.  It rehashes every factor row into per-fact
+   lists, re-keys every TΠ row that [Storage.find] confirms into a
+   polymorphic hash table, and copies the marginals table.  A frozen
+   snapshot must answer exactly as this one does — [find], [view],
+   [marginal], [stats] and [query_local], bit for bit — and
+   [Local.adjacency_of_graph] must list the same derivations, supports
+   and priors as [adjacency_of_graph] below. *)
+
+module Storage = Kb.Storage
+module Table = Relational.Table
+module Fgraph = Factor_graph.Fgraph
+module Local = Grounding.Local
+module Snapshot = Probkb.Snapshot
+
+(* The adjacency of [n] factor rows read through [row]: per-fact lists
+   consed in a forward scan (so listed in descending factor index), the
+   last prior winning. *)
+let adjacency n row ~factor_of =
+  let derives = Hashtbl.create 256
+  and supports = Hashtbl.create 256
+  and singleton = Hashtbl.create 256 in
+  let push tbl k v =
+    Hashtbl.replace tbl k
+      (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+  in
+  for f = 0 to n - 1 do
+    let i1, i2, i3 = row f in
+    if i2 = Fgraph.null && i3 = Fgraph.null then Hashtbl.replace singleton i1 f
+    else begin
+      push derives i1 f;
+      if i2 <> Fgraph.null then push supports i2 f;
+      if i3 <> Fgraph.null && i3 <> i2 then push supports i3 f
+    end
+  done;
+  let iter_of tbl id k =
+    match Hashtbl.find tbl id with
+    | fs -> List.iter k fs
+    | exception Not_found -> ()
+  in
+  ( {
+      Local.iter_derivations = iter_of derives;
+      iter_supports = iter_of supports;
+      singleton_of = (fun id -> Hashtbl.find_opt singleton id);
+      factor_of;
+    },
+    (derives, supports, singleton) )
+
+let adjacency_of_graph g =
+  fst
+    (adjacency (Fgraph.size g)
+       (fun f ->
+         let i1, i2, i3, _ = Fgraph.factor g f in
+         (i1, i2, i3))
+       ~factor_of:(Fgraph.factor g))
+
+type t = { snap : Snapshot.t; stats : Snapshot.stats }
+
+let sigmoid w = 1. /. (1. +. exp (-.w))
+
+(* The old freeze.  Its read state is answered through [Snapshot.live]
+   closures, which drive the same solve path; [stats] carries the
+   figures the frozen snapshot reports. *)
+let freeze ?(epoch = 0) ?marginals ?gibbs ?exact_max_vars ?max_width ~pi
+    ~graph () =
+  let n = Fgraph.size graph in
+  let fi1 = Array.make n 0
+  and fi2 = Array.make n 0
+  and fi3 = Array.make n 0
+  and fw = Array.make n 0.0 in
+  Fgraph.iter
+    (fun f (i1, i2, i3, w) ->
+      fi1.(f) <- i1;
+      fi2.(f) <- i2;
+      fi3.(f) <- i3;
+      fw.(f) <- w)
+    graph;
+  let adj, (derives, supports, singleton) =
+    adjacency n
+      (fun f -> (fi1.(f), fi2.(f), fi3.(f)))
+      ~factor_of:(fun f -> (fi1.(f), fi2.(f), fi3.(f), fw.(f)))
+  in
+  let keys = Hashtbl.create (max 16 (Storage.size pi)) in
+  let weights = Hashtbl.create (max 16 (Storage.size pi)) in
+  Storage.iter
+    (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
+      match Storage.find pi ~r ~x ~c1 ~y ~c2 with
+      | Some live_id when live_id = id ->
+        Hashtbl.replace keys (r, x, c1, y, c2) id;
+        if not (Table.is_null_weight w) then Hashtbl.replace weights id w
+      | Some _ | None -> ())
+    pi;
+  let marg =
+    match marginals with
+    | None -> Hashtbl.create 16
+    | Some m -> Hashtbl.copy m
+  in
+  let clamp id =
+    match Hashtbl.find_opt marg id with
+    | Some p -> p
+    | None -> (
+      match Hashtbl.find_opt singleton id with
+      | Some f -> sigmoid fw.(f)
+      | None -> 0.5)
+  in
+  let view_of id =
+    let base = Hashtbl.mem singleton id in
+    let known =
+      base || Hashtbl.mem weights id
+      || Hashtbl.mem derives id || Hashtbl.mem supports id
+    in
+    if not known then None
+    else
+      Some
+        {
+          Snapshot.id;
+          base;
+          weight =
+            Option.value ~default:Table.null_weight
+              (Hashtbl.find_opt weights id);
+          marginal = Hashtbl.find_opt marg id;
+        }
+  in
+  let snap =
+    Snapshot.live ~epoch ?gibbs ?exact_max_vars ?max_width
+      ~marginal_of:(fun id -> Hashtbl.find_opt marg id)
+      ~view_of ~source:(Local.of_adjacency adj) ~clamp
+      ~find:(fun ~r ~x ~c1 ~y ~c2 -> Hashtbl.find_opt keys (r, x, c1, y, c2))
+      ~facts:(fun () -> Hashtbl.length keys)
+      ~factors:(fun () -> n)
+      ()
+  in
+  {
+    snap;
+    stats =
+      {
+        Snapshot.epoch;
+        facts = Hashtbl.length keys;
+        factors = n;
+        marginals_cached = Hashtbl.length marg;
+        frozen = true;
+      };
+  }

@@ -166,6 +166,34 @@ let partial_indexes_match s =
   in
   check Storage.x_key && check Storage.y_key && ids_found && absent_missed
 
+(* The key index — built, extended by appends, or blitted onto a copied
+   table by [Storage.copy] — answers [find] and [iter_matches] exactly
+   as an index freshly built over the current table, for every key of
+   the (small) key space. *)
+let key_index_matches s =
+  let t = Storage.table s in
+  let fresh = Relational.Index.build t Storage.key_cols in
+  let idx = Storage.key_index s in
+  let rows idx kv =
+    let acc = ref [] in
+    Relational.Index.iter_matches idx kv (fun row -> acc := row :: !acc);
+    !acc
+  in
+  let ok = ref (Relational.Index.size idx = Relational.Index.size fresh) in
+  for k = 0 to (3 * 3 * 3 * 3 * 3) - 1 do
+    let r = k mod 3 and x = k / 3 mod 3 and c1 = k / 9 mod 3
+    and y = k / 27 mod 3 and c2 = k / 81 in
+    let kv = [| r; x; c1; y; c2 |] in
+    let expected =
+      Option.map
+        (fun row -> Table.get t row 0)
+        (Relational.Index.first_match fresh kv)
+    in
+    if rows idx kv <> rows fresh kv || Storage.find s ~r ~x ~c1 ~y ~c2 <> expected
+    then ok := false
+  done;
+  !ok
+
 let test_partial_indexes_qcheck =
   Tutil.qcheck_case ~count:200 "partial indexes = scan after random mutations"
     QCheck.(pair bool (make (Gen.list_size (Gen.int_bound 24) gen_storage_op)))
@@ -173,8 +201,9 @@ let test_partial_indexes_qcheck =
       let s = ref (Storage.create ()) in
       (* Built before the mutations (then maintained) or only at the end. *)
       if early then Storage.build_partial_indexes !s;
-      List.iter
-        (function
+      List.for_all
+        (fun op ->
+          (match op with
           | Add (r, x, c1, y, c2) ->
             ignore (Storage.add !s ~r ~x ~c1 ~y ~c2 ~w:0.5)
           | Merge ks ->
@@ -184,9 +213,34 @@ let test_partial_indexes_qcheck =
               ks;
             ignore (Storage.merge_new !s t)
           | Delete ids -> ignore (Storage.delete_ids !s ids)
-          | Copy -> s := Storage.copy !s)
-        ops;
-      partial_indexes_match !s)
+          | Copy -> s := Storage.copy !s);
+          key_index_matches !s)
+        ops
+      && partial_indexes_match !s)
+
+(* [Storage.copy] blits the key index instead of rebuilding it, so a copy
+   taken after appends have rehashed the index (from 16 buckets at 12
+   rows, then at 24 and 48) must still answer as a fresh index, and so
+   must both sides after further appends to each. *)
+let test_key_index_copy_after_rehash () =
+  let s = Storage.create () in
+  let add s k =
+    ignore
+      (Storage.add s ~r:(k mod 3) ~x:(k / 3 mod 3) ~c1:(k / 9 mod 3)
+         ~y:(k / 27 mod 3) ~c2:(k / 81) ~w:0.5)
+  in
+  for k = 0 to 59 do
+    add s k;
+    let c = Storage.copy s in
+    Alcotest.(check bool)
+      (Printf.sprintf "copy at %d rows answers as a fresh index" (k + 1))
+      true (key_index_matches c);
+    add c (k + 100);
+    add c (k + 130);
+    Alcotest.(check bool) "the copy keeps extending" true (key_index_matches c);
+    Alcotest.(check bool) "the original is untouched" true
+      (key_index_matches s && Storage.size s = k + 1)
+  done
 
 let test_storage_merge_qcheck =
   Tutil.qcheck_case "merge_new = set union on keys"
@@ -399,6 +453,8 @@ let () =
           Alcotest.test_case "copy" `Quick test_storage_copy_independent;
           test_storage_merge_qcheck;
           test_partial_indexes_qcheck;
+          Alcotest.test_case "key index copies after rehash" `Quick
+            test_key_index_copy_after_rehash;
         ] );
       ( "gamma",
         [

@@ -414,6 +414,81 @@ let test_session_query_local () =
           (a.Probkb.Engine.marginal = Hashtbl.find full id))
     (Gamma.pi kb)
 
+(* --- adjacency_of_graph ---------------------------------------------- *)
+
+(* The CSR [Local.adjacency_of_graph] lists, for every fact id, the same
+   derivations, supports and prior as the per-fact hash tables it
+   replaced (test/snapshot_oracle.ml), in the same order.  The random
+   graphs carry duplicate factors, clauses whose two body slots hold one
+   fact, heads repeated in their own body, several priors for one fact
+   and null body slots. *)
+type factor_spec = Prior of int * float | Clause of int * int * int * float
+
+let gen_adjacency_graph =
+  let open QCheck.Gen in
+  int_range 1 8 >>= fun nids ->
+  let id = int_bound (nids - 1) in
+  let w = float_range (-3.) 3. in
+  let spec =
+    frequency
+      [
+        (2, map2 (fun i w -> Prior (i, w)) id w);
+        ( 5,
+          id >>= fun i1 ->
+          let slot =
+            frequency [ (1, return Fgraph.null); (1, return i1); (4, id) ]
+          in
+          slot >>= fun i2 ->
+          frequency [ (1, return i2); (4, slot) ] >>= fun i3 ->
+          map (fun w -> Clause (i1, i2, i3, w)) w );
+      ]
+  in
+  list_size (int_bound 40) spec >>= fun specs ->
+  (* Duplicate some rows outright. *)
+  list_size (int_bound 6) (int_bound 40) >|= fun dups ->
+  let arr = Array.of_list specs in
+  let n = Array.length arr in
+  specs @ List.filter_map (fun k -> if n = 0 then None else Some arr.(k mod n)) dups
+
+let graph_of_specs specs =
+  let g = Fgraph.create () in
+  List.iter
+    (function
+      | Prior (i, w) -> Fgraph.add_singleton g ~i ~w
+      | Clause (i1, i2, i3, w) ->
+        Fgraph.add_clause g ~i1
+          ?i2:(if i2 = Fgraph.null then None else Some i2)
+          ?i3:(if i3 = Fgraph.null then None else Some i3)
+          ~w ())
+    specs;
+  g
+
+let adjacency_lists (adj : Local.adjacency) ids =
+  List.map
+    (fun v ->
+      let collect iter =
+        let acc = ref [] in
+        iter v (fun f -> acc := f :: !acc);
+        List.rev !acc
+      in
+      ( collect adj.Local.iter_derivations,
+        collect adj.Local.iter_supports,
+        adj.Local.singleton_of v ))
+    ids
+
+let test_adjacency_csr_equals_hashtbl =
+  Tutil.qcheck_case ~count:500 "CSR adjacency = per-fact hash tables"
+    (QCheck.make gen_adjacency_graph) (fun specs ->
+      let g = graph_of_specs specs in
+      let csr = Local.adjacency_of_graph g
+      and old = Snapshot_oracle.adjacency_of_graph g in
+      (* Every id the graph can mention, plus ids on either side. *)
+      let ids = List.init 11 (fun i -> i - 1) in
+      adjacency_lists csr ids = adjacency_lists old ids
+      && List.for_all
+           (fun f -> compare (csr.Local.factor_of f) (old.Local.factor_of f) = 0)
+           (List.init (Fgraph.size g) Fun.id))
+
 let () =
   Alcotest.run "local"
     [
@@ -442,6 +517,7 @@ let () =
             test_budget_decay_threshold;
           test_budget_chain_monotone;
         ] );
+      ("csr", [ test_adjacency_csr_equals_hashtbl ]);
       ( "engine",
         [
           Alcotest.test_case "query_local = exact" `Quick

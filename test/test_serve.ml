@@ -6,10 +6,9 @@
    bit-identical to querying each published epoch serially — a reader
    sees exactly one epoch, never a blend. *)
 
-(* Force the torn-read fingerprint checks on for this whole binary:
-   every frozen-snapshot query below re-hashes the copied factor tables
-   and fails loudly on any aliasing with live session state. *)
-let () = Unix.putenv "PROBKB_DEBUG" "1"
+(* The dune stanza runs this binary with PROBKB_DEBUG=1: every
+   frozen-snapshot query below re-hashes the copied factor table and
+   fails loudly on any aliasing with live session state. *)
 
 module Gamma = Kb.Gamma
 module Storage = Kb.Storage
@@ -204,6 +203,202 @@ let test_snapshot_immutable_across_epochs () =
     (Snapshot.find snap1 ~r ~x ~c1 ~y ~c2 <> None);
   check_bool "old snapshot still verifies after the commit" true
     (Snapshot.verify_integrity snap0)
+
+(* --- frozen snapshot = the old freeze ------------------------------------ *)
+
+(* A frozen snapshot copies TΠ's and TΦ's arrays and builds a CSR
+   adjacency; the oracle (test/snapshot_oracle.ml) is the freeze it
+   replaced, which rehashed every row.  Over a random session op stream
+   at scale 0.005 — ingests (re-ingested retracted keys among them, which
+   take new ids), retracts with and without ban, refreshes — and over
+   copies of TΠ with tombstones pending, the two answer bit for bit:
+   [find] for every key ever seen and for unknown keys, [view] and
+   [marginal] for every id up to one past [next_id], [stats], and
+   budgeted and unbounded [query_local]. *)
+
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let same_float_opt a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> same_float a b
+  | _ -> false
+
+let same_view (a : Snapshot.view option) (b : Snapshot.view option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    a.id = b.id && a.base = b.base && same_float a.weight b.weight
+    && same_float_opt a.marginal b.marginal
+  | _ -> false
+
+let same_answer (a : Snapshot.answer option) (b : Snapshot.answer option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    a.id = b.id && same_float a.marginal b.marginal && a.epoch = b.epoch
+    && a.interior = b.interior && a.boundary = b.boundary && a.hops = b.hops
+    && a.factors = b.factors
+    && same_float a.pruned_mass b.pruned_mass
+    && a.truncated = b.truncated && a.enumerated = b.enumerated
+  | _ -> false
+
+let gibbs_small = { Inference.Gibbs.burn_in = 10; samples = 40; seed = 3 }
+
+(* [probes] are the keys [query_local] is asked about, budgeted and
+   unbounded; [keys] the keys [find] is asked about. *)
+let check_freeze_against_oracle ~what ~epoch ~marginals ~keys ~probes ~pi
+    ~graph =
+  let snap =
+    Snapshot.freeze ~epoch ~marginals ~gibbs:gibbs_small ~pi ~graph ()
+  and oracle =
+    Snapshot_oracle.freeze ~epoch ~marginals ~gibbs:gibbs_small ~pi ~graph ()
+  in
+  let o = oracle.Snapshot_oracle.snap in
+  let stats = Snapshot.stats snap in
+  check_bool (what ^ ": stats") true (stats = oracle.Snapshot_oracle.stats);
+  List.iter
+    (fun (r, x, c1, y, c2) ->
+      if Snapshot.find snap ~r ~x ~c1 ~y ~c2 <> Snapshot.find o ~r ~x ~c1 ~y ~c2
+      then Alcotest.failf "%s: find (%d, %d, %d, %d, %d)" what r x c1 y c2)
+    keys;
+  for id = -1 to Storage.next_id pi do
+    if not (same_view (Snapshot.view snap id) (Snapshot.view o id)) then
+      Alcotest.failf "%s: view %d" what id;
+    if
+      not
+        (same_float_opt (Snapshot.marginal snap id) (Snapshot.marginal o id))
+    then Alcotest.failf "%s: marginal %d" what id
+  done;
+  List.iteri
+    (fun i (r, x, c1, y, c2) ->
+      let ask budget =
+        if
+          not
+            (same_answer
+               (Snapshot.query_local ?budget snap ~r ~x ~c1 ~y ~c2)
+               (Snapshot.query_local ?budget o ~r ~x ~c1 ~y ~c2))
+        then Alcotest.failf "%s: query_local (%d, %d, %d, %d, %d)" what r x c1 y c2
+      in
+      ask (Some (Local.budget ~max_facts:32 ()));
+      if i < 2 then ask None)
+    probes;
+  stats
+
+let snapshot_oracle_stream () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  let engine =
+    Engine.create
+      ~config:
+        (Probkb.Config.make
+           ~inference:(Some (Inference.Marginal.Chromatic gibbs_small))
+           ())
+      kb
+  in
+  let s = Engine.session engine in
+  let pi = Gamma.pi kb in
+  let rng = Workload.Rng.create 23 in
+  let pick arr = arr.(Workload.Rng.int rng (Array.length arr)) in
+  let live () =
+    let acc = ref [] in
+    Storage.iter
+      (fun ~id ~r ~x ~c1 ~y ~c2 ~w -> acc := (id, (r, x, c1, y, c2), w) :: !acc)
+      pi;
+    Array.of_list (List.rev !acc)
+  in
+  let seen = Hashtbl.create 4096 in
+  let unknown = [ (0, -7, 0, -7, 0); (max_int, 0, 0, 0, 0) ] in
+  let retracted = ref [] in
+  let with_marginals = ref 0 and ran = Array.make 4 0 and reingested = ref 0 in
+  let compare_epoch what =
+    let facts = live () in
+    Array.iter (fun (_, k, _) -> Hashtbl.replace seen k ()) facts;
+    let keys = unknown @ List.of_seq (Hashtbl.to_seq_keys seen) in
+    let marginals = Hashtbl.create 256 in
+    for id = 0 to Storage.next_id pi - 1 do
+      Option.iter (Hashtbl.replace marginals id) (Session.marginal s id)
+    done;
+    let probes =
+      List.init 6 (fun _ ->
+          let _, k, _ = pick facts in
+          k)
+      @ unknown
+    in
+    let check ~what pi =
+      check_freeze_against_oracle ~what ~epoch:(Session.epoch s) ~marginals
+        ~keys ~probes ~pi ~graph:(Session.graph s)
+    in
+    let st = check ~what pi in
+    if st.Snapshot.marginals_cached > 0 then incr with_marginals;
+    (* Tombstones pending, on a copy: the session's own TΠ stays flushed.
+       An id past [next_id] is tombstoned too. *)
+    let pending = Storage.copy pi in
+    List.iter (Storage.mark_deleted pending)
+      (Storage.next_id pi
+      :: List.init 5 (fun _ ->
+             let id, _, _ = pick facts in
+             id));
+    let st' = check ~what:(what ^ ", tombstones pending") pending in
+    check_bool (what ^ ": pending tombstones hide facts") true
+      (st'.Snapshot.facts < st.Snapshot.facts)
+  in
+  let apply op =
+    ran.(op) <- ran.(op) + 1;
+    match op with
+    | 0 ->
+      (* Fresh facts, plus up to two retracted keys again (new ids). *)
+      let fresh =
+        List.init 4 (fun j ->
+            let r, x, c1, y, c2 = Workload.Reverb_sherlock.random_fact g rng in
+            (r, x, c1, y, c2, 0.6 +. (0.05 *. float_of_int j)))
+      in
+      let again = List.filteri (fun i _ -> i < 2) !retracted in
+      retracted := List.filteri (fun i _ -> i >= 2) !retracted;
+      reingested := !reingested + List.length again;
+      ignore (Session.ingest s (fresh @ again))
+    | 1 | 2 ->
+      let base =
+        List.filter
+          (fun (_, _, w) -> not (Relational.Table.is_null_weight w))
+          (Array.to_list (live ()))
+        |> Array.of_list
+      in
+      let picks = List.init 3 (fun _ -> pick base) |> List.sort_uniq compare in
+      ignore
+        (Session.retract ~ban:(op = 2) s (List.map (fun (id, _, _) -> id) picks));
+      if op = 1 then
+        retracted :=
+          List.map (fun (_, (r, x, c1, y, c2), w) -> (r, x, c1, y, c2, w)) picks
+          @ !retracted
+    | _ -> ignore (Session.refresh_marginals s)
+  in
+  compare_epoch "epoch 0";
+  (* Ingest, retract, retract with ban, refresh: four, three, two and
+     three of each, in a random order. *)
+  List.concat_map
+    (fun (op, n) -> List.init n (fun _ -> (Workload.Rng.int rng 1_000_000, op)))
+    [ (0, 4); (1, 3); (2, 2); (3, 3) ]
+  |> List.sort compare
+  |> List.iteri (fun i (_, op) ->
+         apply op;
+         compare_epoch (Printf.sprintf "step %d (op %d)" (i + 1) op));
+  (* The stream is not vacuous. *)
+  check_bool "every op kind ran" true (Array.for_all (fun n -> n > 0) ran);
+  check_bool "retracted keys were ingested again" true (!reingested > 0);
+  check_bool "some snapshots carried marginals" true (!with_marginals > 0)
+
+let test_freeze_equals_oracle () =
+  List.iter
+    (fun d ->
+      Pool.set_default_size d;
+      Fun.protect
+        ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
+        snapshot_oracle_stream)
+    [ 1; 4 ]
 
 (* --- engine cache invalidation on session rule edits ------------------- *)
 
@@ -432,6 +627,71 @@ let test_server_end_to_end () =
     | fd, _, _ ->
       (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
       false)
+
+(* An exception escaping a request — here from a raising access-log
+   sink — closes that connection instead of leaving its client waiting,
+   is counted in [serve.errors], and leaves the reader domain serving:
+   with a pool of one, a second connection is still answered, and stop
+   joins every domain without an exception. *)
+let test_server_survives_raising_request () =
+  let kb, _, _ = Tutil.ruth_gruber_kb () in
+  let writer = Writer.of_session (Engine.session (no_infer_engine kb)) in
+  let obs = Obs.create ~config:Obs.Config.enabled () in
+  let srv =
+    Server.start ~pool:1 ~obs
+      ~access_log:(fun _ -> failwith "access log unavailable")
+      ~kb ~writer
+      ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+      ()
+  in
+  let ask () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        Unix.connect fd (Server.sockaddr srv);
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        let ic = Unix.in_channel_of_descr fd in
+        send (Unix.out_channel_of_descr fd) {|{"op":"stats"}|};
+        match input_line ic with
+        | _ -> `Reply
+        | exception End_of_file -> `Closed
+        | exception (Sys_blocked_io | Sys_error _) -> `Timed_out)
+  in
+  check_bool "the first connection is closed" true (ask () = `Closed);
+  check_bool "the reader still serves a second one" true (ask () = `Closed);
+  Server.stop srv;
+  check_int "both counted as errors" 2
+    (Obs.Summary.counter (Obs.Summary.of_trace obs) "serve.errors")
+
+(* --- first reads in fresh processes ------------------------------------- *)
+
+(* Two clients send their first query_local at the same moment, each in
+   a fresh server process (test/serve_race.ml).  While the debug flag was
+   a lazy value, two reader domains could force it at once; OCaml 5 then
+   raises [CamlinternalLazy.Undefined] in one of them, which ended that
+   reader without closing its connection, and its client waited forever.
+   That happened in about 1 run in 30 on a 2-core host, so 150 runs
+   (about 4 s) miss it with probability under 1%. *)
+let test_first_reads_race () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "serve_race.exe"
+  in
+  for run = 1 to 150 do
+    let pid =
+      Unix.create_process exe [| exe |] Unix.stdin Unix.stdout Unix.stderr
+    in
+    let rec wait () =
+      try snd (Unix.waitpid [] pid)
+      with Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+    in
+    match wait () with
+    | Unix.WEXITED 0 -> ()
+    | Unix.WEXITED 1 -> Alcotest.failf "run %d: a client timed out" run
+    | Unix.WEXITED c -> Alcotest.failf "run %d: serve_race exited %d" run c
+    | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+      Alcotest.failf "run %d: serve_race stopped by signal %d" run n
+  done
 
 (* --- telemetry: admin HTTP, metrics op, access/slow logs ---------------- *)
 
@@ -696,6 +956,8 @@ let () =
         [
           Alcotest.test_case "freeze = live, bitwise" `Quick
             test_freeze_equals_live;
+          Alcotest.test_case "freeze = the old freeze, random epochs" `Quick
+            test_freeze_equals_oracle;
           Alcotest.test_case "immutable across epochs" `Quick
             test_snapshot_immutable_across_epochs;
           Alcotest.test_case "engine sees session rule edits" `Quick
@@ -710,6 +972,10 @@ let () =
         [
           Alcotest.test_case "end to end over a socket" `Quick
             test_server_end_to_end;
+          Alcotest.test_case "a raising request closes its connection" `Quick
+            test_server_survives_raising_request;
+          Alcotest.test_case "first reads race in fresh processes" `Quick
+            test_first_reads_race;
         ] );
       ( "telemetry",
         [
