@@ -12,9 +12,10 @@ test:
 # Then the observability smoke: `--explain --metrics json` must put
 # exactly one well-formed JSON document on stdout (chatter is stderr),
 # a `probkb session` must run DRed retract and ingest epochs with the
-# same replies at pools 1 and 4, and a live `probkb serve` must answer
-# /metrics + /statusz scrapes, keep a well-formed access log, and print
-# its shutdown summary.
+# same replies at pools 1 and 4, `expand --sc` must report the same
+# expansion with and without `--mpp` at pools 1 and 4, and a live
+# `probkb serve` must answer /metrics + /statusz scrapes, keep a
+# well-formed access log, and print its shutdown summary.
 # Last, the repository benchmark's smoke run: its harness builds against
 # lib/ and reads the inference reports, so a lib/ change that breaks it
 # fails here.
@@ -36,6 +37,7 @@ check: build
 	    assert len(d)==3 and "epoch" in d[0] and "epoch" in d[1] \
 	      and d[2]=={"found":False}, d; print("session smoke ok")'
 	python3 scripts/session_smoke.py _build/default/bin/probkb_cli.exe _smoke
+	python3 scripts/mpp_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	python3 scripts/serve_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	rm -rf _smoke
 	python3 perfbench/smoke.py

@@ -1022,12 +1022,12 @@ let query_run facts rules constraints sc theta iterations samples hybrid
             ]
       end
       else begin
-        let t0 = Relational.Stats.now () in
+        let t0 = Obs.now () in
         let e = Probkb.Engine.expand engine in
-        let ground_seconds = Relational.Stats.now () -. t0 in
-        let t1 = Relational.Stats.now () in
+        let ground_seconds = Obs.now () -. t0 in
+        let t1 = Obs.now () in
         let marginals = Probkb.Engine.infer engine e in
-        let infer_seconds = Relational.Stats.now () -. t1 in
+        let infer_seconds = Obs.now () -. t1 in
         match Kb.Storage.find (Kb.Gamma.pi kb) ~r ~x ~c1 ~y ~c2 with
         | None -> Obs.Json.Obj [ ("found", Obs.Json.Bool false) ]
         | Some id ->

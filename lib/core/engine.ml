@@ -58,65 +58,56 @@ let expand t =
     Obs.with_span t.trace "rule cleaning" ~cat:"engine" (fun () ->
         clean_rules t)
   in
-  let hook = constraint_hook t in
-  let spill = Config.spill_policy t.config in
-  let t0 = Relational.Stats.now () in
-  match t.config.Config.engine with
-  | Config.Single_node ->
-    let r =
-      Grounding.Ground.run
-        ~options:
-          {
-            Grounding.Ground.default_options with
-            max_iterations = t.config.Config.max_iterations;
-            apply_constraints = hook;
-            spill;
-            obs = t.trace;
-          }
-        t.kb
-    in
-    {
-      graph = r.Grounding.Ground.graph;
-      iterations = r.Grounding.Ground.iterations;
-      converged = r.Grounding.Ground.converged;
-      trajectory = r.Grounding.Ground.trajectory;
-      new_fact_count = r.Grounding.Ground.new_fact_count;
-      removed_by_constraints = r.Grounding.Ground.removed_by_constraints;
-      n_factors = Factor_graph.Fgraph.size r.Grounding.Ground.graph;
-      rules_used;
-      wall_seconds = Relational.Stats.now () -. t0;
-      sim_seconds = None;
-      obs = Obs.Summary.empty;
-    }
-  | Config.Mpp { cluster; views } ->
-    let r =
-      Grounding.Ground_mpp.run
-        ~options:
-          {
-            Grounding.Ground_mpp.default_options with
-            max_iterations = t.config.Config.max_iterations;
-            apply_constraints = hook;
-            spill;
-            obs = t.trace;
-          }
-        ~mode:
-          (if views then Grounding.Ground_mpp.Views
-           else Grounding.Ground_mpp.No_views)
-        cluster t.kb
-    in
-    {
-      graph = r.Grounding.Ground_mpp.graph;
-      iterations = r.Grounding.Ground_mpp.iterations;
-      converged = r.Grounding.Ground_mpp.converged;
-      trajectory = r.Grounding.Ground_mpp.trajectory;
-      new_fact_count = r.Grounding.Ground_mpp.new_fact_count;
-      removed_by_constraints = 0;
-      n_factors = Factor_graph.Fgraph.size r.Grounding.Ground_mpp.graph;
-      rules_used;
-      wall_seconds = Relational.Stats.now () -. t0;
-      sim_seconds = Some r.Grounding.Ground_mpp.sim_seconds;
-      obs = Obs.Summary.empty;
-    }
+  let max_iterations = t.config.Config.max_iterations
+  and apply_constraints = constraint_hook t
+  and spill = Config.spill_policy t.config
+  and obs = t.trace in
+  let t0 = Obs.now () in
+  let (r : Grounding.Ground.result), sim_seconds =
+    match t.config.Config.engine with
+    | Config.Single_node ->
+      ( Grounding.Ground.run
+          ~options:
+            {
+              Grounding.Ground.default_options with
+              max_iterations;
+              apply_constraints;
+              spill;
+              obs;
+            }
+          t.kb,
+        None )
+    | Config.Mpp { cluster; views } ->
+      let m =
+        Grounding.Ground_mpp.run
+          ~options:
+            {
+              Grounding.Ground_mpp.default_options with
+              max_iterations;
+              apply_constraints;
+              spill;
+              obs;
+            }
+          ~mode:
+            (if views then Grounding.Ground_mpp.Views
+             else Grounding.Ground_mpp.No_views)
+          cluster t.kb
+      in
+      (m.Grounding.Ground_mpp.ground, Some m.Grounding.Ground_mpp.sim_seconds)
+  in
+  {
+    graph = r.graph;
+    iterations = r.iterations;
+    converged = r.converged;
+    trajectory = r.trajectory;
+    new_fact_count = r.new_fact_count;
+    removed_by_constraints = r.removed_by_constraints;
+    n_factors = Factor_graph.Fgraph.size r.graph;
+    rules_used;
+    wall_seconds = Obs.now () -. t0;
+    sim_seconds;
+    obs = Obs.Summary.empty;
+  }
 
 let expand t =
   let e = expand t in
@@ -374,7 +365,7 @@ module Session = struct
     else (0, Incremental.Dred.no_retract)
 
   let ingest s facts =
-    let t0 = Relational.Stats.now () in
+    let t0 = Obs.now () in
     let ins =
       Incremental.Dred.ingest
         ~max_iterations:s.engine.config.Config.max_iterations s.dred facts
@@ -382,15 +373,15 @@ module Session = struct
     touch s ins.Incremental.Dred.new_ids;
     let violations, ret = constrain s in
     record s ~op:"ingest" ~ins ~ret ~violations
-      ~wall_seconds:(Relational.Stats.now () -. t0)
+      ~wall_seconds:(Obs.now () -. t0)
 
   let retract ?ban s ids =
-    let t0 = Relational.Stats.now () in
+    let t0 = Obs.now () in
     let ret = Incremental.Dred.retract ?ban s.dred ids in
     touch s ret.Incremental.Dred.touched_ids;
     forget s ret.Incremental.Dred.deleted_ids;
     record s ~op:"retract" ~ins:Incremental.Dred.no_ingest ~ret ~violations:0
-      ~wall_seconds:(Relational.Stats.now () -. t0)
+      ~wall_seconds:(Obs.now () -. t0)
 
   let retract_keys ?ban s keys =
     let pi = Gamma.pi s.engine.kb in
@@ -400,16 +391,16 @@ module Session = struct
          keys)
 
   let retract_rules s ~remove =
-    let t0 = Relational.Stats.now () in
+    let t0 = Obs.now () in
     let ret = Incremental.Dred.retract_rules s.dred ~remove in
     touch s ret.Incremental.Dred.touched_ids;
     forget s ret.Incremental.Dred.deleted_ids;
     record s ~op:"retract_rules" ~ins:Incremental.Dred.no_ingest ~ret
       ~violations:0
-      ~wall_seconds:(Relational.Stats.now () -. t0)
+      ~wall_seconds:(Obs.now () -. t0)
 
   let add_rules s rules =
-    let t0 = Relational.Stats.now () in
+    let t0 = Obs.now () in
     let ins =
       Incremental.Dred.extend_rules
         ~max_iterations:s.engine.config.Config.max_iterations s.dred rules
@@ -417,10 +408,10 @@ module Session = struct
     touch s ins.Incremental.Dred.new_ids;
     let violations, ret = constrain s in
     record s ~op:"add_rules" ~ins ~ret ~violations
-      ~wall_seconds:(Relational.Stats.now () -. t0)
+      ~wall_seconds:(Obs.now () -. t0)
 
   let reexpand s =
-    let t0 = Relational.Stats.now () in
+    let t0 = Obs.now () in
     let ins =
       Incremental.Dred.reexpand
         ~max_iterations:s.engine.config.Config.max_iterations s.dred
@@ -428,10 +419,10 @@ module Session = struct
     touch s ins.Incremental.Dred.new_ids;
     let violations, ret = constrain s in
     record s ~op:"reexpand" ~ins ~ret ~violations
-      ~wall_seconds:(Relational.Stats.now () -. t0)
+      ~wall_seconds:(Obs.now () -. t0)
 
   let refresh_marginals s =
-    let t0 = Relational.Stats.now () in
+    let t0 = Obs.now () in
     match s.engine.config.Config.inference with
     | None -> None
     | Some m ->
@@ -503,7 +494,7 @@ module Session = struct
           violations = 0;
           facts = Storage.size (Gamma.pi s.engine.kb);
           factors = Factor_graph.Fgraph.size (graph s);
-          wall_seconds = Relational.Stats.now () -. t0;
+          wall_seconds = Obs.now () -. t0;
         }
       in
       s.history <- st :: s.history;

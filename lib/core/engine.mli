@@ -39,7 +39,9 @@ type expansion = {
   n_factors : int;
   rules_used : int;  (** after rule cleaning *)
   wall_seconds : float;
-  sim_seconds : float option;  (** simulated cluster time (MPP engines) *)
+  sim_seconds : float option;
+      (** simulated cluster time (MPP engines): derived from the cost
+          model, not measured *)
   obs : Obs.Summary.t;  (** trace snapshot at the end of the stage *)
 }
 

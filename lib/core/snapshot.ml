@@ -249,18 +249,18 @@ let answer_by_id ?budget t id =
        snapshot";
   let sp = Obs.begin_span ~cat:"engine" t.trace "query_local" in
   match
-    let t0 = Relational.Stats.now () in
+    let t0 = Obs.now () in
     let r = Local.run ?budget t.source ~query:id in
-    let ground_seconds = Relational.Stats.now () -. t0 in
+    let ground_seconds = Obs.now () -. t0 in
     Inference.Neighborhood.clamp_boundary r.Local.graph
       ~boundary:r.Local.boundary ~prob:t.clamp;
-    let t1 = Relational.Stats.now () in
+    let t1 = Obs.now () in
     let c = Fgraph.compile r.Local.graph in
     let marg, method_used =
       Inference.Neighborhood.solve ~obs:t.trace ~options:t.gibbs
         ~exact_max_vars:t.exact_max_vars ~max_width:t.max_width c
     in
-    let infer_seconds = Relational.Stats.now () -. t1 in
+    let infer_seconds = Obs.now () -. t1 in
     let marginal =
       match Hashtbl.find_opt c.Fgraph.var_of_id id with
       | Some v -> marg.(v)

@@ -4,16 +4,17 @@
     into [TΠ], applying semantic constraints, until the transitive closure
     is reached (or an iteration budget is exhausted); then applies the
     partitions once more to construct the ground factors, plus one
-    singleton factor per weighted base fact. *)
+    singleton factor per weighted base fact.
+
+    The loop is written once ({!drive}) and runs the joins through an
+    {!executor}: {!run} and {!closure} use the local one (the domain
+    pool), {!Ground_mpp.run} the simulated MPP cluster. *)
 
 type options = {
   max_iterations : int;  (** closure iteration budget (paper: 15 suffice) *)
   apply_constraints : (Kb.Storage.t -> int * int) option;
       (** the [applyConstraints(TΠ)] hook of Algorithm 1, line 6; returns
           [(violations found, facts removed)] (see [Quality.Semantic]) *)
-  distinct_before_merge : bool;
-      (** deduplicate query outputs before merging (bounds peak memory on
-          rule sets with heavy overlap; default true) *)
   build_factors : bool;  (** run the groundFactors phase (default true) *)
   semi_naive : bool;
       (** delta-driven evaluation: each iteration joins only against the
@@ -66,8 +67,6 @@ type result = {
   graph : Factor_graph.Fgraph.t;  (** [TΦ] *)
   iterations : int;  (** closure iterations executed *)
   converged : bool;  (** true iff a fixpoint was reached *)
-  facts_per_iteration : int list;
-      (** [TΠ] size after each iteration, oldest first *)
   trajectory : trajectory_point list;
       (** per-iteration expansion curve, oldest first; each point is also
           emitted as a snapshot (stage ["ground"], point ["iteration"])
@@ -78,6 +77,37 @@ type result = {
   n_clause_factors : int;
   stats : Relational.Stats.t;  (** per-query timings and cardinalities *)
 }
+
+(** {1 The closure loop} *)
+
+(** Where the joins of one route execute.  Everything between them —
+    active patterns, Ω passes, the semi-naive delta, merging in pattern
+    order, trajectory, snapshots, counters, convergence and the factor
+    phase's spans — belongs to {!drive}. *)
+type executor = {
+  stage : string;
+      (** snapshot stage and counter prefix (["ground"], ["mpp"]) *)
+  cat : string;  (** span category *)
+  atoms :
+    delta:Relational.Table.t option ->
+    Mln.Pattern.t list ->
+    (Mln.Pattern.t * Relational.Table.t * float) list;
+      (** one iteration's Query 1-i per pattern, all against the same
+          [TΠ]: deduplicated head atoms and the query's seconds, in
+          pattern order; with a delta, only derivations using a delta
+          fact *)
+  factors : unit -> Mln.Pattern.t -> Factor_graph.Fgraph.t -> int;
+      (** prepares the factor phase, then runs Query 2-i into [TΦ] *)
+  singletons : Factor_graph.Fgraph.t -> int;
+      (** [groundFactors(TΠ)] (Algorithm 1, line 10) *)
+  point_data : unit -> (string * Obs.value) list;
+      (** extra snapshot data for each trajectory point *)
+}
+
+(** [drive options exec kb] runs Algorithm 1 on [kb], with [exec]
+    running the joins.  It does not read [options.spill]: spilling
+    belongs to the executor. *)
+val drive : options -> executor -> Kb.Gamma.t -> result
 
 (** [run ?options kb] grounds the knowledge base in place: inferred facts
     are merged into [kb]'s fact store with null weights. *)

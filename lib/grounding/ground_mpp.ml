@@ -10,10 +10,6 @@ module Storage = Kb.Storage
 module Fgraph = Factor_graph.Fgraph
 module Shape = Queries.Shape
 
-let src = Logs.Src.create "probkb.mpp" ~doc:"ProbKB distributed grounding"
-
-module Log = (val Logs.src_log src)
-
 type mode = Views | No_views
 
 type options = {
@@ -37,13 +33,8 @@ let default_options =
   }
 
 type result = {
+  ground : Ground.result;
   graph : Fgraph.t;
-  iterations : int;
-  converged : bool;
-  trajectory : Ground.trajectory_point list;
-  new_fact_count : int;
-  n_singleton_factors : int;
-  n_clause_factors : int;
   sim_seconds : float;
   measured_seconds : float;
   load_sim_seconds : float;
@@ -52,8 +43,8 @@ type result = {
 }
 
 (* In Greenplum the INSERT ... SELECT that merges new facts, the head
-   resolution and the singleton scan all run distributed; this driver
-   executes them materially on the coordinator (so results can be compared
+   resolution and the singleton scan all run distributed; this executor
+   runs them materially on the coordinator (so results can be compared
    bit-for-bit with the single-node engine) but charges them at the
    distributed rate: one motion that ships the rows to their home segments
    plus balanced per-segment CPU. *)
@@ -68,38 +59,34 @@ let distributed_step cluster cost label rows row_bytes =
     (Mpp.Cost.Coordinator { label; rows })
     (float_of_int (rows / max 1 nseg + 1) *. cluster.Mpp.Cluster.cost_per_row)
 
-let active_patterns parts =
-  List.filter (fun pat -> Mln.Partition.count parts pat > 0) Pattern.all
-
-let run ?(options = default_options) ?(mode = Views) cluster kb =
+(* The MPP executor: distribution, the [Djoin] plans and every cost
+   charge.  One-time distribution work (replicating the MLN tables,
+   building the initial views / base table) is load, not query time — the
+   paper's Table 3 accounts it in the Load column — so its simulated
+   seconds also go to [load_sim]. *)
+let executor options mode cluster cost ~load_sim kb =
   let obs = options.obs in
-  Obs.with_ambient obs @@ fun () ->
   let pi = Kb.Gamma.pi kb in
   let parts = Kb.Gamma.partitions kb in
-  let patterns = active_patterns parts in
-  let cost = Mpp.Cost.create () in
-  let graph = Fgraph.create () in
-  (* One-time distribution work (replicating the MLN tables, building the
-     initial views / base table) is load, not query time — the paper's
-     Table 3 accounts it in the Load column. *)
-  let load_sim = ref 0. in
   let first_distribution = ref true in
   (* MLN tables are small: replicate them once. *)
   let m_repl =
-    List.map
+    List.filter_map
       (fun pat ->
-        let tbl = Mln.Partition.table parts pat in
-        let bytes = Table.byte_size tbl * (cluster.Mpp.Cluster.nseg - 1) in
-        Mpp.Cost.charge cost
-          (Mpp.Cost.Broadcast
-             { table = Table.name tbl; rows = Table.nrows tbl; bytes })
-          (cluster.Mpp.Cluster.motion_latency_s
-          +. (float_of_int bytes /. cluster.Mpp.Cluster.bandwidth_bytes_per_s));
-        (pat, Mpp.Dtable.partition cluster tbl Mpp.Dtable.Replicated))
-      patterns
+        if Mln.Partition.count parts pat = 0 then None
+        else begin
+          let tbl = Mln.Partition.table parts pat in
+          let bytes = Table.byte_size tbl * (cluster.Mpp.Cluster.nseg - 1) in
+          Mpp.Cost.charge cost
+            (Mpp.Cost.Broadcast
+               { table = Table.name tbl; rows = Table.nrows tbl; bytes })
+            (cluster.Mpp.Cluster.motion_latency_s
+            +. (float_of_int bytes /. cluster.Mpp.Cluster.bandwidth_bytes_per_s));
+          Some (pat, Mpp.Dtable.partition cluster tbl Mpp.Dtable.Replicated)
+        end)
+      Pattern.all
   in
   load_sim := Mpp.Cost.elapsed cost;
-  let m_of pat = List.assoc pat m_repl in
   (* Distribution refresh.  Greenplum ships only the rows inserted since
      the previous iteration (the views are distributed tables receiving
      INSERTs), so motions are charged on the delta; the re-partition
@@ -154,7 +141,7 @@ let run ?(options = default_options) ?(mode = Views) cluster kb =
   let djoin = Mpp.Djoin.hash_join cluster cost in
   let run_pattern distributed pat ~factors =
     let s = Queries.shape_of pat in
-    let m = m_of pat in
+    let m = List.assoc pat m_repl in
     (* Joins against the replicated Mi tables are collocated under any
        distribution, so they read the finest (best-balanced) replica; the
        J ⋈ TΠ join needs the view aligned with its key. *)
@@ -173,130 +160,92 @@ let run ?(options = default_options) ?(mode = Views) cluster kb =
     let oweight =
       if factors then Join.Weight_of Join.Build else Join.No_weight
     in
-    match s with
-    | Shape.One_atom s1 ->
-      djoin ~name:(Pattern.to_string pat) ~cols ~out ~oweight ~dedup:true
-        (m, s1.m_key)
-        (balanced_view (), s1.t_key)
-    | Shape.Two_atom s2 ->
-      let j =
-        djoin
-          ~name:(Pattern.to_string pat ^ "_J")
-          ~cols:Queries.j_cols ~out:(Queries.step1_out s)
-          ~oweight:(Join.Weight_of Join.Build) ~dedup:true (m, s2.m_key1)
-          (balanced_view (), s2.t_key1)
-      in
-      djoin ~name:(Pattern.to_string pat) ~cols ~out ~oweight ~dedup:true
-        (j, s2.j_key2)
-        (view s2.t_key2, s2.t_key2)
+    Mpp.Dtable.gather
+      (match s with
+      | Shape.One_atom s1 ->
+        djoin ~name:(Pattern.to_string pat) ~cols ~out ~oweight ~dedup:true
+          (m, s1.m_key)
+          (balanced_view (), s1.t_key)
+      | Shape.Two_atom s2 ->
+        let j =
+          djoin
+            ~name:(Pattern.to_string pat ^ "_J")
+            ~cols:Queries.j_cols ~out:(Queries.step1_out s)
+            ~oweight:(Join.Weight_of Join.Build) ~dedup:true (m, s2.m_key1)
+            (balanced_view (), s2.t_key1)
+        in
+        djoin ~name:(Pattern.to_string pat) ~cols ~out ~oweight ~dedup:true
+          (j, s2.j_key2)
+          (view s2.t_key2, s2.t_key2))
   in
-  let iterations = ref 0 in
-  let converged = ref false in
-  let total_new = ref 0 in
-  let trajectory = ref [] in
-  let constrain () =
-    match options.apply_constraints with
-    | Some f -> f pi
-    | None -> (0, 0)
-  in
-  let record_point ~iteration ~new_facts ~violations ~removed =
-    trajectory :=
-      {
-        Ground.iteration;
-        new_facts;
-        total_facts = Storage.size pi;
-        violations;
-        removed;
-      }
-      :: !trajectory;
-    (* sim_seconds is deterministic (a cost-model figure, not a clock), so
-       it belongs in the snapshot's [data] payload. *)
-    Obs.snapshot obs ~stage:"mpp" ~point:"iteration" ~step:iteration
-      ~perf:(Obs.mem_stats ())
-      [
-        ("new_facts", Obs.I new_facts);
-        ("total_facts", Obs.I (Storage.size pi));
-        ("violations", Obs.I violations);
-        ("removed", Obs.I removed);
-        ("sim_seconds", Obs.F (Mpp.Cost.elapsed cost));
-        ("motion_bytes", Obs.I (Mpp.Cost.motion_bytes cost));
-      ]
-  in
-  (* Apply constraints once before inference starts (Section 6.1.1). *)
-  if options.apply_constraints <> None then begin
-    let violations, removed = constrain () in
-    record_point ~iteration:0 ~new_facts:0 ~violations ~removed
-  end;
-  Obs.with_span obs "closure" ~cat:"mpp" (fun () ->
-      while (not !converged) && !iterations < options.max_iterations do
-        incr iterations;
+  let atoms ~delta patterns =
+    (* The distributed plans have no delta terms: a delta reaching here
+       would silently turn semi-naive evaluation naive. *)
+    if Option.is_some delta then
+      invalid_arg "Ground_mpp: the MPP executor takes no delta";
+    (* redistribute(TΠ): refresh the views / re-load the pn table. *)
+    let distributed =
+      Obs.with_span obs "distribute" ~cat:"mpp" distribute_facts
+    in
+    List.map
+      (fun pat ->
         Obs.with_span obs
-          (Printf.sprintf "iteration %d" !iterations)
+          (Printf.sprintf "M%d" (Pattern.index pat + 1))
           ~cat:"mpp"
           (fun () ->
-            (* redistribute(TΠ): refresh the views / re-load the pn table. *)
-            let distributed =
-              Obs.with_span obs "distribute" ~cat:"mpp" (fun () ->
-                  distribute_facts ())
-            in
-            let results =
-              List.map
-                (fun pat ->
-                  Obs.with_span obs
-                    (Printf.sprintf "M%d" (Pattern.index pat + 1))
-                    ~cat:"mpp"
-                    (fun () ->
-                      let dt = run_pattern distributed pat ~factors:false in
-                      let gathered = Mpp.Dtable.gather dt in
-                      let distinct =
-                        Ops.distinct gathered [| 0; 1; 2; 3; 4 |]
-                      in
-                      distributed_step cluster cost "distinct+merge"
-                        (Table.nrows gathered)
-                        (Table.row_bytes gathered);
-                      distinct))
-                patterns
-            in
-            let new_facts = ref 0 in
-            List.iter
-              (fun atoms ->
-                new_facts := !new_facts + Storage.merge_new pi atoms)
-              results;
-            let violations, removed = constrain () in
-            total_new := !total_new + !new_facts;
-            record_point ~iteration:!iterations ~new_facts:!new_facts
-              ~violations ~removed;
-            Obs.add obs "mpp.new_facts" !new_facts;
-            Log.debug (fun m ->
-                m "iteration %d: +%d facts, sim %.3fs" !iterations !new_facts
-                  (Mpp.Cost.elapsed cost));
-            (match options.on_iteration with
-            | Some f ->
-              f ~iteration:!iterations ~new_facts:!new_facts
-                ~sim_elapsed:(Mpp.Cost.elapsed cost)
-            | None -> ());
-            if !new_facts = 0 then converged := true)
-      done);
-  let n_clause_factors = ref 0 in
-  let n_singleton_factors = ref 0 in
-  if options.build_factors then
-    Obs.with_span obs "factors" ~cat:"mpp" (fun () ->
-        let distributed = distribute_facts () in
-        List.iter
-          (fun pat ->
-            Obs.with_span obs
-              (Printf.sprintf "M%d" (Pattern.index pat + 1))
-              ~cat:"mpp"
-              (fun () ->
-                let dt = run_pattern distributed pat ~factors:true in
-                let rows = Mpp.Dtable.gather dt in
-                distributed_step cluster cost "resolve heads"
-                  (Table.nrows rows) (Table.row_bytes rows);
-                n_clause_factors :=
-                  !n_clause_factors + Queries.resolve_heads rows pi graph))
-          patterns;
-        n_singleton_factors := Queries.singleton_factors pi graph;
-        distributed_step cluster cost "singletons" !n_singleton_factors 32);
+            let t0 = Obs.now () in
+            let gathered = run_pattern distributed pat ~factors:false in
+            let distinct = Ops.distinct gathered [| 0; 1; 2; 3; 4 |] in
+            distributed_step cluster cost "distinct+merge"
+              (Table.nrows gathered) (Table.row_bytes gathered);
+            (pat, distinct, Obs.now () -. t0)))
+      patterns
+  in
+  let factors () =
+    let distributed = distribute_facts () in
+    fun pat graph ->
+      let rows = run_pattern distributed pat ~factors:true in
+      distributed_step cluster cost "resolve heads" (Table.nrows rows)
+        (Table.row_bytes rows);
+      Queries.resolve_heads rows pi graph
+  in
+  let singletons graph =
+    let n = Queries.singleton_factors pi graph in
+    distributed_step cluster cost "singletons" n 32;
+    n
+  in
+  (* sim_seconds is deterministic (a cost-model figure, not a clock), so
+     it belongs in the snapshot's [data] payload. *)
+  let point_data () =
+    [
+      ("sim_seconds", Obs.F (Mpp.Cost.elapsed cost));
+      ("motion_bytes", Obs.I (Mpp.Cost.motion_bytes cost));
+    ]
+  in
+  { Ground.stage = "mpp"; cat = "mpp"; atoms; factors; singletons; point_data }
+
+let run ?(options = default_options) ?(mode = Views) cluster kb =
+  let obs = options.obs in
+  Obs.with_ambient obs @@ fun () ->
+  let cost = Mpp.Cost.create () in
+  let load_sim = ref 0. in
+  let exec = executor options mode cluster cost ~load_sim kb in
+  let ground =
+    Ground.drive
+      {
+        Ground.default_options with
+        max_iterations = options.max_iterations;
+        apply_constraints = options.apply_constraints;
+        build_factors = options.build_factors;
+        on_iteration =
+          Option.map
+            (fun f ~iteration ~new_facts ->
+              f ~iteration ~new_facts ~sim_elapsed:(Mpp.Cost.elapsed cost))
+            options.on_iteration;
+        obs;
+      }
+      exec kb
+  in
   (* Motion and per-segment statistics, derived from the cost trace. *)
   if Obs.enabled obs then begin
     Obs.add obs "mpp.motion_bytes" (Mpp.Cost.motion_bytes cost);
@@ -316,13 +265,8 @@ let run ?(options = default_options) ?(mode = Views) cluster kb =
       (Mpp.Cost.entries cost)
   end;
   {
-    graph;
-    iterations = !iterations;
-    converged = !converged;
-    trajectory = List.rev !trajectory;
-    new_fact_count = !total_new;
-    n_singleton_factors = !n_singleton_factors;
-    n_clause_factors = !n_clause_factors;
+    ground;
+    graph = ground.Ground.graph;
     sim_seconds = Mpp.Cost.elapsed cost;
     measured_seconds = Mpp.Cost.measured_seconds cost;
     load_sim_seconds = !load_sim;

@@ -1,15 +1,18 @@
 (** Distributed grounding — ProbKB-p and ProbKB-pn (paper, Section 4.4).
 
-    Runs the same grounding queries as {!Ground}, but with every
-    [Mi ⋈ TΠ] join executed on the simulated MPP cluster.  In [Views]
+    Runs {!Ground.drive}'s closure loop with every [Mi ⋈ TΠ] join
+    executed on the simulated MPP cluster: this module owns only the
+    distribution, the distributed plans and their cost charges.  In [Views]
     mode (ProbKB-p) the fact side of each join comes from the
     redistributed materialized views, so it is always collocated and only
     intermediates move; in [No_views] mode (ProbKB-pn) the fact table is
     distributed by its primary key and every join pays redistribution or
     broadcast motions — the two plans of Figure 4.
 
-    Results (the inferred facts and the ground factors) are identical to
-    the single-node driver; the differential tests assert it. *)
+    Results (the inferred facts, the trajectory, the constraint removals
+    and the ground factors) are identical to the single-node route; the
+    differential tests assert it.  The MPP executor has no delta joins,
+    so there is no semi-naive or incremental mode. *)
 
 type mode =
   | Views  (** ProbKB-p: redistributed materialized views *)
@@ -34,28 +37,27 @@ type options = {
   obs : Obs.t;
       (** trace context (default {!Obs.null}).  When enabled, the run
           emits [closure > iteration i > distribute/M1..M6] and
-          [factors] span trees plus [mpp.*] counters (motions, motion
-          bytes, per-segment join busy time and skew) derived from the
-          cost trace. *)
+          [factors] span trees, the loop's counters under [mpp.*], and
+          [mpp.*] counters (motions, motion bytes, per-segment join busy
+          time and skew) derived from the cost trace. *)
 }
 
 val default_options : options
 
 type result = {
-  graph : Factor_graph.Fgraph.t;
-  iterations : int;
-  converged : bool;
-  trajectory : Ground.trajectory_point list;
-      (** per-iteration expansion curve (see {!Ground.trajectory_point});
-          each point is also emitted as a snapshot (stage ["mpp"], point
-          ["iteration"]) when [obs] has a sink installed *)
-  new_fact_count : int;
-  n_singleton_factors : int;
-  n_clause_factors : int;
-  sim_seconds : float;  (** simulated cluster time, including load *)
+  ground : Ground.result;
+      (** the closure loop's result, as on the single-node route; its
+          trajectory points are also emitted as snapshots (stage ["mpp"],
+          point ["iteration"], with [sim_seconds] and [motion_bytes])
+          when [obs] has a sink installed *)
+  graph : Factor_graph.Fgraph.t;  (** [ground.graph], [TΦ] *)
+  sim_seconds : float;
+      (** simulated cluster time, including load — derived from the cost
+          model, not measured *)
   measured_seconds : float;
-      (** real wall-clock spent in the materially-executed operators
-          (per-segment joins, view builds) on the domain pool *)
+      (** real time spent in the materially-executed operators
+          (per-segment joins, view builds) on the domain pool, summed
+          per segment inside the simulation *)
   load_sim_seconds : float;
       (** one-time distribution work (view creation, MLN replication) —
           the paper's Table 3 Load column; subtract from [sim_seconds]

@@ -64,7 +64,7 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
     ?(checkpoint = default_checkpoint) ?online ?early_stop ?init c =
   if checkpoint < 1 then invalid_arg "Chromatic.marginals: checkpoint < 1";
   let n = Fgraph.nvars c in
-  let t_start = if Obs.enabled obs then Unix.gettimeofday () else 0. in
+  let t_start = if Obs.enabled obs then Obs.now () else 0. in
   let colors = color c in
   if Obs.debug && not (verify_coloring c colors) then
     invalid_arg "Chromatic.marginals: improper coloring";
@@ -189,11 +189,11 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
   in
   (* Checkpoint emission: volatile rates are computed only when a sink is
      installed, so a metrics-off run pays nothing for the plumbing. *)
-  let last_snap_t = ref (Unix.gettimeofday ()) in
+  let last_snap_t = ref (Obs.now ()) in
   let last_snap_sweep = ref 0 in
   let snap ~phase ~step data =
     if Obs.snapshots_enabled obs then begin
-      let t = Unix.gettimeofday () in
+      let t = Obs.now () in
       let dt = t -. !last_snap_t in
       let swept = !sweep_no - !last_snap_sweep in
       let rate =
@@ -263,7 +263,7 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
     | None -> Option.map Diagnostics.Online.report diag
   in
   if Obs.enabled obs then begin
-    let elapsed = Unix.gettimeofday () -. t_start in
+    let elapsed = Obs.now () -. t_start in
     Obs.add obs "gibbs.sweeps" !sweep_no;
     Obs.add obs "gibbs.variables" n;
     Obs.gauge obs "gibbs.colors" (float_of_int (Array.length by_color));

@@ -118,11 +118,11 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
      bit-identical at any pool size. *)
   let pool = match pool with Some p -> p | None -> Pool.get_default () in
   let (), exact_seconds =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now () in
     Obs.with_span obs "hybrid.exact" ~cat:"inference" (fun () ->
         Pool.parallel_for pool ~n:nc (fun i ->
             let solver, tri = plans.(i) in
-            let t0 = Unix.gettimeofday () in
+            let t0 = Obs.now () in
             (match solver with
             | Sampled -> ()
             | Enumerated ->
@@ -143,9 +143,9 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
                 seconds =
                   (match solver with
                   | Sampled -> 0.
-                  | _ -> Unix.gettimeofday () -. t0);
+                  | _ -> Obs.now () -. t0);
               }));
-    ((), Unix.gettimeofday () -. t0)
+    ((), Obs.now () -. t0)
   in
   (* Sampled phase: one chromatic Gibbs run over the subgraph of the
      high-treewidth cores only. *)
@@ -159,7 +159,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
     | [] -> (None, 0.)
     | _ ->
       Obs.with_span obs "hybrid.gibbs" ~cat:"inference" (fun () ->
-          let t0 = Unix.gettimeofday () in
+          let t0 = Obs.now () in
           let m = Array.length c.Fgraph.head in
           let keep = Array.make m false in
           List.iter
@@ -201,7 +201,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
               marg.(Hashtbl.find c.Fgraph.var_of_id sub.Fgraph.var_ids.(sv)) <-
                 p)
             smarg;
-          let seconds = Unix.gettimeofday () -. t0 in
+          let seconds = Obs.now () -. t0 in
           List.iter
             (fun i ->
               let _, tri = plans.(i) in

@@ -18,16 +18,18 @@ type t
 val create : unit -> t
 
 (** [charge ?measured_seconds t op seconds] records an operation: its
-    simulated cluster duration and, optionally, the wall-clock time the
-    operator actually took on the domain pool (default 0). *)
+    simulated cluster duration and, optionally, the time the operator
+    actually took on the domain pool, read with {!Obs.now} (default 0). *)
 val charge : ?measured_seconds:float -> t -> op -> float -> unit
 
-(** [elapsed t] is the total simulated time so far. *)
+(** [elapsed t] is the total simulated time so far — derived from the
+    cost model, never read from a clock. *)
 val elapsed : t -> float
 
-(** [measured_seconds t] is the total measured wall-clock time recorded so
-    far — the real (pool-parallel) execution time, as opposed to the
-    simulated cluster clock of {!elapsed}. *)
+(** [measured_seconds t] is the total measured time recorded so far —
+    the real execution time of the materially executed operators, summed
+    per charge, as opposed to the simulated cluster clock of
+    {!elapsed}. *)
 val measured_seconds : t -> float
 
 (** [entries t] is the trace, oldest first. *)

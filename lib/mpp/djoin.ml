@@ -50,7 +50,7 @@ let local_join ?pool cluster cost ~name ~cols ~out ~oweight ?dedup ?residual
   let weighted = oweight <> Join.No_weight in
   let empty i = Table.create ~weighted ~name:(Printf.sprintf "%s@%d" name i) cols in
   let pool = match pool with Some p -> p | None -> Pool.get_default () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   (* The per-segment plans are independent, so they execute concurrently
      on the domain pool — the collocated-join parallelism of Figure 4,
      measured for real instead of only simulated.  Per-segment joins fall
@@ -67,7 +67,7 @@ let local_join ?pool cluster cost ~name ~cols ~out ~oweight ?dedup ?residual
       ~init:[]
     |> List.rev |> Array.of_list
   in
-  let measured = Unix.gettimeofday () -. t0 in
+  let measured = Obs.now () -. t0 in
   let max_seg = ref 0 in
   let rows_out = ref 0 in
   Array.iteri

@@ -13,8 +13,8 @@
     All data movement is real; the simulated clock charges max-per-segment
     CPU plus motion network time.  The per-segment local joins execute
     concurrently on the domain pool ([pool], default
-    {!Pool.get_default}); their measured wall-clock time is recorded on
-    the cost trace next to the simulated charge. *)
+    {!Pool.get_default}); their measured time ({!Obs.now}) is recorded
+    on the cost trace next to the simulated charge. *)
 
 (** [hash_join cluster cost ~name ~cols ~out ~oweight ?residual (b, bkey)
     (p, pkey)] is the distributed analogue of

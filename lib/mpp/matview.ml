@@ -22,7 +22,7 @@ let charge_view cluster cost facts ~measured_seconds dt =
 let create ?pool cluster cost facts =
   let pool = match pool with Some p -> p | None -> Pool.get_default () in
   let keys = Array.of_list distribution_keys in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   (* The four re-partitions only read [facts]; build them concurrently and
      charge their (sequentially folded) motions afterwards. *)
   let views =
@@ -35,7 +35,7 @@ let create ?pool cluster cost facts =
     |> List.rev
   in
   let measured_seconds =
-    (Unix.gettimeofday () -. t0) /. float_of_int (max 1 (Array.length keys))
+    (Obs.now () -. t0) /. float_of_int (max 1 (Array.length keys))
   in
   List.iter (fun (_, dt) -> charge_view cluster cost facts ~measured_seconds dt) views;
   { views }

@@ -1,6 +1,7 @@
 module Json = Json
 
-let now = Unix.gettimeofday
+(* CLOCK_MONOTONIC in seconds: an NTP step cannot make a span negative. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 module Config = struct
   type t = { enabled : bool; retain_spans : int option }
@@ -504,7 +505,7 @@ let end_span ?(attrs = []) t sp =
   | No_span -> ()
   | Sp s ->
     let b = Domain.DLS.get t.key in
-    s.t1 <- Float.max s.t0 (now ());
+    s.t1 <- now ();
     s.attrs <- List.rev attrs @ s.attrs;
     (* Pop the local stack down to (and including) [s]; spans must be
        ended on the domain that began them, innermost first. *)

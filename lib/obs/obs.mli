@@ -66,6 +66,11 @@ module Config : sig
   val make : ?enabled:bool -> ?retain_spans:int -> unit -> t
 end
 
+(** [now ()] is CLOCK_MONOTONIC in seconds — the clock every span,
+    timer and measured duration in the engine reads.  Only differences
+    are meaningful: it is not a wall-clock timestamp. *)
+val now : unit -> float
+
 (** Attribute values attached to spans. *)
 type value = I of int | F of float | S of string
 

@@ -87,12 +87,12 @@ let violations pi omega =
 
 let apply_collect ?(ban = true) pi omega =
   let obs = Obs.ambient () in
-  let t0 = if Obs.enabled obs then Unix.gettimeofday () else 0. in
+  let t0 = if Obs.enabled obs then Obs.now () else 0. in
   let record vs deleted =
     if Obs.enabled obs then begin
       Obs.add obs "quality.violations" (List.length vs);
       Obs.add obs "quality.deleted" deleted;
-      Obs.add_time obs "quality.seconds" (Unix.gettimeofday () -. t0)
+      Obs.add_time obs "quality.seconds" (Obs.now () -. t0)
     end
   in
   let vs = violations pi omega in

@@ -56,7 +56,7 @@ let hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
       (hash_join_pre_raw ~name ~cols ~out ~oweight ?dedup ?residual ?pool
          bidx (ptbl, pkey))
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now () in
     let sink =
       hash_join_pre_raw ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
         (ptbl, pkey)
@@ -66,7 +66,7 @@ let hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
     Obs.add obs "join.build_rows" (Index.size bidx);
     Obs.add obs "join.probe_rows" (Table.nrows ptbl);
     Obs.add obs "join.rows_out" (Table.nrows result);
-    Obs.add_time obs "join.probe_seconds" (Unix.gettimeofday () -. t0);
+    Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0);
     Sink.record_distinct_obs obs sink;
     result
   end
@@ -84,7 +84,7 @@ let index_probe_into ~out ~oweight ?residual ~sink (btbl, bkey) idx =
   if Array.length (Index.key idx) <> Array.length bkey then
     invalid_arg "Join.index_probe_into: key arity mismatch";
   let obs = Obs.ambient () in
-  let t0 = if Obs.enabled obs then Unix.gettimeofday () else 0. in
+  let t0 = if Obs.enabled obs then Obs.now () else 0. in
   let before = Sink.rows_out sink in
   let ptbl = Index.table idx in
   let nb = Table.nrows btbl in
@@ -131,7 +131,7 @@ let index_probe_into ~out ~oweight ?residual ~sink (btbl, bkey) idx =
     Obs.incr obs "join.joins";
     Obs.add obs "join.probe_rows" nb;
     Obs.add obs "join.rows_out" (Sink.rows_out sink - before);
-    Obs.add_time obs "join.probe_seconds" (Unix.gettimeofday () -. t0)
+    Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0)
   end
 
 (* Segmented-probe variant: the probe side is a spilled scan source
@@ -168,14 +168,14 @@ let hash_join_pre_src ~name ~cols ~out ~oweight ?(dedup = false) ?residual
   let obs = Obs.ambient () in
   if not (Obs.enabled obs) then Sink.table (run ())
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now () in
     let sink = run () in
     let result = Sink.table sink in
     Obs.incr obs "join.joins";
     Obs.add obs "join.build_rows" (Index.size bidx);
     Obs.add obs "join.probe_rows" (Segsrc.rows psrc);
     Obs.add obs "join.rows_out" (Table.nrows result);
-    Obs.add_time obs "join.probe_seconds" (Unix.gettimeofday () -. t0);
+    Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0);
     Sink.record_distinct_obs obs sink;
     result
   end
@@ -183,10 +183,10 @@ let hash_join_pre_src ~name ~cols ~out ~oweight ?(dedup = false) ?residual
 let hash_join ~name ~cols ~out ~oweight ?dedup ?residual ?pool (btbl, bkey)
     (ptbl, pkey) =
   let obs = Obs.ambient () in
-  let t0 = if Obs.enabled obs then Unix.gettimeofday () else 0. in
+  let t0 = if Obs.enabled obs then Obs.now () else 0. in
   let bidx = Index.build btbl bkey in
   if Obs.enabled obs then
-    Obs.add_time obs "join.build_seconds" (Unix.gettimeofday () -. t0);
+    Obs.add_time obs "join.build_seconds" (Obs.now () -. t0);
   hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
     (ptbl, pkey)
 

@@ -22,10 +22,10 @@ let distinct ?pool t key =
   let obs = Obs.ambient () in
   if not (Obs.enabled obs) then distinct_raw ?pool t key
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now () in
     let sink = distinct_sink ?pool t key in
     Sink.record_distinct_obs obs sink;
-    Obs.add_time obs "distinct.seconds" (Unix.gettimeofday () -. t0);
+    Obs.add_time obs "distinct.seconds" (Obs.now () -. t0);
     Sink.table sink
   end
 

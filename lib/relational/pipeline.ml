@@ -160,7 +160,7 @@ let run ?pool ?(batch_capacity = Batch.default_capacity)
   let nworkers = Pool.size pool in
   let obs = Obs.ambient () in
   let enabled = Obs.enabled obs in
-  let now () = if enabled then Unix.gettimeofday () else 0. in
+  let now () = if enabled then Obs.now () else 0. in
   let t0 = now () in
   let batches, busy, skew =
     if nworkers <= 1 || n < threshold then begin
@@ -245,7 +245,7 @@ let run_segments ?pool ?(batch_capacity = Batch.default_capacity) ~source
   let nworkers = Pool.size pool in
   let obs = Obs.ambient () in
   let enabled = Obs.enabled obs in
-  let now () = if enabled then Unix.gettimeofday () else 0. in
+  let now () = if enabled then Obs.now () else 0. in
   let t0 = now () in
   let scan_one kernel i =
     segs.(i).Segsrc.scan ~capacity:batch_capacity ~base_rid:bases.(i)

@@ -291,58 +291,42 @@ let exec_join ?pool ~build_left p l r lkey rkey =
   Join.hash_join ~name:"join" ~cols:(columns p) ~out ~oweight:Join.No_weight
     ?pool (btbl, bkey) (ptbl, pkey)
 
-let run_materializing ?stats ?pool p =
+let run_materializing ?pool p =
   (* Validate schemas eagerly so errors carry plan context. *)
   ignore (columns p);
   let bytes = ref 0 in
-  let timed label rows f =
-    match stats with
-    | None -> f ()
-    | Some st -> Stats.time st ~label ~rows f
-  in
   let rec go p =
     match p with
     | Scan tbl -> tbl
     | Scan_segments s ->
-      let out = timed "segment_scan" Table.nrows (fun () -> Segsrc.to_table s) in
+      let out = Segsrc.to_table s in
       note_intermediate bytes out;
       out
     | Select (pred, child) ->
       let input = go child in
-      let out =
-        timed "select" Table.nrows (fun () ->
-            Table.filter input (compile_pred pred input))
-      in
+      let out = Table.filter input (compile_pred pred input) in
       note_intermediate bytes out;
       out
     | Project (cols, child) ->
       let input = go child in
-      let out =
-        timed "project" Table.nrows (fun () ->
-            project_table input cols "project")
-      in
+      let out = project_table input cols "project" in
       note_intermediate bytes out;
       out
     | Equi_join { left; right; lkey; rkey } ->
       let build_left = join_build_left left right in
       let l = go left and r = go right in
-      let out =
-        timed "hash_join" Table.nrows (fun () ->
-            exec_join ?pool ~build_left p l r lkey rkey)
-      in
+      let out = exec_join ?pool ~build_left p l r lkey rkey in
       note_intermediate bytes out;
       out
     | Distinct (key, child) ->
       let input = go child in
       let key = Option.value key ~default:(all_cols input) in
-      let out =
-        timed "distinct" Table.nrows (fun () -> Ops.distinct ?pool input key)
-      in
+      let out = Ops.distinct ?pool input key in
       note_intermediate bytes out;
       out
     | Order_by (key, child) ->
       let input = go child in
-      let out = timed "sort" Table.nrows (fun () -> Sort.sort input key) in
+      let out = Sort.sort input key in
       note_intermediate bytes out;
       out
   in
@@ -390,7 +374,7 @@ type spine_src = Src_table of Table.t | Src_segments of Segsrc.t
    (Scan→Select→Project→probe chains) run batch-at-a-time into a single
    sink; only hash build sides, [Distinct] (a dedup sink) and
    [Order_by] materialize. *)
-let run_pipelined ?stats ?pool ?m p =
+let run_pipelined ?pool ?m p =
   ignore (columns p);
   let bytes = ref 0 in
   let meter q = Option.map (fun m -> meter_of m q) m in
@@ -408,19 +392,14 @@ let run_pipelined ?stats ?pool ?m p =
       | None -> ());
       tbl
     | Order_by (key, child) ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now () in
       let input = exec child in
-      let out =
-        match stats with
-        | None -> Sort.sort input key
-        | Some st -> Stats.time st ~label:"sort" ~rows:Table.nrows (fun () ->
-              Sort.sort input key)
-      in
+      let out = Sort.sort input key in
       note_intermediate bytes out;
       (match meter p with
       | Some nm ->
         Atomic.set nm.rows (Table.nrows out);
-        nm.seconds <- Unix.gettimeofday () -. t0
+        nm.seconds <- Obs.now () -. t0
       | None -> ());
       out
     | Distinct (key, child) ->
@@ -433,7 +412,7 @@ let run_pipelined ?stats ?pool ?m p =
     | Scan_segments _ | Select _ | Project _ | Equi_join _ ->
       drive ~root:p ~dedup:None p
   and drive ~root ~dedup stream =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now () in
     let src, build, nodes = spine stream in
     let sink =
       Sink.create ?dedup_key:dedup
@@ -452,12 +431,7 @@ let run_pipelined ?stats ?pool ?m p =
     in
     let out = Sink.table sink in
     note_intermediate bytes out;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (match stats with
-    | Some st ->
-      Stats.record st ~label:"pipeline" ~seconds:elapsed
-        ~rows_out:(Table.nrows out)
-    | None -> ());
+    let elapsed = Obs.now () -. t0 in
     (if dedup <> None then
        let obs = Obs.ambient () in
        if Obs.enabled obs then begin
@@ -524,7 +498,7 @@ let run_pipelined ?stats ?pool ?m p =
   record_intermediate_bytes bytes;
   out
 
-let run ?stats ?pool p = run_pipelined ?stats ?pool p
+let run ?pool p = run_pipelined ?pool p
 
 (* --- explain --- *)
 

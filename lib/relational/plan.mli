@@ -57,23 +57,20 @@ val columns : t -> string array
     column cannot be resolved to a base table. *)
 val estimate_rows : t -> int
 
-(** [run ?stats ?pool p] executes the plan on the pipelined engine and
+(** [run ?pool p] executes the plan on the pipelined engine and
     materializes only the final sink (plus pipeline breakers: hash build
     sides, dedup sinks, sorts).  Hash joins build on the side with the
     smaller {e estimated} cardinality.  Sources above a size threshold
     are morsel-parallel on [pool] (default {!Pool.get_default});
     per-worker sinks are merged in morsel order, so output — rows,
     order, weights — is bit-identical to {!run_materializing} and to
-    sequential execution, for every pool size.  When [stats] is given,
-    one ["pipeline"] entry is recorded per pipeline plus one per
-    breaker. *)
-val run : ?stats:Stats.t -> ?pool:Pool.t -> t -> Table.t
+    sequential execution, for every pool size. *)
+val run : ?pool:Pool.t -> t -> Table.t
 
-(** [run_materializing ?stats ?pool p] materializes the plan bottom-up,
-    one table per node — the reference engine.  Same build-side rule,
-    same operators, same output as {!run}; when [stats] is given each
-    node's execution is recorded under its operator label. *)
-val run_materializing : ?stats:Stats.t -> ?pool:Pool.t -> t -> Table.t
+(** [run_materializing ?pool p] materializes the plan bottom-up, one
+    table per node — the reference engine.  Same build-side rule, same
+    operators, same output as {!run}. *)
+val run_materializing : ?pool:Pool.t -> t -> Table.t
 
 (** [explain ppf p] prints the plan tree with schemas, row estimates and
     pipeline annotations: each streaming node is tagged with the

@@ -2,15 +2,14 @@ type entry = { label : string; seconds : float; rows_out : int }
 type t = { mutable entries : entry list (* newest first *) }
 
 let create () = { entries = [] }
-let now () = Unix.gettimeofday ()
 
 let record st ~label ~seconds ~rows_out =
   st.entries <- { label; seconds; rows_out } :: st.entries
 
 let time st ~label ~rows f =
-  let t0 = now () in
+  let t0 = Obs.now () in
   let result = f () in
-  let seconds = now () -. t0 in
+  let seconds = Obs.now () -. t0 in
   record st ~label ~seconds ~rows_out:(rows result);
   result
 

@@ -1,10 +1,10 @@
 (** Query execution statistics.
 
-    A [Stats.t] accumulates per-query measurements — wall-clock time, rows
-    produced, number of queries issued — so that the benchmark harness can
-    report the Table 3 / Figure 6 quantities (time per grounding iteration,
-    number of SQL queries per iteration, result sizes) for both ProbKB and
-    the Tuffy-T baseline. *)
+    A [Stats.t] accumulates per-query measurements — elapsed time read
+    with {!Obs.now}, rows produced, number of queries issued — so that
+    the benchmark harness can report the Table 3 / Figure 6 quantities
+    (time per grounding iteration, number of SQL queries per iteration,
+    result sizes) for both ProbKB and the Tuffy-T baseline. *)
 
 type t
 
@@ -40,6 +40,3 @@ val merge : t -> t -> unit
 
 (** [pp ppf st] prints a per-label summary (count, total time, rows). *)
 val pp : Format.formatter -> t -> unit
-
-(** [now ()] is a monotonic timestamp in seconds, for external timing. *)
-val now : unit -> float

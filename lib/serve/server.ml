@@ -16,7 +16,7 @@ type t = {
   writer : Writer.t;
   kb : Kb.Gamma.t;
   trace : Obs.t;
-  started : float;  (* wall clock at start, for /statusz uptime *)
+  started : float;  (* [Obs.now] at start, for /statusz uptime *)
   req_ids : int Atomic.t;  (* request ids, unique across connections *)
   access : (Json.t -> unit) option;  (* structured access-log sink *)
   slow_s : float option;  (* slow-query threshold, seconds *)
@@ -113,7 +113,7 @@ let writer_loop t =
          keeps every observed lag scrapeable (satellite: epoch lag as
          both current value and histogram). *)
       Obs.observe t.trace "serve.epoch_lag_dist" (float_of_int lag_in);
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now () in
       let reply =
         try Protocol.apply ~obs:t.trace session job.rop
         with e ->
@@ -122,9 +122,9 @@ let writer_loop t =
       in
       (* Publish before replying: a client that writes then reads on one
          connection observes its own write. *)
-      let t1 = Unix.gettimeofday () in
+      let t1 = Obs.now () in
       ignore (Writer.publish t.writer);
-      let t2 = Unix.gettimeofday () in
+      let t2 = Obs.now () in
       Obs.observe t.trace "serve.publish_seconds" (t2 -. t1);
       Obs.observe t.trace "serve.apply_seconds" (t2 -. t0);
       Obs.gauge t.trace "serve.epoch_lag"
@@ -154,11 +154,12 @@ let op_name = function
 let handle t line =
   Obs.incr t.trace "serve.requests";
   let req_id = Atomic.fetch_and_add t.req_ids 1 in
-  let t0 = Unix.gettimeofday () in
+  (* [ts] stamps the access-log record (wall clock); [t0] times it. *)
+  let ts = Unix.gettimeofday () and t0 = Obs.now () in
   let sp = Obs.begin_span ~cat:"serve" t.trace "serve.request" in
   Obs.set_attr sp "req_id" (Obs.I req_id);
   let finish ~op ~kind reply =
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Obs.now () -. t0 in
     Obs.end_span t.trace sp
       ~attrs:[ ("op", Obs.S op); ("kind", Obs.S kind) ];
     (* Overall and per-op latency distributions; the [|op=...] label
@@ -183,7 +184,7 @@ let handle t line =
       log
         (Json.Obj
            ([
-              ("ts", Json.Float t0);
+              ("ts", Json.Float ts);
               ("id", Json.Int req_id);
               ("op", Json.String op);
               ("kind", Json.String kind);
@@ -259,7 +260,7 @@ let status_json t =
   in
   Json.Obj
     [
-      ("uptime_seconds", Json.Float (Unix.gettimeofday () -. t.started));
+      ("uptime_seconds", Json.Float (Obs.now () -. t.started));
       ("epoch", Json.Int (Probkb.Snapshot.epoch snap));
       ("epoch_lag", Json.Int (Writer.epoch_lag t.writer));
       ("queue_depth", Json.Int t.queue_depth);
@@ -366,7 +367,7 @@ let start ?(pool = 1) ?(backlog = 16) ?(obs = Obs.null) ?access_log ?slow_ms
       writer;
       kb;
       trace = obs;
-      started = Unix.gettimeofday ();
+      started = Obs.now ();
       req_ids = Atomic.make 0;
       access = access_log;
       slow_s = Option.map (fun ms -> ms /. 1000.) slow_ms;

@@ -52,7 +52,7 @@ let lookup db rel ~x ~c1 ~y ~c2 =
     | None -> None)
 
 let load kb =
-  let t0 = Stats.now () in
+  let t0 = Obs.now () in
   let db =
     { tables = Hashtbl.create 1024; indexes = Hashtbl.create 1024;
       next_id = 0; load_seconds = 0. }
@@ -65,7 +65,7 @@ let load kb =
       Index.add idx (Table.nrows tbl - 1);
       db.next_id <- max db.next_id (id + 1))
     (Kb.Gamma.pi kb);
-  db.load_seconds <- Stats.now () -. t0;
+  db.load_seconds <- Obs.now () -. t0;
   db
 
 let n_tables db = Hashtbl.length db.tables

@@ -92,6 +92,49 @@ let test_mpp_engine_config () =
   Alcotest.(check bool) "sim clock reported" true
     (Option.is_some e.Probkb.Engine.sim_seconds)
 
+(* With Ω on, every engine route reports the same expansion: the MPP
+   routes run the constraint passes through the same closure loop as the
+   single-node route, so they count the same removals. *)
+let test_mpp_constraints_match_single_node () =
+  let kb =
+    Workload.Reverb_sherlock.kb
+      (Workload.Reverb_sherlock.generate
+         { Workload.Reverb_sherlock.default_config with scale = 0.008; seed = 7 })
+  in
+  let expand engine =
+    let kb = Tutil.copy_gamma kb in
+    let e =
+      Probkb.Engine.expand
+        (Probkb.Engine.create
+           ~config:
+             (Probkb.Config.make ~inference:None ~semantic_constraints:true
+                ~engine ())
+           kb)
+    in
+    let keys = ref [] in
+    Kb.Storage.iter
+      (fun ~id:_ ~r ~x ~c1 ~y ~c2 ~w:_ -> keys := [ r; x; c1; y; c2 ] :: !keys)
+      (Kb.Gamma.pi kb);
+    (e, List.sort compare !keys)
+  in
+  let mpp views =
+    Probkb.Config.Mpp
+      { cluster = { Mpp.Cluster.default with Mpp.Cluster.nseg = 4 }; views }
+  in
+  let single, single_keys = expand Probkb.Config.Single_node in
+  Alcotest.(check bool) "omega fired" true
+    (single.Probkb.Engine.removed_by_constraints > 0);
+  List.iter
+    (fun (name, engine) ->
+      let e, keys = expand engine in
+      check_int (name ^ ": removed_by_constraints")
+        single.Probkb.Engine.removed_by_constraints
+        e.Probkb.Engine.removed_by_constraints;
+      Alcotest.(check bool) (name ^ ": trajectory") true
+        (single.Probkb.Engine.trajectory = e.Probkb.Engine.trajectory);
+      Alcotest.(check (list (list int))) (name ^ ": fact keys") single_keys keys)
+    [ ("mpp views", mpp true); ("mpp pn", mpp false) ]
+
 let test_incremental_incorporate () =
   (* Expand once; then add a new born_in fact and check only its
      consequences are derived — and that the result equals a full
@@ -350,6 +393,8 @@ let () =
           Alcotest.test_case "semantic constraints" `Quick
             test_semantic_constraints_config;
           Alcotest.test_case "mpp engine" `Quick test_mpp_engine_config;
+          Alcotest.test_case "mpp constraints = single node" `Quick
+            test_mpp_constraints_match_single_node;
           Alcotest.test_case "incremental incorporate" `Quick
             test_incremental_incorporate;
           Alcotest.test_case "incremental cascade" `Quick

@@ -478,6 +478,165 @@ let test_semi_naive_transitive_chain () =
   (* anc over a 17-node chain: 17*16/2 = 136 pairs. *)
   check_int "anc facts" 136 r.Grounding.Ground.new_fact_count
 
+(* Every grounding route pinned end to end on one ReVerb-Sherlock KB
+   (scale 0.008, seed 7): TΠ rows in order (id, key, weight bits), TΦ
+   rows in table order (ids, weight bits) and the trajectory; an MPP
+   route also digests the bits of its simulated clock, its load share
+   and its motion bytes.  The digests were recorded before the
+   single-node and MPP drivers became two executors of one closure loop
+   (x86-64 Linux); every route must reproduce them bit for bit at pool
+   sizes 1 and 4, and each spilled route its resident route's. *)
+let route_digests () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.008; seed = 7 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  let digest ?mpp kb graph trajectory =
+    let b = Buffer.create 4096 in
+    let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
+    let add_float w = Buffer.add_int64_le b (Int64.bits_of_float w) in
+    Kb.Storage.iter
+      (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
+        List.iter add_int [ id; r; x; c1; y; c2 ];
+        add_float w)
+      (Kb.Gamma.pi kb);
+    Fgraph.iter
+      (fun _ (i1, i2, i3, w) ->
+        List.iter add_int [ i1; i2; i3 ];
+        add_float w)
+      graph;
+    List.iter
+      (fun (p : Grounding.Ground.trajectory_point) ->
+        List.iter add_int
+          [ p.iteration; p.new_facts; p.total_facts; p.violations; p.removed ])
+      trajectory;
+    Option.iter
+      (fun (r : Grounding.Ground_mpp.result) ->
+        add_float r.Grounding.Ground_mpp.sim_seconds;
+        add_float r.Grounding.Ground_mpp.load_sim_seconds;
+        add_int r.Grounding.Ground_mpp.motion_bytes)
+      mpp;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let hook kb = Some (Quality.Semantic.hook (Kb.Gamma.omega kb)) in
+  let fired omega trajectory =
+    if omega then
+      check_bool "omega removed facts" true
+        (List.exists
+           (fun (p : Grounding.Ground.trajectory_point) -> p.removed > 0)
+           trajectory)
+  in
+  (* [f] under a zero-threshold spill policy in a fresh directory, which
+     must have received segments. *)
+  let with_spill spilled f =
+    if not spilled then f None
+    else begin
+      let dir = Filename.temp_dir "probkb-routes" "" in
+      let d =
+        f (Some (Storage.Spill.create ~segment_rows:128 ~threshold_bytes:0 ~root:dir ()))
+      in
+      check_bool "segments written" true (Array.length (Sys.readdir dir) > 0);
+      ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
+      d
+    end
+  in
+  let single ?(spilled = false) ?(semi_naive = false) ?(omega = false) () =
+    let kb = Tutil.copy_gamma kb in
+    with_spill spilled @@ fun spill ->
+    let r =
+      Grounding.Ground.run
+        ~options:
+          {
+            Grounding.Ground.default_options with
+            semi_naive;
+            spill;
+            apply_constraints = (if omega then hook kb else None);
+          }
+        kb
+    in
+    fired omega r.Grounding.Ground.trajectory;
+    digest kb r.Grounding.Ground.graph r.Grounding.Ground.trajectory
+  in
+  let incremental () =
+    let kb = Tutil.copy_gamma kb in
+    ignore (Grounding.Ground.closure kb);
+    let pi = Kb.Gamma.pi kb in
+    let before = Kb.Storage.size pi in
+    let rng = Workload.Rng.create 11 in
+    for i = 1 to 6 do
+      let r, x, c1, y, c2 = Workload.Reverb_sherlock.random_fact g rng in
+      ignore (Kb.Gamma.add_fact kb ~r ~x ~c1 ~y ~c2 ~w:(0.5 +. (0.05 *. float i)))
+    done;
+    let facts = Kb.Storage.table pi in
+    let delta =
+      Table.sub facts (Array.init (Table.nrows facts - before) (( + ) before))
+    in
+    let r =
+      Grounding.Ground.closure
+        ~options:
+          { Grounding.Ground.default_options with initial_delta = Some delta }
+        kb
+    in
+    check_bool "delta derived facts" true (r.Grounding.Ground.new_fact_count > 0);
+    digest kb r.Grounding.Ground.graph r.Grounding.Ground.trajectory
+  in
+  let mpp ?(spilled = false) ?(omega = false) mode =
+    let kb = Tutil.copy_gamma kb in
+    with_spill spilled @@ fun spill ->
+    let r =
+      Grounding.Ground_mpp.run
+        ~options:
+          {
+            Grounding.Ground_mpp.default_options with
+            spill;
+            apply_constraints = (if omega then hook kb else None);
+          }
+        ~mode
+        { Mpp.Cluster.default with Mpp.Cluster.nseg = 4 }
+        kb
+    in
+    let trajectory = r.Grounding.Ground_mpp.ground.Grounding.Ground.trajectory in
+    fired omega trajectory;
+    digest ~mpp:r kb r.Grounding.Ground_mpp.graph trajectory
+  in
+  [
+    ("single-node", single ());
+    ("single-node + omega", single ~omega:true ());
+    ("semi-naive + omega", single ~semi_naive:true ~omega:true ());
+    ("initial delta", incremental ());
+    ("single-node spilled", single ~spilled:true ());
+    ("mpp views", mpp Grounding.Ground_mpp.Views);
+    ("mpp pn", mpp Grounding.Ground_mpp.No_views);
+    ("mpp pn spilled", mpp ~spilled:true Grounding.Ground_mpp.No_views);
+    ("mpp pn + omega", mpp ~omega:true Grounding.Ground_mpp.No_views);
+  ]
+
+let pinned_route_digests =
+  [
+    ("single-node", "f6834a99dfaa0dfafe6429dcb7ae81dd");
+    ("single-node + omega", "d4ae831b87b13d19ec511026c76e02cc");
+    ("semi-naive + omega", "adadb2ad58f01bfd94bb30b47e436150");
+    ("initial delta", "9b2e4563d6d863323ca270f57d82b13c");
+    ("single-node spilled", "f6834a99dfaa0dfafe6429dcb7ae81dd");
+    ("mpp views", "0d7d9a50866ef7c8b344172937502853");
+    ("mpp pn", "1477da9a09082a9e18452fe5cf084ae1");
+    ("mpp pn spilled", "1477da9a09082a9e18452fe5cf084ae1");
+    ("mpp pn + omega", "f1aa2c4e6cbf3454bbc8d2a9a000d1d3");
+  ]
+
+let test_route_digests_pinned () =
+  List.iter
+    (fun d ->
+      Pool.set_default_size d;
+      Fun.protect
+        ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
+        (fun () ->
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "route digests at pool %d" d)
+            pinned_route_digests (route_digests ())))
+    [ 1; 4 ]
+
 let test_monotonicity =
   (* Adding facts never removes conclusions: closure(F1) ⊆ closure(F1∪F2). *)
   Tutil.qcheck_case ~count:30 "grounding is monotone"
@@ -800,6 +959,8 @@ let () =
             test_semi_naive_with_constraints_differential;
           Alcotest.test_case "pool-size differential" `Quick
             test_pool_size_equivalence;
+          Alcotest.test_case "grounding routes pinned" `Quick
+            test_route_digests_pinned;
           test_monotonicity;
         ] );
       ( "delta-probe",
