@@ -12,9 +12,36 @@ let measured fmt = pf ("  measured: " ^^ fmt ^^ "@.")
 let note fmt = pf ("  note:     " ^^ fmt ^^ "@.")
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+  (result, Obs.now () -. t0)
+
+(* Every measured cell of Table 3 and Figures 6(a)-(b) is the median of
+   this many trials, reported with its min and max. *)
+let trials = 5
+
+type spread = { median : float; min : float; max : float }
+
+let spread xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  let median =
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  in
+  { median; min = a.(0); max = a.(n - 1) }
+
+(* [measure f] runs [f] [trials] times: the spread of its results. *)
+let measure f = spread (List.init trials (fun _ -> f ()))
+
+(* [cells f] runs [f] [trials] times; every run returns one value per
+   cell, the same cells each time.  The result is each cell's spread. *)
+let cells f =
+  let runs = List.init trials (fun _ -> f ()) in
+  List.mapi (fun i _ -> spread (List.map (fun r -> List.nth r i) runs))
+    (List.hd runs)
+
+let pp_spread ppf s = Format.fprintf ppf "%.3f [%.3f, %.3f]" s.median s.min s.max
 
 (* A deep copy of a knowledge base sharing dictionaries, with an optional
    replacement rule set. *)
@@ -29,54 +56,12 @@ let copy_kb ?rules kb =
   List.iter (Kb.Gamma.add_funcon kb2) (Kb.Gamma.omega kb);
   kb2
 
-let minutes s = s /. 60.
-
-(* --- run metadata for BENCH_*.json artifacts --- *)
-
-let git_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if line = "" then None else Some line
-  with _ -> None
-
-(* Bump when the shape of a BENCH_*.json file changes. *)
-let bench_schema_version = 3
-
-(* [meta_json ~engine] identifies the run: schema version, engine variant,
-   pool size, host parallelism, and the git revision (null outside a
-   checkout). *)
-let meta_json ~engine =
-  Obs.Json.Obj
-    [
-      ("schema_version", Obs.Json.Int bench_schema_version);
-      ("engine", Obs.Json.String engine);
-      ("probkb_domains", Obs.Json.Int (Pool.env_domains ()));
-      ("host_cores", Obs.Json.Int (Domain.recommended_domain_count ()));
-      ( "git_rev",
-        match git_rev () with
-        | Some r -> Obs.Json.String r
-        | None -> Obs.Json.Null );
-    ]
-
-(* Modeled DBMS time: measured in-process seconds plus the per-statement
+(* Derived DBMS time: measured in-process seconds plus the per-statement
    overhead derived from the paper's own Table 3 (see
    Relational.Dbms_model). *)
 let modeled ?(tables = 0) ~statements measured =
   Relational.Dbms_model.modeled_seconds Relational.Dbms_model.default
     ~statements ~tables_created:tables ~measured
-
-let precision_of noise kb =
-  let correct = ref 0 and total = ref 0 in
-  Kb.Storage.iter
-    (fun ~id:_ ~r ~x ~c1 ~y ~c2 ~w ->
-      if Relational.Table.is_null_weight w then begin
-        incr total;
-        if Workload.Noise.is_correct noise ~r ~x ~c1 ~y ~c2 then incr correct
-      end)
-    (Kb.Gamma.pi kb);
-  (!correct, !total)
 
 (* Global options parsed by main. *)
 type options = {
@@ -84,71 +69,9 @@ type options = {
   mutable full : bool; (* paper-scale sweeps *)
   mutable scale : float option; (* override default scale *)
   mutable quick : bool; (* CI-sized runs *)
-  mutable out : string option; (* artifact path override *)
-  mutable compare : string option; (* baseline BENCH_parallel.json *)
-  mutable out_pipeline : string option; (* pipeline artifact path override *)
-  mutable compare_pipeline : string option; (* baseline BENCH_pipeline.json *)
-  mutable out_incremental : string option;
-      (* incremental artifact path override *)
-  mutable compare_incremental : string option;
-      (* baseline BENCH_incremental.json *)
-  mutable out_local : string option; (* local artifact path override *)
-  mutable compare_local : string option; (* baseline BENCH_local.json *)
-  mutable out_serve : string option; (* serve artifact path override *)
-  mutable compare_serve : string option; (* baseline BENCH_serve.json *)
-  mutable out_hybrid : string option; (* hybrid artifact path override *)
-  mutable compare_hybrid : string option; (* baseline BENCH_hybrid.json *)
-  mutable out_storage : string option; (* storage artifact path override *)
-  mutable compare_storage : string option; (* baseline BENCH_storage.json *)
 }
 
-let options =
-  {
-    experiments = [];
-    full = false;
-    scale = None;
-    quick = false;
-    out = None;
-    compare = None;
-    out_pipeline = None;
-    compare_pipeline = None;
-    out_incremental = None;
-    compare_incremental = None;
-    out_local = None;
-    compare_local = None;
-    out_serve = None;
-    compare_serve = None;
-    out_hybrid = None;
-    compare_hybrid = None;
-    out_storage = None;
-    compare_storage = None;
-  }
-
-(* The parallel experiment's artifact path ([--out] overrides the
-   committed default so a fresh run can sit next to the baseline). *)
-let parallel_out () = Option.value options.out ~default:"BENCH_parallel.json"
-
-(* Same for the pipeline experiment ([--out-pipeline]). *)
-let pipeline_out () =
-  Option.value options.out_pipeline ~default:"BENCH_pipeline.json"
-
-(* Same for the incremental experiment ([--out-incremental]). *)
-let incremental_out () =
-  Option.value options.out_incremental ~default:"BENCH_incremental.json"
-
-(* Same for the local-grounding experiment ([--out-local]). *)
-let local_out () = Option.value options.out_local ~default:"BENCH_local.json"
-
-(* Same for the serving experiment ([--out-serve]). *)
-let serve_out () = Option.value options.out_serve ~default:"BENCH_serve.json"
-
-(* Same for the hybrid-inference experiment ([--out-hybrid]). *)
-let hybrid_out () =
-  Option.value options.out_hybrid ~default:"BENCH_hybrid.json"
-
-(* Same for the out-of-core storage experiment ([--out-storage]). *)
-let storage_out () =
-  Option.value options.out_storage ~default:"BENCH_storage.json"
+let options = { experiments = []; full = false; scale = None; quick = false }
 
 let scale_or default =
   match options.scale with

@@ -37,8 +37,11 @@ let table3 () =
   section "Table 3 — load + 4 grounding iterations + factor construction";
   let scale = scale_or 0.1 in
   note "run at scale %.2f of the ReVerb-Sherlock KB (--full for 1.0)" scale;
+  note "measured: in-process seconds, median [min, max] over %d trials" trials;
   note
-    "modeled times add the per-SQL-statement cost the in-process engine lacks";
+    "derived: Dbms_model seconds from the medians (the per-SQL-statement \
+     cost the in-process engine lacks); ProbKB-p on the simulated cluster \
+     clock";
   let n = noisy_kb scale in
   let noisy = Workload.Noise.noisy n in
   let n_rules = List.length (Kb.Gamma.rules noisy) in
@@ -49,73 +52,95 @@ let table3 () =
       (Quality.Semantic.apply ~ban:false (Kb.Gamma.pi kb) (Kb.Gamma.omega kb));
     kb
   in
-  (* [q1] is oldest-iteration first. *)
-  let pp_row name load q1 q2 result_size =
-    pf "  %-10s load %7.2fs | Query 1 iters: %s | Query 2 %8.2fs | result %d@."
-      name load
-      (String.concat " " (List.map (fun s -> Printf.sprintf "%7.2fs" s) q1))
-      q2 result_size
+  (* A row's cells are load, Query 2, then the iterations oldest first. *)
+  let pp_row name pp cells result_size =
+    match cells with
+    | load :: q2 :: iters ->
+      pf "  %-10s load %a | Query 1 iters: %s | Query 2 %a | result %d@." name
+        pp load
+        (String.concat " " (List.map (Format.asprintf "%a" pp) iters))
+        pp q2 result_size
+    | _ -> ()
   in
-  let pf' = pf in
-  pf' "  (paper, minutes: ProbKB load .03 / iters .05 .12 .23 1.28 / Q2 36.28;@.";
-  pf' "   ProbKB-p load .25 / iters .07 .07 .15 .48 / Q2 9.75;@.";
-  pf' "   Tuffy-T load 18.22 / iters 1.92 9.40 22.40 44.77 / Q2 84.07;@.";
-  pf' "   result sizes 396K -> 1.5M facts, 592M factors)@.";
-
-  (* --- ProbKB (single node) --- *)
-  let kb = prep () in
-  let base_facts = Kb.Storage.size (Kb.Gamma.pi kb) in
-  let load_kb, load_s = time (fun () -> copy_kb noisy) in
-  ignore load_kb;
-  let iter_times = ref [] in
-  let last = ref (Unix.gettimeofday ()) in
-  let patterns = ref 0 in
-  let r, _ =
-    time (fun () ->
-        Grounding.Ground.run
-          ~options:
-            {
-              Grounding.Ground.default_options with
-              max_iterations = 4;
-              on_iteration =
-                Some
-                  (fun ~iteration:_ ~new_facts:_ ->
-                    let now = Unix.gettimeofday () in
-                    iter_times := (now -. !last) :: !iter_times;
-                    last := now);
-            }
-          kb)
+  let pp_derived ppf s = Format.fprintf ppf "%.2f" s in
+  (* Seconds between [on_iteration] calls, oldest first; the first mark
+     covers everything [run] does before its first iteration ends. *)
+  let iteration_marks () =
+    let marks = ref [] and last = ref (Obs.now ()) in
+    let mark ~iteration:_ ~new_facts:_ =
+      let now = Obs.now () in
+      marks := (now -. !last) :: !marks;
+      last := now
+    in
+    (mark, fun () -> List.rev !marks)
   in
-  patterns :=
-    List.length
-      (List.filter
-         (fun p -> Mln.Partition.count (Kb.Gamma.partitions kb) p > 0)
-         Mln.Pattern.all);
-  let q2_s =
+  let statement_seconds label stats =
     List.fold_left
       (fun acc e ->
-        if String.length e.Relational.Stats.label >= 7
-           && String.sub e.Relational.Stats.label 0 7 = "Query 2"
-        then acc +. e.Relational.Stats.seconds
+        if label e.Relational.Stats.label then acc +. e.Relational.Stats.seconds
         else acc)
       0.
-      (Relational.Stats.entries r.Grounding.Ground.stats)
+      (Relational.Stats.entries stats)
   in
-  let probkb_iters =
-    List.map (fun s -> modeled ~statements:!patterns s) !iter_times
-  in
-  pp_row "ProbKB"
-    (modeled ~statements:1 ~tables:1 load_s)
-    (List.rev probkb_iters)
-    (modeled ~statements:!patterns q2_s)
-    (Kb.Storage.size (Kb.Gamma.pi kb));
-  let probkb_facts = Kb.Storage.size (Kb.Gamma.pi kb) in
-  let probkb_factors = Factor_graph.Fgraph.size r.Grounding.Ground.graph in
-  measured "ProbKB result: %d facts (%.1fx), %d factors" probkb_facts
-    (float_of_int probkb_facts /. float_of_int base_facts)
-    probkb_factors;
+  pf "  (paper, minutes: ProbKB load .03 / iters .05 .12 .23 1.28 / Q2 36.28;@.";
+  pf "   ProbKB-p load .25 / iters .07 .07 .15 .48 / Q2 9.75;@.";
+  pf "   Tuffy-T load 18.22 / iters 1.92 9.40 22.40 44.77 / Q2 84.07;@.";
+  pf "   result sizes 396K -> 1.5M facts, 592M factors)@.";
 
-  (* --- ProbKB-p (MPP with views, simulated clock) --- *)
+  (* --- ProbKB (single node) --- *)
+  let base_facts = ref 0 and patterns = ref 0 in
+  let probkb_facts = ref 0 and probkb_factors = ref 0 in
+  let probkb =
+    cells (fun () ->
+        let kb = prep () in
+        base_facts := Kb.Storage.size (Kb.Gamma.pi kb);
+        let _, load_s = time (fun () -> copy_kb noisy) in
+        let mark, marks = iteration_marks () in
+        let r =
+          Grounding.Ground.run
+            ~options:
+              {
+                Grounding.Ground.default_options with
+                max_iterations = 4;
+                on_iteration = Some mark;
+              }
+            kb
+        in
+        patterns :=
+          List.length
+            (List.filter
+               (fun p -> Mln.Partition.count (Kb.Gamma.partitions kb) p > 0)
+               Mln.Pattern.all);
+        probkb_facts := Kb.Storage.size (Kb.Gamma.pi kb);
+        probkb_factors := Factor_graph.Fgraph.size r.Grounding.Ground.graph;
+        load_s
+        :: statement_seconds
+             (fun l -> String.length l >= 7 && String.sub l 0 7 = "Query 2")
+             r.Grounding.Ground.stats
+        :: marks ())
+  in
+  pf "  measured (s):@.";
+  pp_row "ProbKB" pp_spread probkb !probkb_facts;
+
+  (* --- Tuffy-T --- *)
+  let tuffy_tables = ref 0 and tuffy_facts = ref 0 and tuffy_factors = ref 0 in
+  let tuffy =
+    cells (fun () ->
+        let kb = prep () in
+        let db = Tuffy.load kb in
+        tuffy_tables := Tuffy.n_tables db;
+        let mark, marks = iteration_marks () in
+        let rt = Tuffy.run ~max_iterations:4 ~on_iteration:mark kb in
+        tuffy_facts := rt.Tuffy.fact_count;
+        tuffy_factors := Factor_graph.Fgraph.size rt.Tuffy.graph;
+        Tuffy.load_seconds_of db
+        :: statement_seconds (fun l -> l = "factor query") rt.Tuffy.stats
+        :: marks ())
+  in
+  pp_row "Tuffy-T" pp_spread tuffy !tuffy_facts;
+
+  (* --- ProbKB-p (MPP with views): the simulated clock is deterministic,
+     so one run gives its cells. --- *)
   let kb = prep () in
   let sim_marks = ref [] in
   let rp =
@@ -132,61 +157,44 @@ let table3 () =
       ~mode:Grounding.Ground_mpp.Views Mpp.Cluster.default kb
   in
   let sim_iters =
-    let marks = List.rev !sim_marks in
     let rec deltas prev = function
       | [] -> []
       | m :: rest -> (m -. prev) :: deltas m rest
     in
-    deltas 0. marks
+    deltas 0. (List.rev !sim_marks)
   in
   let q2_sim =
-    rp.Grounding.Ground_mpp.sim_seconds
-    -. List.fold_left max 0. !sim_marks
+    rp.Grounding.Ground_mpp.sim_seconds -. List.fold_left max 0. !sim_marks
   in
-  pp_row "ProbKB-p"
+  let median = List.map (fun c -> c.median) in
+  let derived ~load ~statements cells =
+    match median cells with
+    | l :: rest -> load l :: List.map (modeled ~statements) rest
+    | [] -> []
+  in
+  pf "  derived (s):@.";
+  pp_row "ProbKB" pp_derived
+    (derived ~load:(modeled ~statements:1 ~tables:1) ~statements:!patterns probkb)
+    !probkb_facts;
+  pp_row "ProbKB-p" pp_derived
     (modeled ~statements:1 ~tables:1
-       (load_s /. 4. +. rp.Grounding.Ground_mpp.load_sim_seconds))
-    (List.map (fun s -> modeled ~statements:!patterns s) sim_iters)
-    (modeled ~statements:!patterns q2_sim)
+       ((List.hd probkb).median /. 4. +. rp.Grounding.Ground_mpp.load_sim_seconds)
+    :: List.map (modeled ~statements:!patterns) (q2_sim :: sim_iters))
     (Kb.Storage.size (Kb.Gamma.pi kb));
+  pp_row "Tuffy-T" pp_derived
+    (derived
+       ~load:(modeled ~statements:0 ~tables:!tuffy_tables)
+       ~statements:n_rules tuffy)
+    !tuffy_facts;
+  measured "ProbKB result: %d facts (%.1fx), %d factors" !probkb_facts
+    (float_of_int !probkb_facts /. float_of_int !base_facts)
+    !probkb_factors;
   measured "ProbKB-p result: %d facts, %d factors (equal to ProbKB: %b)"
     (Kb.Storage.size (Kb.Gamma.pi kb))
     (Factor_graph.Fgraph.size rp.Grounding.Ground_mpp.graph)
-    (Kb.Storage.size (Kb.Gamma.pi kb) = probkb_facts
-    && Factor_graph.Fgraph.size rp.Grounding.Ground_mpp.graph = probkb_factors);
-
-  (* --- Tuffy-T --- *)
-  let kb = prep () in
-  let db = Tuffy.load kb in
-  let tuffy_load =
-    modeled ~statements:0 ~tables:(Tuffy.n_tables db) (Tuffy.load_seconds_of db)
-  in
-  let t_iter_times = ref [] in
-  let t_last = ref (Unix.gettimeofday ()) in
-  let rt, _ =
-    time (fun () ->
-        Tuffy.run ~max_iterations:4
-          ~on_iteration:(fun ~iteration:_ ~new_facts:_ ->
-            let now = Unix.gettimeofday () in
-            t_iter_times := (now -. !t_last) :: !t_iter_times;
-            t_last := now)
-          kb)
-  in
-  let t_factor_s =
-    List.fold_left
-      (fun acc e ->
-        if e.Relational.Stats.label = "factor query" then
-          acc +. e.Relational.Stats.seconds
-        else acc)
-      0.
-      (Relational.Stats.entries rt.Tuffy.stats)
-  in
-  pp_row "Tuffy-T" tuffy_load
-    (List.rev (List.map (fun s -> modeled ~statements:n_rules s) !t_iter_times))
-    (modeled ~statements:n_rules t_factor_s)
-    rt.Tuffy.fact_count;
-  measured "Tuffy-T result: %d facts, %d factors" rt.Tuffy.fact_count
-    (Factor_graph.Fgraph.size rt.Tuffy.graph);
+    (Kb.Storage.size (Kb.Gamma.pi kb) = !probkb_facts
+    && Factor_graph.Fgraph.size rp.Grounding.Ground_mpp.graph = !probkb_factors);
+  measured "Tuffy-T result: %d facts, %d factors" !tuffy_facts !tuffy_factors;
   note
     "Tuffy applies rules sequentially, so within one iteration later rules see earlier rules' inserts;";
   note
@@ -246,48 +254,68 @@ let fig4 () =
 (* Figure 6(a): time vs number of rules (S1)                           *)
 (* ------------------------------------------------------------------ *)
 
-let one_iteration_times kb =
-  (* One grounding iteration (as in the S1/S2 experiments) on each system;
-     returns (probkb, probkb_p, tuffy, inferred). *)
-  let patterns kb =
+(* One grounding iteration (as in the S1/S2 experiments) on each system:
+   ProbKB and Tuffy-T measured over [trials] runs, ProbKB-p once on the
+   deterministic simulated clock.  Returns the measured spreads, the
+   three derived times and the inferred-fact count. *)
+let one_iteration kb =
+  let np =
     List.length
       (List.filter
          (fun p -> Mln.Partition.count (Kb.Gamma.partitions kb) p > 0)
          Mln.Pattern.all)
   in
-  let kb1 = copy_kb kb in
-  let np = patterns kb1 in
-  let r1, wall1 =
-    time (fun () ->
-        Grounding.Ground.run
-          ~options:
-            {
-              Grounding.Ground.default_options with
-              max_iterations = 1;
-              build_factors = true;
-            }
-          kb1)
+  let n_rules = List.length (Kb.Gamma.rules kb) in
+  let inferred = ref 0 in
+  let probkb =
+    measure (fun () ->
+        let kb1 = copy_kb kb in
+        let r, s =
+          time (fun () ->
+              Grounding.Ground.run
+                ~options:
+                  {
+                    Grounding.Ground.default_options with
+                    max_iterations = 1;
+                    build_factors = true;
+                  }
+                kb1)
+        in
+        inferred := r.Grounding.Ground.new_fact_count;
+        s)
   in
-  let inferred = r1.Grounding.Ground.new_fact_count in
-  let probkb = modeled ~statements:(2 * np) wall1 in
-  let kb2 = copy_kb kb in
+  let tuffy =
+    measure (fun () ->
+        let kb3 = copy_kb kb in
+        snd (time (fun () -> Tuffy.run ~max_iterations:1 kb3)))
+  in
   let r2 =
     Grounding.Ground_mpp.run
       ~options:
         { Grounding.Ground_mpp.default_options with max_iterations = 1 }
-      ~mode:Grounding.Ground_mpp.Views Mpp.Cluster.default kb2
+      ~mode:Grounding.Ground_mpp.Views Mpp.Cluster.default (copy_kb kb)
   in
-  let probkb_p =
-    modeled ~statements:(2 * np)
-      (r2.Grounding.Ground_mpp.sim_seconds
-      -. r2.Grounding.Ground_mpp.load_sim_seconds)
+  let derived =
+    ( modeled ~statements:(2 * n_rules) tuffy.median,
+      modeled ~statements:(2 * np) probkb.median,
+      modeled ~statements:(2 * np)
+        (r2.Grounding.Ground_mpp.sim_seconds
+        -. r2.Grounding.Ground_mpp.load_sim_seconds) )
   in
-  let kb3 = copy_kb kb in
-  let n_rules = List.length (Kb.Gamma.rules kb3) in
-  let r3, wall3 = time (fun () -> Tuffy.run ~max_iterations:1 kb3) in
-  ignore r3;
-  let tuffy = modeled ~statements:(2 * n_rules) wall3 in
-  (probkb, probkb_p, tuffy, inferred)
+  (tuffy, probkb, derived, !inferred)
+
+let sweep_header what =
+  note "measured: in-process seconds, median [min, max] over %d trials" trials;
+  note
+    "derived (*): Dbms_model seconds from the medians; ProbKB-p on the \
+     simulated cluster clock";
+  pf "  %10s %27s %27s | %10s %10s %10s | %10s@." what "Tuffy-T (s)"
+    "ProbKB (s)" "Tuffy-T*" "ProbKB*" "ProbKB-p*" "#inferred"
+
+let sweep_row n (tuffy, probkb, (d_tuffy, d_probkb, d_probkb_p), inferred) =
+  let cell s = Format.asprintf "%a" pp_spread s in
+  pf "  %10d %27s %27s | %10.1f %10.1f %10.1f | %10d@." n (cell tuffy)
+    (cell probkb) d_tuffy d_probkb d_probkb_p inferred
 
 let fig6a () =
   section "Figure 6(a) — execution time vs number of rules (S1)";
@@ -300,8 +328,7 @@ let fig6a () =
   in
   note "facts at scale %.2f; rule counts %s" scale
     (String.concat ", " (List.map string_of_int points));
-  pf "  %12s %12s %12s %12s %12s@." "#rules" "Tuffy-T(s)" "ProbKB(s)"
-    "ProbKB-p(s)" "#inferred";
+  sweep_header "#rules";
   List.iter
     (fun n_rules ->
       let g =
@@ -311,10 +338,7 @@ let fig6a () =
               .Workload.Reverb_sherlock.seed ~n_rules
       in
       let kb = Workload.Reverb_sherlock.kb g in
-      let actual_rules = List.length (Kb.Gamma.rules kb) in
-      let probkb, probkb_p, tuffy, inferred = one_iteration_times kb in
-      pf "  %12d %12.1f %12.1f %12.1f %12d@." actual_rules tuffy probkb
-        probkb_p inferred)
+      sweep_row (List.length (Kb.Gamma.rules kb)) (one_iteration kb))
     points
 
 (* ------------------------------------------------------------------ *)
@@ -333,8 +357,7 @@ let fig6b () =
   let points = s2_points () in
   note "rules at scale %.2f; fact counts %s" scale
     (String.concat ", " (List.map string_of_int points));
-  pf "  %12s %12s %12s %12s %12s@." "#facts" "Tuffy-T(s)" "ProbKB(s)"
-    "ProbKB-p(s)" "#inferred";
+  sweep_header "#facts";
   List.iter
     (fun n_facts ->
       let g =
@@ -343,10 +366,7 @@ let fig6b () =
             Workload.Reverb_sherlock.default_config
               .Workload.Reverb_sherlock.seed ~n_facts
       in
-      let kb = Workload.Reverb_sherlock.kb g in
-      let probkb, probkb_p, tuffy, inferred = one_iteration_times kb in
-      pf "  %12d %12.1f %12.1f %12.1f %12d@." n_facts tuffy probkb probkb_p
-        inferred)
+      sweep_row n_facts (one_iteration (Workload.Reverb_sherlock.kb g)))
     points
 
 (* ------------------------------------------------------------------ *)
@@ -356,7 +376,9 @@ let fig6b () =
 let fig6c () =
   section "Figure 6(c) — ProbKB vs ProbKB-pn vs ProbKB-p (S2 sweep)";
   paper "at 10M facts: ProbKB-pn 3.1x, ProbKB-p 6.3x over ProbKB";
-  note "all three on the simulated cluster clock (1 vs 32 segments)";
+  note
+    "derived: all three on the simulated cluster clock (1 vs 32 segments), \
+     nothing measured";
   let scale = scale_or 0.1 in
   let points = s2_points () in
   pf "  %12s %12s %12s %12s %10s %10s@." "#facts" "ProbKB(s)" "ProbKB-pn(s)"
@@ -387,233 +409,3 @@ let fig6c () =
       pf "  %12d %12.2f %12.2f %12.2f %10.1f %10.1f@." n_facts s1 s2 s3
         (s1 /. s2) (s1 /. s3))
     points
-
-(* ------------------------------------------------------------------ *)
-(* Domain sweep: real multicore speedup on the pool                    *)
-(* ------------------------------------------------------------------ *)
-
-let stage_names = [ "ground"; "gibbs"; "mpp" ]
-
-let parallel () =
-  section "Domain sweep — pool speedup (grounding / chromatic Gibbs / MPP)";
-  let scale = scale_or 0.05 in
-  let domains = if options.quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-  note "ReVerb-Sherlock at scale %.3f; pool sizes %s; wall-clock per stage"
-    scale
-    (String.concat ", " (List.map string_of_int domains));
-  note "results are checked bit-identical across pool sizes";
-  let host_cores = Domain.recommended_domain_count () in
-  note
-    "host has %d core(s) available — speedup above that many domains is \
-     scheduling overhead"
-    host_cores;
-  let g =
-    Workload.Reverb_sherlock.generate
-      { Workload.Reverb_sherlock.default_config with scale }
-  in
-  let kb0 = Workload.Reverb_sherlock.kb g in
-  let times = Hashtbl.create 16 in
-  let ref_facts = ref None in
-  let ref_marginals = ref None in
-  let identical = ref true in
-  List.iter
-    (fun d ->
-      Pool.set_default_size d;
-      (* Stage 1: single-node grounding (Algorithm 1, inter- and
-         intra-query parallelism). *)
-      let kb = copy_kb kb0 in
-      let r, ground_s =
-        time (fun () ->
-            Grounding.Ground.run
-              ~options:
-                { Grounding.Ground.default_options with max_iterations = 4 }
-              kb)
-      in
-      let facts = Kb.Storage.size (Kb.Gamma.pi kb) in
-      (match !ref_facts with
-      | None -> ref_facts := Some facts
-      | Some f -> if f <> facts then identical := false);
-      (* Stage 2: chromatic Gibbs on the ground graph. *)
-      let c = Factor_graph.Fgraph.compile r.Grounding.Ground.graph in
-      let gopts = { Inference.Gibbs.burn_in = 20; samples = 80; seed = 42 } in
-      let marg, gibbs_s =
-        time (fun () -> Inference.Chromatic.marginals ~options:gopts c)
-      in
-      (match !ref_marginals with
-      | None -> ref_marginals := Some marg
-      | Some m -> if m <> marg then identical := false);
-      (* Stage 3: the MPP driver (per-segment joins + view builds on the
-         pool). *)
-      let kbm = copy_kb kb0 in
-      let _rm, mpp_s =
-        time (fun () ->
-            Grounding.Ground_mpp.run
-              ~options:
-                {
-                  Grounding.Ground_mpp.default_options with max_iterations = 4;
-                }
-              Mpp.Cluster.default kbm)
-      in
-      List.iter2
-        (fun stage s -> Hashtbl.replace times (stage, d) s)
-        stage_names
-        [ ground_s; gibbs_s; mpp_s ];
-      measured "domains=%d  ground %6.2fs | gibbs %6.2fs | mpp %6.2fs" d
-        ground_s gibbs_s mpp_s)
-    domains;
-  Pool.set_default_size (Pool.env_domains ());
-  let t stage d = Hashtbl.find times (stage, d) in
-  pf "  %8s %s@." "stage"
-    (String.concat ""
-       (List.map (fun d -> Printf.sprintf "%8s" (Printf.sprintf "%dd" d)) domains)
-    ^ Printf.sprintf "%10s" "speedup");
-  List.iter
-    (fun stage ->
-      let base = t stage (List.hd domains) in
-      let last = t stage (List.nth domains (List.length domains - 1)) in
-      pf "  %8s %s%10.2f@." stage
-        (String.concat ""
-           (List.map (fun d -> Printf.sprintf "%8.2f" (t stage d)) domains))
-        (base /. Float.max 1e-9 last))
-    stage_names;
-  measured "identical results across pool sizes: %b" !identical;
-  (* Oversubscribed pool sizes (more domains than host cores) measure
-     scheduling overhead, not speedup — flag them and keep them out of
-     the headline number. *)
-  let oversubscribed d = d > host_cores in
-  let eligible = List.filter (fun d -> not (oversubscribed d)) domains in
-  let headline stage =
-    match List.rev eligible with
-    | [] | [ _ ] -> None
-    | best :: _ ->
-      Some (t stage (List.hd domains) /. Float.max 1e-9 (t stage best))
-  in
-  List.iter
-    (fun stage ->
-      match headline stage with
-      | Some s ->
-        measured "headline %s speedup (<=%d domains, host-eligible): %.2fx"
-          stage host_cores s
-      | None ->
-        note
-          "%s: no headline speedup — host has %d core(s), larger pools are \
-           oversubscribed"
-          stage host_cores)
-    stage_names;
-  (* Online-diagnostics overhead: the same chromatic run with Welford +
-     lag-1 tracking on.  The two variants are interleaved (plain, online,
-     plain, online, …) so slow clock drift on a shared host hits both
-     sides equally, and each takes its best-of-5. *)
-  let diag_overhead =
-    let kb = copy_kb kb0 in
-    let r =
-      Grounding.Ground.run
-        ~options:{ Grounding.Ground.default_options with max_iterations = 4 }
-        kb
-    in
-    let c = Factor_graph.Fgraph.compile r.Grounding.Ground.graph in
-    let gopts = { Inference.Gibbs.burn_in = 20; samples = 80; seed = 42 } in
-    let plain () = ignore (Inference.Chromatic.marginals ~options:gopts c) in
-    let online () =
-      ignore (Inference.Chromatic.marginals_info ~options:gopts ~online:true c)
-    in
-    let plain_s = ref infinity and online_s = ref infinity in
-    (* Warm-up pass primes caches and triggers any pending major GC. *)
-    plain ();
-    for _ = 1 to 5 do
-      let _, dt = time plain in
-      plain_s := Float.min !plain_s dt;
-      let _, dt = time online in
-      online_s := Float.min !online_s dt
-    done;
-    let plain_s = !plain_s and online_s = !online_s in
-    let overhead = (online_s -. plain_s) /. Float.max 1e-9 plain_s in
-    measured
-      "online diagnostics overhead: %.1f%% (plain %.3fs, online %.3fs, \
-       interleaved best of 5)"
-      (overhead *. 100.) plain_s online_s;
-    overhead
-  in
-  (* One extra instrumented run (telemetry enabled) for the per-stage
-     breakdown in the artifact.  Stages are wrapped in their own spans so
-     the single-node and MPP closures don't collide on the shared root
-     span name. *)
-  let obs = Obs.create ~config:Obs.Config.enabled () in
-  Obs.with_ambient obs (fun () ->
-      let kb = copy_kb kb0 in
-      let r =
-        Obs.with_span obs "ground" ~cat:"bench" (fun () ->
-            Grounding.Ground.run
-              ~options:
-                {
-                  Grounding.Ground.default_options with
-                  max_iterations = 4;
-                  obs;
-                }
-              kb)
-      in
-      let c = Factor_graph.Fgraph.compile r.Grounding.Ground.graph in
-      let gopts = { Inference.Gibbs.burn_in = 20; samples = 80; seed = 42 } in
-      Obs.with_span obs "gibbs" ~cat:"bench" (fun () ->
-          ignore (Inference.Chromatic.marginals ~options:gopts ~obs c));
-      let kbm = copy_kb kb0 in
-      Obs.with_span obs "mpp" ~cat:"bench" (fun () ->
-          ignore
-            (Grounding.Ground_mpp.run
-               ~options:
-                 {
-                   Grounding.Ground_mpp.default_options with
-                   max_iterations = 4;
-                   obs;
-                 }
-               Mpp.Cluster.default kbm)));
-  let summary = Obs.Summary.of_trace obs in
-  (* Machine-readable record for CI / plotting. *)
-  let stage_json stage =
-    let base = t stage (List.hd domains) in
-    ( stage,
-      Obs.Json.Obj
-        ([
-           ( "seconds",
-             Obs.Json.Obj
-               (List.map
-                  (fun d -> (string_of_int d, Obs.Json.Float (t stage d)))
-                  domains) );
-           ( "speedup",
-             Obs.Json.Obj
-               (List.map
-                  (fun d ->
-                    ( string_of_int d,
-                      Obs.Json.Float (base /. Float.max 1e-9 (t stage d)) ))
-                  domains) );
-           ( "oversubscribed",
-             Obs.Json.Obj
-               (List.map
-                  (fun d ->
-                    (string_of_int d, Obs.Json.Bool (oversubscribed d)))
-                  domains) );
-         ]
-        @
-        match headline stage with
-        | Some s -> [ ("headline_speedup", Obs.Json.Float s) ]
-        | None -> []) )
-  in
-  let json =
-    Obs.Json.Obj
-      [
-        ("meta", meta_json ~engine:"single_node+mpp");
-        ("domains", Obs.Json.List (List.map (fun d -> Obs.Json.Int d) domains));
-        ("scale", Obs.Json.Float scale);
-        ("host_cores", Obs.Json.Int host_cores);
-        ("identical_results", Obs.Json.Bool !identical);
-        ("online_diag_overhead", Obs.Json.Float diag_overhead);
-        ("stages", Obs.Json.Obj (List.map stage_json stage_names));
-        ("obs", Obs.Summary.to_json summary);
-      ]
-  in
-  let out = parallel_out () in
-  let oc = open_out out in
-  output_string oc (Obs.Json.to_pretty_string json);
-  output_char oc '\n';
-  close_out oc;
-  note "wrote %s" out

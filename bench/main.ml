@@ -9,7 +9,8 @@
      dune exec bench/main.exe -- --scale 0.2    # override the KB scale
 
    Every experiment prints the paper's published numbers next to the
-   measured ones; EXPERIMENTS.md records the comparison. *)
+   measured ones; EXPERIMENTS.md records the comparison.  Nothing here is
+   gated on time: the repository benchmark is perfbench/. *)
 
 let all_experiments =
   [
@@ -19,25 +20,11 @@ let all_experiments =
     ("fig6a", Exp_perf.fig6a);
     ("fig6b", Exp_perf.fig6b);
     ("fig6c", Exp_perf.fig6c);
-    ("parallel", Exp_perf.parallel);
-    ("pipeline", Exp_pipeline.run);
-    ("incremental", Exp_incremental.run);
-    ("local", Exp_local.run);
-    ("serve", Exp_serve.run);
-    ("hybrid", Exp_hybrid.run);
-    ("storage", Exp_storage.run);
     ("table4", Exp_quality.table4);
     ("fig7a", Exp_quality.fig7a);
     ("fig7b", Exp_quality.fig7b);
     ("micro", Exp_micro.run);
   ]
-
-(* Re-exec'd child for the storage experiment's per-route peak-RSS
-   measurement; prints one number and exits before the harness starts. *)
-let () =
-  match Sys.getenv_opt "PROBKB_STORAGE_RSS_CHILD" with
-  | Some spec -> Exp_storage.rss_child spec
-  | None -> ()
 
 let () =
   let open Bench_util in
@@ -52,63 +39,6 @@ let () =
       ( "--scale",
         Arg.Float (fun s -> options.scale <- Some s),
         "S override the default KB scale" );
-      ( "--out",
-        Arg.String (fun p -> options.out <- Some p),
-        "FILE write the parallel experiment's artifact here instead of \
-         BENCH_parallel.json" );
-      ( "--compare",
-        Arg.String (fun p -> options.compare <- Some p),
-        "BASELINE after the run, diff the fresh parallel artifact against \
-         this BENCH_parallel.json; exit non-zero on a >25% wall-clock \
-         regression" );
-      ( "--out-pipeline",
-        Arg.String (fun p -> options.out_pipeline <- Some p),
-        "FILE write the pipeline experiment's artifact here instead of \
-         BENCH_pipeline.json" );
-      ( "--compare-pipeline",
-        Arg.String (fun p -> options.compare_pipeline <- Some p),
-        "BASELINE diff the fresh pipeline artifact against this \
-         BENCH_pipeline.json; exit non-zero on a >25% regression" );
-      ( "--out-incremental",
-        Arg.String (fun p -> options.out_incremental <- Some p),
-        "FILE write the incremental experiment's artifact here instead of \
-         BENCH_incremental.json" );
-      ( "--compare-incremental",
-        Arg.String (fun p -> options.compare_incremental <- Some p),
-        "BASELINE diff the fresh incremental artifact against this \
-         BENCH_incremental.json; exit non-zero on a >25% regression" );
-      ( "--out-local",
-        Arg.String (fun p -> options.out_local <- Some p),
-        "FILE write the local-grounding experiment's artifact here instead \
-         of BENCH_local.json" );
-      ( "--compare-local",
-        Arg.String (fun p -> options.compare_local <- Some p),
-        "BASELINE diff the fresh local-grounding artifact against this \
-         BENCH_local.json; exit non-zero on a >25% regression" );
-      ( "--out-serve",
-        Arg.String (fun p -> options.out_serve <- Some p),
-        "FILE write the serving experiment's artifact here instead of \
-         BENCH_serve.json" );
-      ( "--compare-serve",
-        Arg.String (fun p -> options.compare_serve <- Some p),
-        "BASELINE diff the fresh serving artifact against this \
-         BENCH_serve.json; exit non-zero on a >25% regression" );
-      ( "--out-hybrid",
-        Arg.String (fun p -> options.out_hybrid <- Some p),
-        "FILE write the hybrid-inference experiment's artifact here instead \
-         of BENCH_hybrid.json" );
-      ( "--compare-hybrid",
-        Arg.String (fun p -> options.compare_hybrid <- Some p),
-        "BASELINE diff the fresh hybrid-inference artifact against this \
-         BENCH_hybrid.json; exit non-zero on a >25% regression" );
-      ( "--out-storage",
-        Arg.String (fun p -> options.out_storage <- Some p),
-        "FILE write the out-of-core storage experiment's artifact here \
-         instead of BENCH_storage.json" );
-      ( "--compare-storage",
-        Arg.String (fun p -> options.compare_storage <- Some p),
-        "BASELINE diff the fresh storage artifact against this \
-         BENCH_storage.json; exit non-zero on a >25% regression" );
     ]
   in
   Arg.parse spec
@@ -127,47 +57,12 @@ let () =
             exit 2)
         names
   in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun (name, f) ->
-      let t = Unix.gettimeofday () in
-      f ();
-      Format.printf "  [%s done in %.1fs]@." name (Unix.gettimeofday () -. t))
-    selected;
-  Format.printf "@.all experiments done in %.1fs@."
-    (Unix.gettimeofday () -. t0);
-  let gate what baseline_path fresh_path =
-    if not (Sys.file_exists fresh_path) then begin
-      Printf.eprintf
-        "--compare%s: fresh artifact %s not found (run the %s experiment, \
-         e.g. -e %s)\n"
-        (if what = "parallel" then "" else "-" ^ what)
-        fresh_path what what;
-      exit 2
-    end;
-    Compare.run ~baseline_path ~fresh_path ()
+  let (), total =
+    time (fun () ->
+        List.iter
+          (fun (name, f) ->
+            let (), s = time f in
+            Format.printf "  [%s done in %.1fs]@." name s)
+          selected)
   in
-  let regressions =
-    (match options.compare with
-    | None -> 0
-    | Some baseline -> gate "parallel" baseline (parallel_out ()))
-    + (match options.compare_pipeline with
-      | None -> 0
-      | Some baseline -> gate "pipeline" baseline (pipeline_out ()))
-    + (match options.compare_incremental with
-      | None -> 0
-      | Some baseline -> gate "incremental" baseline (incremental_out ()))
-    + (match options.compare_local with
-      | None -> 0
-      | Some baseline -> gate "local" baseline (local_out ()))
-    + (match options.compare_serve with
-      | None -> 0
-      | Some baseline -> gate "serve" baseline (serve_out ()))
-    + (match options.compare_hybrid with
-      | None -> 0
-      | Some baseline -> gate "hybrid" baseline (hybrid_out ()))
-    + (match options.compare_storage with
-      | None -> 0
-      | Some baseline -> gate "storage" baseline (storage_out ()))
-  in
-  if regressions > 0 then exit 1
+  Format.printf "@.all experiments done in %.1fs@." total

@@ -319,13 +319,6 @@ let retract ?(ban = false) st ids =
   if requested = [] then no_retract
   else run_dred st ~seeds:requested ~withdrawn:requested ~ban
 
-let retract_keys ?ban st keys =
-  let pi = Gamma.pi st.kb in
-  retract ?ban st
-    (List.filter_map
-       (fun (r, x, c1, y, c2) -> Storage.find pi ~r ~x ~c1 ~y ~c2)
-       keys)
-
 (* Rule retraction: enumerate the ground instances of the removed rules
    over the current [TΠ] (the batch Query 2 with a single-partition rule
    set), remove exactly those factor rows from the graph (multiset

@@ -106,10 +106,6 @@ val no_ingest : ingest_stats
     ignored. *)
 val retract : ?ban:bool -> t -> int list -> retract_stats
 
-(** [retract_keys ?ban t keys] is {!retract} after resolving the
-    [(r, x, c1, y, c2)] keys. *)
-val retract_keys : ?ban:bool -> t -> (int * int * int * int * int) list -> retract_stats
-
 (** [retract_rules t ~remove] deletes every rule satisfying [remove] from
     [H], removes exactly their ground instances from [TΦ] (multiset
     subtraction, so instances shared with surviving identical rules are

@@ -307,18 +307,6 @@ let peak_rss_bytes () =
   | bytes -> Some bytes
   | exception _ -> None
 
-(* VmHWM is a process-lifetime high-water mark; writing "5" to
-   /proc/self/clear_refs rewinds it to the current RSS so two phases of
-   one process (e.g. an in-memory and a spilled bench run) can be peak-
-   measured independently. *)
-let reset_peak_rss () =
-  match open_out "/proc/self/clear_refs" with
-  | oc ->
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc "5\n")
-  | exception _ -> ()
-
 type span = {
   id : int;
   parent : int; (* -1 = root *)

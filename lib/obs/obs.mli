@@ -193,11 +193,6 @@ val mem_stats : unit -> (string * value) list
     gauge next to [exec.peak_intermediate_bytes]. *)
 val peak_rss_bytes : unit -> int option
 
-(** [reset_peak_rss ()] rewinds the kernel's peak-RSS high-water mark to
-    the current RSS (Linux; a no-op elsewhere), so separate phases of one
-    process can be peak-measured independently. *)
-val reset_peak_rss : unit -> unit
-
 type t
 (** A trace context. *)
 

@@ -119,6 +119,16 @@ let test_gibbs_matches_exact () =
         Alcotest.failf "seed %d: Gibbs deviates by %.3f" seed d)
     [ 1; 2; 3 ]
 
+(* The ground graph of the ReVerb-Sherlock generator KB at scale 0.005:
+   3,812 variables, of which Hybrid settles 3,585 exactly. *)
+let reverb_graph () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  Fgraph.compile (Grounding.Ground.run kb).Grounding.Ground.graph
+
 let test_chromatic_matches_exact () =
   List.iter
     (fun seed ->
@@ -128,7 +138,31 @@ let test_chromatic_matches_exact () =
       let d = max_abs_diff exact chrom in
       if d > 0.06 then
         Alcotest.failf "seed %d: chromatic Gibbs deviates by %.3f" seed d)
-    [ 4; 5; 6 ]
+    [ 4; 5; 6 ];
+  (* At default options on a real ground graph, against the variables
+     Hybrid solves exactly (its answer there is ground truth). *)
+  let c = reverb_graph () in
+  let exact, report = Inference.Hybrid.solve c in
+  let chrom = Inference.Chromatic.marginals c in
+  let n = ref 0 and sum = ref 0. and worst = ref 0. in
+  Array.iteri
+    (fun i comp ->
+      if report.Inference.Hybrid.components.(i).Inference.Hybrid.solver
+         <> Inference.Hybrid.Sampled
+      then
+        Array.iter
+          (fun v ->
+            let e = Float.abs (chrom.(v) -. exact.(v)) in
+            incr n;
+            sum := !sum +. e;
+            worst := Float.max !worst e)
+          comp.Inference.Decompose.vars)
+    (Inference.Decompose.components c);
+  Alcotest.(check int) "exactly settled variables" 3585 !n;
+  let mean = !sum /. float_of_int !n in
+  if mean >= 0.01 || !worst >= 0.1 then
+    Alcotest.failf "chromatic Gibbs error on the exact subset: mean %.4f max %.4f"
+      mean !worst
 
 let test_gibbs_deterministic_given_seed () =
   let c = random_graph 42 10 15 in
@@ -287,12 +321,7 @@ let digest_marginals m =
    ({!Gibbs_oracle}) on x86-64 Linux (glibc libm).  The role-coded kernel
    must reproduce them bit for bit, at pool sizes 1 and 4. *)
 let test_marginals_pinned () =
-  let g =
-    Workload.Reverb_sherlock.generate
-      { Workload.Reverb_sherlock.default_config with scale = 0.005 }
-  in
-  let kb = Workload.Reverb_sherlock.kb g in
-  let c = Fgraph.compile (Grounding.Ground.run kb).Grounding.Ground.graph in
+  let c = reverb_graph () in
   List.iter
     (fun d ->
       let pool = Pool.create d in

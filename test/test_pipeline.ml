@@ -136,6 +136,52 @@ let test_random_plans_differential () =
           (tables_identical reference (Plan.run_materializing ~pool:p4 plan))
       done)
 
+(* The grounding workload itself: every Query 1-i plan over a grounded
+   ReVerb-Sherlock TΠ.  At scale 0.005 after 4 iterations TΠ holds 3,812
+   facts, above the 2,048-row threshold where the pipelined engine splits
+   scans into parallel morsels. *)
+let test_query_plans_differential () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  ignore
+    (Grounding.Ground.run
+       ~options:{ Grounding.Ground.default_options with max_iterations = 4 }
+       kb);
+  let pi = Kb.Gamma.pi kb in
+  check_int "grounded facts" 3812 (Kb.Storage.size pi);
+  let prepared = Grounding.Queries.prepare (Kb.Gamma.partitions kb) in
+  let plans =
+    List.filter_map
+      (fun pat ->
+        if Mln.Partition.count (Grounding.Queries.partitions prepared) pat > 0
+        then
+          Some
+            ( Mln.Pattern.to_string pat,
+              Grounding.Queries.atoms_plan prepared pat pi )
+        else None)
+      Mln.Pattern.all
+  in
+  check_int "active patterns" 6 (List.length plans);
+  with_pools (fun p1 p4 ->
+      List.iter
+        (fun (pat, plan) ->
+          let reference = Plan.run_materializing ~pool:p1 plan in
+          List.iter
+            (fun (label, got) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s identical" pat label)
+                true
+                (tables_identical reference got))
+            [
+              ("pipelined/1", Plan.run ~pool:p1 plan);
+              ("pipelined/4", Plan.run ~pool:p4 plan);
+              ("materializing/4", Plan.run_materializing ~pool:p4 plan);
+            ])
+        plans)
+
 let test_analyze_matches_run () =
   (* EXPLAIN ANALYZE's metered execution must not perturb results, and
      its root row count must equal the returned table. *)
@@ -262,6 +308,8 @@ let () =
             test_random_plans_differential;
           Alcotest.test_case "analyze matches run" `Quick
             test_analyze_matches_run;
+          Alcotest.test_case "Query 1-i plans, pools 1+4" `Quick
+            test_query_plans_differential;
         ] );
       ( "boundaries",
         [
