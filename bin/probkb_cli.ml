@@ -664,6 +664,15 @@ let session_run facts rules constraints sc theta iterations samples hybrid
        end
      done
    with End_of_file -> ());
+  (* Retracts retire rows in place; say what is left to compact. *)
+  Format.eprintf
+    "session closed: %d facts, %d factors; %d dead facts and %d dead \
+     factors await compaction; %d compactions@."
+    (Kb.Storage.size (Kb.Gamma.pi kb))
+    (Factor_graph.Fgraph.size (Probkb.Engine.Session.graph s))
+    (Kb.Storage.pending_deletes (Kb.Gamma.pi kb))
+    (Factor_graph.Fgraph.dead_rows (Probkb.Engine.Session.graph s))
+    (Incremental.Dred.compactions (Probkb.Engine.Session.dred s));
   0
 
 let session_cmd =
@@ -791,7 +800,7 @@ let serve_run facts rules constraints sc theta iterations samples hybrid
       | None -> None
       | Some p ->
         let a =
-          Serve.Admin.start
+          Serve.Admin.start ~obs:(Probkb.Engine.trace engine)
             ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, p))
             ~routes:
               [

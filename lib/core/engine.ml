@@ -335,6 +335,11 @@ module Session = struct
     (* Epoch-duration distribution: under the serving layer this is the
        writer arm's per-epoch cost, the other half of epoch lag. *)
     Obs.observe s.engine.trace "session.epoch_seconds" wall_seconds;
+    (* Rows retired in place and not yet compacted away (Dred). *)
+    Obs.gauge s.engine.trace "incremental.dead_facts"
+      (float_of_int (Storage.pending_deletes (Gamma.pi s.engine.kb)));
+    Obs.gauge s.engine.trace "incremental.dead_factors"
+      (float_of_int (Factor_graph.Fgraph.dead_rows (graph s)));
     Obs.snapshot s.engine.trace ~stage:"session" ~point:"epoch" ~step:st.epoch
       ~perf:[ ("wall_seconds", Obs.F wall_seconds) ]
       [

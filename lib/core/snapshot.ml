@@ -103,21 +103,23 @@ let live ?(epoch = 0) ?(gibbs = Inference.Gibbs.default_options)
     fingerprint = None;
   }
 
-(* FNV-1a over the copied factor table: cheap, deterministic, and any
-   in-place mutation of a row the snapshot references moves it. *)
+(* FNV-1a over the live rows of the copied factor table: cheap,
+   deterministic, and any in-place mutation of a row the snapshot
+   references — or of its dead-row mask — moves it. *)
 let fingerprint_of phi =
   let t = Fgraph.table ~g:phi in
   let h = ref 0x3f29ce484222325 in
   let mix v =
     h := (!h lxor v) * 0x100000001b3
   in
-  let n = Table.nrows t in
-  mix n;
-  for f = 0 to n - 1 do
-    mix (Table.get t f 0);
-    mix (Table.get t f 1);
-    mix (Table.get t f 2);
-    mix (Int64.to_int (Int64.bits_of_float (Table.weight t f)))
+  mix (Fgraph.size phi);
+  for f = 0 to Fgraph.bound phi - 1 do
+    if Fgraph.live phi f then begin
+      mix (Table.get t f 0);
+      mix (Table.get t f 1);
+      mix (Table.get t f 2);
+      mix (Int64.to_int (Int64.bits_of_float (Table.weight t f)))
+    end
   done;
   !h land max_int
 
@@ -130,12 +132,13 @@ let freeze ?(epoch = 0) ?marginals ?(gibbs = Inference.Gibbs.default_options)
     ?(exact_max_vars = Inference.Exact.max_vars)
     ?(max_width = Inference.Jtree.default_max_width) ?(obs = Obs.null) ~pi
     ~graph () =
-  (* Copies of the two tables' arrays — TΠ with its key index blitted,
-     not rehashed, and TΦ — so the snapshot aliases nothing a later
-     epoch mutates ([Storage] appends and compacts, [Fgraph.retain]
-     splices in place).  Reads then call the same functions the live
-     state answers with: [Storage.find] and [Storage.row_of_id] on the
-     TΠ copy, [Local.adjacency_of_graph] on the TΦ copy. *)
+  (* Copies of the two tables' arrays and dead-row masks — TΠ with its
+     key index blitted, not rehashed, and TΦ — so the snapshot aliases
+     nothing a later epoch mutates ([Storage] appends, tombstones and
+     compacts; [Fgraph] appends, retires and compacts).  Reads then call
+     the same functions the live state answers with: [Storage.find] and
+     [Storage.row_of_id] on the TΠ copy, [Local.adjacency_of_graph] on
+     the TΦ copy — each of which skips dead rows. *)
   let pi = Storage.copy pi in
   let phi = Fgraph.copy graph in
   let adj = Local.adjacency_of_graph phi in
@@ -169,23 +172,11 @@ let freeze ?(epoch = 0) ?marginals ?(gibbs = Inference.Gibbs.default_options)
       | None -> 0.5
   in
   let find ~r ~x ~c1 ~y ~c2 = Storage.find pi ~r ~x ~c1 ~y ~c2 in
-  (* A tombstoned row stays in the table until the flush: a row is live
-     when its key still finds it. *)
   let t = Storage.table pi in
-  let live row =
-    match
-      find ~r:(Table.get t row 1) ~x:(Table.get t row 2)
-        ~c1:(Table.get t row 3) ~y:(Table.get t row 4)
-        ~c2:(Table.get t row 5)
-    with
-    | Some id -> id = Table.get t row 0
-    | None -> false
-  in
   (* The fact's extraction weight, if it is live and carries one. *)
   let live_weight id =
     match Storage.row_of_id pi id with
-    | Some row when live row && not (Table.is_null_weight (Table.weight t row))
-      ->
+    | Some row when not (Table.is_null_weight (Table.weight t row)) ->
       Some (Table.weight t row)
     | Some _ | None -> None
   in
@@ -206,16 +197,8 @@ let freeze ?(epoch = 0) ?marginals ?(gibbs = Inference.Gibbs.default_options)
         }
     else None
   in
-  (* Live keys: after a flush every row is live and keys are unique; while
-     deletes are pending, count the live rows. *)
-  let facts =
-    if Storage.pending_deletes pi = 0 then Storage.size pi
-    else begin
-      let n = ref 0 in
-      Table.iter (fun row -> if live row then incr n) t;
-      !n
-    end
-  in
+  (* Storage keeps the live count: O(1) however many rows are dead. *)
+  let facts = Storage.size pi in
   let taken = fingerprint_of phi in
   {
     epoch;

@@ -6,8 +6,9 @@
 
     - {!freeze} copies everything the read path needs out of a live
       session at a given epoch, as flat arrays: [TΠ] with its key index
-      ([Kb.Storage.copy]), the factor table [TΦ], a CSR fact↔factor
-      adjacency built over that copy ([Grounding.Local.adjacency_of_graph])
+      and dead-row mask ([Kb.Storage.copy]), the factor table [TΦ] with
+      its mask ([Factor_graph.Fgraph.copy]), a CSR fact↔factor adjacency
+      over the copy's live factors ([Grounding.Local.adjacency_of_graph])
       and the cached marginals, dense by fact id.  The result shares
       {e nothing} mutable with the writer, so it can be handed to any
       number of reader domains while the next epoch commits behind it
@@ -69,8 +70,10 @@ type t
     ~graph ()] copies the read state out of [(pi, graph)] — array copies
     and one counting sort over the factors, no rehashing, no
     re-grounding and no compile.  Lookups run [Storage.find] and
-    [Storage.row_of_id] on the copy of [pi], so tombstoned-but-unflushed
-    facts are excluded exactly as they are from the live store.
+    [Storage.row_of_id] on the copy of [pi], so tombstoned facts are
+    excluded exactly as they are from the live store, and the fact count
+    is Storage's live count: no per-row work however many rows are
+    dead.
     [marginals] (copied into an array indexed by fact id, sized by
     [Storage.next_id pi]) clamps boundary facts in preference to
     extraction priors.  [exact_max_vars] /

@@ -1,21 +1,33 @@
 module Table = Relational.Table
+module Deadrows = Relational.Deadrows
 
 let null = -1
 
-type t = { tphi : Table.t }
+type t = { tphi : Table.t; dead : Deadrows.t (* retired, until [compact] *) }
 
 let create () =
-  { tphi = Table.create ~weighted:true ~name:"T_Phi" [| "I1"; "I2"; "I3" |] }
+  {
+    tphi = Table.create ~weighted:true ~name:"T_Phi" [| "I1"; "I2"; "I3" |];
+    dead = Deadrows.create ();
+  }
 
 let table ~g = g.tphi
-let copy g = { tphi = Table.copy g.tphi }
+let copy g = { tphi = Table.copy g.tphi; dead = Deadrows.copy g.dead }
+
 let add_singleton g ~i ~w = Table.append_w g.tphi [| i; null; null |] w
 
 let add_clause g ~i1 ?(i2 = null) ?(i3 = null) ~w () =
   Table.append_w g.tphi [| i1; i2; i3 |] w
 
 let append_rows g tbl = Table.append_all g.tphi tbl
-let size g = Table.nrows g.tphi
+let bound g = Table.nrows g.tphi
+let dead_rows g = Deadrows.count g.dead
+let size g = bound g - dead_rows g
+let live g f = Deadrows.live g.dead f
+
+let kill g f =
+  if f < 0 || f >= bound g then invalid_arg "Fgraph.kill: no such factor";
+  Deadrows.kill g.dead f
 
 let factor g f =
   ( Table.get g.tphi f 0,
@@ -24,30 +36,29 @@ let factor g f =
     Table.weight g.tphi f )
 
 let iter f g =
-  for i = 0 to size g - 1 do
-    f i (factor g i)
+  for i = 0 to bound g - 1 do
+    if live g i then f i (factor g i)
   done
 
-let retain g ~keep =
-  let n = size g in
-  if Array.length keep <> n then invalid_arg "Fgraph.retain: mask length";
+let compact g =
+  let n = bound g in
   let remap = Array.make n (-1) in
   let next = ref 0 in
   for f = 0 to n - 1 do
-    if keep.(f) then begin
+    if live g f then begin
       remap.(f) <- !next;
       incr next
     end
   done;
   if !next < n then begin
-    (* [Table.filter] appends survivors in scan order, so the surviving
-       factors keep their relative order — [compile] interns variables in
-       factor-table order, so variable numbering (and the chromatic
-       schedule) of the untouched part of the graph stays stable. *)
-    let kept = Table.filter g.tphi (fun f -> keep.(f)) in
+    (* [Table.filter] appends survivors in scan order, so live factors
+       keep their relative order — [compile] interns variables in
+       factor-table order, so it numbers them exactly as before. *)
+    let kept = Table.filter g.tphi (live g) in
     Table.clear g.tphi;
     Table.append_all g.tphi kept
   end;
+  Deadrows.clear g.dead;
   (n - !next, remap)
 
 type compiled = {
@@ -71,13 +82,13 @@ let role_body = 3
 let nvars c = Array.length c.var_ids
 
 let compile g =
-  let n = size g in
-  (* Keep only finite-weight factors. *)
+  let n = bound g in
+  (* Keep only live, finite-weight factors. *)
   let keep = Array.make n false in
   let kept = ref 0 in
   for f = 0 to n - 1 do
     let w = Table.weight g.tphi f in
-    if Float.is_finite w then begin
+    if Float.is_finite w && live g f then begin
       keep.(f) <- true;
       incr kept
     end

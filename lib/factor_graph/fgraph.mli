@@ -8,7 +8,16 @@
     fact.
 
     The graph is also the lineage store: a clause factor records which
-    facts derived which (see {!Lineage}). *)
+    facts derived which (see {!Lineage}).
+
+    A factor is identified by its position, its row in {!table}.  A
+    live session retires factors in place: {!kill} sets a per-position
+    dead flag and leaves the row where it is, so no position moves.
+    {!size}, {!iter}, {!compile} and {!copy} honour the mask — they see
+    exactly the live factors, in position order, which is what a
+    compacted table holds — while {!bound}, {!factor} and {!table} are
+    physical and see dead rows too.  {!compact} drops the dead rows and
+    returns how positions moved. *)
 
 type t
 
@@ -19,10 +28,12 @@ val null : int
 val create : unit -> t
 
 (** [table g] is the backing [TΦ] table with integer columns
-    [I1, I2, I3] and a weight column. *)
+    [I1, I2, I3] and a weight column, dead rows included: skip positions
+    that are not {!live}. *)
 val table : g:t -> Relational.Table.t
 
-(** [copy g] is an independent copy of [g]'s table (one {!Relational.Table.copy}). *)
+(** [copy g] is an independent copy of [g]'s table and dead-row mask
+    (one {!Relational.Table.copy} and one [Bytes.copy]). *)
 val copy : t -> t
 
 (** [add_singleton g ~i ~w] records the singleton factor of fact [i] with
@@ -37,24 +48,40 @@ val add_clause : t -> i1:int -> ?i2:int -> ?i3:int -> w:float -> unit -> unit
     of factor rows with columns [I1, I2, I3] and weights into [g]. *)
 val append_rows : t -> Relational.Table.t -> unit
 
-(** [size g] is the number of factors. *)
+(** [size g] is the number of live factors. *)
 val size : t -> int
 
-(** [factor g f] is [(i1, i2, i3, w)] for factor index [f]
-    ([i2]/[i3] = {!null} when absent). *)
+(** [bound g] is the number of positions, dead ones included: factor
+    positions run from 0 to [bound g - 1]. *)
+val bound : t -> int
+
+(** [dead_rows g] is the number of retired factors not yet compacted
+    away ([bound g - size g]). *)
+val dead_rows : t -> int
+
+(** [live g f] is [true] iff position [f] has not been retired.  O(1);
+    one comparison while nothing is dead. *)
+val live : t -> int -> bool
+
+(** [kill g f] retires the factor at position [f]; [false] if it was
+    dead already.  O(1) amortised.
+    @raise Invalid_argument if [f] is not a position of [g]. *)
+val kill : t -> int -> bool
+
+(** [factor g f] is [(i1, i2, i3, w)] for the factor at position [f],
+    live or dead ([i2]/[i3] = {!null} when absent). *)
 val factor : t -> int -> int * int * int * float
 
-(** [iter f g] applies [f idx (i1, i2, i3, w)] to all factors. *)
+(** [iter f g] applies [f idx (i1, i2, i3, w)] to every live factor, in
+    position order. *)
 val iter : (int -> int * int * int * float -> unit) -> t -> unit
 
-(** [retain g ~keep] splices the graph in place, dropping every factor [f]
-    with [keep.(f) = false].  Surviving factors keep their relative order
-    (so {!compile}'s variable numbering over the untouched part of the
-    graph is stable — marginals stay comparable across a retraction).
-    Returns [(removed, remap)] where [remap.(old) = new] for survivors and
-    [-1] for removed factors — apply it to any external index holding
+(** [compact g] drops the dead rows in place.  Live factors keep their
+    relative order, so {!compile} numbers variables exactly as before.
+    Returns [(removed, remap)] where [remap.(old) = new] for live factors
+    and [-1] for dead ones — apply it to any external index holding
     factor positions (see [Incremental.Provenance]). *)
-val retain : t -> keep:bool array -> int * int array
+val compact : t -> int * int array
 
 (** {1 Compiled form}
 
@@ -101,9 +128,10 @@ val role_head : int
     atom), and the head [y] is false. *)
 val role_body : int
 
-(** [compile g] builds the dense view, the role-coded adjacency
-    included.  Factors with non-finite weights are excluded (hard rules
-    are handled by quality control, not inference). *)
+(** [compile g] builds the dense view of the live factors, the
+    role-coded adjacency included.  Factors with non-finite weights are
+    excluded (hard rules are handled by quality control, not
+    inference). *)
 val compile : t -> compiled
 
 (** [nvars c] is the number of distinct variables. *)

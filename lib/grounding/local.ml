@@ -39,17 +39,20 @@ type adjacency = {
    [v]'s factors are [arr.(off.(v))] .. [arr.(off.(v + 1) - 1)].  The
    fill runs from the last factor down, so each slice lists its factors
    in descending index order — the order a forward scan consing onto
-   per-fact lists gives.  A fact's prior is its last singleton factor. *)
+   per-fact lists gives.  A fact's prior is its last singleton factor.
+   Retired factors are skipped: only live positions are counted and
+   filled. *)
 let adjacency_of_graph g =
   let t = Fgraph.table ~g in
-  let n = Fgraph.size g in
+  let n = Fgraph.bound g in
+  let live = Fgraph.live g in
   let null = Fgraph.null in
   let nids = ref 0 in
   for f = 0 to n - 1 do
     let i1 = Table.get t f 0 and i2 = Table.get t f 1 and i3 = Table.get t f 2 in
     if i1 < 0 || i2 < null || i3 < null then
       invalid_arg "Local.adjacency_of_graph: negative fact id";
-    nids := Int.max !nids (1 + Int.max i1 (Int.max i2 i3))
+    if live f then nids := Int.max !nids (1 + Int.max i1 (Int.max i2 i3))
   done;
   let nids = !nids in
   let singleton = Array.make nids (-1) in
@@ -58,12 +61,13 @@ let adjacency_of_graph g =
   let count off v = off.(v + 1) <- off.(v + 1) + 1 in
   for f = 0 to n - 1 do
     let i1 = Table.get t f 0 and i2 = Table.get t f 1 and i3 = Table.get t f 2 in
-    if i2 = null && i3 = null then singleton.(i1) <- f
-    else begin
-      count derive_off i1;
-      if i2 <> null then count support_off i2;
-      if i3 <> null && i3 <> i2 then count support_off i3
-    end
+    if live f then
+      if i2 = null && i3 = null then singleton.(i1) <- f
+      else begin
+        count derive_off i1;
+        if i2 <> null then count support_off i2;
+        if i3 <> null && i3 <> i2 then count support_off i3
+      end
   done;
   for v = 1 to nids do
     derive_off.(v) <- derive_off.(v) + derive_off.(v - 1);
@@ -79,7 +83,7 @@ let adjacency_of_graph g =
   in
   for f = n - 1 downto 0 do
     let i1 = Table.get t f 0 and i2 = Table.get t f 1 and i3 = Table.get t f 2 in
-    if not (i2 = null && i3 = null) then begin
+    if live f && not (i2 = null && i3 = null) then begin
       put derives derive_at i1 f;
       if i2 <> null then put supports support_at i2 f;
       if i3 <> null && i3 <> i2 then put supports support_at i3 f
@@ -114,20 +118,12 @@ let of_kb prepared pi = Backward { prepared; pi }
 let x_index w = Storage.partial_index w.pi Storage.x_key
 let y_index w = Storage.partial_index w.pi Storage.y_key
 
-(* Iterate the live facts matching a partial key: the physical index may
-   hold tombstoned rows, so each candidate is confirmed against the
-   maintained key index before being reported. *)
+(* Iterate the live facts matching a partial key: the physical index
+   holds tombstoned rows too. *)
 let iter_live w idx kv k =
   let t = Storage.table w.pi in
   Index.iter_matches idx kv (fun row ->
-      let id = Table.get t row 0 in
-      match
-        Storage.find w.pi ~r:(Table.get t row 1) ~x:(Table.get t row 2)
-          ~c1:(Table.get t row 3) ~y:(Table.get t row 4)
-          ~c2:(Table.get t row 5)
-      with
-      | Some id' when id' = id -> k id row
-      | Some _ | None -> ())
+      if Storage.live_row w.pi row then k (Table.get t row 0) row)
 
 (* --- factor identity -------------------------------------------------- *)
 

@@ -78,8 +78,9 @@ type adjacency = {
     derivations and one for supports (offsets by fact id plus a flat
     array of factor indexes), and a dense array of priors.  Each fact's
     factors are listed in descending factor index; a fact with several
-    singleton factors reports the last.  The arrays are sized by the
-    largest fact id in [g].  Any materialized graph gets its adjacency
+    singleton factors reports the last.  Only live factors are listed
+    (retired ones are skipped, see {!Factor_graph.Fgraph.kill}).  The
+    arrays are sized by the largest fact id of a live factor.  Any materialized graph gets its adjacency
     here — frozen snapshots included; live sessions reuse their
     provenance index instead.  The result only reads [g], so it may be
     shared across domains while nothing mutates [g].

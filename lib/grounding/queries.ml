@@ -367,15 +367,16 @@ let resolve_heads rows pi g =
     for i = 0 to 4 do
       kv.(i) <- Table.get rows r i
     done;
+    (* A key's newest row is its only live candidate (Storage.find). *)
     match Index.first_match idx kv with
-    | Some head_row ->
+    | Some head_row when Storage.live_row pi head_row ->
       let i1 = Table.get facts head_row 0 in
       let i2 = Table.get rows r 5 and i3 = Table.get rows r 6 in
       Fgraph.add_clause g ~i1 ~i2
         ?i3:(if i3 = Fgraph.null then None else Some i3)
         ~w:(Table.weight rows r) ();
       incr produced
-    | None -> () (* head was deleted by quality control *)
+    | Some _ | None -> () (* head was deleted or retracted *)
   done;
   !produced
 
@@ -481,6 +482,13 @@ let delta_terms p pat ~delta =
   let first = term p.m_index.(Pattern.index pat) pat ~mirrored:false in
   [ first; term (mirror_index p pat) (mirror_pattern pat) ~mirrored:true ]
 
+(* The residual that keeps a delta term's TΠ probe off tombstoned rows:
+   none at all while nothing is dead, so the probe pays one comparison
+   per call, not one per probed row. *)
+let live_residual pi =
+  if Storage.pending_deletes pi = 0 then None
+  else Some (fun _ row -> Storage.live_row pi row)
+
 let ground_atoms_delta p pat pi ~delta =
   let t = Storage.table pi in
   let midx = p.m_index.(Pattern.index pat) in
@@ -499,10 +507,11 @@ let ground_atoms_delta p pat pi ~delta =
         ~name:("atoms_" ^ Pattern.to_string pat)
         atom_cols
     in
+    let residual = live_residual pi in
     List.iter
       (fun d ->
-        Join.index_probe_into ~out:d.atoms_out ~oweight:Join.No_weight ~sink
-          (d.j, d.j_key)
+        Join.index_probe_into ~out:d.atoms_out ~oweight:Join.No_weight
+          ?residual ~sink (d.j, d.j_key)
           (Storage.partial_index pi d.t_key))
       (delta_terms p pat ~delta);
     let obs = Obs.ambient () in
@@ -575,6 +584,7 @@ let ground_factors_delta p pat pi ~delta ~watermark g =
        restricted to *old* facts ([id < watermark]) so instances whose
        body atoms are both new are not emitted twice. *)
     let t = Storage.table pi in
+    let live = live_residual pi in
     List.fold_left
       (fun n d ->
         let sink =
@@ -583,9 +593,13 @@ let ground_factors_delta p pat pi ~delta ~watermark g =
             atom_i_cols
         in
         let residual =
-          if d.mirrored then
-            Some (fun _ p_row -> Table.get t p_row 0 < watermark)
-          else None
+          match (d.mirrored, live) with
+          | false, _ -> live
+          | true, None -> Some (fun _ p_row -> Table.get t p_row 0 < watermark)
+          | true, Some _ ->
+            Some
+              (fun _ p_row ->
+                Table.get t p_row 0 < watermark && Storage.live_row pi p_row)
         in
         Join.index_probe_into ~out:d.factors_out
           ~oweight:(Join.Weight_of Join.Build) ?residual ~sink (d.j, d.j_key)

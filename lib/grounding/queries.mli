@@ -50,8 +50,9 @@ val factors_out : Shape.t -> Relational.Join.out_col array
 
 (** [resolve_heads rows pi g] finalizes a factor query: probe each row's
     head key [(R, x, C1, y, C2)] against [TΠ] and emit
-    [(I1, I2, I3, w)] into [g]; rows whose head is missing (deleted by
-    quality control) are skipped.  Returns the factor count. *)
+    [(I1, I2, I3, w)] into [g]; rows whose head has no live fact (deleted
+    by quality control, or retracted) are skipped.  Returns the factor
+    count. *)
 val resolve_heads :
   Relational.Table.t -> Kb.Storage.t -> Factor_graph.Fgraph.t -> int
 
@@ -109,7 +110,9 @@ val atoms_plan : prepared -> Mln.Pattern.t -> Kb.Storage.t -> Relational.Plan.t
 (** [ground_atoms p pat pi] is Query 1-i: the head atoms derivable by the
     rules of partition [pat] from the current facts.  The result has
     columns [R, x, C1, y, C2] and may contain duplicates (the caller
-    deduplicates when merging into [TΠ]). *)
+    deduplicates when merging into [TΠ]).  Scans all of [TΠ], so [pi]
+    must have no tombstoned rows ({!Kb.Storage.flush_deletes} first);
+    the same holds for {!ground_factors} and the spilled variants. *)
 val ground_atoms :
   prepared -> Mln.Pattern.t -> Kb.Storage.t -> Relational.Table.t
 
@@ -156,8 +159,9 @@ val delta_terms :
     shared dedup sink, so the union never materializes per-term
     tables.  Step 2 of each term probes [TΠ]'s maintained partial-key
     index ({!Kb.Storage.partial_index}, built here on first use) from
-    the Δ side instead of scanning [TΠ]; rows, their order and the dedup
-    winners are those of the scan join. *)
+    the Δ side instead of scanning [TΠ], skipping tombstoned rows; rows,
+    their order and the dedup winners are those of the scan join over
+    the live rows. *)
 val ground_atoms_delta :
   prepared ->
   Mln.Pattern.t ->

@@ -10,6 +10,7 @@ type t = {
   graph : Fgraph.t;
   prov : Provenance.t;
   mutable prepared : Queries.prepared;
+  mutable compactions : int;
   obs : Obs.t;
 }
 
@@ -19,12 +20,14 @@ let create ?(obs = Obs.null) kb graph =
     graph;
     prov = Provenance.of_graph graph;
     prepared = Queries.prepare (Gamma.partitions kb);
+    compactions = 0;
     obs;
   }
 
 let kb t = t.kb
 let graph t = t.graph
 let provenance t = t.prov
+let compactions t = t.compactions
 
 let refresh_rules t = t.prepared <- Queries.prepare (Gamma.partitions t.kb)
 
@@ -204,25 +207,69 @@ let rederive st ~in_cone ~order ~banned =
   done;
   rederived
 
-(* Splice (DRed phase 3): drop every factor that mentions a dead fact,
-   plus the singletons of demoted base facts; remap the provenance index
-   through the surviving positions. *)
-let splice st ~dead ~demoted =
-  let keep = Array.make (Fgraph.size st.graph) true in
-  Fgraph.iter
-    (fun f (i1, i2, i3, _w) ->
-      if i2 = Fgraph.null && i3 = Fgraph.null then begin
-        if Hashtbl.mem dead i1 || Hashtbl.mem demoted i1 then keep.(f) <- false
-      end
-      else if
-        Hashtbl.mem dead i1
-        || (i2 <> Fgraph.null && Hashtbl.mem dead i2)
-        || (i3 <> Fgraph.null && Hashtbl.mem dead i3)
-      then keep.(f) <- false)
-    st.graph;
-  let removed, remap = Fgraph.retain st.graph ~keep in
-  Provenance.remap st.prov remap;
-  removed
+(* Retire (DRed phase 3): kill every factor that mentions a dead fact —
+   found through the provenance index, O(cone × degree), never a pass
+   over TΦ — plus the singletons of demoted base facts, and drop them
+   from the index in place.  No position moves.  Returns the count. *)
+let retire st ~dead ~demoted =
+  let killed = ref [] in
+  let kill f = if Fgraph.kill st.graph f then killed := f :: !killed in
+  let kill_singleton id = Option.iter kill (Provenance.singleton_of st.prov id) in
+  Hashtbl.iter
+    (fun id () ->
+      Provenance.iter_derivations st.prov id kill;
+      Provenance.iter_supports st.prov id kill;
+      kill_singleton id)
+    dead;
+  Hashtbl.iter (fun id () -> kill_singleton id) demoted;
+  Provenance.retire st.prov st.graph !killed;
+  List.length !killed
+
+(* Dead rows are compacted away once they pass this fraction of a
+   table's physical rows, decided for TΠ and TΦ separately.  A
+   compaction costs O(rows) and removes at least a quarter of them, so
+   its cost is paid back by the retractions that killed them — O(Δ)
+   amortised per retract.  Compacting sooner buys little; later leaves
+   more dead rows for every probe to skip and every publish to copy. *)
+let compact_fraction = 0.25
+
+let over_fraction ~dead ~rows =
+  float_of_int dead > compact_fraction *. float_of_int rows
+
+let compacted st f =
+  Obs.with_span st.obs "compact" ~cat:"incremental" f;
+  st.compactions <- st.compactions + 1;
+  Obs.incr st.obs "incremental.compactions"
+
+(* Compaction never moves a fact id, so only TΦ's carries a remap. *)
+let compact_facts st =
+  let pi = Gamma.pi st.kb in
+  if Storage.pending_deletes pi > 0 then
+    compacted st (fun () -> ignore (Storage.flush_deletes pi))
+
+let compact_factors st =
+  if Fgraph.dead_rows st.graph > 0 then
+    compacted st (fun () ->
+        Provenance.sync st.prov st.graph;
+        let _, remap = Fgraph.compact st.graph in
+        Provenance.remap st.prov remap)
+
+let compact st =
+  Obs.with_ambient st.obs @@ fun () ->
+  compact_facts st;
+  compact_factors st
+
+(* The compaction policy, run at the end of every retracting epoch. *)
+let compact_if_due st =
+  let pi = Gamma.pi st.kb in
+  if
+    over_fraction ~dead:(Storage.pending_deletes pi)
+      ~rows:(Table.nrows (Storage.table pi))
+  then compact_facts st;
+  if
+    over_fraction ~dead:(Fgraph.dead_rows st.graph)
+      ~rows:(Fgraph.bound st.graph)
+  then compact_factors st
 
 (* The shared delete–rederive core.  [seeds] are the facts whose support
    just changed (already deduplicated, present in [TΠ]); [withdrawn] are
@@ -239,7 +286,7 @@ let run_dred st ~seeds ~withdrawn ~ban =
   let order =
     if empty_cone then begin
       (* None of the retracted facts supports any derivation: skip the
-         M-query machinery entirely — delete, rederive locally, splice. *)
+         M-query machinery entirely — rederive locally, retire. *)
       Obs.incr st.obs "incremental.empty_cone_fast_path";
       seeds
     end
@@ -272,7 +319,7 @@ let run_dred st ~seeds ~withdrawn ~ban =
         end)
       order
   in
-  Obs.with_span st.obs "splice" ~cat:"incremental" (fun () ->
+  Obs.with_span st.obs "retire" ~cat:"incremental" (fun () ->
       (* Ban only the explicitly retracted keys — the overdeleted cone
          remains legitimately re-derivable should new support arrive. *)
       if ban then
@@ -286,13 +333,13 @@ let run_dred st ~seeds ~withdrawn ~ban =
           | Some row -> Table.set_weight tbl row Table.null_weight
           | None -> ())
         demoted;
-      let overdeleted = Storage.delete_ids pi deleted_ids in
-      let factors_removed = splice st ~dead ~demoted in
+      let factors_removed = retire st ~dead ~demoted in
+      List.iter (Storage.mark_deleted pi) deleted_ids;
       let stats =
         {
           requested = List.length seeds;
           cone = List.length order;
-          overdeleted;
+          overdeleted = List.length deleted_ids;
           rederived = Hashtbl.length rederived;
           demoted = Hashtbl.length demoted;
           factors_removed;
@@ -317,14 +364,18 @@ let retract ?(ban = false) st ids =
     |> List.filter (fun id -> Storage.row_of_id pi id <> None)
   in
   if requested = [] then no_retract
-  else run_dred st ~seeds:requested ~withdrawn:requested ~ban
+  else begin
+    let stats = run_dred st ~seeds:requested ~withdrawn:requested ~ban in
+    compact_if_due st;
+    stats
+  end
 
 (* Rule retraction: enumerate the ground instances of the removed rules
    over the current [TΠ] (the batch Query 2 with a single-partition rule
-   set), remove exactly those factor rows from the graph (multiset
-   subtraction — identical instances from identical surviving rules are
-   not over-removed), then DRed from the orphaned heads under the
-   remaining rule set. *)
+   set), retire exactly those factor rows (multiset subtraction —
+   identical instances from identical surviving rules are not
+   over-removed), then DRed from the orphaned heads under the remaining
+   rule set. *)
 let retract_rules st ~remove =
   Obs.with_ambient st.obs @@ fun () ->
   Obs.with_span st.obs "retract" ~cat:"incremental" @@ fun () ->
@@ -332,6 +383,8 @@ let retract_rules st ~remove =
   let removed_rules, kept_rules = List.partition remove (Gamma.rules st.kb) in
   if removed_rules = [] then no_retract
   else begin
+    (* Grounding the removed rules scans all of TΠ. *)
+    compact_facts st;
     let pi = Gamma.pi st.kb in
     let tmp = Fgraph.create () in
     let rp = Queries.prepare (Mln.Partition.of_rules removed_rules) in
@@ -346,7 +399,7 @@ let retract_rules st ~remove =
         Hashtbl.replace want row
           (1 + Option.value ~default:0 (Hashtbl.find_opt want row)))
       tmp;
-    let keep = Array.make (Fgraph.size st.graph) true in
+    let doomed = ref [] in
     let seen_seed = Hashtbl.create 16 in
     let seeds = ref [] in
     Fgraph.iter
@@ -355,7 +408,7 @@ let retract_rules st ~remove =
           match Hashtbl.find_opt want row with
           | Some n when n > 0 ->
             Hashtbl.replace want row (n - 1);
-            keep.(f) <- false;
+            doomed := f :: !doomed;
             if
               (not (Hashtbl.mem seen_seed i1))
               && not (Provenance.is_base st.prov i1)
@@ -365,11 +418,10 @@ let retract_rules st ~remove =
             end
           | _ -> ())
       st.graph;
-    let rule_factors_removed, remap =
-      Obs.with_span st.obs "splice" ~cat:"incremental" (fun () ->
-          Fgraph.retain st.graph ~keep)
-    in
-    Provenance.remap st.prov remap;
+    Obs.with_span st.obs "retire" ~cat:"incremental" (fun () ->
+        List.iter (fun f -> ignore (Fgraph.kill st.graph f)) !doomed;
+        Provenance.retire st.prov st.graph !doomed);
+    let rule_factors_removed = List.length !doomed in
     (* The remaining rules take over before the cone is explored: every
        head of a removed instance is a seed already, so descendants via
        the removed rules need no queries — only the surviving rules can
@@ -383,6 +435,7 @@ let retract_rules st ~remove =
         no_retract
       | seeds -> run_dred st ~seeds ~withdrawn:[] ~ban:false
     in
+    compact_if_due st;
     Obs.add st.obs "incremental.factors_removed" rule_factors_removed;
     { stats with factors_removed = stats.factors_removed + rule_factors_removed }
   end
@@ -394,6 +447,8 @@ let retract_rules st ~remove =
    in-closure hook's delete-and-re-close. *)
 let enforce_constraints st =
   Obs.with_ambient st.obs @@ fun () ->
+  (* Counting violations scans all of TΠ. *)
+  compact_facts st;
   let pi = Gamma.pi st.kb in
   let omega = Gamma.omega st.kb in
   let vs = Quality.Semantic.violations pi omega in
@@ -535,6 +590,8 @@ let extend_rules ?(max_iterations = 15) st rules =
   Obs.with_ambient st.obs @@ fun () ->
   Obs.with_span st.obs "reexpand" ~cat:"incremental" @@ fun () ->
   Provenance.sync st.prov st.graph;
+  (* The naive closure and the new rules' factor pass scan all of TΠ. *)
+  compact_facts st;
   let pi = Gamma.pi st.kb in
   let watermark = Storage.next_id pi in
   let prepared_old = st.prepared in

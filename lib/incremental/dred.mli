@@ -12,9 +12,17 @@
       frontier-of-deleted playing the role of the delta — then
       {e rederive} the overdeleted facts that still have an alternative
       derivation (a pure walk of the {!Provenance} index; no queries),
-      and finally {e splice} the factor graph in place ([Fgraph.retain]),
-      keeping surviving fact ids and factor order stable so marginals
-      remain comparable across the retraction.
+      and finally {e retire} what died: the dead facts' factors, found
+      through the provenance index, are masked in [TΦ] ([Fgraph.kill])
+      and dropped from the index in place, and the dead facts are
+      tombstoned in [TΠ] ([Storage.mark_deleted]).  Nothing moves, so a
+      retract costs its cone, not the KB.  Dead rows persist across
+      epochs; a table is compacted only once its dead rows pass a fixed
+      fraction of its rows (amortised O(Δ)), and before the whole-KB
+      passes of {!extend_rules}, {!retract_rules} and
+      {!enforce_constraints}.  Surviving fact ids and the order of live
+      factors never change, so marginals remain comparable across the
+      retraction.
     - {!ingest} inserts a batch: semi-naive closure from the batch as the
       initial delta, then the delta factor queries
       ([Queries.ground_factors_delta]) extend [TΦ] with exactly the new
@@ -26,8 +34,9 @@
       consequences leave both [TΠ] and [TΦ] — the session-mode
       replacement for the in-closure constraint hook.
 
-    All operations emit [incremental.*] counters and a
-    [retract > overdelete > M1..M6 / rederive / splice] (resp.
+    All operations emit [incremental.*] counters (among them
+    [incremental.compactions], one per table compacted) and a
+    [retract > overdelete > M1..M6 / rederive / retire / compact] (resp.
     [ingest > closure / factors]) span tree through the attached [Obs]
     context. *)
 
@@ -42,6 +51,11 @@ val create : ?obs:Obs.t -> Kb.Gamma.t -> Factor_graph.Fgraph.t -> t
 val kb : t -> Kb.Gamma.t
 val graph : t -> Factor_graph.Fgraph.t
 val provenance : t -> Provenance.t
+
+(** [compactions t] is the number of table compactions so far — the
+    [incremental.compactions] counter, kept whether or not a trace is
+    attached. *)
+val compactions : t -> int
 
 (** [refresh_rules t] re-prepares the partition plans after the rule set
     changed behind this module's back (prefer {!extend_rules} /
@@ -65,7 +79,7 @@ type retract_stats = {
       (** retracted {e base} facts that survived as inferred facts: an
           alternative derivation remains, so the fact keeps its id but
           loses its singleton factor and extraction weight *)
-  factors_removed : int;  (** factor rows spliced out of [TΦ] *)
+  factors_removed : int;  (** factor rows retired from [TΦ] *)
   empty_cone : bool;
       (** no retracted fact supported any derivation — the M-query
           machinery was skipped entirely *)
@@ -120,6 +134,12 @@ val retract_rules : t -> remove:(Mln.Clause.t -> bool) -> retract_stats
     pass reaches a fixpoint — deleting facts only shrinks the groups Ω
     counts. *)
 val enforce_constraints : t -> int * retract_stats
+
+(** [compact t] compacts the dead rows out of [TΠ] and [TΦ] now, whatever
+    their share, remapping the provenance index — what the compaction
+    policy does once dead rows pass its fraction.  Every answer, count
+    and marginal is the same with or without it. *)
+val compact : t -> unit
 
 (** [ingest ?max_iterations t facts] inserts a batch of weighted
     extractions [(r, x, c1, y, c2, w)], runs the incremental closure with

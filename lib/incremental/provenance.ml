@@ -29,9 +29,9 @@ let index_factor t f (i1, i2, i3, _w) =
   end
 
 let sync t g =
-  let n = Fgraph.size g in
+  let n = Fgraph.bound g in
   for f = t.synced to n - 1 do
-    index_factor t f (Fgraph.factor g f)
+    if Fgraph.live g f then index_factor t f (Fgraph.factor g f)
   done;
   t.synced <- n
 
@@ -65,6 +65,40 @@ let has_supports t id = Hashtbl.mem t.supports id
 
 let singleton_of t id = Hashtbl.find_opt t.singleton id
 let is_base t id = Hashtbl.mem t.singleton id
+
+(* Filters [id]'s list in [tbl] in place, dropping the entry once empty
+   (so [has_supports] keeps meaning "supports a live factor").  A list
+   with nothing to drop is left as it is, unallocated. *)
+let drop_dead tbl dead id =
+  match Hashtbl.find tbl id with
+  | fs when List.exists (Hashtbl.mem dead) fs -> (
+    match List.filter (fun f -> not (Hashtbl.mem dead f)) fs with
+    | [] -> Hashtbl.remove tbl id
+    | fs' -> Hashtbl.replace tbl id fs')
+  | _ -> ()
+  | exception Not_found -> ()
+
+let retire t g fs =
+  let dead = Hashtbl.create 64 and touched = Hashtbl.create 64 in
+  List.iter
+    (fun f ->
+      Hashtbl.replace dead f ();
+      let i1, i2, i3, _ = Fgraph.factor g f in
+      if i2 = Fgraph.null && i3 = Fgraph.null then begin
+        match Hashtbl.find_opt t.singleton i1 with
+        | Some f' when f' = f -> Hashtbl.remove t.singleton i1
+        | Some _ | None -> ()
+      end
+      else
+        List.iter
+          (fun i -> if i <> Fgraph.null then Hashtbl.replace touched i ())
+          [ i1; i2; i3 ])
+    fs;
+  Hashtbl.iter
+    (fun id () ->
+      drop_dead t.derives dead id;
+      drop_dead t.supports dead id)
+    touched
 
 let remap t mapping =
   if t.synced <> Array.length mapping then

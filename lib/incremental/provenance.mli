@@ -17,8 +17,9 @@
     the weight column of [TΠ] is unreliable for this once
     [Engine.store_marginals] has written probabilities into it.
 
-    Keep the index current with {!sync} after appending factors and
-    {!remap} after [Fgraph.retain] removed some. *)
+    Only live factors are indexed.  Keep the index current with {!sync}
+    after appending factors, {!retire} after [Fgraph.kill] retired some,
+    and {!remap} after [Fgraph.compact] moved them. *)
 
 type t
 
@@ -28,12 +29,13 @@ val create : unit -> t
 (** [of_graph g] is [create] followed by [sync _ g]. *)
 val of_graph : Factor_graph.Fgraph.t -> t
 
-(** [sync t g] indexes the factors appended to [g] since the last sync
-    (all of them on a fresh index).  [g] must only have grown by appends
-    since then. *)
+(** [sync t g] indexes the live factors appended to [g] since the last
+    sync (all of them on a fresh index).  [g] must only have grown by
+    appends since then, apart from factors passed to {!retire}. *)
 val sync : t -> Factor_graph.Fgraph.t -> unit
 
-(** [synced_factors t] is the number of factors currently indexed. *)
+(** [synced_factors t] is the number of factor positions synced so far:
+    [Fgraph.bound] of the graph at the last {!sync} or {!remap}. *)
 val synced_factors : t -> int
 
 (** [derivations t id] lists the clause factors with head [id] (most
@@ -64,8 +66,15 @@ val singleton_of : t -> int -> int option
     carries extraction (prior) support. *)
 val is_base : t -> int -> bool
 
+(** [retire t g fs] drops the factor positions [fs] of [g] — factors just
+    retired with [Fgraph.kill] — from the lists of the facts they
+    mention, in place; facts left with no entries disappear from the
+    index.  Lists keep their order.  Costs the length of those facts'
+    lists, never a pass over the index. *)
+val retire : t -> Factor_graph.Fgraph.t -> int list -> unit
+
 (** [remap t mapping] rewrites every stored factor position through
-    [mapping] (as returned by [Fgraph.retain]): positions mapped to [-1]
+    [mapping] (as returned by [Fgraph.compact]): positions mapped to [-1]
     are dropped, facts left with no entries disappear from the index.
     @raise Invalid_argument when the index is not synced to exactly
     [Array.length mapping] factors. *)

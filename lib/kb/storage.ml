@@ -1,5 +1,6 @@
 module Table = Relational.Table
 module Index = Relational.Index
+module Deadrows = Relational.Deadrows
 
 let cols = [| "I"; "R"; "x"; "C1"; "y"; "C2" |]
 let key_cols = [| 1; 2; 3; 4; 5 |]
@@ -13,7 +14,7 @@ type t = {
       (* on [x_key] and [y_key]; built on first demand, then maintained *)
   mutable next_id : int;
   banned : (int * int * int * int * int, unit) Hashtbl.t;
-  tombstones : (int, unit) Hashtbl.t; (* ids marked deleted, not yet compacted *)
+  dead : Deadrows.t; (* tombstoned rows, until compaction *)
   mutable index_rebuilds : int;
 }
 
@@ -25,7 +26,7 @@ let create () =
     partial = None;
     next_id = 0;
     banned = Hashtbl.create 16;
-    tombstones = Hashtbl.create 16;
+    dead = Deadrows.create ();
     index_rebuilds = 0;
   }
 
@@ -53,17 +54,19 @@ let index_last_row s =
 
 let table s = s.facts
 let key_index s = s.key_idx
-let size s = Table.nrows s.facts
+let size s = Table.nrows s.facts - Deadrows.count s.dead
 let next_id s = s.next_id
 let index_rebuilds s = s.index_rebuilds
 
+let live_row s row = Deadrows.live s.dead row
+
+(* A key has at most one live row, and it is its newest: a key is only
+   re-inserted once its previous row is dead.  [first_match] yields the
+   newest row, so it alone decides. *)
 let find s ~r ~x ~c1 ~y ~c2 =
   match Index.first_match s.key_idx [| r; x; c1; y; c2 |] with
-  | Some row ->
-    let id = Table.get s.facts row 0 in
-    if Hashtbl.length s.tombstones > 0 && Hashtbl.mem s.tombstones id then None
-    else Some id
-  | None -> None
+  | Some row when live_row s row -> Some (Table.get s.facts row 0)
+  | Some _ | None -> None
 
 let add s ~r ~x ~c1 ~y ~c2 ~w =
   match find s ~r ~x ~c1 ~y ~c2 with
@@ -87,9 +90,12 @@ let merge_new s tbl =
          ( Table.get tbl r 0, Table.get tbl r 1, Table.get tbl r 2,
            Table.get tbl r 3, Table.get tbl r 4 )
   in
+  let has_live_row r =
+    let h = Index.find_row s.key_idx tbl new_key_cols r in
+    h >= 0 && live_row s h
+  in
   for r = 0 to Table.nrows tbl - 1 do
-    if (not (Index.mem_row s.key_idx tbl new_key_cols r)) && not (is_banned r)
-    then begin
+    if (not (has_live_row r)) && not (is_banned r) then begin
       let id = s.next_id in
       s.next_id <- id + 1;
       buf.(0) <- id;
@@ -119,49 +125,36 @@ let check_ids_ascending s =
         (Printf.sprintf "Storage: fact ids not ascending at row %d" row)
   done
 
-let mark_deleted s id = Hashtbl.replace s.tombstones id ()
-let pending_deletes s = Hashtbl.length s.tombstones
+let pending_deletes s = Deadrows.count s.dead
 
-let flush_deletes ?(ban = false) s =
-  if Hashtbl.length s.tombstones = 0 then 0
+let flush_deletes s =
+  if pending_deletes s = 0 then 0
   else begin
-    let before = Table.nrows s.facts in
-    let dead r = Hashtbl.mem s.tombstones (Table.get s.facts r 0) in
-    if ban then
-      Table.iter (fun r -> if dead r then ban_key_of_row s r) s.facts;
-    let kept = Table.filter s.facts (fun r -> not (dead r)) in
+    let removed = pending_deletes s in
+    let kept = Table.filter s.facts (live_row s) in
     s.facts <- kept;
     s.key_idx <- Index.build kept key_cols;
     if s.partial <> None then s.partial <- Some (partial_of kept);
     s.index_rebuilds <- s.index_rebuilds + 1;
-    Hashtbl.reset s.tombstones;
+    Deadrows.clear s.dead;
     if Obs.debug then check_ids_ascending s;
-    before - Table.nrows kept
+    removed
   end
-
-let delete_ids ?ban s ids =
-  List.iter (fun id -> mark_deleted s id) ids;
-  flush_deletes ?ban s
-
-let delete_where ?ban s p =
-  Table.iter
-    (fun r -> if p s.facts r then mark_deleted s (Table.get s.facts r 0))
-    s.facts;
-  flush_deletes ?ban s
 
 let banned_count s = Hashtbl.length s.banned
 let is_banned s ~r ~x ~c1 ~y ~c2 = Hashtbl.mem s.banned (r, x, c1, y, c2)
 
 let iter f s =
   for row = 0 to Table.nrows s.facts - 1 do
-    f
-      ~id:(Table.get s.facts row 0)
-      ~r:(Table.get s.facts row 1)
-      ~x:(Table.get s.facts row 2)
-      ~c1:(Table.get s.facts row 3)
-      ~y:(Table.get s.facts row 4)
-      ~c2:(Table.get s.facts row 5)
-      ~w:(Table.weight s.facts row)
+    if live_row s row then
+      f
+        ~id:(Table.get s.facts row 0)
+        ~r:(Table.get s.facts row 1)
+        ~x:(Table.get s.facts row 2)
+        ~c1:(Table.get s.facts row 3)
+        ~y:(Table.get s.facts row 4)
+        ~c2:(Table.get s.facts row 5)
+        ~w:(Table.weight s.facts row)
   done
 
 let row_of_id s id =
@@ -170,7 +163,7 @@ let row_of_id s id =
     else
       let mid = lo + ((hi - lo) / 2) in
       let v = Table.get s.facts mid 0 in
-      if v = id then Some mid
+      if v = id then if live_row s mid then Some mid else None
       else if v < id then search (mid + 1) hi
       else search lo mid
   in
@@ -181,6 +174,29 @@ let ban_id s id =
   | Some r -> ban_key_of_row s r
   | None -> ()
 
+let mark_deleted s id =
+  match row_of_id s id with
+  | Some row -> ignore (Deadrows.kill s.dead row)
+  | None -> ()
+
+let delete_ids ?(ban = false) s ids =
+  List.iter
+    (fun id ->
+      if ban then ban_id s id;
+      mark_deleted s id)
+    ids;
+  flush_deletes s
+
+let delete_where ?(ban = false) s p =
+  Table.iter
+    (fun r ->
+      if live_row s r && p s.facts r then begin
+        if ban then ban_key_of_row s r;
+        ignore (Deadrows.kill s.dead r)
+      end)
+    s.facts;
+  flush_deletes s
+
 let copy s =
   let facts = Table.copy s.facts in
   {
@@ -189,6 +205,6 @@ let copy s =
     partial = None;
     next_id = s.next_id;
     banned = Hashtbl.copy s.banned;
-    tombstones = Hashtbl.copy s.tombstones;
+    dead = Deadrows.copy s.dead;
     index_rebuilds = 0;
   }

@@ -21,7 +21,10 @@ val create : unit -> t
 
 (** [table s] is the underlying [TΠ] table with columns
     [I, R, x, C1, y, C2] and a weight column.  Treat as read-only; mutate
-    through this module so the key index stays consistent. *)
+    through this module so the key index stays consistent.  It holds
+    tombstoned rows until compaction (see Deletion below): a reader that
+    walks it must skip rows that are not {!live_row}, or run on a store
+    with no {!pending_deletes}. *)
 val table : t -> Relational.Table.t
 
 (** [key_index s] is the maintained index on the fact key, usable as the
@@ -37,8 +40,9 @@ val key_index : t -> Relational.Index.t
     one-argument-free probes.  Both are built together, on first demand;
     from then on {!add} and {!merge_new} extend them and compaction
     ({!flush_deletes}) rebuilds them, so they always index exactly the
-    rows of {!table} — tombstoned rows included until the flush.  A
-    bucket chain lists one key's rows in descending row order. *)
+    rows of {!table} — tombstoned rows included until compaction, so a
+    probe must skip rows that are not {!live_row}.  A bucket chain lists
+    one key's rows in descending row order. *)
 
 val x_key : int array
 val y_key : int array
@@ -54,9 +58,13 @@ val build_partial_indexes : t -> unit
     @raise Invalid_argument on any other key. *)
 val partial_index : t -> int array -> Relational.Index.t
 
-(** [size s] is the number of stored facts (tombstoned rows included until
-    {!flush_deletes} compacts them away). *)
+(** [size s] is the number of live facts: the rows of {!table} minus the
+    {!pending_deletes}. *)
 val size : t -> int
+
+(** [live_row s row] is [true] iff row [row] of {!table} is not
+    tombstoned.  O(1); one comparison while nothing is tombstoned. *)
+val live_row : t -> int -> bool
 
 (** [next_id s] is the identifier the next inserted fact will receive.
     Identifiers are assigned in insertion order and never reused, so
@@ -71,43 +79,50 @@ val add :
   t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> w:float ->
   [ `Added of int | `Dup of int ]
 
-(** [find s ~r ~x ~c1 ~y ~c2] is the identifier of the matching fact. *)
+(** [find s ~r ~x ~c1 ~y ~c2] is the identifier of the matching live
+    fact. *)
 val find : t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> int option
 
 (** [merge_new s tbl] inserts every row of [tbl] — which must have columns
     [R, x, C1, y, C2] — as a new inferred fact (null weight) unless the key
-    already exists.  This is the [TΠ ← TΠ ∪ (∪ Tj)] step of Algorithm 1,
-    line 5.  Returns the number of facts actually added. *)
+    has a live row already.  This is the [TΠ ← TΠ ∪ (∪ Tj)] step of
+    Algorithm 1, line 5.  Returns the number of facts actually added. *)
 val merge_new : t -> Relational.Table.t -> int
 
 (** {1 Deletion}
 
-    Deletion is batched: callers tombstone any number of fact ids with
-    {!mark_deleted} (or in one go with {!delete_ids} / {!delete_where})
-    and the store compacts the table and rebuilds the key index {e once}
-    per batch, in {!flush_deletes} — not once per deleted fact.  While a
-    tombstone is pending, {!find} answers [None] for the dead fact but
-    {!table}/{!size}/{!iter} still expose the physical rows (deleted
-    facts must stay joinable while DRed computes their consequence cone).
-    Do not insert a key that is currently tombstoned; flush first. *)
+    A deleted fact is first tombstoned ({!mark_deleted}): a per-row dead
+    flag, O(1) to set and to test.  Tombstones persist across epochs —
+    a live session retires dead facts this way and compacts only once
+    they pass a fraction of the rows — until {!flush_deletes} compacts
+    the table and rebuilds the key index and partial indexes {e once}
+    for every tombstone pending.  A dead row stays physically in
+    {!table} and in every index; {!find}, {!row_of_id}, {!iter},
+    {!size} and {!merge_new} ignore it, and a reader of the raw table
+    or indexes checks {!live_row}.  A key's newest row is its only live
+    candidate: a tombstoned key can be inserted again (a new row with a
+    fresh id), and a key never has two live rows.  {!delete_ids} and
+    {!delete_where} tombstone and compact in one call — the batch
+    pipeline's path, which never leaves dead rows behind. *)
 
-(** [mark_deleted s id] tombstones fact [id]; {!find} no longer reports
-    it.  The physical row remains until {!flush_deletes}. *)
+(** [mark_deleted s id] tombstones fact [id] (a no-op unless it is
+    live).  The physical row remains until {!flush_deletes}. *)
 val mark_deleted : t -> int -> unit
 
 (** [pending_deletes s] is the number of tombstoned, not-yet-compacted
-    facts. *)
+    rows. *)
 val pending_deletes : t -> int
 
-(** [flush_deletes ?ban s] compacts all tombstoned rows out of the table
-    and rebuilds the key index — one rebuild for the whole batch (a no-op
-    returning 0 when nothing is tombstoned).  With [ban = true] (default
-    [false]) the removed keys are remembered and {!merge_new} will never
-    re-insert them.  Returns the number of facts removed. *)
-val flush_deletes : ?ban:bool -> t -> int
+(** [flush_deletes s] compacts all tombstoned rows out of the table and
+    rebuilds the key index and the partial indexes — one rebuild for
+    every pending tombstone (a no-op returning 0 when nothing is
+    tombstoned).  Live rows keep their order and ids.  Returns the
+    number of rows removed. *)
+val flush_deletes : t -> int
 
 (** [delete_ids ?ban s ids] is {!mark_deleted} on every id followed by one
-    {!flush_deletes}. *)
+    {!flush_deletes}.  With [ban = true] (default [false]) the deleted
+    keys are banned first, as {!ban_id} does. *)
 val delete_ids : ?ban:bool -> t -> int list -> int
 
 (** [delete_where ?ban s p] removes the facts whose row satisfies [p]
@@ -140,20 +155,22 @@ val banned_count : t -> int
 val is_banned : t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> bool
 
 (** [iter f s] applies
-    [f ~id ~r ~x ~c1 ~y ~c2 ~w] to every stored fact. *)
+    [f ~id ~r ~x ~c1 ~y ~c2 ~w] to every live fact, in row order. *)
 val iter :
   (id:int -> r:int -> x:int -> c1:int -> y:int -> c2:int -> w:float -> unit) ->
   t -> unit
 
-(** [row_of_id s id] is the current row index of fact [id], if present:
-    a binary search over the id column, whose ids ascend along the rows
-    (appends take them from {!next_id}; compaction keeps row order —
-    checked after every compaction under [PROBKB_DEBUG]). *)
+(** [row_of_id s id] is the current row index of fact [id], if it is
+    live: a binary search over the id column, whose ids ascend along the
+    rows (appends take them from {!next_id}; compaction keeps row order —
+    checked after every compaction under [PROBKB_DEBUG]).  [None] for a
+    tombstoned id. *)
 val row_of_id : t -> int -> int option
 
 (** [copy s] is an independent deep copy.  The table is copied and the
     key index blitted onto the copy ({!Relational.Index.copy}), not
-    rebuilt, so {!find} on the copy answers exactly as on [s]; pending
-    tombstones and banned keys carry over.  The partial-key indexes are
+    rebuilt, and the dead-row flags copied, so {!find} on the copy
+    answers exactly as on [s]; pending tombstones and banned keys carry
+    over.  The partial-key indexes are
     rebuilt on the copy's first demand. *)
 val copy : t -> t

@@ -134,15 +134,17 @@ let row_matches idx other okey r ir =
   in
   eq 0
 
-let mem_row idx other okey r =
+let find_row idx other okey r =
   let b = hash_row other okey r land idx.mask in
   let rec walk cursor =
-    cursor <> 0
-    &&
-    let ir = cursor - 1 in
-    row_matches idx other okey r ir || walk idx.next.(ir)
+    if cursor = 0 then -1
+    else
+      let ir = cursor - 1 in
+      if row_matches idx other okey r ir then ir else walk idx.next.(ir)
   in
   walk idx.buckets.(b)
+
+let mem_row idx other okey r = find_row idx other okey r >= 0
 
 let count_matches idx kv =
   let n = ref 0 in

@@ -49,6 +49,11 @@ val mem : t -> int array -> bool
     [okey].  Used for anti-joins without materializing key buffers. *)
 val mem_row : t -> Table.t -> int array -> int -> bool
 
+(** [find_row idx other okey r] is the first such row in {!iter_matches}
+    order — the most recently registered one — or [-1] when there is
+    none: {!mem_row} that names the row, without allocating. *)
+val find_row : t -> Table.t -> int array -> int -> int
+
 (** [count_matches idx kv] is the number of indexed rows matching [kv]. *)
 val count_matches : t -> int array -> int
 

@@ -9,6 +9,7 @@ type t = {
   fd : Unix.file_descr;
   bound : Unix.sockaddr;
   routes : (string * route) list;
+  trace : Obs.t;
   stop : bool Atomic.t;
   mutable dom : unit Domain.t option;
   mutable stopped : bool;
@@ -30,15 +31,20 @@ let respond oc ~status ~content_type body =
   output_string oc body;
   flush oc
 
+(* The longest request or header line a scraper may send: HTTP servers
+   commonly cap a header line at 8 KiB. *)
+let max_line_bytes = 8192
+
 (* Request line [METHOD /path?query HTTP/1.x]; headers are read up to
    the blank line and discarded. *)
 let handle_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
+  let input_line () = Protocol.input_line_bounded ~max:max_line_bytes ic in
   (try
-     let request = input_line ic in
+     let request = input_line () in
      let rec drain_headers () =
-       match input_line ic with
+       match input_line () with
        | "" | "\r" -> ()
        | _ -> drain_headers ()
        | exception End_of_file -> ()
@@ -71,7 +77,15 @@ let handle_conn t fd =
          "malformed request line\n"
    with
   | End_of_file | Sys_error _ -> ()
-  | Unix.Unix_error (_, _, _) -> ());
+  | Unix.Unix_error (_, _, _) -> ()
+  | Protocol.Line_too_long -> (
+    Obs.incr t.trace "serve.errors";
+    try
+      respond oc ~status:"431 Request Header Fields Too Large"
+        ~content_type:"application/json"
+        (Obs.Json.to_string (Protocol.error_json "request line too long")
+        ^ "\n")
+    with Sys_error _ | Unix.Unix_error (_, _, _) -> ()));
   try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
 let accept_loop t =
@@ -86,7 +100,7 @@ let accept_loop t =
   in
   loop ()
 
-let start ?(backlog = 8) ~addr ~routes () =
+let start ?(backlog = 8) ~obs ~addr ~routes () =
   let domain =
     match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
   in
@@ -101,6 +115,7 @@ let start ?(backlog = 8) ~addr ~routes () =
       fd;
       bound = Unix.getsockname fd;
       routes;
+      trace = obs;
       stop = Atomic.make false;
       dom = None;
       stopped = false;

@@ -4,7 +4,8 @@
     enough for [curl]/Prometheus to fetch [/metrics] and [/statusz] from
     a running server without pulling an HTTP stack into the build.
     Non-GET methods answer 405, unknown paths 404, a raising route
-    handler 500. *)
+    handler 500, and a request or header line over 8 KiB 431 (counted
+    in [serve.errors]; the rest of the request is never read). *)
 
 type t
 
@@ -14,11 +15,16 @@ type route
 
 val route : content_type:string -> (unit -> string) -> route
 
-(** [start ?backlog ~addr ~routes ()] binds [addr] (port 0 lets the
-    kernel pick; see {!port}) and serves [routes] (paths matched exactly,
-    query strings stripped) on a dedicated domain. *)
+(** [start ?backlog ~obs ~addr ~routes ()] binds [addr] (port 0 lets
+    the kernel pick; see {!port}) and serves [routes] (paths matched
+    exactly, query strings stripped) on a dedicated domain.  [obs] is
+    the serving trace the listener counts its errors in. *)
 val start :
-  ?backlog:int -> addr:Unix.sockaddr -> routes:(string * route) list -> unit ->
+  ?backlog:int ->
+  obs:Obs.t ->
+  addr:Unix.sockaddr ->
+  routes:(string * route) list ->
+  unit ->
   t
 
 (** [sockaddr t] is the actual bound address. *)

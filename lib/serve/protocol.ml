@@ -29,6 +29,22 @@ let is_write = function
 
 let error_json msg = Json.Obj [ ("error", Json.String msg) ]
 
+exception Line_too_long
+
+let input_line_bounded ~max ic =
+  let b = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Buffer.contents b
+    | c ->
+      if Buffer.length b >= max then raise Line_too_long;
+      Buffer.add_char b c;
+      go ()
+    | exception End_of_file ->
+      if Buffer.length b = 0 then raise End_of_file else Buffer.contents b
+  in
+  go ()
+
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 

@@ -106,6 +106,16 @@ val answer : ?obs:Obs.t -> Probkb.Snapshot.t -> resolved -> Obs.Json.t
 (** [error_json msg] is [{"error": msg}]. *)
 val error_json : string -> Obs.Json.t
 
+(** Raised by {!input_line_bounded} on a line longer than its cap. *)
+exception Line_too_long
+
+(** [input_line_bounded ~max ic] is [input_line ic] for untrusted peers:
+    it reads at most [max] bytes of a line, then raises {!Line_too_long}
+    instead of buffering the rest, so one request without a newline
+    cannot grow a buffer until memory runs out.
+    @raise End_of_file at the end of input, as [input_line] does. *)
+val input_line_bounded : max:int -> in_channel -> string
+
 (** [step ?obs kb s line] is parse → resolve → {!apply}: one full
     session-mode step, errors rendered as reply documents. *)
 val step :

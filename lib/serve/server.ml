@@ -290,28 +290,38 @@ let untrack_conn t fd =
   t.conns <- List.filter (fun c -> c <> fd) t.conns;
   Mutex.unlock t.conns_m
 
+(* The longest request line a connection may send: far above any real
+   NDJSON op (a large ingest batch is tens of KiB), far below what one
+   peer could make a reader domain buffer. *)
+let max_request_bytes = 1 lsl 20
+
+let write_reply oc reply =
+  output_string oc (Json.to_string reply);
+  output_char oc '\n';
+  flush oc
+
 (* The socket is closed on every exit path, so a client is never left
    waiting on a connection nobody serves, and the reader domain lives on
    to accept the next one: an exception other than the connection's end
-   (a raising access-log sink, say) is counted in [serve.errors]. *)
+   (a raising access-log sink, say) is counted in [serve.errors].  So is
+   an oversized request, which gets an error reply before the close. *)
 let serve_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   (try
      let rec loop () =
-       let line = input_line ic in
-       if String.trim line <> "" then begin
-         let reply = handle t line in
-         output_string oc (Json.to_string reply);
-         output_char oc '\n';
-         flush oc
-       end;
+       let line = Protocol.input_line_bounded ~max:max_request_bytes ic in
+       if String.trim line <> "" then write_reply oc (handle t line);
        loop ()
      in
      loop ()
    with
   | End_of_file | Sys_error _ -> ()
   | Unix.Unix_error (_, _, _) -> ()
+  | Protocol.Line_too_long -> (
+    Obs.incr t.trace "serve.errors";
+    try write_reply oc (Protocol.error_json "request line too long")
+    with Sys_error _ | Unix.Unix_error (_, _, _) -> ())
   | _ -> Obs.incr t.trace "serve.errors");
   untrack_conn t fd;
   (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())

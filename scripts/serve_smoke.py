@@ -2,9 +2,10 @@
 """End-to-end smoke of the serve telemetry surface.
 
 Starts `probkb serve` with an admin endpoint, an access log and a zero
-slow-query threshold, drives a handful of NDJSON ops over the socket,
-scrapes /metrics and /statusz over HTTP, then SIGINTs the server and
-checks the shutdown summary and the access log.
+slow-query threshold, sends one oversized request line to each listener
+(both must answer an error and count it), drives a handful of NDJSON ops
+over the socket, scrapes /metrics and /statusz over HTTP, then SIGINTs
+the server and checks the shutdown summary and the access log.
 
 Usage: serve_smoke.py PROBKB_EXE DATA_DIR
 
@@ -19,6 +20,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 
@@ -62,6 +64,24 @@ def main():
         proc.kill()
         fail(f"did not announce both ports; stderr: {''.join(stderr_lines)}")
 
+    # A 2 MiB request line with no newline: the server reads up to its
+    # 1 MiB cap, answers the error, closes the connection and counts it
+    # in serve.errors; the next client (the protocol drive below) is
+    # served.  The sender thread blocks once the server stops reading.
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    def send_oversized():
+        try:
+            sock.sendall(b"x" * (2 << 20))
+        except OSError:
+            pass
+    sender = threading.Thread(target=send_oversized)
+    sender.start()
+    oversized = sock.makefile("r").readline()
+    sender.join()
+    sock.close()
+    if json.loads(oversized or "{}") != {"error": "request line too long"}:
+        fail(f"oversized line answered {oversized!r}")
+
     # Drive the NDJSON protocol: one write, two reads, one in-band scrape.
     ops = [
         {"op": "ingest",
@@ -89,6 +109,14 @@ def main():
     if not isinstance(summary, dict) or "hists" not in summary:
         fail(f"metrics reply carries no summary: {replies[3]}")
 
+    # An admin request line over 8 KiB answers 431 and is counted too.
+    try:
+        urllib.request.urlopen(f"http://127.0.0.1:{admin}/{'x' * 16384}")
+        fail("an oversized admin request line did not fail")
+    except urllib.error.HTTPError as e:
+        if e.code != 431:
+            fail(f"oversized admin request line answered {e.code}")
+
     # The Prometheus exposition, over HTTP like a scraper would.
     with urllib.request.urlopen(f"http://127.0.0.1:{admin}/metrics") as r:
         ctype = r.headers["Content-Type"]
@@ -105,6 +133,9 @@ def main():
         "serve_epoch_lag 0",
         "serve_apply_seconds_count 1",
         "serve_publish_seconds_count 1",
+        "serve_errors_total 2",
+        "# TYPE incremental_dead_facts gauge",
+        "# TYPE incremental_dead_factors gauge",
     ]:
         if needle not in text:
             fail(f"/metrics missing {needle!r}\n{text}")

@@ -3,12 +3,15 @@
 
 Retracts three base facts of a generated KB (facts whose relation
 appears in some rule body, so the retraction has a consequence cone to
-overdelete), ingests them back with their weights, refreshes the
-marginals and queries the three facts -- once with PROBKB_DOMAINS=1 and
-once with PROBKB_DOMAINS=4.  The two reply streams must be identical
-once timing fields are stripped, and the epochs must have done their
-work: the three facts enter the retraction's cone, the ingest brings
-all three back, and each query finds a base fact with a marginal.
+overdelete) and ingests them back with their weights, twice; then
+refreshes the marginals and queries the three facts -- once with
+PROBKB_DOMAINS=1 and once with PROBKB_DOMAINS=4.  The two reply streams
+must be identical once timing fields are stripped, and the epochs must
+have done their work: the three facts enter the retraction's cone, the
+ingest brings all three back, and each query finds a base fact with a
+marginal.  The second retract/ingest round must reply exactly as the
+first (epoch numbers and timing stripped): a round trip restores the
+store, so a wrong count that both pools share still fails here.
 
 Usage: session_smoke.py PROBKB_EXE DATA_DIR
 
@@ -52,12 +55,11 @@ def pick_facts(facts_path, rels, n=3):
     return picked
 
 
-def strip(doc):
+def strip(doc, drop=("seconds", "wall_seconds")):
     if isinstance(doc, dict):
-        return {k: strip(v) for k, v in doc.items()
-                if k not in ("seconds", "wall_seconds")}
+        return {k: strip(v, drop) for k, v in doc.items() if k not in drop}
     if isinstance(doc, list):
-        return [strip(v) for v in doc]
+        return [strip(v, drop) for v in doc]
     return doc
 
 
@@ -75,6 +77,12 @@ def run(exe, facts, rules, ops, domains):
     if len(replies) != len(ops):
         fail(f"{len(replies)} replies to {len(ops)} ops at "
              f"PROBKB_DOMAINS={domains}")
+    closed = re.search(r"session closed: \d+ facts, \d+ factors; (\d+) dead "
+                       r"facts and (\d+) dead factors await compaction; "
+                       r"(\d+) compactions", proc.stderr)
+    if closed is None:
+        fail(f"no closing summary at PROBKB_DOMAINS={domains}:\n"
+             f"{proc.stderr}")
     return [strip(r) for r in replies]
 
 
@@ -86,9 +94,9 @@ def main():
     if len(picked) != 3:
         fail("fewer than three base facts in rule-body relations")
     keys = [k for k, _ in picked]
-    ops = ([{"op": "retract", "keys": keys},
-            {"op": "ingest", "facts": [k + [w] for k, w in picked]},
-            {"op": "refresh"}]
+    round_trip = [{"op": "retract", "keys": keys},
+                  {"op": "ingest", "facts": [k + [w] for k, w in picked]}]
+    ops = (round_trip + round_trip + [{"op": "refresh"}]
            + [{"op": "query", "key": k} for k in keys])
 
     one = run(exe, facts, rules, ops, 1)
@@ -99,21 +107,30 @@ def main():
                 fail(f"replies differ on {op['op']}:\n  pool 1: {a}\n"
                      f"  pool 4: {b}")
 
-    retract, ingest, refresh = one[0], one[1], one[2]
+    for replies, domains in ((one, 1), (four, 4)):
+        first = [strip(r, ("epoch",)) for r in replies[0:2]]
+        second = [strip(r, ("epoch",)) for r in replies[2:4]]
+        for op, a, b in zip(round_trip, first, second):
+            if a != b:
+                fail(f"second round trip differs on {op['op']} at "
+                     f"PROBKB_DOMAINS={domains}:\n  first:  {a}\n"
+                     f"  second: {b}")
+
+    retract, ingest, refresh = one[0], one[1], one[4]
     if "error" in retract or retract.get("cone", 0) < 3:
         fail(f"retraction did not take the three facts: {retract}")
     if ingest.get("inserted", 0) + ingest.get("promoted", 0) != 3:
         fail(f"ingest did not bring the three facts back: {ingest}")
     if "error" in refresh:
         fail(f"refresh failed: {refresh}")
-    for k, q in zip(keys, one[3:]):
+    for k, q in zip(keys, one[5:]):
         if not (q.get("found") and q.get("base")
                 and q.get("marginal") is not None):
             fail(f"query {k} after the round trip: {q}")
     print(f"session smoke ok (cone {retract['cone']}, "
           f"{retract['retracted']} retracted, {ingest['inserted']} "
-          f"re-inserted, {ingest['derived']} re-derived; pools 1 and 4 "
-          f"agree)")
+          f"re-inserted, {ingest['derived']} re-derived; both round trips "
+          f"and pools 1 and 4 agree)")
 
 
 if __name__ == "__main__":

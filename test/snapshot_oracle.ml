@@ -13,10 +13,10 @@ module Fgraph = Factor_graph.Fgraph
 module Local = Grounding.Local
 module Snapshot = Probkb.Snapshot
 
-(* The adjacency of [n] factor rows read through [row]: per-fact lists
-   consed in a forward scan (so listed in descending factor index), the
-   last prior winning. *)
-let adjacency n row ~factor_of =
+(* The adjacency of the live ones among [n] factor positions read
+   through [row]: per-fact lists consed in a forward scan (so listed in
+   descending factor index), the last prior winning. *)
+let adjacency n ~live row ~factor_of =
   let derives = Hashtbl.create 256
   and supports = Hashtbl.create 256
   and singleton = Hashtbl.create 256 in
@@ -26,7 +26,9 @@ let adjacency n row ~factor_of =
   in
   for f = 0 to n - 1 do
     let i1, i2, i3 = row f in
-    if i2 = Fgraph.null && i3 = Fgraph.null then Hashtbl.replace singleton i1 f
+    if not (live f) then ()
+    else if i2 = Fgraph.null && i3 = Fgraph.null then
+      Hashtbl.replace singleton i1 f
     else begin
       push derives i1 f;
       if i2 <> Fgraph.null then push supports i2 f;
@@ -48,7 +50,7 @@ let adjacency n row ~factor_of =
 
 let adjacency_of_graph g =
   fst
-    (adjacency (Fgraph.size g)
+    (adjacency (Fgraph.bound g) ~live:(Fgraph.live g)
        (fun f ->
          let i1, i2, i3, _ = Fgraph.factor g f in
          (i1, i2, i3))
@@ -63,13 +65,15 @@ let sigmoid w = 1. /. (1. +. exp (-.w))
    figures the frozen snapshot reports. *)
 let freeze ?(epoch = 0) ?marginals ?gibbs ?exact_max_vars ?max_width ~pi
     ~graph () =
-  let n = Fgraph.size graph in
+  let n = Fgraph.bound graph and n_live = Fgraph.size graph in
+  let is_live = Array.make n false in
   let fi1 = Array.make n 0
   and fi2 = Array.make n 0
   and fi3 = Array.make n 0
   and fw = Array.make n 0.0 in
   Fgraph.iter
     (fun f (i1, i2, i3, w) ->
+      is_live.(f) <- true;
       fi1.(f) <- i1;
       fi2.(f) <- i2;
       fi3.(f) <- i3;
@@ -77,6 +81,7 @@ let freeze ?(epoch = 0) ?marginals ?gibbs ?exact_max_vars ?max_width ~pi
     graph;
   let adj, (derives, supports, singleton) =
     adjacency n
+      ~live:(fun f -> is_live.(f))
       (fun f -> (fi1.(f), fi2.(f), fi3.(f)))
       ~factor_of:(fun f -> (fi1.(f), fi2.(f), fi3.(f), fw.(f)))
   in
@@ -127,7 +132,7 @@ let freeze ?(epoch = 0) ?marginals ?gibbs ?exact_max_vars ?max_width ~pi
       ~view_of ~source:(Local.of_adjacency adj) ~clamp
       ~find:(fun ~r ~x ~c1 ~y ~c2 -> Hashtbl.find_opt keys (r, x, c1, y, c2))
       ~facts:(fun () -> Hashtbl.length keys)
-      ~factors:(fun () -> n)
+      ~factors:(fun () -> n_live)
       ()
   in
   {
@@ -136,7 +141,7 @@ let freeze ?(epoch = 0) ?marginals ?gibbs ?exact_max_vars ?max_width ~pi
       {
         Snapshot.epoch;
         facts = Hashtbl.length keys;
-        factors = n;
+        factors = n_live;
         marginals_cached = Hashtbl.length marg;
         frozen = true;
       };

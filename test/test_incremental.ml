@@ -212,6 +212,42 @@ let test_banned_retraction_blocks_reingest () =
   check_bool "still absent" true
     (Storage.find (Gamma.pi kb) ~r ~x ~c1 ~y ~c2 = None)
 
+(* A banned key keeps its dead row in TΠ until compaction.  When a later
+   epoch grounds a rule instance headed by that key, head resolution must
+   find no fact there: no factor may point at a dead row.  Ten unrelated
+   facts keep the dead rows below the compaction threshold. *)
+let test_banned_head_stays_dead () =
+  let kb = Gamma.create () in
+  ignore (Kb.Loader.load_rules kb [ "1.0 p(x:A, y:B) :- q(x, y)" ]);
+  let add rel x w =
+    Gamma.add_fact_by_name kb ~r:rel ~x ~c1:"A" ~y:"b" ~c2:"B" ~w
+  in
+  let q = add "q" "a" 0.9 and p = add "p" "a" 0.8 in
+  for i = 1 to 10 do
+    ignore (add "s" (Printf.sprintf "e%d" i) 0.7)
+  done;
+  let st = expand_dred kb in
+  let pi = Gamma.pi kb in
+  let r, x, c1, y, c2 = key_of pi q in
+  (* p is derivable from q, but the ban blocks its rederivation. *)
+  ignore (Dred.retract ~ban:true st [ p ]);
+  check_bool "p is gone" true (Storage.row_of_id pi p = None);
+  ignore (Dred.retract st [ q ]);
+  check_int "both rows are still physical, dead" 2 (Storage.pending_deletes pi);
+  let ins = Dred.ingest st [ (r, x, c1, y, c2, 0.9) ] in
+  check_int "q is back" 1 ins.Dred.inserted;
+  check_int "p stays banned" 0 ins.Dred.derived;
+  Fgraph.iter
+    (fun _ (i1, i2, i3, _) ->
+      List.iter
+        (fun i ->
+          if i <> Fgraph.null then
+            check_bool "every factor mentions live facts" true
+              (Storage.row_of_id pi i <> None))
+        [ i1; i2; i3 ])
+    (Dred.graph st);
+  check_int "eleven priors and nothing else" 11 (Fgraph.size (Dred.graph st))
+
 (* --- ingest: incremental closure + factor maintenance ----------------- *)
 
 let test_ingest_extends_factors () =
@@ -402,6 +438,197 @@ let prop_interleaved_epochs =
       && factor_view (Dred.kb st) (Dred.graph st)
          = factor_view ref_kb ref_graph)
 
+(* Compaction is invisible: a session that leaves dead rows to the
+   compaction policy and one that compacts after every epoch
+   ([Dred.compact]) must agree on every live TΠ row, every live TΦ row,
+   every reply and every marginal bit, whatever the stream — fresh
+   ingests, re-ingests of retracted keys, retractions with and without
+   [ban], rule retraction and re-addition, refreshes — at pool sizes 1
+   and 4.  The KB is small (scale 0.0005, 438 facts) so that retractions
+   of up to 24 base facts push dead rows past the policy's threshold;
+   [auto_compactions] counts the compactions the policy itself ran. *)
+
+type session_op =
+  | Fresh of int  (** ingest this many fresh random facts *)
+  | Reingest of int  (** ingest back up to this many retracted facts *)
+  | Retract of int * bool  (** retract this many base facts; ban? *)
+  | Drop_rules of int  (** retract the rules of one head relation *)
+  | Restore_rules  (** add back the rules dropped last *)
+  | Refresh
+
+let gen_session_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map (fun n -> Fresh (1 + n)) (int_bound 2));
+      (2, map (fun n -> Reingest (1 + n)) (int_bound 3));
+      (4, map2 (fun n ban -> Retract (1 + n, ban)) (int_bound 23) bool);
+      (1, map (fun i -> Drop_rules i) (int_bound 99));
+      (1, return Restore_rules);
+      (2, return Refresh);
+    ]
+
+let print_session_op = function
+  | Fresh n -> Printf.sprintf "Fresh %d" n
+  | Reingest n -> Printf.sprintf "Reingest %d" n
+  | Retract (n, ban) -> Printf.sprintf "Retract (%d, %b)" n ban
+  | Drop_rules i -> Printf.sprintf "Drop_rules %d" i
+  | Restore_rules -> "Restore_rules"
+  | Refresh -> "Refresh"
+
+let auto_compactions = ref 0
+
+(* Runs [ops] on a fresh session and returns a transcript of everything
+   observable after each epoch. *)
+let session_transcript ~compact_always seed ops =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.0005; seed }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  let engine =
+    Probkb.Engine.create
+      ~config:
+        (Probkb.Config.make
+           ~inference:
+             (Some
+                (Inference.Marginal.Chromatic
+                   { Inference.Gibbs.burn_in = 5; samples = 20; seed = 7 }))
+           ())
+      kb
+  in
+  let s = Probkb.Engine.session engine in
+  let dred = Probkb.Engine.Session.dred s in
+  let pi = Gamma.pi kb in
+  let out = Buffer.create 4096 in
+  let add_int i = Buffer.add_int64_le out (Int64.of_int i) in
+  let add_float w = Buffer.add_int64_le out (Int64.bits_of_float w) in
+  let reply (st : Probkb.Engine.Session.epoch_stats) =
+    match Probkb.Report.epoch_to_json st with
+    | Obs.Json.Obj fields ->
+      Buffer.add_string out
+        (Obs.Json.to_string
+           (Obs.Json.Obj (List.remove_assoc "wall_seconds" fields)))
+    | _ -> Alcotest.fail "epoch reply is not an object"
+  in
+  let record () =
+    Storage.iter
+      (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
+        List.iter add_int [ id; r; x; c1; y; c2 ];
+        add_float w)
+      pi;
+    Fgraph.iter
+      (fun _ (i1, i2, i3, w) ->
+        List.iter
+          (fun i ->
+            if i <> Fgraph.null && Storage.row_of_id pi i = None then
+              Alcotest.failf "a live factor mentions dead fact %d" i)
+          [ i1; i2; i3 ];
+        List.iter add_int [ i1; i2; i3 ];
+        add_float w)
+      (Dred.graph dred);
+    if compact_always then Dred.compact dred
+  in
+  let rng = Workload.Rng.create (seed + 1) in
+  let retracted = ref [] and dropped = ref [] in
+  List.iteri
+    (fun i op ->
+      match op with
+      | Fresh n ->
+        reply
+          (Probkb.Engine.Session.ingest s
+             (List.init n (fun j ->
+                  let r, x, c1, y, c2 =
+                    Workload.Reverb_sherlock.random_fact g rng
+                  in
+                  (r, x, c1, y, c2, 0.55 +. (0.05 *. float_of_int (i + j))))));
+        record ()
+      | Reingest n ->
+        let back = List.filteri (fun k _ -> k < n) !retracted in
+        retracted := List.filteri (fun k _ -> k >= n) !retracted;
+        reply (Probkb.Engine.Session.ingest s back);
+        record ()
+      | Retract (n, ban) ->
+        let base = ref [] in
+        Storage.iter
+          (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
+            if not (Table.is_null_weight w) then
+              base := (id, (r, x, c1, y, c2, w)) :: !base)
+          pi;
+        let base = Array.of_list (List.rev !base) in
+        if Array.length base > 0 then begin
+          let picks =
+            List.init n (fun _ ->
+                base.(Workload.Rng.int rng (Array.length base)))
+            |> List.sort_uniq compare
+          in
+          retracted := List.map snd picks @ !retracted;
+          let before = Dred.compactions dred in
+          reply (Probkb.Engine.Session.retract ~ban s (List.map fst picks));
+          if not compact_always then
+            auto_compactions :=
+              !auto_compactions + Dred.compactions dred - before;
+          record ()
+        end
+      | Drop_rules k -> (
+        match Gamma.rules kb with
+        | [] -> ()
+        | rules ->
+          let rel = (List.nth rules (k mod List.length rules)).Mln.Clause.head_rel in
+          let remove c = c.Mln.Clause.head_rel = rel in
+          dropped := List.filter remove rules :: !dropped;
+          reply (Probkb.Engine.Session.retract_rules s ~remove);
+          record ())
+      | Restore_rules -> (
+        match !dropped with
+        | [] -> ()
+        | rules :: rest ->
+          dropped := rest;
+          reply (Probkb.Engine.Session.add_rules s rules);
+          record ())
+      | Refresh ->
+        Option.iter reply (Probkb.Engine.Session.refresh_marginals s);
+        Storage.iter
+          (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w:_ ->
+            match Probkb.Engine.Session.marginal s id with
+            | Some p -> add_int id; add_float p
+            | None -> ())
+          pi;
+        record ())
+    ops;
+  Buffer.contents out
+
+(* The property runs inside one case so that the case can also require
+   what the property alone cannot: at least one generated stream pushed
+   dead rows past the threshold, so the policy — not just [Dred.compact]
+   — was exercised. *)
+let test_compaction_invisible () =
+  let prop =
+    QCheck.Test.make ~count:12 ~name:"tombstones ≡ compaction after every epoch"
+      QCheck.(
+        pair small_nat
+          (make
+             ~print:(QCheck.Print.list print_session_op)
+             Gen.(list_size (6 -- 14) gen_session_op)))
+      (fun (seed, ops) ->
+        let run pool ~compact_always =
+          Pool.set_default_size pool;
+          Fun.protect
+            ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
+            (fun () -> session_transcript ~compact_always (1 + seed) ops)
+        in
+        let reference = run 1 ~compact_always:true in
+        List.for_all
+          (fun pool ->
+            run pool ~compact_always:false = reference
+            && (pool = 1 || run pool ~compact_always:true = reference))
+          [ 1; 4 ])
+  in
+  auto_compactions := 0;
+  QCheck.Test.check_exn prop;
+  check_bool "the compaction policy ran on its own" true
+    (!auto_compactions > 0)
+
 (* --- sessions ----------------------------------------------------------- *)
 
 let session_of_rg ?(warm_start = true) () =
@@ -511,16 +738,22 @@ let test_session_constraints_via_dred () =
   check_int "graph emptied" 0 (Fgraph.size (Probkb.Engine.Session.graph s))
 
 (* A session pinned end to end: a fixed stream of ingest, retract and
-   refresh epochs on the ReVerb-Sherlock KB at scale 0.005, digested
-   epoch by epoch — TΠ rows in order (id, key, weight bits), TΦ rows in
-   order (ids, weight bits), and every marginal's bits after each refresh.
-   The stream retracts random base facts (real overdelete cones), ingests
-   them back, and ingests then retracts fresh random facts.  The digest
-   was recorded before the delta joins switched from scanning TΠ to
-   probing its maintained indexes (x86-64 Linux, glibc libm); the
-   incremental layer must reproduce it bit for bit at pool sizes 1
+   refresh epochs on the ReVerb-Sherlock KB at scale 0.005.  The stream
+   retracts random base facts (real overdelete cones), ingests them back,
+   and ingests then retracts fresh random facts.  One run yields two
+   digests:
+   - the state digest, epoch by epoch: TΠ rows in order (id, key, weight
+     bits), TΦ rows in order (ids, weight bits), and every marginal's
+     bits after each refresh.  It was recorded before the delta joins
+     switched from scanning TΠ to probing its maintained indexes
+     (x86-64 Linux, glibc libm);
+   - the reply digest: each epoch's reply ([Report.epoch_to_json],
+     [wall_seconds] stripped) and the [Snapshot.stats] of the frozen
+     snapshot taken right after it — the [cone], [rederived],
+     [retracted], [facts] and [factors] counts the rows cannot show.
+   The incremental layer must reproduce both bit for bit at pool sizes 1
    and 4. *)
-let session_digest () =
+let session_digests () =
   let g =
     Workload.Reverb_sherlock.generate
       { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
@@ -540,8 +773,22 @@ let session_digest () =
   let s = Probkb.Engine.session engine in
   let pi = Gamma.pi kb in
   let b = Buffer.create 4096 in
+  let replies = Buffer.create 4096 in
   let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
   let add_float w = Buffer.add_int64_le b (Int64.bits_of_float w) in
+  let reply (st : Probkb.Engine.Session.epoch_stats) =
+    (match Probkb.Report.epoch_to_json st with
+    | Obs.Json.Obj fields ->
+      Buffer.add_string replies
+        (Obs.Json.to_string
+           (Obs.Json.Obj (List.remove_assoc "wall_seconds" fields)))
+    | _ -> Alcotest.fail "epoch reply is not an object");
+    let ss = Probkb.Snapshot.stats (Probkb.Engine.Session.snapshot s) in
+    Buffer.add_string replies
+      (Printf.sprintf " %d %d %d %d %b\n" ss.Probkb.Snapshot.epoch
+         ss.Probkb.Snapshot.facts ss.Probkb.Snapshot.factors
+         ss.Probkb.Snapshot.marginals_cached ss.Probkb.Snapshot.frozen)
+  in
   let record_state () =
     Storage.iter
       (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
@@ -554,8 +801,12 @@ let session_digest () =
         add_float w)
       (Probkb.Engine.Session.graph s)
   in
+  let epoch st =
+    reply st;
+    record_state ()
+  in
   let refresh () =
-    ignore (Probkb.Engine.Session.refresh_marginals s);
+    Option.iter reply (Probkb.Engine.Session.refresh_marginals s);
     Storage.iter
       (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w:_ ->
         match Probkb.Engine.Session.marginal s id with
@@ -582,40 +833,54 @@ let session_digest () =
       List.init 3 (fun _ -> facts.(Workload.Rng.int rng (Array.length facts)))
       |> List.sort_uniq compare
     in
-    ignore (Probkb.Engine.Session.retract s (List.map fst picks));
-    record_state ();
-    ignore (Probkb.Engine.Session.ingest s (List.map snd picks));
-    record_state ();
+    epoch (Probkb.Engine.Session.retract s (List.map fst picks));
+    epoch (Probkb.Engine.Session.ingest s (List.map snd picks));
     (* Ingest four fresh facts, then retract them. *)
     let fresh =
       List.init 4 (fun j ->
           let r, x, c1, y, c2 = Workload.Reverb_sherlock.random_fact g rng in
           (r, x, c1, y, c2, 0.6 +. (0.05 *. float_of_int j)))
     in
-    ignore (Probkb.Engine.Session.ingest s fresh);
-    record_state ();
+    epoch (Probkb.Engine.Session.ingest s fresh);
     if round mod 2 = 1 then refresh ();
-    ignore
+    epoch
       (Probkb.Engine.Session.retract_keys s
-         (List.map (fun (r, x, c1, y, c2, _) -> (r, x, c1, y, c2)) fresh));
-    record_state ()
+         (List.map (fun (r, x, c1, y, c2, _) -> (r, x, c1, y, c2)) fresh))
   done;
   refresh ();
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  ( Digest.to_hex (Digest.string (Buffer.contents b)),
+    Digest.to_hex (Digest.string (Buffer.contents replies)) )
 
 let pinned_session_digest = "aa1a58b6d40e08d4b16aaa08bace539f"
 
-let test_session_digest_pinned () =
+let at_pools f =
   List.iter
     (fun d ->
       Pool.set_default_size d;
       Fun.protect
         ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
-        (fun () ->
-          Alcotest.(check string)
-            (Printf.sprintf "session digest at pool %d" d)
-            pinned_session_digest (session_digest ())))
+        (fun () -> f d))
     [ 1; 4 ]
+
+let test_session_digest_pinned () =
+  at_pools (fun d ->
+      Alcotest.(check string)
+        (Printf.sprintf "session digest at pool %d" d)
+        pinned_session_digest
+        (fst (session_digests ())))
+
+(* The epoch replies of the pinned stream, recorded before tombstones
+   began to persist across epochs.  The stream re-ingests retracted base
+   facts, so a re-derived or re-inserted key that storage wrongly still
+   held would change [inserted], [derived] or [facts] here. *)
+let pinned_reply_digest = "159cc287a959c1da4f194a4c323d2308"
+
+let test_epoch_replies_pinned () =
+  at_pools (fun d ->
+      Alcotest.(check string)
+        (Printf.sprintf "epoch reply digest at pool %d" d)
+        pinned_reply_digest
+        (snd (session_digests ())))
 
 (* An ingest epoch's joins cost O(Δ), not O(|TΠ|): with a trace on, one
    4-fact ingest (semi-naive closure plus incremental factors) probes
@@ -656,6 +921,62 @@ let test_ingest_probe_rows_below_tpi () =
     Alcotest.failf "ingest probed %d rows, TΠ holds %d" probed
       (Storage.size (Gamma.pi kb))
 
+(* A retract below the compaction threshold costs its cone: it retires
+   factors and tombstones facts in place, and neither compacts a table
+   nor rebuilds a TΠ index.  TΦ keeps every position, and exactly
+   [factors_removed] of them turn dead. *)
+let test_retract_retires_in_place () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  let engine =
+    Probkb.Engine.create
+      ~config:
+        (Probkb.Config.make ~inference:None ()
+        |> Probkb.Config.with_obs Obs.Config.enabled)
+      kb
+  in
+  let s = Probkb.Engine.session engine in
+  let dred = Probkb.Engine.Session.dred s in
+  let pi = Gamma.pi kb and graph = Probkb.Engine.Session.graph s in
+  let compactions () =
+    Obs.Summary.counter
+      (Obs.Summary.of_trace (Probkb.Engine.trace engine))
+      "incremental.compactions"
+  in
+  (* Four base facts that each support a derivation: real cones. *)
+  let victims = ref [] in
+  Storage.iter
+    (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w ->
+      if
+        List.length !victims < 4
+        && (not (Table.is_null_weight w))
+        && Provenance.has_supports (Dred.provenance dred) id
+      then victims := id :: !victims)
+    pi;
+  check_int "four victims" 4 (List.length !victims);
+  let rebuilds = Storage.index_rebuilds pi
+  and rows = Table.nrows (Storage.table pi)
+  and bound = Fgraph.bound graph
+  and size = Fgraph.size graph
+  and counted = compactions () in
+  let st = Dred.retract dred !victims in
+  check_bool "the retract killed factors" true (st.Dred.factors_removed > 0);
+  check_int "no TΠ index rebuilt" rebuilds (Storage.index_rebuilds pi);
+  check_int "no compaction counted" counted (compactions ());
+  check_int "no compaction run" 0 (Dred.compactions dred);
+  check_int "TΠ keeps its rows" rows (Table.nrows (Storage.table pi));
+  check_int "dead facts are the overdeleted ones" st.Dred.overdeleted
+    (Storage.pending_deletes pi);
+  check_int "TΦ keeps its positions" bound (Fgraph.bound graph);
+  check_int "exactly factors_removed rows retired" st.Dred.factors_removed
+    (Fgraph.dead_rows graph);
+  check_int "the live count drops by factors_removed"
+    (size - st.Dred.factors_removed)
+    (Fgraph.size graph)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -670,6 +991,8 @@ let () =
             test_empty_cone_fast_path;
           Alcotest.test_case "ban blocks re-ingest" `Quick
             test_banned_retraction_blocks_reingest;
+          Alcotest.test_case "a banned head stays dead" `Quick
+            test_banned_head_stays_dead;
         ] );
       ( "ingest",
         [
@@ -683,7 +1006,12 @@ let () =
           Alcotest.test_case "extend rules" `Quick test_extend_rules;
         ] );
       ( "differential",
-        [ prop_retract_equals_rebuild; prop_interleaved_epochs ] );
+        [
+          prop_retract_equals_rebuild;
+          prop_interleaved_epochs;
+          Alcotest.test_case "tombstones ≡ compaction after every epoch"
+            `Quick test_compaction_invisible;
+        ] );
       ( "session",
         [
           Alcotest.test_case "epoch ledger" `Quick test_session_epochs;
@@ -693,7 +1021,11 @@ let () =
             test_session_constraints_via_dred;
           Alcotest.test_case "session digest pinned" `Quick
             test_session_digest_pinned;
+          Alcotest.test_case "epoch replies pinned" `Quick
+            test_epoch_replies_pinned;
           Alcotest.test_case "ingest probes fewer rows than TΠ" `Quick
             test_ingest_probe_rows_below_tpi;
+          Alcotest.test_case "retract retires in place" `Quick
+            test_retract_retires_in_place;
         ] );
     ]

@@ -664,6 +664,62 @@ let test_server_survives_raising_request () =
   check_int "both counted as errors" 2
     (Obs.Summary.counter (Obs.Summary.of_trace obs) "serve.errors")
 
+(* A request line without a newline is cut off at the cap: the client
+   gets an error reply, the connection closes, the error is counted, and
+   the reader domain — the only one — goes on to serve the next client. *)
+let test_server_bounds_request_lines () =
+  let kb, _, _ = Tutil.ruth_gruber_kb () in
+  let writer = Writer.of_session (Engine.session (no_infer_engine kb)) in
+  let obs = Obs.create ~config:Obs.Config.enabled () in
+  let srv =
+    Server.start ~pool:1 ~obs ~kb ~writer
+      ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+      ()
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Server.sockaddr srv);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    fd
+  in
+  let reply_of fd =
+    match input_line (Unix.in_channel_of_descr fd) with
+    | line -> Json.of_string_opt line
+    | exception (End_of_file | Sys_error _ | Sys_blocked_io) -> None
+  in
+  let fd = connect () in
+  (* 2 MiB, no newline.  The server stops reading at its cap, so the
+     sender blocks until the connection closes: it runs on a domain of
+     its own while this one waits for the reply. *)
+  let sender =
+    Domain.spawn (fun () ->
+        let chunk = Bytes.make 65536 'x' in
+        try
+          for _ = 1 to 32 do
+            ignore (Unix.write fd chunk 0 (Bytes.length chunk))
+          done
+        with Unix.Unix_error (_, _, _) -> ())
+  in
+  let reply = reply_of fd in
+  Domain.join sender;
+  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+  check_bool "the oversized line gets the error reply" true
+    (match reply with
+    | Some doc ->
+      Json.member "error" doc = Some (Json.String "request line too long")
+    | None -> false);
+  let fd = connect () in
+  send (Unix.out_channel_of_descr fd) {|{"op":"stats"}|};
+  let next = reply_of fd in
+  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+  check_bool "the next client is served" true
+    (match next with
+    | Some doc -> Json.member "epoch" doc <> None
+    | None -> false);
+  Server.stop srv;
+  check_int "the oversized line is counted as an error" 1
+    (Obs.Summary.counter (Obs.Summary.of_trace obs) "serve.errors")
+
 (* --- first reads in fresh processes ------------------------------------- *)
 
 (* Two clients send their first query_local at the same moment, each in
@@ -705,13 +761,15 @@ let contains hay needle =
   go 0
 
 (* A one-shot HTTP/1.0 request against the admin listener; returns the
-   raw response text (status line, headers, body). *)
+   raw response text (status line, headers, body).  A listener that never
+   answers fails the read after 10 s instead of hanging the suite. *)
 let http_request addr request =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
     (fun () ->
       Unix.connect fd addr;
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
       let oc = Unix.out_channel_of_descr fd in
       output_string oc request;
       flush oc;
@@ -740,8 +798,9 @@ let http_body resp =
 
 let test_admin_http () =
   let hits = Atomic.make 0 in
+  let obs = Obs.create ~config:Obs.Config.enabled () in
   let admin =
-    Admin.start
+    Admin.start ~obs
       ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
       ~routes:
         [
@@ -774,6 +833,18 @@ let test_admin_http () =
   check_int "raising handler is 500" 500 (http_status (http_get addr "/boom"));
   check_int "malformed request line is 400" 400
     (http_status (http_request addr "nonsense\r\n\r\n"));
+  (* Request and header lines are capped at 8 KiB: past it the listener
+     answers 431 without reading on, and serves the next request. *)
+  let long = String.make 16384 'x' in
+  check_int "an oversized request line is 431" 431
+    (http_status (http_request addr ("GET /" ^ long)));
+  check_int "an oversized header line is 431" 431
+    (http_status
+       (http_request addr ("GET /metrics HTTP/1.0\r\nX-Pad: " ^ long)));
+  check_int "both are counted in serve.errors" 2
+    (Summary.counter (Summary.of_trace obs) "serve.errors");
+  check_string "the next request is served" "up 4\n"
+    (http_body (http_get addr "/metrics"));
   Admin.stop admin;
   Admin.stop admin (* idempotent *);
   check_bool "refuses connections after stop" true
@@ -939,6 +1010,61 @@ let test_server_telemetry () =
             [ "serve.request"; "query_local"; "hops"; "boundary"; "pruned_mass" ]
         | None -> Alcotest.fail "query_local record has no spans"))
 
+(* Dead rows are observable without a flag: after a retract that pushes
+   them past the compaction threshold (most of the Ruth Gruber KB dies
+   with born_in(Brooklyn)), /metrics carries the compaction counter —
+   one per table — and both dead-row gauges, and the trace holds a
+   compact span under the retract. *)
+let test_dead_rows_on_metrics () =
+  let kb, _, _ = Tutil.ruth_gruber_kb () in
+  let engine =
+    Engine.create
+      ~config:(Probkb.Config.make ~inference:None ~obs:Obs.Config.enabled ())
+      kb
+  in
+  let writer = Writer.of_session (Engine.session engine) in
+  let srv =
+    Server.start ~pool:1 ~obs:(Engine.trace engine) ~kb ~writer
+      ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+      ()
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Server.sockaddr srv);
+  let ic = Unix.in_channel_of_descr fd in
+  send_op
+    (Unix.out_channel_of_descr fd)
+    (Protocol.Retract
+       { keys = [ ("born_in", "Ruth Gruber", "W", "Brooklyn", "P") ]; ban = false });
+  let reply = Json.of_string (input_line ic) in
+  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+  check_bool "the retract took facts" true
+    (match Json.member "retracted" reply with
+    | Some (Json.Int n) -> n >= 3
+    | _ -> false);
+  let text = Server.metrics_text srv in
+  List.iter
+    (fun needle ->
+      check_bool (Printf.sprintf "exposition contains %S" needle) true
+        (contains text needle))
+    [
+      "# TYPE incremental_compactions_total counter";
+      "incremental_compactions_total 2";
+      "# TYPE incremental_dead_facts gauge";
+      "incremental_dead_facts 0";
+      "# TYPE incremental_dead_factors gauge";
+      "incremental_dead_factors 0";
+    ];
+  let rec has_compact_under_retract (n : Summary.node) =
+    (n.Summary.name = "retract"
+    && List.exists (fun (c : Summary.node) -> c.Summary.name = "compact")
+         n.Summary.children)
+    || List.exists has_compact_under_retract n.Summary.children
+  in
+  check_bool "a compact span under retract" true
+    (List.exists has_compact_under_retract
+       (Summary.of_trace (Engine.trace engine)).Summary.spans);
+  Server.stop srv
+
 let () =
   Alcotest.run "serve"
     [
@@ -974,6 +1100,8 @@ let () =
             test_server_end_to_end;
           Alcotest.test_case "a raising request closes its connection" `Quick
             test_server_survives_raising_request;
+          Alcotest.test_case "an oversized request line is cut off" `Quick
+            test_server_bounds_request_lines;
           Alcotest.test_case "first reads race in fresh processes" `Quick
             test_first_reads_race;
         ] );
@@ -982,5 +1110,7 @@ let () =
           Alcotest.test_case "admin HTTP listener" `Quick test_admin_http;
           Alcotest.test_case "metrics, statusz and access logs" `Quick
             test_server_telemetry;
+          Alcotest.test_case "dead rows on /metrics" `Quick
+            test_dead_rows_on_metrics;
         ] );
     ]
