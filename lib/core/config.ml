@@ -10,7 +10,6 @@ type t = {
   target_r_hat : float option;
   min_ess : float option;
   checkpoint_sweeps : int;
-  warm_start : bool;
   exact_max_vars : int;
   max_width : int;
   spill_dir : string option;
@@ -35,7 +34,7 @@ let make ?(engine = Single_node) ?(semantic_constraints = false)
       Some (Inference.Marginal.Gibbs Inference.Gibbs.default_options))
     ?(obs = Obs.Config.default) ?target_r_hat ?min_ess
     ?(checkpoint_sweeps = Inference.Chromatic.default_checkpoint)
-    ?(warm_start = true) ?(exact_max_vars = Inference.Exact.max_vars)
+    ?(exact_max_vars = Inference.Exact.max_vars)
     ?(max_width = Inference.Jtree.default_max_width) ?(hybrid = false)
     ?spill_dir ?(segment_rows = Storage.Spill.default_segment_rows)
     ?(spill_threshold_bytes = Storage.Spill.default_threshold_bytes) () =
@@ -79,7 +78,6 @@ let make ?(engine = Single_node) ?(semantic_constraints = false)
     target_r_hat;
     min_ess;
     checkpoint_sweeps;
-    warm_start;
     exact_max_vars;
     max_width;
     spill_dir;
@@ -94,7 +92,6 @@ let with_quality quality c = { c with quality }
 let with_max_iterations max_iterations c = { c with max_iterations }
 let with_inference inference c = { c with inference }
 let with_obs obs c = { c with obs }
-let with_warm_start warm_start c = { c with warm_start }
 let with_exact_max_vars exact_max_vars c = { c with exact_max_vars }
 let with_max_width max_width c = { c with max_width }
 

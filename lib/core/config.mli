@@ -46,12 +46,6 @@ type t = {
   checkpoint_sweeps : int;
       (** sweeps between diagnostic checkpoints / snapshot records
           (default {!Inference.Chromatic.default_checkpoint}) *)
-  warm_start : bool;
-      (** sessions: [Engine.Session.refresh_marginals] starts the
-          Chromatic chain from the previous epoch's final state for the
-          variables the epoch's updates did not touch, re-randomizing only
-          the touched cone (default [true]; [false] re-initializes every
-          variable from the seed stream) *)
   exact_max_vars : int;
       (** per-component enumeration cap for exact inference — threaded
           through [Neighborhood]'s dispatch on the local-query paths and
@@ -101,7 +95,6 @@ val make :
   ?target_r_hat:float ->
   ?min_ess:float ->
   ?checkpoint_sweeps:int ->
-  ?warm_start:bool ->
   ?exact_max_vars:int ->
   ?max_width:int ->
   ?hybrid:bool ->
@@ -122,7 +115,6 @@ val with_quality : quality -> t -> t
 val with_max_iterations : int -> t -> t
 val with_inference : Inference.Marginal.method_ option -> t -> t
 val with_obs : Obs.Config.t -> t -> t
-val with_warm_start : bool -> t -> t
 val with_exact_max_vars : int -> t -> t
 val with_max_width : int -> t -> t
 

@@ -271,16 +271,7 @@ module Session = struct
     engine : engine;
     dred : Incremental.Dred.t;
     mutable epoch : int;
-    state : (int, bool) Hashtbl.t;
-        (* fact id → chain state at the end of the last refresh *)
     marginals : (int, float) Hashtbl.t;  (* fact id → last estimate *)
-    touched : (int, unit) Hashtbl.t;
-        (* facts whose support changed since the last refresh *)
-    mutable last_info : Inference.Chromatic.run_info option;
-        (* Chromatic chain state for warm starts (assignment indexes the
-           full compiled graph, which is why Hybrid's embedded sampler —
-           whose assignment indexes the residual subgraph — never lands
-           here) *)
     mutable last_solve : Inference.Marginal.solve_info option;
         (* report of the last refresh, whatever the method *)
     mutable history : epoch_stats list;  (* newest first *)
@@ -297,14 +288,7 @@ module Session = struct
   let history s = List.rev s.history
   let last_run s = s.last_solve
 
-  let touch s ids = List.iter (fun id -> Hashtbl.replace s.touched id ()) ids
-
-  let forget s ids =
-    List.iter
-      (fun id ->
-        Hashtbl.remove s.state id;
-        Hashtbl.remove s.marginals id)
-      ids
+  let forget s ids = List.iter (Hashtbl.remove s.marginals) ids
 
   let record s ~op ~(ins : Incremental.Dred.ingest_stats)
       ~(ret : Incremental.Dred.retract_stats) ~violations ~wall_seconds =
@@ -363,7 +347,6 @@ module Session = struct
   let constrain s =
     if s.engine.config.Config.quality.Config.semantic_constraints then begin
       let violations, ret = Incremental.Dred.enforce_constraints s.dred in
-      touch s ret.Incremental.Dred.touched_ids;
       forget s ret.Incremental.Dred.deleted_ids;
       (violations, ret)
     end
@@ -375,7 +358,6 @@ module Session = struct
       Incremental.Dred.ingest
         ~max_iterations:s.engine.config.Config.max_iterations s.dred facts
     in
-    touch s ins.Incremental.Dred.new_ids;
     let violations, ret = constrain s in
     record s ~op:"ingest" ~ins ~ret ~violations
       ~wall_seconds:(Obs.now () -. t0)
@@ -383,7 +365,6 @@ module Session = struct
   let retract ?ban s ids =
     let t0 = Obs.now () in
     let ret = Incremental.Dred.retract ?ban s.dred ids in
-    touch s ret.Incremental.Dred.touched_ids;
     forget s ret.Incremental.Dred.deleted_ids;
     record s ~op:"retract" ~ins:Incremental.Dred.no_ingest ~ret ~violations:0
       ~wall_seconds:(Obs.now () -. t0)
@@ -398,7 +379,6 @@ module Session = struct
   let retract_rules s ~remove =
     let t0 = Obs.now () in
     let ret = Incremental.Dred.retract_rules s.dred ~remove in
-    touch s ret.Incremental.Dred.touched_ids;
     forget s ret.Incremental.Dred.deleted_ids;
     record s ~op:"retract_rules" ~ins:Incremental.Dred.no_ingest ~ret
       ~violations:0
@@ -410,7 +390,6 @@ module Session = struct
       Incremental.Dred.extend_rules
         ~max_iterations:s.engine.config.Config.max_iterations s.dred rules
     in
-    touch s ins.Incremental.Dred.new_ids;
     let violations, ret = constrain s in
     record s ~op:"add_rules" ~ins ~ret ~violations
       ~wall_seconds:(Obs.now () -. t0)
@@ -421,7 +400,6 @@ module Session = struct
       Incremental.Dred.reexpand
         ~max_iterations:s.engine.config.Config.max_iterations s.dred
     in
-    touch s ins.Incremental.Dred.new_ids;
     let violations, ret = constrain s in
     record s ~op:"reexpand" ~ins ~ret ~violations
       ~wall_seconds:(Obs.now () -. t0)
@@ -436,52 +414,17 @@ module Session = struct
       @@ fun () ->
       let c = Factor_graph.Fgraph.compile (graph s) in
       let marg, solve =
-        match m with
-        | Inference.Marginal.Chromatic options ->
-          (* Warm start: untouched variables resume from the previous
-             epoch's final chain state; the touched cone (and any new
-             variable) re-randomizes from the seed-derived init stream.
-             Deterministic for a given (seed, epoch history) at any pool
-             size. *)
-          let init v =
-            if not s.engine.config.Config.warm_start then None
-            else
-              let id = c.Factor_graph.Fgraph.var_ids.(v) in
-              if Hashtbl.mem s.touched id then None
-              else Hashtbl.find_opt s.state id
-          in
-          let marg, info =
-            Inference.Chromatic.marginals_info ~options ~obs:s.engine.trace
-              ~checkpoint:s.engine.config.Config.checkpoint_sweeps
-              ?early_stop:(Config.early_stop_criteria s.engine.config)
-              ~init c
-          in
-          (marg, Inference.Marginal.Chromatic_run info)
-        | m ->
-          Inference.Marginal.infer_compiled_full ~obs:s.engine.trace
-            ~checkpoint:s.engine.config.Config.checkpoint_sweeps
-            ?early_stop:(Config.early_stop_criteria s.engine.config)
-            c m
+        Inference.Marginal.infer_compiled_full ~obs:s.engine.trace
+          ~checkpoint:s.engine.config.Config.checkpoint_sweeps
+          ?early_stop:(Config.early_stop_criteria s.engine.config)
+          c m
       in
       Hashtbl.reset s.marginals;
       Array.iteri
         (fun v p ->
           Hashtbl.replace s.marginals c.Factor_graph.Fgraph.var_ids.(v) p)
         marg;
-      (* Only a whole-graph Chromatic run produces chain state the next
-         epoch's warm start can resume from; Hybrid's sampler covers just
-         the residual subgraph, so its assignment stays out of [s.state]. *)
-      (match solve with
-      | Inference.Marginal.Chromatic_run i ->
-        Hashtbl.reset s.state;
-        Array.iteri
-          (fun v b ->
-            Hashtbl.replace s.state c.Factor_graph.Fgraph.var_ids.(v) b)
-          i.Inference.Chromatic.assignment;
-        s.last_info <- Some i
-      | _ -> ());
       s.last_solve <- Some solve;
-      Hashtbl.reset s.touched;
       s.epoch <- s.epoch + 1;
       (* A refresh is an epoch too: cached-marginal clamps changed, so
          any frozen snapshot of the previous epoch is now stale. *)
@@ -610,10 +553,7 @@ let session t =
     Session.engine = t;
     dred = Incremental.Dred.create ~obs:t.trace t.kb e.graph;
     epoch = 0;
-    state = Hashtbl.create 256;
     marginals = Hashtbl.create 256;
-    touched = Hashtbl.create 64;
-    last_info = None;
     last_solve = None;
     history = [];
     read = None;

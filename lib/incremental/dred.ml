@@ -53,7 +53,6 @@ type retract_stats = {
   factors_removed : int;
   empty_cone : bool;
   deleted_ids : int list;
-  touched_ids : int list;
 }
 
 let no_retract =
@@ -66,7 +65,6 @@ let no_retract =
     factors_removed = 0;
     empty_cone = true;
     deleted_ids = [];
-    touched_ids = [];
   }
 
 type ingest_stats = {
@@ -76,7 +74,6 @@ type ingest_stats = {
   new_factors : int;
   closure_iterations : int;
   converged : bool;
-  new_ids : int list;
 }
 
 let no_ingest =
@@ -87,7 +84,6 @@ let no_ingest =
     new_factors = 0;
     closure_iterations = 0;
     converged = true;
-    new_ids = [];
   }
 
 let active_patterns st =
@@ -110,9 +106,6 @@ let new_rows t watermark =
 
 let suffix t start =
   Table.sub t (Array.init (Table.nrows t - start) (( + ) start))
-
-let suffix_ids t start =
-  List.init (Table.nrows t - start) (fun i -> Table.get t (start + i) 0)
 
 (* The frontier of one overdelete wave as a delta table with the [TΠ]
    schema (the facts are still physically present — deleted facts must
@@ -345,7 +338,6 @@ let run_dred st ~seeds ~withdrawn ~ban =
           factors_removed;
           empty_cone;
           deleted_ids;
-          touched_ids = order;
         }
       in
       Obs.add st.obs "incremental.cone" stats.cone;
@@ -565,7 +557,6 @@ let ingest ?(max_iterations = 15) st facts =
         r.Grounding.Ground.converged )
     | None -> (0, 0, true)
   in
-  let new_ids = promoted @ suffix_ids t start in
   Obs.add st.obs "incremental.inserted" (List.length inserted);
   Obs.add st.obs "incremental.promoted" (List.length promoted);
   Obs.add st.obs "incremental.derived" derived;
@@ -577,7 +568,6 @@ let ingest ?(max_iterations = 15) st facts =
     new_factors = !new_factors;
     closure_iterations = iters;
     converged;
-    new_ids;
   }
 
 (* Rule addition / re-expansion.  New rules can fire on pairs of {e old}
@@ -630,7 +620,6 @@ let extend_rules ?(max_iterations = 15) st rules =
                   ~watermark st.graph)
           old_patterns);
   Provenance.sync st.prov st.graph;
-  let new_ids = suffix_ids t start in
   {
     inserted = 0;
     promoted = 0;
@@ -638,7 +627,6 @@ let extend_rules ?(max_iterations = 15) st rules =
     new_factors = !new_factors;
     closure_iterations = result.Grounding.Ground.iterations;
     converged = result.Grounding.Ground.converged;
-    new_ids;
   }
 
 let reexpand ?max_iterations st = extend_rules ?max_iterations st []

@@ -84,10 +84,6 @@ type retract_stats = {
       (** no retracted fact supported any derivation — the M-query
           machinery was skipped entirely *)
   deleted_ids : int list;  (** the removed fact ids, discovery order *)
-  touched_ids : int list;
-      (** every fact whose support changed (cone order): deleted,
-          rederived and demoted — the set whose marginals a warm-started
-          refresh must re-randomize *)
 }
 
 val no_retract : retract_stats
@@ -103,9 +99,6 @@ type ingest_stats = {
   new_factors : int;  (** factor rows appended to [TΦ] *)
   closure_iterations : int;
   converged : bool;
-  new_ids : int list;
-      (** ids of inserted, promoted and derived facts, ascending (the
-          epoch's touched set) *)
 }
 
 val no_ingest : ingest_stats

@@ -55,13 +55,12 @@ type run_info = {
   sweeps_run : int;
   stopped_at_sweep : int option;
   diag : Diagnostics.Online.report option;
-  assignment : bool array;
 }
 
 let default_checkpoint = 20
 
 let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
-    ?(checkpoint = default_checkpoint) ?online ?early_stop ?init c =
+    ?(checkpoint = default_checkpoint) ?online ?early_stop c =
   if checkpoint < 1 then invalid_arg "Chromatic.marginals: checkpoint < 1";
   let n = Fgraph.nvars c in
   let t_start = if Obs.enabled obs then Obs.now () else 0. in
@@ -96,21 +95,11 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
       chunk_id0.(k) <- !total;
       total := !total + Array.length chs)
     class_chunks;
-  (* Warm start: [init v] supplies the starting state of dense variable
-     [v]; [None] falls back to a fresh random draw.  The fallback draws
-     come from the same single-threaded stream in ascending variable
-     order, so the initial state — and hence the whole chain — is a
-     deterministic function of (seed, init) at any pool size. *)
+  (* The starting state is drawn from one single-threaded stream in
+     ascending variable order, so it — and hence the whole chain — is a
+     deterministic function of the seed at any pool size. *)
   let init_rng = Random.State.make [| options.seed |] in
-  let assignment =
-    match init with
-    | None -> Array.init n (fun _ -> Random.State.bool init_rng)
-    | Some f ->
-      Array.init n (fun v ->
-          match f v with
-          | Some b -> b
-          | None -> Random.State.bool init_rng)
-  in
+  let assignment = Array.init n (fun _ -> Random.State.bool init_rng) in
   let acc = Array.make n 0. in
   let sweep_no = ref 0 in
   let sweep estimate =
@@ -279,7 +268,6 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
       sweeps_run = !est_sweeps;
       stopped_at_sweep = !stopped;
       diag = diag_report;
-      assignment;
     } )
 
 let marginals ?options ?obs ?pool c =

@@ -40,9 +40,6 @@ type run_info = {
       (** [Some s] when the early-stop criteria fired at sweep [s] *)
   diag : Diagnostics.Online.report option;
       (** final online diagnostics, when they were tracked *)
-  assignment : bool array;
-      (** the chain's final state, per dense variable — feed it back as
-          [?init] to warm-start the next run on an updated graph *)
 }
 
 (** Default checkpoint cadence (sweeps between diagnostic checkpoints /
@@ -74,16 +71,12 @@ val marginals :
       (implied by [early_stop]);
     - [~early_stop:criteria] ends sampling at the first checkpoint whose
       diagnostics satisfy [criteria], normalizing the marginals by the
-      sweeps actually run;
-    - [~init] warm-starts the chain: [init v] is the starting state of
-      dense variable [v], [None] falling back to a fresh draw from the
-      seed-derived init stream (drawn in ascending variable order, so the
-      initial state is deterministic for a given (seed, init) at any pool
-      size).  Pass the previous run's {!run_info.assignment} for the
-      variables an update did not touch, [None] for the touched cone.
+      sweeps actually run.
 
-    Diagnostic values in the returned {!run_info} and in snapshot [data]
-    are bit-identical for every pool size (the chain itself is). *)
+    The starting state is drawn from the seed in ascending variable
+    order, so it is the same at any pool size.  Diagnostic values in the
+    returned {!run_info} and in snapshot [data] are bit-identical for
+    every pool size (the chain itself is). *)
 val marginals_info :
   ?options:Gibbs.options ->
   ?obs:Obs.t ->
@@ -91,7 +84,6 @@ val marginals_info :
   ?checkpoint:int ->
   ?online:bool ->
   ?early_stop:Diagnostics.Online.criteria ->
-  ?init:(int -> bool option) ->
   Factor_graph.Fgraph.compiled ->
   float array * run_info
 

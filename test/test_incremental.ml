@@ -631,7 +631,7 @@ let test_compaction_invisible () =
 
 (* --- sessions ----------------------------------------------------------- *)
 
-let session_of_rg ?(warm_start = true) () =
+let session_of_rg () =
   let kb, f1, f2 = Tutil.ruth_gruber_kb () in
   let engine =
     Probkb.Engine.create
@@ -641,7 +641,7 @@ let session_of_rg ?(warm_start = true) () =
              (Some
                 (Inference.Marginal.Chromatic
                    { Inference.Gibbs.burn_in = 20; samples = 100; seed = 11 }))
-           ~warm_start ())
+           ())
       kb
   in
   (Probkb.Engine.session engine, kb, f1, f2)
