@@ -740,19 +740,19 @@ let test_session_constraints_via_dred () =
 (* A session pinned end to end: a fixed stream of ingest, retract and
    refresh epochs on the ReVerb-Sherlock KB at scale 0.005.  The stream
    retracts random base facts (real overdelete cones), ingests them back,
-   and ingests then retracts fresh random facts.  One run yields two
+   and ingests then retracts fresh random facts.  One run yields three
    digests:
-   - the state digest, epoch by epoch: TΠ rows in order (id, key, weight
-     bits), TΦ rows in order (ids, weight bits), and every marginal's
-     bits after each refresh.  It was recorded before the delta joins
-     switched from scanning TΠ to probing its maintained indexes
-     (x86-64 Linux, glibc libm);
+   - the rows digest, epoch by epoch: TΠ rows in order (id, key, weight
+     bits) and TΦ rows in order (ids, weight bits).  It was recorded
+     before the delta joins switched from scanning TΠ to probing its
+     maintained indexes (x86-64 Linux, glibc libm);
+   - the marginal digest: every marginal's bits after each refresh;
    - the reply digest: each epoch's reply ([Report.epoch_to_json],
      [wall_seconds] stripped) and the [Snapshot.stats] of the frozen
      snapshot taken right after it — the [cone], [rederived],
      [retracted], [facts] and [factors] counts the rows cannot show.
-   The incremental layer must reproduce both bit for bit at pool sizes 1
-   and 4. *)
+   The incremental layer must reproduce all three bit for bit at pool
+   sizes 1 and 4. *)
 let session_digests () =
   let g =
     Workload.Reverb_sherlock.generate
@@ -773,9 +773,10 @@ let session_digests () =
   let s = Probkb.Engine.session engine in
   let pi = Gamma.pi kb in
   let b = Buffer.create 4096 in
+  let marginals = Buffer.create 4096 in
   let replies = Buffer.create 4096 in
-  let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
-  let add_float w = Buffer.add_int64_le b (Int64.bits_of_float w) in
+  let add_int b i = Buffer.add_int64_le b (Int64.of_int i) in
+  let add_float b w = Buffer.add_int64_le b (Int64.bits_of_float w) in
   let reply (st : Probkb.Engine.Session.epoch_stats) =
     (match Probkb.Report.epoch_to_json st with
     | Obs.Json.Obj fields ->
@@ -792,13 +793,13 @@ let session_digests () =
   let record_state () =
     Storage.iter
       (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
-        List.iter add_int [ id; r; x; c1; y; c2 ];
-        add_float w)
+        List.iter (add_int b) [ id; r; x; c1; y; c2 ];
+        add_float b w)
       pi;
     Fgraph.iter
       (fun _ (i1, i2, i3, w) ->
-        List.iter add_int [ i1; i2; i3 ];
-        add_float w)
+        List.iter (add_int b) [ i1; i2; i3 ];
+        add_float b w)
       (Probkb.Engine.Session.graph s)
   in
   let epoch st =
@@ -810,7 +811,7 @@ let session_digests () =
     Storage.iter
       (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w:_ ->
         match Probkb.Engine.Session.marginal s id with
-        | Some p -> add_int id; add_float p
+        | Some p -> add_int marginals id; add_float marginals p
         | None -> ())
       pi
   in
@@ -848,10 +849,11 @@ let session_digests () =
          (List.map (fun (r, x, c1, y, c2, _) -> (r, x, c1, y, c2)) fresh))
   done;
   refresh ();
-  ( Digest.to_hex (Digest.string (Buffer.contents b)),
-    Digest.to_hex (Digest.string (Buffer.contents replies)) )
+  let hex b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  (hex b, hex marginals, hex replies)
 
-let pinned_session_digest = "aa1a58b6d40e08d4b16aaa08bace539f"
+let pinned_rows_digest = "293187fe29ac551a6641dd783f53f72c"
+let pinned_marginal_digest = "d2119ecc5454ce6e8d3366662ee48331"
 
 let at_pools f =
   List.iter
@@ -864,10 +866,13 @@ let at_pools f =
 
 let test_session_digest_pinned () =
   at_pools (fun d ->
+      let rows, marginals, _ = session_digests () in
       Alcotest.(check string)
-        (Printf.sprintf "session digest at pool %d" d)
-        pinned_session_digest
-        (fst (session_digests ())))
+        (Printf.sprintf "rows digest at pool %d" d)
+        pinned_rows_digest rows;
+      Alcotest.(check string)
+        (Printf.sprintf "marginal digest at pool %d" d)
+        pinned_marginal_digest marginals)
 
 (* The epoch replies of the pinned stream, recorded before tombstones
    began to persist across epochs.  The stream re-ingests retracted base
@@ -880,7 +885,8 @@ let test_epoch_replies_pinned () =
       Alcotest.(check string)
         (Printf.sprintf "epoch reply digest at pool %d" d)
         pinned_reply_digest
-        (snd (session_digests ())))
+        (let _, _, replies = session_digests () in
+         replies))
 
 (* An ingest epoch's joins cost O(Δ), not O(|TΠ|): with a trace on, one
    4-fact ingest (semi-naive closure plus incremental factors) probes
