@@ -104,8 +104,8 @@ let spill_threshold_arg =
            $(b,--spill-dir) (default 64 MiB).")
 
 let config ?(obs = Probkb.Obs.Config.default) ?target_r_hat ?min_ess
-    ?(hybrid = false) ?exact_max_vars ?max_width ?spill_dir ?segment_rows
-    ?spill_threshold_bytes ~sc ~theta ~mpp ~iterations ~inference () =
+    ?exact_max_vars ?max_width ?spill_dir ?segment_rows ?spill_threshold_bytes
+    ~sc ~theta ~mpp ~iterations ~inference () =
   (* [Config.make] rejects out-of-range knobs (--max-width, \
      --exact-max-vars, --segment-rows) with [Invalid_argument]; surface \
      those as a clean usage error instead of an "internal error" crash. *)
@@ -116,22 +116,25 @@ let config ?(obs = Probkb.Obs.Config.default) ?target_r_hat ?min_ess
            Probkb.Config.Mpp { cluster = Mpp.Cluster.default; views = true }
          else Probkb.Config.Single_node)
       ~semantic_constraints:sc ~rule_theta:theta ~max_iterations:iterations
-      ~inference ~obs ?target_r_hat ?min_ess ~hybrid ?exact_max_vars
-      ?max_width ?spill_dir ?segment_rows ?spill_threshold_bytes ()
+      ~inference ~obs ?target_r_hat ?min_ess ?exact_max_vars ?max_width
+      ?spill_dir ?segment_rows ?spill_threshold_bytes ()
   with Invalid_argument msg ->
     Format.eprintf "probkb: %s@." msg;
     exit 2
 
-(* --- hybrid-dispatch arguments (infer / query / session / serve) --- *)
+(* --- inference arguments (infer / query / session / serve) ---
 
-let hybrid_arg =
-  Arg.(
-    value & flag
-    & info [ "hybrid" ]
-        ~doc:
-          "Per-component hybrid inference: enumerate or junction-tree-solve \
-           low-treewidth components exactly, sample only the high-treewidth \
-           cores with chromatic Gibbs.")
+   Every command solves with the per-component dispatcher: each
+   low-treewidth connected component is enumerated or junction-tree
+   solved exactly, and only the high-treewidth cores are sampled with
+   chromatic Gibbs.  [--samples] sets that residual sampler's sweeps. *)
+
+let inference_of_samples samples =
+  Some
+    {
+      Inference.Hybrid.default_options with
+      gibbs = { Inference.Gibbs.default_options with samples };
+    }
 
 let max_width_arg =
   Arg.(
@@ -397,19 +400,14 @@ let expand_cmd =
 (* --- infer --- *)
 
 let infer facts rules constraints sc theta iterations top samples target_r_hat
-    min_ess hybrid max_width exact_max_vars trace metrics progress snapshots =
+    min_ess max_width exact_max_vars trace metrics progress snapshots =
   let kb = load_kb facts rules constraints in
-  let inference =
-    Some
-      (Inference.Marginal.Chromatic
-         { Inference.Gibbs.default_options with samples })
-  in
   let engine =
     Probkb.Engine.create
       ~config:
         (config ~obs:(obs_config ~trace ~metrics) ?target_r_hat ?min_ess
-           ~hybrid ?exact_max_vars ?max_width ~sc ~theta ~mpp:false
-           ~iterations ~inference ())
+           ?exact_max_vars ?max_width ~sc ~theta ~mpp:false ~iterations
+           ~inference:(inference_of_samples samples) ())
       kb
   in
   let detach = install_snapshots engine ~progress ~snapshots in
@@ -485,7 +483,8 @@ let infer_cmd =
   let samples =
     Arg.(
       value & opt int 500
-      & info [ "samples" ] ~docv:"N" ~doc:"Gibbs estimation sweeps.")
+      & info [ "samples" ] ~docv:"N"
+          ~doc:"Estimation sweeps of the sampler on high-treewidth cores.")
   in
   let target_r_hat =
     Arg.(
@@ -510,8 +509,8 @@ let infer_cmd =
     Term.(
       const infer $ facts_arg $ rules_arg $ constraints_arg $ sc_arg
       $ theta_arg $ iterations_arg $ top $ samples $ target_r_hat $ min_ess
-      $ hybrid_arg $ max_width_arg $ exact_max_vars_arg $ trace_arg
-      $ metrics_arg $ progress_arg $ snapshots_arg)
+      $ max_width_arg $ exact_max_vars_arg $ trace_arg $ metrics_arg
+      $ progress_arg $ snapshots_arg)
 
 (* --- stats --- *)
 
@@ -635,20 +634,15 @@ let analyze_cmd =
    fact view.  Malformed input answers {"error": ...} and the stream
    continues. *)
 
-let session_run facts rules constraints sc theta iterations samples hybrid
-    max_width exact_max_vars verbose =
+let session_run facts rules constraints sc theta iterations samples max_width
+    exact_max_vars verbose =
   setup_logs verbose;
   let kb = load_kb facts rules constraints in
-  let inference =
-    Some
-      (Inference.Marginal.Chromatic
-         { Inference.Gibbs.default_options with samples })
-  in
   let engine =
     Probkb.Engine.create
       ~config:
-        (config ~hybrid ?exact_max_vars ?max_width ~sc ~theta ~mpp:false
-           ~iterations ~inference ())
+        (config ?exact_max_vars ?max_width ~sc ~theta ~mpp:false ~iterations
+           ~inference:(inference_of_samples samples) ())
       kb
   in
   let s = Probkb.Engine.session engine in
@@ -679,7 +673,10 @@ let session_cmd =
   let samples =
     Arg.(
       value & opt int 200
-      & info [ "samples" ] ~docv:"N" ~doc:"Gibbs estimation sweeps per refresh.")
+      & info [ "samples" ] ~docv:"N"
+          ~doc:
+            "Estimation sweeps per refresh of the sampler on high-treewidth \
+             cores.")
   in
   Cmd.v
     (Cmd.info "session"
@@ -689,7 +686,7 @@ let session_cmd =
           document per op on stdout.")
     Term.(
       const session_run $ facts_arg $ rules_arg $ constraints_arg $ sc_arg
-      $ theta_arg $ iterations_arg $ samples $ hybrid_arg $ max_width_arg
+      $ theta_arg $ iterations_arg $ samples $ max_width_arg
       $ exact_max_vars_arg $ verbose_arg)
 
 (* --- serve --- *)
@@ -742,8 +739,8 @@ let serve_client target =
   (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
   0
 
-let serve_run facts rules constraints sc theta iterations samples hybrid
-    max_width exact_max_vars pool port socket connect admin_port access_log
+let serve_run facts rules constraints sc theta iterations samples max_width
+    exact_max_vars pool port socket connect admin_port access_log
     slow_ms metrics verbose =
   setup_logs verbose;
   match (connect, facts, rules) with
@@ -753,11 +750,6 @@ let serve_run facts rules constraints sc theta iterations samples hybrid
     2
   | None, Some facts, Some rules ->
     let kb = load_kb facts rules constraints in
-    let inference =
-      Some
-        (Inference.Marginal.Chromatic
-           { Inference.Gibbs.default_options with samples })
-    in
     (* The serving trace is always on: request histograms and counters
        are the server's runtime surface (/metrics, /statusz, the metrics
        op).  Span history is capped per domain — the cumulative metrics
@@ -767,8 +759,8 @@ let serve_run facts rules constraints sc theta iterations samples hybrid
     let engine =
       Probkb.Engine.create
         ~config:
-          (config ~obs ~hybrid ?exact_max_vars ?max_width ~sc ~theta
-             ~mpp:false ~iterations ~inference ())
+          (config ~obs ?exact_max_vars ?max_width ~sc ~theta ~mpp:false
+             ~iterations ~inference:(inference_of_samples samples) ())
         kb
     in
     let s = Probkb.Engine.session engine in
@@ -854,7 +846,10 @@ let serve_cmd =
   let samples =
     Arg.(
       value & opt int 200
-      & info [ "samples" ] ~docv:"N" ~doc:"Gibbs estimation sweeps per refresh.")
+      & info [ "samples" ] ~docv:"N"
+          ~doc:
+            "Estimation sweeps per refresh of the sampler on high-treewidth \
+             cores.")
   in
   let pool =
     Arg.(
@@ -940,7 +935,7 @@ let serve_cmd =
           or as JSON on stdout with $(b,--metrics) json).")
     Term.(
       const serve_run $ facts_opt $ rules_opt $ constraints_arg $ sc_arg
-      $ theta_arg $ iterations_arg $ samples $ hybrid_arg $ max_width_arg
+      $ theta_arg $ iterations_arg $ samples $ max_width_arg
       $ exact_max_vars_arg $ pool $ port $ socket $ connect $ admin_port
       $ access_log $ slow_ms $ metrics_arg $ verbose_arg)
 
@@ -951,8 +946,8 @@ let serve_cmd =
    materialized); without it, run the full pipeline for comparison.
    Stdout carries a single JSON document either way. *)
 
-let query_run facts rules constraints sc theta iterations samples hybrid
-    max_width exact_max_vars key local budget max_hops decay min_influence
+let query_run facts rules constraints sc theta iterations samples max_width
+    exact_max_vars key local budget max_hops decay min_influence
     verbose =
   setup_logs verbose;
   let kb = load_kb facts rules constraints in
@@ -963,16 +958,11 @@ let query_run facts rules constraints sc theta iterations samples hybrid
     and c1 = Kb.Gamma.cls kb (String.trim c1)
     and y = Kb.Gamma.entity kb (String.trim y)
     and c2 = Kb.Gamma.cls kb (String.trim c2) in
-    let inference =
-      Some
-        (Inference.Marginal.Chromatic
-           { Inference.Gibbs.default_options with samples })
-    in
     let engine =
       Probkb.Engine.create
         ~config:
-          (config ~hybrid ?exact_max_vars ?max_width ~sc ~theta ~mpp:false
-             ~iterations ~inference ())
+          (config ?exact_max_vars ?max_width ~sc ~theta ~mpp:false
+             ~iterations ~inference:(inference_of_samples samples) ())
         kb
     in
     let seconds_json ~ground ~infer =
@@ -1128,8 +1118,8 @@ let query_cmd =
       value & opt int 500
       & info [ "samples" ] ~docv:"N"
           ~doc:
-            "Gibbs estimation sweeps (used when the neighbourhood is too \
-             large for exact enumeration).")
+            "Estimation sweeps of the sampler, used only on components too \
+             dense to solve exactly.")
   in
   Cmd.v
     (Cmd.info "query"
@@ -1138,7 +1128,7 @@ let query_cmd =
           neighbourhood.")
     Term.(
       const query_run $ facts_arg $ rules_arg $ constraints_arg $ sc_arg
-      $ theta_arg $ iterations_arg $ samples $ hybrid_arg $ max_width_arg
+      $ theta_arg $ iterations_arg $ samples $ max_width_arg
       $ exact_max_vars_arg $ key $ local $ budget $ max_hops $ decay
       $ min_influence $ verbose_arg)
 
@@ -1159,12 +1149,7 @@ let demo () =
   ignore
     (Kb.Gamma.add_fact_by_name kb ~r:"born_in" ~x:"Ruth Gruber" ~c1:"Writer"
        ~y:"Brooklyn" ~c2:"Place" ~w:0.93);
-  let engine =
-    Probkb.Engine.create
-      ~config:(Probkb.Config.make ~inference:(Some Inference.Marginal.Exact) ())
-      kb
-  in
-  ignore (Probkb.Engine.run engine);
+  ignore (Probkb.Engine.run (Probkb.Engine.create kb));
   Kb.Storage.iter
     (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w ->
       Format.printf "  P = %s  %a@."

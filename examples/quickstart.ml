@@ -29,14 +29,9 @@ let () =
   Format.printf "--- knowledge base ---@.%a@.@." Kb.Gamma.pp_stats
     (Kb.Gamma.stats kb);
 
-  (* Knowledge expansion: exact inference is feasible here (5 ground
-     atoms), so configure it instead of the default Gibbs sampler. *)
-  let engine =
-    Probkb.Engine.create
-      ~config:
-        { Probkb.Config.default with inference = Some Inference.Marginal.Exact }
-      kb
-  in
+  (* Knowledge expansion, then inference: the default per-component
+     solver settles this 5-atom graph exactly, by enumeration. *)
+  let engine = Probkb.Engine.create kb in
   let result = Probkb.Engine.run engine in
   let e = result.Probkb.Engine.expansion in
   Format.printf

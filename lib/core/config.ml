@@ -5,13 +5,11 @@ type t = {
   engine : engine;
   quality : quality;
   max_iterations : int;
-  inference : Inference.Marginal.method_ option;
+  inference : Inference.Hybrid.options option;
   obs : Obs.Config.t;
   target_r_hat : float option;
   min_ess : float option;
   checkpoint_sweeps : int;
-  exact_max_vars : int;
-  max_width : int;
   spill_dir : string option;
   segment_rows : int;
   spill_threshold_bytes : int;
@@ -28,46 +26,34 @@ let max_exact_max_vars = 30
    (and a 28-variable clique is already a 2 GiB float table). *)
 let max_max_width = Inference.Jtree.max_clique_vars - 1
 
+let check_range name ~max v =
+  if v < 0 || v > max then
+    invalid_arg (Printf.sprintf "Config.make: %s must be in [0, %d]" name max)
+
 let make ?(engine = Single_node) ?(semantic_constraints = false)
     ?(rule_theta = 1.0) ?(max_iterations = 15)
-    ?(inference =
-      Some (Inference.Marginal.Gibbs Inference.Gibbs.default_options))
+    ?(inference = Some Inference.Hybrid.default_options)
     ?(obs = Obs.Config.default) ?target_r_hat ?min_ess
     ?(checkpoint_sweeps = Inference.Chromatic.default_checkpoint)
-    ?(exact_max_vars = Inference.Exact.max_vars)
-    ?(max_width = Inference.Jtree.default_max_width) ?(hybrid = false)
-    ?spill_dir ?(segment_rows = Storage.Spill.default_segment_rows)
+    ?exact_max_vars ?max_width ?hybrid:_ ?spill_dir
+    ?(segment_rows = Storage.Spill.default_segment_rows)
     ?(spill_threshold_bytes = Storage.Spill.default_threshold_bytes) () =
   if checkpoint_sweeps < 1 then invalid_arg "Config.make: checkpoint_sweeps < 1";
   if segment_rows < 1 then invalid_arg "Config.make: segment_rows < 1";
   if spill_threshold_bytes < 0 then
     invalid_arg "Config.make: spill_threshold_bytes < 0";
-  if exact_max_vars < 0 || exact_max_vars > max_exact_max_vars then
-    invalid_arg
-      (Printf.sprintf "Config.make: exact_max_vars must be in [0, %d]"
-         max_exact_max_vars);
-  if max_width < 0 || max_width > max_max_width then
-    invalid_arg
-      (Printf.sprintf "Config.make: max_width must be in [0, %d]"
-         max_max_width);
-  (* [~hybrid:true] upgrades the batch inference method to the
-     per-component dispatcher, reusing the sampler options already
-     chosen for the residual cores.  [Exact] and [Bp] are left alone —
-     they are explicit requests for one specific engine. *)
+  Option.iter (check_range "exact_max_vars" ~max:max_exact_max_vars)
+    exact_max_vars;
+  Option.iter (check_range "max_width" ~max:max_max_width) max_width;
   let inference =
-    if not hybrid then inference
-    else
-      Option.map
-        (fun m ->
-          match m with
-          | Inference.Marginal.Gibbs o | Inference.Marginal.Chromatic o ->
-            Inference.Marginal.Hybrid
-              { Inference.Hybrid.exact_max_vars; max_width; gibbs = o }
-          | Inference.Marginal.Hybrid o ->
-            Inference.Marginal.Hybrid
-              { o with Inference.Hybrid.exact_max_vars; max_width }
-          | (Inference.Marginal.Exact | Inference.Marginal.Bp _) as m -> m)
-        inference
+    Option.map
+      (fun (o : Inference.Hybrid.options) ->
+        {
+          o with
+          exact_max_vars = Option.value exact_max_vars ~default:o.exact_max_vars;
+          max_width = Option.value max_width ~default:o.max_width;
+        })
+      inference
   in
   {
     engine;
@@ -78,22 +64,18 @@ let make ?(engine = Single_node) ?(semantic_constraints = false)
     target_r_hat;
     min_ess;
     checkpoint_sweeps;
-    exact_max_vars;
-    max_width;
     spill_dir;
     segment_rows;
     spill_threshold_bytes;
   }
 
 let default = make ()
+let solver c = Option.value c.inference ~default:Inference.Hybrid.default_options
 let no_inference c = { c with inference = None }
 let with_engine engine c = { c with engine }
 let with_quality quality c = { c with quality }
 let with_max_iterations max_iterations c = { c with max_iterations }
-let with_inference inference c = { c with inference }
 let with_obs obs c = { c with obs }
-let with_exact_max_vars exact_max_vars c = { c with exact_max_vars }
-let with_max_width max_width c = { c with max_width }
 
 let with_spill ?spill_dir ?segment_rows ?spill_threshold_bytes c =
   let segment_rows = Option.value segment_rows ~default:c.segment_rows in

@@ -31,13 +31,18 @@ type t = {
   engine : engine;
   quality : quality;
   max_iterations : int;
-  inference : Inference.Marginal.method_ option;
-      (** marginal inference to run after grounding; [None] skips it *)
+  inference : Inference.Hybrid.options option;
+      (** the per-component dispatcher's settings ({!Inference.Hybrid}):
+          the enumeration cap, the junction-tree width bound and the
+          residual sampler's options.  Batch inference, session refreshes
+          and local reads all solve with this record; [None] skips batch
+          inference and refreshes (local reads then use
+          {!Inference.Hybrid.default_options}, see {!solver}) *)
   obs : Obs.Config.t;
       (** observability: when enabled, the engine's trace context records
           span trees, counters and operator metrics across every stage *)
   target_r_hat : float option;
-      (** adaptive early stop: end Chromatic sampling once the online
+      (** adaptive early stop: end the residual sampler once the online
           split-R̂ falls to this value (and [min_ess] holds).  [None]
           (default) runs the full sweep budget *)
   min_ess : float option;
@@ -46,15 +51,6 @@ type t = {
   checkpoint_sweeps : int;
       (** sweeps between diagnostic checkpoints / snapshot records
           (default {!Inference.Chromatic.default_checkpoint}) *)
-  exact_max_vars : int;
-      (** per-component enumeration cap for exact inference — threaded
-          through [Neighborhood]'s dispatch on the local-query paths and
-          into the hybrid method built by [make ~hybrid:true] (default
-          {!Inference.Exact.max_vars}) *)
-  max_width : int;
-      (** induced-width bound for junction-tree variable elimination in
-          the per-component dispatcher (default
-          {!Inference.Jtree.default_max_width}) *)
   spill_dir : string option;
       (** out-of-core storage root (default [None] — fully in-memory).
           When set, grounding keeps an on-disk segment-store copy of
@@ -71,15 +67,15 @@ type t = {
 }
 
 (** [make ()] is the default configuration: single node, no quality
-    control, 15 iterations, Gibbs inference, observability off, no early
-    stop.  Each labelled argument overrides one knob.
+    control, 15 iterations, {!Inference.Hybrid.default_options} for
+    inference, observability off, no early stop.  Each labelled argument
+    overrides one knob.
 
-    [~hybrid:true] upgrades the batch inference method to the
-    per-component dispatcher ({!Inference.Hybrid}): a [Gibbs]/[Chromatic]
-    method contributes its sampler options to the residual cores; an
-    explicit [Exact] or [Bp] method is left alone.  [exact_max_vars] and
-    [max_width] parameterize both the hybrid method and the local-query
-    dispatch.
+    [exact_max_vars] and [max_width] override those fields of the
+    [inference] record.  With [~inference:None] nothing stores them, so
+    local reads keep the defaults.  [hybrid] is ignored: Hybrid is the
+    only inference route; the argument stays for callers that still
+    pass it.
     @raise Invalid_argument when [checkpoint_sweeps < 1],
     [exact_max_vars] is outside [[0, 30]], or [max_width] is outside
     [[0, Inference.Jtree.max_clique_vars - 1]] (elimination cliques hold
@@ -90,7 +86,7 @@ val make :
   ?semantic_constraints:bool ->
   ?rule_theta:float ->
   ?max_iterations:int ->
-  ?inference:Inference.Marginal.method_ option ->
+  ?inference:Inference.Hybrid.options option ->
   ?obs:Obs.Config.t ->
   ?target_r_hat:float ->
   ?min_ess:float ->
@@ -107,16 +103,18 @@ val make :
 (** [make ()]. *)
 val default : t
 
+(** [solver c] is the dispatcher settings every solve uses: [c.inference],
+    or {!Inference.Hybrid.default_options} when inference is off (local
+    reads still solve their neighbourhoods). *)
+val solver : t -> Inference.Hybrid.options
+
 (** [no_inference c] disables the marginal-inference stage. *)
 val no_inference : t -> t
 
 val with_engine : engine -> t -> t
 val with_quality : quality -> t -> t
 val with_max_iterations : int -> t -> t
-val with_inference : Inference.Marginal.method_ option -> t -> t
 val with_obs : Obs.Config.t -> t -> t
-val with_exact_max_vars : int -> t -> t
-val with_max_width : int -> t -> t
 
 (** [with_spill ?spill_dir ?segment_rows ?spill_threshold_bytes c]
     reconfigures out-of-core storage; an absent [spill_dir] clears it

@@ -116,14 +116,14 @@ let expand t =
 let infer_full t e =
   match t.config.Config.inference with
   | None -> (Hashtbl.create 0, None)
-  | Some m ->
+  | Some options ->
     Obs.with_ambient t.trace @@ fun () ->
     Obs.with_span t.trace "infer" ~cat:"engine" @@ fun () ->
     let marg, info =
       Inference.Marginal.infer_full ~obs:t.trace
         ~checkpoint:t.config.Config.checkpoint_sweeps
         ?early_stop:(Config.early_stop_criteria t.config)
-        e.graph m
+        e.graph options
     in
     (marg, Some info)
 
@@ -181,14 +181,6 @@ type local_answer = Snapshot.answer = {
 
 let sigmoid w = 1. /. (1. +. exp (-.w))
 
-let gibbs_options t =
-  match t.config.Config.inference with
-  | Some (Inference.Marginal.Gibbs o) | Some (Inference.Marginal.Chromatic o)
-    ->
-    o
-  | Some (Inference.Marginal.Hybrid o) -> o.Inference.Hybrid.gibbs
-  | _ -> Inference.Gibbs.default_options
-
 (* The engine's read view: a live (graph-less) snapshot over the KB's
    fact indexes.  Cached because [Local.of_kb] memoizes rule-adjacency
    buckets; invalidated whenever facts or rules change — [expand],
@@ -233,10 +225,8 @@ let read_view t =
           }
     in
     let s =
-      Snapshot.live ~gibbs:(gibbs_options t)
-        ~exact_max_vars:t.config.Config.exact_max_vars
-        ~max_width:t.config.Config.max_width ~obs:t.trace ~view_of ~source
-        ~clamp
+      Snapshot.live ~solver:(Config.solver t.config) ~obs:t.trace ~view_of
+        ~source ~clamp
         ~find:(fun ~r ~x ~c1 ~y ~c2 -> Storage.find pi ~r ~x ~c1 ~y ~c2)
         ~facts:(fun () -> Storage.size pi)
         ~factors:(fun () -> 0)
@@ -273,7 +263,7 @@ module Session = struct
     mutable epoch : int;
     marginals : (int, float) Hashtbl.t;  (* fact id → last estimate *)
     mutable last_solve : Inference.Marginal.solve_info option;
-        (* report of the last refresh, whatever the method *)
+        (* report of the last refresh *)
     mutable history : epoch_stats list;  (* newest first *)
     mutable read : Snapshot.t option;
         (* frozen snapshot of the current epoch, built on first demand
@@ -408,7 +398,7 @@ module Session = struct
     let t0 = Obs.now () in
     match s.engine.config.Config.inference with
     | None -> None
-    | Some m ->
+    | Some options ->
       Obs.with_ambient s.engine.trace @@ fun () ->
       Obs.with_span s.engine.trace "refresh_marginals" ~cat:"engine"
       @@ fun () ->
@@ -417,7 +407,7 @@ module Session = struct
         Inference.Marginal.infer_compiled_full ~obs:s.engine.trace
           ~checkpoint:s.engine.config.Config.checkpoint_sweeps
           ?early_stop:(Config.early_stop_criteria s.engine.config)
-          c m
+          c options
       in
       Hashtbl.reset s.marginals;
       Array.iteri
@@ -513,9 +503,8 @@ module Session = struct
             marginal = Hashtbl.find_opt s.marginals id;
           }
     in
-    Snapshot.live ~epoch:s.epoch ~gibbs:(gibbs_options s.engine)
-      ~exact_max_vars:s.engine.config.Config.exact_max_vars
-      ~max_width:s.engine.config.Config.max_width ~obs:s.engine.trace
+    Snapshot.live ~epoch:s.epoch ~solver:(Config.solver s.engine.config)
+      ~obs:s.engine.trace
       ~marginal_of:(fun id -> Hashtbl.find_opt s.marginals id)
       ~view_of
       ~source:(Grounding.Local.of_adjacency adj)
@@ -534,9 +523,7 @@ module Session = struct
     | None ->
       let v =
         Snapshot.freeze ~epoch:s.epoch ~marginals:s.marginals
-          ~gibbs:(gibbs_options s.engine)
-          ~exact_max_vars:s.engine.config.Config.exact_max_vars
-          ~max_width:s.engine.config.Config.max_width ~obs:s.engine.trace
+          ~solver:(Config.solver s.engine.config) ~obs:s.engine.trace
           ~pi:(Gamma.pi s.engine.kb) ~graph:(graph s) ()
       in
       s.read <- Some v;

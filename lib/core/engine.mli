@@ -54,11 +54,12 @@ val expand : t -> expansion
     disabled). *)
 val infer : t -> expansion -> (int, float) Hashtbl.t
 
-(** [infer_full t e] is {!infer} plus the per-method solve report —
-    sweeps and online diagnostics for samplers, component/width/solver
-    breakdown for the hybrid dispatcher ([None] only when inference is
-    disabled).  The config's [target_r_hat] / [min_ess] criteria and
-    [checkpoint_sweeps] cadence are applied here. *)
+(** [infer_full t e] is {!infer} plus the solve report: the
+    component/width/solver breakdown of the hybrid dispatcher, with the
+    residual sampler's sweeps and online diagnostics ([None] only when
+    inference is disabled).  The config's [target_r_hat] / [min_ess]
+    criteria and [checkpoint_sweeps] cadence apply to the residual
+    sampler. *)
 val infer_full :
   t -> expansion -> (int, float) Hashtbl.t * Inference.Marginal.solve_info option
 
@@ -71,7 +72,7 @@ type result = {
   expansion : expansion;
   marginals_stored : int;
   inference : Inference.Marginal.solve_info option;
-      (** per-method solve report ([None] when inference is disabled) *)
+      (** solve report ([None] when inference is disabled) *)
   obs : Obs.Summary.t;  (** trace snapshot over the whole pipeline *)
 }
 
@@ -84,8 +85,10 @@ val run : t -> result
     knowledge base: {!query_local} grounds only the query's neighbourhood
     backward from the queried fact ([Grounding.Local]), clamps the
     budget-pruned boundary to prior probabilities, and solves the
-    resulting subgraph — exactly (enumeration) when every connected
-    component is small, by chromatic Gibbs otherwise. *)
+    resulting subgraph with the hybrid dispatcher under
+    [Config.solver]: each connected component by enumeration or
+    junction-tree elimination when it fits, by chromatic Gibbs only
+    when it does not. *)
 
 (** One answered point query (the {!Snapshot.answer} record re-exported;
     [epoch] is the epoch the answer was computed against — 0 outside
@@ -100,7 +103,7 @@ type local_answer = Snapshot.answer = {
   factors : int;  (** factor rows in the local subgraph (clamps incl.) *)
   pruned_mass : float;  (** influence discarded at the boundary *)
   truncated : bool;  (** a budget limit cut the walk short *)
-  enumerated : bool;  (** solved exactly (vs chromatic Gibbs) *)
+  enumerated : bool;  (** every component solved exactly *)
   ground_seconds : float;
   infer_seconds : float;
 }
@@ -130,9 +133,8 @@ val query_local :
     {!Session.ingest} / {!Session.retract} update [TΠ] and [TΦ]
     incrementally (semi-naive closure for inserts, DRed delete–rederive
     for deletes — see [Incremental.Dred]) instead of re-running the batch
-    pipeline, and {!Session.refresh_marginals} re-estimates probabilities
-    warm-starting the sampler from the previous epoch wherever the
-    updates did not reach. *)
+    pipeline, and {!Session.refresh_marginals} re-solves the maintained
+    factor graph. *)
 
 module Session : sig
   type engine := t
@@ -173,8 +175,7 @@ module Session : sig
   val history : t -> epoch_stats list
 
   (** [last_run s] is the solve report of the most recent
-      {!refresh_marginals}, whatever the configured method ([None] until
-      the first refresh). *)
+      {!refresh_marginals} ([None] until the first refresh). *)
   val last_run : t -> Inference.Marginal.solve_info option
 
   (** [ingest s facts] inserts extractions [(r, x, c1, y, c2, w)] and
@@ -198,13 +199,12 @@ module Session : sig
       closed store). *)
   val reexpand : t -> epoch_stats
 
-  (** [refresh_marginals s] re-estimates marginals over the current
-      graph with the configured method ([None] when inference is
-      disabled).  With the Chromatic method and [config.warm_start], the
-      chain resumes from the previous refresh's final state for every
-      variable no epoch has touched since; touched and new variables are
-      re-initialized from the seed stream.  The result is deterministic
-      for a given (seed, epoch history) at any pool size. *)
+  (** [refresh_marginals s] re-solves the session's current graph: it is
+      [Inference.Marginal.infer_compiled_full] on the compiled {!graph}
+      with [config.inference] ([None] when inference is disabled).  A
+      refresh keeps no state from earlier refreshes, so its marginals
+      equal a batch solve of the same graph, bit for bit, at any pool
+      size. *)
   val refresh_marginals : t -> epoch_stats option
 
   (** A fact as seen through the session. *)

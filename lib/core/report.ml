@@ -42,7 +42,7 @@ let pp_trajectory ppf (traj : Grounding.Ground.trajectory_point list) =
       traj;
     Format.fprintf ppf "@]"
 
-(* The Chromatic JSON keys ([sweeps_run], [stopped_at_sweep],
+(* The residual sampler's JSON keys ([sweeps_run], [stopped_at_sweep],
    [diagnostics]) are stable: downstream consumers grep for them. *)
 let chromatic_to_json (i : Inference.Chromatic.run_info) =
   [
@@ -63,48 +63,26 @@ let chromatic_to_json (i : Inference.Chromatic.run_info) =
       | None -> Json.Null );
   ]
 
-let inference_to_json (i : Inference.Marginal.solve_info) =
-  match i with
-  | Inference.Marginal.Enumerated_run { components; max_component_vars } ->
-    Json.Obj
-      [
-        ("method", Json.String "exact");
-        ("components", Json.Int components);
-        ("max_component_vars", Json.Int max_component_vars);
-      ]
-  | Inference.Marginal.Gibbs_run { sweeps } ->
-    Json.Obj
-      [ ("method", Json.String "gibbs"); ("sweeps", Json.Int sweeps) ]
-  | Inference.Marginal.Chromatic_run c ->
-    Json.Obj (("method", Json.String "chromatic") :: chromatic_to_json c)
-  | Inference.Marginal.Bp_run s ->
-    Json.Obj
-      [
-        ("method", Json.String "bp");
-        ("iterations", Json.Int s.Inference.Bp.iterations);
-        ("converged", Json.Bool s.Inference.Bp.converged);
-        ("max_delta", Json.Float s.Inference.Bp.max_delta);
-      ]
-  | Inference.Marginal.Hybrid_run r ->
-    let open Inference.Hybrid in
-    Json.Obj
-      [
-        ("method", Json.String "hybrid");
-        ("total_vars", Json.Int r.total_vars);
-        ("exact_vars", Json.Int r.exact_vars);
-        ("sampled_vars", Json.Int r.sampled_vars);
-        ("exact_fraction", Json.Float (exact_fraction r));
-        ("enumerated_components", Json.Int r.enumerated_components);
-        ("eliminated_components", Json.Int r.eliminated_components);
-        ("sampled_components", Json.Int r.sampled_components);
-        ("max_width_solved", Json.Int r.max_width_solved);
-        ("exact_seconds", Json.Float r.exact_seconds);
-        ("gibbs_seconds", Json.Float r.gibbs_seconds);
-        ( "sampler",
-          match r.gibbs with
-          | Some c -> Json.Obj (chromatic_to_json c)
-          | None -> Json.Null );
-      ]
+let inference_to_json (Inference.Marginal.Hybrid_run r) =
+  let open Inference.Hybrid in
+  Json.Obj
+    [
+      ("method", Json.String "hybrid");
+      ("total_vars", Json.Int r.total_vars);
+      ("exact_vars", Json.Int r.exact_vars);
+      ("sampled_vars", Json.Int r.sampled_vars);
+      ("exact_fraction", Json.Float (exact_fraction r));
+      ("enumerated_components", Json.Int r.enumerated_components);
+      ("eliminated_components", Json.Int r.eliminated_components);
+      ("sampled_components", Json.Int r.sampled_components);
+      ("max_width_solved", Json.Int r.max_width_solved);
+      ("exact_seconds", Json.Float r.exact_seconds);
+      ("gibbs_seconds", Json.Float r.gibbs_seconds);
+      ( "sampler",
+        match r.gibbs with
+        | Some c -> Json.Obj (chromatic_to_json c)
+        | None -> Json.Null );
+    ]
 
 let pp_chromatic ppf (i : Inference.Chromatic.run_info) =
   let open Inference.Chromatic in
@@ -119,32 +97,19 @@ let pp_chromatic ppf (i : Inference.Chromatic.run_info) =
       d.Inference.Diagnostics.Online.min_ess
   | None -> ()
 
-let pp_inference ppf (i : Inference.Marginal.solve_info) =
-  match i with
-  | Inference.Marginal.Enumerated_run { components; max_component_vars } ->
-    Format.fprintf ppf "exact: %d components enumerated (largest %d vars)"
-      components max_component_vars
-  | Inference.Marginal.Gibbs_run { sweeps } ->
-    Format.fprintf ppf "sampler: %d sweeps (sequential Gibbs)" sweeps
-  | Inference.Marginal.Chromatic_run c -> pp_chromatic ppf c
-  | Inference.Marginal.Bp_run s ->
-    Format.fprintf ppf "bp: %d iterations%s, max delta %.2e"
-      s.Inference.Bp.iterations
-      (if s.Inference.Bp.converged then " (converged)" else "")
-      s.Inference.Bp.max_delta
-  | Inference.Marginal.Hybrid_run r ->
-    let open Inference.Hybrid in
-    Format.fprintf ppf
-      "hybrid: %.1f%% of %d variables settled exactly@,\
-      \  components: %d enumerated, %d junction-tree (max width %d), %d \
-       sampled@,\
-      \  time: %.3fs exact, %.3fs gibbs"
-      (100. *. exact_fraction r)
-      r.total_vars r.enumerated_components r.eliminated_components
-      r.max_width_solved r.sampled_components r.exact_seconds r.gibbs_seconds;
-    match r.gibbs with
-    | Some c -> Format.fprintf ppf "@,  %a" pp_chromatic c
-    | None -> ()
+let pp_inference ppf (Inference.Marginal.Hybrid_run r) =
+  let open Inference.Hybrid in
+  Format.fprintf ppf
+    "hybrid: %.1f%% of %d variables settled exactly@,\
+    \  components: %d enumerated, %d junction-tree (max width %d), %d \
+     sampled@,\
+    \  time: %.3fs exact, %.3fs gibbs"
+    (100. *. exact_fraction r)
+    r.total_vars r.enumerated_components r.eliminated_components
+    r.max_width_solved r.sampled_components r.exact_seconds r.gibbs_seconds;
+  match r.gibbs with
+  | Some c -> Format.fprintf ppf "@,  %a" pp_chromatic c
+  | None -> ()
 
 let pp_expansion ppf (e : Engine.expansion) =
   Format.fprintf ppf

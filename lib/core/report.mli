@@ -19,11 +19,10 @@ val pp_trajectory :
 
 val trajectory_to_json : Grounding.Ground.trajectory_point list -> Json.t
 
-(** [pp_inference ppf i] prints the per-method solve report: sweeps /
-    early-stop sweep / final R̂ and ESS for samplers, component counts
-    for exact runs, and the per-solver breakdown (fraction settled
-    exactly, junction-tree width, residual sampler line) for hybrid
-    runs. *)
+(** [pp_inference ppf i] prints the solve report: the per-solver
+    breakdown (fraction settled exactly, junction-tree width) and, when
+    a core was sampled, the residual sampler's sweeps / early-stop sweep
+    / final R̂ and ESS. *)
 val pp_inference : Format.formatter -> Inference.Marginal.solve_info -> unit
 
 val inference_to_json : Inference.Marginal.solve_info -> Json.t

@@ -44,9 +44,7 @@ type t = {
   facts : unit -> int;
   factors : unit -> int;
   marginals_cached : unit -> int;
-  gibbs : Inference.Gibbs.options;
-  exact_max_vars : int;  (* enumeration cap for neighbourhood dispatch *)
-  max_width : int;  (* induced-width bound for variable elimination *)
+  solver : Inference.Hybrid.options;  (* neighbourhood dispatch *)
   trace : Obs.t;
   fingerprint : (int * (unit -> int)) option;
       (* frozen only: hash taken at freeze time + re-hash of the copied
@@ -80,11 +78,9 @@ let verify_integrity t =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let live ?(epoch = 0) ?(gibbs = Inference.Gibbs.default_options)
-    ?(exact_max_vars = Inference.Exact.max_vars)
-    ?(max_width = Inference.Jtree.default_max_width) ?(obs = Obs.null)
-    ?(marginal_of = fun _ -> None) ?(view_of = fun _ -> None) ~source ~clamp
-    ~find ~facts ~factors () =
+let live ?(epoch = 0) ?(solver = Inference.Hybrid.default_options)
+    ?(obs = Obs.null) ?(marginal_of = fun _ -> None)
+    ?(view_of = fun _ -> None) ~source ~clamp ~find ~facts ~factors () =
   {
     epoch;
     frozen = false;
@@ -96,9 +92,7 @@ let live ?(epoch = 0) ?(gibbs = Inference.Gibbs.default_options)
     facts;
     factors;
     marginals_cached = (fun () -> 0);
-    gibbs;
-    exact_max_vars;
-    max_width;
+    solver;
     trace = obs;
     fingerprint = None;
   }
@@ -128,10 +122,9 @@ let has_any iter id =
   | () -> false
   | exception Exit -> true
 
-let freeze ?(epoch = 0) ?marginals ?(gibbs = Inference.Gibbs.default_options)
-    ?(exact_max_vars = Inference.Exact.max_vars)
-    ?(max_width = Inference.Jtree.default_max_width) ?(obs = Obs.null) ~pi
-    ~graph () =
+let freeze ?(epoch = 0) ?marginals
+    ?(solver = Inference.Hybrid.default_options) ?(obs = Obs.null) ~pi ~graph
+    () =
   (* Copies of the two tables' arrays and dead-row masks — TΠ with its
      key index blitted, not rehashed, and TΦ — so the snapshot aliases
      nothing a later epoch mutates ([Storage] appends, tombstones and
@@ -211,9 +204,7 @@ let freeze ?(epoch = 0) ?marginals ?(gibbs = Inference.Gibbs.default_options)
     facts = (fun () -> facts);
     factors = (fun () -> Fgraph.size phi);
     marginals_cached = (fun () -> n_marginals);
-    gibbs;
-    exact_max_vars;
-    max_width;
+    solver;
     trace = obs;
     fingerprint = Some (taken, fun () -> fingerprint_of phi);
   }
@@ -240,8 +231,7 @@ let answer_by_id ?budget t id =
     let t1 = Obs.now () in
     let c = Fgraph.compile r.Local.graph in
     let marg, method_used =
-      Inference.Neighborhood.solve ~obs:t.trace ~options:t.gibbs
-        ~exact_max_vars:t.exact_max_vars ~max_width:t.max_width c
+      Inference.Neighborhood.solve ~obs:t.trace ~options:t.solver c
     in
     let infer_seconds = Obs.now () -. t1 in
     let marginal =

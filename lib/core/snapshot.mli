@@ -51,7 +51,7 @@ type answer = {
   factors : int;  (** factor rows in the local subgraph (clamps incl.) *)
   pruned_mass : float;  (** influence discarded at the boundary *)
   truncated : bool;  (** a budget limit cut the walk short *)
-  enumerated : bool;  (** solved exactly (vs chromatic Gibbs) *)
+  enumerated : bool;  (** every component solved exactly *)
   ground_seconds : float;
   infer_seconds : float;
 }
@@ -66,28 +66,24 @@ type stats = {
 
 type t
 
-(** [freeze ?epoch ?marginals ?gibbs ?exact_max_vars ?max_width ?obs ~pi
-    ~graph ()] copies the read state out of [(pi, graph)] — array copies
-    and one counting sort over the factors, no rehashing, no
-    re-grounding and no compile.  Lookups run [Storage.find] and
+(** [freeze ?epoch ?marginals ?solver ?obs ~pi ~graph ()] copies the
+    read state out of [(pi, graph)] — array copies and one counting sort
+    over the factors, no rehashing, no re-grounding and no compile.  Lookups run [Storage.find] and
     [Storage.row_of_id] on the copy of [pi], so tombstoned facts are
     excluded exactly as they are from the live store, and the fact count
     is Storage's live count: no per-row work however many rows are
     dead.
     [marginals] (copied into an array indexed by fact id, sized by
     [Storage.next_id pi]) clamps boundary facts in preference to
-    extraction priors.  [exact_max_vars] /
-    [max_width] are the neighbourhood dispatch knobs (defaults
-    {!Inference.Exact.max_vars} / {!Inference.Jtree.default_max_width});
-    [obs] receives the per-query spans; pass the server's trace, or
+    extraction priors.  [solver] is the neighbourhood dispatcher's
+    settings (default {!Inference.Hybrid.default_options}); [obs]
+    receives the per-query spans; pass the server's trace, or
     leave it [Obs.null].
     @raise Invalid_argument if [marginals] holds a negative fact id. *)
 val freeze :
   ?epoch:int ->
   ?marginals:(int, float) Hashtbl.t ->
-  ?gibbs:Inference.Gibbs.options ->
-  ?exact_max_vars:int ->
-  ?max_width:int ->
+  ?solver:Inference.Hybrid.options ->
   ?obs:Obs.t ->
   pi:Kb.Storage.t ->
   graph:Factor_graph.Fgraph.t ->
@@ -98,12 +94,10 @@ val freeze :
     [clamp] maps a boundary fact to its clamp probability; [find] resolves
     a fact key; [view_of]/[marginal_of] may answer [None] when the backing
     state does not track them.  [facts]/[factors] seed {!stats};
-    [exact_max_vars]/[max_width] as for {!freeze}. *)
+    [solver] as for {!freeze}. *)
 val live :
   ?epoch:int ->
-  ?gibbs:Inference.Gibbs.options ->
-  ?exact_max_vars:int ->
-  ?max_width:int ->
+  ?solver:Inference.Hybrid.options ->
   ?obs:Obs.t ->
   ?marginal_of:(int -> float option) ->
   ?view_of:(int -> view option) ->

@@ -30,9 +30,7 @@ type cell = { mutable value : float }
 let[@inline] conditional c assignment v out =
   out.value <- 1. /. (1. +. exp (-.log_odds c assignment v))
 
-type run_info = { sweeps_run : int }
-
-let marginals_info ?(options = default_options) c =
+let marginals ?(options = default_options) c =
   let n = Fgraph.nvars c in
   let rng = Random.State.make [| options.seed |] in
   let assignment = Array.init n (fun _ -> Random.State.bool rng) in
@@ -49,12 +47,7 @@ let marginals_info ?(options = default_options) c =
   for _ = 1 to options.burn_in do
     sweep false
   done;
-  let executed = ref 0 in
   for _ = 1 to options.samples do
-    sweep true;
-    incr executed
+    sweep true
   done;
-  ( Array.map (fun a -> a /. float_of_int (max 1 !executed)) acc,
-    { sweeps_run = !executed } )
-
-let marginals ?options c = fst (marginals_info ?options c)
+  Array.map (fun a -> a /. float_of_int (max 1 options.samples)) acc

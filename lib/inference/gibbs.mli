@@ -41,15 +41,6 @@ type cell = { mutable value : float }
 val conditional :
   Factor_graph.Fgraph.compiled -> bool array -> int -> cell -> unit
 
-(** Estimation sweeps actually executed — measured by the loop, not
-    echoed from [options], so reports stay honest if a run is ever cut
-    short (mirrors {!Chromatic.run_info}). *)
-type run_info = { sweeps_run : int }
-
 (** [marginals ?options c] estimates the marginal P(X = 1) per dense
     variable. *)
 val marginals : ?options:options -> Factor_graph.Fgraph.compiled -> float array
-
-(** {!marginals} plus the measured {!run_info}. *)
-val marginals_info :
-  ?options:options -> Factor_graph.Fgraph.compiled -> float array * run_info

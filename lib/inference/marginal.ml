@@ -1,63 +1,18 @@
 module Fgraph = Factor_graph.Fgraph
 
-type method_ =
-  | Exact
-  | Gibbs of Gibbs.options
-  | Chromatic of Gibbs.options
-  | Bp of Bp.options
-  | Hybrid of Hybrid.options
+type solve_info = Hybrid_run of Hybrid.report
 
-type solve_info =
-  | Enumerated_run of { components : int; max_component_vars : int }
-  | Gibbs_run of { sweeps : int }
-  | Chromatic_run of Chromatic.run_info
-  | Bp_run of Bp.stats
-  | Hybrid_run of Hybrid.report
+let infer_compiled_full ?obs ?checkpoint ?online ?early_stop c options =
+  let marg, report =
+    Hybrid.solve ~options ?obs ?checkpoint ?online ?early_stop c
+  in
+  (marg, Hybrid_run report)
 
-let infer_compiled_full ?(obs = Obs.null) ?checkpoint ?online ?early_stop c =
-  function
-  | Exact ->
-    let comps = Decompose.components c in
-    let marg = Array.make (Fgraph.nvars c) 0. in
-    Array.iter (fun comp -> Exact.solve_component comp marg) comps;
-    ( marg,
-      Enumerated_run
-        {
-          components = Array.length comps;
-          max_component_vars =
-            Array.fold_left
-              (fun m comp -> max m (Decompose.nvars comp))
-              0 comps;
-        } )
-  | Gibbs options ->
-    let marg, info = Gibbs.marginals_info ~options c in
-    (marg, Gibbs_run { sweeps = info.Gibbs.sweeps_run })
-  | Chromatic options ->
-    let marg, info =
-      Chromatic.marginals_info ~options ~obs ?checkpoint ?online ?early_stop c
-    in
-    (marg, Chromatic_run info)
-  | Bp options ->
-    let marg, stats = Bp.marginals ~options c in
-    (marg, Bp_run stats)
-  | Hybrid options ->
-    let marg, report =
-      Hybrid.solve ~options ~obs ?checkpoint ?online ?early_stop c
-    in
-    (marg, Hybrid_run report)
-
-let infer_compiled ?obs c m = fst (infer_compiled_full ?obs c m)
-
-let to_table c marg =
-  let out = Hashtbl.create (Array.length marg) in
-  Array.iteri (fun v p -> Hashtbl.replace out c.Fgraph.var_ids.(v) p) marg;
-  out
-
-let infer_full ?obs ?checkpoint ?online ?early_stop g m =
+let infer_full ?obs ?checkpoint ?online ?early_stop g options =
   let c = Fgraph.compile g in
   let marg, info =
-    infer_compiled_full ?obs ?checkpoint ?online ?early_stop c m
+    infer_compiled_full ?obs ?checkpoint ?online ?early_stop c options
   in
-  (to_table c marg, info)
-
-let infer ?obs g m = fst (infer_full ?obs g m)
+  let out = Hashtbl.create (Array.length marg) in
+  Array.iteri (fun v p -> Hashtbl.replace out c.Fgraph.var_ids.(v) p) marg;
+  (out, info)

@@ -5,63 +5,35 @@
     stored back into the knowledge base, avoiding query-time computation
     (paper, Section 2.2).
 
-    Methods are dispatched per call; {!Hybrid} additionally dispatches
-    {e per connected component} — enumeration, junction-tree variable
-    elimination, or chromatic Gibbs on the high-treewidth cores only
-    (see {!Hybrid} and DESIGN.md §15). *)
+    There is one route: {!Hybrid}, which dispatches {e per connected
+    component} — enumeration, junction-tree variable elimination, or
+    chromatic Gibbs on the high-treewidth cores only (see {!Hybrid} and
+    DESIGN.md §15). *)
 
-type method_ =
-  | Exact  (** enumeration; small components only *)
-  | Gibbs of Gibbs.options
-  | Chromatic of Gibbs.options  (** the GraphLab-style parallel schedule *)
-  | Bp of Bp.options  (** loopy belief propagation (sum-product) *)
-  | Hybrid of Hybrid.options
-      (** per-component exact-or-sampled dispatch ({!Hybrid.solve}) *)
+(** The solve report of one run. *)
+type solve_info = Hybrid_run of Hybrid.report
 
-(** What each method reports about its run — every method returns its
-    own constructor, so callers never get a misleading [None] (the old
-    interface surfaced only {!Chromatic.run_info}). *)
-type solve_info =
-  | Enumerated_run of { components : int; max_component_vars : int }
-      (** {!Exact}: component count and the largest enumerated size *)
-  | Gibbs_run of { sweeps : int }
-      (** sequential sampler: estimation sweeps actually executed
-          ({!Gibbs.run_info}) *)
-  | Chromatic_run of Chromatic.run_info
-  | Bp_run of Bp.stats
-  | Hybrid_run of Hybrid.report
-
-(** [infer ?obs g method_] compiles [g] and returns fact identifier →
-    P(fact = true).  [obs] (default {!Obs.null}) is threaded to engines
-    that record telemetry ({!Chromatic} and {!Hybrid}). *)
-val infer :
-  ?obs:Obs.t -> Factor_graph.Fgraph.t -> method_ -> (int, float) Hashtbl.t
-
-(** [infer_full ?obs ?checkpoint ?online ?early_stop g method_] is
-    {!infer} plus the method's {!solve_info}.
-    [checkpoint]/[online]/[early_stop] affect the sampling methods
-    ({!Chromatic}, and {!Hybrid}'s residual run); see
-    {!Chromatic.marginals_info} for their semantics. *)
+(** [infer_full ?obs ?checkpoint ?online ?early_stop g options] compiles
+    [g] and returns fact identifier → P(fact = true) plus the
+    {!solve_info}.  [obs] (default {!Obs.null}) receives the solver's
+    telemetry; [checkpoint]/[online]/[early_stop] affect the residual
+    sampler (see {!Chromatic.marginals_info}). *)
 val infer_full :
   ?obs:Obs.t ->
   ?checkpoint:int ->
   ?online:bool ->
   ?early_stop:Diagnostics.Online.criteria ->
   Factor_graph.Fgraph.t ->
-  method_ ->
+  Hybrid.options ->
   (int, float) Hashtbl.t * solve_info
 
-(** [infer_compiled ?obs c method_] runs on an already compiled graph and
-    returns marginals per dense variable. *)
-val infer_compiled :
-  ?obs:Obs.t -> Factor_graph.Fgraph.compiled -> method_ -> float array
-
-(** {!infer_compiled} with the method's {!solve_info}. *)
+(** {!infer_full} on an already compiled graph: marginals per dense
+    variable. *)
 val infer_compiled_full :
   ?obs:Obs.t ->
   ?checkpoint:int ->
   ?online:bool ->
   ?early_stop:Diagnostics.Online.criteria ->
   Factor_graph.Fgraph.compiled ->
-  method_ ->
+  Hybrid.options ->
   float array * solve_info

@@ -13,15 +13,9 @@ let clamp_boundary g ~boundary ~prob =
     (fun id -> Fgraph.add_singleton g ~i:id ~w:(clamp_weight (prob id)))
     boundary
 
-let solve ?obs ?(options = Gibbs.default_options)
-    ?(exact_max_vars = Exact.max_vars) ?(max_width = Jtree.default_max_width)
-    c =
+let solve ?obs ?options c =
   if Fgraph.nvars c = 0 then ([||], Enumerated)
   else begin
-    let marg, report =
-      Hybrid.solve
-        ~options:{ Hybrid.exact_max_vars; max_width; gibbs = options }
-        ?obs c
-    in
+    let marg, report = Hybrid.solve ?options ?obs c in
     (marg, if report.Hybrid.sampled_vars = 0 then Enumerated else Sampled)
   end

@@ -39,17 +39,11 @@ val clamp_weight : float -> float
 val clamp_boundary :
   Factor_graph.Fgraph.t -> boundary:int array -> prob:(int -> float) -> unit
 
-(** [solve ?obs ?options ?exact_max_vars ?max_width c] is the marginal
-    P(X = 1) per dense variable and the method used.  [options] are the
-    Gibbs options for sampled components (default
-    {!Gibbs.default_options}); [exact_max_vars] (default
-    {!Exact.max_vars}) and [max_width] (default
-    {!Jtree.default_max_width}) are the dispatch knobs threaded down
-    from [Config]. *)
+(** [solve ?obs ?options c] is the marginal P(X = 1) per dense variable
+    and the method used.  [options] (default {!Hybrid.default_options})
+    are the dispatcher's settings, the record [Config] holds. *)
 val solve :
   ?obs:Obs.t ->
-  ?options:Gibbs.options ->
-  ?exact_max_vars:int ->
-  ?max_width:int ->
+  ?options:Hybrid.options ->
   Factor_graph.Fgraph.compiled ->
   float array * method_used

@@ -63,8 +63,7 @@ let sigmoid w = 1. /. (1. +. exp (-.w))
 (* The old freeze.  Its read state is answered through [Snapshot.live]
    closures, which drive the same solve path; [stats] carries the
    figures the frozen snapshot reports. *)
-let freeze ?(epoch = 0) ?marginals ?gibbs ?exact_max_vars ?max_width ~pi
-    ~graph () =
+let freeze ?(epoch = 0) ?marginals ?solver ~pi ~graph () =
   let n = Fgraph.bound graph and n_live = Fgraph.size graph in
   let is_live = Array.make n false in
   let fi1 = Array.make n 0
@@ -127,7 +126,7 @@ let freeze ?(epoch = 0) ?marginals ?gibbs ?exact_max_vars ?max_width ~pi
         }
   in
   let snap =
-    Snapshot.live ~epoch ?gibbs ?exact_max_vars ?max_width
+    Snapshot.live ~epoch ?solver
       ~marginal_of:(fun id -> Hashtbl.find_opt marg id)
       ~view_of ~source:(Local.of_adjacency adj) ~clamp
       ~find:(fun ~r ~x ~c1 ~y ~c2 -> Hashtbl.find_opt keys (r, x, c1, y, c2))

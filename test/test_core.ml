@@ -15,7 +15,9 @@ let test_run_stores_marginals () =
   let kb, _, _ = Tutil.ruth_gruber_kb () in
   let engine =
     Probkb.Engine.create
-      ~config:(Probkb.Config.make ~inference:(Some Inference.Marginal.Exact) ())
+      ~config:
+        (Probkb.Config.make ~inference:(Some Inference.Hybrid.default_options)
+           ())
       kb
   in
   let result = Probkb.Engine.run engine in
@@ -263,7 +265,9 @@ let test_report_rendering () =
   let kb, _, _ = Tutil.ruth_gruber_kb () in
   let engine =
     Probkb.Engine.create
-      ~config:(Probkb.Config.make ~inference:(Some Inference.Marginal.Exact) ())
+      ~config:
+        (Probkb.Config.make ~inference:(Some Inference.Hybrid.default_options)
+           ())
       kb
   in
   let result = Probkb.Engine.run engine in
@@ -335,26 +339,32 @@ let test_trajectory_with_constraints () =
 
 let test_run_reports_sampler_info () =
   let kb, _, _ = Tutil.ruth_gruber_kb () in
+  (* No enumeration and no elimination past width 0: the dispatcher must
+     sample the worked example's component. *)
   let engine =
     Probkb.Engine.create
       ~config:
         (Probkb.Config.make
            ~inference:
              (Some
-                (Inference.Marginal.Chromatic
-                   { Inference.Gibbs.burn_in = 50; samples = 200; seed = 3 }))
-           ~target_r_hat:1.5 ~min_ess:5. ~checkpoint_sweeps:10 ())
+                {
+                  Inference.Hybrid.default_options with
+                  gibbs = { Inference.Gibbs.burn_in = 50; samples = 200; seed = 3 };
+                })
+           ~exact_max_vars:0 ~max_width:0 ~target_r_hat:1.5 ~min_ess:5.
+           ~checkpoint_sweeps:10 ())
       kb
   in
   let result = Probkb.Engine.run engine in
   (match result.Probkb.Engine.inference with
-  | Some (Inference.Marginal.Chromatic_run i) ->
+  | Some (Inference.Marginal.Hybrid_run { Inference.Hybrid.gibbs = Some i; _ })
+    ->
     Alcotest.(check bool) "sweeps recorded" true
       (i.Inference.Chromatic.sweeps_run > 0);
     (match i.Inference.Chromatic.diag with
     | Some _ -> ()
     | None -> Alcotest.fail "early-stop config implies online diagnostics")
-  | Some _ | None -> Alcotest.fail "Chromatic run must report sampler info");
+  | Some _ | None -> Alcotest.fail "a sampled core must report sampler info");
   let text = Fmt.str "%a" Probkb.Report.pp_result result in
   Alcotest.(check bool) "report mentions the sampler" true
     (contains text "sampler:");

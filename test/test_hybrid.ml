@@ -400,39 +400,23 @@ let test_marginal_hybrid_front_end () =
   let g = Fgraph.create () in
   Fgraph.add_singleton g ~i:42 ~w:1.0;
   Fgraph.add_clause g ~i1:7 ~i2:42 ~w:0.5 ();
-  let m, info =
-    Inference.Marginal.infer_full g
-      (Inference.Marginal.Hybrid Inference.Hybrid.default_options)
+  let m, Inference.Marginal.Hybrid_run r =
+    Inference.Marginal.infer_full g Inference.Hybrid.default_options
   in
   Alcotest.(check bool) "fact ids mapped" true
     (Hashtbl.mem m 42 && Hashtbl.mem m 7);
-  match info with
-  | Inference.Marginal.Hybrid_run r ->
-    Alcotest.(check (float 1e-12)) "everything exact" 1.0
-      (Inference.Hybrid.exact_fraction r)
-  | _ -> Alcotest.fail "hybrid method must return Hybrid_run"
+  Alcotest.(check (float 1e-12)) "everything exact" 1.0
+    (Inference.Hybrid.exact_fraction r)
 
 let test_config_hybrid_knobs () =
-  let c =
-    Probkb.Config.make
-      ~inference:
-        (Some (Inference.Marginal.Chromatic Inference.Gibbs.default_options))
-      ~hybrid:true ~exact_max_vars:12 ~max_width:5 ()
-  in
+  let c = Probkb.Config.make ~hybrid:true ~exact_max_vars:12 ~max_width:5 () in
   (match c.Probkb.Config.inference with
-  | Some (Inference.Marginal.Hybrid o) ->
+  | Some o ->
     Alcotest.(check int) "cap threaded" 12 o.Inference.Hybrid.exact_max_vars;
-    Alcotest.(check int) "width threaded" 5 o.Inference.Hybrid.max_width
-  | _ -> Alcotest.fail "hybrid:true must upgrade Chromatic to Hybrid");
-  Alcotest.(check int) "knob stored" 12 c.Probkb.Config.exact_max_vars;
-  (* An explicit Exact request is left alone. *)
-  (match
-     (Probkb.Config.make ~inference:(Some Inference.Marginal.Exact)
-        ~hybrid:true ())
-       .Probkb.Config.inference
-   with
-  | Some Inference.Marginal.Exact -> ()
-  | _ -> Alcotest.fail "hybrid:true must not override an explicit Exact");
+    Alcotest.(check int) "width threaded" 5 o.Inference.Hybrid.max_width;
+    Alcotest.(check bool) "local reads solve with the same record" true
+      (Probkb.Config.solver c = o)
+  | None -> Alcotest.fail "inference is on by default");
   (match Probkb.Config.make ~exact_max_vars:31 () with
   | _ -> Alcotest.fail "exact_max_vars 31 must be rejected"
   | exception Invalid_argument _ -> ());

@@ -486,15 +486,15 @@ let session_transcript ~compact_always seed ops =
       { Workload.Reverb_sherlock.default_config with scale = 0.0005; seed }
   in
   let kb = Workload.Reverb_sherlock.kb g in
+  let solver =
+    {
+      Inference.Hybrid.default_options with
+      gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 7 };
+    }
+  in
   let engine =
     Probkb.Engine.create
-      ~config:
-        (Probkb.Config.make
-           ~inference:
-             (Some
-                (Inference.Marginal.Chromatic
-                   { Inference.Gibbs.burn_in = 5; samples = 20; seed = 7 }))
-           ())
+      ~config:(Probkb.Config.make ~inference:(Some solver) ())
       kb
   in
   let s = Probkb.Engine.session engine in
@@ -588,6 +588,16 @@ let session_transcript ~compact_always seed ops =
           record ())
       | Refresh ->
         Option.iter reply (Probkb.Engine.Session.refresh_marginals s);
+        (* A refresh is a solve of the session's graph, nothing more. *)
+        let solved, _ =
+          Inference.Marginal.infer_full (Probkb.Engine.Session.graph s) solver
+        in
+        Hashtbl.iter
+          (fun id p ->
+            match Probkb.Engine.Session.marginal s id with
+            | Some q when Float.equal p q -> ()
+            | _ -> Alcotest.failf "refresh marginal of %d is not the solve's" id)
+          solved;
         Storage.iter
           (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w:_ ->
             match Probkb.Engine.Session.marginal s id with
@@ -631,19 +641,19 @@ let test_compaction_invisible () =
 
 (* --- sessions ----------------------------------------------------------- *)
 
+let rg_config =
+  Probkb.Config.make
+    ~inference:
+      (Some
+         {
+           Inference.Hybrid.default_options with
+           gibbs = { Inference.Gibbs.burn_in = 20; samples = 100; seed = 11 };
+         })
+    ()
+
 let session_of_rg () =
   let kb, f1, f2 = Tutil.ruth_gruber_kb () in
-  let engine =
-    Probkb.Engine.create
-      ~config:
-        (Probkb.Config.make
-           ~inference:
-             (Some
-                (Inference.Marginal.Chromatic
-                   { Inference.Gibbs.burn_in = 20; samples = 100; seed = 11 }))
-           ())
-      kb
-  in
+  let engine = Probkb.Engine.create ~config:rg_config kb in
   (Probkb.Engine.session engine, kb, f1, f2)
 
 let test_session_epochs () =
@@ -660,6 +670,22 @@ let test_session_epochs () =
   check_bool "base fact" true v.Probkb.Engine.Session.base;
   check_bool "marginal available after refresh" true
     (v.Probkb.Engine.Session.marginal <> None);
+  (* The first refresh solves what batch inference solves: the same
+     marginals, bit for bit, as [Engine.infer_full] on an identical KB. *)
+  let batch =
+    let kb', _, _ = Tutil.ruth_gruber_kb () in
+    let engine = Probkb.Engine.create ~config:rg_config kb' in
+    fst (Probkb.Engine.infer_full engine (Probkb.Engine.expand engine))
+  in
+  check_int "refresh covers the batch graph" (Hashtbl.length batch)
+    (Storage.size (Gamma.pi kb));
+  Hashtbl.iter
+    (fun id p ->
+      check_bool "refresh = batch inference" true
+        (match Probkb.Engine.Session.marginal s id with
+        | Some q -> Float.equal p q
+        | None -> false))
+    batch;
   let st = Probkb.Engine.Session.retract s [ f2 ] in
   check_bool "retraction shrank the store" true
     (st.Probkb.Engine.Session.retracted >= 3);
@@ -667,43 +693,6 @@ let test_session_epochs () =
   check_int "two epochs in the ledger" 2 (List.length ledger);
   check_bool "deleted fact unknown to query" true
     (Probkb.Engine.Session.marginal s f2 = None)
-
-let test_session_warm_start_determinism () =
-  (* The same epoch history must give bit-identical marginals at any pool
-     size; warm-started refreshes draw fallback inits from a
-     single-threaded seed stream, so this exercises exactly the
-     [?init] path of the chromatic sampler. *)
-  let run pool_size =
-    Pool.set_default_size pool_size;
-    Fun.protect
-      ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
-      (fun () ->
-        let s, kb, _, f2 = session_of_rg () in
-        ignore (Probkb.Engine.Session.refresh_marginals s);
-        ignore (Probkb.Engine.Session.retract s [ f2 ]);
-        let phil =
-          ( Gamma.relation kb "born_in", Gamma.entity kb "Phil",
-            Gamma.cls kb "W", Gamma.entity kb "Queens", Gamma.cls kb "P" )
-        in
-        let r, x, c1, y, c2 = phil in
-        ignore (Probkb.Engine.Session.ingest s [ (r, x, c1, y, c2, 0.8) ]);
-        ignore (Probkb.Engine.Session.refresh_marginals s);
-        let acc = ref [] in
-        Storage.iter
-          (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w:_ ->
-            match Probkb.Engine.Session.marginal s id with
-            | Some p -> acc := (key_of (Gamma.pi kb) id, p) :: !acc
-            | None -> ())
-          (Gamma.pi kb);
-        List.sort compare !acc)
-  in
-  let m1 = run 1 and m4 = run 4 in
-  check_int "same marginal count" (List.length m1) (List.length m4);
-  List.iter2
-    (fun (k1, p1) (k4, p4) ->
-      check_bool "same key" true (k1 = k4);
-      check_bool "bit-identical marginal" true (Float.equal p1 p4))
-    m1 m4
 
 let test_session_constraints_via_dred () =
   (* Session ingest enforces Ω as a banned DRed retraction: the violating
@@ -765,8 +754,10 @@ let session_digests () =
         (Probkb.Config.make
            ~inference:
              (Some
-                (Inference.Marginal.Chromatic
-                   { Inference.Gibbs.burn_in = 10; samples = 40; seed = 3 }))
+                {
+                  Inference.Hybrid.default_options with
+                  gibbs = { Inference.Gibbs.burn_in = 10; samples = 40; seed = 3 };
+                })
            ())
       kb
   in
@@ -853,7 +844,11 @@ let session_digests () =
   (hex b, hex marginals, hex replies)
 
 let pinned_rows_digest = "293187fe29ac551a6641dd783f53f72c"
-let pinned_marginal_digest = "d2119ecc5454ce6e8d3366662ee48331"
+
+(* Recorded when refreshes moved to the hybrid dispatcher, which settles
+   exact components exactly; the earlier value recorded whole-graph
+   chromatic Gibbs refreshes. *)
+let pinned_marginal_digest = "151166e2dcb40c1121d2ffee5ff57aa3"
 
 let at_pools f =
   List.iter
@@ -1021,8 +1016,6 @@ let () =
       ( "session",
         [
           Alcotest.test_case "epoch ledger" `Quick test_session_epochs;
-          Alcotest.test_case "warm-start pool determinism" `Quick
-            test_session_warm_start_determinism;
           Alcotest.test_case "constraints via DRed" `Quick
             test_session_constraints_via_dred;
           Alcotest.test_case "session digest pinned" `Quick

@@ -647,7 +647,7 @@ let test_online_never_stops_on_short_chain () =
 let test_marginal_front_end () =
   let g = Fgraph.create () in
   Fgraph.add_singleton g ~i:42 ~w:1.0;
-  let m = Inference.Marginal.infer g Inference.Marginal.Exact in
+  let m, _ = Inference.Marginal.infer_full g Inference.Hybrid.default_options in
   Alcotest.(check (float 1e-9)) "fact id mapping"
     (exp 1.0 /. (1. +. exp 1.0))
     (Hashtbl.find m 42)

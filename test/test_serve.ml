@@ -243,16 +243,20 @@ let same_answer (a : Snapshot.answer option) (b : Snapshot.answer option) =
     && a.truncated = b.truncated && a.enumerated = b.enumerated
   | _ -> false
 
-let gibbs_small = { Inference.Gibbs.burn_in = 10; samples = 40; seed = 3 }
+let solver_small =
+  {
+    Inference.Hybrid.default_options with
+    gibbs = { Inference.Gibbs.burn_in = 10; samples = 40; seed = 3 };
+  }
 
 (* [probes] are the keys [query_local] is asked about, budgeted and
    unbounded; [keys] the keys [find] is asked about. *)
 let check_freeze_against_oracle ~what ~epoch ~marginals ~keys ~probes ~pi
     ~graph =
   let snap =
-    Snapshot.freeze ~epoch ~marginals ~gibbs:gibbs_small ~pi ~graph ()
+    Snapshot.freeze ~epoch ~marginals ~solver:solver_small ~pi ~graph ()
   and oracle =
-    Snapshot_oracle.freeze ~epoch ~marginals ~gibbs:gibbs_small ~pi ~graph ()
+    Snapshot_oracle.freeze ~epoch ~marginals ~solver:solver_small ~pi ~graph ()
   in
   let o = oracle.Snapshot_oracle.snap in
   let stats = Snapshot.stats snap in
@@ -294,9 +298,7 @@ let snapshot_oracle_stream () =
   let engine =
     Engine.create
       ~config:
-        (Probkb.Config.make
-           ~inference:(Some (Inference.Marginal.Chromatic gibbs_small))
-           ())
+        (Probkb.Config.make ~inference:(Some solver_small) ())
       kb
   in
   let s = Engine.session engine in
