@@ -183,8 +183,8 @@ let sigmoid w = 1. /. (1. +. exp (-.w))
 
 (* The engine's read view: a live (graph-less) snapshot over the KB's
    fact indexes.  Cached because [Local.of_kb] memoizes rule-adjacency
-   buckets; invalidated whenever facts or rules change — [expand],
-   [incorporate], and every session epoch.  The partial-key TΠ indexes
+   buckets; invalidated whenever facts or rules change — [expand] and
+   every session epoch.  The partial-key TΠ indexes
    the walk probes are not the view's: [Storage] owns and maintains
    them, and the delta joins share them. *)
 let read_view t =
@@ -573,46 +573,3 @@ module Snapshot = struct
   let of_engine = read_view
   let of_session = Session.snapshot
 end
-
-let incorporate t facts =
-  t.read <- None;
-  let pi = Gamma.pi t.kb in
-  let delta =
-    Table.create ~weighted:true ~name:"delta"
-      [| "I"; "R"; "x"; "C1"; "y"; "C2" |]
-  in
-  List.iter
-    (fun (r, x, c1, y, c2, w) ->
-      match Storage.find pi ~r ~x ~c1 ~y ~c2 with
-      | None ->
-        let id = Gamma.add_fact t.kb ~r ~x ~c1 ~y ~c2 ~w in
-        Table.append_w delta [| id; r; x; c1; y; c2 |] w
-      | Some id ->
-        (* An extraction arriving for an already-inferred fact promotes it
-           to a base fact (same semantics as [Incremental.Dred.ingest]):
-           it takes the extraction weight; its consequences are already
-           derived, so it does not seed the delta. *)
-        let tbl = Storage.table pi in
-        (match Storage.row_of_id pi id with
-        | Some row
-          when Table.is_null_weight (Table.weight tbl row)
-               && not (Table.is_null_weight w) ->
-          Table.set_weight tbl row w
-        | _ -> ()))
-    facts;
-  let inserted = Table.nrows delta in
-  if inserted = 0 then (0, 0)
-  else begin
-    let result =
-      Grounding.Ground.closure
-        ~options:
-          {
-            Grounding.Ground.default_options with
-            max_iterations = t.config.Config.max_iterations;
-            initial_delta = Some delta;
-            obs = t.trace;
-          }
-        t.kb
-    in
-    (inserted, result.Grounding.Ground.new_fact_count)
-  end

@@ -305,14 +305,3 @@ end
 (** [session t] expands the knowledge base (epoch 0, the batch pipeline
     of {!expand}) and opens a live session over the result. *)
 val session : t -> Session.t
-
-(** [incorporate t facts] adds newly extracted facts
-    [(r, x, c1, y, c2, w)] to an already-expanded knowledge base and
-    derives {e only their consequences} (delta-driven grounding seeded
-    with the insertions) instead of re-running full expansion.  An
-    extraction whose fact already exists as an inferred fact promotes it
-    (the fact takes the extraction weight, as in
-    [Incremental.Dred.ingest]).  Returns [(inserted, inferred)].  Re-run
-    {!expand} when a fresh factor graph is needed. *)
-val incorporate :
-  t -> (int * int * int * int * int * float) list -> int * int

@@ -143,16 +143,18 @@ let test_incremental_incorporate () =
      re-expansion from scratch. *)
   let kb, _, _ = Tutil.ruth_gruber_kb () in
   let engine = Probkb.Engine.create ~config:(Probkb.Config.make ~inference:None ()) kb in
-  ignore (Probkb.Engine.expand engine);
+  let s = Probkb.Engine.session engine in
+  let ingest facts =
+    let st = Probkb.Engine.Session.ingest s facts in
+    (st.Probkb.Engine.Session.inserted, st.Probkb.Engine.Session.derived)
+  in
   let n_before = Kb.Storage.size (Kb.Gamma.pi kb) in
   let r = Kb.Gamma.relation kb "born_in" in
   let x = Kb.Gamma.entity kb "Phil" in
   let c1 = Kb.Gamma.cls kb "W" in
   let y = Kb.Gamma.entity kb "Queens" in
   let c2 = Kb.Gamma.cls kb "P" in
-  let inserted, inferred =
-    Probkb.Engine.incorporate engine [ (r, x, c1, y, c2, 0.8) ]
-  in
+  let inserted, inferred = ingest [ (r, x, c1, y, c2, 0.8) ] in
   check_int "one inserted" 1 inserted;
   (* born_in(Phil, Queens) derives live_in and grow_up_in (P-typed
      rules). *)
@@ -168,9 +170,7 @@ let test_incremental_incorporate () =
     (Kb.Storage.size (Kb.Gamma.pi kb2))
     (Kb.Storage.size (Kb.Gamma.pi kb));
   (* Duplicate insertions are no-ops. *)
-  let inserted, inferred =
-    Probkb.Engine.incorporate engine [ (r, x, c1, y, c2, 0.8) ]
-  in
+  let inserted, inferred = ingest [ (r, x, c1, y, c2, 0.8) ] in
   check_int "dup insert" 0 inserted;
   check_int "dup infers nothing" 0 inferred
 
@@ -190,11 +190,12 @@ let test_incremental_chain_reaction () =
       1.0 )
   in
   let engine = Probkb.Engine.create ~config:(Probkb.Config.make ~inference:None ()) kb in
-  ignore (Probkb.Engine.incorporate engine [ pair "a" "b"; pair "c" "d" ]);
+  let s = Probkb.Engine.session engine in
+  ignore (Probkb.Engine.Session.ingest s [ pair "a" "b"; pair "c" "d" ]);
   (* Two disconnected edges: anc(a,b), anc(c,d). *)
   check_int "4 facts" 4 (Kb.Storage.size (Kb.Gamma.pi kb));
   (* The bridging edge connects everything: a-b-c-d. *)
-  ignore (Probkb.Engine.incorporate engine [ pair "b" "c" ]);
+  ignore (Probkb.Engine.Session.ingest s [ pair "b" "c" ]);
   (* anc = all 6 ordered pairs along the chain. *)
   let anc = Kb.Gamma.relation kb "anc" in
   let count = ref 0 in
@@ -204,7 +205,7 @@ let test_incremental_chain_reaction () =
   check_int "anc closure after bridge" 6 !count
 
 let test_incorporate_batches_differential =
-  (* Feeding the same extractions through [incorporate] in k batches must
+  (* Ingesting the same extractions into a session in k batches must
      reach the same closure as one from-scratch expansion over their
      union — the insert-path mirror of the retract differential in
      test_incremental.  Both sides run to the fixpoint: under the default
@@ -235,8 +236,9 @@ let test_incorporate_batches_differential =
           ~config:(Probkb.Config.make ~inference:None ~max_iterations:100 ())
           inc_kb
       in
+      let s = Probkb.Engine.session engine in
       Array.iter
-        (fun b -> ignore (Probkb.Engine.incorporate engine (List.rev b)))
+        (fun b -> ignore (Probkb.Engine.Session.ingest s (List.rev b)))
         batches;
       let oracle = Tutil.copy_gamma proto in
       let closed =
