@@ -11,11 +11,13 @@ test:
 # pool, with the debug assertions (e.g. colouring verification) on.
 # Then the observability smoke: `--explain --metrics json` must put
 # exactly one well-formed JSON document on stdout (chatter is stderr),
-# a `probkb session` must run DRed retract and ingest epochs with the
-# same replies at pools 1 and 4, `expand --sc` must report the same
-# expansion with and without `--mpp` at pools 1 and 4, and a live
-# `probkb serve` must answer /metrics + /statusz scrapes, keep a
-# well-formed access log, and print its shutdown summary.
+# `probkb infer` must report one hybrid solve and stream monotone
+# snapshots (the same script CI runs), a `probkb session` must run DRed
+# retract and ingest epochs with the same replies at pools 1 and 4,
+# `expand --sc` must report the same expansion with and without `--mpp`
+# at pools 1 and 4, and a live `probkb serve` must answer /metrics +
+# /statusz scrapes, keep a well-formed access log, and print its
+# shutdown summary.
 # Then every paper reproduction (bench/main.exe, all but the Bechamel
 # micro-benchmarks) runs at --quick size and must exit 0; nothing there
 # is gated on time.
@@ -30,6 +32,7 @@ check: build
 	dune exec bin/probkb_cli.exe -- expand --facts _smoke/facts.tsv \
 	  --rules _smoke/rules.mln --explain --metrics json \
 	  | python3 -m json.tool > /dev/null
+	python3 scripts/infer_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	printf '%s\n' \
 	  '{"op":"reexpand"}' \
 	  '{"op":"refresh"}' \
