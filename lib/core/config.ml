@@ -50,7 +50,8 @@ let make ?(engine = Single_node) ?(semantic_constraints = false)
       (fun (o : Inference.Hybrid.options) ->
         {
           o with
-          exact_max_vars = Option.value exact_max_vars ~default:o.exact_max_vars;
+          exact_max_vars =
+            Option.value exact_max_vars ~default:o.exact_max_vars;
           max_width = Option.value max_width ~default:o.max_width;
         })
       inference
@@ -70,7 +71,8 @@ let make ?(engine = Single_node) ?(semantic_constraints = false)
   }
 
 let default = make ()
-let solver c = Option.value c.inference ~default:Inference.Hybrid.default_options
+let solver c =
+  Option.value c.inference ~default:Inference.Hybrid.default_options
 let no_inference c = { c with inference = None }
 let with_engine engine c = { c with engine }
 let with_quality quality c = { c with quality }

@@ -68,11 +68,11 @@ type t
 
 (** [freeze ?epoch ?marginals ?solver ?obs ~pi ~graph ()] copies the
     read state out of [(pi, graph)] — array copies and one counting sort
-    over the factors, no rehashing, no re-grounding and no compile.  Lookups run [Storage.find] and
-    [Storage.row_of_id] on the copy of [pi], so tombstoned facts are
-    excluded exactly as they are from the live store, and the fact count
-    is Storage's live count: no per-row work however many rows are
-    dead.
+    over the factors, no rehashing, no re-grounding and no compile.
+    Lookups run [Storage.find] and [Storage.row_of_id] on the copy of
+    [pi], so tombstoned facts are excluded exactly as they are from the
+    live store, and the fact count is Storage's live count: no per-row
+    work however many rows are dead.
     [marginals] (copied into an array indexed by fact id, sized by
     [Storage.next_id pi]) clamps boundary facts in preference to
     extraction priors.  [solver] is the neighbourhood dispatcher's

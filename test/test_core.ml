@@ -351,7 +351,8 @@ let test_run_reports_sampler_info () =
              (Some
                 {
                   Inference.Hybrid.default_options with
-                  gibbs = { Inference.Gibbs.burn_in = 50; samples = 200; seed = 3 };
+                  gibbs =
+                    { Inference.Gibbs.burn_in = 50; samples = 200; seed = 3 };
                 })
            ~exact_max_vars:0 ~max_width:0 ~target_r_hat:1.5 ~min_ess:5.
            ~checkpoint_sweeps:10 ())

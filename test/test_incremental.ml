@@ -596,7 +596,7 @@ let session_transcript ~compact_always seed ops =
           (fun id p ->
             match Probkb.Engine.Session.marginal s id with
             | Some q when Float.equal p q -> ()
-            | _ -> Alcotest.failf "refresh marginal of %d is not the solve's" id)
+            | _ -> Alcotest.failf "refresh marginal of %d is not solved" id)
           solved;
         Storage.iter
           (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w:_ ->
@@ -756,7 +756,8 @@ let session_digests () =
              (Some
                 {
                   Inference.Hybrid.default_options with
-                  gibbs = { Inference.Gibbs.burn_in = 10; samples = 40; seed = 3 };
+                  gibbs =
+                    { Inference.Gibbs.burn_in = 10; samples = 40; seed = 3 };
                 })
            ())
       kb
