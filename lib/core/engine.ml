@@ -184,9 +184,9 @@ let sigmoid w = 1. /. (1. +. exp (-.w))
 (* The engine's read view: a live (graph-less) snapshot over the KB's
    fact indexes.  Cached because [Local.of_kb] memoizes rule-adjacency
    buckets; invalidated whenever facts or rules change — [expand] and
-   every session epoch.  The partial-key TΠ indexes
-   the walk probes are not the view's: [Storage] owns and maintains
-   them, and the delta joins share them. *)
+   every session epoch.  The partial-key TΠ indexes the walk probes are
+   not the view's: [Storage] owns and maintains them, and the delta
+   joins share them. *)
 let read_view t =
   match t.read with
   | Some s -> s
