@@ -658,15 +658,20 @@ let session_run facts rules constraints sc theta iterations samples max_width
        end
      done
    with End_of_file -> ());
-  (* Retracts retire rows in place; say what is left to compact. *)
+  (* Retracts retire rows in place; say what is left to compact, and
+     how much of the graph the refreshes re-solved. *)
+  let work = Probkb.Engine.Session.refresh_work s in
   Format.eprintf
     "session closed: %d facts, %d factors; %d dead facts and %d dead \
-     factors await compaction; %d compactions@."
+     factors await compaction; %d compactions; %d refreshes re-solved %d \
+     components and reused %d@."
     (Kb.Storage.size (Kb.Gamma.pi kb))
     (Factor_graph.Fgraph.size (Probkb.Engine.Session.graph s))
     (Kb.Storage.pending_deletes (Kb.Gamma.pi kb))
     (Factor_graph.Fgraph.dead_rows (Probkb.Engine.Session.graph s))
-    (Incremental.Dred.compactions (Probkb.Engine.Session.dred s));
+    (Incremental.Dred.compactions (Probkb.Engine.Session.dred s))
+    work.Inference.Hybrid.solves work.Inference.Hybrid.components_solved
+    work.Inference.Hybrid.components_reused;
   0
 
 let session_cmd =

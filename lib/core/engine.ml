@@ -264,6 +264,8 @@ module Session = struct
     marginals : (int, float) Hashtbl.t;  (* fact id → last estimate *)
     mutable last_solve : Inference.Marginal.solve_info option;
         (* report of the last refresh *)
+    memo : Inference.Hybrid.memo;
+        (* the last refresh's per-component results, for the next one *)
     mutable history : epoch_stats list;  (* newest first *)
     mutable read : Snapshot.t option;
         (* frozen snapshot of the current epoch, built on first demand
@@ -277,6 +279,7 @@ module Session = struct
   let epoch s = s.epoch
   let history s = List.rev s.history
   let last_run s = s.last_solve
+  let refresh_work s = Inference.Hybrid.work s.memo
 
   let forget s ids = List.iter (Hashtbl.remove s.marginals) ids
 
@@ -289,6 +292,9 @@ module Session = struct
        [retract_rules]/[add_rules] — they are rebuilt on next demand). *)
     s.read <- None;
     s.engine.read <- None;
+    (* Without inference no refresh ever reads the dirty set. *)
+    if Option.is_none s.engine.config.Config.inference then
+      ignore (Incremental.Dred.take_dirty s.dred);
     let st =
       {
         epoch = s.epoch;
@@ -407,8 +413,17 @@ module Session = struct
         Inference.Marginal.infer_compiled_full ~obs:s.engine.trace
           ~checkpoint:s.engine.config.Config.checkpoint_sweeps
           ?early_stop:(Config.early_stop_criteria s.engine.config)
+          ~memo:(s.memo, Incremental.Dred.take_dirty s.dred)
           c options
       in
+      (* Trust signals for the whole graph, whatever this refresh reused. *)
+      let (Inference.Marginal.Hybrid_run r) = solve in
+      Obs.gauge s.engine.trace "inference.exact_fraction"
+        (Inference.Hybrid.exact_fraction r);
+      Obs.gauge s.engine.trace "inference.max_width_solved"
+        (float_of_int r.Inference.Hybrid.max_width_solved);
+      Obs.gauge s.engine.trace "inference.sampled_vars"
+        (float_of_int r.Inference.Hybrid.sampled_vars);
       Hashtbl.reset s.marginals;
       Array.iteri
         (fun v p ->
@@ -542,6 +557,7 @@ let session t =
     epoch = 0;
     marginals = Hashtbl.create 256;
     last_solve = None;
+    memo = Inference.Hybrid.memo ();
     history = [];
     read = None;
   }

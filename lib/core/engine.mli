@@ -201,11 +201,20 @@ module Session : sig
 
   (** [refresh_marginals s] re-solves the session's current graph: it is
       [Inference.Marginal.infer_compiled_full] on the compiled {!graph}
-      with [config.inference] ([None] when inference is disabled).  A
-      refresh keeps no state from earlier refreshes, so its marginals
-      equal a batch solve of the same graph, bit for bit, at any pool
-      size. *)
+      with [config.inference] ([None] when inference is disabled), given
+      the last refresh's results and the fact ids whose [TΦ] rows the
+      epochs since appended or killed ([Incremental.Dred.take_dirty]).
+      Only the components those ids touch are solved again; the rest
+      copy the last refresh's answers.  The marginals equal a batch
+      solve of the same graph, bit for bit, at any pool size.  After
+      every refresh the gauges [inference.exact_fraction],
+      [inference.max_width_solved] and [inference.sampled_vars] describe
+      the whole graph. *)
   val refresh_marginals : t -> epoch_stats option
+
+  (** [refresh_work s] is what the session's refreshes solved and reused
+      so far (kept whether or not a trace is attached). *)
+  val refresh_work : t -> Inference.Hybrid.work
 
   (** A fact as seen through the session. *)
   type fact_view = {

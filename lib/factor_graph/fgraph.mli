@@ -130,8 +130,9 @@ val role_body : int
 
 (** [compile g] builds the dense view of the live factors, the
     role-coded adjacency included.  Factors with non-finite weights are
-    excluded (hard rules are handled by quality control, not
-    inference). *)
+    excluded: NaN is the null weight (no weight at all), and ±inf is a
+    hard rule, which quality control enforces, not inference.  A fact
+    mentioned only by excluded factors is not a variable. *)
 val compile : t -> compiled
 
 (** [nvars c] is the number of distinct variables. *)

@@ -11,6 +11,8 @@ type t = {
   prov : Provenance.t;
   mutable prepared : Queries.prepared;
   mutable compactions : int;
+  mutable dirty : (int, unit) Hashtbl.t;
+      (* fact ids of the TΦ rows appended or killed since [take_dirty] *)
   obs : Obs.t;
 }
 
@@ -21,6 +23,7 @@ let create ?(obs = Obs.null) kb graph =
     prov = Provenance.of_graph graph;
     prepared = Queries.prepare (Gamma.partitions kb);
     compactions = 0;
+    dirty = Hashtbl.create 64;
     obs;
   }
 
@@ -28,6 +31,24 @@ let kb t = t.kb
 let graph t = t.graph
 let provenance t = t.prov
 let compactions t = t.compactions
+
+let take_dirty t =
+  let d = t.dirty in
+  t.dirty <- Hashtbl.create 64;
+  d
+
+(* Every TΦ row this module appends or kills passes through here, by
+   position, before any compaction can move it. *)
+let note_factor t f =
+  let i1, i2, i3, _ = Fgraph.factor t.graph f in
+  Hashtbl.replace t.dirty i1 ();
+  if i2 <> Fgraph.null then Hashtbl.replace t.dirty i2 ();
+  if i3 <> Fgraph.null then Hashtbl.replace t.dirty i3 ()
+
+let note_appended t ~from =
+  for f = from to Fgraph.bound t.graph - 1 do
+    note_factor t f
+  done
 
 let refresh_rules t = t.prepared <- Queries.prepare (Gamma.partitions t.kb)
 
@@ -206,7 +227,12 @@ let rederive st ~in_cone ~order ~banned =
    from the index in place.  No position moves.  Returns the count. *)
 let retire st ~dead ~demoted =
   let killed = ref [] in
-  let kill f = if Fgraph.kill st.graph f then killed := f :: !killed in
+  let kill f =
+    if Fgraph.kill st.graph f then begin
+      note_factor st f;
+      killed := f :: !killed
+    end
+  in
   let kill_singleton id = Option.iter kill (Provenance.singleton_of st.prov id) in
   Hashtbl.iter
     (fun id () ->
@@ -411,7 +437,9 @@ let retract_rules st ~remove =
           | _ -> ())
       st.graph;
     Obs.with_span st.obs "retire" ~cat:"incremental" (fun () ->
-        List.iter (fun f -> ignore (Fgraph.kill st.graph f)) !doomed;
+        List.iter
+          (fun f -> if Fgraph.kill st.graph f then note_factor st f)
+          !doomed;
         Provenance.retire st.prov st.graph !doomed);
     let rule_factors_removed = List.length !doomed in
     (* The remaining rules take over before the cone is explored: every
@@ -525,6 +553,7 @@ let ingest ?(max_iterations = 15) st facts =
   let new_factors = ref 0 in
   let t = Storage.table pi in
   let start = new_rows t watermark in
+  let from = Fgraph.bound st.graph in
   Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
       let fdelta = suffix t start in
       if Table.nrows fdelta > 0 then
@@ -548,6 +577,7 @@ let ingest ?(max_iterations = 15) st facts =
             end
           | None -> ())
         (inserted @ promoted));
+  note_appended st ~from;
   Provenance.sync st.prov st.graph;
   let derived, iters, converged =
     match closure_result with
@@ -601,6 +631,7 @@ let extend_rules ?(max_iterations = 15) st rules =
   let new_factors = ref 0 in
   let t = Storage.table pi in
   let start = new_rows t watermark in
+  let from = Fgraph.bound st.graph in
   Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
       (if rules <> [] then
          let rp = Queries.prepare (Mln.Partition.of_rules rules) in
@@ -619,6 +650,7 @@ let extend_rules ?(max_iterations = 15) st rules =
               + Queries.ground_factors_delta prepared_old pat pi ~delta:fdelta
                   ~watermark st.graph)
           old_patterns);
+  note_appended st ~from;
   Provenance.sync st.prov st.graph;
   {
     inserted = 0;

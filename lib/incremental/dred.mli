@@ -57,6 +57,16 @@ val provenance : t -> Provenance.t
     attached. *)
 val compactions : t -> int
 
+(** [take_dirty t] is the set of fact ids mentioned by every [TΦ] row
+    appended or killed since the last [take_dirty] (or since {!create}),
+    and empties it.  Every operation below that changes [TΦ] adds to it:
+    ingest, retract, {!enforce_constraints}, {!extend_rules},
+    {!retract_rules} and {!reexpand}.  Compaction moves rows but changes
+    none, so it adds nothing.  A marginal solve that holds this set
+    against the last one re-solves only the components it touches
+    ([Inference.Hybrid.solve]). *)
+val take_dirty : t -> (int, unit) Hashtbl.t
+
 (** [refresh_rules t] re-prepares the partition plans after the rule set
     changed behind this module's back (prefer {!extend_rules} /
     {!retract_rules}). *)

@@ -39,17 +39,44 @@ let roots c =
   done;
   find
 
-let groups c =
+type partition = {
+  roots : int array;
+  members : int array array;
+  comp_of_var : int array;
+}
+
+(* A root is its component's smallest variable, so an ascending scan
+   meets every root before the rest of its component and numbers the
+   components in ascending root order. *)
+let partition c =
   let find = roots c in
-  let m = Array.length c.Fgraph.head in
-  (* Factor lists per root, in factor order (re-sorted canonically later). *)
-  let groups = Hashtbl.create 16 in
-  for f = m - 1 downto 0 do
-    let root = find c.Fgraph.head.(f) in
-    Hashtbl.replace groups root
-      (f :: Option.value ~default:[] (Hashtbl.find_opt groups root))
+  let n = Fgraph.nvars c in
+  let comp_of_var = Array.make n 0 in
+  let roots = ref [] and nc = ref 0 in
+  for v = 0 to n - 1 do
+    let r = find v in
+    if r = v then begin
+      comp_of_var.(v) <- !nc;
+      roots := v :: !roots;
+      incr nc
+    end
+    else comp_of_var.(v) <- comp_of_var.(r)
   done;
-  groups
+  let nc = !nc in
+  let m = Array.length c.Fgraph.head in
+  let counts = Array.make nc 0 in
+  for f = 0 to m - 1 do
+    let i = comp_of_var.(c.Fgraph.head.(f)) in
+    counts.(i) <- counts.(i) + 1
+  done;
+  let members = Array.map (fun k -> Array.make k 0) counts in
+  Array.fill counts 0 nc 0;
+  for f = 0 to m - 1 do
+    let i = comp_of_var.(c.Fgraph.head.(f)) in
+    members.(i).(counts.(i)) <- f;
+    counts.(i) <- counts.(i) + 1
+  done;
+  { roots = Array.of_list (List.rev !roots); members; comp_of_var }
 
 let factor_key c f =
   let id v = if v < 0 then Fgraph.null else c.Fgraph.var_ids.(v) in
@@ -77,7 +104,9 @@ let cmp_key (a1, a2, a3, aw) (b1, b2, b3, bw) =
    bit-identical to the full closure (see {!Exact}). *)
 let canonicalize c root fs =
   let fs =
-    List.sort (fun a b -> cmp_key (factor_key c a) (factor_key c b)) fs
+    List.sort
+      (fun a b -> cmp_key (factor_key c a) (factor_key c b))
+      (Array.to_list fs)
   in
   let lvar = Hashtbl.create 16 in
   let globals = ref [] in
@@ -119,36 +148,21 @@ let canonicalize c root fs =
     singleton = lsing;
   }
 
+let canonical c p i = canonicalize c p.roots.(i) p.members.(i)
+
 let components c =
-  let groups = groups c in
-  let roots = Hashtbl.fold (fun root _ acc -> root :: acc) groups [] in
-  let roots = List.sort compare roots in
-  Array.of_list
-    (List.map (fun root -> canonicalize c root (Hashtbl.find groups root)) roots)
+  let p = partition c in
+  Array.init (Array.length p.roots) (canonical c p)
 
 let max_size c =
-  if Fgraph.nvars c = 0 then 0
-  else
-    (* Count variables per root with a seen-set walk over each group's
-       factors: every variable is mentioned by at least one factor
-       ([Fgraph.compile] interns them from factors), and the canonical
-       sort is irrelevant to the count, so skip it. *)
-    let groups = groups c in
-    let sizes = Hashtbl.create 16 in
-    let largest = ref 0 in
-    Hashtbl.iter
-      (fun _root fs ->
-        Hashtbl.reset sizes;
-        List.iter
-          (fun f ->
-            let mark v = if v >= 0 then Hashtbl.replace sizes v () in
-            mark c.Fgraph.head.(f);
-            mark c.Fgraph.body1.(f);
-            mark c.Fgraph.body2.(f))
-          fs;
-        largest := max !largest (Hashtbl.length sizes))
-      groups;
-    !largest
+  (* Count variables per component without canonicalizing: every
+     variable is mentioned by at least one factor ([Fgraph.compile]
+     interns them from factors), so the partition alone gives the
+     sizes. *)
+  let p = partition c in
+  let sizes = Array.make (Array.length p.roots) 0 in
+  Array.iter (fun i -> sizes.(i) <- sizes.(i) + 1) p.comp_of_var;
+  Array.fold_left max 0 sizes
 
 (* Local log-weight of one assignment: the sum of satisfied factors'
    weights, visiting factors in canonical order — shared by the exact

@@ -41,6 +41,23 @@ val nvars : component -> int
 (** Factor count of the component. *)
 val nfactors : component -> int
 
+(** The components of a compiled graph as union-find leaves them, before
+    the canonical sort: component [i] has root [roots.(i)] (ascending),
+    factor indexes [members.(i)] in graph order, and [comp_of_var.(v)] is
+    the component of dense variable [v]. *)
+type partition = {
+  roots : int array;
+  members : int array array;
+  comp_of_var : int array;
+}
+
+(** [partition c] is union-find over [c]'s factors, O(factors + vars),
+    with no per-component sort. *)
+val partition : Factor_graph.Fgraph.compiled -> partition
+
+(** [canonical c p i] is component [i] of [p] in canonical form. *)
+val canonical : Factor_graph.Fgraph.compiled -> partition -> int -> component
+
 (** [components c] is every connected component of [c] in canonical
     form, ascending by root. *)
 val components : Factor_graph.Fgraph.compiled -> component array

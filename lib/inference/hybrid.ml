@@ -61,14 +61,117 @@ let exact_fraction r =
    aggregate counters always fire. *)
 let max_component_spans = 256
 
+(* What a solve made with a memo keeps for the next one: the fact id,
+   marginal and component of each of its variables, and the component
+   reports — flat arrays, which a collector scans cheaply while the
+   session serves reads.  [inputs] are the solve's arguments other than
+   the graph; the results stand only for the same ones. *)
+type last = {
+  inputs :
+    options * int option * bool option * Diagnostics.Online.criteria option;
+  var_ids : int array;
+  marg : float array;
+  comp_of_var : int array;
+  infos : component_info array;
+  gibbs_info : Chromatic.run_info option;
+}
+
+type work = {
+  solves : int;
+  components_solved : int;
+  components_reused : int;
+  vars_reused : int;
+  sampler_runs : int;
+}
+
+type memo = { mutable last : last option; mutable work : work }
+
+let memo () =
+  {
+    last = None;
+    work =
+      {
+        solves = 0;
+        components_solved = 0;
+        components_reused = 0;
+        vars_reused = 0;
+        sampler_runs = 0;
+      };
+  }
+
+let work m = m.work
+
 let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
-    ?online ?early_stop c =
+    ?online ?early_stop ?memo c =
   let n = Fgraph.nvars c in
   let marg = Array.make n 0. in
+  let inputs = (options, checkpoint, online, early_stop) in
+  (* The memo is emptied first, so a solve that raises leaves nothing a
+     later solve could wrongly reuse. *)
+  let last, dirty =
+    match memo with
+    | None -> (None, Hashtbl.create 0)
+    | Some (m, dirty) ->
+      let last = m.last in
+      m.last <- None;
+      ( (match last with Some l when l.inputs = inputs -> Some l | _ -> None),
+        dirty )
+  in
   Obs.with_span obs "hybrid" ~cat:"inference" @@ fun () ->
-  let comps =
+  (* Reuse: a component none of whose variables is dirty has exactly the
+     factors it had at the last solve (every appended or killed row's
+     facts are dirty), so it is that solve's component, and its
+     canonical form, plan and exact answer are the same.  [cached.(i)] is
+     the last solve's report of such a component; only the others are
+     canonicalized.  The residual sampler re-runs when a sampled
+     component of either solve is dirty: otherwise the sampled set, and
+     with it the residual subgraph in factor order, is the last one. *)
+  let p, old_of_var, cached, comps, old_sampled_dirty =
     Obs.with_span obs "hybrid.decompose" ~cat:"inference" (fun () ->
-        Decompose.components c)
+        let p = Decompose.partition c in
+        let nc = Array.length p.Decompose.roots in
+        let cached = Array.make nc None in
+        let old_sampled_dirty = ref false in
+        (* [old_of_var.(v)] is variable [v]'s index at the last solve, or
+           -1 for a variable that is new. *)
+        let old_of_var =
+          match last with
+          | None -> [||]
+          | Some l ->
+            let old_of_var = Array.make n (-1) in
+            Array.iteri
+              (fun ov id ->
+                Option.iter
+                  (fun v -> old_of_var.(v) <- ov)
+                  (Hashtbl.find_opt c.Fgraph.var_of_id id);
+                if
+                  l.infos.(l.comp_of_var.(ov)).solver = Sampled
+                  && Hashtbl.mem dirty id
+                then old_sampled_dirty := true)
+              l.var_ids;
+            let dirty_comp = Array.make nc false in
+            Hashtbl.iter
+              (fun id () ->
+                Option.iter
+                  (fun v -> dirty_comp.(p.Decompose.comp_of_var.(v)) <- true)
+                  (Hashtbl.find_opt c.Fgraph.var_of_id id))
+              dirty;
+            Array.iteri
+              (fun i root ->
+                let ov = old_of_var.(root) in
+                if ov >= 0 && not dirty_comp.(i) then
+                  cached.(i) <- Some l.infos.(l.comp_of_var.(ov)))
+              p.Decompose.roots;
+            old_of_var
+        in
+        let comps =
+          Array.mapi
+            (fun i info ->
+              if Option.is_none info then Some (Decompose.canonical c p i)
+              else None)
+            cached
+        in
+        (p, old_of_var, cached, comps, !old_sampled_dirty))
   in
   let nc = Array.length comps in
   (* Routing: components under the enumeration cutoff keep the canonical
@@ -86,32 +189,34 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
   let plans =
     Obs.with_span obs "hybrid.plan" ~cat:"inference" (fun () ->
         Array.map
-          (fun comp ->
-            let tri = Triangulate.analyze ~cap:options.max_width comp in
-            let k = Decompose.nvars comp in
-            let solver =
-              if k <= min options.exact_max_vars enum_cutoff then Enumerated
-              else if
-                tri.Triangulate.width <= options.max_width
-                && tri.Triangulate.width < Jtree.max_clique_vars
-              then Eliminated
-              else if k <= options.exact_max_vars then Enumerated
-              else Sampled
-            in
-            (solver, tri))
+          (Option.map (fun comp ->
+               let tri = Triangulate.analyze ~cap:options.max_width comp in
+               let k = Decompose.nvars comp in
+               let solver =
+                 if k <= min options.exact_max_vars enum_cutoff then Enumerated
+                 else if
+                   tri.Triangulate.width <= options.max_width
+                   && tri.Triangulate.width < Jtree.max_clique_vars
+                 then Eliminated
+                 else if k <= options.exact_max_vars then Enumerated
+                 else Sampled
+               in
+               (comp, solver, tri)))
           comps)
   in
   let infos =
-    Array.map
-      (fun comp ->
-        {
-          vars = Decompose.nvars comp;
-          factors = Decompose.nfactors comp;
-          width = 0;
-          solver = Sampled;
-          seconds = 0.;
-        })
-      comps
+    Array.mapi
+      (fun i -> function
+        | None -> Option.get cached.(i)
+        | Some (comp, solver, tri) ->
+          {
+            vars = Decompose.nvars comp;
+            factors = Decompose.nfactors comp;
+            width = tri.Triangulate.width;
+            solver;
+            seconds = 0.;
+          })
+      plans
   in
   (* Exact phase: components are independent and each writes a disjoint
      slice of [marg], so the pool order cannot affect the result —
@@ -121,42 +226,38 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
     let t0 = Obs.now () in
     Obs.with_span obs "hybrid.exact" ~cat:"inference" (fun () ->
         Pool.parallel_for pool ~n:nc (fun i ->
-            let solver, tri = plans.(i) in
-            let t0 = Obs.now () in
-            (match solver with
-            | Sampled -> ()
-            | Enumerated ->
-              Exact.solve_component ~max_vars:options.exact_max_vars
-                comps.(i) marg
-            | Eliminated ->
-              let local =
-                Jtree.solve ~order:tri.Triangulate.order comps.(i)
-              in
-              Array.iteri
-                (fun v p -> marg.(comps.(i).Decompose.vars.(v)) <- p)
-                local);
-            infos.(i) <-
-              {
-                (infos.(i)) with
-                width = tri.Triangulate.width;
-                solver;
-                seconds =
-                  (match solver with
-                  | Sampled -> 0.
-                  | _ -> Obs.now () -. t0);
-              }));
+            match plans.(i) with
+            | None | Some (_, Sampled, _) -> ()
+            | Some (comp, solver, tri) ->
+              let t0 = Obs.now () in
+              (if solver = Enumerated then
+                 Exact.solve_component ~max_vars:options.exact_max_vars comp
+                   marg
+               else
+                 let local = Jtree.solve ~order:tri.Triangulate.order comp in
+                 Array.iteri
+                   (fun v p -> marg.(comp.Decompose.vars.(v)) <- p)
+                   local);
+              infos.(i) <- { (infos.(i)) with seconds = Obs.now () -. t0 }));
     ((), Obs.now () -. t0)
   in
   (* Sampled phase: one chromatic Gibbs run over the subgraph of the
      high-treewidth cores only. *)
   let sampled = ref [] in
-  Array.iteri
-    (fun i (solver, _) -> if solver = Sampled then sampled := i :: !sampled)
-    plans;
-  let sampled = List.rev !sampled in
+  for i = nc - 1 downto 0 do
+    if infos.(i).solver = Sampled then sampled := i :: !sampled
+  done;
+  let sampled = !sampled in
+  (* Without a rerun every sampled component is cached, so the last
+     solve sampled too. *)
+  let rerun =
+    old_sampled_dirty
+    || List.exists (fun i -> Option.is_none cached.(i)) sampled
+  in
   let gibbs_info, gibbs_seconds =
     match sampled with
     | [] -> (None, 0.)
+    | _ when not rerun -> ((Option.get last).gibbs_info, 0.)
     | _ ->
       Obs.with_span obs "hybrid.gibbs" ~cat:"inference" (fun () ->
           let t0 = Obs.now () in
@@ -164,9 +265,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
           let keep = Array.make m false in
           List.iter
             (fun i ->
-              Array.iter
-                (fun f -> keep.(f) <- true)
-                comps.(i).Decompose.factors)
+              Array.iter (fun f -> keep.(f) <- true) p.Decompose.members.(i))
             sampled;
           (* Rebuild the residual rows in original factor order, so the
              subgraph — and the sampler's variable numbering, colouring
@@ -201,17 +300,25 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
               marg.(Hashtbl.find c.Fgraph.var_of_id sub.Fgraph.var_ids.(sv)) <-
                 p)
             smarg;
-          let seconds = Obs.now () -. t0 in
-          List.iter
-            (fun i ->
-              let _, tri = plans.(i) in
-              infos.(i) <-
-                { (infos.(i)) with width = tri.Triangulate.width })
-            sampled;
-          (Some info, seconds))
+          (Some info, Obs.now () -. t0))
   in
-  (* Telemetry: aggregate counters always; per-component spans only on
-     modestly decomposed graphs. *)
+  let sampler_ran = sampled <> [] && rerun in
+  (* Reused components copy the last solve's marginals. *)
+  let reused =
+    Array.map
+      (function
+        | Some info -> info.solver <> Sampled || not sampler_ran
+        | None -> false)
+      cached
+  in
+  Option.iter
+    (fun l ->
+      Array.iteri
+        (fun v i -> if reused.(i) then marg.(v) <- l.marg.(old_of_var.(v)))
+        p.Decompose.comp_of_var)
+    last;
+  (* Telemetry: the report describes the whole graph; the counters count
+     what this call solved, and what it reused. *)
   let total_vars = ref 0
   and exact_vars = ref 0
   and sampled_vars = ref 0
@@ -222,7 +329,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
   Array.iter
     (fun info ->
       total_vars := !total_vars + info.vars;
-      (match info.solver with
+      match info.solver with
       | Enumerated ->
         incr enumerated_components;
         exact_vars := !exact_vars + info.vars
@@ -232,34 +339,82 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
         max_width_solved := max !max_width_solved info.width
       | Sampled ->
         incr sampled_components;
-        sampled_vars := !sampled_vars + info.vars);
-      Obs.observe obs "hybrid.component_width" (float_of_int info.width))
+        sampled_vars := !sampled_vars + info.vars)
     infos;
-  Obs.add obs "hybrid.components" nc;
-  Obs.add obs "hybrid.components_enumerated" !enumerated_components;
-  Obs.add obs "hybrid.components_jtree" !eliminated_components;
-  Obs.add obs "hybrid.components_sampled" !sampled_components;
-  Obs.add obs "hybrid.vars_exact" !exact_vars;
-  Obs.add obs "hybrid.vars_sampled" !sampled_vars;
+  let solved = ref 0
+  and solved_by = Array.make 3 0
+  and vars_exact = ref 0
+  and vars_sampled = ref 0
+  and vars_reused = ref 0 in
+  Array.iteri
+    (fun i info ->
+      if reused.(i) then vars_reused := !vars_reused + info.vars
+      else begin
+        incr solved;
+        let k =
+          match info.solver with
+          | Enumerated -> 0
+          | Eliminated -> 1
+          | Sampled -> 2
+        in
+        solved_by.(k) <- solved_by.(k) + 1;
+        if info.solver = Sampled then vars_sampled := !vars_sampled + info.vars
+        else vars_exact := !vars_exact + info.vars;
+        Obs.observe obs "hybrid.component_width" (float_of_int info.width)
+      end)
+    infos;
+  Obs.add obs "hybrid.components" !solved;
+  Obs.add obs "hybrid.components_enumerated" solved_by.(0);
+  Obs.add obs "hybrid.components_jtree" solved_by.(1);
+  Obs.add obs "hybrid.components_sampled" solved_by.(2);
+  Obs.add obs "hybrid.components_reused" (nc - !solved);
+  Obs.add obs "hybrid.vars_exact" !vars_exact;
+  Obs.add obs "hybrid.vars_sampled" !vars_sampled;
+  Obs.add obs "hybrid.vars_reused" !vars_reused;
+  if sampler_ran then Obs.incr obs "hybrid.sampler_runs";
   Obs.add_time obs "hybrid.exact_seconds" exact_seconds;
   Obs.add_time obs "hybrid.gibbs_seconds" gibbs_seconds;
   if nc <= max_component_spans then
     Array.iteri
       (fun i info ->
-        let sp =
-          Obs.begin_span ~cat:"inference" obs
-            (Printf.sprintf "hybrid.component %d" i)
-        in
-        Obs.end_span obs sp
-          ~attrs:
-            [
-              ("solver", Obs.S (solver_name info.solver));
-              ("vars", Obs.I info.vars);
-              ("factors", Obs.I info.factors);
-              ("width", Obs.I info.width);
-              ("seconds", Obs.F info.seconds);
-            ])
+        if not reused.(i) then begin
+          let sp =
+            Obs.begin_span ~cat:"inference" obs
+              (Printf.sprintf "hybrid.component %d" i)
+          in
+          Obs.end_span obs sp
+            ~attrs:
+              [
+                ("solver", Obs.S (solver_name info.solver));
+                ("vars", Obs.I info.vars);
+                ("factors", Obs.I info.factors);
+                ("width", Obs.I info.width);
+                ("seconds", Obs.F info.seconds);
+              ]
+        end)
       infos;
+  Option.iter
+    (fun (m, _) ->
+      m.last <-
+        Some
+          {
+            inputs;
+            var_ids = c.Fgraph.var_ids;
+            marg = Array.copy marg;
+            comp_of_var = p.Decompose.comp_of_var;
+            infos;
+            gibbs_info;
+          };
+      let w = m.work in
+      m.work <-
+        {
+          solves = w.solves + 1;
+          components_solved = w.components_solved + !solved;
+          components_reused = w.components_reused + nc - !solved;
+          vars_reused = w.vars_reused + !vars_reused;
+          sampler_runs = (w.sampler_runs + if sampler_ran then 1 else 0);
+        })
+    memo;
   ( marg,
     {
       components = infos;

@@ -81,12 +81,58 @@ type report = {
 (** Fraction of variables settled exactly (1 on the empty graph). *)
 val exact_fraction : report -> float
 
-(** [solve ?options ?obs ?pool ?checkpoint ?online ?early_stop c] is the
-    marginal P(X = 1) per dense variable plus the dispatch report.
+(** {1 Reuse across solves}
+
+    A live session solves a graph that changed by a few rows since its
+    last solve.  A {!memo} holds that last solve's per-component results,
+    keyed by fact id; given it and the {e dirty set} — the fact ids of
+    every factor row appended or killed since — {!solve} re-solves only
+    the components that hold a dirty variable or have no cached answer,
+    and copies the others.  The marginals are bit-identical to a solve
+    without a memo (DESIGN.md §10). *)
+
+(** A solve's results, kept for the next solve made with the same memo.
+    Mutable: every solve made with it replaces its contents. *)
+type memo
+
+(** An empty memo: the next solve made with it solves everything. *)
+val memo : unit -> memo
+
+(** What the solves made with one memo did, in total. *)
+type work = {
+  solves : int;
+  components_solved : int;
+      (** components canonicalized and solved exactly, or sampled *)
+  components_reused : int;  (** components whose cached answer was copied *)
+  vars_reused : int;
+  sampler_runs : int;  (** solves that ran the residual sampler *)
+}
+
+val work : memo -> work
+
+(** [solve ?options ?obs ?pool ?checkpoint ?online ?early_stop ?memo c]
+    is the marginal P(X = 1) per dense variable plus the dispatch report.
     [checkpoint]/[online]/[early_stop] thread through to the residual
-    {!Chromatic.marginals_info} run.  Telemetry: [hybrid.*] counters and
-    phase spans always; per-component spans when the graph has at most
-    256 components. *)
+    {!Chromatic.marginals_info} run.
+
+    With [memo = (m, dirty)], [dirty] holds the fact ids of every factor
+    row appended to or killed from the graph since the solve that filled
+    [m].  A component none of whose variables is in [dirty] copies its
+    cached answer when that answer is exact; a sampled one keeps its
+    cached plan, and the residual sampler re-runs only when a sampled
+    component of this solve or of the last one holds a dirty variable.
+    The cached results stand only for the same options and sampler
+    arguments; an empty memo, or one filled with other arguments, reuses
+    nothing.  [m] then holds this solve's results.
+
+    The report describes the whole graph, reused components included
+    (with the report of the solve that produced their answer; [gibbs] is
+    the cached run info when the sampler did not re-run).  [exact_seconds]
+    and [gibbs_seconds] time this call.  Telemetry: [hybrid.*] counters
+    and phase spans always; the counters and the per-component spans
+    (when the graph has at most 256 components) cover the components
+    this call solved; [hybrid.components_reused], [hybrid.vars_reused]
+    and [hybrid.sampler_runs] count the rest. *)
 val solve :
   ?options:options ->
   ?obs:Obs.t ->
@@ -94,5 +140,6 @@ val solve :
   ?checkpoint:int ->
   ?online:bool ->
   ?early_stop:Diagnostics.Online.criteria ->
+  ?memo:memo * (int, unit) Hashtbl.t ->
   Factor_graph.Fgraph.compiled ->
   float array * report

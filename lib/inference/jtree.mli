@@ -18,7 +18,11 @@
     Potentials are max-normalized at every combine, keeping tables in
     (0, 1] with an exact 1.0 present — no overflow or all-zero
     underflow; the normalization constants cancel in the final
-    per-variable ratio. *)
+    per-variable ratio.  When an entry still falls below the smallest
+    normal float (weights in the hundreds, long conflicting products),
+    the component is solved again on log-weights, so every marginal is
+    a probability for any finite weights; components that never lose
+    precision keep the probability pass and its bits. *)
 
 (** Default induced-width bound for dispatching to this module (12 —
     tables of at most 2^13 entries). *)

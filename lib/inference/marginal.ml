@@ -2,9 +2,10 @@ module Fgraph = Factor_graph.Fgraph
 
 type solve_info = Hybrid_run of Hybrid.report
 
-let infer_compiled_full ?obs ?checkpoint ?online ?early_stop c options =
+let infer_compiled_full ?obs ?checkpoint ?online ?early_stop ?memo c options
+    =
   let marg, report =
-    Hybrid.solve ~options ?obs ?checkpoint ?online ?early_stop c
+    Hybrid.solve ~options ?obs ?checkpoint ?online ?early_stop ?memo c
   in
   (marg, Hybrid_run report)
 

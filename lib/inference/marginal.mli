@@ -28,12 +28,14 @@ val infer_full :
   (int, float) Hashtbl.t * solve_info
 
 (** {!infer_full} on an already compiled graph: marginals per dense
-    variable. *)
+    variable.  [memo] carries a live session's last solve and the fact
+    ids its writes touched since (see {!Hybrid.solve}). *)
 val infer_compiled_full :
   ?obs:Obs.t ->
   ?checkpoint:int ->
   ?online:bool ->
   ?early_stop:Diagnostics.Online.criteria ->
+  ?memo:Hybrid.memo * (int, unit) Hashtbl.t ->
   Factor_graph.Fgraph.compiled ->
   Hybrid.options ->
   float array * solve_info

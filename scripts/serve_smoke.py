@@ -82,10 +82,12 @@ def main():
     if json.loads(oversized or "{}") != {"error": "request line too long"}:
         fail(f"oversized line answered {oversized!r}")
 
-    # Drive the NDJSON protocol: one write, two reads, one in-band scrape.
+    # Drive the NDJSON protocol: one write, a refresh, two reads, one
+    # in-band scrape.
     ops = [
         {"op": "ingest",
          "facts": [[key[0], "smoke_entity", key[2], key[3], key[4], 0.7]]},
+        {"op": "refresh"},
         {"op": "query_local", "key": key, "max_facts": 32},
         {"op": "stats"},
         {"op": "metrics"},
@@ -101,13 +103,15 @@ def main():
 
     if "epoch" not in replies[0]:
         fail(f"ingest reply: {replies[0]}")
-    if replies[1].get("found") is not True:
-        fail(f"query_local reply: {replies[1]}")
-    if "epoch" not in replies[2]:
-        fail(f"stats reply: {replies[2]}")
-    summary = replies[3].get("metrics")
+    if "epoch" not in replies[1]:
+        fail(f"refresh reply: {replies[1]}")
+    if replies[2].get("found") is not True:
+        fail(f"query_local reply: {replies[2]}")
+    if "epoch" not in replies[3]:
+        fail(f"stats reply: {replies[3]}")
+    summary = replies[4].get("metrics")
     if not isinstance(summary, dict) or "hists" not in summary:
-        fail(f"metrics reply carries no summary: {replies[3]}")
+        fail(f"metrics reply carries no summary: {replies[4]}")
 
     # An admin request line over 8 KiB answers 431 and is counted too.
     try:
@@ -131,18 +135,26 @@ def main():
         'serve_request_seconds_count{op="query_local"} 1',
         "# TYPE serve_epoch_lag gauge",
         "serve_epoch_lag 0",
-        "serve_apply_seconds_count 1",
-        "serve_publish_seconds_count 1",
+        "serve_apply_seconds_count 2",
+        "serve_publish_seconds_count 2",
         "serve_errors_total 2",
         "# TYPE incremental_dead_facts gauge",
         "# TYPE incremental_dead_factors gauge",
+        # trust signals of the last refresh, and what it solved
+        "# TYPE inference_exact_fraction gauge",
+        "# TYPE inference_max_width_solved gauge",
+        "# TYPE inference_sampled_vars gauge",
+        "# TYPE hybrid_components_total counter",
     ]:
         if needle not in text:
             fail(f"/metrics missing {needle!r}\n{text}")
+    fraction = re.search(r"^inference_exact_fraction (\S+)$", text, re.M)
+    if fraction is None or not 0 <= float(fraction.group(1)) <= 1:
+        fail(f"/metrics exact fraction is not a fraction\n{text}")
 
     with urllib.request.urlopen(f"http://127.0.0.1:{admin}/statusz") as r:
         status = json.loads(r.read().decode())
-    if status.get("epoch") != 1 or status.get("requests") != len(ops):
+    if status.get("epoch") != 2 or status.get("requests") != len(ops):
         fail(f"/statusz figures off: {status}")
     for field in ["uptime_seconds", "epoch_lag", "queue_depth", "mem",
                   "request_seconds", "slow_requests"]:

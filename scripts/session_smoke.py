@@ -13,6 +13,14 @@ marginal.  The second retract/ingest round must reply exactly as the
 first (epoch numbers and timing stripped): a round trip restores the
 store, so a wrong count that both pools share still fails here.
 
+A second pair of sessions checks the incremental refresh: session A
+refreshes, runs a retract/ingest round and refreshes again, which
+re-solves only the components the round touched; session B runs the
+same round and refreshes once, solving everything.  Their query
+replies, marginals included, must be identical at both pool sizes, and
+A's closing stderr line must report that its refreshes reused
+components.
+
 Usage: session_smoke.py PROBKB_EXE DATA_DIR
 
 DATA_DIR must contain facts.tsv and rules.mln (from `probkb generate`).
@@ -79,11 +87,42 @@ def run(exe, facts, rules, ops, domains):
              f"PROBKB_DOMAINS={domains}")
     closed = re.search(r"session closed: \d+ facts, \d+ factors; (\d+) dead "
                        r"facts and (\d+) dead factors await compaction; "
-                       r"(\d+) compactions", proc.stderr)
+                       r"(\d+) compactions; (\d+) refreshes re-solved "
+                       r"(\d+) components and reused (\d+)", proc.stderr)
     if closed is None:
         fail(f"no closing summary at PROBKB_DOMAINS={domains}:\n"
              f"{proc.stderr}")
-    return [strip(r) for r in replies]
+    refreshes, resolved, reused = (int(g) for g in closed.groups()[3:])
+    if refreshes != sum(op["op"] == "refresh" for op in ops):
+        fail(f"closing summary counts {refreshes} refreshes at "
+             f"PROBKB_DOMAINS={domains}:\n{proc.stderr}")
+    return [strip(r) for r in replies], (resolved, reused)
+
+
+def incremental_round(exe, facts, rules, round_trip, queries):
+    """Session A refreshes before and after the round, session B only
+    after it: the same graph, solved incrementally and from scratch."""
+    a_ops = [{"op": "refresh"}] + round_trip + [{"op": "refresh"}] + queries
+    b_ops = round_trip + [{"op": "refresh"}] + queries
+    answers = None
+    for domains in (1, 4):
+        a, (resolved, reused) = run(exe, facts, rules, a_ops, domains)
+        b, _ = run(exe, facts, rules, b_ops, domains)
+        a_q, b_q = a[-len(queries):], b[-len(queries):]
+        if a_q != b_q:
+            fail(f"incremental refresh answers differ from a full one at "
+                 f"PROBKB_DOMAINS={domains}:\n  A: {a_q}\n  B: {b_q}")
+        if any(q.get("marginal") is None for q in a_q):
+            fail(f"a query after the incremental refresh has no marginal: "
+                 f"{a_q}")
+        if reused == 0:
+            fail(f"session A's second refresh reused no component at "
+                 f"PROBKB_DOMAINS={domains} ({resolved} re-solved)")
+        if answers not in (None, a_q):
+            fail(f"incremental refresh answers differ between pools:\n"
+                 f"  pool 1: {answers}\n  pool 4: {a_q}")
+        answers = a_q
+    return resolved, reused
 
 
 def main():
@@ -99,8 +138,8 @@ def main():
     ops = (round_trip + round_trip + [{"op": "refresh"}]
            + [{"op": "query", "key": k} for k in keys])
 
-    one = run(exe, facts, rules, ops, 1)
-    four = run(exe, facts, rules, ops, 4)
+    one, _ = run(exe, facts, rules, ops, 1)
+    four, _ = run(exe, facts, rules, ops, 4)
     if one != four:
         for op, a, b in zip(ops, one, four):
             if a != b:
@@ -127,10 +166,19 @@ def main():
         if not (q.get("found") and q.get("base")
                 and q.get("marginal") is not None):
             fail(f"query {k} after the round trip: {q}")
+    # Query the round's facts and facts it did not touch, whose answers
+    # session A copies from its first refresh.
+    with open(facts) as f:
+        others = [line.split("\t")[:5] for _, line in zip(range(20), f)]
+    resolved, reused = incremental_round(
+        exe, facts, rules, round_trip,
+        [{"op": "query", "key": k} for k in keys + others])
     print(f"session smoke ok (cone {retract['cone']}, "
           f"{retract['retracted']} retracted, {ingest['inserted']} "
           f"re-inserted, {ingest['derived']} re-derived; both round trips "
-          f"and pools 1 and 4 agree)")
+          f"and pools 1 and 4 agree; the incremental refreshes re-solved "
+          f"{resolved} components, reused {reused} and answer as a full "
+          f"one)")
 
 
 if __name__ == "__main__":

@@ -53,6 +53,42 @@ let test_satisfied_semantics () =
   a.(v 1) <- false;
   Alcotest.(check bool) "half body satisfies" true (Fgraph.satisfied c 2 a)
 
+(* The non-finite weight policy.  [Fgraph.compile] drops every factor
+   whose weight is NaN (the null weight: no weight at all) or ±inf (a
+   hard rule, which quality control enforces, not inference), so no
+   solver ever sees one, and a fact mentioned only by such factors is
+   not a variable.  TΦ itself keeps the rows, and the segment weight
+   lane keeps their IEEE bits: NaN stays the null marker. *)
+let test_non_finite_weights () =
+  let g = Fgraph.create () in
+  Fgraph.add_singleton g ~i:1 ~w:0.5;
+  Fgraph.add_singleton g ~i:2 ~w:Float.nan;
+  Fgraph.add_singleton g ~i:3 ~w:Float.infinity;
+  Fgraph.add_clause g ~i1:1 ~i2:4 ~w:Float.neg_infinity ();
+  Fgraph.add_clause g ~i1:1 ~i2:5 ~w:(-1.) ();
+  check_int "TΦ keeps every row" 5 (Fgraph.size g);
+  let c = Fgraph.compile g in
+  check_int "only finite factors compile" 2 (Array.length c.Fgraph.head);
+  Alcotest.(check (list int))
+    "facts of finite factors only" [ 1; 5 ]
+    (List.sort compare (Array.to_list c.Fgraph.var_ids));
+  let marg, _ = Inference.Hybrid.solve c in
+  Array.iter
+    (fun p ->
+      Alcotest.(check bool) "a probability" true
+        (Float.is_finite p && 0. <= p && p <= 1.))
+    marg;
+  let path = Filename.temp_file "tphi" ".seg" in
+  Storage.Segment.write ~path (Fgraph.table ~g) ~lo:0 ~hi:5;
+  let seg = Storage.Segment.openf path in
+  Sys.remove path;
+  Alcotest.(check bool) "NaN reads back as the null weight" true
+    (Relational.Table.is_null_weight (Storage.Segment.weight seg 1));
+  Alcotest.(check (float 0.)) "+inf survives" Float.infinity
+    (Storage.Segment.weight seg 2);
+  Alcotest.(check (float 0.)) "-inf survives" Float.neg_infinity
+    (Storage.Segment.weight seg 3)
+
 let test_adjacency_covers_all_mentions =
   Tutil.qcheck_case "CSR adjacency lists each factor under its variables"
     QCheck.(list (pair (int_bound 8) (pair (int_bound 8) (int_bound 8))))
@@ -204,6 +240,8 @@ let () =
           Alcotest.test_case "table layout" `Quick test_table_layout;
           Alcotest.test_case "compile" `Quick test_compile_dense_vars;
           Alcotest.test_case "satisfied semantics" `Quick test_satisfied_semantics;
+          Alcotest.test_case "non-finite weights" `Quick
+            test_non_finite_weights;
           test_adjacency_covers_all_mentions;
           test_adjacency_no_duplicates;
         ] );

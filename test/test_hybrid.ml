@@ -394,6 +394,166 @@ let test_neighborhood_dispatch () =
   Alcotest.(check bool) "clique core reports Sampled" true
     (how = Inference.Neighborhood.Sampled)
 
+(* --- numerics: extreme weights on every route --- *)
+
+(* The 2001-leaf hub star above as a property: random hub stars (up to
+   2001 leaves), dense cores and sparse graphs, with weights up to
+   |w| = 1e3, solved under options that force each route.  Every
+   marginal must be a probability; enumerated components must equal
+   [Exact.enumerate] bit for bit; eliminated ones must be within 1e-9 of
+   enumeration, or of the hub star's closed form where enumeration
+   cannot go. *)
+
+let extreme_weight rng =
+  match Random.State.int rng 4 with
+  | 0 -> if Random.State.bool rng then 1e3 else -1e3
+  | 1 -> Random.State.float rng 2e3 -. 1e3
+  | 2 -> Random.State.float rng 100. -. 50.
+  | _ -> Random.State.float rng 6. -. 3.
+
+type shape = Hub of int | Core of int | Sparse of int
+
+let shape_graph seed shape =
+  let rng = Tutil.rng seed in
+  let w () = extreme_weight rng in
+  compile_graph (fun g ->
+      match shape with
+      | Hub leaves ->
+        (* Fact 0 is the hub: each leaf has a prior and derives it. *)
+        Fgraph.add_singleton g ~i:0 ~w:(w ());
+        for i = 1 to leaves do
+          Fgraph.add_singleton g ~i ~w:(w ());
+          Fgraph.add_clause g ~i1:0 ~i2:i ~w:(w ()) ()
+        done
+      | Core k ->
+        for i = 0 to k - 1 do
+          Fgraph.add_singleton g ~i ~w:(w ());
+          for j = 0 to k - 1 do
+            if i <> j then Fgraph.add_clause g ~i1:i ~i2:j ~w:(w ()) ()
+          done;
+          Fgraph.add_clause g ~i1:i ~i2:((i + 1) mod k) ~i3:((i + 2) mod k)
+            ~w:(w ()) ()
+        done
+      | Sparse n ->
+        for i = 0 to n - 1 do
+          if Random.State.bool rng then Fgraph.add_singleton g ~i ~w:(w ())
+        done;
+        for _ = 1 to n do
+          let v () = Random.State.int rng n in
+          if Random.State.bool rng then
+            Fgraph.add_clause g ~i1:(v ()) ~i2:(v ()) ~w:(w ()) ()
+          else Fgraph.add_clause g ~i1:(v ()) ~i2:(v ()) ~i3:(v ()) ~w:(w ()) ()
+        done)
+
+(* The hub star's exact marginals in log space.  With leaf prior [a] and
+   clause weight [b] (hub ← leaf), summing a leaf out adds
+   [b + log (1 + e^a)] to the hub's log-weight when the hub is true and
+   [logaddexp b a] when it is false; given the hub, a leaf is true with
+   probability sigmoid a (hub true) or sigmoid (a - b) (hub false). *)
+let hub_closed_form c =
+  let log_add a b = Float.max a b +. Float.log1p (exp (-.Float.abs (a -. b))) in
+  let softplus a = log_add 0. a in
+  let sigmoid x = 1. /. (1. +. exp (-.x)) in
+  let prior = Hashtbl.create 16 and clause = Hashtbl.create 16 in
+  Array.iteri
+    (fun f h ->
+      let id v = c.Fgraph.var_ids.(v) in
+      let w = c.Fgraph.fweight.(f) in
+      if c.Fgraph.singleton.(f) then Hashtbl.replace prior (id h) w
+      else Hashtbl.replace clause (id c.Fgraph.body1.(f)) w)
+    c.Fgraph.head;
+  let a i = Hashtbl.find prior i in
+  let odds =
+    Hashtbl.fold
+      (fun i b acc -> acc +. (b +. softplus (a i)) -. log_add b (a i))
+      clause (a 0)
+  in
+  let hub = sigmoid odds in
+  Array.map
+    (fun i ->
+      if i = 0 then hub
+      else
+        let b = Hashtbl.find clause i in
+        (hub *. sigmoid (a i)) +. ((1. -. hub) *. sigmoid (a i -. b)))
+    c.Fgraph.var_ids
+
+let route_options =
+  let gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 1 } in
+  [
+    (* up to 16 variables enumerate; the rest sample *)
+    ( "enumerated",
+      { Inference.Hybrid.exact_max_vars = 16; max_width = 0; gibbs } );
+    (* no enumeration: width ≤ 12 eliminates, the rest sample *)
+    ("jtree", { Inference.Hybrid.exact_max_vars = 0; max_width = 12; gibbs });
+    (* nothing exact *)
+    ("sampled", { Inference.Hybrid.exact_max_vars = 0; max_width = -1; gibbs });
+  ]
+
+let gen_shape =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun n -> Hub n) (int_range 1 2000));
+        (1, map (fun k -> Core k) (int_range 3 9));
+        (2, map (fun n -> Sparse n) (int_range 2 16));
+      ])
+
+let print_shape = function
+  | Hub n -> Printf.sprintf "Hub %d" n
+  | Core k -> Printf.sprintf "Core %d" k
+  | Sparse n -> Printf.sprintf "Sparse %d" n
+
+let test_extreme_weights =
+  Tutil.qcheck_case ~count:40 "extreme weights on every route"
+    QCheck.(pair small_nat (make ~print:print_shape gen_shape))
+    (fun (seed, shape) ->
+      let c = shape_graph seed shape in
+      let comps = Inference.Decompose.components c in
+      let closed =
+        match shape with Hub _ -> Some (hub_closed_form c) | _ -> None
+      in
+      List.for_all
+        (fun (route, options) ->
+          let marg, report = Inference.Hybrid.solve ~options c in
+          let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) route in
+          Array.iteri
+            (fun v p ->
+              if not (Float.is_finite p && 0. <= p && p <= 1.) then
+                fail "var %d: %g is not a probability" v p)
+            marg;
+          Array.iteri
+            (fun i (info : Inference.Hybrid.component_info) ->
+              let comp = comps.(i) in
+              let exact () = Inference.Exact.enumerate comp in
+              match info.Inference.Hybrid.solver with
+              | Inference.Hybrid.Enumerated ->
+                Array.iteri
+                  (fun l p ->
+                    let q = marg.(comp.Inference.Decompose.vars.(l)) in
+                    if not (Float.equal p q) then
+                      fail "enumerated var %d differs from Exact" l)
+                  (exact ())
+              | Inference.Hybrid.Eliminated ->
+                let reference =
+                  match closed with
+                  | _ when Inference.Decompose.nvars comp <= 16 -> exact ()
+                  | Some m ->
+                    Array.map (fun v -> m.(v)) comp.Inference.Decompose.vars
+                  | None ->
+                    fail "no oracle for a %d-variable component"
+                      (Inference.Decompose.nvars comp)
+                in
+                Array.iteri
+                  (fun l p ->
+                    let q = marg.(comp.Inference.Decompose.vars.(l)) in
+                    if Float.abs (p -. q) > 1e-9 then
+                      fail "jtree var %d: %.12g, reference %.12g" l q p)
+                  reference
+              | Inference.Hybrid.Sampled -> ())
+            report.Inference.Hybrid.components;
+          true)
+        route_options)
+
 (* --- front-end and config --- *)
 
 let test_marginal_hybrid_front_end () =
@@ -463,6 +623,7 @@ let () =
             test_hybrid_permissive_width_samples;
           Alcotest.test_case "neighbourhood dispatch" `Quick
             test_neighborhood_dispatch;
+          test_extreme_weights;
         ] );
       ( "front-end",
         [

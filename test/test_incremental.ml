@@ -455,6 +455,7 @@ type session_op =
   | Drop_rules of int  (** retract the rules of one head relation *)
   | Restore_rules  (** add back the rules dropped last *)
   | Refresh
+  | Compact  (** compact both tables now *)
 
 let gen_session_op =
   let open QCheck.Gen in
@@ -475,23 +476,52 @@ let print_session_op = function
   | Drop_rules i -> Printf.sprintf "Drop_rules %d" i
   | Restore_rules -> "Restore_rules"
   | Refresh -> "Refresh"
+  | Compact -> "Compact"
 
 let auto_compactions = ref 0
 
+(* What the refreshes of [session_transcript] reused: exact answers, the
+   sampler's output, and how often a write sent the sampler back. *)
+let exact_reuses = ref 0
+and sampler_reuses = ref 0
+and sampler_reruns = ref 0
+
+let note_reuse ~before s =
+  let w = Probkb.Engine.Session.refresh_work s in
+  match Probkb.Engine.Session.last_run s with
+  | Some (Inference.Marginal.Hybrid_run r)
+    when before.Inference.Hybrid.solves > 0 ->
+    let ran =
+      w.Inference.Hybrid.sampler_runs > before.Inference.Hybrid.sampler_runs
+    in
+    let sampled_reused =
+      if ran then 0 else r.Inference.Hybrid.sampled_components
+    in
+    if
+      w.Inference.Hybrid.components_reused
+      - before.Inference.Hybrid.components_reused
+      > sampled_reused
+    then incr exact_reuses;
+    if ran then incr sampler_reruns
+    else if sampled_reused > 0 then incr sampler_reuses
+  | _ -> ()
+
+let transcript_solver =
+  {
+    Inference.Hybrid.default_options with
+    gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 7 };
+  }
+
 (* Runs [ops] on a fresh session and returns a transcript of everything
-   observable after each epoch. *)
-let session_transcript ~compact_always seed ops =
+   observable after each epoch.  After every refresh, every marginal must
+   equal a fresh solve of the session's graph, bit for bit. *)
+let session_transcript ?(solver = transcript_solver) ~compact_always seed ops
+    =
   let g =
     Workload.Reverb_sherlock.generate
       { Workload.Reverb_sherlock.default_config with scale = 0.0005; seed }
   in
   let kb = Workload.Reverb_sherlock.kb g in
-  let solver =
-    {
-      Inference.Hybrid.default_options with
-      gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 7 };
-    }
-  in
   let engine =
     Probkb.Engine.create
       ~config:(Probkb.Config.make ~inference:(Some solver) ())
@@ -586,8 +616,13 @@ let session_transcript ~compact_always seed ops =
           dropped := rest;
           reply (Probkb.Engine.Session.add_rules s rules);
           record ())
+      | Compact ->
+        Dred.compact dred;
+        record ()
       | Refresh ->
+        let before = Probkb.Engine.Session.refresh_work s in
         Option.iter reply (Probkb.Engine.Session.refresh_marginals s);
+        note_reuse ~before s;
         (* A refresh is a solve of the session's graph, nothing more. *)
         let solved, _ =
           Inference.Marginal.infer_full (Probkb.Engine.Session.graph s) solver
@@ -638,6 +673,61 @@ let test_compaction_invisible () =
   QCheck.Test.check_exn prop;
   check_bool "the compaction policy ran on its own" true
     (!auto_compactions > 0)
+
+(* Options that leave some components of the small benchmark KBs
+   sampled: enumeration up to 3 variables, elimination up to width 1. *)
+let sampling_options =
+  {
+    Inference.Hybrid.exact_max_vars = 3;
+    max_width = 1;
+    gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 7 };
+  }
+
+(* Incremental refresh ≡ full solve.  Random streams of fresh ingests,
+   re-ingests, retractions with and without ban, rule drops and
+   restores, compactions and refreshes (back to back too) run at pool
+   sizes 1 and 4 under options that leave components sampled; after
+   every refresh, every marginal must equal a solve of the session's
+   graph without a memo, bit for bit (checked inside
+   [session_transcript]), and the two pools must agree on everything.
+   The case also requires that the streams exercised each reuse: a
+   refresh that copied exact answers, one that copied the sampler's
+   output, and one whose writes sent the sampler back. *)
+let gen_refresh_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (5, gen_session_op);
+      (1, return Compact);
+      (3, return Refresh);
+    ]
+
+let test_incremental_refresh () =
+  let prop =
+    QCheck.Test.make ~count:12 ~name:"incremental refresh ≡ full solve"
+      QCheck.(
+        pair small_nat
+          (make
+             ~print:(QCheck.Print.list print_session_op)
+             Gen.(list_size (6 -- 16) gen_refresh_op)))
+      (fun (seed, ops) ->
+        let run pool =
+          Pool.set_default_size pool;
+          Fun.protect
+            ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
+            (fun () ->
+              session_transcript ~solver:sampling_options ~compact_always:false
+                (1 + seed) ops)
+        in
+        run 1 = run 4)
+  in
+  exact_reuses := 0;
+  sampler_reuses := 0;
+  sampler_reruns := 0;
+  QCheck.Test.check_exn prop;
+  check_bool "a refresh copied exact answers" true (!exact_reuses > 0);
+  check_bool "a refresh copied the sampler's output" true (!sampler_reuses > 0);
+  check_bool "a write sent the sampler back" true (!sampler_reruns > 0)
 
 (* --- sessions ----------------------------------------------------------- *)
 
@@ -979,6 +1069,210 @@ let test_retract_retires_in_place () =
     (size - st.Dred.factors_removed)
     (Fgraph.size graph)
 
+(* --- the dirty set: what a refresh must re-solve -------------------------
+
+   Every TΦ mutation records the fact ids of the rows it appends or
+   kills (Dred.take_dirty), and a refresh re-solves exactly the
+   components those ids touch.  The oracle here diffs the live rows by
+   position before and after one operation; no compaction may run in
+   between, or positions would move. *)
+
+let live_rows g =
+  let rows = Hashtbl.create 256 in
+  Fgraph.iter (fun f row -> Hashtbl.replace rows f row) g;
+  rows
+
+let ids_of_changed_rows before after =
+  let ids = Hashtbl.create 64 in
+  let note (i1, i2, i3, _) =
+    List.iter
+      (fun i -> if i <> Fgraph.null then Hashtbl.replace ids i ())
+      [ i1; i2; i3 ]
+  in
+  Hashtbl.iter (fun f row -> if not (Hashtbl.mem after f) then note row) before;
+  Hashtbl.iter (fun f row -> if not (Hashtbl.mem before f) then note row) after;
+  ids
+
+let sorted_ids tbl =
+  List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) tbl [])
+
+(* Runs [op] and checks the dirty set it left against the oracle. *)
+let check_dirty name st op =
+  ignore (Dred.take_dirty st);
+  let before = live_rows (Dred.graph st)
+  and compactions = Dred.compactions st in
+  let result = op () in
+  check_int (name ^ ": no compaction") compactions (Dred.compactions st);
+  let expected =
+    sorted_ids (ids_of_changed_rows before (live_rows (Dred.graph st)))
+  in
+  check_bool (name ^ ": rows changed") true (expected <> []);
+  Alcotest.(check (list int))
+    (name ^ ": dirty set") expected
+    (sorted_ids (Dred.take_dirty st));
+  result
+
+let parse_rule kb text =
+  let scratch = Gamma.create_like kb in
+  ignore (Kb.Loader.load_rules scratch [ text ]);
+  List.hd (Gamma.rules scratch)
+
+let test_dirty_ingest_retract () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
+  let st = expand_dred kb in
+  let pi = Gamma.pi kb in
+  let rng = Workload.Rng.create 5 in
+  let fresh =
+    List.init 4 (fun _ ->
+        let r, x, c1, y, c2 = Workload.Reverb_sherlock.random_fact g rng in
+        (r, x, c1, y, c2, 0.7))
+  in
+  let ins = check_dirty "ingest" st (fun () -> Dred.ingest st fresh) in
+  check_bool "the ingest inserted facts" true (ins.Dred.inserted > 0);
+  (* An extraction of an inferred fact promotes it: one singleton. *)
+  let inferred = ref None and supported = ref [] in
+  Storage.iter
+    (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
+      if Table.is_null_weight w then begin
+        if !inferred = None then inferred := Some (r, x, c1, y, c2, 0.8)
+      end
+      else if
+        List.length !supported < 3
+        && Provenance.has_supports (Dred.provenance st) id
+      then supported := id :: !supported)
+    pi;
+  let ins =
+    check_dirty "ingest (promotion)" st (fun () ->
+        Dred.ingest st [ Option.get !inferred ])
+  in
+  check_int "one promotion" 1 ins.Dred.promoted;
+  let victims = !supported in
+  let ret =
+    check_dirty "retract" st (fun () -> Dred.retract st (List.tl victims))
+  in
+  check_bool "the retract killed factors" true (ret.Dred.factors_removed > 0);
+  let ret =
+    check_dirty "retract with ban" st (fun () ->
+        Dred.retract ~ban:true st [ List.hd victims ])
+  in
+  check_bool "the banned retract killed factors" true
+    (ret.Dred.factors_removed > 0);
+  (* Compaction moves rows but changes none. *)
+  check_bool "dead rows to compact" true (Fgraph.dead_rows (Dred.graph st) > 0);
+  ignore (Dred.take_dirty st);
+  let before = Dred.compactions st in
+  Dred.compact st;
+  check_bool "compacted" true (Dred.compactions st > before);
+  Alcotest.(check (list int))
+    "compaction dirties nothing" []
+    (sorted_ids (Dred.take_dirty st))
+
+let test_dirty_rules_and_constraints () =
+  let kb = Gamma.create () in
+  ignore
+    (Kb.Loader.load_rules kb
+       [ "1.0 r(x:A, y:B) :- q(x, y)"; "1.0 s(x:A, y:B) :- r(x, y)" ]);
+  let add r x y w =
+    ignore (Gamma.add_fact_by_name kb ~r ~x ~c1:"A" ~y ~c2:"B" ~w)
+  in
+  add "q" "a" "b" 0.9;
+  add "p" "a" "b" 0.8;
+  (* Bystanders, so that no retract below passes the compaction
+     threshold. *)
+  for i = 1 to 40 do
+    add "u" (Printf.sprintf "x%d" i) "y" 0.5
+  done;
+  Gamma.add_funcon kb
+    (Kb.Funcon.make ~rel:(Gamma.relation kb "q") ~ftype:Kb.Funcon.Type_I
+       ~degree:1);
+  let st = expand_dred kb in
+  (* A new rule whose instance joins two existing facts: factors appear,
+     facts do not. *)
+  let ins =
+    check_dirty "add_rules" st (fun () ->
+        Dred.extend_rules st [ parse_rule kb "0.7 p(x:A, y:B) :- q(x, y)" ])
+  in
+  check_int "no new facts" 0 ins.Dred.derived;
+  check_bool "new factors among existing facts" true (ins.Dred.new_factors > 0);
+  let p = Gamma.relation kb "p" in
+  ignore
+    (check_dirty "retract_rules" st (fun () ->
+         Dred.retract_rules st ~remove:(fun c -> c.Mln.Clause.head_rel = p)));
+  (* A fact stored behind the session's back has no consequences yet;
+     reexpand derives them. *)
+  add "q" "c" "d" 0.9;
+  let ins = check_dirty "reexpand" st (fun () -> Dred.reexpand st) in
+  check_bool "reexpand derived facts" true (ins.Dred.derived > 0);
+  (* q(a, ·) has degree 1; a second one violates Ω. *)
+  ignore
+    (check_dirty "ingest" st (fun () ->
+         Dred.ingest st
+           [
+             ( Gamma.relation kb "q", Gamma.entity kb "a", Gamma.cls kb "A",
+               Gamma.entity kb "e", Gamma.cls kb "B", 0.9 );
+           ]));
+  Dred.compact st;
+  let violations, _ =
+    check_dirty "enforce_constraints" st (fun () -> Dred.enforce_constraints st)
+  in
+  check_bool "a violation enforced" true (violations > 0)
+
+let test_refresh_without_writes () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
+  in
+  let engine =
+    Probkb.Engine.create
+      ~config:
+        (Probkb.Config.make ~inference:(Some sampling_options)
+           ~obs:Obs.Config.enabled ())
+      (Workload.Reverb_sherlock.kb g)
+  in
+  let s = Probkb.Engine.session engine in
+  let counter name =
+    Obs.Summary.counter
+      (Obs.Summary.of_trace (Probkb.Engine.trace engine))
+      name
+  in
+  ignore (Probkb.Engine.Session.refresh_marginals s);
+  let first = Probkb.Engine.Session.refresh_work s in
+  let report () =
+    match Probkb.Engine.Session.last_run s with
+    | Some (Inference.Marginal.Hybrid_run r) -> r
+    | None -> Alcotest.fail "no solve report"
+  in
+  let r1 = report () in
+  check_bool "some components sampled" true
+    (r1.Inference.Hybrid.sampled_components > 0);
+  check_int "the first refresh runs the sampler" 1
+    first.Inference.Hybrid.sampler_runs;
+  let solved = counter "hybrid.components" in
+  ignore (Probkb.Engine.Session.refresh_marginals s);
+  let w = Probkb.Engine.Session.refresh_work s in
+  check_int "nothing re-solved" first.Inference.Hybrid.components_solved
+    w.Inference.Hybrid.components_solved;
+  check_int "the sampler did not run" 1 w.Inference.Hybrid.sampler_runs;
+  check_int "every component reused"
+    (Array.length r1.Inference.Hybrid.components)
+    (w.Inference.Hybrid.components_reused
+   - first.Inference.Hybrid.components_reused);
+  check_int "hybrid.components counts solves" solved
+    (counter "hybrid.components");
+  check_int "hybrid.components_reused counts the rest"
+    (Array.length r1.Inference.Hybrid.components)
+    (counter "hybrid.components_reused");
+  check_int "hybrid.sampler_runs" 1 (counter "hybrid.sampler_runs");
+  let timeless r =
+    { r with Inference.Hybrid.exact_seconds = 0.; gibbs_seconds = 0. }
+  in
+  check_bool "the report still describes the whole graph" true
+    (compare (timeless (report ())) (timeless r1) = 0)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -1013,6 +1307,8 @@ let () =
           prop_interleaved_epochs;
           Alcotest.test_case "tombstones ≡ compaction after every epoch"
             `Quick test_compaction_invisible;
+          Alcotest.test_case "incremental refresh ≡ full solve" `Quick
+            test_incremental_refresh;
         ] );
       ( "session",
         [
@@ -1027,5 +1323,14 @@ let () =
             test_ingest_probe_rows_below_tpi;
           Alcotest.test_case "retract retires in place" `Quick
             test_retract_retires_in_place;
+        ] );
+      ( "refresh",
+        [
+          Alcotest.test_case "dirty set: ingest, retract, compact" `Quick
+            test_dirty_ingest_retract;
+          Alcotest.test_case "dirty set: rules, reexpand, constraints" `Quick
+            test_dirty_rules_and_constraints;
+          Alcotest.test_case "a refresh without writes re-solves nothing"
+            `Quick test_refresh_without_writes;
         ] );
     ]

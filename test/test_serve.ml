@@ -1067,6 +1067,88 @@ let test_dead_rows_on_metrics () =
        (Summary.of_trace (Engine.trace engine)).Summary.spans);
   Server.stop srv
 
+(* Trust signals are observable without a flag too: after refreshes,
+   /metrics carries the whole graph's exact fraction, largest width
+   solved and sampled variable count as gauges, and counters of what the
+   refreshes solved, reused and sampled.  The options sample every
+   component past two variables; the second refresh follows no write,
+   so it re-solves nothing and reuses the sampler's output. *)
+let test_trust_signals_on_metrics () =
+  let kb, _, _ = Tutil.ruth_gruber_kb () in
+  let options =
+    {
+      Inference.Hybrid.exact_max_vars = 2;
+      max_width = 0;
+      gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 3 };
+    }
+  in
+  let engine =
+    Engine.create
+      ~config:
+        (Probkb.Config.make ~inference:(Some options)
+           ~obs:Obs.Config.enabled ())
+      kb
+  in
+  let writer = Writer.of_session (Engine.session engine) in
+  let srv =
+    Server.start ~pool:1 ~obs:(Engine.trace engine) ~kb ~writer
+      ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+      ()
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Server.sockaddr srv);
+  let ic = Unix.in_channel_of_descr fd
+  and oc = Unix.out_channel_of_descr fd in
+  for _ = 1 to 2 do
+    send_op oc Protocol.Refresh;
+    check_bool "the refresh replied with its epoch" true
+      (Json.member "epoch" (Json.of_string (input_line ic)) <> None)
+  done;
+  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+  let text = Server.metrics_text srv in
+  let r =
+    match Session.last_run (Writer.session writer) with
+    | Some (Inference.Marginal.Hybrid_run r) -> r
+    | None -> Alcotest.fail "no refresh report"
+  in
+  check_bool "a component is sampled" true
+    (r.Inference.Hybrid.sampled_vars > 0);
+  let value name =
+    let prefix = name ^ " " in
+    let n = String.length prefix in
+    match
+      List.find_opt (String.starts_with ~prefix)
+        (String.split_on_char '\n' text)
+    with
+    | Some l -> float_of_string (String.sub l n (String.length l - n))
+    | None -> Alcotest.failf "no %s sample on /metrics" name
+  in
+  Alcotest.(check (float 1e-9)) "inference_exact_fraction"
+    (Inference.Hybrid.exact_fraction r)
+    (value "inference_exact_fraction");
+  Alcotest.(check (float 0.)) "inference_max_width_solved"
+    (float_of_int r.Inference.Hybrid.max_width_solved)
+    (value "inference_max_width_solved");
+  Alcotest.(check (float 0.)) "inference_sampled_vars"
+    (float_of_int r.Inference.Hybrid.sampled_vars)
+    (value "inference_sampled_vars");
+  List.iter
+    (fun needle ->
+      check_bool (Printf.sprintf "exposition contains %S" needle) true
+        (contains text needle))
+    [
+      "# TYPE inference_exact_fraction gauge";
+      "# TYPE inference_max_width_solved gauge";
+      "# TYPE inference_sampled_vars gauge";
+      Printf.sprintf "hybrid_components_total %d"
+        (Array.length r.Inference.Hybrid.components);
+      Printf.sprintf "hybrid_components_reused_total %d"
+        (Array.length r.Inference.Hybrid.components);
+      "# TYPE hybrid_vars_reused_total counter";
+      "hybrid_sampler_runs_total 1";
+    ];
+  Server.stop srv
+
 let () =
   Alcotest.run "serve"
     [
@@ -1114,5 +1196,7 @@ let () =
             test_server_telemetry;
           Alcotest.test_case "dead rows on /metrics" `Quick
             test_dead_rows_on_metrics;
+          Alcotest.test_case "trust signals on /metrics" `Quick
+            test_trust_signals_on_metrics;
         ] );
     ]
