@@ -638,11 +638,14 @@ let session_run facts rules constraints sc theta iterations samples max_width
     exact_max_vars verbose =
   setup_logs verbose;
   let kb = load_kb facts rules constraints in
+  (* The trace feeds the closing line's solve counters; span history is
+     capped as under [serve]. *)
+  let obs = Probkb.Obs.Config.make ~enabled:true ~retain_spans:4096 () in
   let engine =
     Probkb.Engine.create
       ~config:
-        (config ?exact_max_vars ?max_width ~sc ~theta ~mpp:false ~iterations
-           ~inference:(inference_of_samples samples) ())
+        (config ~obs ?exact_max_vars ?max_width ~sc ~theta ~mpp:false
+           ~iterations ~inference:(inference_of_samples samples) ())
       kb
   in
   let s = Probkb.Engine.session engine in
@@ -659,19 +662,25 @@ let session_run facts rules constraints sc theta iterations samples max_width
      done
    with End_of_file -> ());
   (* Retracts retire rows in place; say what is left to compact, and
-     how much of the graph the refreshes re-solved. *)
-  let work = Probkb.Engine.Session.refresh_work s in
+     how many components the solves (refreshes and local reads) solved
+     and copied. *)
+  let summary = Obs.Summary.of_trace (Probkb.Engine.trace engine) in
   Format.eprintf
     "session closed: %d facts, %d factors; %d dead facts and %d dead \
-     factors await compaction; %d compactions; %d refreshes re-solved %d \
-     components and reused %d@."
+     factors await compaction; %d compactions; %d refreshes; solves \
+     re-solved %d components and reused %d@."
     (Kb.Storage.size (Kb.Gamma.pi kb))
     (Factor_graph.Fgraph.size (Probkb.Engine.Session.graph s))
     (Kb.Storage.pending_deletes (Kb.Gamma.pi kb))
     (Factor_graph.Fgraph.dead_rows (Probkb.Engine.Session.graph s))
     (Incremental.Dred.compactions (Probkb.Engine.Session.dred s))
-    work.Inference.Hybrid.solves work.Inference.Hybrid.components_solved
-    work.Inference.Hybrid.components_reused;
+    (List.length
+       (List.filter
+          (fun (st : Probkb.Engine.Session.epoch_stats) ->
+            st.Probkb.Engine.Session.op = "refresh_marginals")
+          (Probkb.Engine.Session.history s)))
+    (Obs.Summary.counter summary "hybrid.components")
+    (Obs.Summary.counter summary "hybrid.components_reused");
   0
 
 let session_cmd =

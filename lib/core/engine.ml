@@ -264,7 +264,7 @@ module Session = struct
     marginals : (int, float) Hashtbl.t;  (* fact id → last estimate *)
     mutable last_solve : Inference.Marginal.solve_info option;
         (* report of the last refresh *)
-    memo : Inference.Hybrid.memo;
+    mutable memo : Inference.Hybrid.memo;
         (* the last refresh's per-component results, for the next one *)
     mutable history : epoch_stats list;  (* newest first *)
     mutable read : Snapshot.t option;
@@ -279,7 +279,6 @@ module Session = struct
   let epoch s = s.epoch
   let history s = List.rev s.history
   let last_run s = s.last_solve
-  let refresh_work s = Inference.Hybrid.work s.memo
 
   let forget s ids = List.iter (Hashtbl.remove s.marginals) ids
 
@@ -292,9 +291,16 @@ module Session = struct
        [retract_rules]/[add_rules] — they are rebuilt on next demand). *)
     s.read <- None;
     s.engine.read <- None;
-    (* Without inference no refresh ever reads the dirty set. *)
-    if Option.is_none s.engine.config.Config.inference then
-      ignore (Incremental.Dred.take_dirty s.dred);
+    (* The dirty set serves only the next refresh's reuse.  Drop it while
+       the memo is empty (no refresh yet, or inference off): that
+       refresh solves everything.  Once it outgrows the memo, little
+       would be reused; drop both, so the set stays bounded however long
+       a session goes without refreshing. *)
+    let cached = Inference.Hybrid.memo_vars s.memo in
+    if cached = 0 || Incremental.Dred.dirty_count s.dred > cached then begin
+      if cached > 0 then s.memo <- Inference.Hybrid.memo ();
+      ignore (Incremental.Dred.take_dirty s.dred)
+    end;
     let st =
       {
         epoch = s.epoch;

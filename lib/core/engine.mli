@@ -204,17 +204,15 @@ module Session : sig
       with [config.inference] ([None] when inference is disabled), given
       the last refresh's results and the fact ids whose [TΦ] rows the
       epochs since appended or killed ([Incremental.Dred.take_dirty]).
-      Only the components those ids touch are solved again; the rest
-      copy the last refresh's answers.  The marginals equal a batch
-      solve of the same graph, bit for bit, at any pool size.  After
-      every refresh the gauges [inference.exact_fraction],
-      [inference.max_width_solved] and [inference.sampled_vars] describe
-      the whole graph. *)
+      Only the components those ids touch, and the sampled ones, are
+      solved again; the rest copy the last refresh's exact answers.  An
+      epoch that leaves more dirty ids than the last refresh solved
+      variables drops those results, and the next refresh solves
+      everything.  The marginals equal a batch solve of the same graph,
+      bit for bit, at any pool size.  After every refresh the gauges
+      [inference.exact_fraction], [inference.max_width_solved] and
+      [inference.sampled_vars] describe the whole graph. *)
   val refresh_marginals : t -> epoch_stats option
-
-  (** [refresh_work s] is what the session's refreshes solved and reused
-      so far (kept whether or not a trace is attached). *)
-  val refresh_work : t -> Inference.Hybrid.work
 
   (** A fact as seen through the session. *)
   type fact_view = {

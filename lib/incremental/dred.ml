@@ -32,23 +32,34 @@ let graph t = t.graph
 let provenance t = t.prov
 let compactions t = t.compactions
 
-let take_dirty t =
-  let d = t.dirty in
-  t.dirty <- Hashtbl.create 64;
-  d
-
-(* Every TΦ row this module appends or kills passes through here, by
-   position, before any compaction can move it. *)
+(* Every TΦ row killed passes through here, by position, before any
+   compaction can move it; appended rows reach it through [sync]. *)
 let note_factor t f =
   let i1, i2, i3, _ = Fgraph.factor t.graph f in
   Hashtbl.replace t.dirty i1 ();
   if i2 <> Fgraph.null then Hashtbl.replace t.dirty i2 ();
   if i3 <> Fgraph.null then Hashtbl.replace t.dirty i3 ()
 
-let note_appended t ~from =
-  for f = from to Fgraph.bound t.graph - 1 do
+(* The rows past the provenance index's watermark are the rows appended
+   since it was last synced — by a finished operation or by one that
+   raised halfway.  Noting them here, just before the index takes them
+   in, is the only way an appended row reaches the dirty set, so none
+   is missed. *)
+let sync t =
+  for f = Provenance.synced_factors t.prov to Fgraph.bound t.graph - 1 do
     note_factor t f
-  done
+  done;
+  Provenance.sync t.prov t.graph
+
+let take_dirty t =
+  sync t;
+  let d = t.dirty in
+  t.dirty <- Hashtbl.create 64;
+  d
+
+let dirty_count t =
+  sync t;
+  Hashtbl.length t.dirty
 
 let refresh_rules t = t.prepared <- Queries.prepare (Gamma.partitions t.kb)
 
@@ -57,7 +68,7 @@ let refresh_rules t = t.prepared <- Queries.prepare (Gamma.partitions t.kb)
    it directly instead of re-deriving the neighbourhood from the rule
    tables. *)
 let local_adjacency t =
-  Provenance.sync t.prov t.graph;
+  sync t;
   {
     Grounding.Local.iter_derivations = Provenance.iter_derivations t.prov;
     iter_supports = Provenance.iter_supports t.prov;
@@ -269,7 +280,7 @@ let compact_facts st =
 let compact_factors st =
   if Fgraph.dead_rows st.graph > 0 then
     compacted st (fun () ->
-        Provenance.sync st.prov st.graph;
+        sync st;
         let _, remap = Fgraph.compact st.graph in
         Provenance.remap st.prov remap)
 
@@ -375,7 +386,7 @@ let run_dred st ~seeds ~withdrawn ~ban =
 let retract ?(ban = false) st ids =
   Obs.with_ambient st.obs @@ fun () ->
   Obs.with_span st.obs "retract" ~cat:"incremental" @@ fun () ->
-  Provenance.sync st.prov st.graph;
+  sync st;
   let pi = Gamma.pi st.kb in
   let requested =
     List.sort_uniq compare ids
@@ -397,7 +408,7 @@ let retract ?(ban = false) st ids =
 let retract_rules st ~remove =
   Obs.with_ambient st.obs @@ fun () ->
   Obs.with_span st.obs "retract" ~cat:"incremental" @@ fun () ->
-  Provenance.sync st.prov st.graph;
+  sync st;
   let removed_rules, kept_rules = List.partition remove (Gamma.rules st.kb) in
   if removed_rules = [] then no_retract
   else begin
@@ -501,7 +512,7 @@ let enforce_constraints st =
 let ingest ?(max_iterations = 15) st facts =
   Obs.with_ambient st.obs @@ fun () ->
   Obs.with_span st.obs "ingest" ~cat:"incremental" @@ fun () ->
-  Provenance.sync st.prov st.graph;
+  sync st;
   let pi = Gamma.pi st.kb in
   let watermark = Storage.next_id pi in
   let delta = Table.create ~weighted:true ~name:"delta" tpi_cols in
@@ -553,7 +564,6 @@ let ingest ?(max_iterations = 15) st facts =
   let new_factors = ref 0 in
   let t = Storage.table pi in
   let start = new_rows t watermark in
-  let from = Fgraph.bound st.graph in
   Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
       let fdelta = suffix t start in
       if Table.nrows fdelta > 0 then
@@ -577,8 +587,7 @@ let ingest ?(max_iterations = 15) st facts =
             end
           | None -> ())
         (inserted @ promoted));
-  note_appended st ~from;
-  Provenance.sync st.prov st.graph;
+  sync st;
   let derived, iters, converged =
     match closure_result with
     | Some r ->
@@ -609,7 +618,7 @@ let ingest ?(max_iterations = 15) st facts =
 let extend_rules ?(max_iterations = 15) st rules =
   Obs.with_ambient st.obs @@ fun () ->
   Obs.with_span st.obs "reexpand" ~cat:"incremental" @@ fun () ->
-  Provenance.sync st.prov st.graph;
+  sync st;
   (* The naive closure and the new rules' factor pass scan all of TΠ. *)
   compact_facts st;
   let pi = Gamma.pi st.kb in
@@ -631,7 +640,6 @@ let extend_rules ?(max_iterations = 15) st rules =
   let new_factors = ref 0 in
   let t = Storage.table pi in
   let start = new_rows t watermark in
-  let from = Fgraph.bound st.graph in
   Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
       (if rules <> [] then
          let rp = Queries.prepare (Mln.Partition.of_rules rules) in
@@ -650,8 +658,7 @@ let extend_rules ?(max_iterations = 15) st rules =
               + Queries.ground_factors_delta prepared_old pat pi ~delta:fdelta
                   ~watermark st.graph)
           old_patterns);
-  note_appended st ~from;
-  Provenance.sync st.prov st.graph;
+  sync st;
   {
     inserted = 0;
     promoted = 0;

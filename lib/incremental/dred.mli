@@ -61,11 +61,19 @@ val compactions : t -> int
     appended or killed since the last [take_dirty] (or since {!create}),
     and empties it.  Every operation below that changes [TΦ] adds to it:
     ingest, retract, {!enforce_constraints}, {!extend_rules},
-    {!retract_rules} and {!reexpand}.  Compaction moves rows but changes
+    {!retract_rules} and {!reexpand}.  Killed rows are noted as they die;
+    appended rows are the ones past the provenance index's sync
+    watermark, noted when the index takes them in — at the start and end
+    of every operation and here — so rows left by an operation that
+    raised halfway are dirty too.  Compaction moves rows but changes
     none, so it adds nothing.  A marginal solve that holds this set
     against the last one re-solves only the components it touches
     ([Inference.Hybrid.solve]). *)
 val take_dirty : t -> (int, unit) Hashtbl.t
+
+(** [dirty_count t] is the size of the set {!take_dirty} would return,
+    without emptying it. *)
+val dirty_count : t -> int
 
 (** [refresh_rules t] re-prepares the partition plans after the rule set
     changed behind this module's back (prefer {!extend_rules} /

@@ -73,33 +73,14 @@ type last = {
   marg : float array;
   comp_of_var : int array;
   infos : component_info array;
-  gibbs_info : Chromatic.run_info option;
 }
 
-type work = {
-  solves : int;
-  components_solved : int;
-  components_reused : int;
-  vars_reused : int;
-  sampler_runs : int;
-}
+type memo = { mutable last : last option }
 
-type memo = { mutable last : last option; mutable work : work }
+let memo () = { last = None }
 
-let memo () =
-  {
-    last = None;
-    work =
-      {
-        solves = 0;
-        components_solved = 0;
-        components_reused = 0;
-        vars_reused = 0;
-        sampler_runs = 0;
-      };
-  }
-
-let work m = m.work
+let memo_vars m =
+  match m.last with Some l -> Array.length l.var_ids | None -> 0
 
 let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
     ?online ?early_stop ?memo c =
@@ -123,15 +104,14 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
      facts are dirty), so it is that solve's component, and its
      canonical form, plan and exact answer are the same.  [cached.(i)] is
      the last solve's report of such a component; only the others are
-     canonicalized.  The residual sampler re-runs when a sampled
-     component of either solve is dirty: otherwise the sampled set, and
-     with it the residual subgraph in factor order, is the last one. *)
-  let p, old_of_var, cached, comps, old_sampled_dirty =
+     canonicalized.  A sampled answer is never copied: it depends on the
+     whole residual subgraph, so the sampler runs on every solve that
+     has a sampled component, clean ones keeping their plan. *)
+  let p, old_of_var, cached, comps =
     Obs.with_span obs "hybrid.decompose" ~cat:"inference" (fun () ->
         let p = Decompose.partition c in
         let nc = Array.length p.Decompose.roots in
         let cached = Array.make nc None in
-        let old_sampled_dirty = ref false in
         (* [old_of_var.(v)] is variable [v]'s index at the last solve, or
            -1 for a variable that is new. *)
         let old_of_var =
@@ -143,11 +123,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
               (fun ov id ->
                 Option.iter
                   (fun v -> old_of_var.(v) <- ov)
-                  (Hashtbl.find_opt c.Fgraph.var_of_id id);
-                if
-                  l.infos.(l.comp_of_var.(ov)).solver = Sampled
-                  && Hashtbl.mem dirty id
-                then old_sampled_dirty := true)
+                  (Hashtbl.find_opt c.Fgraph.var_of_id id))
               l.var_ids;
             let dirty_comp = Array.make nc false in
             Hashtbl.iter
@@ -171,7 +147,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
               else None)
             cached
         in
-        (p, old_of_var, cached, comps, !old_sampled_dirty))
+        (p, old_of_var, cached, comps))
   in
   let nc = Array.length comps in
   (* Routing: components under the enumeration cutoff keep the canonical
@@ -248,16 +224,9 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
     if infos.(i).solver = Sampled then sampled := i :: !sampled
   done;
   let sampled = !sampled in
-  (* Without a rerun every sampled component is cached, so the last
-     solve sampled too. *)
-  let rerun =
-    old_sampled_dirty
-    || List.exists (fun i -> Option.is_none cached.(i)) sampled
-  in
   let gibbs_info, gibbs_seconds =
     match sampled with
     | [] -> (None, 0.)
-    | _ when not rerun -> ((Option.get last).gibbs_info, 0.)
     | _ ->
       Obs.with_span obs "hybrid.gibbs" ~cat:"inference" (fun () ->
           let t0 = Obs.now () in
@@ -302,13 +271,10 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
             smarg;
           (Some info, Obs.now () -. t0))
   in
-  let sampler_ran = sampled <> [] && rerun in
   (* Reused components copy the last solve's marginals. *)
   let reused =
     Array.map
-      (function
-        | Some info -> info.solver <> Sampled || not sampler_ran
-        | None -> false)
+      (function Some info -> info.solver <> Sampled | None -> false)
       cached
   in
   Option.iter
@@ -371,7 +337,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
   Obs.add obs "hybrid.vars_exact" !vars_exact;
   Obs.add obs "hybrid.vars_sampled" !vars_sampled;
   Obs.add obs "hybrid.vars_reused" !vars_reused;
-  if sampler_ran then Obs.incr obs "hybrid.sampler_runs";
+  if sampled <> [] then Obs.incr obs "hybrid.sampler_runs";
   Obs.add_time obs "hybrid.exact_seconds" exact_seconds;
   Obs.add_time obs "hybrid.gibbs_seconds" gibbs_seconds;
   if nc <= max_component_spans then
@@ -403,17 +369,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
             marg = Array.copy marg;
             comp_of_var = p.Decompose.comp_of_var;
             infos;
-            gibbs_info;
-          };
-      let w = m.work in
-      m.work <-
-        {
-          solves = w.solves + 1;
-          components_solved = w.components_solved + !solved;
-          components_reused = w.components_reused + nc - !solved;
-          vars_reused = w.vars_reused + !vars_reused;
-          sampler_runs = (w.sampler_runs + if sampler_ran then 1 else 0);
-        })
+          })
     memo;
   ( marg,
     {

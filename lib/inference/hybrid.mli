@@ -98,17 +98,9 @@ type memo
 (** An empty memo: the next solve made with it solves everything. *)
 val memo : unit -> memo
 
-(** What the solves made with one memo did, in total. *)
-type work = {
-  solves : int;
-  components_solved : int;
-      (** components canonicalized and solved exactly, or sampled *)
-  components_reused : int;  (** components whose cached answer was copied *)
-  vars_reused : int;
-  sampler_runs : int;  (** solves that ran the residual sampler *)
-}
-
-val work : memo -> work
+(** [memo_vars m] is the number of variables [m] holds answers for (0
+    when empty). *)
+val memo_vars : memo -> int
 
 (** [solve ?options ?obs ?pool ?checkpoint ?online ?early_stop ?memo c]
     is the marginal P(X = 1) per dense variable plus the dispatch report.
@@ -119,20 +111,20 @@ val work : memo -> work
     row appended to or killed from the graph since the solve that filled
     [m].  A component none of whose variables is in [dirty] copies its
     cached answer when that answer is exact; a sampled one keeps its
-    cached plan, and the residual sampler re-runs only when a sampled
-    component of this solve or of the last one holds a dirty variable.
-    The cached results stand only for the same options and sampler
-    arguments; an empty memo, or one filled with other arguments, reuses
-    nothing.  [m] then holds this solve's results.
+    cached plan, and the residual sampler runs whenever any component is
+    sampled.  The cached results stand only for the same options and
+    sampler arguments; an empty memo, or one filled with other
+    arguments, reuses nothing.  [m] then holds this solve's results.
 
     The report describes the whole graph, reused components included
-    (with the report of the solve that produced their answer; [gibbs] is
-    the cached run info when the sampler did not re-run).  [exact_seconds]
-    and [gibbs_seconds] time this call.  Telemetry: [hybrid.*] counters
-    and phase spans always; the counters and the per-component spans
-    (when the graph has at most 256 components) cover the components
-    this call solved; [hybrid.components_reused], [hybrid.vars_reused]
-    and [hybrid.sampler_runs] count the rest. *)
+    (with the report of the solve that produced their answer).
+    [exact_seconds] and [gibbs_seconds] time this call.  Telemetry:
+    [hybrid.*] counters and phase spans always; the counters and the
+    per-component spans (when the graph has at most 256 components)
+    cover the components this call solved, sampled ones included;
+    [hybrid.components_reused] and [hybrid.vars_reused] count the
+    components and variables whose answer was copied, and
+    [hybrid.sampler_runs] the calls that ran the sampler. *)
 val solve :
   ?options:options ->
   ?obs:Obs.t ->

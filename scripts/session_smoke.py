@@ -87,8 +87,9 @@ def run(exe, facts, rules, ops, domains):
              f"PROBKB_DOMAINS={domains}")
     closed = re.search(r"session closed: \d+ facts, \d+ factors; (\d+) dead "
                        r"facts and (\d+) dead factors await compaction; "
-                       r"(\d+) compactions; (\d+) refreshes re-solved "
-                       r"(\d+) components and reused (\d+)", proc.stderr)
+                       r"(\d+) compactions; (\d+) refreshes; solves "
+                       r"re-solved (\d+) components and reused (\d+)",
+                       proc.stderr)
     if closed is None:
         fail(f"no closing summary at PROBKB_DOMAINS={domains}:\n"
              f"{proc.stderr}")

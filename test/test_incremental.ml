@@ -480,31 +480,25 @@ let print_session_op = function
 
 let auto_compactions = ref 0
 
-(* What the refreshes of [session_transcript] reused: exact answers, the
-   sampler's output, and how often a write sent the sampler back. *)
+(* What the refreshes of [session_transcript] made with a memo did, read
+   off the session trace's counters: copy exact answers, re-solve a
+   component, run the sampler. *)
 let exact_reuses = ref 0
-and sampler_reuses = ref 0
-and sampler_reruns = ref 0
+and memo_resolves = ref 0
+and memo_sampler_runs = ref 0
 
-let note_reuse ~before s =
-  let w = Probkb.Engine.Session.refresh_work s in
-  match Probkb.Engine.Session.last_run s with
-  | Some (Inference.Marginal.Hybrid_run r)
-    when before.Inference.Hybrid.solves > 0 ->
-    let ran =
-      w.Inference.Hybrid.sampler_runs > before.Inference.Hybrid.sampler_runs
-    in
-    let sampled_reused =
-      if ran then 0 else r.Inference.Hybrid.sampled_components
-    in
-    if
-      w.Inference.Hybrid.components_reused
-      - before.Inference.Hybrid.components_reused
-      > sampled_reused
-    then incr exact_reuses;
-    if ran then incr sampler_reruns
-    else if sampled_reused > 0 then incr sampler_reuses
-  | _ -> ()
+let solve_counters engine =
+  let summary = Obs.Summary.of_trace (Probkb.Engine.trace engine) in
+  List.map
+    (Obs.Summary.counter summary)
+    [ "hybrid.components_reused"; "hybrid.components"; "hybrid.sampler_runs" ]
+
+let note_reuse ~first ~before ~after =
+  if not first then
+    List.iter2
+      (fun (b, a) tally -> if a > b then incr tally)
+      (List.combine before after)
+      [ exact_reuses; memo_resolves; memo_sampler_runs ]
 
 let transcript_solver =
   {
@@ -524,11 +518,15 @@ let session_transcript ?(solver = transcript_solver) ~compact_always seed ops
   let kb = Workload.Reverb_sherlock.kb g in
   let engine =
     Probkb.Engine.create
-      ~config:(Probkb.Config.make ~inference:(Some solver) ())
+      ~config:
+        (Probkb.Config.make ~inference:(Some solver)
+           ~obs:(Obs.Config.make ~enabled:true ~retain_spans:64 ())
+           ())
       kb
   in
   let s = Probkb.Engine.session engine in
   let dred = Probkb.Engine.Session.dred s in
+  let refreshed = ref false in
   let pi = Gamma.pi kb in
   let out = Buffer.create 4096 in
   let add_int i = Buffer.add_int64_le out (Int64.of_int i) in
@@ -620,9 +618,11 @@ let session_transcript ?(solver = transcript_solver) ~compact_always seed ops
         Dred.compact dred;
         record ()
       | Refresh ->
-        let before = Probkb.Engine.Session.refresh_work s in
+        let before = solve_counters engine in
         Option.iter reply (Probkb.Engine.Session.refresh_marginals s);
-        note_reuse ~before s;
+        note_reuse ~first:(not !refreshed) ~before
+          ~after:(solve_counters engine);
+        refreshed := true;
         (* A refresh is a solve of the session's graph, nothing more. *)
         let solved, _ =
           Inference.Marginal.infer_full (Probkb.Engine.Session.graph s) solver
@@ -690,9 +690,9 @@ let sampling_options =
    every refresh, every marginal must equal a solve of the session's
    graph without a memo, bit for bit (checked inside
    [session_transcript]), and the two pools must agree on everything.
-   The case also requires that the streams exercised each reuse: a
-   refresh that copied exact answers, one that copied the sampler's
-   output, and one whose writes sent the sampler back. *)
+   The case also requires that the streams exercised the memo: a
+   refresh made with one copied exact answers, one re-solved a
+   component, and one ran the sampler. *)
 let gen_refresh_op =
   let open QCheck.Gen in
   frequency
@@ -722,12 +722,13 @@ let test_incremental_refresh () =
         run 1 = run 4)
   in
   exact_reuses := 0;
-  sampler_reuses := 0;
-  sampler_reruns := 0;
+  memo_resolves := 0;
+  memo_sampler_runs := 0;
   QCheck.Test.check_exn prop;
   check_bool "a refresh copied exact answers" true (!exact_reuses > 0);
-  check_bool "a refresh copied the sampler's output" true (!sampler_reuses > 0);
-  check_bool "a write sent the sampler back" true (!sampler_reruns > 0)
+  check_bool "a refresh re-solved a component" true (!memo_resolves > 0);
+  check_bool "a refresh with a memo ran the sampler" true
+    (!memo_sampler_runs > 0)
 
 (* --- sessions ----------------------------------------------------------- *)
 
@@ -1221,57 +1222,161 @@ let test_dirty_rules_and_constraints () =
   in
   check_bool "a violation enforced" true (violations > 0)
 
+(* A refresh with no write since the last one copies every exact answer
+   and solves nothing but the sampled components, which the sampler
+   always runs on afresh; on a graph solved exactly it solves nothing. *)
 let test_refresh_without_writes () =
+  let check_second_refresh name kb options =
+    let engine =
+      Probkb.Engine.create
+        ~config:
+          (Probkb.Config.make ~inference:(Some options)
+             ~obs:Obs.Config.enabled ())
+        kb
+    in
+    let s = Probkb.Engine.session engine in
+    let report () =
+      match Probkb.Engine.Session.last_run s with
+      | Some (Inference.Marginal.Hybrid_run r) -> r
+      | None -> Alcotest.fail "no solve report"
+    in
+    ignore (Probkb.Engine.Session.refresh_marginals s);
+    let r1 = report () in
+    let before = solve_counters engine in
+    ignore (Probkb.Engine.Session.refresh_marginals s);
+    let sampled = r1.Inference.Hybrid.sampled_components in
+    let grew = List.map2 ( - ) (solve_counters engine) before in
+    Alcotest.(check (list int))
+      (name ^ ": reused, solved, sampler runs")
+      [
+        Array.length r1.Inference.Hybrid.components - sampled;
+        sampled;
+        (if sampled > 0 then 1 else 0);
+      ]
+      grew;
+    let timeless r =
+      { r with Inference.Hybrid.exact_seconds = 0.; gibbs_seconds = 0. }
+    in
+    check_bool (name ^ ": the report still describes the whole graph") true
+      (compare (timeless (report ())) (timeless r1) = 0);
+    sampled
+  in
   let g =
     Workload.Reverb_sherlock.generate
       { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
   in
+  check_bool "some components sampled" true
+    (check_second_refresh "sampled" (Workload.Reverb_sherlock.kb g)
+       sampling_options
+    > 0);
+  let kb, _, _ = Tutil.ruth_gruber_kb () in
+  check_int "nothing sampled" 0
+    (check_second_refresh "exact" kb Inference.Hybrid.default_options)
+
+(* Every refresh of [s] must equal a solve of its graph without a memo,
+   bit for bit. *)
+let check_refresh_solved name s options =
+  ignore (Probkb.Engine.Session.refresh_marginals s);
+  let solved, _ =
+    Inference.Marginal.infer_full (Probkb.Engine.Session.graph s) options
+  in
+  Hashtbl.iter
+    (fun id p ->
+      match Probkb.Engine.Session.marginal s id with
+      | Some q when Float.equal p q -> ()
+      | _ -> Alcotest.failf "%s: refresh marginal of %d is not solved" name id)
+    solved
+
+(* A write can raise after its grounding pass appended rows to TΦ; the
+   serving writer catches the exception and keeps the session.  Those
+   rows lie past the provenance index's watermark, so they are dirty
+   all the same, and the next refresh re-solves what they touch. *)
+let test_refresh_after_failed_write () =
+  let g =
+    Workload.Reverb_sherlock.generate
+      { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
+  in
+  let kb = Workload.Reverb_sherlock.kb g in
   let engine =
     Probkb.Engine.create
-      ~config:
-        (Probkb.Config.make ~inference:(Some sampling_options)
-           ~obs:Obs.Config.enabled ())
-      (Workload.Reverb_sherlock.kb g)
+      ~config:(Probkb.Config.make ~inference:(Some sampling_options) ())
+      kb
   in
   let s = Probkb.Engine.session engine in
-  let counter name =
-    Obs.Summary.counter
-      (Obs.Summary.of_trace (Probkb.Engine.trace engine))
-      name
-  in
-  ignore (Probkb.Engine.Session.refresh_marginals s);
-  let first = Probkb.Engine.Session.refresh_work s in
-  let report () =
+  check_refresh_solved "first refresh" s sampling_options;
+  (* Two facts of different exactly solved components, whose cached
+     answers the half-written epoch's rows make stale: the first row
+     joins them. *)
+  let c = Fgraph.compile (Probkb.Engine.Session.graph s) in
+  let roots = (Inference.Decompose.partition c).Inference.Decompose.roots in
+  let exact =
     match Probkb.Engine.Session.last_run s with
-    | Some (Inference.Marginal.Hybrid_run r) -> r
+    | Some (Inference.Marginal.Hybrid_run r) ->
+      List.filter
+        (fun i ->
+          r.Inference.Hybrid.components.(i).Inference.Hybrid.solver
+          = Inference.Hybrid.Enumerated)
+        (List.init (Array.length roots) Fun.id)
     | None -> Alcotest.fail "no solve report"
   in
-  let r1 = report () in
-  check_bool "some components sampled" true
-    (r1.Inference.Hybrid.sampled_components > 0);
-  check_int "the first refresh runs the sampler" 1
-    first.Inference.Hybrid.sampler_runs;
-  let solved = counter "hybrid.components" in
-  ignore (Probkb.Engine.Session.refresh_marginals s);
-  let w = Probkb.Engine.Session.refresh_work s in
-  check_int "nothing re-solved" first.Inference.Hybrid.components_solved
-    w.Inference.Hybrid.components_solved;
-  check_int "the sampler did not run" 1 w.Inference.Hybrid.sampler_runs;
-  check_int "every component reused"
-    (Array.length r1.Inference.Hybrid.components)
-    (w.Inference.Hybrid.components_reused
-   - first.Inference.Hybrid.components_reused);
-  check_int "hybrid.components counts solves" solved
-    (counter "hybrid.components");
-  check_int "hybrid.components_reused counts the rest"
-    (Array.length r1.Inference.Hybrid.components)
-    (counter "hybrid.components_reused");
-  check_int "hybrid.sampler_runs" 1 (counter "hybrid.sampler_runs");
-  let timeless r =
-    { r with Inference.Hybrid.exact_seconds = 0.; gibbs_seconds = 0. }
+  let a, b =
+    match exact with
+    | i :: j :: _ ->
+      (c.Fgraph.var_ids.(roots.(i)), c.Fgraph.var_ids.(roots.(j)))
+    | _ -> Alcotest.fail "fewer than two enumerated components"
   in
-  check_bool "the report still describes the whole graph" true
-    (compare (timeless (report ())) (timeless r1) = 0)
+  (try
+     Fgraph.add_clause (Probkb.Engine.Session.graph s) ~i1:a ~i2:b ~w:2.5 ();
+     Fgraph.add_singleton (Probkb.Engine.Session.graph s) ~i:b ~w:(-1.5);
+     failwith "the write failed halfway"
+   with Failure _ -> ());
+  check_refresh_solved "after the failed write" s sampling_options;
+  (* And a write after it: its own rows and the stray ones are both
+     covered. *)
+  ignore
+    (Probkb.Engine.Session.ingest s
+       [
+         (let r, x, c1, y, c2 =
+            Workload.Reverb_sherlock.random_fact g (Workload.Rng.create 3)
+          in
+          (r, x, c1, y, c2, 0.8));
+       ]);
+  check_refresh_solved "after the next write" s sampling_options
+
+(* The dirty set serves the next refresh only: a session that never
+   refreshes keeps none, and one whose writes outgrow the last refresh
+   drops both the set and the memo, and solves everything next. *)
+let test_dirty_set_bounded () =
+  let kb, _, _ = Tutil.ruth_gruber_kb () in
+  let engine =
+    Probkb.Engine.create
+      ~config:(Probkb.Config.make ~inference:(Some transcript_solver) ())
+      kb
+  in
+  let s = Probkb.Engine.session engine in
+  let dirty () = Dred.dirty_count (Probkb.Engine.Session.dred s) in
+  let fact i w =
+    ( Gamma.relation kb "born_in",
+      Gamma.entity kb (Printf.sprintf "person %d" i),
+      Gamma.cls kb "W",
+      Gamma.entity kb "Brooklyn",
+      Gamma.cls kb "P",
+      w )
+  in
+  ignore (Probkb.Engine.Session.ingest s [ fact 1 0.9 ]);
+  check_int "no refresh yet: no dirty set" 0 (dirty ());
+  check_refresh_solved "first refresh" s transcript_solver;
+  let vars =
+    Fgraph.nvars (Fgraph.compile (Probkb.Engine.Session.graph s))
+  in
+  ignore (Probkb.Engine.Session.ingest s [ fact 2 0.8 ]);
+  check_bool "a small write stays dirty" true
+    (dirty () > 0 && dirty () <= vars);
+  ignore
+    (Probkb.Engine.Session.ingest s
+       (List.init (2 * vars) (fun i -> fact (10 + i) 0.7)));
+  check_int "a write past the memo's size drops the set" 0 (dirty ());
+  check_refresh_solved "a refresh after the drop" s transcript_solver
 
 let () =
   Alcotest.run "incremental"
@@ -1330,7 +1435,12 @@ let () =
             test_dirty_ingest_retract;
           Alcotest.test_case "dirty set: rules, reexpand, constraints" `Quick
             test_dirty_rules_and_constraints;
-          Alcotest.test_case "a refresh without writes re-solves nothing"
+          Alcotest.test_case
+            "a refresh without writes re-solves only sampled components"
             `Quick test_refresh_without_writes;
+          Alcotest.test_case "a failed write's rows are dirty" `Quick
+            test_refresh_after_failed_write;
+          Alcotest.test_case "the dirty set stays bounded" `Quick
+            test_dirty_set_bounded;
         ] );
     ]

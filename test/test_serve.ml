@@ -1072,9 +1072,13 @@ let test_dead_rows_on_metrics () =
    solved and sampled variable count as gauges, and counters of what the
    refreshes solved, reused and sampled.  The options sample every
    component past two variables; the second refresh follows no write,
-   so it re-solves nothing and reuses the sampler's output. *)
+   so it copies every exact answer and samples the rest again.  A fact
+   no rule mentions is a component of its own, solved exactly. *)
 let test_trust_signals_on_metrics () =
   let kb, _, _ = Tutil.ruth_gruber_kb () in
+  ignore
+    (Kb.Gamma.add_fact_by_name kb ~r:"visited" ~x:"Ruth Gruber" ~c1:"W"
+       ~y:"Alaska" ~c2:"P" ~w:0.8);
   let options =
     {
       Inference.Hybrid.exact_max_vars = 2;
@@ -1113,6 +1117,7 @@ let test_trust_signals_on_metrics () =
   in
   check_bool "a component is sampled" true
     (r.Inference.Hybrid.sampled_vars > 0);
+  check_bool "a component is exact" true (r.Inference.Hybrid.exact_vars > 0);
   let value name =
     let prefix = name ^ " " in
     let n = String.length prefix in
@@ -1140,12 +1145,17 @@ let test_trust_signals_on_metrics () =
       "# TYPE inference_exact_fraction gauge";
       "# TYPE inference_max_width_solved gauge";
       "# TYPE inference_sampled_vars gauge";
+      (* The second refresh copies every exact answer and re-runs the
+         sampler on the sampled components. *)
       Printf.sprintf "hybrid_components_total %d"
-        (Array.length r.Inference.Hybrid.components);
+        (Array.length r.Inference.Hybrid.components
+        + r.Inference.Hybrid.sampled_components);
       Printf.sprintf "hybrid_components_reused_total %d"
-        (Array.length r.Inference.Hybrid.components);
-      "# TYPE hybrid_vars_reused_total counter";
-      "hybrid_sampler_runs_total 1";
+        (Array.length r.Inference.Hybrid.components
+        - r.Inference.Hybrid.sampled_components);
+      Printf.sprintf "hybrid_vars_reused_total %d"
+        r.Inference.Hybrid.exact_vars;
+      "hybrid_sampler_runs_total 2";
     ];
   Server.stop srv
 
