@@ -151,14 +151,31 @@ let compiled_graph =
      in
      Factor_graph.Fgraph.compile r.Grounding.Ground.graph)
 
-let test_gibbs_sweep =
-  Test.make ~name:"inference: 10 Gibbs sweeps"
+let test_chromatic_sweeps =
+  Test.make ~name:"inference: 10 chromatic sweeps"
     (Staged.stage (fun () ->
          let c = Lazy.force compiled_graph in
          ignore
-           (Inference.Gibbs.marginals
+           (Inference.Chromatic.marginals
               ~options:{ burn_in = 0; samples = 10; seed = 1 }
               c)))
+
+(* The components Hybrid enumerates: those of at most [enum_cutoff]
+   variables. *)
+let enumerated_components =
+  lazy
+    (List.filter
+       (fun comp ->
+         Inference.Decompose.nvars comp <= Inference.Hybrid.enum_cutoff)
+       (Array.to_list
+          (Inference.Decompose.components (Lazy.force compiled_graph))))
+
+let test_enumeration =
+  Test.make ~name:"inference: enumerate the exact components"
+    (Staged.stage (fun () ->
+         List.iter
+           (fun comp -> ignore (Inference.Exact.enumerate comp))
+           (Lazy.force enumerated_components)))
 
 let test_chromatic_color =
   Test.make ~name:"inference: chromatic colouring"
@@ -176,7 +193,8 @@ let tests =
     test_naive_closure;
     test_semi_naive_closure;
     test_constraints;
-    test_gibbs_sweep;
+    test_chromatic_sweeps;
+    test_enumeration;
     test_chromatic_color;
   ]
 
@@ -184,7 +202,7 @@ let run () =
   Bench_util.section "Micro-benchmarks (Bechamel)";
   (* Force the shared fixtures outside the timed region. *)
   ignore (Lazy.force small_kb);
-  ignore (Lazy.force compiled_graph);
+  ignore (Lazy.force enumerated_components);
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

@@ -196,6 +196,57 @@ let compile g =
     slot_weights;
   }
 
+let permute c perm =
+  let n = nvars c in
+  let fail () = invalid_arg "Fgraph.permute: not a permutation" in
+  if Array.length perm <> n then fail ();
+  let new_of = Array.make n (-1) in
+  Array.iteri
+    (fun nv v ->
+      if v < 0 || v >= n || new_of.(v) >= 0 then fail ();
+      new_of.(v) <- nv)
+    perm;
+  let remap v = if v < 0 then v else new_of.(v) in
+  let var_ids = Array.map (fun v -> c.var_ids.(v)) perm in
+  let var_of_id = Hashtbl.create (2 * max 16 n) in
+  Array.iteri (fun nv id -> Hashtbl.add var_of_id id nv) var_ids;
+  let adj_off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun nv v ->
+      adj_off.(nv + 1) <- adj_off.(nv) + c.adj_off.(v + 1) - c.adj_off.(v))
+    perm;
+  let slots = Array.length c.adj in
+  let adj = Array.make slots 0
+  and slot_roles = Array.make (3 * slots) (-1)
+  and slot_weights = Array.make slots 0. in
+  (* Each variable's slots move as one block, in their original order,
+     so a conditional sums the same terms in the same order. *)
+  Array.iteri
+    (fun nv v ->
+      let src = c.adj_off.(v) and dst = adj_off.(nv) in
+      for i = 0 to adj_off.(nv + 1) - dst - 1 do
+        let k = src + i and k' = dst + i in
+        adj.(k') <- c.adj.(k);
+        slot_roles.(3 * k') <- c.slot_roles.(3 * k);
+        slot_roles.((3 * k') + 1) <- remap c.slot_roles.((3 * k) + 1);
+        slot_roles.((3 * k') + 2) <- remap c.slot_roles.((3 * k) + 2);
+        slot_weights.(k') <- c.slot_weights.(k)
+      done)
+    perm;
+  {
+    var_ids;
+    var_of_id;
+    head = Array.map remap c.head;
+    body1 = Array.map remap c.body1;
+    body2 = Array.map remap c.body2;
+    fweight = Array.copy c.fweight;
+    singleton = Array.copy c.singleton;
+    adj_off;
+    adj;
+    slot_roles;
+    slot_weights;
+  }
+
 let satisfied c f assignment =
   if c.singleton.(f) then assignment.(c.head.(f))
   else

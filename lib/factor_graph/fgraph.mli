@@ -138,6 +138,16 @@ val compile : t -> compiled
 (** [nvars c] is the number of distinct variables. *)
 val nvars : compiled -> int
 
+(** [permute c perm] is [c] with its variables renumbered: new variable
+    [i] is old variable [perm.(i)].  Every variable-indexed field and
+    every variable reference is rebuilt; factors keep their indexes, and
+    each variable keeps its slots in their original order, so
+    Inference.Gibbs.log_odds sums the same terms in the same order and
+    returns the same float.
+    @raise Invalid_argument if [perm] is not a permutation of
+    [0 .. nvars c - 1]. *)
+val permute : compiled -> int array -> compiled
+
 (** [satisfied c f assignment] is [true] iff factor [f] is satisfied under
     the boolean [assignment] (indexed by dense variable): a singleton is
     satisfied when its variable is true; a clause is satisfied unless its

@@ -1,7 +1,5 @@
 module Fgraph = Factor_graph.Fgraph
 
-type stats = { n_colors : int; ideal_speedup : float }
-
 let neighbors c v each =
   for k = c.Fgraph.adj_off.(v) to c.Fgraph.adj_off.(v + 1) - 1 do
     let f = c.Fgraph.adj.(k) in
@@ -24,12 +22,6 @@ let color c =
     colors.(v) <- !k
   done;
   colors
-
-let classes colors =
-  let n_colors = 1 + Array.fold_left max (-1) colors in
-  let by_color = Array.make n_colors [] in
-  Array.iteri (fun v k -> by_color.(k) <- v :: by_color.(k)) colors;
-  Array.map (fun l -> Array.of_list (List.rev l)) by_color
 
 let verify_coloring c colors =
   let ok = ref true in
@@ -67,7 +59,7 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
   let colors = color c in
   if Obs.debug && not (verify_coloring c colors) then
     invalid_arg "Chromatic.marginals: improper coloring";
-  let by_color = classes colors in
+  let n_colors = 1 + Array.fold_left max (-1) colors in
   let pool = match pool with Some p -> p | None -> Pool.get_default () in
   (* Online diagnostics are on whenever an early-stop criterion needs
      them; [~online:true] turns them on for reporting alone. *)
@@ -78,28 +70,43 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
     if requested then Some (Diagnostics.Online.create ~segment:checkpoint n)
     else None
   in
-  (* Chunks of each class, with schedule-order global ids. *)
-  let class_chunks =
-    Array.map
-      (fun cls ->
-        let len = Array.length cls in
-        let nc = (len + chunk_size - 1) / chunk_size in
-        Array.init nc (fun j ->
-            (j * chunk_size, min len ((j + 1) * chunk_size))))
-      by_color
-  in
-  let chunk_id0 = Array.make (Array.length by_color) 0 in
-  let total = ref 0 in
+  (* The sweep runs over a class-major renumbering of [c]: [perm] lists
+     class 0's variables in ascending order, then class 1's, and so on
+     (a counting sort: class [k] fills positions [class_off.(k)] to
+     [class_off.(k + 1) - 1]), so a class is one contiguous range of the
+     permuted graph and its variables' slots, states and accumulators
+     are adjacent in memory.
+     Chunk [j] of class [k] is positions [j * chunk_size ...] of that
+     range: the same variables, in the same order, as the [j]th slice of
+     the class in the original numbering, so it keeps its RNG stream and
+     draws the same numbers. *)
+  let class_off = Array.make (n_colors + 1) 0 in
+  Array.iter (fun k -> class_off.(k + 1) <- class_off.(k + 1) + 1) colors;
+  for k = 1 to n_colors do
+    class_off.(k) <- class_off.(k) + class_off.(k - 1)
+  done;
+  let perm = Array.make n 0 and next = Array.sub class_off 0 n_colors in
   Array.iteri
-    (fun k chs ->
-      chunk_id0.(k) <- !total;
-      total := !total + Array.length chs)
-    class_chunks;
+    (fun v k ->
+      perm.(next.(k)) <- v;
+      next.(k) <- next.(k) + 1)
+    colors;
+  let pc = Fgraph.permute c perm in
+  let class_chunks k =
+    (class_off.(k + 1) - class_off.(k) + chunk_size - 1) / chunk_size
+  in
+  (* Global chunk ids, in schedule order. *)
+  let chunk_id0 = Array.make n_colors 0 in
+  for k = 1 to n_colors - 1 do
+    chunk_id0.(k) <- chunk_id0.(k - 1) + class_chunks (k - 1)
+  done;
+  let class_names = Array.init n_colors (Printf.sprintf "class %d") in
   (* The starting state is drawn from one single-threaded stream in
-     ascending variable order, so it — and hence the whole chain — is a
-     deterministic function of the seed at any pool size. *)
+     ascending original variable order, so it — and hence the whole
+     chain — is a deterministic function of the seed at any pool size. *)
   let init_rng = Random.State.make [| options.seed |] in
-  let assignment = Array.init n (fun _ -> Random.State.bool init_rng) in
+  let initial = Array.init n (fun _ -> Random.State.bool init_rng) in
+  let assignment = Array.map (fun v -> initial.(v)) perm in
   let acc = Array.make n 0. in
   let sweep_no = ref 0 in
   let sweep estimate =
@@ -116,65 +123,61 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
        aggregates by path, so the tree stays bounded by the colour count
        while still timing every class of every sweep. *)
     Obs.with_span obs "sweep" ~cat:"inference" (fun () ->
-        Array.iteri
-          (fun k cls ->
-            (* One parallel step: variables of a colour class share no
-               factor, so their conditionals are mutually independent —
-               neither the conditional of [v] nor its flip touches any
-               state another chunk of the same class reads.  Classes are
-               separated by the pool barrier. *)
-            Obs.with_span obs
-              (Printf.sprintf "class %d" k)
-              ~cat:"inference"
-              (fun () ->
-                let chs = class_chunks.(k) in
-                Pool.parallel_for pool ~n:(Array.length chs) (fun j ->
-                    let lo, hi = chs.(j) in
-                    let rng =
-                      Random.State.make [| options.seed; s; chunk_id0.(k) + j |]
-                    in
-                    let out = { Gibbs.value = 0. } in
-                    (* Three copies of the inner loop so the estimate and
-                       diagnostics tests happen once per chunk, not once
-                       per variable, and the Welford + lag-1 update is
-                       inlined through the view rather than paying a
-                       cross-module call per variable. *)
-                    match (estimate, dview) with
-                    | true, Some vw ->
-                      let mean = vw.Diagnostics.Online.v_mean
-                      and m2 = vw.Diagnostics.Online.v_m2
-                      and ic = vw.Diagnostics.Online.v_inv_count
-                      and prev = vw.Diagnostics.Online.v_prev
-                      and cross = vw.Diagnostics.Online.v_cross in
-                      for i = lo to hi - 1 do
-                        let v = cls.(i) in
-                        Gibbs.conditional c assignment v out;
-                        let p = out.value in
-                        assignment.(v) <- Random.State.float rng 1. < p;
-                        acc.(v) <- acc.(v) +. p;
-                        let d = p -. mean.(v) in
-                        let m = mean.(v) +. (d *. ic) in
-                        mean.(v) <- m;
-                        m2.(v) <- m2.(v) +. (d *. (p -. m));
-                        cross.(v) <- cross.(v) +. (p *. prev.(v));
-                        prev.(v) <- p
-                      done
-                    | true, None ->
-                      for i = lo to hi - 1 do
-                        let v = cls.(i) in
-                        Gibbs.conditional c assignment v out;
-                        let p = out.value in
-                        assignment.(v) <- Random.State.float rng 1. < p;
-                        acc.(v) <- acc.(v) +. p
-                      done
-                    | false, _ ->
-                      for i = lo to hi - 1 do
-                        let v = cls.(i) in
-                        Gibbs.conditional c assignment v out;
-                        let p = out.value in
-                        assignment.(v) <- Random.State.float rng 1. < p
-                      done)))
-          by_color)
+        for k = 0 to n_colors - 1 do
+          (* One parallel step: variables of a colour class share no
+             factor, so their conditionals are mutually independent —
+             neither the conditional of [v] nor its flip touches any
+             state another chunk of the same class reads.  Classes are
+             separated by the pool barrier. *)
+          Obs.with_span obs class_names.(k) ~cat:"inference" (fun () ->
+              let base = class_off.(k) and last = class_off.(k + 1) in
+              Pool.parallel_for pool ~n:(class_chunks k) (fun j ->
+                  let lo = base + (j * chunk_size) in
+                  let hi = min last (lo + chunk_size) in
+                  let rng =
+                    Random.State.make [| options.seed; s; chunk_id0.(k) + j |]
+                  in
+                  let out = { Gibbs.value = 0. } in
+                  (* Three copies of the inner loop so the estimate and
+                     diagnostics tests happen once per chunk, not once
+                     per variable, and the Welford + lag-1 update is
+                     inlined through the view rather than paying a
+                     cross-module call per variable.  Diagnostics stay
+                     keyed by the original variable [perm.(v)]. *)
+                  match (estimate, dview) with
+                  | true, Some vw ->
+                    let mean = vw.Diagnostics.Online.v_mean
+                    and m2 = vw.Diagnostics.Online.v_m2
+                    and ic = vw.Diagnostics.Online.v_inv_count
+                    and prev = vw.Diagnostics.Online.v_prev
+                    and cross = vw.Diagnostics.Online.v_cross in
+                    for v = lo to hi - 1 do
+                      Gibbs.conditional pc assignment v out;
+                      let p = out.value in
+                      assignment.(v) <- Random.State.float rng 1. < p;
+                      acc.(v) <- acc.(v) +. p;
+                      let u = perm.(v) in
+                      let d = p -. mean.(u) in
+                      let m = mean.(u) +. (d *. ic) in
+                      mean.(u) <- m;
+                      m2.(u) <- m2.(u) +. (d *. (p -. m));
+                      cross.(u) <- cross.(u) +. (p *. prev.(u));
+                      prev.(u) <- p
+                    done
+                  | true, None ->
+                    for v = lo to hi - 1 do
+                      Gibbs.conditional pc assignment v out;
+                      let p = out.value in
+                      assignment.(v) <- Random.State.float rng 1. < p;
+                      acc.(v) <- acc.(v) +. p
+                    done
+                  | false, _ ->
+                    for v = lo to hi - 1 do
+                      Gibbs.conditional pc assignment v out;
+                      let p = out.value in
+                      assignment.(v) <- Random.State.float rng 1. < p
+                    done))
+        done)
   in
   (* Checkpoint emission: volatile rates are computed only when a sink is
      installed, so a metrics-off run pays nothing for the plumbing. *)
@@ -194,7 +197,7 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
         ~perf:(("samples_per_sec", Obs.F rate) :: Obs.mem_stats ())
         (("phase", Obs.S phase)
         :: ("vars", Obs.I n)
-        :: ("colors", Obs.I (Array.length by_color))
+        :: ("colors", Obs.I n_colors)
         :: data)
     end
   in
@@ -255,7 +258,7 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
     let elapsed = Obs.now () -. t_start in
     Obs.add obs "gibbs.sweeps" !sweep_no;
     Obs.add obs "gibbs.variables" n;
-    Obs.gauge obs "gibbs.colors" (float_of_int (Array.length by_color));
+    Obs.gauge obs "gibbs.colors" (float_of_int n_colors);
     (match !stopped with
     | Some s -> Obs.gauge obs "gibbs.stopped_at_sweep" (float_of_int s)
     | None -> ());
@@ -263,7 +266,11 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
       Obs.gauge obs "gibbs.samples_per_sec"
         (float_of_int (!sweep_no * n) /. elapsed)
   end;
-  ( Array.map (fun a -> a /. float_of_int (max 1 !est_sweeps)) acc,
+  let marg = Array.make n 0. in
+  Array.iteri
+    (fun v a -> marg.(perm.(v)) <- a /. float_of_int (max 1 !est_sweeps))
+    acc;
+  ( marg,
     {
       sweeps_run = !est_sweeps;
       stopped_at_sweep = !stopped;
@@ -272,11 +279,3 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
 
 let marginals ?options ?obs ?pool c =
   fst (marginals_info ?options ?obs ?pool c)
-
-let schedule_stats c =
-  let by_color = classes (color c) in
-  let n_colors = Array.length by_color in
-  let n = float_of_int (Fgraph.nvars c) in
-  (* With unbounded processors each colour costs one step. *)
-  let span = float_of_int (max 1 n_colors) in
-  { n_colors; ideal_speedup = (if n = 0. then 1. else n /. span) }

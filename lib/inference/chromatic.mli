@@ -10,17 +10,14 @@
     its own RNG stream derived from [(seed, sweep, chunk id)] with a
     chunking function that depends only on the class sizes, so the Markov
     chain — and hence the marginals — is bit-identical for every
-    [PROBKB_DOMAINS] value.  {!stats} reports the idealized parallel
-    span. *)
+    [PROBKB_DOMAINS] value.
 
-type stats = {
-  n_colors : int;
-  ideal_speedup : float;
-      (** sequential work / parallel span with unbounded processors:
-          [nvars / max_color_class_size] is the bound the colouring itself
-          imposes; we report [nvars /. n_colors /. max_class] refined as
-          span = Σ per-colour 1 (one parallel step per colour). *)
-}
+    The sweep runs over a class-major renumbering of the graph
+    ({!Factor_graph.Fgraph.permute}), so each colour class is one
+    contiguous range of variables, slots and accumulators.  Chunks keep
+    their variables, order and RNG streams, the starting state is drawn
+    in the original numbering, and every result is mapped back: the
+    layout changes no bit of the chain. *)
 
 (** [color c] greedily colours the variable-interaction graph; two
     variables are adjacent when some factor mentions both.  Returns the
@@ -86,6 +83,3 @@ val marginals_info :
   ?early_stop:Diagnostics.Online.criteria ->
   Factor_graph.Fgraph.compiled ->
   float array * run_info
-
-(** [schedule_stats c] is the colouring statistics for reporting. *)
-val schedule_stats : Factor_graph.Fgraph.compiled -> stats

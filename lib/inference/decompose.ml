@@ -163,22 +163,3 @@ let max_size c =
   let sizes = Array.make (Array.length p.roots) 0 in
   Array.iter (fun i -> sizes.(i) <- sizes.(i) + 1) p.comp_of_var;
   Array.fold_left max 0 sizes
-
-(* Local log-weight of one assignment: the sum of satisfied factors'
-   weights, visiting factors in canonical order — shared by the exact
-   enumerator and by tests. *)
-let sum_weights comp a =
-  let total = ref 0. in
-  for f = 0 to Array.length comp.head - 1 do
-    let sat =
-      if comp.singleton.(f) then a.(comp.head.(f))
-      else
-        let body_true =
-          (comp.body1.(f) < 0 || a.(comp.body1.(f)))
-          && (comp.body2.(f) < 0 || a.(comp.body2.(f)))
-        in
-        (not body_true) || a.(comp.head.(f))
-    in
-    if sat then total := !total +. comp.weight.(f)
-  done;
-  !total

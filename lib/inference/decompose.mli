@@ -66,8 +66,3 @@ val components : Factor_graph.Fgraph.compiled -> component array
     the empty graph) — computed without canonicalizing, for cheap
     dispatch checks. *)
 val max_size : Factor_graph.Fgraph.compiled -> int
-
-(** [sum_weights comp a] is the component-local log-weight of assignment
-    [a] (indexed by local variable): the sum of satisfied factors'
-    weights in canonical factor order. *)
-val sum_weights : component -> bool array -> float

@@ -2,27 +2,6 @@ module Fgraph = Factor_graph.Fgraph
 
 let max_vars = 25
 
-let sum_weights c assignment =
-  let total = ref 0. in
-  for f = 0 to Array.length c.Fgraph.head - 1 do
-    if Fgraph.satisfied c f assignment then
-      total := !total +. c.Fgraph.fweight.(f)
-  done;
-  !total
-
-let fold_worlds c k =
-  let n = Fgraph.nvars c in
-  if n > max_vars then
-    invalid_arg
-      (Printf.sprintf "Exact: %d variables exceeds the limit of %d" n max_vars);
-  let assignment = Array.make n false in
-  for world = 0 to (1 lsl n) - 1 do
-    for v = 0 to n - 1 do
-      assignment.(v) <- (world lsr v) land 1 = 1
-    done;
-    k assignment
-  done
-
 (* The measure factorizes over connected components of the factor graph,
    so marginals are computed per component: 2^c worlds for each component
    of c variables instead of 2^n for the whole graph, and the variable
@@ -30,10 +9,19 @@ let fold_worlds c k =
    and the canonical factor/variable ordering that keeps the enumeration
    bit-reproducible across graph assemblies (see its documentation). *)
 
-let max_component_size = Decompose.max_size
+(* Up to this many variables a world's log-weight is computed once and
+   kept: 2^16 floats, 512 KiB.  It is [Hybrid.enum_cutoff], so every
+   component Hybrid prefers to enumerate takes the stored path; the
+   dense 17-25-variable components it falls back to evaluate each world
+   twice rather than allocate up to 2^25 floats. *)
+let stored_max_vars = 16
 
 (* Enumerate one canonical component's 2^k worlds; P(X=1) per local
-   variable. *)
+   variable.  World [w] sets local variable [v] iff bit [v] of [w] is
+   set.  Factor [f] is satisfied unless its whole body [body.(f)] is
+   true and its head [head.(f)] false (a prior has an empty body), and
+   a world's log-weight adds the satisfied weights in canonical factor
+   order from 0, so it is the same float at any assembly. *)
 let enumerate ?(max_vars = max_vars) comp =
   let k = Decompose.nvars comp in
   if k > max_vars then
@@ -42,27 +30,44 @@ let enumerate ?(max_vars = max_vars) comp =
          "Exact: a connected component of %d variables exceeds the limit \
           of %d"
          k max_vars);
-  let a = Array.make k false in
-  let each body =
-    for world = 0 to (1 lsl k) - 1 do
-      for v = 0 to k - 1 do
-        a.(v) <- (world lsr v) land 1 = 1
-      done;
-      body ()
-    done
+  let bit v = if v < 0 then 0 else 1 lsl v in
+  let head = Array.map bit comp.Decompose.head in
+  let body =
+    Array.map2
+      (fun b1 b2 -> bit b1 lor bit b2)
+      comp.Decompose.body1 comp.Decompose.body2
+  in
+  let weight = comp.Decompose.weight in
+  let worlds = 1 lsl k in
+  let stored = k <= stored_max_vars in
+  let sums = Array.create_float (if stored then worlds else 1) in
+  let slot world = if stored then world else 0 in
+  let eval world =
+    let total = ref 0. in
+    for f = 0 to Array.length weight - 1 do
+      let b = body.(f) in
+      if world land b <> b || world land head.(f) <> 0 then
+        total := !total +. weight.(f)
+    done;
+    sums.(slot world) <- !total
   in
   (* Stabilize with the max exponent, as the whole-graph path always did. *)
   let max_e = ref neg_infinity in
-  each (fun () -> max_e := Float.max !max_e (Decompose.sum_weights comp a));
+  for world = 0 to worlds - 1 do
+    eval world;
+    max_e := Float.max !max_e sums.(slot world)
+  done;
   let max_e = !max_e in
   let mass = Array.make k 0. in
   let z = ref 0. in
-  each (fun () ->
-      let p = exp (Decompose.sum_weights comp a -. max_e) in
-      z := !z +. p;
-      for v = 0 to k - 1 do
-        if a.(v) then mass.(v) <- mass.(v) +. p
-      done);
+  for world = 0 to worlds - 1 do
+    if not stored then eval world;
+    let p = exp (sums.(slot world) -. max_e) in
+    z := !z +. p;
+    for v = 0 to k - 1 do
+      if (world lsr v) land 1 = 1 then mass.(v) <- mass.(v) +. p
+    done
+  done;
   let out = Array.make k 0. in
   for v = 0 to k - 1 do
     out.(v) <- mass.(v) /. !z
@@ -81,10 +86,3 @@ let marginals ?max_vars c =
     (fun comp -> solve_component ?max_vars comp marg)
     (Decompose.components c);
   marg
-
-let log_partition c =
-  let max_e = ref neg_infinity in
-  fold_worlds c (fun a -> max_e := Float.max !max_e (sum_weights c a));
-  let z = ref 0. in
-  fold_worlds c (fun a -> z := !z +. exp (sum_weights c a -. !max_e));
-  !max_e +. log !z

@@ -26,7 +26,12 @@ val marginals : ?max_vars:int -> Factor_graph.Fgraph.compiled -> float array
 
 (** [enumerate ?max_vars comp] is the exact marginal per {e local}
     variable of one canonical component (indexed like
-    [comp.Decompose.vars]).
+    [comp.Decompose.vars]).  Worlds are bitmasks over the local
+    variables and each factor a head mask and a body mask, so a world's
+    log-weight is one pass over the factors in canonical order.  Up to
+    16 variables the 2{^k} log-weights are kept (at most 512 KiB); past
+    that each world is evaluated twice instead, so a dense component at
+    the 25-variable cap allocates no 2{^25}-entry buffer.
     @raise Invalid_argument if the component exceeds [max_vars]. *)
 val enumerate : ?max_vars:int -> Decompose.component -> float array
 
@@ -34,12 +39,3 @@ val enumerate : ?max_vars:int -> Decompose.component -> float array
     into the global per-dense-variable array [marg]. *)
 val solve_component :
   ?max_vars:int -> Decompose.component -> float array -> unit
-
-(** [max_component_size c] is the variable count of the largest connected
-    component — the feasibility check for {!marginals}
-    ([max_component_size c <= max_vars]). *)
-val max_component_size : Factor_graph.Fgraph.compiled -> int
-
-(** [log_partition c] is [log Z], the log normalization constant
-    (whole-graph enumeration: requires [nvars c <= max_vars]). *)
-val log_partition : Factor_graph.Fgraph.compiled -> float

@@ -309,6 +309,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
     infos;
   let solved = ref 0
   and solved_by = Array.make 3 0
+  and seconds_by = Array.make 3 0.
   and vars_exact = ref 0
   and vars_sampled = ref 0
   and vars_reused = ref 0 in
@@ -324,6 +325,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
           | Sampled -> 2
         in
         solved_by.(k) <- solved_by.(k) + 1;
+        seconds_by.(k) <- seconds_by.(k) +. info.seconds;
         if info.solver = Sampled then vars_sampled := !vars_sampled + info.vars
         else vars_exact := !vars_exact + info.vars;
         Obs.observe obs "hybrid.component_width" (float_of_int info.width)
@@ -339,6 +341,8 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
   Obs.add obs "hybrid.vars_reused" !vars_reused;
   if sampled <> [] then Obs.incr obs "hybrid.sampler_runs";
   Obs.add_time obs "hybrid.exact_seconds" exact_seconds;
+  Obs.add_time obs "hybrid.enumerate_seconds" seconds_by.(0);
+  Obs.add_time obs "hybrid.jtree_seconds" seconds_by.(1);
   Obs.add_time obs "hybrid.gibbs_seconds" gibbs_seconds;
   if nc <= max_component_spans then
     Array.iteri

@@ -124,7 +124,11 @@ val memo_vars : memo -> int
     cover the components this call solved, sampled ones included;
     [hybrid.components_reused] and [hybrid.vars_reused] count the
     components and variables whose answer was copied, and
-    [hybrid.sampler_runs] the calls that ran the sampler. *)
+    [hybrid.sampler_runs] the calls that ran the sampler.  Timers:
+    [hybrid.exact_seconds] and [hybrid.gibbs_seconds] are the two
+    phases' wall clock; [hybrid.enumerate_seconds] and
+    [hybrid.jtree_seconds] sum the [seconds] of the components this call
+    enumerated and eliminated. *)
 val solve :
   ?options:options ->
   ?obs:Obs.t ->

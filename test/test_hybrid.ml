@@ -399,10 +399,10 @@ let test_neighborhood_dispatch () =
 (* The 2001-leaf hub star above as a property: random hub stars (up to
    2001 leaves), dense cores and sparse graphs, with weights up to
    |w| = 1e3, solved under options that force each route.  Every
-   marginal must be a probability; enumerated components must equal
-   [Exact.enumerate] bit for bit; eliminated ones must be within 1e-9 of
-   enumeration, or of the hub star's closed form where enumeration
-   cannot go. *)
+   marginal must be a probability; enumerated components must equal the
+   two-pass enumerator ([Exact_oracle.enumerate]) bit for bit; eliminated
+   ones must be within 1e-9 of enumeration, or of the hub star's closed
+   form where enumeration cannot go. *)
 
 let extreme_weight rng =
   match Random.State.int rng 4 with
@@ -524,14 +524,14 @@ let test_extreme_weights =
           Array.iteri
             (fun i (info : Inference.Hybrid.component_info) ->
               let comp = comps.(i) in
-              let exact () = Inference.Exact.enumerate comp in
+              let exact () = Exact_oracle.enumerate comp in
               match info.Inference.Hybrid.solver with
               | Inference.Hybrid.Enumerated ->
                 Array.iteri
                   (fun l p ->
                     let q = marg.(comp.Inference.Decompose.vars.(l)) in
                     if not (Float.equal p q) then
-                      fail "enumerated var %d differs from Exact" l)
+                      fail "enumerated var %d differs from the oracle" l)
                   (exact ())
               | Inference.Hybrid.Eliminated ->
                 let reference =

@@ -56,7 +56,7 @@ let test_log_partition_independent_vars () =
         Fgraph.add_singleton g ~i:2 ~w:(-1.0))
   in
   let expect = log (1. +. exp 0.5) +. log (1. +. exp (-1.0)) in
-  Alcotest.(check (float 1e-9)) "log Z" expect (Inference.Exact.log_partition c)
+  Alcotest.(check (float 1e-9)) "log Z" expect (Exact_oracle.log_partition c)
 
 let test_exact_rejects_large () =
   (* Enumeration runs per connected component: many disconnected
@@ -247,41 +247,48 @@ let add_factor g (shape, i1, i2, i3, w) =
   | 7 -> Fgraph.add_clause g ~i1 ~i2 ~i3:i1 ~w () (* head = body2 *)
   | _ -> Fgraph.add_clause g ~i1 ~i3:i1 ~w () (* head = lone body2 *)
 
+(* Mixed-sign weights up to |w| = 1e3, and factors of every shape over
+   the ids [id] draws. *)
+let gen_weight =
+  QCheck.Gen.(
+    oneof
+      [
+        float_range (-1e3) 1e3;
+        float_range (-3.) 3.;
+        oneofl [ 0.; -0.; 1e3; -1e3 ];
+      ])
+
+let gen_factor id =
+  QCheck.Gen.(
+    let+ shape = int_bound 8
+    and+ i1 = id
+    and+ i2 = id
+    and+ i3 = id
+    and+ w = gen_weight in
+    (shape, i1, i2, i3, w))
+
+let print_factors factors =
+  String.concat "; "
+    (List.map
+       (fun (s, a, b, c, w) -> Printf.sprintf "(%d,%d,%d,%d,%h)" s a b c w)
+       factors)
+
 (* Random graphs over at most 8 fact ids — so ids collide often —
-   with mixed-sign weights up to |w| = 1e3, a duplicated prefix of the
-   factor list, and one assignment bit per id. *)
+   with a duplicated prefix of the factor list, and one assignment bit
+   per id. *)
 let arb_kernel_case =
   let open QCheck.Gen in
   let gen =
     let* nids = int_range 1 8 in
-    let id = int_bound (nids - 1) in
-    let weight =
-      oneof
-        [
-          float_range (-1e3) 1e3;
-          float_range (-3.) 3.;
-          oneofl [ 0.; -0.; 1e3; -1e3 ];
-        ]
+    let* factors =
+      list_size (int_range 1 16) (gen_factor (int_bound (nids - 1)))
     in
-    let factor =
-      let+ shape = int_bound 8
-      and+ i1 = id
-      and+ i2 = id
-      and+ i3 = id
-      and+ w = weight in
-      (shape, i1, i2, i3, w)
-    in
-    let* factors = list_size (int_range 1 16) factor in
     let* dups = int_bound 3 in
     let+ bits = array_repeat nids bool in
     (factors @ List.filteri (fun i _ -> i < dups) factors, bits)
   in
   let print (factors, bits) =
-    Printf.sprintf "factors [%s] bits [%s]"
-      (String.concat "; "
-         (List.map
-            (fun (s, a, b, c, w) -> Printf.sprintf "(%d,%d,%d,%d,%h)" s a b c w)
-            factors))
+    Printf.sprintf "factors [%s] bits [%s]" (print_factors factors)
       (String.concat ""
          (Array.to_list (Array.map (fun b -> if b then "1" else "0") bits)))
   in
@@ -319,7 +326,7 @@ let digest_marginals m =
    ReVerb-Sherlock generator KB at scale 0.005 (3,812 variables; Hybrid
    samples 227 of them), recorded with the satisfied-flip conditional
    ({!Gibbs_oracle}) on x86-64 Linux (glibc libm).  The role-coded kernel
-   must reproduce them bit for bit, at pool sizes 1 and 4. *)
+   must reproduce them bit for bit, at pool sizes 1, 2 and 4. *)
 let test_marginals_pinned () =
   let c = reverb_graph () in
   List.iter
@@ -336,7 +343,155 @@ let test_marginals_pinned () =
             (Printf.sprintf "hybrid, pool %d" d)
             "f4509210a34923091d72910637ff2844"
             (digest_marginals (fst (Inference.Hybrid.solve ~pool c)))))
-    [ 1; 4 ]
+    [ 1; 2; 4 ]
+
+(* --- the class-major sweep and the bitmask enumerator against the
+   code they replaced --- *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* A renumbered graph: the log-odds of every variable are the
+   original's bit for bit, every factor sees the same assignment, and
+   ids map to the new numbers both ways. *)
+let test_permute_keeps_log_odds =
+  Tutil.qcheck_case ~count:1000 "log-odds survive a renumbering, bit for bit"
+    QCheck.(pair arb_kernel_case small_nat)
+    (fun ((factors, bits), seed) ->
+      let c = compile_graph (fun g -> List.iter (add_factor g) factors) in
+      let n = Fgraph.nvars c in
+      let perm = Array.init n Fun.id in
+      let rng = Tutil.rng seed in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let pc = Fgraph.permute c perm in
+      let a = Array.init n (fun v -> bits.(v)) in
+      let pa = Array.map (fun v -> a.(v)) perm in
+      Array.iteri
+        (fun nv v ->
+          let id = c.Fgraph.var_ids.(v) in
+          if pc.Fgraph.var_ids.(nv) <> id
+             || Hashtbl.find pc.Fgraph.var_of_id id <> nv
+          then QCheck.Test.fail_reportf "var %d: id map not renumbered" v;
+          let x = Inference.Gibbs.log_odds c a v
+          and y = Inference.Gibbs.log_odds pc pa nv in
+          if not (same_bits [| x |] [| y |]) then
+            QCheck.Test.fail_reportf "var %d: log-odds %h, renumbered %h" v x y)
+        perm;
+      Array.iteri
+        (fun f _ ->
+          if Fgraph.satisfied c f a <> Fgraph.satisfied pc f pa then
+            QCheck.Test.fail_reportf "factor %d: satisfaction moved" f)
+        c.Fgraph.fweight;
+      true)
+
+(* Random graphs up to 700 variables, so some colour classes span
+   several 256-variable chunks, swept at pools 1, 2 and 4 with no
+   diagnostics, with online diagnostics, and with an early stop that
+   fires at the second checkpoint: marginals, sweep counts and the
+   diagnostics report must equal the per-variable sweep's, bit for
+   bit. *)
+let test_chromatic_matches_sweep_oracle () =
+  let fires =
+    { Inference.Diagnostics.Online.target_r_hat = infinity; min_ess = 0. }
+  in
+  let pools = List.map Pool.create [ 1; 2; 4 ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Pool.shutdown pools)
+    (fun () ->
+      List.iter
+        (fun (seed, nvars) ->
+          let c = random_graph seed nvars (nvars + (seed * 37 mod nvars)) in
+          let options = { Inference.Gibbs.burn_in = 3; samples = 25; seed } in
+          List.iter
+            (fun (mode, online, early_stop) ->
+              let expect_m, expect =
+                Gibbs_oracle.chromatic ~options ~checkpoint:5 ?online
+                  ?early_stop c
+              in
+              if
+                early_stop <> None
+                && expect.Inference.Chromatic.stopped_at_sweep = None
+              then Alcotest.failf "seed %d: the early stop never fired" seed;
+              List.iter
+                (fun pool ->
+                  let m, info =
+                    Inference.Chromatic.marginals_info ~options ~pool
+                      ~checkpoint:5 ?online ?early_stop c
+                  in
+                  let where =
+                    Printf.sprintf "seed %d, %d vars, %s, pool %d" seed nvars
+                      mode (Pool.size pool)
+                  in
+                  Alcotest.(check bool) (where ^ ": marginals") true
+                    (same_bits m expect_m);
+                  Alcotest.(check int) (where ^ ": sweeps run")
+                    expect.Inference.Chromatic.sweeps_run
+                    info.Inference.Chromatic.sweeps_run;
+                  Alcotest.(check (option int)) (where ^ ": stopped at")
+                    expect.Inference.Chromatic.stopped_at_sweep
+                    info.Inference.Chromatic.stopped_at_sweep;
+                  let open Inference.Diagnostics.Online in
+                  match
+                    ( expect.Inference.Chromatic.diag,
+                      info.Inference.Chromatic.diag )
+                  with
+                  | None, None -> ()
+                  | Some d, Some e ->
+                    Alcotest.(check int) (where ^ ": report sweeps") d.sweeps
+                      e.sweeps;
+                    Alcotest.(check bool) (where ^ ": report") true
+                      (same_bits d.r_hat e.r_hat && same_bits d.ess e.ess
+                      && same_bits
+                           [| d.max_r_hat; d.min_ess |]
+                           [| e.max_r_hat; e.min_ess |])
+                  | _ ->
+                    Alcotest.failf "%s: diagnostics on one side only" where)
+                pools)
+            [
+              ("plain", None, None);
+              ("online", Some true, None);
+              ("early stop", None, Some fires);
+            ])
+        [ (1, 1); (2, 7); (3, 40); (4, 300); (5, 700); (6, 520); (7, 90) ])
+
+(* Random components of 1-20 variables — both sides of the enumerator's
+   16-variable stored-sum bound — held together by a random tree of
+   one- and two-body clauses, plus factors of every shape (priors,
+   heads that are also body atoms) with |w| up to 1e3. *)
+let test_enumerate_matches_oracle =
+  let gen =
+    let open QCheck.Gen in
+    let* n = int_range 1 20 in
+    let id = int_bound (n - 1) in
+    let edge i =
+      let+ p = int_bound (i - 1)
+      and+ shape = oneofl [ 2; 4 ]
+      and+ i3 = id
+      and+ w = gen_weight in
+      (shape, i, p, i3, w)
+    in
+    let* tree = flatten_l (List.init (n - 1) (fun i -> edge (i + 1))) in
+    let+ extra = list_size (int_range 1 (2 * n)) (gen_factor id) in
+    tree @ extra
+  in
+  Tutil.qcheck_case ~count:30 "bitmask enumerator = two-pass enumerator"
+    (QCheck.make ~print:print_factors gen)
+    (fun factors ->
+      let c = compile_graph (fun g -> List.iter (add_factor g) factors) in
+      Array.for_all
+        (fun comp ->
+          same_bits
+            (Inference.Exact.enumerate comp)
+            (Exact_oracle.enumerate comp))
+        (Inference.Decompose.components c))
 
 (* Allocation guard.  Per variable update a chromatic sweep allocates the
    boxed uniform draw of [Random.State.float] (2 words) and its share of
@@ -368,9 +523,9 @@ let test_chromatic_alloc_per_update () =
 
 let test_schedule_stats () =
   let c = random_graph 9 10 12 in
-  let s = Inference.Chromatic.schedule_stats c in
-  Alcotest.(check bool) "at least one colour" true (s.Inference.Chromatic.n_colors >= 1);
-  Alcotest.(check bool) "speedup >= 1" true (s.Inference.Chromatic.ideal_speedup >= 1.)
+  let s = Gibbs_oracle.schedule_stats c in
+  Alcotest.(check bool) "at least one colour" true (s.Gibbs_oracle.n_colors >= 1);
+  Alcotest.(check bool) "speedup >= 1" true (s.Gibbs_oracle.ideal_speedup >= 1.)
 
 (* --- belief propagation --- *)
 
@@ -686,6 +841,10 @@ let () =
       ( "kernel",
         [
           test_kernel_matches_oracle;
+          test_permute_keeps_log_odds;
+          Alcotest.test_case "class-major sweep = per-variable sweep" `Quick
+            test_chromatic_matches_sweep_oracle;
+          test_enumerate_matches_oracle;
           Alcotest.test_case "marginals pinned" `Quick test_marginals_pinned;
           Alcotest.test_case "allocation per update" `Quick
             test_chromatic_alloc_per_update;

@@ -302,7 +302,7 @@ let test_differential_random =
       let c = Fgraph.compile graph in
       (* The exact enumerator is the differential oracle; skip the rare
          draw whose component outgrows it. *)
-      Exact.max_component_size c > Exact.max_vars
+      Inference.Decompose.max_size c > Exact.max_vars
       ||
       let full = full_marginals graph in
       let bsrc = backward_source kb in

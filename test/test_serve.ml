@@ -1079,10 +1079,15 @@ let test_trust_signals_on_metrics () =
   ignore
     (Kb.Gamma.add_fact_by_name kb ~r:"visited" ~x:"Ruth Gruber" ~c1:"W"
        ~y:"Alaska" ~c2:"P" ~w:0.8);
+  (* A three-fact star (born_in and the live_in and grow_up_in it
+     derives): width 1, so it is eliminated. *)
+  ignore
+    (Kb.Gamma.add_fact_by_name kb ~r:"born_in" ~x:"Ada" ~c1:"W" ~y:"Paris"
+       ~c2:"C" ~w:0.9);
   let options =
     {
       Inference.Hybrid.exact_max_vars = 2;
-      max_width = 0;
+      max_width = 1;
       gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 3 };
     }
   in
@@ -1137,6 +1142,13 @@ let test_trust_signals_on_metrics () =
   Alcotest.(check (float 0.)) "inference_sampled_vars"
     (float_of_int r.Inference.Hybrid.sampled_vars)
     (value "inference_sampled_vars");
+  (* The first refresh enumerated and eliminated the exact components. *)
+  check_bool "a component is eliminated" true
+    (r.Inference.Hybrid.eliminated_components > 0);
+  check_bool "enumeration time exported" true
+    (value "hybrid_enumerate_seconds_total" > 0.);
+  check_bool "elimination time exported" true
+    (value "hybrid_jtree_seconds_total" > 0.);
   List.iter
     (fun needle ->
       check_bool (Printf.sprintf "exposition contains %S" needle) true
