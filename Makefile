@@ -15,7 +15,9 @@ test:
 # snapshots (the same script CI runs), a `probkb session` must run DRed
 # retract and ingest epochs with the same replies at pools 1 and 4,
 # `expand --sc` must report the same expansion with and without `--mpp`
-# at pools 1 and 4, and a live `probkb serve` must answer /metrics +
+# at pools 1 and 4, `query --local` must print the full pipeline's
+# marginal with and without `--theta` at pools 1 and 4, and a live
+# `probkb serve` must answer /metrics +
 # /statusz scrapes, keep a well-formed access log, and print its
 # shutdown summary.
 # Then every paper reproduction (bench/main.exe, all but the Bechamel
@@ -44,6 +46,7 @@ check: build
 	      and d[2]=={"found":False}, d; print("session smoke ok")'
 	python3 scripts/session_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	python3 scripts/mpp_smoke.py _build/default/bin/probkb_cli.exe _smoke
+	python3 scripts/query_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	python3 scripts/serve_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	rm -rf _smoke
 	dune exec bench/main.exe -- --quick -e table2 -e table3 -e fig4 \

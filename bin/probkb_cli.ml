@@ -955,10 +955,11 @@ let serve_cmd =
 
 (* --- query --- *)
 
-(* Answer one point query.  With --local, ground only the query's
-   neighbourhood backward from the fact (no factor graph is ever
-   materialized); without it, run the full pipeline for comparison.
-   Stdout carries a single JSON document either way. *)
+(* Answer one point query.  Both ways expand the KB; with --local the
+   marginal comes from the query's neighbourhood in a frozen snapshot of
+   the expansion (the read path the server answers with), without it
+   from inference over the whole factor graph.  Stdout carries a single
+   JSON document either way. *)
 
 let query_run facts rules constraints sc theta iterations samples max_width
     exact_max_vars key local budget max_hops decay min_influence
@@ -987,22 +988,16 @@ let query_run facts rules constraints sc theta iterations samples max_width
     in
     let doc =
       if local then begin
-        (* Fact closure only — the backward walk needs the fact table
-           closed under the rules, but no factor graph. *)
-        let hook =
-          if sc then Some (Quality.Semantic.hook (Kb.Gamma.omega kb))
-          else None
+        (* The one read path: expand as the full pipeline does (rule
+           cleaning, closure, factor phase), freeze the expansion and
+           solve only the query's neighbourhood in it. *)
+        let e = Probkb.Engine.expand engine in
+        let snap =
+          Probkb.Snapshot.freeze
+            ~solver:(Probkb.Config.solver (Probkb.Engine.config engine))
+            ~obs:(Probkb.Engine.trace engine) ~pi:(Kb.Gamma.pi kb)
+            ~graph:e.Probkb.Engine.graph ()
         in
-        ignore
-          (Grounding.Ground.closure
-             ~options:
-               {
-                 Grounding.Ground.default_options with
-                 max_iterations = iterations;
-                 apply_constraints = hook;
-                 obs = Probkb.Engine.trace engine;
-               }
-             kb);
         let budget =
           match (budget, max_hops, decay, min_influence) with
           | None, None, 1.0, 0.0 -> None
@@ -1011,28 +1006,8 @@ let query_run facts rules constraints sc theta iterations samples max_width
               (Grounding.Local.budget ?max_facts:budget ?max_hops ~decay
                  ~min_influence ())
         in
-        match Probkb.Engine.query_local ?budget engine ~r ~x ~c1 ~y ~c2 with
-        | None -> Obs.Json.Obj [ ("found", Obs.Json.Bool false) ]
-        | Some a ->
-          Obs.Json.Obj
-            [
-              ("found", Obs.Json.Bool true);
-              ("id", Obs.Json.Int a.Probkb.Engine.id);
-              ("marginal", Obs.Json.Float a.Probkb.Engine.marginal);
-              ( "method",
-                Obs.Json.String
-                  (if a.Probkb.Engine.enumerated then "local-exact"
-                   else "local-gibbs") );
-              ("interior", Obs.Json.Int a.Probkb.Engine.interior);
-              ("boundary", Obs.Json.Int a.Probkb.Engine.boundary);
-              ("hops", Obs.Json.Int a.Probkb.Engine.hops);
-              ("factors", Obs.Json.Int a.Probkb.Engine.factors);
-              ("pruned_mass", Obs.Json.Float a.Probkb.Engine.pruned_mass);
-              ("truncated", Obs.Json.Bool a.Probkb.Engine.truncated);
-              ( "seconds",
-                seconds_json ~ground:a.Probkb.Engine.ground_seconds
-                  ~infer:a.Probkb.Engine.infer_seconds );
-            ]
+        Serve.Protocol.answer snap
+          (Serve.Protocol.RQuery_local { key = Some (r, x, c1, y, c2); budget })
       end
       else begin
         let t0 = Obs.now () in
@@ -1093,9 +1068,9 @@ let query_cmd =
       value & flag
       & info [ "local" ]
           ~doc:
-            "Answer by backward local grounding: walk the rules in reverse \
-             from the queried fact and solve only its neighbourhood, \
-             instead of grounding the whole KB.")
+            "Answer from the query's neighbourhood: expand the KB, freeze \
+             the expansion and solve only the factors the walk from the \
+             queried fact reaches, instead of the whole factor graph.")
   in
   let budget =
     Arg.(
@@ -1111,7 +1086,7 @@ let query_cmd =
       value
       & opt (some int) None
       & info [ "max-hops" ] ~docv:"N"
-          ~doc:"Stop the backward walk after N hops from the query.")
+          ~doc:"Stop the neighbourhood walk after N hops from the query.")
   in
   let decay =
     Arg.(
@@ -1138,8 +1113,8 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query"
        ~doc:
-         "Answer a point query; with $(b,--local), ground only the query's \
-          neighbourhood.")
+         "Answer a point query; with $(b,--local), infer over the query's \
+          neighbourhood only.")
     Term.(
       const query_run $ facts_arg $ rules_arg $ constraints_arg $ sc_arg
       $ theta_arg $ iterations_arg $ samples $ max_width_arg

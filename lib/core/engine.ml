@@ -2,18 +2,10 @@ module Gamma = Kb.Gamma
 module Storage = Kb.Storage
 module Table = Relational.Table
 
-type t = {
-  kb : Gamma.t;
-  config : Config.t;
-  trace : Obs.t;
-  mutable read : Snapshot.t option;
-      (* lazily-built read view (backward-walk source + clamps) for
-         [query_local]; dropped whenever facts or rules change under it —
-         including session epochs committed over this engine *)
-}
+type t = { kb : Gamma.t; config : Config.t; trace : Obs.t }
 
 let create ?(config = Config.default) kb =
-  { kb; config; trace = Obs.create ~config:config.Config.obs (); read = None }
+  { kb; config; trace = Obs.create ~config:config.Config.obs () }
 
 let kb t = t.kb
 let config t = t.config
@@ -51,7 +43,6 @@ let constraint_hook t =
   else None
 
 let expand t =
-  t.read <- None;
   Obs.with_ambient t.trace @@ fun () ->
   Obs.with_span t.trace "expand" ~cat:"engine" @@ fun () ->
   let rules_used =
@@ -160,85 +151,6 @@ let run t =
   let marginals_stored = store_marginals t marginals in
   { expansion; marginals_stored; inference; obs = summary t }
 
-(* ------------------------------------------------------------------ *)
-(* Query-driven local grounding (point queries without the closure's
-   full factor graph).                                                 *)
-
-type local_answer = Snapshot.answer = {
-  id : int;
-  marginal : float;
-  epoch : int;
-  interior : int;
-  boundary : int;
-  hops : int;
-  factors : int;
-  pruned_mass : float;
-  truncated : bool;
-  enumerated : bool;
-  ground_seconds : float;
-  infer_seconds : float;
-}
-
-let sigmoid w = 1. /. (1. +. exp (-.w))
-
-(* The engine's read view: a live (graph-less) snapshot over the KB's
-   fact indexes.  Cached because [Local.of_kb] memoizes rule-adjacency
-   buckets; invalidated whenever facts or rules change — [expand] and
-   every session epoch.  The partial-key TΠ indexes the walk probes are
-   not the view's: [Storage] owns and maintains them, and the delta
-   joins share them. *)
-let read_view t =
-  match t.read with
-  | Some s -> s
-  | None ->
-    let pi = Gamma.pi t.kb in
-    let source =
-      Grounding.Local.of_kb
-        (Grounding.Queries.prepare (Gamma.partitions t.kb))
-        (Gamma.pi t.kb)
-    in
-    let weight_of id =
-      match Storage.row_of_id pi id with
-      | Some row -> Some (Table.weight (Storage.table pi) row)
-      | None -> None
-    in
-    (* Boundary facts are clamped to their extraction prior — before
-       [store_marginals] the weight column of a base fact still holds
-       sigmoid⁻¹-able confidence; [clamp_weight (sigmoid w) = w] restores
-       the true prior singleton exactly.  Inferred boundary facts (null
-       weight) get the uninformative 0.5. *)
-    let clamp bid =
-      match weight_of bid with
-      | Some w when not (Table.is_null_weight w) -> sigmoid w
-      | Some _ | None -> 0.5
-    in
-    let view_of id =
-      match weight_of id with
-      | None -> None
-      | Some w ->
-        Some
-          {
-            Snapshot.id;
-            base = not (Table.is_null_weight w);
-            weight = w;
-            marginal = None;
-          }
-    in
-    let s =
-      Snapshot.live ~solver:(Config.solver t.config) ~obs:t.trace ~view_of
-        ~source ~clamp
-        ~find:(fun ~r ~x ~c1 ~y ~c2 -> Storage.find pi ~r ~x ~c1 ~y ~c2)
-        ~facts:(fun () -> Storage.size pi)
-        ~factors:(fun () -> 0)
-        ()
-    in
-    t.read <- Some s;
-    s
-
-let query_local ?budget t ~r ~x ~c1 ~y ~c2 =
-  Obs.with_ambient t.trace @@ fun () ->
-  Snapshot.query_local ?budget (read_view t) ~r ~x ~c1 ~y ~c2
-
 module Session = struct
   type engine = t
 
@@ -285,12 +197,8 @@ module Session = struct
   let record s ~op ~(ins : Incremental.Dred.ingest_stats)
       ~(ret : Incremental.Dred.retract_stats) ~violations ~wall_seconds =
     s.epoch <- s.epoch + 1;
-    (* Every epoch mutation invalidates both read caches: the session's
-       frozen snapshot and the engine's memoized backward source (whose
-       rule-adjacency buckets would otherwise go stale after
-       [retract_rules]/[add_rules] — they are rebuilt on next demand). *)
+    (* Every epoch mutation drops the frozen snapshot of the last one. *)
     s.read <- None;
-    s.engine.read <- None;
     (* The dirty set serves only the next refresh's reuse.  Drop it while
        the memo is empty (no refresh yet, or inference off): that
        refresh solves everything.  Once it outgrows the memo, little
@@ -490,51 +398,6 @@ module Session = struct
 
   let marginal s id = Hashtbl.find_opt s.marginals id
 
-  (* Sessions already maintain the fact↔factor adjacency (the provenance
-     index), so the local walk runs over it directly — no rule-table
-     probes.  Boundary clamps prefer the last refresh's estimate, then
-     the extraction prior read off the fact's singleton factor.  The
-     view is live (closures over the provenance index), so it is rebuilt
-     per call — construction is a handful of closures; use {!snapshot}
-     for a frozen, domain-shareable copy instead. *)
-  let live_view s =
-    let pi = Gamma.pi s.engine.kb in
-    let adj = Incremental.Dred.local_adjacency s.dred in
-    let prov = Incremental.Dred.provenance s.dred in
-    let g = graph s in
-    let clamp bid =
-      match Hashtbl.find_opt s.marginals bid with
-      | Some p -> p
-      | None -> (
-        match Incremental.Provenance.singleton_of prov bid with
-        | Some f ->
-          let _, _, _, w = Factor_graph.Fgraph.factor g f in
-          sigmoid w
-        | None -> 0.5)
-    in
-    let view_of id =
-      match Storage.row_of_id pi id with
-      | None -> None
-      | Some row ->
-        Some
-          {
-            Snapshot.id;
-            base = Incremental.Provenance.is_base prov id;
-            weight = Table.weight (Storage.table pi) row;
-            marginal = Hashtbl.find_opt s.marginals id;
-          }
-    in
-    Snapshot.live ~epoch:s.epoch ~solver:(Config.solver s.engine.config)
-      ~obs:s.engine.trace
-      ~marginal_of:(fun id -> Hashtbl.find_opt s.marginals id)
-      ~view_of
-      ~source:(Grounding.Local.of_adjacency adj)
-      ~clamp
-      ~find:(fun ~r ~x ~c1 ~y ~c2 -> Storage.find pi ~r ~x ~c1 ~y ~c2)
-      ~facts:(fun () -> Storage.size pi)
-      ~factors:(fun () -> Factor_graph.Fgraph.size g)
-      ()
-
   (* The session's frozen snapshot: everything the read path needs,
      copied once per epoch (cached until the next mutation), sharing
      nothing mutable with later epochs. *)
@@ -550,9 +413,6 @@ module Session = struct
       s.read <- Some v;
       v
 
-  let query_local ?budget s ~r ~x ~c1 ~y ~c2 =
-    Obs.with_ambient s.engine.trace @@ fun () ->
-    Snapshot.query_local ?budget (live_view s) ~r ~x ~c1 ~y ~c2
 end
 
 let session t =
@@ -587,11 +447,4 @@ module Writer = struct
 
   let epoch_lag w =
     Session.epoch w.session - Snapshot.epoch (Atomic.get w.published)
-end
-
-module Snapshot = struct
-  include Snapshot
-
-  let of_engine = read_view
-  let of_session = Session.snapshot
 end

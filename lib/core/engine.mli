@@ -7,6 +7,11 @@
     into the knowledge base, "thereby avoiding query-time computation" —
     paper, Section 2.2).  {!run} is their composition.
 
+    Point queries have one read path, {!Snapshot}: a frozen copy of an
+    expansion ([Snapshot.freeze] over [Kb.Gamma.pi] and
+    {!expansion.graph}), of a session's epoch ({!Session.snapshot}) or of
+    the epoch a {!Writer} published.
+
     Every stage records into the engine's {!trace} (a no-op unless
     [config.obs] enables it); {!expansion} and {!result} carry the
     aggregated {!Obs.Summary.t} snapshot taken when the stage finished. *)
@@ -78,54 +83,6 @@ type result = {
 
 (** [run t] is [expand] + [infer] + [store_marginals]. *)
 val run : t -> result
-
-(** {1 Point queries: local grounding}
-
-    Answering "what is P(fact)?" does not require grounding the whole
-    knowledge base: {!query_local} grounds only the query's neighbourhood
-    backward from the queried fact ([Grounding.Local]), clamps the
-    budget-pruned boundary to prior probabilities, and solves the
-    resulting subgraph with the hybrid dispatcher under
-    [Config.solver]: each connected component by enumeration or
-    junction-tree elimination when it fits, by chromatic Gibbs only
-    when it does not. *)
-
-(** One answered point query (the {!Snapshot.answer} record re-exported;
-    [epoch] is the epoch the answer was computed against — 0 outside
-    sessions). *)
-type local_answer = Snapshot.answer = {
-  id : int;  (** the queried fact *)
-  marginal : float;  (** P(fact) over the local neighbourhood *)
-  epoch : int;  (** epoch the answer was computed against *)
-  interior : int;  (** facts fully expanded by the walk *)
-  boundary : int;  (** facts clamped at the truncation frontier *)
-  hops : int;  (** backward hops explored *)
-  factors : int;  (** factor rows in the local subgraph (clamps incl.) *)
-  pruned_mass : float;  (** influence discarded at the boundary *)
-  truncated : bool;  (** a budget limit cut the walk short *)
-  enumerated : bool;  (** every component solved exactly *)
-  ground_seconds : float;
-  infer_seconds : float;
-}
-
-(** [query_local ?budget t ~r ~x ~c1 ~y ~c2] answers a point query by
-    backward local grounding against the KB's fact indexes (the fact
-    closure must have run — e.g. after {!expand} — but no factor graph is
-    needed).  Boundary facts are clamped to their extraction prior
-    (sigmoid of the weight column; uninformative 0.5 for inferred
-    facts).  [None] when the fact is unknown.  With the default unbounded
-    budget and a neighbourhood that fits the exact enumerator, the
-    marginal is bit-identical to full-closure exact inference.  Emits a
-    ["query_local"] span carrying frontier size, hops, pruned mass and
-    the grounding/inference latency split.
-
-    @deprecated This is now a thin wrapper over
-    [Snapshot.query_local (Snapshot.of_engine t)] — the engine's cached
-    live read view.  New code (and anything that shares answers across
-    domains) should hold an {!Snapshot.t} explicitly. *)
-val query_local :
-  ?budget:Grounding.Local.budget ->
-  t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> local_answer option
 
 (** {1 Live sessions}
 
@@ -233,25 +190,12 @@ module Session : sig
       epoch: every input of the read path — [TΠ] and its key index,
       [TΦ], the fact↔factor adjacency, cached marginals — copied out of
       the live state as flat arrays, sharing nothing mutable with later
-      epochs.  Cached until
-      the next epoch mutation, so repeated calls between epochs return
-      the {e same} snapshot (what [Engine.Writer.publish] hands to
-      concurrent readers). *)
+      epochs.  Cached until the next epoch mutation, so repeated calls
+      between epochs return the {e same} snapshot (what
+      [Engine.Writer.publish] hands to concurrent readers).  A session's
+      point queries answer from it: the first one after a write pays
+      for the freeze. *)
   val snapshot : t -> Snapshot.t
-
-  (** [query_local ?budget s ~r ~x ~c1 ~y ~c2] is {!val:query_local}
-      over the session's maintained provenance index (graph-walk mode —
-      no rule-table probes), clamping each boundary fact to its cached
-      marginal from the last {!refresh_marginals} when available, else
-      its extraction prior.
-
-      @deprecated This is now a thin wrapper over [Snapshot.query_local]
-      on the session's live read view.  Concurrent readers must use
-      {!snapshot} (frozen, domain-shareable) instead — this entry point
-      reads live session state. *)
-  val query_local :
-    ?budget:Grounding.Local.budget ->
-    t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> local_answer option
 end
 
 (** {1 The Snapshot/Writer split}
@@ -260,25 +204,6 @@ end
     read arm ({!Snapshot.t}) and the single mutable write arm
     ({!Writer.t}) that commits session epochs and atomically publishes
     each one.  See DESIGN.md §13. *)
-
-(** The [Snapshot] compilation unit re-exported, plus the constructors
-    that tie it to engines and sessions. *)
-module Snapshot : sig
-  type engine := t
-
-  include module type of struct
-    include Snapshot
-  end
-
-  (** [of_engine t] is the engine's cached live read view (graph-less
-      backward walk over the KB indexes; single-threaded — it reads live
-      storage).  Rebuilt on demand after any mutation. *)
-  val of_engine : engine -> t
-
-  (** [of_session s] is [Session.snapshot s]: the frozen,
-      domain-shareable snapshot of the session's current epoch. *)
-  val of_session : Session.t -> t
-end
 
 (** The write arm: wraps a {!Session.t} (which must no longer be mutated
     by anyone else) and publishes frozen snapshots for concurrent

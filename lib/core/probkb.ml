@@ -20,10 +20,9 @@
 module Config = Config
 module Engine = Engine
 
-module Snapshot = Engine.Snapshot
-(** The immutable read arm ({!Engine.Snapshot} re-exported at the top
-    level): frozen epoch snapshots shareable across domains, plus the
-    engine/session live views. *)
+module Snapshot = Snapshot
+(** The one read path: frozen epoch snapshots shareable across domains
+    ({!Snapshot.freeze} is their only constructor). *)
 
 module Report = Report
 module Obs = Obs

@@ -35,67 +35,23 @@ type stats = {
 
 type t = {
   epoch : int;
-  frozen : bool;
-  source : Local.source;
-  clamp : int -> float;
-  find : r:int -> x:int -> c1:int -> y:int -> c2:int -> int option;
-  view_of : int -> view option;
-  marginal_of : int -> float option;
-  facts : unit -> int;
-  factors : unit -> int;
-  marginals_cached : unit -> int;
+  pi : Storage.t;  (* copy of TΠ *)
+  phi : Fgraph.t;  (* copy of TΦ *)
+  adj : Local.adjacency;  (* over [phi]'s live factors *)
+  cached : bool array;  (* by fact id: a marginal is cached *)
+  marg : float array;  (* by fact id: the cached marginal *)
+  n_marginals : int;
   solver : Inference.Hybrid.options;  (* neighbourhood dispatch *)
   trace : Obs.t;
-  fingerprint : (int * (unit -> int)) option;
-      (* frozen only: hash taken at freeze time + re-hash of the copied
-         factor table — equality is proof no writer tore through state
-         the snapshot still references *)
+  fingerprint : int;
+      (* hash of [phi] taken at freeze time: a re-hash that differs is
+         proof a writer tore through state the snapshot references *)
 }
 
 let sigmoid w = 1. /. (1. +. exp (-.w))
 
-let epoch t = t.epoch
-let frozen t = t.frozen
-
-let stats t =
-  {
-    epoch = t.epoch;
-    facts = t.facts ();
-    factors = t.factors ();
-    marginals_cached = t.marginals_cached ();
-    frozen = t.frozen;
-  }
-
-let find t = t.find
-let view t id = t.view_of id
-let marginal t id = t.marginal_of id
-
-let verify_integrity t =
-  match t.fingerprint with
-  | None -> true
-  | Some (taken, rehash) -> rehash () = taken
-
 (* ------------------------------------------------------------------ *)
 (* Construction *)
-
-let live ?(epoch = 0) ?(solver = Inference.Hybrid.default_options)
-    ?(obs = Obs.null) ?(marginal_of = fun _ -> None)
-    ?(view_of = fun _ -> None) ~source ~clamp ~find ~facts ~factors () =
-  {
-    epoch;
-    frozen = false;
-    source;
-    clamp;
-    find;
-    view_of;
-    marginal_of;
-    facts;
-    factors;
-    marginals_cached = (fun () -> 0);
-    solver;
-    trace = obs;
-    fingerprint = None;
-  }
 
 (* FNV-1a over the live rows of the copied factor table: cheap,
    deterministic, and any in-place mutation of a row the snapshot
@@ -152,82 +108,98 @@ let freeze ?(epoch = 0) ?marginals
         marg.(id) <- p
       end)
     m;
-  let n_marginals = Hashtbl.length m in
-  let has_marginal id = id >= 0 && id < nids && cached.(id) in
-  let marginal_of id = if has_marginal id then Some marg.(id) else None in
-  let clamp id =
-    if has_marginal id then marg.(id)
-    else
-      match adj.Local.singleton_of id with
-      | Some f ->
-        let _, _, _, w = Fgraph.factor phi f in
-        sigmoid w
-      | None -> 0.5
-  in
-  let find ~r ~x ~c1 ~y ~c2 = Storage.find pi ~r ~x ~c1 ~y ~c2 in
-  let t = Storage.table pi in
-  (* The fact's extraction weight, if it is live and carries one. *)
-  let live_weight id =
-    match Storage.row_of_id pi id with
-    | Some row when not (Table.is_null_weight (Table.weight t row)) ->
-      Some (Table.weight t row)
-    | Some _ | None -> None
-  in
-  let view_of id =
-    let base = Option.is_some (adj.Local.singleton_of id) in
-    let weight = live_weight id in
-    if
-      base || Option.is_some weight
-      || has_any adj.Local.iter_derivations id
-      || has_any adj.Local.iter_supports id
-    then
-      Some
-        {
-          id;
-          base;
-          weight = Option.value ~default:Table.null_weight weight;
-          marginal = marginal_of id;
-        }
-    else None
-  in
-  (* Storage keeps the live count: O(1) however many rows are dead. *)
-  let facts = Storage.size pi in
-  let taken = fingerprint_of phi in
   {
     epoch;
-    frozen = true;
-    source = Local.of_adjacency adj;
-    clamp;
-    find;
-    view_of;
-    marginal_of;
-    facts = (fun () -> facts);
-    factors = (fun () -> Fgraph.size phi);
-    marginals_cached = (fun () -> n_marginals);
+    pi;
+    phi;
+    adj;
+    cached;
+    marg;
+    n_marginals = Hashtbl.length m;
     solver;
     trace = obs;
-    fingerprint = Some (taken, fun () -> fingerprint_of phi);
+    fingerprint = fingerprint_of phi;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Reads *)
+
+let epoch t = t.epoch
+
+let stats t =
+  {
+    epoch = t.epoch;
+    (* Storage keeps the live count: O(1) however many rows are dead. *)
+    facts = Storage.size t.pi;
+    factors = Fgraph.size t.phi;
+    marginals_cached = t.n_marginals;
+    frozen = true;
+  }
+
+let find t ~r ~x ~c1 ~y ~c2 = Storage.find t.pi ~r ~x ~c1 ~y ~c2
+
+let marginal t id =
+  if id >= 0 && id < Array.length t.cached && t.cached.(id) then
+    Some t.marg.(id)
+  else None
+
+(* A boundary fact's clamp: its cached marginal, else its extraction
+   prior, else uninformative. *)
+let clamp t id =
+  match marginal t id with
+  | Some p -> p
+  | None -> (
+    match t.adj.Local.singleton_of id with
+    | Some f ->
+      let _, _, _, w = Fgraph.factor t.phi f in
+      sigmoid w
+    | None -> 0.5)
+
+let view t id =
+  let base = Option.is_some (t.adj.Local.singleton_of id) in
+  (* The fact's extraction weight, if it is live and carries one. *)
+  let weight =
+    match Storage.row_of_id t.pi id with
+    | Some row ->
+      let w = Table.weight (Storage.table t.pi) row in
+      if Table.is_null_weight w then None else Some w
+    | None -> None
+  in
+  if
+    base || Option.is_some weight
+    || has_any t.adj.Local.iter_derivations id
+    || has_any t.adj.Local.iter_supports id
+  then
+    Some
+      {
+        id;
+        base;
+        weight = Option.value ~default:Table.null_weight weight;
+        marginal = marginal t id;
+      }
+  else None
+
+let verify_integrity t = fingerprint_of t.phi = t.fingerprint
 
 (* ------------------------------------------------------------------ *)
 (* The solve path: local grounding walk → boundary clamp → compile →
    exact-or-sampled inference, under one "query_local" span whose end
-   attributes carry the frontier/pruning/latency breakdown.  This is
-   the one implementation behind [Engine.query_local],
-   [Session.query_local] and the serving layer. *)
+   attributes carry the frontier/pruning/latency breakdown.  Every point
+   query — the server's, a session's and [probkb query --local] — runs
+   here. *)
 
 let answer_by_id ?budget t id =
-  if t.frozen && Obs.debug && not (verify_integrity t) then
+  if Obs.debug && not (verify_integrity t) then
     invalid_arg
       "Snapshot.answer_by_id: torn read — frozen state mutated under the \
        snapshot";
   let sp = Obs.begin_span ~cat:"engine" t.trace "query_local" in
   match
     let t0 = Obs.now () in
-    let r = Local.run ?budget t.source ~query:id in
+    let r = Local.run ?budget t.adj ~query:id in
     let ground_seconds = Obs.now () -. t0 in
     Inference.Neighborhood.clamp_boundary r.Local.graph
-      ~boundary:r.Local.boundary ~prob:t.clamp;
+      ~boundary:r.Local.boundary ~prob:(clamp t);
     let t1 = Obs.now () in
     let c = Fgraph.compile r.Local.graph in
     let marg, method_used =
@@ -284,6 +256,6 @@ let answer_by_id ?budget t id =
     raise e
 
 let query_local ?budget t ~r ~x ~c1 ~y ~c2 =
-  match t.find ~r ~x ~c1 ~y ~c2 with
+  match find t ~r ~x ~c1 ~y ~c2 with
   | None -> None
   | Some id -> Some (answer_by_id ?budget t id)

@@ -1,36 +1,29 @@
-(** Immutable epoch snapshots — the shareable read path.
+(** Immutable epoch snapshots — the one read path.
 
     A snapshot answers point queries ({!query_local}), key lookups
     ({!find}, {!view}) and cached-marginal reads ({!marginal}) without
-    touching any mutable engine or session state.  Two flavours exist:
+    touching any mutable engine or session state.  {!freeze} is its one
+    constructor: it copies everything the read path needs out of a
+    materialized epoch, as flat arrays — [TΠ] with its key index and
+    dead-row mask ([Kb.Storage.copy]), the factor table [TΦ] with its
+    mask ([Factor_graph.Fgraph.copy]), a CSR fact↔factor adjacency over
+    the copy's live factors ([Grounding.Local.adjacency_of_graph]) and
+    the cached marginals, dense by fact id.  The result shares
+    {e nothing} mutable with the writer, so it can be handed to any
+    number of reader domains while the next epoch commits behind it
+    (the serving layer's MVCC-by-epoch read arm; see DESIGN.md §13).
+    Storage's tombstone discipline keeps fact identifiers stable across
+    deletions, which is what makes the copy cheap: ids, cached marginals
+    and keys all carry over without remapping.
 
-    - {!freeze} copies everything the read path needs out of a live
-      session at a given epoch, as flat arrays: [TΠ] with its key index
-      and dead-row mask ([Kb.Storage.copy]), the factor table [TΦ] with
-      its mask ([Factor_graph.Fgraph.copy]), a CSR fact↔factor adjacency
-      over the copy's live factors ([Grounding.Local.adjacency_of_graph])
-      and the cached marginals, dense by fact id.  The result shares
-      {e nothing} mutable with the writer, so it can be handed to any
-      number of reader domains while the next epoch commits behind it
-      (the serving layer's MVCC-by-epoch read arm; see DESIGN.md §13).
-      Storage's tombstone discipline keeps fact identifiers stable
-      across deletions, which is what makes the copy cheap: ids, cached
-      marginals and keys all carry over without remapping.
-    - {!live} wraps caller-supplied closures over live state.  Nothing
-      is copied; the caller guarantees single-threaded access.  This is
-      how [Engine.query_local] / [Session.query_local] reuse the same
-      solve path without paying for a freeze per query.
+    The server, a session ([Engine.Session.snapshot], cached per epoch)
+    and [probkb query --local] (a freeze of [Engine.expand]'s graph) all
+    answer through it.
 
-    Both flavours drive the identical grounding-walk → boundary-clamp →
-    compile → per-component hybrid solve ([Inference.Neighborhood]), so
-    a frozen snapshot's answers are bit-identical to querying the
-    session it was frozen from.
-
-    Under [PROBKB_DEBUG] ({!Obs.debug}), every {!query_local} on a
-    frozen snapshot re-hashes the copied factor table and compares
-    against the fingerprint taken at freeze time — a torn read (a writer
-    mutating state a snapshot still references) trips the check
-    immediately. *)
+    Under [PROBKB_DEBUG] ({!Obs.debug}), every {!query_local} re-hashes
+    the copied factor table and compares against the fingerprint taken
+    at freeze time — a torn read (a writer mutating state a snapshot
+    still references) trips the check immediately. *)
 
 (** A fact as seen through a snapshot (mirrors [Engine.Session.fact_view]). *)
 type view = {
@@ -40,14 +33,14 @@ type view = {
   marginal : float option;  (** cached estimate, if any *)
 }
 
-(** One answered point query (re-exported as [Engine.local_answer]). *)
+(** One answered point query. *)
 type answer = {
   id : int;  (** the queried fact *)
   marginal : float;  (** P(fact) over the local neighbourhood *)
   epoch : int;  (** the epoch this answer was computed against *)
   interior : int;  (** facts fully expanded by the walk *)
   boundary : int;  (** facts clamped at the truncation frontier *)
-  hops : int;  (** backward hops explored *)
+  hops : int;  (** hops explored out from the query *)
   factors : int;  (** factor rows in the local subgraph (clamps incl.) *)
   pruned_mass : float;  (** influence discarded at the boundary *)
   truncated : bool;  (** a budget limit cut the walk short *)
@@ -59,9 +52,9 @@ type answer = {
 type stats = {
   epoch : int;
   facts : int;  (** live fact keys at snapshot time *)
-  factors : int;  (** factor rows ([TΦ] size; 0 in graph-less live mode) *)
+  factors : int;  (** live factor rows ([TΦ] size) *)
   marginals_cached : int;
-  frozen : bool;  (** [true] for {!freeze}, [false] for {!live} *)
+  frozen : bool;  (** always [true]: every snapshot is a {!freeze} *)
 }
 
 type t
@@ -90,42 +83,22 @@ val freeze :
   unit ->
   t
 
-(** [live ...] wraps closures over live state (single-threaded use only).
-    [clamp] maps a boundary fact to its clamp probability; [find] resolves
-    a fact key; [view_of]/[marginal_of] may answer [None] when the backing
-    state does not track them.  [facts]/[factors] seed {!stats};
-    [solver] as for {!freeze}. *)
-val live :
-  ?epoch:int ->
-  ?solver:Inference.Hybrid.options ->
-  ?obs:Obs.t ->
-  ?marginal_of:(int -> float option) ->
-  ?view_of:(int -> view option) ->
-  source:Grounding.Local.source ->
-  clamp:(int -> float) ->
-  find:(r:int -> x:int -> c1:int -> y:int -> c2:int -> int option) ->
-  facts:(unit -> int) ->
-  factors:(unit -> int) ->
-  unit ->
-  t
-
 val epoch : t -> int
-val frozen : t -> bool
 val stats : t -> stats
 
 (** [find t ~r ~x ~c1 ~y ~c2] is the queried fact's identifier, if the
     fact existed (live, not tombstoned) at snapshot time. *)
 val find : t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> int option
 
-(** [view t id] is the fact as of the snapshot ([None] for unknown ids,
-    and always [None] in graph-less live mode). *)
+(** [view t id] is the fact as of the snapshot: [None] unless it is live
+    with an extraction weight or a live factor mentions it. *)
 val view : t -> int -> view option
 
 (** [marginal t id] is the cached estimate carried by the snapshot. *)
 val marginal : t -> int -> float option
 
 (** [query_local ?budget t ~r ~x ~c1 ~y ~c2] answers a point query
-    against the snapshot: backward local-grounding walk, boundary facts
+    against the snapshot: local-grounding walk over [TΦ], boundary facts
     clamped to cached marginals (then extraction priors, then 0.5), then
     the per-component dispatch of [Inference.Neighborhood.solve] —
     enumeration or variable elimination where exact inference fits,
@@ -140,9 +113,8 @@ val query_local :
     already known (ids are stable across epochs). *)
 val answer_by_id : ?budget:Grounding.Local.budget -> t -> int -> answer
 
-(** [verify_integrity t] re-hashes a frozen snapshot's copied factor
-    table against the fingerprint taken at freeze time; [true] means no
-    writer has torn through the snapshot's state (always [true] for live
-    snapshots, which make no sharing claim).  Runs automatically per
-    query under [PROBKB_DEBUG]. *)
+(** [verify_integrity t] re-hashes the snapshot's copied factor table
+    against the fingerprint taken at freeze time; [true] means no writer
+    has torn through the snapshot's state.  Runs automatically per query
+    under [PROBKB_DEBUG]. *)
 val verify_integrity : t -> bool

@@ -328,15 +328,3 @@ let run ?(options = default_options) kb =
 
 let closure ?(options = default_options) kb =
   run ~options:{ options with build_factors = false } kb
-
-(* Query-driven local grounding (ROADMAP item 2): ground only the proof
-   neighbourhood of one fact instead of the whole of [TΦ].  See {!Local}
-   for the walk and budget semantics. *)
-let local ?budget ?source kb ~query =
-  let source =
-    match source with
-    | Some s -> s
-    | None ->
-      Local.of_kb (Queries.prepare (Kb.Gamma.partitions kb)) (Kb.Gamma.pi kb)
-  in
-  Local.run ?budget source ~query

@@ -116,17 +116,3 @@ val run : ?options:options -> Kb.Gamma.t -> result
 (** [closure ?options kb] is {!run} with [build_factors = false] — computes
     only the fact closure (the repeated Query 1 phase of Table 3). *)
 val closure : ?options:options -> Kb.Gamma.t -> result
-
-(** [local ?budget ?source kb ~query] grounds only the proof neighbourhood
-    of fact [query] — see {!Local} for budget semantics and sources.  When
-    [source] is omitted a backward-chaining source over [kb]'s indexes is
-    prepared ad hoc; callers issuing many queries should build one
-    [Local.of_kb]/[Local.of_adjacency] source and pass it in, so the rule
-    adjacency and partial indexes are shared.  Requires the fact closure to
-    have run ({!closure} or {!run}). *)
-val local :
-  ?budget:Local.budget ->
-  ?source:Local.source ->
-  Kb.Gamma.t ->
-  query:int ->
-  Local.result

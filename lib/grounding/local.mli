@@ -1,31 +1,17 @@
 (** Query-driven local grounding (ProPPR-style).
 
-    Instead of paying for the full closure [TΦ], a point query grounds only
-    the proof neighbourhood of the queried fact: a breadth-first walk over
-    the fact↔factor adjacency, bounded by a PageRank-style budget, emitting
-    a small self-contained {!Factor_graph.Fgraph} subgraph plus the
-    interior/boundary variable mapping.
+    A point query grounds only the proof neighbourhood of the queried
+    fact: a breadth-first walk over the fact↔factor adjacency of a
+    materialized factor graph ([TΦ]), bounded by a PageRank-style
+    budget, emitting a small self-contained {!Factor_graph.Fgraph}
+    subgraph plus the interior/boundary variable mapping.
 
-    Two interchangeable sources drive the walk:
-
-    - {!of_adjacency} — a full factor graph is already materialized (e.g. a
-      live session's provenance index); expansion is a pure index walk.
-    - {!of_kb} — no graph exists; rule bodies are expanded backward against
-      the KB indexes using the memoized {!Queries.rule_adjacency} buckets
-      and [TΠ]'s maintained partial-key indexes
-      ({!Kb.Storage.partial_index}).  Requires the
-      {e fact} closure to have run (the Query 1 fixpoint — the same
-      precondition as the batch Query 2) and, like the batch
-      [singleton_factors], reads extraction priors from the weight column
-      (so run it before [store_marginals] rewrites inferred weights).
-
-    Both sources produce the same canonical factor table for the same
-    interior set — rows sorted by [(I1, I2, I3, w)] — so with an unbounded
-    budget the subgraph is exactly the query's connected component of the
-    full ground graph, factor for factor.  (Rule sets containing fully
-    duplicate rule signatures within one partition are outside this
-    identity: the batch two-atom path collapses such duplicates in its
-    J-step dedup while the walk keeps each rule row distinct.)
+    The walk needs [TΦ] — the whole fact closure and the factor phase —
+    but not inference over all of it: the answer costs a solve of the
+    neighbourhood alone.  The subgraph's rows are sorted into canonical
+    [(I1, I2, I3, w)] order, so with an unbounded budget it is exactly
+    the query's connected component of the full ground graph, factor
+    for factor, whatever order the adjacency lists factors in.
 
     Budget semantics: the fact at hop [h] carries influence [decay^h]
     (query = hop 0, influence 1).  A reached fact is {e expanded} (made
@@ -61,9 +47,9 @@ val budget :
   unit ->
   budget
 
-(** Fact↔factor adjacency of an already-materialized graph, as closures so
-    [lib/incremental]'s provenance index can back it without a dependency
-    cycle (incremental depends on grounding, not vice versa). *)
+(** Fact↔factor adjacency of a materialized graph.  The walk reads
+    nothing else, so any index over [TΦ] can back it: {!adjacency_of_graph}
+    builds the flat one frozen snapshots use. *)
 type adjacency = {
   iter_derivations : int -> (int -> unit) -> unit;
       (** clause factors with the fact as head *)
@@ -80,26 +66,12 @@ type adjacency = {
     factors are listed in descending factor index; a fact with several
     singleton factors reports the last.  Only live factors are listed
     (retired ones are skipped, see {!Factor_graph.Fgraph.kill}).  The
-    arrays are sized by the largest fact id of a live factor.  Any materialized graph gets its adjacency
-    here — frozen snapshots included; live sessions reuse their
-    provenance index instead.  The result only reads [g], so it may be
-    shared across domains while nothing mutates [g].
+    arrays are sized by the largest fact id of a live factor.  The
+    result only reads [g], so it may be shared across domains while
+    nothing mutates [g].
     @raise Invalid_argument if a factor holds a negative fact id (other
     than {!Factor_graph.Fgraph.null} in a body slot). *)
 val adjacency_of_graph : Factor_graph.Fgraph.t -> adjacency
-
-type source
-
-(** [of_adjacency adj] walks a materialized graph. *)
-val of_adjacency : adjacency -> source
-
-(** [of_kb p pi] walks backward against the KB indexes.  The source is
-    reusable across queries: the rule-adjacency buckets are built once
-    (lazily) and shared, and the partial-key [TΠ] indexes belong to
-    [pi], which keeps them current (built on the first walk if no delta
-    join has built them yet — the first walk mutates [pi], so do not
-    race it). *)
-val of_kb : Queries.prepared -> Kb.Storage.t -> source
 
 type result = {
   graph : Factor_graph.Fgraph.t;
@@ -113,6 +85,7 @@ type result = {
   truncated : bool;  (** [boundary <> [||]] *)
 }
 
-(** [run ?budget source ~query] grounds the neighbourhood of fact [query].
-    Unknown facts yield an empty graph with [interior = [| query |]]. *)
-val run : ?budget:budget -> source -> query:int -> result
+(** [run ?budget adj ~query] grounds the neighbourhood of fact [query],
+    taking each factor once (by its position in the graph).  Unknown
+    facts yield an empty graph with [interior = [| query |]]. *)
+val run : ?budget:budget -> adjacency -> query:int -> result

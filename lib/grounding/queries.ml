@@ -101,18 +101,10 @@ let shape_of : Pattern.t -> Shape.t = function
         y_src = tx;
       }
 
-type body_slot = Q_atom | R_atom
-
-type rule_adjacency = {
-  by_head : (int * int * int, (Pattern.t * int) list) Hashtbl.t;
-  by_body : (int * int * int, (Pattern.t * int * body_slot) list) Hashtbl.t;
-}
-
 type prepared = {
   parts : Mln.Partition.t;
   m_index : Index.t array; (* per pattern, on the step-1 Mi key *)
   mirror_index : Index.t option array; (* lazily built for semi-naive *)
-  mutable rule_adj : rule_adjacency option; (* lazily built for local walks *)
 }
 
 let step1_key pat =
@@ -128,65 +120,9 @@ let prepare parts =
           let pat = Pattern.of_index i in
           Index.build (Mln.Partition.table parts pat) (step1_key pat));
     mirror_index = Array.make 6 None;
-    rule_adj = None;
   }
 
 let partitions p = p.parts
-
-(* Atom class signatures [(R, C_first, C_second)] of every atom position of
-   every pattern, read off the M-row columns.  A fact [(r, x, C1, y, C2)]
-   can play an atom role iff its [(r, C1, C2)] equals the signature — the
-   key the backward walk probes with, one hash lookup per hop instead of a
-   rescan of the rule list. *)
-let head_sig pat m row =
-  if Pattern.arity pat = 4 then
-    (Table.get m row 0, Table.get m row 2, Table.get m row 3)
-  else (Table.get m row 0, Table.get m row 3, Table.get m row 4)
-
-let q_sig pat m row =
-  let g = Table.get m row in
-  match pat with
-  | Pattern.P1 -> (g 1, g 2, g 3) (* q(x, y) *)
-  | Pattern.P2 -> (g 1, g 3, g 2) (* q(y, x) *)
-  | Pattern.P3 | Pattern.P5 -> (g 1, g 5, g 3) (* q(z, x) *)
-  | Pattern.P4 | Pattern.P6 -> (g 1, g 3, g 5) (* q(x, z) *)
-
-let r_sig pat m row =
-  let g = Table.get m row in
-  match pat with
-  | Pattern.P1 | Pattern.P2 -> invalid_arg "Queries.r_sig: one-atom pattern"
-  | Pattern.P3 | Pattern.P4 -> (g 2, g 5, g 4) (* r(z, y) *)
-  | Pattern.P5 | Pattern.P6 -> (g 2, g 4, g 5) (* r(y, z) *)
-
-let rule_adjacency p =
-  match p.rule_adj with
-  | Some adj -> adj
-  | None ->
-    let adj =
-      { by_head = Hashtbl.create 64; by_body = Hashtbl.create 64 }
-    in
-    let push tbl k v =
-      Hashtbl.replace tbl k
-        (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-    in
-    List.iter
-      (fun pat ->
-        let m = Mln.Partition.table p.parts pat in
-        for row = 0 to Table.nrows m - 1 do
-          push adj.by_head (head_sig pat m row) (pat, row);
-          push adj.by_body (q_sig pat m row) (pat, row, Q_atom);
-          if Pattern.arity pat = 6 then
-            push adj.by_body (r_sig pat m row) (pat, row, R_atom)
-        done)
-      Pattern.all;
-    p.rule_adj <- Some adj;
-    adj
-
-let head_rules adj ~r ~c1 ~c2 =
-  Option.value ~default:[] (Hashtbl.find_opt adj.by_head (r, c1, c2))
-
-let body_rules adj ~r ~c1 ~c2 =
-  Option.value ~default:[] (Hashtbl.find_opt adj.by_body (r, c1, c2))
 
 let j_cols = [| "R1"; "R3"; "C1"; "C2"; "C3"; "z"; "x"; "I2" |]
 let atom_cols = [| "R"; "x"; "C1"; "y"; "C2" |]

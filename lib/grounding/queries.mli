@@ -66,40 +66,6 @@ val prepare : Mln.Partition.t -> prepared
 (** [partitions p] is the underlying partition set. *)
 val partitions : prepared -> Mln.Partition.t
 
-(** {1 Rule adjacency}
-
-    The backward local grounder ({!Local}) needs, per hop, the rules whose
-    head — or whose q/r body atom — a given fact can instantiate.  Scanning
-    the rule list per hop would make every hop O(rules); instead the rules
-    are bucketed once per rule set by the atom's class signature
-    [(R, C_first, C_second)] and memoized on the [prepared] value (so the
-    map is invalidated exactly when the indexes are: whenever the rule set
-    changes and [prepare] runs again, e.g. via [Dred.refresh_rules]). *)
-
-(** Which body atom of a two-atom pattern a fact instantiates. *)
-type body_slot = Q_atom | R_atom
-
-type rule_adjacency
-
-(** [rule_adjacency p] is the memoized adjacency map (built on first use). *)
-val rule_adjacency : prepared -> rule_adjacency
-
-(** [head_rules adj ~r ~c1 ~c2] is the [(pattern, M-row)] list of rules
-    whose head atom a fact with relation [r] and classes [(c1, c2)] can
-    instantiate. *)
-val head_rules :
-  rule_adjacency -> r:int -> c1:int -> c2:int -> (Mln.Pattern.t * int) list
-
-(** [body_rules adj ~r ~c1 ~c2] is the [(pattern, M-row, slot)] list of
-    body-atom positions such a fact can fill (one-atom patterns only ever
-    in the [Q_atom] slot). *)
-val body_rules :
-  rule_adjacency ->
-  r:int ->
-  c1:int ->
-  c2:int ->
-  (Mln.Pattern.t * int * body_slot) list
-
 (** [atoms_plan p pat pi] is Query 1-i expressed as a logical plan over
     the *current* [Mi] and [TΠ] tables — the same joins and projections
     the physical path runs, with the join-folded dedup made an explicit
@@ -129,10 +95,10 @@ val ground_atoms_spilled :
     [mirrored] — to its r atom, run as the q atom of the mirrored
     pattern.  Step 1 (the rule partition ⋈ Δ) has already run into [j]
     (columns {!j_cols}, rule weight carried); step 2 joins [j] on
-    [j_key] with [TΠ] on [t_key] — {!Kb.Storage.x_key} or
-    {!Kb.Storage.y_key} — projecting [atoms_out] or [factors_out], which
-    already put the head (and, for factors, the body ids) back in the
-    original pattern's orientation. *)
+    [j_key] with [TΠ] on [t_key] — one of [TΠ]'s two partial keys
+    ({!Kb.Storage.partial_index}) — projecting [atoms_out] or
+    [factors_out], which already put the head (and, for factors, the body
+    ids) back in the original pattern's orientation. *)
 type delta_term = {
   j : Relational.Table.t;
   j_key : int array;

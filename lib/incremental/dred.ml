@@ -63,19 +63,6 @@ let dirty_count t =
 
 let refresh_rules t = t.prepared <- Queries.prepare (Gamma.partitions t.kb)
 
-(* The provenance index as a local-grounding source: the fact↔factor
-   adjacency is already maintained across epochs, so a point query walks
-   it directly instead of re-deriving the neighbourhood from the rule
-   tables. *)
-let local_adjacency t =
-  sync t;
-  {
-    Grounding.Local.iter_derivations = Provenance.iter_derivations t.prov;
-    iter_supports = Provenance.iter_supports t.prov;
-    singleton_of = Provenance.singleton_of t.prov;
-    factor_of = Fgraph.factor t.graph;
-  }
-
 type retract_stats = {
   requested : int;
   cone : int;

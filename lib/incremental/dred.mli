@@ -80,13 +80,6 @@ val dirty_count : t -> int
     {!retract_rules}). *)
 val refresh_rules : t -> unit
 
-(** [local_adjacency t] exposes the maintained provenance index as a
-    [Grounding.Local] adjacency (syncing it to the graph first), so live
-    sessions answer point queries by walking the existing fact↔factor
-    index instead of re-deriving the neighbourhood backward from the rule
-    tables. *)
-val local_adjacency : t -> Grounding.Local.adjacency
-
 (** Outcome of one retraction epoch. *)
 type retract_stats = {
   requested : int;  (** seed facts actually present and retracted *)

@@ -33,19 +33,16 @@ val key_index : t -> Relational.Index.t
 
 (** {1 Partial-key indexes}
 
-    Two more indexes on [TΠ], each with one argument free: [x_key] is
-    [(R, C1, C2, x)] and [y_key] is [(R, C1, C2, y)], as column positions
-    of {!table}.  They are the [TΠ] side of step 2 of every two-atom
-    grounding query (the [r] atom, bound on z) and the backward walk's
-    one-argument-free probes.  Both are built together, on first demand;
+    Two more indexes on [TΠ], each with one argument free: the x key
+    [(R, C1, C2, x)] and the y key [(R, C1, C2, y)], as column positions
+    of {!table} [[| 1; 3; 5; 2 |]] and [[| 1; 3; 5; 4 |]].  They are the
+    [TΠ] side of step 2 of every two-atom grounding query (the [r] atom,
+    bound on z).  Both are built together, on first demand;
     from then on {!add} and {!merge_new} extend them and compaction
     ({!flush_deletes}) rebuilds them, so they always index exactly the
     rows of {!table} — tombstoned rows included until compaction, so a
     probe must skip rows that are not {!live_row}.  A bucket chain lists
     one key's rows in descending row order. *)
-
-val x_key : int array
-val y_key : int array
 
 (** [build_partial_indexes s] builds both partial-key indexes unless they
     are built already.  The first build mutates [s]: call it (or
@@ -53,7 +50,7 @@ val y_key : int array
 val build_partial_indexes : t -> unit
 
 (** [partial_index s key] is the maintained index on [key], which must
-    equal {!x_key} or {!y_key} (building both on first use, as
+    equal the x key or the y key (building both on first use, as
     {!build_partial_indexes}).
     @raise Invalid_argument on any other key. *)
 val partial_index : t -> int array -> Relational.Index.t

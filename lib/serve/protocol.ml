@@ -2,7 +2,6 @@ module Json = Obs.Json
 module Gamma = Kb.Gamma
 module Dict = Relational.Dict
 module Table = Relational.Table
-module Engine = Probkb.Engine
 module Session = Probkb.Engine.Session
 module Snapshot = Probkb.Snapshot
 module Local = Grounding.Local
@@ -281,27 +280,26 @@ let view_json (v : Snapshot.view) =
         | None -> Json.Null );
     ]
 
-let answer_json (a : Engine.local_answer) =
+let answer_json (a : Snapshot.answer) =
   Json.Obj
     [
       ("found", Json.Bool true);
-      ("id", Json.Int a.Engine.id);
-      ("epoch", Json.Int a.Engine.epoch);
-      ("marginal", Json.Float a.Engine.marginal);
+      ("id", Json.Int a.id);
+      ("epoch", Json.Int a.epoch);
+      ("marginal", Json.Float a.marginal);
       ( "method",
-        Json.String (if a.Engine.enumerated then "local-exact" else "local-gibbs")
-      );
-      ("interior", Json.Int a.Engine.interior);
-      ("boundary", Json.Int a.Engine.boundary);
-      ("hops", Json.Int a.Engine.hops);
-      ("factors", Json.Int a.Engine.factors);
-      ("pruned_mass", Json.Float a.Engine.pruned_mass);
-      ("truncated", Json.Bool a.Engine.truncated);
+        Json.String (if a.enumerated then "local-exact" else "local-gibbs") );
+      ("interior", Json.Int a.interior);
+      ("boundary", Json.Int a.boundary);
+      ("hops", Json.Int a.hops);
+      ("factors", Json.Int a.factors);
+      ("pruned_mass", Json.Float a.pruned_mass);
+      ("truncated", Json.Bool a.truncated);
       ( "seconds",
         Json.Obj
           [
-            ("ground", Json.Float a.Engine.ground_seconds);
-            ("infer", Json.Float a.Engine.infer_seconds);
+            ("ground", Json.Float a.ground_seconds);
+            ("infer", Json.Float a.infer_seconds);
           ] );
     ]
 
@@ -323,6 +321,33 @@ let metrics_json obs =
 
 (* ------------------------------------------------------------------ *)
 (* Interpreters *)
+
+let answer ?(obs = Obs.null) snap = function
+  | RIngest _ | RRetract _ | RRetract_rules _ | RAdd_rules _ | RReexpand
+  | RRefresh ->
+    error_json "snapshot is read-only"
+  | RQuery None -> not_found
+  | RQuery (Some (r, x, c1, y, c2)) -> (
+    match Snapshot.find snap ~r ~x ~c1 ~y ~c2 with
+    | None -> not_found
+    | Some id -> (
+      match Snapshot.view snap id with
+      | Some v -> view_json v
+      | None ->
+        view_json
+          {
+            Snapshot.id;
+            base = false;
+            weight = Table.null_weight;
+            marginal = Snapshot.marginal snap id;
+          }))
+  | RQuery_local { key = None; budget = _ } -> not_found
+  | RQuery_local { key = Some (r, x, c1, y, c2); budget } -> (
+    match Snapshot.query_local ?budget snap ~r ~x ~c1 ~y ~c2 with
+    | None -> not_found
+    | Some a -> answer_json a)
+  | RStats -> stats_json (Snapshot.stats snap)
+  | RMetrics -> metrics_json obs
 
 let apply ?(obs = Obs.null) s = function
   | RIngest facts -> Probkb.Report.epoch_to_json (Session.ingest s facts)
@@ -352,39 +377,7 @@ let apply ?(obs = Obs.null) s = function
           weight = v.Session.weight;
           marginal = v.Session.marginal;
         })
-  | RQuery_local { key = None; budget = _ } -> not_found
-  | RQuery_local { key = Some (r, x, c1, y, c2); budget } -> (
-    match Session.query_local ?budget s ~r ~x ~c1 ~y ~c2 with
-    | None -> not_found
-    | Some a -> answer_json a)
-  | RStats -> stats_json (Snapshot.stats (Session.snapshot s))
-  | RMetrics -> metrics_json obs
-
-let answer ?(obs = Obs.null) snap = function
-  | RIngest _ | RRetract _ | RRetract_rules _ | RAdd_rules _ | RReexpand
-  | RRefresh ->
-    error_json "snapshot is read-only"
-  | RQuery None -> not_found
-  | RQuery (Some (r, x, c1, y, c2)) -> (
-    match Snapshot.find snap ~r ~x ~c1 ~y ~c2 with
-    | None -> not_found
-    | Some id -> (
-      match Snapshot.view snap id with
-      | Some v -> view_json v
-      | None ->
-        view_json
-          {
-            Snapshot.id;
-            base = false;
-            weight = Table.null_weight;
-            marginal = Snapshot.marginal snap id;
-          }))
-  | RQuery_local { key = None; budget = _ } -> not_found
-  | RQuery_local { key = Some (r, x, c1, y, c2); budget } -> (
-    match Snapshot.query_local ?budget snap ~r ~x ~c1 ~y ~c2 with
-    | None -> not_found
-    | Some a -> answer_json a)
-  | RStats -> stats_json (Snapshot.stats snap)
+  | (RQuery_local _ | RStats) as rop -> answer (Session.snapshot s) rop
   | RMetrics -> metrics_json obs
 
 let step ?obs kb s line =

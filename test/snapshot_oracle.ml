@@ -1,11 +1,13 @@
 (* Test oracle for the frozen read path: [Snapshot.freeze] as it was
    before it copied arrays.  It rehashes every factor row into per-fact
    lists, re-keys every TΠ row that [Storage.find] confirms into a
-   polymorphic hash table, and copies the marginals table.  A frozen
-   snapshot must answer exactly as this one does — [find], [view],
-   [marginal], [stats] and [query_local], bit for bit — and
-   [Local.adjacency_of_graph] must list the same derivations, supports
-   and priors as [adjacency_of_graph] below. *)
+   polymorphic hash table, and copies the marginals table, then answers
+   point queries itself: [Local.run] over those lists, boundary clamp,
+   compile and [Neighborhood.solve].  A frozen snapshot must answer
+   exactly as this one does — [find], [view], [marginal], [stats] and
+   [query_local], bit for bit — and [Local.adjacency_of_graph] must list
+   the same derivations, supports and priors as [adjacency_of_graph]
+   below. *)
 
 module Storage = Kb.Storage
 module Table = Relational.Table
@@ -56,14 +58,23 @@ let adjacency_of_graph g =
          (i1, i2, i3))
        ~factor_of:(Fgraph.factor g))
 
-type t = { snap : Snapshot.t; stats : Snapshot.stats }
+type t = {
+  epoch : int;
+  solver : Inference.Hybrid.options;
+  adj : Local.adjacency;
+  clamp : int -> float;
+  find : r:int -> x:int -> c1:int -> y:int -> c2:int -> int option;
+  view : int -> Snapshot.view option;
+  marginal : int -> float option;
+  stats : Snapshot.stats;
+}
 
 let sigmoid w = 1. /. (1. +. exp (-.w))
 
-(* The old freeze.  Its read state is answered through [Snapshot.live]
-   closures, which drive the same solve path; [stats] carries the
-   figures the frozen snapshot reports. *)
-let freeze ?(epoch = 0) ?marginals ?solver ~pi ~graph () =
+(* The old freeze; [stats] carries the figures the frozen snapshot
+   reports. *)
+let freeze ?(epoch = 0) ?marginals
+    ?(solver = Inference.Hybrid.default_options) ~pi ~graph () =
   let n = Fgraph.bound graph and n_live = Fgraph.size graph in
   let is_live = Array.make n false in
   let fi1 = Array.make n 0
@@ -125,17 +136,14 @@ let freeze ?(epoch = 0) ?marginals ?solver ~pi ~graph () =
           marginal = Hashtbl.find_opt marg id;
         }
   in
-  let snap =
-    Snapshot.live ~epoch ?solver
-      ~marginal_of:(fun id -> Hashtbl.find_opt marg id)
-      ~view_of ~source:(Local.of_adjacency adj) ~clamp
-      ~find:(fun ~r ~x ~c1 ~y ~c2 -> Hashtbl.find_opt keys (r, x, c1, y, c2))
-      ~facts:(fun () -> Hashtbl.length keys)
-      ~factors:(fun () -> n_live)
-      ()
-  in
   {
-    snap;
+    epoch;
+    solver;
+    adj;
+    clamp;
+    find = (fun ~r ~x ~c1 ~y ~c2 -> Hashtbl.find_opt keys (r, x, c1, y, c2));
+    view = view_of;
+    marginal = Hashtbl.find_opt marg;
     stats =
       {
         Snapshot.epoch;
@@ -145,3 +153,33 @@ let freeze ?(epoch = 0) ?marginals ?solver ~pi ~graph () =
         frozen = true;
       };
   }
+
+(* The point query: walk, clamp the boundary, compile, solve.  The
+   timings are the snapshot's own business; they read 0 here. *)
+let query_local ?budget o ~r ~x ~c1 ~y ~c2 =
+  match o.find ~r ~x ~c1 ~y ~c2 with
+  | None -> None
+  | Some id ->
+    let res = Local.run ?budget o.adj ~query:id in
+    Inference.Neighborhood.clamp_boundary res.Local.graph
+      ~boundary:res.Local.boundary ~prob:o.clamp;
+    let c = Fgraph.compile res.Local.graph in
+    let marg, how = Inference.Neighborhood.solve ~options:o.solver c in
+    Some
+      {
+        Snapshot.id;
+        marginal =
+          (match Hashtbl.find_opt c.Fgraph.var_of_id id with
+          | Some v -> marg.(v)
+          | None -> 0.5);
+        epoch = o.epoch;
+        interior = Array.length res.Local.interior;
+        boundary = Array.length res.Local.boundary;
+        hops = res.Local.hops;
+        factors = Fgraph.size res.Local.graph;
+        pruned_mass = res.Local.pruned_mass;
+        truncated = res.Local.truncated;
+        enumerated = how = Inference.Neighborhood.Enumerated;
+        ground_seconds = 0.;
+        infer_seconds = 0.;
+      }

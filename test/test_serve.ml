@@ -123,50 +123,28 @@ let test_step_session_semantics () =
   check_bool "refresh without inference answers an error" true
     (Json.member "error" reply <> None)
 
-(* --- freeze = live ----------------------------------------------------- *)
-
-let test_freeze_equals_live () =
-  let kb, _, _ = Tutil.ruth_gruber_kb () in
-  let s = Engine.session (no_infer_engine kb) in
-  let snap = Session.snapshot s in
-  check_bool "session snapshot is frozen" true (Snapshot.frozen snap);
-  check_bool "frozen snapshot verifies" true (Snapshot.verify_integrity snap);
-  check_bool "snapshot is cached per epoch" true
-    (Session.snapshot s == snap);
-  let st = Snapshot.stats snap in
-  check_int "stats count the storage" (Storage.size (Gamma.pi kb))
-    st.Snapshot.facts;
-  Storage.iter
-    (fun ~id ~r ~x ~c1 ~y ~c2 ~w:_ ->
-      match
-        ( Session.query_local s ~r ~x ~c1 ~y ~c2,
-          Snapshot.query_local snap ~r ~x ~c1 ~y ~c2 )
-      with
-      | Some live, Some frz ->
-        check_bool
-          (Printf.sprintf "fact %d: frozen marginal = live marginal" id)
-          true
-          (live.Engine.marginal = frz.Snapshot.marginal);
-        check_int "ids agree" live.Engine.id frz.Snapshot.id;
-        check_int "answers carry the session epoch" live.Engine.epoch
-          frz.Snapshot.epoch
-      | _ -> Alcotest.failf "fact %d missing from one side" id)
-    (Gamma.pi kb)
-
 (* --- snapshot immutability --------------------------------------------- *)
 
 let test_snapshot_immutable_across_epochs () =
   let kb, _, _ = Tutil.ruth_gruber_kb () in
   let s = Engine.session (no_infer_engine kb) in
   let snap0 = Session.snapshot s in
+  check_bool "snapshot verifies" true (Snapshot.verify_integrity snap0);
+  check_bool "snapshot is cached per epoch" true (Session.snapshot s == snap0);
+  let facts0 = Storage.size (Gamma.pi kb) in
+  let st0 = Snapshot.stats snap0 in
+  check_int "stats count the storage" facts0 st0.Snapshot.facts;
+  check_bool "stats report a frozen snapshot" true st0.Snapshot.frozen;
   let keys = ref [] in
   Storage.iter
     (fun ~id ~r ~x ~c1 ~y ~c2 ~w:_ -> keys := (id, (r, x, c1, y, c2)) :: !keys)
     (Gamma.pi kb);
-  let facts0 = Storage.size (Gamma.pi kb) in
   let answer snap (r, x, c1, y, c2) =
     match Snapshot.query_local snap ~r ~x ~c1 ~y ~c2 with
-    | Some a -> a.Snapshot.marginal
+    | Some a ->
+      check_int "answers carry the snapshot's epoch" (Snapshot.epoch snap)
+        a.Snapshot.epoch;
+      a.Snapshot.marginal
     | None -> Alcotest.fail "key not answered"
   in
   let before = List.map (fun (id, k) -> (id, k, answer snap0 k)) !keys in
@@ -258,20 +236,22 @@ let check_freeze_against_oracle ~what ~epoch ~marginals ~keys ~probes ~pi
   and oracle =
     Snapshot_oracle.freeze ~epoch ~marginals ~solver:solver_small ~pi ~graph ()
   in
-  let o = oracle.Snapshot_oracle.snap in
   let stats = Snapshot.stats snap in
   check_bool (what ^ ": stats") true (stats = oracle.Snapshot_oracle.stats);
   List.iter
     (fun (r, x, c1, y, c2) ->
-      if Snapshot.find snap ~r ~x ~c1 ~y ~c2 <> Snapshot.find o ~r ~x ~c1 ~y ~c2
+      if
+        Snapshot.find snap ~r ~x ~c1 ~y ~c2
+        <> oracle.Snapshot_oracle.find ~r ~x ~c1 ~y ~c2
       then Alcotest.failf "%s: find (%d, %d, %d, %d, %d)" what r x c1 y c2)
     keys;
   for id = -1 to Storage.next_id pi do
-    if not (same_view (Snapshot.view snap id) (Snapshot.view o id)) then
-      Alcotest.failf "%s: view %d" what id;
+    if not (same_view (Snapshot.view snap id) (oracle.Snapshot_oracle.view id))
+    then Alcotest.failf "%s: view %d" what id;
     if
       not
-        (same_float_opt (Snapshot.marginal snap id) (Snapshot.marginal o id))
+        (same_float_opt (Snapshot.marginal snap id)
+           (oracle.Snapshot_oracle.marginal id))
     then Alcotest.failf "%s: marginal %d" what id
   done;
   List.iteri
@@ -281,7 +261,7 @@ let check_freeze_against_oracle ~what ~epoch ~marginals ~keys ~probes ~pi
           not
             (same_answer
                (Snapshot.query_local ?budget snap ~r ~x ~c1 ~y ~c2)
-               (Snapshot.query_local ?budget o ~r ~x ~c1 ~y ~c2))
+               (Snapshot_oracle.query_local ?budget oracle ~r ~x ~c1 ~y ~c2))
         then Alcotest.failf "%s: query_local (%d, %d, %d, %d, %d)" what r x c1 y c2
       in
       ask (Some (Local.budget ~max_facts:32 ()));
@@ -402,23 +382,23 @@ let test_freeze_equals_oracle () =
         snapshot_oracle_stream)
     [ 1; 4 ]
 
-(* --- engine cache invalidation on session rule edits ------------------- *)
+(* --- snapshots follow session rule edits ---------------------------- *)
 
-(* Regression: the engine's memoized backward source used to survive
-   [Session.add_rules] / [retract_rules], so point queries answered
-   against the stale rule set.  Every epoch mutation must drop it. *)
+(* Every epoch mutation, [Session.add_rules] and [retract_rules]
+   included, drops the session's snapshot: no point query answers
+   against a stale rule set. *)
 let test_engine_sees_session_rule_edits () =
   let kb = Gamma.create () in
   ignore (Gamma.add_fact_by_name kb ~r:"r0" ~x:"a" ~c1:"C" ~y:"b" ~c2:"C" ~w:0.8);
-  let engine = no_infer_engine kb in
-  let s = Engine.session engine in
+  let s = Engine.session (no_infer_engine kb) in
   let r0, x, c1, y, c2 = key_ids kb ("r0", "a", "C", "b", "C") in
+  let ask r = Snapshot.query_local (Session.snapshot s) ~r ~x ~c1 ~y ~c2 in
   let marginal_of_r0 () =
-    match Engine.query_local engine ~r:r0 ~x ~c1 ~y ~c2 with
-    | Some a -> a.Engine.marginal
+    match ask r0 with
+    | Some a -> a.Snapshot.marginal
     | None -> Alcotest.fail "r0(a,b) not answered"
   in
-  (* Warm the memoized source with the rule-free KB. *)
+  (* Cache the snapshot of the rule-free KB. *)
   check_bool "no rules: P = sigmoid(w)" true (marginal_of_r0 () = sigmoid 0.8);
   let clauses =
     Mln.Parse.parse_lines
@@ -429,8 +409,8 @@ let test_engine_sees_session_rule_edits () =
   let st = Session.add_rules s clauses in
   check_int "the rule derives r1(a,b)" 1 st.Session.derived;
   let r1 = Gamma.relation kb "r1" in
-  check_bool "engine answers the newly derived fact" true
-    (Engine.query_local engine ~r:r1 ~x ~c1 ~y ~c2 <> None);
+  check_bool "the snapshot answers the newly derived fact" true
+    (ask r1 <> None);
   check_bool "the rule factor moved the base marginal" true
     (marginal_of_r0 () <> sigmoid 0.8);
   let st =
@@ -438,8 +418,7 @@ let test_engine_sees_session_rule_edits () =
   in
   check_int "retracting the rule retracts its derivation" 1
     st.Session.retracted;
-  check_bool "the derived fact is gone from the engine" true
-    (Engine.query_local engine ~r:r1 ~x ~c1 ~y ~c2 = None);
+  check_bool "the derived fact is gone from the snapshot" true (ask r1 = None);
   check_bool "the base marginal is the prior again, bitwise" true
     (marginal_of_r0 () = sigmoid 0.8)
 
@@ -1186,8 +1165,6 @@ let () =
         ] );
       ( "snapshot",
         [
-          Alcotest.test_case "freeze = live, bitwise" `Quick
-            test_freeze_equals_live;
           Alcotest.test_case "freeze = the old freeze, random epochs" `Quick
             test_freeze_equals_oracle;
           Alcotest.test_case "immutable across epochs" `Quick
