@@ -108,26 +108,17 @@ let test_per_rule_iteration =
          let kb = Lazy.force small_kb in
          ignore (Tuffy.run ~max_iterations:1 ~build_factors:false kb)))
 
-let closure_with semi_naive () =
-  let kb = Lazy.force small_kb in
-  let kb2 = Kb.Gamma.create_like kb in
-  Kb.Storage.iter
-    (fun ~id:_ ~r ~x ~c1 ~y ~c2 ~w ->
-      ignore (Kb.Gamma.add_fact kb2 ~r ~x ~c1 ~y ~c2 ~w))
-    (Kb.Gamma.pi kb);
-  List.iter (Kb.Gamma.add_rule kb2) (Kb.Gamma.rules kb);
-  ignore
-    (Grounding.Ground.closure
-       ~options:{ Grounding.Ground.default_options with semi_naive }
-       kb2)
-
-let test_naive_closure =
-  Test.make ~name:"grounding: full closure, naive (Algorithm 1)"
-    (Staged.stage (closure_with false))
-
-let test_semi_naive_closure =
-  Test.make ~name:"grounding: full closure, semi-naive (delta, ablation)"
-    (Staged.stage (closure_with true))
+let test_closure =
+  Test.make ~name:"grounding: full closure (Algorithm 1, delta iterations)"
+    (Staged.stage (fun () ->
+         let kb = Lazy.force small_kb in
+         let kb2 = Kb.Gamma.create_like kb in
+         Kb.Storage.iter
+           (fun ~id:_ ~r ~x ~c1 ~y ~c2 ~w ->
+             ignore (Kb.Gamma.add_fact kb2 ~r ~x ~c1 ~y ~c2 ~w))
+           (Kb.Gamma.pi kb);
+         List.iter (Kb.Gamma.add_rule kb2) (Kb.Gamma.rules kb);
+         ignore (Grounding.Ground.closure kb2)))
 
 let test_constraints =
   Test.make ~name:"quality: batch constraint check (Query 3)"
@@ -190,8 +181,7 @@ let tests =
     test_merge_join;
     test_batch_iteration;
     test_per_rule_iteration;
-    test_naive_closure;
-    test_semi_naive_closure;
+    test_closure;
     test_constraints;
     test_chromatic_sweeps;
     test_enumeration;

@@ -157,8 +157,10 @@ let clamp t id =
 
 let view t id =
   let base = Option.is_some (t.adj.Local.singleton_of id) in
-  (* The fact's extraction weight, if it is live and carries one. *)
-  let weight =
+  (* The live row's weight column: a base fact's extraction weight, or
+     the marginal [Engine.store_marginals] wrote into an inferred
+     fact's. *)
+  let stored =
     match Storage.row_of_id t.pi id with
     | Some row ->
       let w = Table.weight (Storage.table t.pi) row in
@@ -166,7 +168,7 @@ let view t id =
     | None -> None
   in
   if
-    base || Option.is_some weight
+    base || Option.is_some stored
     || has_any t.adj.Local.iter_derivations id
     || has_any t.adj.Local.iter_supports id
   then
@@ -174,8 +176,14 @@ let view t id =
       {
         id;
         base;
-        weight = Option.value ~default:Table.null_weight weight;
-        marginal = marginal t id;
+        weight =
+          (match stored with
+          | Some w when base -> w
+          | Some _ | None -> Table.null_weight);
+        marginal =
+          (match marginal t id with
+          | Some _ as m -> m
+          | None -> if base then None else stored);
       }
   else None
 
@@ -191,7 +199,7 @@ let verify_integrity t = fingerprint_of t.phi = t.fingerprint
 let answer_by_id ?budget t id =
   if Obs.debug && not (verify_integrity t) then
     invalid_arg
-      "Snapshot.answer_by_id: torn read — frozen state mutated under the \
+      "Snapshot.query_local: torn read — frozen state mutated under the \
        snapshot";
   let sp = Obs.begin_span ~cat:"engine" t.trace "query_local" in
   match

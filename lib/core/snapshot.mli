@@ -109,10 +109,6 @@ val query_local :
   ?budget:Grounding.Local.budget ->
   t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> answer option
 
-(** [answer_by_id ?budget t id] is {!query_local} when the fact id is
-    already known (ids are stable across epochs). *)
-val answer_by_id : ?budget:Grounding.Local.budget -> t -> int -> answer
-
 (** [verify_integrity t] re-hashes the snapshot's copied factor table
     against the fingerprint taken at freeze time; [true] means no writer
     has torn through the snapshot's state.  Runs automatically per query

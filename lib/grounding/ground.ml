@@ -18,7 +18,6 @@ type options = {
   max_iterations : int;
   apply_constraints : (Storage.t -> int * int) option;
   build_factors : bool;
-  semi_naive : bool;
   initial_delta : Table.t option;
   on_iteration : (iteration:int -> new_facts:int -> unit) option;
   spill : Spill.t option;
@@ -30,7 +29,6 @@ let default_options =
     max_iterations = 15;
     apply_constraints = None;
     build_factors = true;
-    semi_naive = false;
     initial_delta = None;
     on_iteration = None;
     spill = None;
@@ -88,17 +86,20 @@ let drive options exec kb =
   let trajectory = ref [] in
   let iterations = ref 0 in
   let converged = ref false in
-  let semi_naive = options.semi_naive || options.initial_delta <> None in
+  (* The facts the previous iteration added (or [initial_delta]): from
+     the second iteration on, every Query 1-i joins only derivations
+     that use one of them.  A derivation over older facts alone ran in
+     an earlier iteration, so its head is in TΠ already or was deleted
+     and banned by Ω — merging it again adds nothing.
+
+     Deletions interact with the delta in exactly one place: it may
+     still hold rows the constraint pass just removed from [TΠ], and
+     joining against them would re-derive consequences of deleted
+     facts.  Dropping those rows restores the invariant (the delta is
+     precisely the surviving facts the rest of [TΠ] has not yet been
+     joined against).  Banned keys vanish here too: a banned fact is
+     deleted from storage, so its delta row dies with it. *)
   let delta = ref options.initial_delta in
-  (* Deletions interact with semi-naive evaluation in exactly one place:
-     the saved delta may still hold rows the constraint pass just removed
-     from [TΠ], and joining against them would re-derive consequences of
-     deleted facts.  Dropping those rows from the delta restores the
-     semi-naive invariant (the delta is precisely the surviving facts the
-     rest of [TΠ] has not yet been joined against), so a firing constraint
-     hook no longer forces naive evaluation.  Banned keys vanish here too:
-     a banned fact is deleted from storage, so its delta row dies with
-     it. *)
   let filter_delta () =
     match !delta with
     | Some d ->
@@ -173,15 +174,13 @@ let drive options exec kb =
                           n + Storage.merge_new pi atoms)))
                 0 results
             in
-            if semi_naive then begin
-              let facts = Storage.table pi in
-              delta :=
-                Some
-                  (Table.sub facts
-                     (Array.init
-                        (Table.nrows facts - before_merge)
-                        (fun i -> before_merge + i)))
-            end;
+            let facts = Storage.table pi in
+            delta :=
+              Some
+                (Table.sub facts
+                   (Array.init
+                      (Table.nrows facts - before_merge)
+                      (fun i -> before_merge + i)));
             let point = constrain () in
             total_new := !total_new + new_facts;
             Obs.add obs (counter "new_facts") new_facts;
@@ -232,68 +231,76 @@ let drive options exec kb =
 
 (* The local executor: the M1..M6 queries run concurrently on the domain
    pool — they only read TΠ and their own rule partition — probing the
-   delta's partial-key indexes, a spilled segment store, or the resident
-   table. *)
+   partial-key indexes of TΠ from the delta, or scanning a spilled
+   segment store or the resident table. *)
 let local_executor options kb =
   let obs = options.obs in
   let pi = Kb.Gamma.pi kb in
   let prepared = Queries.prepare (Kb.Gamma.partitions kb) in
-  (* Out-of-core probing: once [TΠ] crosses the spill threshold, keep an
-     on-disk segment-store copy in step (whole segments appended per
-     iteration; the partial tail stays resident) and probe the closure
-     and factor joins from it instead of the resident table.  The
-     resident store remains the authority — merges, head resolution and
-     constraint passes are untouched — and segmented probes are
-     bit-identical to resident ones, so spilling changes I/O, never
-     results. *)
+  (* Out-of-core scans: once [TΠ] crosses the spill threshold, the phases
+     that scan it — a full iteration and the factor phase — probe an
+     on-disk segment-store copy instead of the resident table (whole
+     segments appended as [TΠ] grows; the partial tail stays resident).
+     The resident store remains the authority — merges, head resolution,
+     constraint passes and the delta probes are untouched — and
+     segmented probes are bit-identical to resident ones, so spilling
+     changes I/O, never results.  The copy mirrors one table value:
+     compaction replaces [Storage.table pi] with a new table whose rows
+     have moved, so a copy of the old one is dropped and the compacted
+     table spilled afresh. *)
   let spill_store = ref None in
   let sync_spill () =
     match options.spill with
     | None -> ()
     | Some policy -> (
       let facts = Storage.table pi in
+      let timed f = Obs.timed obs "storage.spill_seconds" f in
       match !spill_store with
-      | Some st ->
-        spill_store := Some (Obs.timed obs "storage.spill_seconds" (fun () ->
-            Seg_store.sync st facts))
-      | None ->
-        if Spill.should_spill policy facts then
-          spill_store :=
+      | Some (mirrored, st) when mirrored == facts ->
+        spill_store := Some (facts, timed (fun () -> Seg_store.sync st facts))
+      | Some _ | None ->
+        spill_store :=
+          if Spill.should_spill policy facts then
             Some
-              (Obs.timed obs "storage.spill_seconds" (fun () ->
-                   Seg_store.spill
-                     ~segment_rows:(Spill.segment_rows policy)
-                     ~tail:false
-                     ~dir:(Spill.fresh_dir policy ~prefix:"tpi")
-                     facts)))
+              ( facts,
+                timed (fun () ->
+                    Seg_store.spill
+                      ~segment_rows:(Spill.segment_rows policy)
+                      ~tail:false
+                      ~dir:(Spill.fresh_dir policy ~prefix:"tpi")
+                      facts) )
+          else None)
   in
-  (* One segmented source per phase step, shared read-only by the
+  (* One segmented source per scanning phase, shared read-only by the
      per-pattern workers (mmap'd segments are position-independent; each
      worker scans with its own batches). *)
   let fact_src () =
     sync_spill ();
     Option.map
-      (fun st -> Seg_store.source ~tail:(Storage.table pi) st)
+      (fun (_, st) -> Seg_store.source ~tail:(Storage.table pi) st)
       !spill_store
   in
   let atoms ~delta patterns =
     let pats = Array.of_list patterns in
-    let src = fact_src () in
-    (* The delta queries probe TΠ's partial-key indexes; their first
-       build mutates the store, so it happens here, before the workers
-       share it. *)
-    if delta <> None then Storage.build_partial_indexes pi;
+    let query =
+      match delta with
+      | Some d ->
+        (* The delta queries probe TΠ's partial-key indexes; their first
+           build mutates the store, so it happens here, before the
+           workers share it. *)
+        Storage.build_partial_indexes pi;
+        fun pat -> Queries.ground_atoms_delta prepared pat pi ~delta:d
+      | None -> (
+        match fact_src () with
+        | Some src -> fun pat -> Queries.ground_atoms_spilled prepared pat ~src
+        | None -> fun pat -> Queries.ground_atoms prepared pat pi)
+    in
     Pool.map_reduce (Pool.get_default ()) ~n:(Array.length pats)
       ~map:(fun i ->
         let pat = pats.(i) in
         let sp = Obs.begin_span ~cat:"grounding" obs (pattern_name pat) in
         let t0 = Obs.now () in
-        let raw =
-          match (delta, src) with
-          | Some d, _ -> Queries.ground_atoms_delta prepared pat pi ~delta:d
-          | None, Some src -> Queries.ground_atoms_spilled prepared pat ~src
-          | None, None -> Queries.ground_atoms prepared pat pi
-        in
+        let raw = query pat in
         let t = Ops.distinct raw all_atom_cols in
         Obs.end_span obs sp
           ~attrs:

@@ -6,6 +6,11 @@
     partitions once more to construct the ground factors, plus one
     singleton factor per weighted base fact.
 
+    The first iteration joins all of [TΠ]; every later one joins only
+    the derivations that use a fact the previous iteration added (the
+    delta), and appends the same facts, in the same order and with the
+    same ids, as re-joining all of [TΠ] would.
+
     The loop is written once ({!drive}) and runs the joins through an
     {!executor}: {!run} and {!closure} use the local one (the domain
     pool), {!Ground_mpp.run} the simulated MPP cluster. *)
@@ -14,34 +19,30 @@ type options = {
   max_iterations : int;  (** closure iteration budget (paper: 15 suffice) *)
   apply_constraints : (Kb.Storage.t -> int * int) option;
       (** the [applyConstraints(TΠ)] hook of Algorithm 1, line 6; returns
-          [(violations found, facts removed)] (see [Quality.Semantic]) *)
+          [(violations found, facts removed)] (see [Quality.Semantic]).
+          It must ban the keys it deletes ([Kb.Storage.delete_ids ~ban],
+          as [Quality.Semantic.hook] does): a delta iteration never
+          re-joins the old facts that derived a deleted fact, so only a
+          ban keeps the full join from re-deriving it *)
   build_factors : bool;  (** run the groundFactors phase (default true) *)
-  semi_naive : bool;
-      (** delta-driven evaluation: each iteration joins only against the
-          facts added by the previous one instead of the whole of [TΠ].
-          Sound because derivation is monotone; mid-run deletions by a
-          constraint hook are handled by dropping the deleted rows from
-          the pending delta after each constraint pass, so the hook no
-          longer forces naive evaluation — the delta-mode closure matches
-          the naive reference output.  An optimization the paper leaves on
-          the table — see the ablation benchmark.  Default [false],
-          matching the paper's Algorithm 1 *)
   initial_delta : Relational.Table.t option;
       (** incremental mode: a table with the [TΠ] schema holding the facts
           that were just added to an already-closed store; the first
-          iteration joins only against them (implies [semi_naive]).  This
-          is the paper's knowledge-expansion loop run *continuously*: new
-          extractions arrive, only their consequences are derived *)
+          iteration, too, joins only against them.  This is the paper's
+          knowledge-expansion loop run *continuously*: new extractions
+          arrive, only their consequences are derived *)
   on_iteration : (iteration:int -> new_facts:int -> unit) option;
       (** progress callback *)
   spill : Storage.Spill.t option;
-      (** out-of-core probing (default [None]): once [TΠ] crosses the
-          policy's byte threshold, keep an on-disk segment-store copy in
-          step (whole segments appended per iteration, partial tail
-          resident) and probe the closure and factor joins from it via
-          mmap instead of the resident table.  The resident store stays
-          the authority; results are bit-identical with or without
-          spilling *)
+      (** out-of-core scans (default [None]): once [TΠ] crosses the
+          policy's byte threshold, the phases that scan it — the first
+          iteration and the factor phase — probe an on-disk segment-store
+          copy via mmap instead of the resident table (whole segments
+          appended as [TΠ] grows, the partial tail resident; a copy made
+          stale by a constraint pass's compaction is replaced).  Delta
+          iterations probe the resident partial-key indexes and read no
+          segment.  The resident store stays the authority; results are
+          bit-identical with or without spilling *)
   obs : Obs.t;
       (** trace context (default {!Obs.null}).  When enabled, the run
           emits a [closure > iteration i > M1..M6/merge] span tree, a
@@ -81,9 +82,9 @@ type result = {
 (** {1 The closure loop} *)
 
 (** Where the joins of one route execute.  Everything between them —
-    active patterns, Ω passes, the semi-naive delta, merging in pattern
-    order, trajectory, snapshots, counters, convergence and the factor
-    phase's spans — belongs to {!drive}. *)
+    active patterns, Ω passes, the delta, merging in pattern order,
+    trajectory, snapshots, counters, convergence and the factor phase's
+    spans — belongs to {!drive}. *)
 type executor = {
   stage : string;
       (** snapshot stage and counter prefix (["ground"], ["mpp"]) *)
@@ -94,8 +95,12 @@ type executor = {
     (Mln.Pattern.t * Relational.Table.t * float) list;
       (** one iteration's Query 1-i per pattern, all against the same
           [TΠ]: deduplicated head atoms and the query's seconds, in
-          pattern order; with a delta, only derivations using a delta
-          fact *)
+          pattern order.  Without a delta, every head the full query
+          derives, in its order.  With one (a table with the [TΠ]
+          schema), the executor may instead return only the heads of
+          derivations that use a delta fact, in the full query's order
+          ({!Queries.ground_atoms_delta}): merging either list adds the
+          same facts in the same order *)
   factors : unit -> Mln.Pattern.t -> Factor_graph.Fgraph.t -> int;
       (** prepares the factor phase, then runs Query 2-i into [TΦ] *)
   singletons : Factor_graph.Fgraph.t -> int;

@@ -178,11 +178,10 @@ let executor options mode cluster cost ~load_sim kb =
           (j, s2.j_key2)
           (view s2.t_key2, s2.t_key2))
   in
-  let atoms ~delta patterns =
-    (* The distributed plans have no delta terms: a delta reaching here
-       would silently turn semi-naive evaluation naive. *)
-    if Option.is_some delta then
-      invalid_arg "Ground_mpp: the MPP executor takes no delta";
+  (* The distributed plans have no delta terms, so every iteration runs
+     the full query — which {!Ground.executor} allows: it merges into the
+     same facts as the delta query. *)
+  let atoms ~delta:_ patterns =
     (* redistribute(TΠ): refresh the views / re-load the pn table. *)
     let distributed =
       Obs.with_span obs "distribute" ~cat:"mpp" distribute_facts

@@ -11,8 +11,11 @@
 
     Results (the inferred facts, the trajectory, the constraint removals
     and the ground factors) are identical to the single-node route; the
-    differential tests assert it.  The MPP executor has no delta joins,
-    so there is no semi-naive or incremental mode. *)
+    differential tests assert it.  The MPP executor has no delta joins:
+    where {!Ground.drive} hands it the previous iteration's new facts it
+    evaluates the full query, which merges into the same facts, and it
+    offers no incremental mode.  Its joins, [sim_seconds] and
+    [motion_bytes] are those of full evaluation. *)
 
 type mode =
   | Views  (** ProbKB-p: redistributed materialized views *)

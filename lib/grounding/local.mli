@@ -33,9 +33,6 @@ type budget = {
   min_influence : float;  (** stop expanding below this influence *)
 }
 
-(** No cap, no decay: the walk covers the query's connected component. *)
-val unbounded : budget
-
 (** Smart constructor (defaults: no caps, [decay = 1.0],
     [min_influence = 0.0]).
     @raise Invalid_argument on out-of-range parameters. *)
@@ -86,6 +83,8 @@ type result = {
 }
 
 (** [run ?budget adj ~query] grounds the neighbourhood of fact [query],
-    taking each factor once (by its position in the graph).  Unknown
-    facts yield an empty graph with [interior = [| query |]]. *)
+    taking each factor once (by its position in the graph).  The default
+    budget has no cap and no decay: the walk covers the query's
+    connected component.  Unknown facts yield an empty graph with
+    [interior = [| query |]]. *)
 val run : ?budget:budget -> adjacency -> query:int -> result

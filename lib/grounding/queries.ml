@@ -2,6 +2,7 @@ module Table = Relational.Table
 module Index = Relational.Index
 module Join = Relational.Join
 module Sink = Relational.Sink
+module Batch = Relational.Batch
 module Pattern = Mln.Pattern
 module Storage = Kb.Storage
 module Fgraph = Factor_graph.Fgraph
@@ -388,8 +389,7 @@ let mirror_index p pat =
    pattern.  Step 1 (the rules ⋈ Δ) has already run into [j]; step 2
    joins [j] on [j_key] with TΠ on [t_key].  Step 2 walks the Δ-sized J
    and probes TΠ's maintained partial-key index on [t_key] — never a
-   pass over TΠ — and emits exactly the rows of the scan join
-   [J ⋈ TΠ], in the same order ({!Join.index_probe_into}). *)
+   pass over TΠ ({!Join.index_matches}). *)
 type delta_term = {
   j : Table.t;
   j_key : int array;
@@ -425,33 +425,134 @@ let live_residual pi =
   if Storage.pending_deletes pi = 0 then None
   else Some (fun _ row -> Storage.live_row pi row)
 
+(* Δ with its rows in ascending id order, each fact once: the order in
+   which the scan join meets them in TΠ.  The closure's and an ingest's
+   Δ already are (a suffix of TΠ); an overdelete frontier need not be. *)
+let ascending delta =
+  let id r = Table.get delta r 0 in
+  let n = Table.nrows delta in
+  let rec sorted r = r >= n || (id (r - 1) < id r && sorted (r + 1)) in
+  if sorted 1 then delta
+  else
+    Table.sub delta
+      (Array.of_list
+         (List.sort_uniq
+            (fun a b -> Int.compare (id a) (id b))
+            (List.init n Fun.id)))
+
+(* The two union terms of a two-atom delta query, streamed into [sink]
+   in the scan join's order.  The scan join [J ⋈ TΠ] streams TΠ as the r
+   atom: it emits by r row ascending, then by J row descending — q id
+   descending, then the rules of one (q, r) pair in ascending Mi row.
+   Rows ascend with ids, so both orders can be read off ids.  The q term
+   (J built from Δ as the q atom) sorts its matches into that order
+   directly.  The r term's J holds one block of rows per Δ fact, in Δ's
+   order; within a block its matches are sorted by q row descending,
+   then J row descending, which lists the rules of a (q, r) pair in
+   ascending Mi row as well.  Merging the two by r id ascending, then q
+   id descending, the q term first on a tie, yields every derivation
+   that uses a Δ fact in the scan's order; one whose q and r are both in
+   Δ comes twice in a row, and the dedup sink keeps the first. *)
+let probe_scan_order pi ~sink q r =
+  let t = Storage.table pi in
+  let np = Table.nrows t in
+  let residual = live_residual pi in
+  let probe d = Join.index_matches ?residual (d.j, d.j_key)
+      (Storage.partial_index pi d.t_key)
+  in
+  (* q term: TΠ row ascending, then J row descending. *)
+  let nq = Table.nrows q.j in
+  let qs = ref [] in
+  probe q (fun jr tr -> qs := ((tr * nq) + (nq - 1 - jr)) :: !qs);
+  let qs = Array.of_list !qs in
+  Array.sort Int.compare qs;
+  (* r term: Δ block by block; within one, TΠ row descending, then J row
+     descending. *)
+  let nr = Table.nrows r.j in
+  let blocks = ref [] and block = ref [] and block_id = ref (-1) in
+  let close_block () =
+    if !block <> [] then begin
+      let a = Array.of_list !block in
+      Array.sort Int.compare a;
+      blocks := a :: !blocks;
+      block := []
+    end
+  in
+  probe r (fun jr tr ->
+      let id = Table.get r.j jr 7 in
+      if id <> !block_id then begin
+        close_block ();
+        block_id := id
+      end;
+      block := (((np - 1 - tr) * nr) + (nr - 1 - jr)) :: !block);
+  close_block ();
+  let rs = Array.concat (List.rev !blocks) in
+  let ob =
+    Batch.create
+      ~capacity:
+        (max 1
+           (min (Array.length qs + Array.length rs) Batch.default_capacity))
+      ~weighted:false (Array.length atom_cols)
+  in
+  let emit d jr tr =
+    Join.emit_match ~sink ob ~out:d.atoms_out ~oweight:Join.No_weight d.j jr
+      t tr
+  in
+  let i = ref 0 and k = ref 0 in
+  while !i < Array.length qs || !k < Array.length rs do
+    let q_first =
+      !k >= Array.length rs
+      || !i < Array.length qs
+         &&
+         let qc = qs.(!i) and rc = rs.(!k) in
+         let r_of_q = Table.get t (qc / nq) 0
+         and r_of_r = Table.get r.j (nr - 1 - (rc mod nr)) 7 in
+         r_of_q < r_of_r
+         || r_of_q = r_of_r
+            && Table.get q.j (nq - 1 - (qc mod nq)) 7
+               >= Table.get t (np - 1 - (rc / nr)) 0
+    in
+    if q_first then begin
+      let qc = qs.(!i) in
+      emit q (nq - 1 - (qc mod nq)) (qc / nq);
+      incr i
+    end
+    else begin
+      let rc = rs.(!k) in
+      emit r (nr - 1 - (rc mod nr)) (np - 1 - (rc / nr));
+      incr k
+    end
+  done;
+  if not (Batch.is_empty ob) then Sink.push_batch sink ob;
+  (nq + nr)
+
 let ground_atoms_delta p pat pi ~delta =
+  let delta = ascending delta in
   let t = Storage.table pi in
   let midx = p.m_index.(Pattern.index pat) in
   match shape_of pat with
   | Shape.One_atom _ -> ground_atoms_tables midx pat ~q_tbl:delta ~r_tbl:t
   | Shape.Two_atom _ ->
-    (* Both union terms stream into one shared dedup sink — no per-term
-       result table, no union materialization, and rows reachable
-       through both body atoms appear once (the first term's occurrence
-       wins, as a sequential distinct would pick).  The second term is
-       the mirrored pattern, its head columns swapped back inside the
-       projection. *)
+    let obs = Obs.ambient () in
+    let t0 = if Obs.enabled obs then Obs.now () else 0. in
     let sink =
       Sink.create
         ~dedup_key:(Array.init (Array.length atom_cols) Fun.id)
         ~name:("atoms_" ^ Pattern.to_string pat)
         atom_cols
     in
-    let residual = live_residual pi in
-    List.iter
-      (fun d ->
-        Join.index_probe_into ~out:d.atoms_out ~oweight:Join.No_weight
-          ?residual ~sink (d.j, d.j_key)
-          (Storage.partial_index pi d.t_key))
-      (delta_terms p pat ~delta);
-    let obs = Obs.ambient () in
-    if Obs.enabled obs then Sink.record_distinct_obs obs sink;
+    let probe_rows =
+      match delta_terms p pat ~delta with
+      | [ q; r ] -> probe_scan_order pi ~sink q r
+      | _ -> assert false
+    in
+    if Obs.enabled obs then begin
+      Obs.add obs "join.joins" 2;
+      Obs.add obs "join.probe_rows" probe_rows;
+      Obs.add obs "join.rows_out" (Sink.rows_out sink);
+      Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0);
+      Sink.record_distinct_obs obs sink
+    end;
     Sink.table sink
 
 let ground_factors p pat pi g =

@@ -116,18 +116,21 @@ val delta_terms :
   prepared -> Mln.Pattern.t -> delta:Relational.Table.t -> delta_term list
 
 (** [ground_atoms_delta p pat pi ~delta] is the semi-naive variant of
-    Query 1-i: only derivations with at least one body atom bound to a
-    [delta] fact (a table with the [TΠ] schema).  For two-atom patterns
-    this runs the plan twice — once with Δ on the first body atom, once
-    with Δ on the second via the *mirrored* pattern (P3↔P3, P4↔P5,
-    P6↔P6 with transformed rule rows and the head columns swapped back
-    inside the projection) — streaming both probe outputs into one
-    shared dedup sink, so the union never materializes per-term
-    tables.  Step 2 of each term probes [TΠ]'s maintained partial-key
-    index ({!Kb.Storage.partial_index}, built here on first use) from
-    the Δ side instead of scanning [TΠ], skipping tombstoned rows; rows,
-    their order and the dedup winners are those of the scan join over
-    the live rows. *)
+    Query 1-i: the rows {!ground_atoms} over the live rows of [TΠ] would
+    return for the derivations with at least one body atom bound to a
+    [delta] fact (a table with the [TΠ] schema, whose facts must be live
+    rows of [pi]; order and repeats do not matter), in that query's
+    order — the same head atoms, first occurrences in the same order.
+    Merged into [TΠ] after a closure's earlier iterations, it so adds
+    the same facts in the same order as the full query.  For two-atom
+    patterns it runs the plan twice — once with Δ on the first body
+    atom, once with Δ on the second via the *mirrored* pattern (P3↔P3,
+    P4↔P5, P6↔P6 with transformed rule rows and the head columns swapped
+    back inside the projection) — and merges both terms' matches into
+    one shared dedup sink in the full query's order.  Step 2 of each
+    term probes [TΠ]'s maintained partial-key index
+    ({!Kb.Storage.partial_index}, built here on first use) from the Δ
+    side instead of scanning [TΠ], skipping tombstoned rows. *)
 val ground_atoms_delta :
   prepared ->
   Mln.Pattern.t ->

@@ -597,7 +597,8 @@ let ingest ?(max_iterations = 15) st facts =
   }
 
 (* Rule addition / re-expansion.  New rules can fire on pairs of {e old}
-   facts, so the closure runs naively; the factor extension splits into
+   facts, so the closure's first iteration joins all of [TΠ] (no initial
+   delta); the factor extension splits into
    (a) a batch pass with just the new rules over the whole of [TΠ] and
    (b) the delta factor queries with the {e previous} rule set over the
    facts the closure added — together exactly the new instances, counted
@@ -606,7 +607,8 @@ let extend_rules ?(max_iterations = 15) st rules =
   Obs.with_ambient st.obs @@ fun () ->
   Obs.with_span st.obs "reexpand" ~cat:"incremental" @@ fun () ->
   sync st;
-  (* The naive closure and the new rules' factor pass scan all of TΠ. *)
+  (* The closure's first iteration and the new rules' factor pass scan
+     all of TΠ. *)
   compact_facts st;
   let pi = Gamma.pi st.kb in
   let watermark = Storage.next_id pi in

@@ -113,8 +113,10 @@ val pending_deletes : t -> int
 (** [flush_deletes s] compacts all tombstoned rows out of the table and
     rebuilds the key index and the partial indexes — one rebuild for
     every pending tombstone (a no-op returning 0 when nothing is
-    tombstoned).  Live rows keep their order and ids.  Returns the
-    number of rows removed. *)
+    tombstoned).  Live rows keep their order and ids.  The compacted
+    rows form a new {!table}: a table value taken before the compaction
+    is left as it was, so a copy of it can tell it is stale by physical
+    inequality.  Returns the number of rows removed. *)
 val flush_deletes : t -> int
 
 (** [delete_ids ?ban s ids] is {!mark_deleted} on every id followed by one

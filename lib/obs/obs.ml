@@ -616,7 +616,7 @@ let add t name n =
 let incr t name = add t name 1
 
 let add_time t name s =
-  if t.enabled && s <> 0. then begin
+  if t.enabled then begin
     let b = Domain.DLS.get t.key in
     match Hashtbl.find_opt b.timers name with
     | Some r -> r := !r +. s

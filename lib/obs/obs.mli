@@ -290,6 +290,10 @@ val subtree : t -> sp -> Rec_span.t option
 
 val add : t -> string -> int -> unit
 val incr : t -> string -> unit
+
+(** [add_time t name s] adds [s] seconds to the timer [name].  A timer
+    fed only zeros is still recorded, at 0: a phase that ran and took no
+    measurable time is not a phase that never ran. *)
 val add_time : t -> string -> float -> unit
 
 (** [gauge t name v] sets a last-write-wins gauge. *)

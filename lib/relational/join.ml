@@ -2,9 +2,9 @@
    pipelined engine ({!Pipeline}) — the probe side streams in batches
    through a probe kernel into a {!Sink}, so the local operators, the
    query planner and the per-segment MPP joins all share one kernel
-   implementation.  [index_probe_into] is its index-probe access path
-   for delta terms.  The output spec types are re-exported from
-   [Pipeline]. *)
+   implementation.  [index_matches] and [index_probe_into] are its
+   index-probe access path for delta terms.  The output spec types are
+   re-exported from [Pipeline]. *)
 
 type side = Pipeline.side = Build | Probe
 type out_col = Pipeline.out_col = Col of side * int | Const of int
@@ -73,58 +73,65 @@ let hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
 
 (* The delta-side access path: walk the small table [btbl] and probe
    [idx], a maintained index of the large table, instead of indexing
-   [btbl] and scanning the large table.  The scan join emits its matches
-   in probe-row order and, within one probe row, in the build index's
-   chain order: descending [btbl] row.  Walking [btbl] meets the same
-   pairs in another order, so they are collected as codes that sort into
-   the scan's order — indexed row ascending, then [btbl] row descending —
-   and projected only then: the sink sees the scan's rows in the scan's
-   order, and keeps the same first occurrences. *)
-let index_probe_into ~out ~oweight ?residual ~sink (btbl, bkey) idx =
+   [btbl] and scanning the large table. *)
+let index_matches ?residual (btbl, bkey) idx f =
   if Array.length (Index.key idx) <> Array.length bkey then
-    invalid_arg "Join.index_probe_into: key arity mismatch";
+    invalid_arg "Join.index_matches: key arity mismatch";
+  let keep = match residual with None -> fun _ _ -> true | Some f -> f in
+  let kv = Array.make (Array.length bkey) 0 in
+  for br = 0 to Table.nrows btbl - 1 do
+    for i = 0 to Array.length bkey - 1 do
+      kv.(i) <- Table.get btbl br bkey.(i)
+    done;
+    Index.iter_matches idx kv (fun ir -> if keep br ir then f br ir)
+  done
+
+let emit_match ~sink ob ~out ~oweight btbl br ptbl ir =
+  if Batch.is_full ob then begin
+    Sink.push_batch sink ob;
+    Batch.clear ob
+  end;
+  let i = Batch.alloc_row ob ~rid:ir in
+  for j = 0 to Array.length out - 1 do
+    Batch.set ob i j
+      (match out.(j) with
+      | Const v -> v
+      | Col (Build, c) -> Table.get btbl br c
+      | Col (Probe, c) -> Table.get ptbl ir c)
+  done;
+  match oweight with
+  | No_weight -> ()
+  | Weight_of Build -> Batch.set_weight ob i (Table.weight btbl br)
+  | Weight_of Probe -> Batch.set_weight ob i (Table.weight ptbl ir)
+
+(* The scan join emits its matches in probe-row order and, within one
+   probe row, in the build index's chain order: descending [btbl] row.
+   Walking [btbl] meets the same pairs in another order, so they are
+   collected as codes that sort into the scan's order — indexed row
+   ascending, then [btbl] row descending — and projected only then: the
+   sink sees the scan's rows in the scan's order, and keeps the same
+   first occurrences. *)
+let index_probe_into ~out ~oweight ?residual ~sink (btbl, bkey) idx =
   let obs = Obs.ambient () in
   let t0 = if Obs.enabled obs then Obs.now () else 0. in
   let before = Sink.rows_out sink in
   let ptbl = Index.table idx in
   let nb = Table.nrows btbl in
-  let keep = match residual with None -> fun _ _ -> true | Some f -> f in
   let codes = ref [] in
-  let kv = Array.make (Array.length bkey) 0 in
-  for br = 0 to nb - 1 do
-    for i = 0 to Array.length bkey - 1 do
-      kv.(i) <- Table.get btbl br bkey.(i)
-    done;
-    Index.iter_matches idx kv (fun ir ->
-        if keep br ir then codes := ((ir * nb) + (nb - 1 - br)) :: !codes)
-  done;
+  index_matches ?residual (btbl, bkey) idx (fun br ir ->
+      codes := ((ir * nb) + (nb - 1 - br)) :: !codes);
   let codes = Array.of_list !codes in
   Array.sort Int.compare codes;
-  let width = Array.length out in
   let ob =
     Batch.create
       ~capacity:(max 1 (min (Array.length codes) Batch.default_capacity))
-      ~weighted:(oweight <> No_weight) width
+      ~weighted:(oweight <> No_weight) (Array.length out)
   in
   Array.iter
     (fun code ->
-      let ir = code / nb and br = nb - 1 - (code mod nb) in
-      if Batch.is_full ob then begin
-        Sink.push_batch sink ob;
-        Batch.clear ob
-      end;
-      let i = Batch.alloc_row ob ~rid:ir in
-      for j = 0 to width - 1 do
-        Batch.set ob i j
-          (match out.(j) with
-          | Const v -> v
-          | Col (Build, c) -> Table.get btbl br c
-          | Col (Probe, c) -> Table.get ptbl ir c)
-      done;
-      match oweight with
-      | No_weight -> ()
-      | Weight_of Build -> Batch.set_weight ob i (Table.weight btbl br)
-      | Weight_of Probe -> Batch.set_weight ob i (Table.weight ptbl ir))
+      emit_match ~sink ob ~out ~oweight btbl
+        (nb - 1 - (code mod nb))
+        ptbl (code / nb))
     codes;
   if not (Batch.is_empty ob) then Sink.push_batch sink ob;
   if Obs.enabled obs then begin

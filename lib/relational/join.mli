@@ -106,6 +106,38 @@ val index_probe_into :
   Index.t ->
   unit
 
+(** [index_matches ?residual (b, bkey) idx f] is the walk under
+    {!index_probe_into}: it applies [f b_row indexed_row] to every match
+    that survives [residual], in walk order — [b] row ascending, then
+    indexed row descending (the index's chain order).  Callers that need
+    another order than the scan join's collect the matches and sort them
+    themselves, then project them with {!emit_match}.  Runs on the
+    calling domain; records no counters.
+
+    @raise Invalid_argument if the key arities differ. *)
+val index_matches :
+  ?residual:(int -> int -> bool) ->
+  Table.t * int array ->
+  Index.t ->
+  (int -> int -> unit) ->
+  unit
+
+(** [emit_match ~sink ob ~out ~oweight b b_row p p_row] projects one
+    match — row [b_row] of the build side [b] with row [p_row] of the
+    probe side [p] — through [out] and [oweight] into a fresh row of the
+    batch [ob], first pushing [ob] into [sink] and clearing it when it is
+    full.  The caller pushes the last, partial batch. *)
+val emit_match :
+  sink:Sink.t ->
+  Batch.t ->
+  out:out_col array ->
+  oweight:out_weight ->
+  Table.t ->
+  int ->
+  Table.t ->
+  int ->
+  unit
+
 (** [hash_join_pre_src ...] is {!hash_join_pre} with a segmented
     (spilled) probe side: each resident segment of the source streams as
     one morsel and the spilled table is never materialized.  Same output

@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""MPP = single-node smoke: `probkb expand --sc` with and without `--mpp`.
+"""One closure loop, three routes: `probkb expand --sc` on the single
+node, on the single node with an out-of-core fact table, and on the
+simulated MPP cluster.
 
-Expands a generated KB with its semantic constraints enforced, once on
-the single node and once on the simulated MPP cluster, each at
-PROBKB_DOMAINS=1 and 4.  All four runs must write the same facts
-(`--out`, compared sorted) and report the same `new_fact_count`,
-`removed_by_constraints`, `n_factors`, `iterations` and trajectory in
-`--metrics json`; the constraints must have removed something, so the
-comparison covers the constraint passes.
+Expands a generated KB with its semantic constraints enforced on each
+route at PROBKB_DOMAINS=1 and 4.  The spilled route runs with
+`--spill-threshold 0 --segment-rows 128`, so the fact table spills
+before the first join and every constraint pass compacts a spilled
+table; its spill directory must have received segments.  All six runs
+must write the same facts (`--out`, compared sorted) and report the
+same `new_fact_count`, `removed_by_constraints`, `n_factors`,
+`iterations` and trajectory in `--metrics json`; each route's pool-1
+and pool-4 runs must write the same file, line for line.  The
+constraints must have removed something, so the comparison covers the
+constraint passes.
 
 Usage: mpp_smoke.py PROBKB_EXE DATA_DIR
 
@@ -24,53 +30,71 @@ import tempfile
 FIELDS = ("new_fact_count", "removed_by_constraints", "n_factors",
           "iterations", "trajectory")
 
+ROUTES = ("single", "spilled", "mpp")
+
 
 def fail(msg):
     print(f"mpp smoke FAILED: {msg}", file=sys.stderr)
     sys.exit(1)
 
 
-def run(exe, data, out_dir, mpp, domains):
-    name = f"{'mpp' if mpp else 'single'}-{domains}"
+def run(exe, data, out_dir, route, domains):
+    name = f"{route}-{domains}"
     out = os.path.join(out_dir, name + ".tsv")
     cmd = [exe, "expand",
            "--facts", os.path.join(data, "facts.tsv"),
            "--rules", os.path.join(data, "rules.mln"),
            "--constraints", os.path.join(data, "constraints.tsv"),
            "--sc", "--metrics", "json", "--out", out]
-    if mpp:
+    spill_dir = os.path.join(out_dir, name + ".spill")
+    if route == "mpp":
         cmd.append("--mpp")
+    elif route == "spilled":
+        os.mkdir(spill_dir)
+        cmd += ["--spill-dir", spill_dir, "--spill-threshold", "0",
+                "--segment-rows", "128"]
     env = dict(os.environ, PROBKB_DOMAINS=str(domains))
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
                           timeout=600)
     if proc.returncode != 0:
         fail(f"{name} exited {proc.returncode}:\n{proc.stderr}")
+    if route == "spilled" and not os.listdir(spill_dir):
+        fail(f"{name}: nothing was spilled to {spill_dir}")
     expansion = json.loads(proc.stdout)["expansion"]
     with open(out) as f:
-        facts = sorted(f)
-    return name, {k: expansion[k] for k in FIELDS}, facts
+        lines = f.readlines()
+    return name, {k: expansion[k] for k in FIELDS}, lines
 
 
 def main():
     exe, data = sys.argv[1], sys.argv[2]
     with tempfile.TemporaryDirectory() as out_dir:
-        runs = [run(exe, data, out_dir, mpp, d)
-                for d in (1, 4) for mpp in (False, True)]
-    ref_name, ref, ref_facts = runs[0]
+        runs = {(route, d): run(exe, data, out_dir, route, d)
+                for d in (1, 4) for route in ROUTES}
+    ref_name, ref, ref_lines = runs[("single", 1)]
+    ref_facts = sorted(ref_lines)
     if ref["removed_by_constraints"] == 0:
         fail(f"{ref_name}: the constraints removed nothing")
-    for name, report, facts in runs[1:]:
+    for name, report, lines in runs.values():
         for k in FIELDS:
             if report[k] != ref[k]:
                 fail(f"{k} differs:\n  {ref_name}: {ref[k]}\n"
                      f"  {name}: {report[k]}")
-        if facts != ref_facts:
+        if sorted(lines) != ref_facts:
             fail(f"{name} wrote other facts than {ref_name} "
-                 f"({len(facts)} vs {len(ref_facts)} lines)")
+                 f"({len(lines)} vs {len(ref_lines)} lines)")
+    for route in ROUTES:
+        name1, _, lines1 = runs[(route, 1)]
+        name4, _, lines4 = runs[(route, 4)]
+        if lines1 != lines4:
+            first = next((i for i, (a, b) in enumerate(zip(lines1, lines4))
+                          if a != b), min(len(lines1), len(lines4)))
+            fail(f"{name1} and {name4} wrote their facts in another order "
+                 f"(first difference at line {first + 1})")
     print(f"mpp smoke ok ({ref['new_fact_count']} new facts, "
           f"{ref['removed_by_constraints']} removed by constraints, "
-          f"{ref['n_factors']} factors; single node and MPP agree at "
-          f"pools 1 and 4)")
+          f"{ref['n_factors']} factors; single node, spilled single node "
+          f"and MPP agree at pools 1 and 4)")
 
 
 if __name__ == "__main__":

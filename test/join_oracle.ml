@@ -3,17 +3,21 @@
    [nested_loop] is the O(n·m) definition of {!Relational.Join.hash_join}
    (the same output spec, residual and inline-DISTINCT flag).
 
-   [atoms_delta] / [factors_delta] are the semi-naive two-atom grounding
-   queries as they ran before step 2 probed TΠ's maintained partial-key
-   indexes: step 2 of each union term ({!Grounding.Queries.delta_terms})
-   builds a hash index on the Δ-sized J and scans all of TΠ through it.
-   {!Grounding.Queries.ground_atoms_delta} / [ground_factors_delta] must
-   reproduce them row for row, in order, with bit-equal weights. *)
+   [atoms_delta] is the semi-naive two-atom Query 1-i by its contract:
+   the full scan join over TΠ — J = Mi ⋈ TΠ, then J ⋈ TΠ, each a hash
+   join streaming all of TΠ — keeping only the derivations with a body
+   atom bound to a Δ fact.  It shares no code with
+   {!Grounding.Queries.delta_terms}.  [factors_delta] runs the two union
+   terms of the incremental Query 2-i ({!Grounding.Queries.delta_terms})
+   the way they ran before step 2 probed TΠ's maintained partial-key
+   indexes: it builds a hash index on the Δ-sized J and scans all of TΠ
+   through it.  {!Grounding.Queries.ground_atoms_delta} /
+   [ground_factors_delta] must reproduce them row for row, in order,
+   with bit-equal weights. *)
 
 module Table = Relational.Table
 module Index = Relational.Index
 module Join = Relational.Join
-module Sink = Relational.Sink
 module Queries = Grounding.Queries
 
 let nested_loop ~name ~cols ~out ~oweight ?(dedup = false) ?residual
@@ -74,24 +78,29 @@ let scan_term d ~t ~name ~cols ~out ~oweight ?dedup ?residual () =
     (d.Queries.j, d.Queries.j_key)
     (t, d.Queries.t_key)
 
-(* The union of both terms under one dedup: each term deduplicated on
-   its own, then absorbed in term order — the rows and first
-   occurrences of one shared dedup sink. *)
 let atoms_delta p pat pi ~delta =
   let t = Kb.Storage.table pi in
-  let cols = Queries.atom_cols in
-  let sink =
-    Sink.create
-      ~dedup_key:(Array.init (Array.length cols) Fun.id)
-      ~name:"atoms_oracle" cols
-  in
-  List.iter
-    (fun d ->
-      Sink.absorb sink
-        (scan_term d ~t ~name:"atoms_term" ~cols ~out:d.Queries.atoms_out
-           ~oweight:Join.No_weight ~dedup:true ()))
-    (Queries.delta_terms p pat ~delta);
-  Sink.table sink
+  let in_delta = Hashtbl.create 64 in
+  Table.iter (fun r -> Hashtbl.replace in_delta (Table.get delta r 0) ()) delta;
+  let live row = Kb.Storage.live_row pi row in
+  match Queries.shape_of pat with
+  | Queries.Shape.One_atom _ -> invalid_arg "Join_oracle.atoms_delta"
+  | Queries.Shape.Two_atom s2 as shape ->
+    let j =
+      Join.hash_join ~name:"j_oracle" ~cols:Queries.j_cols
+        ~out:(Queries.step1_out shape) ~oweight:(Join.Weight_of Join.Build)
+        ~dedup:true
+        ~residual:(fun _ row -> live row)
+        (Mln.Partition.table (Queries.partitions p) pat, s2.m_key1)
+        (t, s2.t_key1)
+    in
+    Join.hash_join ~name:"atoms_oracle" ~cols:Queries.atom_cols
+      ~out:(Queries.atoms_out shape) ~oweight:Join.No_weight ~dedup:true
+      ~residual:(fun j_row row ->
+        live row
+        && (Hashtbl.mem in_delta (Table.get j j_row 7)
+           || Hashtbl.mem in_delta (Table.get t row 0)))
+      (j, s2.j_key2) (t, s2.t_key2)
 
 (* Both terms' factor rows, each term's resolved into [g] in term order,
    the mirrored term restricted to old q atoms. *)

@@ -126,14 +126,20 @@ let freeze ?(epoch = 0) ?marginals
     in
     if not known then None
     else
+      (* The weight column holds a base fact's extraction weight, or an
+         inferred fact's stored marginal. *)
+      let stored = Hashtbl.find_opt weights id in
       Some
         {
           Snapshot.id;
           base;
           weight =
-            Option.value ~default:Table.null_weight
-              (Hashtbl.find_opt weights id);
-          marginal = Hashtbl.find_opt marg id;
+            (if base then Option.value ~default:Table.null_weight stored
+             else Table.null_weight);
+          marginal =
+            (match Hashtbl.find_opt marg id with
+            | Some p -> Some p
+            | None -> if base then None else stored);
         }
   in
   {

@@ -82,6 +82,16 @@ let test_explain_est_vs_observed () =
     Mln.Pattern.all;
   check_bool "at least one active pattern" true (!checked > 0)
 
+(* A timer fed only zero samples still reaches the summary, at 0 — a
+   solver route that ran on nothing reports its 0 s, not its absence. *)
+let test_zero_timer () =
+  let obs = Obs.create ~config:Obs.Config.enabled () in
+  Obs.add_time obs "t.idle" 0.;
+  Obs.add_time obs "t.idle" 0.;
+  let s = Summary.of_trace obs in
+  Alcotest.(check (option (float 0.))) "zero timer" (Some 0.)
+    (List.assoc_opt "t.idle" s.Summary.timers)
+
 let test_summary_json_roundtrip () =
   let obs = Obs.create ~config:Obs.Config.enabled () in
   Obs.with_ambient obs (fun () ->
@@ -396,6 +406,7 @@ let () =
             `Quick test_span_tree_deterministic;
           Alcotest.test_case "counters on the worked example" `Quick
             test_counters_worked_example;
+          Alcotest.test_case "a timer fed only zeros" `Quick test_zero_timer;
           Alcotest.test_case "disabled trace is inert" `Quick
             test_disabled_trace_is_inert;
         ] );

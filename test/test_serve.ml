@@ -125,6 +125,42 @@ let test_step_session_semantics () =
 
 (* --- snapshot immutability --------------------------------------------- *)
 
+(* [Engine.run] stores each inferred fact's marginal in its weight
+   column.  A snapshot frozen afterwards must report that value as the
+   fact's marginal, not as an extraction weight, and a base fact's
+   extraction weight with no marginal. *)
+let test_view_after_run () =
+  let kb, f1, _ = Tutil.ruth_gruber_kb () in
+  let r = Engine.run (Engine.create kb) in
+  check_bool "marginals stored" true (r.Engine.marginals_stored > 0);
+  let pi = Gamma.pi kb in
+  let snap =
+    Snapshot.freeze ~pi ~graph:r.Engine.expansion.Engine.graph ()
+  in
+  let stored id =
+    Relational.Table.weight (Storage.table pi)
+      (Option.get (Storage.row_of_id pi id))
+  in
+  let r_, x, c1, y, c2 =
+    key_ids kb ("live_in", "Ruth Gruber", "W", "Brooklyn", "P")
+  in
+  let live = Option.get (Snapshot.find snap ~r:r_ ~x ~c1 ~y ~c2) in
+  (match Snapshot.view snap live with
+  | Some v ->
+    check_bool "inferred fact: not base" false v.Snapshot.base;
+    check_bool "inferred fact: null weight" true
+      (Relational.Table.is_null_weight v.Snapshot.weight);
+    check_bool "inferred fact: the stored marginal" true
+      (v.Snapshot.marginal = Some (stored live))
+  | None -> Alcotest.fail "live_in(Ruth Gruber, Brooklyn) has no view");
+  match Snapshot.view snap f1 with
+  | Some v ->
+    check_bool "base fact: base" true v.Snapshot.base;
+    check_bool "base fact: its extraction weight" true
+      (v.Snapshot.weight = 0.96);
+    check_bool "base fact: no marginal" true (v.Snapshot.marginal = None)
+  | None -> Alcotest.fail "born_in(Ruth Gruber, New York City) has no view"
+
 let test_snapshot_immutable_across_epochs () =
   let kb, _, _ = Tutil.ruth_gruber_kb () in
   let s = Engine.session (no_infer_engine kb) in
@@ -1169,6 +1205,8 @@ let () =
             test_freeze_equals_oracle;
           Alcotest.test_case "immutable across epochs" `Quick
             test_snapshot_immutable_across_epochs;
+          Alcotest.test_case "view after Engine.run" `Quick
+            test_view_after_run;
           Alcotest.test_case "engine sees session rule edits" `Quick
             test_engine_sees_session_rule_edits;
         ] );
