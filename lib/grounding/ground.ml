@@ -1,5 +1,6 @@
 module Table = Relational.Table
 module Ops = Relational.Ops
+module Pipeline = Relational.Pipeline
 module Stats = Relational.Stats
 module Pattern = Mln.Pattern
 
@@ -18,7 +19,7 @@ type options = {
   max_iterations : int;
   apply_constraints : (Storage.t -> int * int) option;
   build_factors : bool;
-  initial_delta : Table.t option;
+  delta_from : int option;
   on_iteration : (iteration:int -> new_facts:int -> unit) option;
   spill : Spill.t option;
   obs : Obs.t;
@@ -29,7 +30,7 @@ let default_options =
     max_iterations = 15;
     apply_constraints = None;
     build_factors = true;
-    initial_delta = None;
+    delta_from = None;
     on_iteration = None;
     spill = None;
     obs = Obs.null;
@@ -59,7 +60,9 @@ type executor = {
   stage : string;
   cat : string;
   atoms :
-    delta:Table.t option -> Pattern.t list -> (Pattern.t * Table.t * float) list;
+    delta_from:int option ->
+    Pattern.t list ->
+    (Pattern.t * Table.t * float) list;
   factors : unit -> Pattern.t -> Fgraph.t -> int;
   singletons : Fgraph.t -> int;
   point_data : unit -> (string * Obs.value) list;
@@ -86,32 +89,16 @@ let drive options exec kb =
   let trajectory = ref [] in
   let iterations = ref 0 in
   let converged = ref false in
-  (* The facts the previous iteration added (or [initial_delta]): from
-     the second iteration on, every Query 1-i joins only derivations
-     that use one of them.  A derivation over older facts alone ran in
-     an earlier iteration, so its head is in TΠ already or was deleted
-     and banned by Ω — merging it again adds nothing.
-
-     Deletions interact with the delta in exactly one place: it may
-     still hold rows the constraint pass just removed from [TΠ], and
-     joining against them would re-derive consequences of deleted
-     facts.  Dropping those rows restores the invariant (the delta is
-     precisely the surviving facts the rest of [TΠ] has not yet been
-     joined against).  Banned keys vanish here too: a banned fact is
-     deleted from storage, so its delta row dies with it. *)
-  let delta = ref options.initial_delta in
-  let filter_delta () =
-    match !delta with
-    | Some d ->
-      delta :=
-        Some
-          (Table.filter d (fun r ->
-               Storage.find pi ~r:(Table.get d r 1) ~x:(Table.get d r 2)
-                 ~c1:(Table.get d r 3) ~y:(Table.get d r 4)
-                 ~c2:(Table.get d r 5)
-               <> None))
-    | None -> ()
-  in
+  (* The first id of the facts the previous iteration added (or
+     [delta_from]): from the second iteration on, every Query 1-i joins
+     only derivations that use a fact from that id on.  A derivation over
+     older facts alone ran in an earlier iteration, so its head is in TΠ
+     already or was deleted and banned by Ω — merging it again adds
+     nothing.  Those facts are the rows of TΠ from that id: a constraint
+     pass deletes and compacts in one call, and compaction keeps row
+     order, so the rows from the id are exactly the surviving new facts —
+     a consequence of a deleted fact is never re-derived from its row. *)
+  let delta_from = ref options.delta_from in
   (* Returns this pass's (violations, facts removed). *)
   let constrain () =
     match options.apply_constraints with
@@ -121,7 +108,6 @@ let drive options exec kb =
       in
       Obs.add obs (counter "constraint_removed") n;
       removed := !removed + n;
-      if n > 0 then filter_delta ();
       (nviol, n)
     | None -> (0, 0)
   in
@@ -158,8 +144,8 @@ let drive options exec kb =
             (* Algorithm 1, lines 3-5: every Ti is computed against the
                same TΠ snapshot; the results are merged only after all
                partitions ran, sequentially in pattern order. *)
-            let results = exec.atoms ~delta:!delta patterns in
-            let before_merge = Table.nrows (Storage.table pi) in
+            let results = exec.atoms ~delta_from:!delta_from patterns in
+            let first_new = Storage.next_id pi in
             (* Merging a pattern's results into TΠ is part of that
                pattern's work, so it lands in the same M-span path (the
                summary aggregates the query and merge instances). *)
@@ -174,13 +160,7 @@ let drive options exec kb =
                           n + Storage.merge_new pi atoms)))
                 0 results
             in
-            let facts = Storage.table pi in
-            delta :=
-              Some
-                (Table.sub facts
-                   (Array.init
-                      (Table.nrows facts - before_merge)
-                      (fun i -> before_merge + i)));
+            delta_from := Some first_new;
             let point = constrain () in
             total_new := !total_new + new_facts;
             Obs.add obs (counter "new_facts") new_facts;
@@ -246,8 +226,8 @@ let local_executor options kb =
      segmented probes are bit-identical to resident ones, so spilling
      changes I/O, never results.  The copy mirrors one table value:
      compaction replaces [Storage.table pi] with a new table whose rows
-     have moved, so a copy of the old one is dropped and the compacted
-     table spilled afresh. *)
+     have moved, so a copy of the old one is removed from disk and the
+     compacted table spilled afresh. *)
   let spill_store = ref None in
   let sync_spill () =
     match options.spill with
@@ -258,7 +238,8 @@ let local_executor options kb =
       match !spill_store with
       | Some (mirrored, st) when mirrored == facts ->
         spill_store := Some (facts, timed (fun () -> Seg_store.sync st facts))
-      | Some _ | None ->
+      | stale ->
+        Option.iter (fun (_, st) -> Seg_store.remove st) stale;
         spill_store :=
           if Spill.should_spill policy facts then
             Some
@@ -271,29 +252,35 @@ let local_executor options kb =
                       facts) )
           else None)
   in
-  (* One segmented source per scanning phase, shared read-only by the
+  (* The source a scanning phase probes, shared read-only by the
      per-pattern workers (mmap'd segments are position-independent; each
-     worker scans with its own batches). *)
+     worker scans with its own batches): the spilled copy plus the
+     resident tail, or the resident table. *)
   let fact_src () =
     sync_spill ();
-    Option.map
-      (fun (_, st) -> Seg_store.source ~tail:(Storage.table pi) st)
-      !spill_store
+    match !spill_store with
+    | Some (_, st) ->
+      Pipeline.Segments
+        {
+          src = Seg_store.source ~tail:(Storage.table pi) st;
+          keep = (fun _ -> true);
+        }
+    | None -> Pipeline.of_table (Storage.table pi)
   in
-  let atoms ~delta patterns =
+  let atoms ~delta_from patterns =
     let pats = Array.of_list patterns in
     let query =
-      match delta with
-      | Some d ->
+      match delta_from with
+      | Some id ->
         (* The delta queries probe TΠ's partial-key indexes; their first
            build mutates the store, so it happens here, before the
-           workers share it. *)
+           workers share it.  Δ is read in place. *)
         Storage.build_partial_indexes pi;
-        fun pat -> Queries.ground_atoms_delta prepared pat pi ~delta:d
-      | None -> (
-        match fact_src () with
-        | Some src -> fun pat -> Queries.ground_atoms_spilled prepared pat ~src
-        | None -> fun pat -> Queries.ground_atoms prepared pat pi)
+        let delta = Storage.rows_from pi id in
+        fun pat -> Queries.ground_atoms_delta prepared pat pi ~delta
+      | None ->
+        let src = fact_src () in
+        fun pat -> Queries.ground_atoms ~src prepared pat pi
     in
     Pool.map_reduce (Pool.get_default ()) ~n:(Array.length pats)
       ~map:(fun i ->
@@ -315,10 +302,8 @@ let local_executor options kb =
     |> List.rev
   in
   let factors () =
-    match fact_src () with
-    | Some src ->
-      fun pat graph -> Queries.ground_factors_spilled prepared pat pi ~src graph
-    | None -> fun pat graph -> Queries.ground_factors prepared pat pi graph
+    let src = fact_src () in
+    fun pat graph -> Queries.ground_factors ~src prepared pat pi graph
   in
   {
     stage = "ground";

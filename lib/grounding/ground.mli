@@ -20,15 +20,18 @@ type options = {
   apply_constraints : (Kb.Storage.t -> int * int) option;
       (** the [applyConstraints(TΠ)] hook of Algorithm 1, line 6; returns
           [(violations found, facts removed)] (see [Quality.Semantic]).
-          It must ban the keys it deletes ([Kb.Storage.delete_ids ~ban],
-          as [Quality.Semantic.hook] does): a delta iteration never
-          re-joins the old facts that derived a deleted fact, so only a
-          ban keeps the full join from re-deriving it *)
+          It must delete through [Kb.Storage.delete_ids ~ban] (as
+          [Quality.Semantic.hook] does), which bans the keys and
+          compacts in one call: a delta iteration never re-joins the old
+          facts that derived a deleted fact, so only a ban keeps the
+          full join from re-deriving it, and the next delta is read off
+          the compacted [TΠ] *)
   build_factors : bool;  (** run the groundFactors phase (default true) *)
-  initial_delta : Relational.Table.t option;
-      (** incremental mode: a table with the [TΠ] schema holding the facts
-          that were just added to an already-closed store; the first
-          iteration, too, joins only against them.  This is the paper's
+  delta_from : int option;
+      (** incremental mode: the first id of the facts that were just
+          added to an already-closed store ({!Kb.Storage.next_id} taken
+          before inserting them); the first iteration, too, joins only
+          against the facts from that id on.  This is the paper's
           knowledge-expansion loop run *continuously*: new extractions
           arrive, only their consequences are derived *)
   on_iteration : (iteration:int -> new_facts:int -> unit) option;
@@ -38,8 +41,9 @@ type options = {
           policy's byte threshold, the phases that scan it — the first
           iteration and the factor phase — probe an on-disk segment-store
           copy via mmap instead of the resident table (whole segments
-          appended as [TΠ] grows, the partial tail resident; a copy made
-          stale by a constraint pass's compaction is replaced).  Delta
+          appended as [TΠ] grows, the partial tail resident).  A copy
+          made stale by a constraint pass's compaction is replaced, and
+          its store directory removed, so a run leaves one store.  Delta
           iterations probe the resident partial-key indexes and read no
           segment.  The resident store stays the authority; results are
           bit-identical with or without spilling *)
@@ -90,15 +94,17 @@ type executor = {
       (** snapshot stage and counter prefix (["ground"], ["mpp"]) *)
   cat : string;  (** span category *)
   atoms :
-    delta:Relational.Table.t option ->
+    delta_from:int option ->
     Mln.Pattern.t list ->
     (Mln.Pattern.t * Relational.Table.t * float) list;
       (** one iteration's Query 1-i per pattern, all against the same
           [TΠ]: deduplicated head atoms and the query's seconds, in
           pattern order.  Without a delta, every head the full query
-          derives, in its order.  With one (a table with the [TΠ]
-          schema), the executor may instead return only the heads of
-          derivations that use a delta fact, in the full query's order
+          derives, in its order.  With [delta_from = Some id], the delta
+          is the facts from [id] on — the rows of [TΠ] from that id
+          ({!Kb.Storage.rows_from}), read in place — and the executor
+          may instead return only the heads of derivations that use a
+          delta fact, in the full query's order
           ({!Queries.ground_atoms_delta}): merging either list adds the
           same facts in the same order *)
   factors : unit -> Mln.Pattern.t -> Factor_graph.Fgraph.t -> int;

@@ -179,9 +179,10 @@ let executor options mode cluster cost ~load_sim kb =
           (view s2.t_key2, s2.t_key2))
   in
   (* The distributed plans have no delta terms, so every iteration runs
-     the full query — which {!Ground.executor} allows: it merges into the
-     same facts as the delta query. *)
-  let atoms ~delta:_ patterns =
+     the full query and ignores the delta's first id — which
+     {!Ground.executor} allows: it merges into the same facts as the
+     delta query. *)
+  let atoms ~delta_from:_ patterns =
     (* redistribute(TΠ): refresh the views / re-load the pn table. *)
     let distributed =
       Obs.with_span obs "distribute" ~cat:"mpp" distribute_facts

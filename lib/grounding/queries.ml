@@ -1,6 +1,7 @@
 module Table = Relational.Table
 module Index = Relational.Index
 module Join = Relational.Join
+module Pipeline = Relational.Pipeline
 module Sink = Relational.Sink
 module Batch = Relational.Batch
 module Pattern = Mln.Pattern
@@ -224,9 +225,9 @@ let atoms_plan p pat pi =
     in
     Plan.Distinct (None, Plan.Project ([| 0; 6; 2; 8 + s.y_src; 3 |], join2))
 
-(* Step 1 of two-atom patterns: J = Mi ⋈ (q side) — [q_tbl] is normally
-   TΠ, or the delta facts under semi-naive evaluation. *)
-let step1 midx pat (s : Shape.t) q_tbl =
+(* Step 1 of two-atom patterns: J = Mi ⋈ q, where [q] is TΠ — resident
+   or spilled — or the delta facts under semi-naive evaluation. *)
+let step1 midx pat (s : Shape.t) q =
   match s with
   | One_atom _ -> invalid_arg "step1"
   | Two_atom s2 ->
@@ -234,65 +235,35 @@ let step1 midx pat (s : Shape.t) q_tbl =
       ~name:(Pattern.to_string pat ^ "_J")
       ~cols:j_cols ~out:(step1_out s)
       ~oweight:(Join.Weight_of Join.Build)
-      ~dedup:true midx (q_tbl, s2.t_key1)
+      ~dedup:true midx (q, s2.t_key1)
 
-(* The atoms query against explicit fact tables for each body atom. *)
-let ground_atoms_tables midx pat ~q_tbl ~r_tbl =
-  let s = shape_of pat in
-  match s with
-  | One_atom s1 ->
-    Join.hash_join_pre
-      ~name:("atoms_" ^ Pattern.to_string pat)
-      ~cols:atom_cols ~out:(atoms_out s)
-      ~oweight:Join.No_weight ~dedup:true midx (q_tbl, s1.t_key)
-  | Two_atom s2 ->
-    let j = step1 midx pat s q_tbl in
-    Join.hash_join
-      ~name:("atoms_" ^ Pattern.to_string pat)
-      ~cols:atom_cols ~out:(atoms_out s)
-      ~oweight:Join.No_weight ~dedup:true (j, s2.j_key2) (r_tbl, s2.t_key2)
-
-let ground_atoms p pat pi =
-  let t = Storage.table pi in
-  ground_atoms_tables p.m_index.(Pattern.index pat) pat ~q_tbl:t ~r_tbl:t
-
-(* --- out-of-core (spilled TΠ) variants ---------------------------
-
-   Same joins, same output specs, same inline dedup as the in-memory
-   queries, but TΠ is probed from a segmented scan source (a spilled
-   segment store, plus the resident tail): each resident segment streams
-   as one morsel, so the probe never materializes the spilled copy.
-   Segmented scans hand out the same row ids and stream rows in the same
-   order as a scan of the resident table, so the output is bit-identical
-   to {!ground_atoms} / {!ground_factors}. *)
-
-let step1_src midx pat (s : Shape.t) src =
-  match s with
-  | One_atom _ -> invalid_arg "step1_src"
-  | Two_atom s2 ->
-    Join.hash_join_pre_src
-      ~name:(Pattern.to_string pat ^ "_J")
-      ~cols:j_cols ~out:(step1_out s)
-      ~oweight:(Join.Weight_of Join.Build)
-      ~dedup:true midx (src, s2.t_key1)
-
-let ground_atoms_spilled p pat ~src =
+(* Query 1-i or 2-i under the projection [out], every body atom probing
+   [src]: TΠ, resident or spilled, or — for a one-atom pattern's only
+   atom — the delta.  A spilled TΠ streams segment by segment, never
+   materialized, with the resident table's rows in its order and its row
+   ids, so the output is the same bit for bit. *)
+let run_query p pat ~name ~cols ~out ~oweight ~dedup src =
   let midx = p.m_index.(Pattern.index pat) in
-  let s = shape_of pat in
-  match s with
+  match shape_of pat with
   | One_atom s1 ->
-    Join.hash_join_pre_src
-      ~name:("atoms_" ^ Pattern.to_string pat)
-      ~cols:atom_cols ~out:(atoms_out s)
-      ~oweight:Join.No_weight ~dedup:true midx (src, s1.t_key)
-  | Two_atom s2 ->
-    let j = step1_src midx pat s src in
-    Join.hash_join_pre_src
-      ~name:("atoms_" ^ Pattern.to_string pat)
-      ~cols:atom_cols ~out:(atoms_out s)
-      ~oweight:Join.No_weight ~dedup:true
-      (Index.build j s2.j_key2)
+    Join.hash_join_pre ~name ~cols ~out ~oweight ~dedup midx (src, s1.t_key)
+  | Two_atom s2 as s ->
+    let j = step1 midx pat s src in
+    Join.hash_join_pre ~name ~cols ~out ~oweight ~dedup
+      (Join.build j s2.j_key2)
       (src, s2.t_key2)
+
+let resident pi = Pipeline.of_table (Storage.table pi)
+
+let atoms_query p pat src =
+  run_query p pat
+    ~name:("atoms_" ^ Pattern.to_string pat)
+    ~cols:atom_cols
+    ~out:(atoms_out (shape_of pat))
+    ~oweight:Join.No_weight ~dedup:true src
+
+let ground_atoms ?src p pat pi =
+  atoms_query p pat (Option.value src ~default:(resident pi))
 
 (* Resolve heads against TΠ and emit factor rows. *)
 let resolve_heads rows pi g =
@@ -428,17 +399,21 @@ let live_residual pi =
 (* Δ with its rows in ascending id order, each fact once: the order in
    which the scan join meets them in TΠ.  The closure's and an ingest's
    Δ already are (a suffix of TΠ); an overdelete frontier need not be. *)
-let ascending delta =
-  let id r = Table.get delta r 0 in
-  let n = Table.nrows delta in
-  let rec sorted r = r >= n || (id (r - 1) < id r && sorted (r + 1)) in
-  if sorted 1 then delta
-  else
-    Table.sub delta
-      (Array.of_list
-         (List.sort_uniq
-            (fun a b -> Int.compare (id a) (id b))
-            (List.init n Fun.id)))
+let rec ascending (delta : Pipeline.source) =
+  match delta with
+  | Segments { src; _ } ->
+    ascending (Pipeline.of_table (Relational.Segsrc.to_table src))
+  | Rows { table; lo; hi } ->
+    let id r = Table.get table r 0 in
+    let rec sorted r = r >= hi || (id (r - 1) < id r && sorted (r + 1)) in
+    if sorted (lo + 1) then delta
+    else
+      Pipeline.of_table
+        (Table.sub table
+           (Array.of_list
+              (List.sort_uniq
+                 (fun a b -> Int.compare (id a) (id b))
+                 (List.init (hi - lo) (( + ) lo)))))
 
 (* The two union terms of a two-atom delta query, streamed into [sink]
    in the scan join's order.  The scan join [J ⋈ TΠ] streams TΠ as the r
@@ -528,10 +503,8 @@ let probe_scan_order pi ~sink q r =
 
 let ground_atoms_delta p pat pi ~delta =
   let delta = ascending delta in
-  let t = Storage.table pi in
-  let midx = p.m_index.(Pattern.index pat) in
   match shape_of pat with
-  | Shape.One_atom _ -> ground_atoms_tables midx pat ~q_tbl:delta ~r_tbl:t
+  | Shape.One_atom _ -> atoms_query p pat delta
   | Shape.Two_atom _ ->
     let obs = Obs.ambient () in
     let t0 = if Obs.enabled obs then Obs.now () else 0. in
@@ -555,66 +528,24 @@ let ground_atoms_delta p pat pi ~delta =
     end;
     Sink.table sink
 
-let ground_factors p pat pi g =
-  let s = shape_of pat in
-  let t = Storage.table pi in
-  let rows =
-    match s with
-    | One_atom s1 ->
-      Join.hash_join_pre
-        ~name:("factors_" ^ Pattern.to_string pat)
-        ~cols:atom_i_cols ~out:(factors_out s)
-        ~oweight:(Join.Weight_of Join.Build)
-        p.m_index.(Pattern.index pat)
-        (t, s1.t_key)
-    | Two_atom s2 ->
-      let j = step1 p.m_index.(Pattern.index pat) pat s t in
-      Join.hash_join
-        ~name:("factors_" ^ Pattern.to_string pat)
-        ~cols:atom_i_cols ~out:(factors_out s)
-        ~oweight:(Join.Weight_of Join.Build) (j, s2.j_key2) (t, s2.t_key2)
-  in
-  resolve_heads rows pi g
+let factors_query p pat ~name src =
+  run_query p pat ~name ~cols:atom_i_cols
+    ~out:(factors_out (shape_of pat))
+    ~oweight:(Join.Weight_of Join.Build) ~dedup:false src
 
-(* Query 2-i against a spilled TΠ: probes stream from the segment
-   source; head resolution still looks heads up in the resident store
-   (the authority). *)
-let ground_factors_spilled p pat pi ~src g =
-  let s = shape_of pat in
-  let rows =
-    match s with
-    | One_atom s1 ->
-      Join.hash_join_pre_src
-        ~name:("factors_" ^ Pattern.to_string pat)
-        ~cols:atom_i_cols ~out:(factors_out s)
-        ~oweight:(Join.Weight_of Join.Build)
-        p.m_index.(Pattern.index pat)
-        (src, s1.t_key)
-    | Two_atom s2 ->
-      let j = step1_src p.m_index.(Pattern.index pat) pat s src in
-      Join.hash_join_pre_src
-        ~name:("factors_" ^ Pattern.to_string pat)
-        ~cols:atom_i_cols ~out:(factors_out s)
-        ~oweight:(Join.Weight_of Join.Build)
-        (Index.build j s2.j_key2)
-        (src, s2.t_key2)
-  in
-  resolve_heads rows pi g
+(* Head resolution looks heads up in the resident store (the authority),
+   whichever source the joins probed. *)
+let ground_factors ?src p pat pi g =
+  let src = Option.value src ~default:(resident pi) in
+  let name = "factors_" ^ Pattern.to_string pat in
+  resolve_heads (factors_query p pat ~name src) pi g
 
 let ground_factors_delta p pat pi ~delta ~watermark g =
-  let s = shape_of pat in
-  match s with
-  | One_atom s1 ->
+  match shape_of pat with
+  | One_atom _ ->
     (* The only body atom must be a delta fact. *)
-    let rows =
-      Join.hash_join_pre
-        ~name:("factors_" ^ Pattern.to_string pat ^ "_d")
-        ~cols:atom_i_cols ~out:(factors_out s)
-        ~oweight:(Join.Weight_of Join.Build)
-        p.m_index.(Pattern.index pat)
-        (delta, s1.t_key)
-    in
-    resolve_heads rows pi g
+    let name = "factors_" ^ Pattern.to_string pat ^ "_d" in
+    resolve_heads (factors_query p pat ~name delta) pi g
   | Two_atom _ ->
     (* Δ bound to the q atom (the r atom ranges over all of TΠ), then Δ
        bound to the r atom via the mirrored pattern, with the q atom

@@ -73,22 +73,22 @@ val partitions : prepared -> Mln.Partition.t
     [Plan.analyze] (estimates vs. observed rows) for EXPLAIN output. *)
 val atoms_plan : prepared -> Mln.Pattern.t -> Kb.Storage.t -> Relational.Plan.t
 
-(** [ground_atoms p pat pi] is Query 1-i: the head atoms derivable by the
-    rules of partition [pat] from the current facts.  The result has
-    columns [R, x, C1, y, C2] and may contain duplicates (the caller
-    deduplicates when merging into [TΠ]).  Scans all of [TΠ], so [pi]
-    must have no tombstoned rows ({!Kb.Storage.flush_deletes} first);
-    the same holds for {!ground_factors} and the spilled variants. *)
+(** [ground_atoms ?src p pat pi] is Query 1-i: the head atoms derivable
+    by the rules of partition [pat] from the current facts.  The result
+    has columns [R, x, C1, y, C2] and may contain duplicates (the caller
+    deduplicates when merging into [TΠ]).  The joins probe [src]
+    (default: the resident [TΠ] of [pi]), which must cover exactly the
+    current facts — e.g. the segments of a spilled copy of [TΠ] plus the
+    resident tail ([Storage.Store.source ~tail]); the output is the same
+    bit for bit whichever source it is.  Scans all of [TΠ], so [pi] must
+    have no tombstoned rows ({!Kb.Storage.flush_deletes} first); the
+    same holds for {!ground_factors}. *)
 val ground_atoms :
-  prepared -> Mln.Pattern.t -> Kb.Storage.t -> Relational.Table.t
-
-(** [ground_atoms_spilled p pat ~src] is Query 1-i with [TΠ] probed from
-    a segmented (spilled) scan source instead of the resident table —
-    [src] must cover exactly the current facts (stored segments plus the
-    resident tail, e.g. [Storage.Store.source ~tail]).  Output is
-    bit-identical to {!ground_atoms}. *)
-val ground_atoms_spilled :
-  prepared -> Mln.Pattern.t -> src:Relational.Segsrc.t -> Relational.Table.t
+  ?src:Relational.Pipeline.source ->
+  prepared ->
+  Mln.Pattern.t ->
+  Kb.Storage.t ->
+  Relational.Table.t
 
 (** One union term of a two-atom semi-naive query (see
     {!ground_atoms_delta}): Δ bound to the q atom of the pattern, or —
@@ -109,16 +109,20 @@ type delta_term = {
 }
 
 (** [delta_terms p pat ~delta] is the q-atom term then the r-atom term of
-    two-atom pattern [pat] for the delta facts [delta] (a table with the
-    [TΠ] schema).
+    two-atom pattern [pat] for the delta facts [delta] (rows with the
+    [TΠ] schema — typically the rows of [TΠ] from the first new fact,
+    which are read in place, never copied).
     @raise Invalid_argument for a one-atom pattern. *)
 val delta_terms :
-  prepared -> Mln.Pattern.t -> delta:Relational.Table.t -> delta_term list
+  prepared ->
+  Mln.Pattern.t ->
+  delta:Relational.Pipeline.source ->
+  delta_term list
 
 (** [ground_atoms_delta p pat pi ~delta] is the semi-naive variant of
     Query 1-i: the rows {!ground_atoms} over the live rows of [TΠ] would
     return for the derivations with at least one body atom bound to a
-    [delta] fact (a table with the [TΠ] schema, whose facts must be live
+    [delta] fact (rows with the [TΠ] schema, whose facts must be live
     rows of [pi]; order and repeats do not matter), in that query's
     order — the same head atoms, first occurrences in the same order.
     Merged into [TΠ] after a closure's earlier iterations, it so adds
@@ -135,37 +139,28 @@ val ground_atoms_delta :
   prepared ->
   Mln.Pattern.t ->
   Kb.Storage.t ->
-  delta:Relational.Table.t ->
+  delta:Relational.Pipeline.source ->
   Relational.Table.t
 
-(** [ground_factors p pat pi g] is Query 2-i: for every ground rule of
-    partition [pat] whose body facts and head fact all exist in [TΠ],
-    append the factor [(I1, I2, I3, w)] to [g]; [w] is the rule weight.
-    Returns the number of factors produced.  Per Proposition 1 of the
-    paper, a deduplicated [Mi] produces no duplicate [(I1, I2, I3)]
-    within the partition. *)
+(** [ground_factors ?src p pat pi g] is Query 2-i: for every ground
+    rule of partition [pat] whose body facts and head fact all exist in
+    [TΠ], append the factor [(I1, I2, I3, w)] to [g]; [w] is the rule
+    weight.  The joins probe [src] as in {!ground_atoms}; heads are
+    resolved against the resident store [pi].  Returns the number of
+    factors produced.  Per Proposition 1 of the paper, a deduplicated
+    [Mi] produces no duplicate [(I1, I2, I3)] within the partition. *)
 val ground_factors :
+  ?src:Relational.Pipeline.source ->
   prepared ->
   Mln.Pattern.t ->
   Kb.Storage.t ->
-  Factor_graph.Fgraph.t ->
-  int
-
-(** [ground_factors_spilled p pat pi ~src g] is Query 2-i probing the
-    segmented source [src] (covering exactly the current facts); head
-    resolution still uses the resident store [pi].  Bit-identical to
-    {!ground_factors}. *)
-val ground_factors_spilled :
-  prepared ->
-  Mln.Pattern.t ->
-  Kb.Storage.t ->
-  src:Relational.Segsrc.t ->
   Factor_graph.Fgraph.t ->
   int
 
 (** [ground_factors_delta p pat pi ~delta ~watermark g] is the
     incremental Query 2-i: only ground-clause instances with at least one
-    body atom bound to a [delta] fact (a table with the [TΠ] schema).
+    body atom bound to a [delta] fact (rows with the [TΠ] schema, e.g.
+    {!Kb.Storage.rows_from} the watermark).
     Like {!ground_atoms_delta} it runs two-atom patterns twice — Δ on the
     first body atom against all of [TΠ], then Δ on the second via the
     mirrored pattern with both the head columns and the body-id columns
@@ -182,7 +177,7 @@ val ground_factors_delta :
   prepared ->
   Mln.Pattern.t ->
   Kb.Storage.t ->
-  delta:Relational.Table.t ->
+  delta:Relational.Pipeline.source ->
   watermark:int ->
   Factor_graph.Fgraph.t ->
   int

@@ -1,4 +1,5 @@
 module Table = Relational.Table
+module Pipeline = Relational.Pipeline
 module Storage = Kb.Storage
 module Gamma = Kb.Gamma
 module Fgraph = Factor_graph.Fgraph
@@ -112,20 +113,6 @@ let active_patterns st =
 
 let tpi_cols = [| "I"; "R"; "x"; "C1"; "y"; "C2" |]
 
-(* The facts newer than [watermark] ([id >= watermark]) are a contiguous
-   suffix of [TΠ]: ids are assigned in insertion order and ascend along
-   the rows.  [new_rows t watermark] is the first row of that suffix,
-   found by walking back from the end — O(new facts). *)
-let new_rows t watermark =
-  let start = ref (Table.nrows t) in
-  while !start > 0 && Table.get t (!start - 1) 0 >= watermark do
-    decr start
-  done;
-  !start
-
-let suffix t start =
-  Table.sub t (Array.init (Table.nrows t - start) (( + ) start))
-
 (* The frontier of one overdelete wave as a delta table with the [TΠ]
    schema (the facts are still physically present — deleted facts must
    stay joinable while their consequence cone is computed). *)
@@ -142,7 +129,7 @@ let delta_of_ids pi ids =
 
 (* Overdelete (DRed phase 1): the descendant cone of the seeds, computed
    semi-naively with the M1..M6 partition queries — each wave joins the
-   current frontier as the delta, exactly like [initial_delta] does for
+   current frontier as the delta, exactly like [delta_from] does for
    inserts.  Only inferred facts (no singleton support) enter the cone;
    base facts found as heads keep their extraction support and stop the
    wave.  Returns the membership set and the discovery order. *)
@@ -157,7 +144,10 @@ let expand_cone st pi ~seeds ~in_cone =
       (fun pat ->
         Obs.with_span st.obs (Pattern.to_string pat) ~cat:"incremental"
           (fun () ->
-            let atoms = Queries.ground_atoms_delta st.prepared pat pi ~delta in
+            let atoms =
+              Queries.ground_atoms_delta st.prepared pat pi
+                ~delta:(Pipeline.of_table delta)
+            in
             for row = 0 to Table.nrows atoms - 1 do
               match
                 Storage.find pi ~r:(Table.get atoms row 0)
@@ -502,16 +492,13 @@ let ingest ?(max_iterations = 15) st facts =
   sync st;
   let pi = Gamma.pi st.kb in
   let watermark = Storage.next_id pi in
-  let delta = Table.create ~weighted:true ~name:"delta" tpi_cols in
   let inserted = ref [] and promoted = ref [] in
   List.iter
     (fun (r, x, c1, y, c2, w) ->
       if not (Storage.is_banned pi ~r ~x ~c1 ~y ~c2) then
         match Storage.find pi ~r ~x ~c1 ~y ~c2 with
         | None ->
-          let id = Gamma.add_fact st.kb ~r ~x ~c1 ~y ~c2 ~w in
-          Table.append_w delta [| id; r; x; c1; y; c2 |] w;
-          inserted := id :: !inserted
+          inserted := Gamma.add_fact st.kb ~r ~x ~c1 ~y ~c2 ~w :: !inserted
         | Some id ->
           (* An extraction arriving for an already-inferred fact promotes
              it to a base fact: it gains the extraction weight and a
@@ -538,22 +525,20 @@ let ingest ?(max_iterations = 15) st facts =
              {
                Grounding.Ground.default_options with
                max_iterations;
-               initial_delta = Some delta;
+               delta_from = Some watermark;
                obs = st.obs;
              }
            st.kb)
   in
   (* Incremental factor maintenance: every ground-clause instance with at
      least one atom among this epoch's new facts (inserted or derived —
-     exactly the rows with [id >= watermark], a contiguous suffix of the
-     table since ids are assigned in insertion order), plus one singleton
-     per new or promoted base fact. *)
+     exactly the rows with [id >= watermark], read in place), plus one
+     singleton per new or promoted base fact. *)
   let new_factors = ref 0 in
   let t = Storage.table pi in
-  let start = new_rows t watermark in
   Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
-      let fdelta = suffix t start in
-      if Table.nrows fdelta > 0 then
+      let fdelta = Storage.rows_from pi watermark in
+      if Pipeline.rows fdelta > 0 then
         List.iter
           (fun pat ->
             Obs.with_span st.obs (Pattern.to_string pat) ~cat:"incremental"
@@ -627,8 +612,6 @@ let extend_rules ?(max_iterations = 15) st rules =
       st.kb
   in
   let new_factors = ref 0 in
-  let t = Storage.table pi in
-  let start = new_rows t watermark in
   Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
       (if rules <> [] then
          let rp = Queries.prepare (Mln.Partition.of_rules rules) in
@@ -638,8 +621,8 @@ let extend_rules ?(max_iterations = 15) st rules =
                new_factors :=
                  !new_factors + Queries.ground_factors rp pat pi st.graph)
            Pattern.all);
-      let fdelta = suffix t start in
-      if Table.nrows fdelta > 0 then
+      let fdelta = Storage.rows_from pi watermark in
+      if Pipeline.rows fdelta > 0 then
         List.iter
           (fun pat ->
             new_factors :=

@@ -157,17 +157,29 @@ let iter f s =
         ~w:(Table.weight s.facts row)
   done
 
-let row_of_id s id =
+(* The first row whose id is at least [id] (binary search). *)
+let first_row_from s id =
   let rec search lo hi =
-    if lo >= hi then None
+    if lo >= hi then lo
     else
       let mid = lo + ((hi - lo) / 2) in
-      let v = Table.get s.facts mid 0 in
-      if v = id then if live_row s mid then Some mid else None
-      else if v < id then search (mid + 1) hi
+      if Table.get s.facts mid 0 < id then search (mid + 1) hi
       else search lo mid
   in
   search 0 (Table.nrows s.facts)
+
+let row_of_id s id =
+  let row = first_row_from s id in
+  if
+    row < Table.nrows s.facts
+    && Table.get s.facts row 0 = id
+    && live_row s row
+  then Some row
+  else None
+
+let rows_from s id =
+  Relational.Pipeline.Rows
+    { table = s.facts; lo = first_row_from s id; hi = Table.nrows s.facts }
 
 let ban_id s id =
   match row_of_id s id with

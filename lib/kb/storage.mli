@@ -166,6 +166,16 @@ val iter :
     tombstoned id. *)
 val row_of_id : t -> int -> int option
 
+(** [rows_from s id] is the rows of {!table} holding the facts with
+    identifiers [>= id] — a suffix, since ids ascend along the rows —
+    as a scan source over the table itself: nothing is copied.  Taken
+    with [id] = {!next_id} before a batch of insertions, it holds exactly
+    the batch's facts, less any deleted since once compaction has run
+    (compaction keeps row order; a tombstoned row stays in it until
+    then).  The source keeps the rows it covered when called: later
+    appends, or a compaction's new {!table}, are not in it. *)
+val rows_from : t -> int -> Relational.Pipeline.source
+
 (** [copy s] is an independent deep copy.  The table is copied and the
     key index blitted onto the copy ({!Relational.Index.copy}), not
     rebuilt, and the dead-row flags copied, so {!find} on the copy

@@ -2,74 +2,63 @@
    pipelined engine ({!Pipeline}) — the probe side streams in batches
    through a probe kernel into a {!Sink}, so the local operators, the
    query planner and the per-segment MPP joins all share one kernel
-   implementation.  [index_matches] and [index_probe_into] are its
-   index-probe access path for delta terms.  The output spec types are
-   re-exported from [Pipeline]. *)
+   implementation, over a resident or a spilled probe side alike.
+   [index_matches] and [index_probe_into] are its index-probe access
+   path for delta terms.  The output spec types are re-exported from
+   [Pipeline]. *)
 
 type side = Pipeline.side = Build | Probe
 type out_col = Pipeline.out_col = Col of side * int | Const of int
 type out_weight = Pipeline.out_weight = No_weight | Weight_of of side
 
-(* Below this many probe rows the per-morsel sinks and the ordered
-   absorb cost more than they save. *)
-let parallel_probe_threshold = 2048
-
 let check_arity bidx pkey =
   if Array.length (Index.key bidx) <> Array.length pkey then
     invalid_arg "Join.hash_join: key arity mismatch"
 
-(* Streams the probe side through a probe kernel into [sink].  Inline
+(* Streams the probe source through a probe kernel into a sink; inline
    DISTINCT is the sink's dedup set (over the integer output columns),
-   so duplicate-heavy queries never materialize their raw output. *)
-let probe_into ~out ~oweight ?residual ?pool ~sink bidx (ptbl, pkey) =
+   so duplicate-heavy queries never materialize their raw output.  When
+   the ambient trace is enabled, it records rows in/out, probe time and
+   — through the shared sink abstraction — the same dedup counters a
+   standalone DISTINCT reports. *)
+let hash_join_pre ~name ~cols ~out ~oweight ?(dedup = false) ?residual ?pool
+    bidx (src, pkey) =
   check_arity bidx pkey;
+  let obs = Obs.ambient () in
+  let t0 = if Obs.enabled obs then Obs.now () else 0. in
+  let dedup_key =
+    if dedup then Some (Array.init (Array.length out) Fun.id) else None
+  in
+  let sink =
+    Sink.create ?dedup_key ~reserve:(Pipeline.rows src)
+      ~weighted:(oweight <> No_weight) ~name cols
+  in
   let chain s =
     Pipeline.probe bidx ~pkey ~out ~oweight ?residual
       ~next:(Pipeline.into_sink s) ()
   in
   ignore
-    (Pipeline.run ?pool ~threshold:parallel_probe_threshold ~source:ptbl
+    (Pipeline.run ?pool ~source:src
        ~make_sink:(fun () -> Sink.clone_empty sink)
-       ~chain ~sink ())
-
-let hash_join_pre_raw ~name ~cols ~out ~oweight ?(dedup = false) ?residual
-    ?pool bidx (ptbl, pkey) =
-  let weighted = oweight <> No_weight in
-  let dedup_key =
-    if dedup then Some (Array.init (Array.length out) Fun.id) else None
-  in
-  let sink =
-    Sink.create ?dedup_key ~reserve:(Table.nrows ptbl) ~weighted ~name cols
-  in
-  probe_into ~out ~oweight ?residual ?pool ~sink bidx (ptbl, pkey);
-  sink
-
-(* Telemetry wrapper: when the ambient trace is enabled, record rows
-   in/out, probe time and — through the shared sink abstraction — the
-   same dedup counters a standalone DISTINCT reports; when disabled this
-   is one branch over the raw join. *)
-let hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
-    (ptbl, pkey) =
-  let obs = Obs.ambient () in
-  if not (Obs.enabled obs) then
-    Sink.table
-      (hash_join_pre_raw ~name ~cols ~out ~oweight ?dedup ?residual ?pool
-         bidx (ptbl, pkey))
-  else begin
-    let t0 = Obs.now () in
-    let sink =
-      hash_join_pre_raw ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
-        (ptbl, pkey)
-    in
-    let result = Sink.table sink in
+       ~chain ~sink ());
+  let result = Sink.table sink in
+  if Obs.enabled obs then begin
     Obs.incr obs "join.joins";
     Obs.add obs "join.build_rows" (Index.size bidx);
-    Obs.add obs "join.probe_rows" (Table.nrows ptbl);
+    Obs.add obs "join.probe_rows" (Pipeline.rows src);
     Obs.add obs "join.rows_out" (Table.nrows result);
     Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0);
-    Sink.record_distinct_obs obs sink;
-    result
-  end
+    Sink.record_distinct_obs obs sink
+  end;
+  result
+
+let build tbl key =
+  let obs = Obs.ambient () in
+  let t0 = if Obs.enabled obs then Obs.now () else 0. in
+  let idx = Index.build tbl key in
+  if Obs.enabled obs then
+    Obs.add_time obs "join.build_seconds" (Obs.now () -. t0);
+  idx
 
 (* The delta-side access path: walk the small table [btbl] and probe
    [idx], a maintained index of the large table, instead of indexing
@@ -141,61 +130,11 @@ let index_probe_into ~out ~oweight ?residual ~sink (btbl, bkey) idx =
     Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0)
   end
 
-(* Segmented-probe variant: the probe side is a spilled scan source
-   rather than a resident table — each resident segment streams as one
-   morsel ({!Pipeline.run_segments}), so probing a spilled fact table
-   never materializes it.  The build side stays a resident index.  No
-   zone-map pruning here ([keep] accepts everything): a join must see
-   every probe row; pruning belongs to scan pipelines in {!Plan}. *)
-let probe_src_into ~out ~oweight ?residual ?pool ~sink bidx (psrc, pkey) =
-  check_arity bidx pkey;
-  let chain s =
-    Pipeline.probe bidx ~pkey ~out ~oweight ?residual
-      ~next:(Pipeline.into_sink s) ()
-  in
-  ignore
-    (Pipeline.run_segments ?pool ~source:psrc
-       ~keep:(fun _ -> true)
-       ~make_sink:(fun () -> Sink.clone_empty sink)
-       ~chain ~sink ())
-
-let hash_join_pre_src ~name ~cols ~out ~oweight ?(dedup = false) ?residual
-    ?pool bidx (psrc, pkey) =
-  let weighted = oweight <> No_weight in
-  let dedup_key =
-    if dedup then Some (Array.init (Array.length out) Fun.id) else None
-  in
-  let run () =
-    let sink =
-      Sink.create ?dedup_key ~reserve:(Segsrc.rows psrc) ~weighted ~name cols
-    in
-    probe_src_into ~out ~oweight ?residual ?pool ~sink bidx (psrc, pkey);
-    sink
-  in
-  let obs = Obs.ambient () in
-  if not (Obs.enabled obs) then Sink.table (run ())
-  else begin
-    let t0 = Obs.now () in
-    let sink = run () in
-    let result = Sink.table sink in
-    Obs.incr obs "join.joins";
-    Obs.add obs "join.build_rows" (Index.size bidx);
-    Obs.add obs "join.probe_rows" (Segsrc.rows psrc);
-    Obs.add obs "join.rows_out" (Table.nrows result);
-    Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0);
-    Sink.record_distinct_obs obs sink;
-    result
-  end
-
 let hash_join ~name ~cols ~out ~oweight ?dedup ?residual ?pool (btbl, bkey)
     (ptbl, pkey) =
-  let obs = Obs.ambient () in
-  let t0 = if Obs.enabled obs then Obs.now () else 0. in
-  let bidx = Index.build btbl bkey in
-  if Obs.enabled obs then
-    Obs.add_time obs "join.build_seconds" (Obs.now () -. t0);
-  hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool bidx
-    (ptbl, pkey)
+  hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool
+    (build btbl bkey)
+    (Pipeline.of_table ptbl, pkey)
 
 let semi_join_absent tbl key idx =
   Table.filter tbl (fun r -> not (Index.mem_row idx tbl key r))

@@ -59,10 +59,17 @@ val hash_join :
   Table.t * int array ->
   Table.t
 
-(** [hash_join_pre ~build_index ...] is {!hash_join} but reuses an already
-    built index on the build side (its table and key are taken from the
-    index).  This models reusing a persistent index across the queries of
-    one grounding iteration. *)
+(** [hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual idx
+    (src, pkey)] is {!hash_join} with an already built build-side index
+    (its table and key are taken from the index) — reusing a persistent
+    index across the queries of one grounding iteration — and the probe
+    side given as a {!Pipeline.source}: rows of a resident table, or a
+    spilled table's segments, which stream as one morsel each and are
+    never materialized.  The output, telemetry and bit-identical-output
+    contract are {!hash_join}'s whichever the source: a segmented source
+    yields exactly the rows of the same join over the resident table,
+    and the row ids [residual] sees are the resident table's row
+    indices.  [join.probe_rows] counts every row of the source. *)
 val hash_join_pre :
   name:string ->
   cols:string array ->
@@ -72,8 +79,13 @@ val hash_join_pre :
   ?residual:(int -> int -> bool) ->
   ?pool:Pool.t ->
   Index.t ->
-  Table.t * int array ->
+  Pipeline.source * int array ->
   Table.t
+
+(** [build tbl key] is the hash index of a join's build side, its
+    seconds recorded as [join.build_seconds] on the ambient trace (as
+    {!hash_join} records them). *)
+val build : Table.t -> int array -> Index.t
 
 (** [index_probe_into ~out ~oweight ?residual ~sink (b, bkey) idx] is
     the index-probe access path of {!hash_join}: it walks the rows of [b]
@@ -137,23 +149,6 @@ val emit_match :
   Table.t ->
   int ->
   unit
-
-(** [hash_join_pre_src ...] is {!hash_join_pre} with a segmented
-    (spilled) probe side: each resident segment of the source streams as
-    one morsel and the spilled table is never materialized.  Same output
-    spec, telemetry and bit-identical-output contract; row ids seen by
-    [residual] equal the row indices of the unspilled probe table. *)
-val hash_join_pre_src :
-  name:string ->
-  cols:string array ->
-  out:out_col array ->
-  oweight:out_weight ->
-  ?dedup:bool ->
-  ?residual:(int -> int -> bool) ->
-  ?pool:Pool.t ->
-  Index.t ->
-  Segsrc.t * int array ->
-  Table.t
 
 (** [semi_join_absent tbl key idx] is the anti-semi-join: the rows of [tbl]
     whose [key] columns match no row of the index.  Used to keep only facts

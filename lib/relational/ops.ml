@@ -11,7 +11,8 @@ let distinct_sink ?pool t key =
       ~name:(Table.name t) (Table.cols t)
   in
   ignore
-    (Pipeline.run ?pool ~threshold:parallel_distinct_threshold ~source:t
+    (Pipeline.run ?pool ~threshold:parallel_distinct_threshold
+       ~source:(Pipeline.of_table t)
        ~make_sink:(fun () -> Sink.clone_empty sink)
        ~chain:Pipeline.into_sink ~sink ());
   sink

@@ -1,7 +1,8 @@
 (* Push-based, batch-at-a-time operator pipelines (HyPer-style morsel
    parallelism over MonetDB/X100-style vectorized kernels).
 
-   A pipeline is: a source table scanned in fixed-size batches, a chain
+   A pipeline is: a source (rows of a resident table, or the segments
+   of a spilled one) scanned in fixed-size batches, a chain
    of kernels transforming batches in flight, and a sink materializing
    the survivors.  The only materialization points are sinks — filters,
    projections and hash-probe chains never produce a Table.t.
@@ -125,16 +126,23 @@ let probe idx ~pkey ~out ~oweight ?residual ~next () =
 
 (* --- the morsel driver --- *)
 
+type source =
+  | Rows of { table : Table.t; lo : int; hi : int }
+  | Segments of { src : Segsrc.t; keep : Segsrc.seg -> bool }
+
+let of_table t = Rows { table = t; lo = 0; hi = Table.nrows t }
+
+let rows = function
+  | Rows { lo; hi; _ } -> hi - lo
+  | Segments { src; _ } -> Segsrc.rows src
+
 let default_parallel_threshold = 2048
 let min_morsel_rows = 1024
 
-(* Scans rows [lo, hi) of [tbl] through [kernel] in batches, counting the
-   batches produced; flushes the chain at the end. *)
-let scan_range ~batch_capacity kernel tbl lo hi =
-  let b =
-    Batch.create ~capacity:batch_capacity ~weighted:(Table.weighted tbl)
-      (Table.width tbl)
-  in
+(* Scans rows [lo, hi) of [tbl] through [kernel] in batches; returns the
+   number of batches pushed. *)
+let scan_rows tbl lo hi kernel =
+  let b = Batch.create ~weighted:(Table.weighted tbl) (Table.width tbl) in
   let batches = ref 0 in
   for r = lo to hi - 1 do
     if Batch.is_full b then begin
@@ -149,44 +157,81 @@ let scan_range ~batch_capacity kernel tbl lo hi =
     kernel.push b;
     Batch.clear b
   end;
-  kernel.flush ();
   !batches
 
-let run ?pool ?(batch_capacity = Batch.default_capacity)
-    ?(threshold = default_parallel_threshold) ~source ~make_sink ~chain ~sink
-    () =
-  let n = Table.nrows source in
-  let pool = match pool with Some p -> p | None -> Pool.get_default () in
-  let nworkers = Pool.size pool in
-  let obs = Obs.ambient () in
-  let enabled = Obs.enabled obs in
-  let now () = if enabled then Obs.now () else 0. in
-  let t0 = now () in
-  let batches, busy, skew =
-    if nworkers <= 1 || n < threshold then begin
-      let t = now () in
-      let batches = scan_range ~batch_capacity (chain sink) source 0 n in
-      (batches, now () -. t, 1.)
-    end
+(* The morsels of [source], each a scan into a kernel, and whether they
+   run in parallel.  Resident rows are one morsel sequentially, or split
+   into contiguous runs of at least [min_morsel_rows]; a segmented
+   source has one morsel per kept segment either way, and skipped
+   segments still advance the row ids, so surviving rows carry the same
+   ids as an unspilled scan. *)
+let morsels ~nworkers ~threshold = function
+  | Rows { table; lo; hi } ->
+    let n = hi - lo in
+    if nworkers <= 1 || n < threshold then ([| scan_rows table lo hi |], false)
     else begin
-      (* Morsel-driven: contiguous morsels, dynamically scheduled over
-         the pool, each with a private sink absorbed in morsel order. *)
       let nm =
         min (nworkers * 4)
           (max 1 ((n + min_morsel_rows - 1) / min_morsel_rows))
       in
       let chunk = (n + nm - 1) / nm in
+      ( Array.init nm (fun i ->
+            scan_rows table
+              (min hi (lo + (i * chunk)))
+              (min hi (lo + ((i + 1) * chunk)))),
+        true )
+    end
+  | Segments { src; keep } ->
+    let base = ref 0 and kept = ref [] in
+    Array.iter
+      (fun (seg : Segsrc.seg) ->
+        let base_rid = !base in
+        if seg.rows > 0 && keep seg then
+          kept :=
+            (fun k ->
+              seg.scan ~capacity:Batch.default_capacity ~base_rid k.push)
+            :: !kept;
+        base := !base + seg.rows)
+      src.segs;
+    let kept = Array.of_list (List.rev !kept) in
+    (kept, nworkers > 1 && Array.length kept > 1)
+
+(* Sequentially, one kernel chain consumes every morsel in order with a
+   single flush at the end; in parallel, each morsel streams through a
+   private chain and sink, and the sinks are absorbed in morsel order.
+   Kernels emit in row order either way, so the output is bit-identical
+   at any pool size (dedup sinks re-check while absorbing). *)
+let run ?pool ?(threshold = default_parallel_threshold) ~source ~make_sink
+    ~chain ~sink () =
+  let pool = match pool with Some p -> p | None -> Pool.get_default () in
+  let morsels, parallel =
+    morsels ~nworkers:(Pool.size pool) ~threshold source
+  in
+  let nm = Array.length morsels in
+  let obs = Obs.ambient () in
+  let enabled = Obs.enabled obs in
+  let now () = if enabled then Obs.now () else 0. in
+  let t0 = now () in
+  let batches, busy, skew =
+    if not parallel then begin
+      let t = now () in
+      let kernel = chain sink in
+      let batches =
+        Array.fold_left (fun b scan -> b + scan kernel) 0 morsels
+      in
+      kernel.flush ();
+      (batches, now () -. t, 1.)
+    end
+    else begin
       let batches, busy, max_rows, total_rows =
         Pool.map_reduce pool ~n:nm
           ~map:(fun i ->
-            let lo = i * chunk and hi = min n ((i + 1) * chunk) in
             let s = make_sink () in
             let t = now () in
-            let batches =
-              if lo < hi then scan_range ~batch_capacity (chain s) source lo hi
-              else 0
-            in
-            (s, batches, now () -. t))
+            let kernel = chain s in
+            let b = morsels.(i) kernel in
+            kernel.flush ();
+            (s, b, now () -. t))
           ~fold:(fun (batches, busy, max_rows, total_rows) (s, b, sec) ->
             let rows = Sink.rows_out s in
             Sink.absorb sink (Sink.table s);
@@ -200,95 +245,15 @@ let run ?pool ?(batch_capacity = Batch.default_capacity)
   in
   if enabled then begin
     Obs.incr obs "pipeline.runs";
-    Obs.add obs "pipeline.rows" n;
-    Obs.add obs "pipeline.batches" batches;
-    Obs.add_time obs "pipeline.busy_seconds" busy;
-    Obs.add_time obs "pipeline.seconds" (now () -. t0);
-    Obs.gauge_max obs "pipeline.morsel_skew" skew
-  end;
-  batches
-
-(* --- the segmented-source driver --- *)
-
-(* Drives a pipeline whose source is a spilled (segmented) table: each
-   resident segment is one morsel.  [keep] is the partition-pruning
-   predicate — segments it rejects are never touched (their pages stay
-   cold); pruning must be semantically transparent, i.e. [keep] may only
-   reject segments none of whose rows can survive the downstream chain.
-
-   Determinism matches {!run}: sequentially, one kernel chain consumes
-   the kept segments in order with a single flush at the end; in
-   parallel, each segment streams through a private chain/sink and the
-   sinks are absorbed in segment order.  Kernels emit in row order
-   either way, so the output is bit-identical to a scan of the unspilled
-   table at any pool size (dedup sinks re-check while absorbing, exactly
-   as the morsel driver's). *)
-let run_segments ?pool ?(batch_capacity = Batch.default_capacity) ~source
-    ~keep ~make_sink ~chain ~sink () =
-  let segs = source.Segsrc.segs in
-  let nseg = Array.length segs in
-  (* Base rids: skipped segments still advance them, so surviving rows
-     carry the same source row ids as an unspilled scan. *)
-  let bases = Array.make (max 1 nseg) 0 in
-  let nrows = ref 0 in
-  for i = 0 to nseg - 1 do
-    bases.(i) <- !nrows;
-    nrows := !nrows + segs.(i).Segsrc.rows
-  done;
-  let kept = ref [] in
-  for i = nseg - 1 downto 0 do
-    if segs.(i).Segsrc.rows > 0 && keep segs.(i) then kept := i :: !kept
-  done;
-  let kept = Array.of_list !kept in
-  let nkept = Array.length kept in
-  let pool = match pool with Some p -> p | None -> Pool.get_default () in
-  let nworkers = Pool.size pool in
-  let obs = Obs.ambient () in
-  let enabled = Obs.enabled obs in
-  let now () = if enabled then Obs.now () else 0. in
-  let t0 = now () in
-  let scan_one kernel i =
-    segs.(i).Segsrc.scan ~capacity:batch_capacity ~base_rid:bases.(i)
-      kernel.push
-  in
-  let batches, busy, skew =
-    if nworkers <= 1 || nkept <= 1 then begin
-      let t = now () in
-      let kernel = chain sink in
-      let batches = ref 0 in
-      Array.iter (fun i -> batches := !batches + scan_one kernel i) kept;
-      kernel.flush ();
-      (!batches, now () -. t, 1.)
-    end
-    else begin
-      let batches, busy, max_rows, total_rows =
-        Pool.map_reduce pool ~n:nkept
-          ~map:(fun j ->
-            let s = make_sink () in
-            let t = now () in
-            let kernel = chain s in
-            let b = scan_one kernel kept.(j) in
-            kernel.flush ();
-            (s, b, now () -. t))
-          ~fold:(fun (batches, busy, max_rows, total_rows) (s, b, sec) ->
-            let rows = Sink.rows_out s in
-            Sink.absorb sink (Sink.table s);
-            Sink.add_pushed sink (Sink.pushed s);
-            (batches + b, busy +. sec, max max_rows rows, total_rows + rows))
-          ~init:(0, 0., 0, 0)
-      in
-      let mean = float_of_int total_rows /. float_of_int nkept in
-      (batches, busy, if mean > 0. then float_of_int max_rows /. mean else 1.)
-    end
-  in
-  if enabled then begin
-    Obs.incr obs "pipeline.runs";
-    Obs.add obs "pipeline.rows" !nrows;
+    Obs.add obs "pipeline.rows" (rows source);
     Obs.add obs "pipeline.batches" batches;
     Obs.add_time obs "pipeline.busy_seconds" busy;
     Obs.add_time obs "pipeline.seconds" (now () -. t0);
     Obs.gauge_max obs "pipeline.morsel_skew" skew;
-    Obs.add obs "storage.segments_scanned" nkept;
-    Obs.add obs "storage.segments_skipped" (nseg - nkept)
+    match source with
+    | Segments { src; _ } ->
+      Obs.add obs "storage.segments_scanned" nm;
+      Obs.add obs "storage.segments_skipped" (Array.length src.segs - nm)
+    | Rows _ -> ()
   end;
   batches

@@ -1,18 +1,19 @@
 (** Push-based, batch-at-a-time operator pipelines.
 
     This is the execution engine under {!Join}, {!Ops} and {!Plan}: a
-    source table is scanned in {!Batch.t} chunks, a chain of kernels
+    {!source} — rows of a resident table or the segments of a spilled
+    one — is scanned in {!Batch.t} chunks, a chain of kernels
     transforms each batch in flight (filters compact in place, probes
     stream against prebuilt hash indexes), and a {!Sink.t} materializes
     the survivors.  The only pipeline breakers are hash-table build
     sides, DISTINCT (a dedup sink) and sorts — Scan→Select→Project→probe
     chains never materialize an intermediate table.
 
-    Parallelism is morsel-driven: the driver splits the source scan into
-    contiguous morsels, dynamically scheduled over the domain pool; each
-    worker runs the whole kernel chain over its morsel into a private
-    sink, and the private sinks are absorbed into the global sink in
-    morsel order.  Output is therefore bit-identical to the sequential
+    Parallelism is morsel-driven: one driver ({!run}) splits either kind
+    of source into contiguous morsels, dynamically scheduled over the
+    domain pool; each worker runs the whole kernel chain over its morsel
+    into a private sink, and the private sinks are absorbed into the
+    global sink in morsel order.  Output is therefore bit-identical to the sequential
     engine for any pool size — including first-occurrence semantics of
     dedup sinks, which re-check their dedup set while absorbing. *)
 
@@ -57,44 +58,45 @@ val probe :
   unit ->
   kernel
 
-(** Source-row count below which {!run} stays sequential (the per-morsel
-    sinks and the ordered absorb cost more than they save). *)
-val default_parallel_threshold : int
+(** What {!run} scans. *)
+type source =
+  | Rows of { table : Table.t; lo : int; hi : int }
+      (** rows [lo, hi)] of a resident table; the row ids the kernels
+          see are the table's own row indices *)
+  | Segments of { src : Segsrc.t; keep : Segsrc.seg -> bool }
+      (** a segmented (spilled) table.  Segments [keep] rejects are
+          never read: [keep] may only reject segments none of whose rows
+          could survive the chain, so pruning changes counters, never
+          results.  Row ids equal the row indices of the unspilled
+          table, skipped segments included. *)
 
-(** [run ~source ~make_sink ~chain ~sink ()] drives a full pipeline:
-    scans [source] through [chain sink] sequentially, or — when the pool
-    has workers and the source clears [threshold] — through
-    [chain (make_sink ())] per morsel with ordered absorption into
-    [sink].  [chain] must build a fresh kernel chain ending at the given
-    sink each time it is called.  Returns the number of source batches
-    scanned; records [pipeline.*] counters and the morsel-skew gauge on
-    the ambient trace when enabled. *)
+(** [of_table t] is every row of [t]. *)
+val of_table : Table.t -> source
+
+(** [rows s] is the number of rows [s] covers, rejected segments
+    included. *)
+val rows : source -> int
+
+(** [run ~source ~make_sink ~chain ~sink ()] drives a full pipeline over
+    [source] in morsels.  Resident rows are one morsel, or — when the
+    pool has workers and the rows clear [threshold] (default 2,048;
+    below it the per-morsel sinks and the ordered absorb cost more than
+    they save) — contiguous runs of at least 1,024 rows; each kept
+    segment is one morsel.  Sequentially
+    one [chain sink] consumes every morsel in order and is flushed once;
+    in parallel each morsel runs through [chain (make_sink ())] and the
+    private sinks are absorbed into [sink] in morsel order.  [chain]
+    must build a fresh kernel chain ending at the given sink each time
+    it is called.  Output is bit-identical to a sequential scan of the
+    resident table at any pool size.  Returns the number of source
+    batches scanned; records [pipeline.*] counters and the morsel-skew
+    gauge on the ambient trace when enabled, plus
+    [storage.segments_scanned] / [storage.segments_skipped] for a
+    segmented source. *)
 val run :
   ?pool:Pool.t ->
-  ?batch_capacity:int ->
   ?threshold:int ->
-  source:Table.t ->
-  make_sink:(unit -> Sink.t) ->
-  chain:(Sink.t -> kernel) ->
-  sink:Sink.t ->
-  unit ->
-  int
-
-(** [run_segments ~source ~keep ~make_sink ~chain ~sink ()] is {!run}
-    over a segmented (spilled) source: each segment [keep] accepts is
-    one morsel; rejected segments are never read (partition pruning —
-    [keep] may only reject segments none of whose rows could survive the
-    chain, so pruning changes counters, never results).  Sequentially
-    the kept segments stream in order through one chain with a single
-    final flush; in parallel each segment runs a private chain/sink,
-    absorbed in segment order — output is bit-identical to scanning the
-    unspilled table at any pool size.  Records the [pipeline.*] counters
-    plus [storage.segments_scanned] / [storage.segments_skipped]. *)
-val run_segments :
-  ?pool:Pool.t ->
-  ?batch_capacity:int ->
-  source:Segsrc.t ->
-  keep:(Segsrc.seg -> bool) ->
+  source:source ->
   make_sink:(unit -> Sink.t) ->
   chain:(Sink.t -> kernel) ->
   sink:Sink.t ->

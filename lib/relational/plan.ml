@@ -365,11 +365,6 @@ let count_kernel nm (next : Pipeline.kernel) =
     flush = next.Pipeline.flush;
   }
 
-(* What a streaming spine reads from: a resident table (morsel-split by
-   {!Pipeline.run}) or a segmented spilled source ({!Pipeline.run_segments},
-   one segment per morsel, zone-map pruned). *)
-type spine_src = Src_table of Table.t | Src_segments of Segsrc.t
-
 (* Executes [p] on the pipelined engine.  Streaming spines
    (Scan→Select→Project→probe chains) run batch-at-a-time into a single
    sink; only hash build sides, [Distinct] (a dedup sink) and
@@ -381,9 +376,10 @@ let run_pipelined ?pool ?m p =
   let with_meter q next =
     match meter q with Some nm -> count_kernel nm next | None -> next
   in
-  (* [spine q] decomposes the streaming prefix of [q]: returns the
-     source table, a kernel-chain builder (applied to the terminal
-     kernel), and the streaming nodes of the pipeline for metering. *)
+  (* [spine ~keep q] decomposes the streaming prefix of [q]: returns
+     its source (a resident table, or a segmented scan pruned by
+     [keep]), a kernel-chain builder (applied to the terminal kernel),
+     and the streaming nodes of the pipeline for metering. *)
   let rec exec p : Table.t =
     match p with
     | Scan tbl ->
@@ -413,7 +409,7 @@ let run_pipelined ?pool ?m p =
       drive ~root:p ~dedup:None p
   and drive ~root ~dedup stream =
     let t0 = Obs.now () in
-    let src, build, nodes = spine stream in
+    let src, build, nodes = spine ~keep:(segment_keep stream) stream in
     let sink =
       Sink.create ?dedup_key:dedup
         ~reserve:(estimate_rows root)
@@ -421,14 +417,7 @@ let run_pipelined ?pool ?m p =
     in
     let chain s = build (Pipeline.into_sink s) in
     let make_sink () = Sink.clone_empty sink in
-    let batches =
-      match src with
-      | Src_table source ->
-        Pipeline.run ?pool ~source ~make_sink ~chain ~sink ()
-      | Src_segments source ->
-        Pipeline.run_segments ?pool ~source ~keep:(segment_keep stream)
-          ~make_sink ~chain ~sink ()
-    in
+    let batches = Pipeline.run ?pool ~source:src ~make_sink ~chain ~sink () in
     let out = Sink.table sink in
     note_intermediate bytes out;
     let elapsed = Obs.now () -. t0 in
@@ -453,17 +442,17 @@ let run_pipelined ?pool ?m p =
       | None -> ())
     | None -> ());
     out
-  and spine q =
+  and spine ~keep q =
     match q with
     | Select (pred, child) ->
-      let src, build, nodes = spine child in
+      let src, build, nodes = spine ~keep child in
       let pb = compile_pred_batch pred in
       ( src,
         (fun next -> build (Pipeline.select pb ~next:(with_meter q next))),
         q :: nodes )
     | Project (cols, child) ->
       let weighted = plan_weighted child in
-      let src, build, nodes = spine child in
+      let src, build, nodes = spine ~keep child in
       ( src,
         (fun next ->
           build
@@ -478,7 +467,7 @@ let run_pipelined ?pool ?m p =
       let btbl = exec bplan in
       let bidx = Index.build btbl bkey in
       let out = join_out ~build_left (width left) (width right) in
-      let src, build, nodes = spine pplan in
+      let src, build, nodes = spine ~keep pplan in
       ( src,
         (fun next ->
           build
@@ -489,10 +478,9 @@ let run_pipelined ?pool ?m p =
       (match meter q with
       | Some nm -> Atomic.set nm.rows (Segsrc.rows s)
       | None -> ());
-      (Src_segments s, Fun.id, [ q ])
+      (Pipeline.Segments { src = s; keep }, Fun.id, [ q ])
     | Scan _ | Distinct _ | Order_by _ ->
-      let tbl = exec q in
-      (Src_table tbl, Fun.id, [])
+      (Pipeline.of_table (exec q), Fun.id, [])
   in
   let out = exec p in
   record_intermediate_bytes bytes;

@@ -68,15 +68,6 @@ let seg_of_table ?(lo = 0) ?hi tbl =
   in
   { rows = n; mins; maxs; scan }
 
-let of_table tbl =
-  {
-    name = Table.name tbl;
-    cols = Table.cols tbl;
-    weighted = Table.weighted tbl;
-    stats = Colstats.stats_for tbl;
-    segs = [| seg_of_table tbl |];
-  }
-
 (* Materialize the whole source back into a table (the reference path:
    identity checks and the materializing executor). *)
 let to_table t =

@@ -3,8 +3,8 @@
     A source is an ordered array of immutable segments, each knowing its
     row count, per-column min/max zone maps, and how to stream its rows
     out as {!Batch.t} chunks.  The storage layer ([lib/storage]) builds
-    these over mmap'd column-segment files; {!Pipeline.run_segments}
-    drives them (one segment = one morsel) and {!Plan} prunes segments
+    these over mmap'd column-segment files; {!Pipeline.run} drives them
+    (one segment = one morsel) and {!Plan} prunes segments
     whose zone maps exclude a scan's predicates.  Row ids handed out by
     a segmented scan equal the row indices of the unspilled table, so
     downstream residual predicates behave identically. *)
@@ -37,9 +37,6 @@ val rows : t -> int
     in-memory table as one segment — the tail of a partially spilled
     table, or a test double. *)
 val seg_of_table : ?lo:int -> ?hi:int -> Table.t -> seg
-
-(** [of_table tbl] is a single-segment in-memory source over [tbl]. *)
-val of_table : Table.t -> t
 
 (** [to_table t] materializes the source back into an in-memory table
     (identity checks; the materializing executor). *)

@@ -218,6 +218,16 @@ let sync st tbl =
       ~segment_rows:st.segment_rows (old @ fresh)
   end
 
+(* Only the store's own files go: a directory that holds anything else
+   is kept. *)
+let remove st =
+  let rm f =
+    try Sys.remove (Filename.concat st.dir f) with Sys_error _ -> ()
+  in
+  Array.iter rm st.seg_files;
+  rm manifest_name;
+  try Sys.rmdir st.dir with Sys_error _ -> ()
+
 (* --- manifest parsing --- *)
 
 exception Corrupt = Segment.Corrupt
@@ -266,11 +276,28 @@ let open_dir dir =
         | [ n ] -> n
         | _ -> corrupt "%s: malformed name line" path
       in
+      (* A count read from the file never sizes an allocation: [lines]
+         reads one line per element, so a huge count ends in a truncated
+         manifest. *)
+      let count tag =
+        let n = one_int tag (next ()) in
+        if n < 0 then corrupt "%s: negative %s %d" path tag n;
+        n
+      in
+      let lines n f =
+        let rec go acc k =
+          if k = 0 then Array.of_list (List.rev acc)
+          else go (f () :: acc) (k - 1)
+        in
+        go [] n
+      in
       let weighted = one_int "weighted" (next ()) <> 0 in
       let segment_rows = one_int "segment_rows" (next ()) in
-      let width = one_int "width" (next ()) in
+      if segment_rows < 1 then
+        corrupt "%s: segment_rows %d < 1" path segment_rows;
+      let width = count "width" in
       let cols =
-        Array.init width (fun _ ->
+        lines width (fun () ->
             match expect_tag "col" (next ()) with
             | [ c ] -> c
             | _ -> corrupt "%s: malformed col line" path)
@@ -289,16 +316,20 @@ let open_dir dir =
       let ndv = int_array "ndv" (next ()) in
       let mins = int_array "mins" (next ()) in
       let maxs = int_array "maxs" (next ()) in
-      let nseg = one_int "segments" (next ()) in
-      let seg_files = Array.make nseg "" in
-      let seg_rows = Array.make nseg 0 in
-      for i = 0 to nseg - 1 do
-        match expect_tag "seg" (next ()) with
-        | [ f; n ] ->
-          seg_files.(i) <- f;
-          seg_rows.(i) <- int_of n
-        | _ -> corrupt "%s: malformed seg line" path
-      done;
+      let segs =
+        lines (count "segments") (fun () ->
+            match expect_tag "seg" (next ()) with
+            | [ f; n ] ->
+              (match (Unix.stat (Filename.concat dir f)).Unix.st_kind with
+              | Unix.S_REG -> ()
+              | _ | (exception Unix.Unix_error _) ->
+                corrupt "%s: no segment file %S" path f);
+              let n = int_of n in
+              if n < 1 then corrupt "%s: segment %S holds %d rows" path f n;
+              (f, n)
+            | _ -> corrupt "%s: malformed seg line" path)
+      in
+      let seg_files = Array.map fst segs and seg_rows = Array.map snd segs in
       (match next () with
       | "end" -> ()
       | l -> corrupt "%s: expected end, got %S" path l);
@@ -342,8 +373,15 @@ let tail_stats st tail stored =
 
 let source ?tail st =
   let disk =
-    Array.map
-      (fun f -> Segment.to_seg (Segment.openf (Filename.concat st.dir f)))
+    Array.mapi
+      (fun i f ->
+        let seg = Segment.openf (Filename.concat st.dir f) in
+        if
+          Segment.rows seg <> st.seg_rows.(i)
+          || Segment.width seg <> Array.length st.cols
+          || Segment.weighted seg <> st.weighted
+        then corrupt "%s: segment %S does not match the manifest" st.dir f;
+        Segment.to_seg seg)
       st.seg_files
   in
   let stored = rows st in

@@ -42,6 +42,11 @@ val open_dir : string -> t
     [>= rows st] become one extra segment). *)
 val source : ?tail:Relational.Table.t -> t -> Relational.Segsrc.t
 
+(** [remove st] deletes the store's segment files and MANIFEST, then its
+    directory if nothing else is left in it; files already gone are
+    skipped.  [st] must not be scanned afterwards. *)
+val remove : t -> unit
+
 (** [to_table st] materializes the stored rows back into memory. *)
 val to_table : t -> Relational.Table.t
 

@@ -7,7 +7,9 @@ Expands a generated KB with its semantic constraints enforced on each
 route at PROBKB_DOMAINS=1 and 4.  The spilled route runs with
 `--spill-threshold 0 --segment-rows 128`, so the fact table spills
 before the first join and every constraint pass compacts a spilled
-table; its spill directory must have received segments.  All six runs
+table; its spill directory must hold exactly one fact-table store
+(`tpi-*`) at the end: the copy a compaction made stale is removed, the
+live one kept.  All six runs
 must write the same facts (`--out`, compared sorted) and report the
 same `new_fact_count`, `removed_by_constraints`, `n_factors`,
 `iterations` and trajectory in `--metrics json`; each route's pool-1
@@ -58,8 +60,11 @@ def run(exe, data, out_dir, route, domains):
                           timeout=600)
     if proc.returncode != 0:
         fail(f"{name} exited {proc.returncode}:\n{proc.stderr}")
-    if route == "spilled" and not os.listdir(spill_dir):
-        fail(f"{name}: nothing was spilled to {spill_dir}")
+    if route == "spilled":
+        stores = [e for e in os.listdir(spill_dir) if e.startswith("tpi-")]
+        if len(stores) != 1:
+            fail(f"{name}: {len(stores)} fact-table stores left in "
+                 f"{spill_dir}, not one: {sorted(stores)}")
     expansion = json.loads(proc.stdout)["expansion"]
     with open(out) as f:
         lines = f.readlines()

@@ -120,4 +120,4 @@ let factors_delta p pat pi ~delta ~watermark g =
       in
       n + Queries.resolve_heads rows pi g)
     0
-    (Queries.delta_terms p pat ~delta)
+    (Queries.delta_terms p pat ~delta:(Relational.Pipeline.of_table delta))

@@ -341,7 +341,7 @@ let naive_run ?apply_constraints kb =
       Grounding.Ground.stage = "ground";
       cat = "grounding";
       atoms =
-        (fun ~delta:_ patterns ->
+        (fun ~delta_from:_ patterns ->
           List.map
             (fun pat ->
               (pat, Grounding.Queries.ground_atoms prepared pat pi, 0.))
@@ -456,8 +456,9 @@ let route_digests () =
            trajectory)
   in
   (* [f] under a zero-threshold spill policy in a fresh directory, which
-     must have received segments. *)
-  let with_spill spilled f =
+     must have received segments — on the single node, exactly one TΠ
+     store: a copy made stale by a compaction is removed. *)
+  let with_spill ?(single = false) spilled f =
     if not spilled then f None
     else begin
       let dir = Filename.temp_dir "probkb-routes" "" in
@@ -465,13 +466,19 @@ let route_digests () =
         f (Some (Storage.Spill.create ~segment_rows:128 ~threshold_bytes:0 ~root:dir ()))
       in
       check_bool "segments written" true (Array.length (Sys.readdir dir) > 0);
+      if single then
+        check_int "one TΠ store left" 1
+          (List.length
+             (List.filter
+                (String.starts_with ~prefix:"tpi-")
+                (Array.to_list (Sys.readdir dir))));
       ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
       d
     end
   in
   let single ?(spilled = false) ?(omega = false) () =
     let kb = Tutil.copy_gamma kb in
-    with_spill spilled @@ fun spill ->
+    with_spill ~single:true spilled @@ fun spill ->
     let r =
       Grounding.Ground.run
         ~options:
@@ -488,21 +495,16 @@ let route_digests () =
   let incremental () =
     let kb = Tutil.copy_gamma kb in
     ignore (Grounding.Ground.closure kb);
-    let pi = Kb.Gamma.pi kb in
-    let before = Kb.Storage.size pi in
+    let first = Kb.Storage.next_id (Kb.Gamma.pi kb) in
     let rng = Workload.Rng.create 11 in
     for i = 1 to 6 do
       let r, x, c1, y, c2 = Workload.Reverb_sherlock.random_fact g rng in
       ignore (Kb.Gamma.add_fact kb ~r ~x ~c1 ~y ~c2 ~w:(0.5 +. (0.05 *. float i)))
     done;
-    let facts = Kb.Storage.table pi in
-    let delta =
-      Table.sub facts (Array.init (Table.nrows facts - before) (( + ) before))
-    in
     let r =
       Grounding.Ground.closure
         ~options:
-          { Grounding.Ground.default_options with initial_delta = Some delta }
+          { Grounding.Ground.default_options with delta_from = Some first }
         kb
     in
     check_bool "delta derived facts" true (r.Grounding.Ground.new_fact_count > 0);
@@ -623,10 +625,16 @@ let graph_rows g =
   List.rev !acc
 
 (* Every two-atom pattern's delta terms on [delta], index-probed and
-   scan-probed, at pools 1 and 4. *)
+   scan-probed (the oracles read a copy of its rows), at pools 1 and 4. *)
 let delta_terms_agree kb ~delta ~watermark =
   let p = Grounding.Queries.prepare (Kb.Gamma.partitions kb) in
   let pi = Kb.Gamma.pi kb in
+  let copy =
+    match delta with
+    | Relational.Pipeline.Rows { table; lo; hi } ->
+      Table.sub table (Array.init (hi - lo) (( + ) lo))
+    | Segments { src; _ } -> Relational.Segsrc.to_table src
+  in
   List.for_all
     (fun d ->
       Pool.set_default_size d;
@@ -636,13 +644,13 @@ let delta_terms_agree kb ~delta ~watermark =
           List.for_all
             (fun pat ->
               let atoms = Grounding.Queries.ground_atoms_delta p pat pi ~delta
-              and atoms' = Join_oracle.atoms_delta p pat pi ~delta in
+              and atoms' = Join_oracle.atoms_delta p pat pi ~delta:copy in
               let g = Fgraph.create () and g' = Fgraph.create () in
               let n =
                 Grounding.Queries.ground_factors_delta p pat pi ~delta
                   ~watermark g
               and n' =
-                Join_oracle.factors_delta p pat pi ~delta ~watermark g'
+                Join_oracle.factors_delta p pat pi ~delta:copy ~watermark g'
               in
               same_table atoms atoms' && n = n'
               && graph_rows g = graph_rows g')
@@ -697,7 +705,7 @@ let delta_of kb rows =
   let t = Kb.Storage.table (Kb.Gamma.pi kb) in
   let d = Table.create ~weighted:true ~name:"delta" tpi_cols in
   List.iter (fun r -> Table.append_from d t r) rows;
-  d
+  Relational.Pipeline.of_table d
 
 (* [f d] at pools 1 and 4, each comparing the delta closure of KBs
    against the naive oracle bit for bit under the given [omega]s with
@@ -804,10 +812,6 @@ let prop_delta_terms_match_scan =
            id — both-new instances hit the residual. *)
         Kb.Storage.build_partial_indexes pi;
         let watermark = Kb.Storage.next_id pi in
-        let before = Kb.Storage.size pi in
-        let added () =
-          delta_of kb (List.init (Kb.Storage.size pi - before) (( + ) before))
-        in
         for _ = 1 to 1 + Random.State.int st 4 do
           let r, x, c1, y, c2 = fact () in
           ignore (Kb.Gamma.add_fact kb ~r ~x ~c1 ~y ~c2 ~w:0.5)
@@ -817,10 +821,11 @@ let prop_delta_terms_match_scan =
              ~options:
                {
                  Grounding.Ground.default_options with
-                 initial_delta = Some (added ());
+                 delta_from = Some watermark;
                }
              kb);
-        delta_terms_agree kb ~delta:(added ()) ~watermark
+        delta_terms_agree kb ~delta:(Kb.Storage.rows_from pi watermark)
+          ~watermark
       end
       else begin
         (* The overdelete shape: an arbitrary frontier (duplicates

@@ -136,6 +136,92 @@ let test_random_plans_differential () =
           (tables_identical reference (Plan.run_materializing ~pool:p4 plan))
       done)
 
+(* The driver's other two sources against materialized references, at
+   pools 1 and 4: rows [lo, hi) of a table with lo > 0, whose probe
+   residual must see the table's own row indices, and a segmented source
+   whose keep predicate skips the segments the chain's select rejects.
+   The table's column 0 ascends (i / 4), so zone maps can exclude
+   segments; column 1 is the join key. *)
+let test_sources_differential () =
+  let st = Tutil.rng 433 in
+  let w = (base_tables st).(2) in
+  let s = Table.create ~name:"s" [| "s0"; "s1" |] in
+  for i = 0 to 2999 do
+    Table.append s [| i / 4; Random.State.int st 12 |]
+  done;
+  let idx = Relational.Index.build w [| 0 |] in
+  let out = Pipeline.[| Col (Build, 1); Col (Probe, 0); Col (Probe, 1) |] in
+  let oweight = Pipeline.Weight_of Build in
+  let keep br rid = (br + Table.get s rid 0) mod 3 <> 0 in
+  let run pool source ~select =
+    let sink =
+      Sink.create ~dedup_key:[| 0; 1; 2 |] ~weighted:true ~name:"out"
+        [| "b"; "s0"; "s1" |]
+    in
+    let chain sk =
+      let next =
+        Pipeline.probe idx ~pkey:[| 1 |] ~out ~oweight ~residual:keep
+          ~next:(Pipeline.into_sink sk) ()
+      in
+      if select then Pipeline.select (fun b r -> Batch.get b r 0 < 400) ~next
+      else next
+    in
+    ignore
+      (Pipeline.run ~pool ~source
+         ~make_sink:(fun () -> Sink.clone_empty sink)
+         ~chain ~sink ());
+    Sink.table sink
+  in
+  let reference ~residual probe =
+    Relational.Join.hash_join ~name:"ref" ~cols:[| "b"; "s0"; "s1" |] ~out
+      ~oweight ~dedup:true ~residual (w, [| 0 |]) (probe, [| 1 |])
+  in
+  let lo = 700 and hi = 2950 in
+  let rows_ref =
+    reference
+      ~residual:(fun br row -> keep br (lo + row))
+      (Table.sub s (Array.init (hi - lo) (( + ) lo)))
+  in
+  let rejected = ref 0 in
+  let segments =
+    Pipeline.Segments
+      {
+        src =
+          {
+            Relational.Segsrc.name = "s";
+            cols = Table.cols s;
+            weighted = false;
+            stats = Relational.Colstats.stats_for s;
+            segs =
+              Array.init 8 (fun i ->
+                  Relational.Segsrc.seg_of_table ~lo:(i * 375)
+                    ~hi:((i + 1) * 375) s);
+          };
+        keep =
+          (fun seg ->
+            let k = seg.Relational.Segsrc.mins.(0) < 400 in
+            if not k then incr rejected;
+            k);
+      }
+  in
+  let segs_ref =
+    reference ~residual:(fun br row -> Table.get s row 0 < 400 && keep br row) s
+  in
+  with_pools (fun p1 p4 ->
+      List.iter
+        (fun (label, pool) ->
+          Alcotest.(check bool)
+            (label ^ ": rows [lo, hi) identical")
+            true
+            (tables_identical rows_ref
+               (run pool (Pipeline.Rows { table = s; lo; hi }) ~select:false));
+          Alcotest.(check bool)
+            (label ^ ": kept segments identical")
+            true
+            (tables_identical segs_ref (run pool segments ~select:true)))
+        [ ("pool 1", p1); ("pool 4", p4) ]);
+  check_int "segments skipped, twice" 6 !rejected
+
 (* The grounding workload itself: every Query 1-i plan over a grounded
    ReVerb-Sherlock TΠ.  At scale 0.005 after 4 iterations TΠ holds 3,812
    facts, above the 2,048-row threshold where the pipelined engine splits
@@ -292,7 +378,7 @@ let test_pipeline_empty_flush () =
   let t = Table.create ~name:"empty" [| "a" |] in
   let sink = Sink.create ~name:"out" [| "a" |] in
   let n =
-    Pipeline.run ~source:t
+    Pipeline.run ~source:(Pipeline.of_table t)
       ~make_sink:(fun () -> Sink.clone_empty sink)
       ~chain:Pipeline.into_sink ~sink ()
   in
@@ -306,6 +392,8 @@ let () =
         [
           Alcotest.test_case "random plans, both engines, pools 1+4" `Quick
             test_random_plans_differential;
+          Alcotest.test_case "row-range and segmented sources, pools 1+4"
+            `Quick test_sources_differential;
           Alcotest.test_case "analyze matches run" `Quick
             test_analyze_matches_run;
           Alcotest.test_case "Query 1-i plans, pools 1+4" `Quick

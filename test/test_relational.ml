@@ -499,6 +499,59 @@ let test_parallel_join_deterministic () =
             [ Join.No_weight; Join.Weight_of Join.Build ])
         [ false; true ])
 
+(* [hash_join_pre] over a segmented source — ragged segments, an empty
+   one among them — is the same join over the resident table, bit for
+   bit: rows, order, weights, dedup winners and the row ids a residual
+   sees, at pools 1 and 4. *)
+let test_join_segmented_source () =
+  let st = Tutil.rng 31 in
+  let a = random_table st "a" 500 40 in
+  let b = random_table st "b" 6000 40 in
+  let rec segs = function
+    | lo :: (hi :: _ as rest) ->
+      Relational.Segsrc.seg_of_table ~lo ~hi b :: segs rest
+    | _ -> []
+  in
+  let src =
+    {
+      Relational.Segsrc.name = "b";
+      cols = Table.cols b;
+      weighted = true;
+      stats = Relational.Colstats.stats_for b;
+      segs = Array.of_list (segs [ 0; 1000; 1001; 1001; 3500; 6000 ]);
+    }
+  in
+  let residual br prow = (Table.get b prow 1 + br) mod 3 <> 0 in
+  let p1 = Pool.create 1 and p4 = Pool.create 4 in
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.shutdown p1;
+      Pool.shutdown p4)
+    (fun () ->
+      List.iter
+        (fun dedup ->
+          List.iter
+            (fun oweight ->
+              let join pool source =
+                Join.hash_join_pre ~name:"j" ~cols:[| "k"; "va"; "vb" |]
+                  ~out:join_out ~oweight ~dedup ~residual ~pool
+                  (Index.build a [| 0 |])
+                  (source, [| 0 |])
+              in
+              let resident = join p1 (Relational.Pipeline.of_table b) in
+              List.iter
+                (fun pool ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "dedup=%b segmented = resident" dedup)
+                    true
+                    (tables_identical resident
+                       (join pool
+                          (Relational.Pipeline.Segments
+                             { src; keep = (fun _ -> true) }))))
+                [ p1; p4 ])
+            Join.[ No_weight; Weight_of Build; Weight_of Probe ])
+        [ false; true ])
+
 let test_parallel_distinct_deterministic () =
   let st = Tutil.rng 29 in
   let t = Table.create ~name:"t" [| "k"; "v" |] in
@@ -772,6 +825,8 @@ let () =
             test_parallel_join_deterministic;
           Alcotest.test_case "parallel distinct deterministic" `Quick
             test_parallel_distinct_deterministic;
+          Alcotest.test_case "segmented probe = resident probe" `Quick
+            test_join_segmented_source;
           Alcotest.test_case "nested loop dedup" `Quick test_nested_loop_dedup;
         ] );
       ( "sort",

@@ -230,18 +230,68 @@ let test_store_sync_and_tail () =
         (tables_identical t
            (Segsrc.to_table (Store.source ~tail:t (Store.open_dir dir)))))
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* A damaged MANIFEST — a version, a negative count, a segment file the
+   directory lacks — ends in [Corrupt], whether opening or reading. *)
 let test_store_manifest_corruption () =
   with_tmpdir (fun dir ->
-      let t = Table.create ~name:"t" [| "a" |] in
-      Table.append t [| 1 |];
-      ignore (Store.spill ~segment_rows:64 ~dir t);
+      let t = random_table (Tutil.rng 43) 200 3 in
       let manifest = Filename.concat dir "MANIFEST" in
-      let oc = open_out manifest in
-      output_string oc "pkbstore 99\n";
-      close_out oc;
-      match Store.open_dir dir with
-      | _ -> Alcotest.fail "expected Corrupt on manifest version"
-      | exception Store.Corrupt _ -> ())
+      let edit_lines f text =
+        String.concat "\n" (List.map f (String.split_on_char '\n' text))
+      in
+      let replace a b = edit_lines (fun l -> if l = a then b else l) in
+      List.iter
+        (fun (name, edit) ->
+          ignore (Store.spill ~segment_rows:64 ~dir t);
+          write_file manifest (edit (read_file manifest));
+          expect_corrupt name (fun () -> Store.to_table (Store.open_dir dir)))
+        [
+          ("manifest version", fun _ -> "pkbstore 99\n");
+          ("negative width", replace "width 3" "width -3");
+          ("negative segment count", replace "segments 4" "segments -4");
+          ( "missing segment file",
+            replace "seg seg-000001.pkb 64" "seg seg-000009.pkb 64" );
+        ])
+
+(* Any 1–3-byte edit of a spilled store's MANIFEST — a byte replaced,
+   inserted or deleted — opens a store or raises [Corrupt]; no other
+   exception escapes.  (An edit can open a store with the wrong rows:
+   two [seg] lines swapped, say.) *)
+let prop_manifest_fuzz =
+  Tutil.qcheck_case ~count:400 "manifest byte-fuzz: Corrupt or a store"
+    QCheck.(
+      pair small_nat
+        (list_of_size (Gen.int_range 1 3) (triple small_nat int char)))
+    (fun (seed, edits) ->
+      with_tmpdir (fun dir ->
+          let t = random_table (Tutil.rng (seed + 1)) 200 2 in
+          ignore (Store.spill ~segment_rows:64 ~dir t);
+          let manifest = Filename.concat dir "MANIFEST" in
+          let text =
+            List.fold_left
+              (fun text (op, pos, c) ->
+                let n = String.length text in
+                let at = abs pos mod (n + 1) in
+                match op mod 3 with
+                | 0 when at < n ->
+                  String.mapi (fun i x -> if i = at then c else x) text
+                | 1 ->
+                  String.sub text 0 at ^ String.make 1 c
+                  ^ String.sub text at (n - at)
+                | _ when at < n ->
+                  String.sub text 0 at ^ String.sub text (at + 1) (n - at - 1)
+                | _ -> text)
+              (read_file manifest) edits
+          in
+          write_file manifest text;
+          match Store.to_table (Store.open_dir dir) with
+          | _ -> true
+          | exception Store.Corrupt _ -> true))
 
 (* --- segmented scans through the plan executor --- *)
 
@@ -544,6 +594,7 @@ let () =
           Alcotest.test_case "sync + tail" `Quick test_store_sync_and_tail;
           Alcotest.test_case "manifest corruption" `Quick
             test_store_manifest_corruption;
+          prop_manifest_fuzz;
         ] );
       ( "plan",
         [
