@@ -1,5 +1,8 @@
 .PHONY: build test check clean
 
+EXAMPLES = quickstart knowledge_expansion mpp_scaling lineage_explorer \
+  kb_analytics
+
 build:
 	dune build
 
@@ -23,6 +26,7 @@ test:
 # `probkb serve` must answer /metrics +
 # /statusz scrapes, keep a well-formed access log, and print its
 # shutdown summary.
+# Then every program under examples/ must exit 0 at pools 1 and 4.
 # Then every paper reproduction (bench/main.exe, all but the Bechamel
 # micro-benchmarks) runs at --quick size and must exit 0; nothing there
 # is gated on time.
@@ -52,6 +56,10 @@ check: build
 	python3 scripts/query_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	python3 scripts/serve_smoke.py _build/default/bin/probkb_cli.exe _smoke
 	rm -rf _smoke
+	for d in 1 4; do for e in $(EXAMPLES); do \
+	  PROBKB_DOMAINS=$$d _build/default/examples/$$e.exe > /dev/null \
+	    || { echo "example $$e failed at PROBKB_DOMAINS=$$d"; exit 1; }; \
+	done; done
 	dune exec bench/main.exe -- --quick -e table2 -e table3 -e fig4 \
 	  -e fig6a -e fig6b -e fig6c -e table4 -e fig7a -e fig7b
 	python3 perfbench/smoke.py

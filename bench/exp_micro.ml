@@ -147,7 +147,7 @@ let test_chromatic_sweeps =
     (Staged.stage (fun () ->
          let c = Lazy.force compiled_graph in
          ignore
-           (Inference.Chromatic.marginals
+           (Inference.Chromatic.marginals_info
               ~options:{ burn_in = 0; samples = 10; seed = 1 }
               c)))
 

@@ -3,9 +3,10 @@
    Exercises the extension APIs on one small pipeline:
    - query the expanded KB (Kb.Query): pattern lookups and top-k by
      stored probability;
-   - compare the three marginal-inference engines (exact, Gibbs, loopy
-     belief propagation) on the same ground factor graph;
-   - compute the MAP world (Inference.Map_inference);
+   - compute the marginals on the one inference route (Inference.Marginal
+     over Inference.Hybrid): each connected component of the ground
+     factor graph goes to enumeration, junction-tree elimination or, for
+     dense cores only, chromatic Gibbs;
    - attribute constraint violations to rules and re-rank the rule set
      (Quality.Rule_feedback), the paper's Section 6.2.3 suggestion;
    - checkpoint TΦ to disk and reload it (Factor_graph.Serialize).
@@ -40,31 +41,21 @@ let () =
     (Kb.Storage.size (Kb.Gamma.pi kb))
     (Factor_graph.Fgraph.size graph);
 
-  (* --- three marginal engines on the same graph --- *)
-  let compiled = Factor_graph.Fgraph.compile graph in
-  let exact = Inference.Exact.marginals compiled in
-  let gibbs =
-    Inference.Gibbs.marginals
-      ~options:{ Inference.Gibbs.burn_in = 300; samples = 2000; seed = 1 }
-      compiled
-  in
-  let bp, bp_stats = Inference.Bp.marginals compiled in
-  let dev a b =
-    let m = ref 0. in
-    Array.iteri (fun i x -> m := Float.max !m (Float.abs (x -. b.(i)))) a;
-    !m
+  (* --- the one inference route --- *)
+  let marginals, Inference.Marginal.Hybrid_run report =
+    Inference.Marginal.infer_full graph Inference.Hybrid.default_options
   in
   Format.printf
-    "marginal engines: Gibbs deviates from exact by %.3f; BP by %.3f (BP %s in %d sweeps)@."
-    (dev exact gibbs) (dev exact bp)
-    (if bp_stats.Inference.Bp.converged then "converged" else "did not converge")
-    bp_stats.Inference.Bp.iterations;
+    "hybrid inference: %d components (%d enumerated, %d eliminated, %d \
+     sampled); %.0f%% of %d variables solved exactly@."
+    (Array.length report.Inference.Hybrid.components)
+    report.Inference.Hybrid.enumerated_components
+    report.Inference.Hybrid.eliminated_components
+    report.Inference.Hybrid.sampled_components
+    (100. *. Inference.Hybrid.exact_fraction report)
+    report.Inference.Hybrid.total_vars;
 
-  (* Store the exact marginals and query. *)
-  let marginals = Hashtbl.create 16 in
-  Array.iteri
-    (fun v p -> Hashtbl.replace marginals compiled.Factor_graph.Fgraph.var_ids.(v) p)
-    exact;
+  (* Store the marginals and query. *)
   let engine = Probkb.Engine.create kb in
   ignore (Probkb.Engine.store_marginals engine marginals);
   let q = Kb.Query.prepare (Kb.Gamma.pi kb) in
@@ -80,11 +71,6 @@ let () =
     (fun (f : Kb.Query.fact) ->
       Format.printf "  %a@." (Kb.Gamma.pp_fact kb) f.Kb.Query.id)
     (Kb.Query.about q ada);
-
-  (* --- MAP world --- *)
-  let _, map_score = Inference.Map_inference.solve compiled in
-  Format.printf "@.MAP world score: %.2f (log of the unnormalized mass)@."
-    map_score;
 
   (* --- rule feedback: which rule causes constraint violations? --- *)
   let omega = Kb.Gamma.omega kb in

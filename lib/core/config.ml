@@ -74,9 +74,6 @@ let default = make ()
 let solver c =
   Option.value c.inference ~default:Inference.Hybrid.default_options
 let no_inference c = { c with inference = None }
-let with_engine engine c = { c with engine }
-let with_quality quality c = { c with quality }
-let with_max_iterations max_iterations c = { c with max_iterations }
 let with_obs obs c = { c with obs }
 
 let with_spill ?spill_dir ?segment_rows ?spill_threshold_bytes c =

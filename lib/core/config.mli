@@ -111,9 +111,6 @@ val solver : t -> Inference.Hybrid.options
 (** [no_inference c] disables the marginal-inference stage. *)
 val no_inference : t -> t
 
-val with_engine : engine -> t -> t
-val with_quality : quality -> t -> t
-val with_max_iterations : int -> t -> t
 val with_obs : Obs.Config.t -> t -> t
 
 (** [with_spill ?spill_dir ?segment_rows ?spill_threshold_bytes c]

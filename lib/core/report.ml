@@ -178,34 +178,7 @@ let pp_kb ppf kb =
     Format.fprintf ppf "  ... (%d more relations)@," (List.length rels - 10);
   Format.fprintf ppf "@]"
 
-let kb_to_json kb =
-  let s = Kb.Gamma.stats kb in
-  let q = Kb.Query.prepare (Kb.Gamma.pi kb) in
-  let rels = Kb.Query.relations q in
-  Json.Obj
-    [
-      ("n_entities", Json.Int s.Kb.Gamma.n_entities);
-      ("n_classes", Json.Int s.Kb.Gamma.n_classes);
-      ("n_relations", Json.Int s.Kb.Gamma.n_relations);
-      ("n_rules", Json.Int s.Kb.Gamma.n_rules);
-      ("n_facts", Json.Int s.Kb.Gamma.n_facts);
-      ("n_constraints", Json.Int s.Kb.Gamma.n_constraints);
-      ( "relations",
-        Json.List
-          (List.map
-             (fun (r, n) ->
-               Json.Obj
-                 [
-                   ( "name",
-                     Json.String
-                       (Relational.Dict.name (Kb.Gamma.relations kb) r) );
-                   ("facts", Json.Int n);
-                 ])
-             rels) );
-    ]
-
 let pp_summary = Obs.Summary.pp
-let summary_to_json = Obs.Summary.to_json
 
 let epoch_to_json (st : Engine.Session.epoch_stats) =
   Json.Obj
@@ -223,11 +196,3 @@ let epoch_to_json (st : Engine.Session.epoch_stats) =
       ("factors", Json.Int st.Engine.Session.factors);
       ("wall_seconds", Json.Float st.Engine.Session.wall_seconds);
     ]
-
-let pp_epoch ppf (st : Engine.Session.epoch_stats) =
-  let open Engine.Session in
-  Format.fprintf ppf
-    "epoch %d %s: +%d inserted, +%d derived, -%d retracted (cone %d, %d \
-     rederived), %d facts, %d factors, %.3fs"
-    st.epoch st.op st.inserted st.derived st.retracted st.cone st.rederived
-    st.facts st.factors st.wall_seconds

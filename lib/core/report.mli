@@ -36,15 +36,7 @@ val result_to_json : Engine.result -> Json.t
     the per-relation fact counts (largest first, capped at 10). *)
 val pp_kb : Format.formatter -> Kb.Gamma.t -> unit
 
-(** [kb_to_json kb] is the full statistics block (all relations). *)
-val kb_to_json : Kb.Gamma.t -> Json.t
-
-(** Trace summaries, re-exported for symmetry. *)
+(** Trace summaries, re-exported. *)
 val pp_summary : Format.formatter -> Obs.Summary.t -> unit
-
-val summary_to_json : Obs.Summary.t -> Json.t
-
-(** [pp_epoch ppf st] prints one session epoch's ledger line. *)
-val pp_epoch : Format.formatter -> Engine.Session.epoch_stats -> unit
 
 val epoch_to_json : Engine.Session.epoch_stats -> Json.t

@@ -19,7 +19,6 @@ let add_singleton g ~i ~w = Table.append_w g.tphi [| i; null; null |] w
 let add_clause g ~i1 ?(i2 = null) ?(i3 = null) ~w () =
   Table.append_w g.tphi [| i1; i2; i3 |] w
 
-let append_rows g tbl = Table.append_all g.tphi tbl
 let bound g = Table.nrows g.tphi
 let dead_rows g = Deadrows.count g.dead
 let size g = bound g - dead_rows g

@@ -44,10 +44,6 @@ val add_singleton : t -> i:int -> w:float -> unit
     [i1 ← i2, i3]. *)
 val add_clause : t -> i1:int -> ?i2:int -> ?i3:int -> w:float -> unit -> unit
 
-(** [append_rows g tbl] bag-unions ([∪B], Algorithm 1 lines 9-10) a table
-    of factor rows with columns [I1, I2, I3] and weights into [g]. *)
-val append_rows : t -> Relational.Table.t -> unit
-
 (** [size g] is the number of live factors. *)
 val size : t -> int
 

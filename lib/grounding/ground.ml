@@ -1,7 +1,6 @@
 module Table = Relational.Table
 module Ops = Relational.Ops
 module Pipeline = Relational.Pipeline
-module Stats = Relational.Stats
 module Pattern = Mln.Pattern
 
 (* The segment-store aliases must precede the [Kb.Storage] rebinding:
@@ -53,16 +52,12 @@ type result = {
   removed_by_constraints : int;
   n_singleton_factors : int;
   n_clause_factors : int;
-  stats : Stats.t;
 }
 
 type executor = {
   stage : string;
   cat : string;
-  atoms :
-    delta_from:int option ->
-    Pattern.t list ->
-    (Pattern.t * Table.t * float) list;
+  atoms : delta_from:int option -> Pattern.t list -> (Pattern.t * Table.t) list;
   factors : unit -> Pattern.t -> Fgraph.t -> int;
   singletons : Fgraph.t -> int;
   point_data : unit -> (string * Obs.value) list;
@@ -82,7 +77,6 @@ let drive options exec kb =
       (fun pat -> Mln.Partition.count (Kb.Gamma.partitions kb) pat > 0)
       Pattern.all
   in
-  let stats = Stats.create () in
   let graph = Fgraph.create () in
   let removed = ref 0 in
   let total_new = ref 0 in
@@ -151,10 +145,8 @@ let drive options exec kb =
                summary aggregates the query and merge instances). *)
             let new_facts =
               List.fold_left
-                (fun n (pat, atoms, seconds) ->
-                  Stats.record stats
-                    ~label:(Printf.sprintf "Query 1-%d" (Pattern.index pat + 1))
-                    ~seconds ~rows_out:(Table.nrows atoms);
+                (fun n (pat, atoms) ->
+                  Obs.incr obs (counter "atom_queries");
                   Obs.with_span obs (pattern_name pat) ~cat:exec.cat (fun () ->
                       Obs.timed obs (counter "merge_seconds") (fun () ->
                           n + Storage.merge_new pi atoms)))
@@ -180,17 +172,14 @@ let drive options exec kb =
         let query = exec.factors () in
         List.iter
           (fun pat ->
-            let label = Printf.sprintf "Query 2-%d" (Pattern.index pat + 1) in
             n_clause_factors :=
               !n_clause_factors
               + Obs.with_span obs (pattern_name pat) ~cat:exec.cat (fun () ->
-                    Stats.time stats ~label ~rows:Fun.id (fun () ->
-                        query pat graph)))
+                    query pat graph))
           patterns;
         n_singleton_factors :=
           Obs.with_span obs "singletons" ~cat:exec.cat (fun () ->
-              Stats.time stats ~label:"singletons" ~rows:Fun.id (fun () ->
-                  exec.singletons graph)));
+              exec.singletons graph));
     Obs.add obs (counter "clause_factors") !n_clause_factors;
     Obs.add obs (counter "singleton_factors") !n_singleton_factors;
     Log.debug (fun m ->
@@ -206,7 +195,6 @@ let drive options exec kb =
     removed_by_constraints = !removed;
     n_singleton_factors = !n_singleton_factors;
     n_clause_factors = !n_clause_factors;
-    stats;
   }
 
 (* The local executor: the M1..M6 queries run concurrently on the domain
@@ -286,7 +274,6 @@ let local_executor options kb =
       ~map:(fun i ->
         let pat = pats.(i) in
         let sp = Obs.begin_span ~cat:"grounding" obs (pattern_name pat) in
-        let t0 = Obs.now () in
         let raw = query pat in
         let t = Ops.distinct raw all_atom_cols in
         Obs.end_span obs sp
@@ -296,7 +283,7 @@ let local_executor options kb =
               ("rows_out", Obs.I (Table.nrows t));
               ("dedup", Obs.I (Table.nrows raw - Table.nrows t));
             ];
-        (pat, t, Obs.now () -. t0))
+        (pat, t))
       ~fold:(fun acc r -> r :: acc)
       ~init:[]
     |> List.rev

@@ -80,7 +80,6 @@ type result = {
   removed_by_constraints : int;  (** facts deleted by the constraint hook *)
   n_singleton_factors : int;
   n_clause_factors : int;
-  stats : Relational.Stats.t;  (** per-query timings and cardinalities *)
 }
 
 (** {1 The closure loop} *)
@@ -88,7 +87,9 @@ type result = {
 (** Where the joins of one route execute.  Everything between them —
     active patterns, Ω passes, the delta, merging in pattern order,
     trajectory, snapshots, counters, convergence and the factor phase's
-    spans — belongs to {!drive}. *)
+    spans — belongs to {!drive}.  [drive] counts the statements of the
+    paper's Table 3 as the [<stage>.atom_queries] counter: one per
+    Query 1-i it merges. *)
 type executor = {
   stage : string;
       (** snapshot stage and counter prefix (["ground"], ["mpp"]) *)
@@ -96,17 +97,16 @@ type executor = {
   atoms :
     delta_from:int option ->
     Mln.Pattern.t list ->
-    (Mln.Pattern.t * Relational.Table.t * float) list;
+    (Mln.Pattern.t * Relational.Table.t) list;
       (** one iteration's Query 1-i per pattern, all against the same
-          [TΠ]: deduplicated head atoms and the query's seconds, in
-          pattern order.  Without a delta, every head the full query
-          derives, in its order.  With [delta_from = Some id], the delta
-          is the facts from [id] on — the rows of [TΠ] from that id
-          ({!Kb.Storage.rows_from}), read in place — and the executor
-          may instead return only the heads of derivations that use a
-          delta fact, in the full query's order
-          ({!Queries.ground_atoms_delta}): merging either list adds the
-          same facts in the same order *)
+          [TΠ]: deduplicated head atoms, in pattern order.  Without a
+          delta, every head the full query derives, in its order.  With
+          [delta_from = Some id], the delta is the facts from [id] on —
+          the rows of [TΠ] from that id ({!Kb.Storage.rows_from}), read
+          in place — and the executor may instead return only the heads
+          of derivations that use a delta fact, in the full query's
+          order ({!Queries.ground_atoms_delta}): merging either list adds
+          the same facts in the same order *)
   factors : unit -> Mln.Pattern.t -> Factor_graph.Fgraph.t -> int;
       (** prepares the factor phase, then runs Query 2-i into [TΦ] *)
   singletons : Factor_graph.Fgraph.t -> int;

@@ -493,6 +493,7 @@ let ingest ?(max_iterations = 15) st facts =
   let pi = Gamma.pi st.kb in
   let watermark = Storage.next_id pi in
   let inserted = ref [] and promoted = ref [] in
+  let promoted_now = Hashtbl.create 8 in
   List.iter
     (fun (r, x, c1, y, c2, w) ->
       if not (Storage.is_banned pi ~r ~x ~c1 ~y ~c2) then
@@ -502,16 +503,21 @@ let ingest ?(max_iterations = 15) st facts =
         | Some id ->
           (* An extraction arriving for an already-inferred fact promotes
              it to a base fact: it gains the extraction weight and a
-             singleton factor; its consequences are already derived.  A
-             second extraction of an existing base fact is a no-op (first
-             weight wins, as in batch loading). *)
+             singleton factor; its consequences are already derived.  Any
+             other copy of a base fact is a no-op (first weight wins, as
+             in batch loading), and so is a copy of a key this batch
+             already inserted ([id >= watermark]) or promoted, which the
+             provenance index lists as base only after the batch. *)
           if
-            (not (Provenance.is_base st.prov id))
+            id < watermark
+            && (not (Provenance.is_base st.prov id))
+            && (not (Hashtbl.mem promoted_now id))
             && not (Table.is_null_weight w)
           then begin
             (match Storage.row_of_id pi id with
             | Some row -> Table.set_weight (Storage.table pi) row w
             | None -> ());
+            Hashtbl.replace promoted_now id ();
             promoted := id :: !promoted
           end)
     facts;

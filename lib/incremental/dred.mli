@@ -151,7 +151,8 @@ val compact : t -> unit
     instances and singletons.  Banned keys are silently skipped;
     extractions for existing inferred facts promote them (see
     {!ingest_stats.promoted}); duplicate extractions of base facts are
-    no-ops. *)
+    no-ops, and so is every copy of a key after its first in the batch
+    (the first copy's weight wins, whether it inserts or promotes). *)
 val ingest :
   ?max_iterations:int -> t -> (int * int * int * int * int * float) list ->
   ingest_stats

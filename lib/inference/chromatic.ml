@@ -52,22 +52,20 @@ type run_info = {
 let default_checkpoint = 20
 
 let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
-    ?(checkpoint = default_checkpoint) ?online ?early_stop c =
-  if checkpoint < 1 then invalid_arg "Chromatic.marginals: checkpoint < 1";
+    ?(checkpoint = default_checkpoint) ?early_stop c =
+  if checkpoint < 1 then invalid_arg "Chromatic.marginals_info: checkpoint < 1";
   let n = Fgraph.nvars c in
   let t_start = if Obs.enabled obs then Obs.now () else 0. in
   let colors = color c in
   if Obs.debug && not (verify_coloring c colors) then
-    invalid_arg "Chromatic.marginals: improper coloring";
+    invalid_arg "Chromatic.marginals_info: improper coloring";
   let n_colors = 1 + Array.fold_left max (-1) colors in
   let pool = match pool with Some p -> p | None -> Pool.get_default () in
   (* Online diagnostics are on whenever an early-stop criterion needs
-     them; [~online:true] turns them on for reporting alone. *)
+     them. *)
   let diag =
-    let requested =
-      match online with Some b -> b | None -> early_stop <> None
-    in
-    if requested then Some (Diagnostics.Online.create ~segment:checkpoint n)
+    if early_stop <> None then
+      Some (Diagnostics.Online.create ~segment:checkpoint n)
     else None
   in
   (* The sweep runs over a class-major renumbering of [c]: [perm] lists
@@ -210,26 +208,14 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
   let stopped = ref None in
   let est_sweeps = ref 0 in
   let final_report = ref None in
-  (* A checkpoint report is computed only when something consumes it — a
-     stop criterion or an installed snapshot sink. *)
-  let need_checkpoint_report () =
-    early_stop <> None || Obs.snapshots_enabled obs
-  in
   Obs.with_span obs "sampling" ~cat:"inference" (fun () ->
       try
         for s = 1 to options.samples do
-          (match diag with
-          | Some o -> Diagnostics.Online.begin_sweep o
-          | None -> ());
+          Option.iter Diagnostics.Online.begin_sweep diag;
           sweep true;
           est_sweeps := s;
           if s mod checkpoint = 0 || s = options.samples then begin
-            let rep =
-              match diag with
-              | Some o when need_checkpoint_report () ->
-                Some (Diagnostics.Online.report o)
-              | _ -> None
-            in
+            let rep = Option.map Diagnostics.Online.report diag in
             final_report := rep;
             snap ~phase:"sampling" ~step:s
               (match rep with
@@ -276,6 +262,3 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
       stopped_at_sweep = !stopped;
       diag = diag_report;
     } )
-
-let marginals ?options ?obs ?pool c =
-  fst (marginals_info ?options ?obs ?pool c)

@@ -26,8 +26,8 @@ val color : Factor_graph.Fgraph.compiled -> int array
 
 (** [verify_coloring c colors] is [true] iff no factor of [c] mentions two
     distinct variables of the same colour — i.e. the parallel schedule is
-    race-free.  {!marginals} asserts this when [PROBKB_DEBUG] is set; the
-    test suite calls it directly. *)
+    race-free.  {!marginals_info} asserts this when [PROBKB_DEBUG] is set;
+    the test suite calls it directly. *)
 val verify_coloring : Factor_graph.Fgraph.compiled -> int array -> bool
 
 (** Outcome of one sampling run beyond the marginals themselves. *)
@@ -43,32 +43,23 @@ type run_info = {
     snapshot records). *)
 val default_checkpoint : int
 
-(** [marginals ?options ?obs ?pool c] estimates marginals with the
-    chromatic schedule, sweeping each colour class across [pool] (default
-    {!Pool.get_default}).  Options are shared with {!Gibbs.options};
-    results do not depend on the pool size.  When [obs] (default
-    {!Obs.null}) is enabled, sweeps emit an aggregated
-    [burn_in/sampling > sweep > class k] span tree plus [gibbs.*]
-    counters and a samples-per-second gauge. *)
-val marginals :
-  ?options:Gibbs.options ->
-  ?obs:Obs.t ->
-  ?pool:Pool.t ->
-  Factor_graph.Fgraph.compiled ->
-  float array
-
-(** [marginals_info ?options ?obs ?pool ?checkpoint ?online ?early_stop c]
-    is {!marginals} with live-run support:
+(** [marginals_info ?options ?obs ?pool ?checkpoint ?early_stop c]
+    estimates marginals with the chromatic schedule, sweeping each colour
+    class across [pool] (default {!Pool.get_default}).  Options are
+    shared with {!Gibbs.options}; results do not depend on the pool
+    size.  When [obs] (default {!Obs.null}) is enabled, sweeps emit an
+    aggregated [burn_in/sampling > sweep > class k] span tree plus
+    [gibbs.*] counters and a samples-per-second gauge.  Beyond that:
 
     - every [checkpoint] sweeps (default {!default_checkpoint}) a
       snapshot is emitted through [obs]'s sink (see {!Obs.snapshot}) with
       the current phase, sweep number, and — when diagnostics are on —
       the running max-R̂/min-ESS;
-    - [~online:true] tracks {!Diagnostics.Online} state on the run
-      (implied by [early_stop]);
-    - [~early_stop:criteria] ends sampling at the first checkpoint whose
-      diagnostics satisfy [criteria], normalizing the marginals by the
-      sweeps actually run.
+    - [~early_stop:criteria] tracks {!Diagnostics.Online} state on the
+      run and ends sampling at the first checkpoint whose diagnostics
+      satisfy [criteria], normalizing the marginals by the sweeps
+      actually run.  Criteria that never hold give the diagnostics of a
+      full-length run.
 
     The starting state is drawn from the seed in ascending variable
     order, so it is the same at any pool size.  Diagnostic values in the
@@ -79,7 +70,6 @@ val marginals_info :
   ?obs:Obs.t ->
   ?pool:Pool.t ->
   ?checkpoint:int ->
-  ?online:bool ->
   ?early_stop:Diagnostics.Online.criteria ->
   Factor_graph.Fgraph.compiled ->
   float array * run_info

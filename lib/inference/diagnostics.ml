@@ -1,86 +1,14 @@
-module Fgraph = Factor_graph.Fgraph
-
-type report = {
-  r_hat : float array;
-  max_r_hat : float;
-  chains : int;
-  samples_per_chain : int;
-}
-
-(* One chain: per-variable running mean and M2 (Welford) over the
-   Rao-Blackwellized conditional at each update. *)
-let run_chain c (options : Gibbs.options) seed =
-  let n = Fgraph.nvars c in
-  let rng = Random.State.make [| seed |] in
-  let assignment = Array.init n (fun _ -> Random.State.bool rng) in
-  let mean = Array.make n 0. and m2 = Array.make n 0. in
-  let count = ref 0 in
-  let out = { Gibbs.value = 0. } in
-  let sweep estimate =
-    for v = 0 to n - 1 do
-      Gibbs.conditional c assignment v out;
-      let p1 = out.value in
-      assignment.(v) <- Random.State.float rng 1. < p1;
-      if estimate then begin
-        let d = p1 -. mean.(v) in
-        mean.(v) <- mean.(v) +. (d /. float_of_int !count);
-        m2.(v) <- m2.(v) +. (d *. (p1 -. mean.(v)))
-      end
-    done
-  in
-  for _ = 1 to options.Gibbs.burn_in do
-    sweep false
-  done;
-  for _ = 1 to options.Gibbs.samples do
-    incr count;
-    sweep true
-  done;
-  let samples = float_of_int (max 1 options.Gibbs.samples) in
-  (mean, Array.map (fun s -> s /. Float.max 1. (samples -. 1.)) m2)
-
-let r_hat ?(chains = 4) ?(options = Gibbs.default_options) c =
-  if chains < 2 then invalid_arg "Diagnostics.r_hat: need at least 2 chains";
-  let n = Fgraph.nvars c in
-  let per_chain =
-    List.init chains (fun i -> run_chain c options (options.Gibbs.seed + (7919 * (i + 1))))
-  in
-  let m = float_of_int chains in
-  let samples = float_of_int (max 2 options.Gibbs.samples) in
-  let r = Array.make n 1. in
-  for v = 0 to n - 1 do
-    let means = List.map (fun (mean, _) -> mean.(v)) per_chain in
-    let vars = List.map (fun (_, var) -> var.(v)) per_chain in
-    let grand = List.fold_left ( +. ) 0. means /. m in
-    let b =
-      samples /. (m -. 1.)
-      *. List.fold_left (fun acc mu -> acc +. ((mu -. grand) ** 2.)) 0. means
-    in
-    let w = List.fold_left ( +. ) 0. vars /. m in
-    if w > 1e-12 then begin
-      let var_plus = (((samples -. 1.) /. samples) *. w) +. (b /. samples) in
-      r.(v) <- sqrt (var_plus /. w)
-    end
-  done;
-  {
-    r_hat = r;
-    max_r_hat = Array.fold_left Float.max 1. r;
-    chains;
-    samples_per_chain = options.Gibbs.samples;
-  }
-
-let converged ?(threshold = 1.1) report = report.max_r_hat < threshold
-
 (* --- online (single-run) diagnostics --------------------------------
 
-   The offline [r_hat] above answers "can I stop?" by running four fresh
-   chains — a 4x cost multiplier on inference.  The online estimator
-   answers it incrementally on the one chain the sampler is already
-   running: per-variable Welford mean/variance accumulated in fixed-size
-   segments (one per checkpoint window), split-R̂ computed by merging the
-   first-half segments against the second-half segments (Chan's parallel
-   variance combination, exact), and effective sample size from the
-   lag-1 autocorrelation of the Rao-Blackwellized conditionals
-   (AR(1) approximation: ESS = n (1-ρ₁)/(1+ρ₁)).
+   The online estimator answers "can I stop?" incrementally on the one
+   chain the sampler is already running, instead of re-running several
+   fresh chains (a multiplier on inference cost): per-variable Welford
+   mean/variance accumulated in fixed-size segments (one per checkpoint
+   window), split-R̂ computed by merging the first-half segments against
+   the second-half segments (Chan's parallel variance combination,
+   exact), and effective sample size from the lag-1 autocorrelation of
+   the Rao-Blackwellized conditionals (AR(1) approximation:
+   ESS = n (1-ρ₁)/(1+ρ₁)).
 
    All state is per-variable arrays: under the chromatic schedule each
    variable is updated by exactly one chunk per sweep, so parallel

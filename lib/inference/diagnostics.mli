@@ -1,44 +1,22 @@
 (** Sampler convergence diagnostics.
 
-    MCMC estimates are only trustworthy once the chains have mixed; the
+    MCMC estimates are only trustworthy once the chain has mixed; the
     standard check is the Gelman–Rubin potential scale reduction factor
-    (R̂): run several independent chains and compare between-chain to
-    within-chain variance.  Values near 1 indicate convergence; the usual
-    acceptance threshold is 1.1.
+    (R̂), which compares between-chain to within-chain variance.  Values
+    near 1 indicate convergence; the usual acceptance threshold is 1.1.
 
     This is operational support the paper's pipeline leaves to GraphLab;
-    here it closes the loop for the built-in Gibbs sampler. *)
-
-type report = {
-  r_hat : float array;  (** per dense variable *)
-  max_r_hat : float;
-  chains : int;
-  samples_per_chain : int;
-}
-
-(** [r_hat ?chains ?options c] runs [chains] (default 4) independent Gibbs
-    chains (seeds derived from [options.seed]) and computes per-variable
-    R̂ over the Rao-Blackwellized conditionals.  Variables whose chains
-    show no variance (fully determined) report R̂ = 1. *)
-val r_hat :
-  ?chains:int ->
-  ?options:Gibbs.options ->
-  Factor_graph.Fgraph.compiled ->
-  report
-
-(** [converged ?threshold report] is [max_r_hat < threshold]
-    (default 1.1). *)
-val converged : ?threshold:float -> report -> bool
+    here it closes the loop for the built-in chromatic sampler. *)
 
 (** Online (single-run) diagnostics.
 
-    {!r_hat} re-runs several fresh chains — a 4x inference-cost
-    multiplier.  [Online] computes split-R̂ and an effective sample size
-    incrementally on the chain the sampler is already running: Welford
-    mean/variance per dense variable accumulated in fixed-size segments
-    (one per checkpoint window), split-R̂ from merging first-half against
-    second-half segments (Chan's exact combination), ESS from the lag-1
-    autocorrelation of the Rao-Blackwellized conditionals
+    Rather than re-running several fresh chains (a multiplier on
+    inference cost), [Online] computes split-R̂ and an effective sample
+    size incrementally on the chain the sampler is already running:
+    Welford mean/variance per dense variable accumulated in fixed-size
+    segments (one per checkpoint window), split-R̂ from merging first-half
+    against second-half segments (Chan's exact combination), ESS from the
+    lag-1 autocorrelation of the Rao-Blackwellized conditionals
     (AR(1): ESS = n·(1-ρ₁)/(1+ρ₁)).
 
     Thread safety under the chromatic schedule: each variable is updated

@@ -29,25 +29,3 @@ type cell = { mutable value : float }
 
 let[@inline] conditional c assignment v out =
   out.value <- 1. /. (1. +. exp (-.log_odds c assignment v))
-
-let marginals ?(options = default_options) c =
-  let n = Fgraph.nvars c in
-  let rng = Random.State.make [| options.seed |] in
-  let assignment = Array.init n (fun _ -> Random.State.bool rng) in
-  let acc = Array.make n 0. in
-  let out = { value = 0. } in
-  let sweep estimate =
-    for v = 0 to n - 1 do
-      conditional c assignment v out;
-      let p1 = out.value in
-      assignment.(v) <- Random.State.float rng 1. < p1;
-      if estimate then acc.(v) <- acc.(v) +. p1
-    done
-  in
-  for _ = 1 to options.burn_in do
-    sweep false
-  done;
-  for _ = 1 to options.samples do
-    sweep true
-  done;
-  Array.map (fun a -> a /. float_of_int (max 1 options.samples)) acc

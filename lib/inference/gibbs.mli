@@ -1,11 +1,11 @@
-(** Gibbs sampling for marginal inference.
+(** The Gibbs sampler's options and conditional kernel.
 
     ProbKB delegates marginal inference over the ground factor graph to a
-    Gibbs sampler (the paper uses the parallel sampler of GraphLab; see
-    also {!Chromatic}).  This module is the sequential sweep sampler with
-    Rao-Blackwellized marginal estimates: instead of averaging 0/1 samples
-    it averages the exact conditional P(Xᵥ = 1 | rest) used at each update,
-    which has strictly lower variance. *)
+    Gibbs sampler (the paper uses the parallel sampler of GraphLab); the
+    one sampler here is {!Chromatic}'s.  Its estimates are
+    Rao-Blackwellized: instead of averaging 0/1 samples it averages the
+    exact conditional P(Xᵥ = 1 | rest) used at each update, which has
+    strictly lower variance. *)
 
 type options = {
   burn_in : int;  (** sweeps discarded before estimation *)
@@ -17,11 +17,10 @@ val default_options : options
 
 (** {2 The conditional kernel}
 
-    Every sampler in this library ({!marginals}, the chromatic sweeps,
-    {!Diagnostics.r_hat}'s chains) and the MAP flip delta read the
-    conditional through these two functions.  They sum the role-coded
-    adjacency of {!Factor_graph.Fgraph.compiled}, and they are [@inline]:
-    an optimizing (non-[-opaque]) build inlines them into each loop. *)
+    The chromatic sweeps read the conditional through these two
+    functions.  They sum the role-coded adjacency of
+    {!Factor_graph.Fgraph.compiled}, and they are [@inline]: an optimizing
+    (non-[-opaque]) build inlines them into each loop. *)
 
 (** [log_odds c assignment v] is
     log P(Xᵥ = 1 | X₋ᵥ) − log P(Xᵥ = 0 | X₋ᵥ) under the current
@@ -40,7 +39,3 @@ type cell = { mutable value : float }
     1 / (1 + exp (−{!log_odds})) in [out.value]. *)
 val conditional :
   Factor_graph.Fgraph.compiled -> bool array -> int -> cell -> unit
-
-(** [marginals ?options c] estimates the marginal P(X = 1) per dense
-    variable. *)
-val marginals : ?options:options -> Factor_graph.Fgraph.compiled -> float array

@@ -67,8 +67,7 @@ let max_component_spans = 256
    session serves reads.  [inputs] are the solve's arguments other than
    the graph; the results stand only for the same ones. *)
 type last = {
-  inputs :
-    options * int option * bool option * Diagnostics.Online.criteria option;
+  inputs : options * int option * Diagnostics.Online.criteria option;
   var_ids : int array;
   marg : float array;
   comp_of_var : int array;
@@ -83,10 +82,10 @@ let memo_vars m =
   match m.last with Some l -> Array.length l.var_ids | None -> 0
 
 let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
-    ?online ?early_stop ?memo c =
+    ?early_stop ?memo c =
   let n = Fgraph.nvars c in
   let marg = Array.make n 0. in
-  let inputs = (options, checkpoint, online, early_stop) in
+  let inputs = (options, checkpoint, early_stop) in
   (* The memo is emptied first, so a solve that raises leaves nothing a
      later solve could wrongly reuse. *)
   let last, dirty =
@@ -262,7 +261,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
           let sub = Fgraph.compile g in
           let smarg, info =
             Chromatic.marginals_info ~options:options.gibbs ~obs ~pool
-              ?checkpoint ?online ?early_stop sub
+              ?checkpoint ?early_stop sub
           in
           Array.iteri
             (fun sv p ->

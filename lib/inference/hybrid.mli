@@ -102,9 +102,9 @@ val memo : unit -> memo
     when empty). *)
 val memo_vars : memo -> int
 
-(** [solve ?options ?obs ?pool ?checkpoint ?online ?early_stop ?memo c]
-    is the marginal P(X = 1) per dense variable plus the dispatch report.
-    [checkpoint]/[online]/[early_stop] thread through to the residual
+(** [solve ?options ?obs ?pool ?checkpoint ?early_stop ?memo c] is the
+    marginal P(X = 1) per dense variable plus the dispatch report.
+    [checkpoint]/[early_stop] thread through to the residual
     {!Chromatic.marginals_info} run.
 
     With [memo = (m, dirty)], [dirty] holds the fact ids of every factor
@@ -134,7 +134,6 @@ val solve :
   ?obs:Obs.t ->
   ?pool:Pool.t ->
   ?checkpoint:int ->
-  ?online:bool ->
   ?early_stop:Diagnostics.Online.criteria ->
   ?memo:memo * (int, unit) Hashtbl.t ->
   Factor_graph.Fgraph.compiled ->

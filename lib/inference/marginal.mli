@@ -13,15 +13,14 @@
 (** The solve report of one run. *)
 type solve_info = Hybrid_run of Hybrid.report
 
-(** [infer_full ?obs ?checkpoint ?online ?early_stop g options] compiles
-    [g] and returns fact identifier → P(fact = true) plus the
-    {!solve_info}.  [obs] (default {!Obs.null}) receives the solver's
-    telemetry; [checkpoint]/[online]/[early_stop] affect the residual
-    sampler (see {!Chromatic.marginals_info}). *)
+(** [infer_full ?obs ?checkpoint ?early_stop g options] compiles [g] and
+    returns fact identifier → P(fact = true) plus the {!solve_info}.
+    [obs] (default {!Obs.null}) receives the solver's telemetry;
+    [checkpoint]/[early_stop] affect the residual sampler (see
+    {!Chromatic.marginals_info}). *)
 val infer_full :
   ?obs:Obs.t ->
   ?checkpoint:int ->
-  ?online:bool ->
   ?early_stop:Diagnostics.Online.criteria ->
   Factor_graph.Fgraph.t ->
   Hybrid.options ->
@@ -33,7 +32,6 @@ val infer_full :
 val infer_compiled_full :
   ?obs:Obs.t ->
   ?checkpoint:int ->
-  ?online:bool ->
   ?early_stop:Diagnostics.Online.criteria ->
   ?memo:Hybrid.memo * (int, unit) Hashtbl.t ->
   Factor_graph.Fgraph.compiled ->

@@ -141,7 +141,6 @@ let flush_deletes s =
     removed
   end
 
-let banned_count s = Hashtbl.length s.banned
 let is_banned s ~r ~x ~c1 ~y ~c2 = Hashtbl.mem s.banned (r, x, c1, y, c2)
 
 let iter f s =

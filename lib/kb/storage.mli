@@ -147,9 +147,6 @@ val ban_id : t -> int -> unit
     observable proof that a batch costs one rebuild. *)
 val index_rebuilds : t -> int
 
-(** [banned_count s] is the number of banned keys. *)
-val banned_count : t -> int
-
 (** [is_banned s ~r ~x ~c1 ~y ~c2] is [true] iff the key was banned. *)
 val is_banned : t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> bool
 

@@ -64,6 +64,9 @@ let partition_spilled policy ~prefix cluster tbl dist =
         dt.segs;
   }
 
+let remove_spilled t =
+  Array.iter (function Spilled st -> Store.remove st | Resident _ -> ()) t.segs
+
 let of_segments segs dist = { segs = Array.map (fun s -> Resident s) segs; dist }
 let dist t = t.dist
 let nseg t = Array.length t.segs

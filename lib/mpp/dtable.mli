@@ -38,6 +38,10 @@ val partition_spilled :
   dist ->
   t
 
+(** [remove_spilled t] deletes the on-disk store of every spilled shard
+    of [t] (see {!Storage.Store.remove}); [t] must not be read after. *)
+val remove_spilled : t -> unit
+
 (** [of_segments segs dist] wraps already-materialized per-segment pieces
     (used by operators for their outputs). *)
 val of_segments : Relational.Table.t array -> dist -> t

@@ -443,7 +443,6 @@ let snapshot t ~stage ~point ~step ?(perf = []) data =
 
 let ambient_trace = Atomic.make null
 let ambient () = Atomic.get ambient_trace
-let set_ambient t = Atomic.set ambient_trace t
 
 let with_ambient t f =
   let saved = Atomic.get ambient_trace in

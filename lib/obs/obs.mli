@@ -212,7 +212,6 @@ val enabled : t -> bool
     pipeline stage installed its trace. *)
 
 val ambient : unit -> t
-val set_ambient : t -> unit
 val with_ambient : t -> (unit -> 'a) -> 'a
 
 (** {2 Snapshot stream}

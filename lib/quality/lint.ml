@@ -8,9 +8,6 @@ type issue =
   | Never_fires of Clause.t
   | Non_positive_weight of Clause.t
 
-let issue_clause = function
-  | Duplicate c | Tautology c | Never_fires c | Non_positive_weight c -> c
-
 let describe ~rel_name ~cls_name issue =
   let render c = Mln.Pretty.clause ~rel_name ~cls_name c in
   match issue with

@@ -16,9 +16,6 @@ type issue =
           the KB's [TR] *)
   | Non_positive_weight of Mln.Clause.t
 
-(** [issue_clause i] is the offending clause. *)
-val issue_clause : issue -> Mln.Clause.t
-
 (** [describe i] is a one-line human-readable description. *)
 val describe :
   rel_name:(int -> string) -> cls_name:(int -> string) -> issue -> string

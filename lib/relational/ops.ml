@@ -117,8 +117,6 @@ let union_all = function
     List.iter (fun t -> Table.append_all out t) rest;
     out
 
-let set_minus = Join.semi_join_absent
-
 let count_where t p =
   let n = ref 0 in
   for r = 0 to Table.nrows t - 1 do

@@ -35,9 +35,5 @@ val group : Table.t -> int array -> agg list -> Table.t
     @raise Invalid_argument on an empty list. *)
 val union_all : Table.t list -> Table.t
 
-(** [set_minus t key idx] is the rows of [t] whose [key] columns match no
-    row in the index (an anti-join; alias of {!Join.semi_join_absent}). *)
-val set_minus : Table.t -> int array -> Index.t -> Table.t
-
 (** [count_where t p] is the number of rows satisfying [p]. *)
 val count_where : Table.t -> (int -> bool) -> int

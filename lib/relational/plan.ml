@@ -146,13 +146,11 @@ let rec estimate_rows = function
 
 (* --- shared physical choices --- *)
 
-let all_cols tbl = Array.init (Table.width tbl) Fun.id
-
-(* Build side of an equi-join: the smaller estimated input.  One static
-   rule shared by the materializing and the pipelined engines — the
-   streaming engine cannot know actual cardinalities before running, and
-   sharing the choice keeps the two engines' output orders (probe order
-   × hash-chain order) bit-identical. *)
+(* Build side of an equi-join: the smaller estimated input.  A static
+   rule — the streaming engine cannot know actual cardinalities before
+   running — that the materializing test oracle follows too, so the two
+   engines' output orders (probe order × hash-chain order) are
+   bit-identical. *)
 let join_build_left left right = estimate_rows left <= estimate_rows right
 
 let rec plan_weighted = function
@@ -162,18 +160,6 @@ let rec plan_weighted = function
   | Order_by (_, child) ->
     plan_weighted child
   | Equi_join _ -> false
-
-let compile_pred p tbl =
-  let rec eval p r =
-    match p with
-    | Eq_const (c, v) -> Table.get tbl r c = v
-    | Eq_cols (a, b) -> Table.get tbl r a = Table.get tbl r b
-    | Lt_const (c, v) -> Table.get tbl r c < v
-    | And (a, b) -> eval a r && eval b r
-    | Or (a, b) -> eval a r || eval b r
-    | Not a -> not (eval a r)
-  in
-  eval p
 
 let compile_pred_batch p =
   let rec eval p b r =
@@ -186,18 +172,6 @@ let compile_pred_batch p =
     | Not x -> not (eval x b r)
   in
   fun b r -> eval p b r
-
-let project_table tbl cols name =
-  let schema = Array.map (fun c -> (Table.cols tbl).(c)) cols in
-  let out = Table.create ~weighted:(Table.weighted tbl) ~name schema in
-  let buf = Array.make (Array.length cols) 0 in
-  Table.iter
-    (fun r ->
-      Array.iteri (fun i c -> buf.(i) <- Table.get tbl r c) cols;
-      if Table.weighted tbl then Table.append_w out buf (Table.weight tbl r)
-      else Table.append out buf)
-    tbl;
-  out
 
 (* The out spec of a plan join: left columns then right columns,
    regardless of which side physically builds. *)
@@ -212,10 +186,9 @@ let join_out ~build_left l_width r_width =
       (out_for Pipeline.Probe l_width)
       (out_for Pipeline.Build r_width)
 
-(* Peak-intermediate-allocation accounting: every table an executor run
-   materializes (sinks, sorts, join outputs — not base scans) is summed
-   and the per-run total reported as a high-water gauge, so the bench
-   can compare how much scratch memory each engine touches. *)
+(* Peak-intermediate-allocation accounting: every table a run
+   materializes (pipeline sinks and sorts — not base scans) is summed
+   and the per-run total reported as a high-water gauge. *)
 let note_intermediate bytes tbl = bytes := !bytes + Table.byte_size tbl
 
 let record_intermediate_bytes bytes =
@@ -280,59 +253,6 @@ let segment_keep stream =
         | `Eq (c, v) -> v >= seg.Segsrc.mins.(c) && v <= seg.Segsrc.maxs.(c)
         | `Lt (c, v) -> seg.Segsrc.mins.(c) < v)
       prunes
-
-(* --- materializing executor (the pre-pipeline reference engine) --- *)
-
-let exec_join ?pool ~build_left p l r lkey rkey =
-  let btbl, bkey, ptbl, pkey =
-    if build_left then (l, lkey, r, rkey) else (r, rkey, l, lkey)
-  in
-  let out = join_out ~build_left (Table.width l) (Table.width r) in
-  Join.hash_join ~name:"join" ~cols:(columns p) ~out ~oweight:Join.No_weight
-    ?pool (btbl, bkey) (ptbl, pkey)
-
-let run_materializing ?pool p =
-  (* Validate schemas eagerly so errors carry plan context. *)
-  ignore (columns p);
-  let bytes = ref 0 in
-  let rec go p =
-    match p with
-    | Scan tbl -> tbl
-    | Scan_segments s ->
-      let out = Segsrc.to_table s in
-      note_intermediate bytes out;
-      out
-    | Select (pred, child) ->
-      let input = go child in
-      let out = Table.filter input (compile_pred pred input) in
-      note_intermediate bytes out;
-      out
-    | Project (cols, child) ->
-      let input = go child in
-      let out = project_table input cols "project" in
-      note_intermediate bytes out;
-      out
-    | Equi_join { left; right; lkey; rkey } ->
-      let build_left = join_build_left left right in
-      let l = go left and r = go right in
-      let out = exec_join ?pool ~build_left p l r lkey rkey in
-      note_intermediate bytes out;
-      out
-    | Distinct (key, child) ->
-      let input = go child in
-      let key = Option.value key ~default:(all_cols input) in
-      let out = Ops.distinct ?pool input key in
-      note_intermediate bytes out;
-      out
-    | Order_by (key, child) ->
-      let input = go child in
-      let out = Sort.sort input key in
-      note_intermediate bytes out;
-      out
-  in
-  let out = go p in
-  record_intermediate_bytes bytes;
-  out
 
 (* --- pipelined executor --- *)
 
@@ -660,8 +580,3 @@ let rec analysis_to_json a =
       ("seconds", Obs.Json.Float a.seconds);
       ("children", Obs.Json.List (List.map analysis_to_json a.children));
     ]
-
-let explain_analyze ?pool ppf p =
-  let table, a = analyze ?pool p in
-  pp_analysis ppf a;
-  table

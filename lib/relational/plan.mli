@@ -4,18 +4,14 @@
     query shapes are fixed), but a knowledge base is also a database, and
     ad-hoc queries deserve a planner: this module provides composable
     logical plans, statistics-based cardinality estimates, automatic
-    build-side selection for joins, an EXPLAIN printer — and two
-    executors that produce bit-identical output:
-
-    - {!run} (the default) compiles the plan into push-based pipelines:
-      Scan→Select→Project→probe chains stream batch-at-a-time into a
-      sink and never materialize intermediates; the only pipeline
-      breakers are hash-table build sides, [Distinct] (a dedup sink) and
-      [Order_by].  Large sources are split into contiguous morsels
-      executed by pool workers and merged in morsel order.
-    - {!run_materializing} materializes every node bottom-up — the
-      pre-pipeline reference engine, kept for differential testing and
-      the bench comparison.
+    build-side selection for joins, an EXPLAIN printer — and one
+    executor, {!run}, which compiles the plan into push-based pipelines:
+    Scan→Select→Project→probe chains stream batch-at-a-time into a sink
+    and never materialize intermediates; the only pipeline breakers are
+    hash-table build sides, [Distinct] (a dedup sink) and [Order_by].
+    Large sources are split into contiguous morsels executed by pool
+    workers and merged in morsel order.  The test suite checks it
+    against a materializing oracle built from the public operators.
 
     Column addressing is positional: each node exposes an output schema
     ({!columns}); joins concatenate the left and the right schemas. *)
@@ -63,14 +59,10 @@ val estimate_rows : t -> int
     smaller {e estimated} cardinality.  Sources above a size threshold
     are morsel-parallel on [pool] (default {!Pool.get_default});
     per-worker sinks are merged in morsel order, so output — rows,
-    order, weights — is bit-identical to {!run_materializing} and to
+    order, weights — is bit-identical to materializing every node
+    bottom-up with the same operators and build-side rule, and to
     sequential execution, for every pool size. *)
 val run : ?pool:Pool.t -> t -> Table.t
-
-(** [run_materializing ?pool p] materializes the plan bottom-up, one
-    table per node — the reference engine.  Same build-side rule, same
-    operators, same output as {!run}. *)
-val run_materializing : ?pool:Pool.t -> t -> Table.t
 
 (** [explain ppf p] prints the plan tree with schemas, row estimates and
     pipeline annotations: each streaming node is tagged with the
@@ -106,7 +98,3 @@ val pp_analysis : Format.formatter -> analysis -> unit
 (** [analysis_to_json a] is the analyzed tree as JSON (for [--metrics
     json] and bench artifacts). *)
 val analysis_to_json : analysis -> Obs.Json.t
-
-(** [explain_analyze ?pool ppf p] runs {!analyze}, prints the tree, and
-    returns the result table. *)
-val explain_analyze : ?pool:Pool.t -> Format.formatter -> t -> Table.t

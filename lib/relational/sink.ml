@@ -36,7 +36,6 @@ let table s = s.table
 let rows_out s = Table.nrows s.table
 let pushed s = s.pushed
 let add_pushed s n = s.pushed <- s.pushed + n
-let is_dedup s = s.dedup <> None
 
 let push_batch s b =
   let n = Batch.length b in

@@ -47,9 +47,6 @@ val pushed : t -> int
     per-worker sinks. *)
 val add_pushed : t -> int -> unit
 
-(** [is_dedup s] is [true] iff the sink deduplicates. *)
-val is_dedup : t -> bool
-
 (** [push_batch s b] offers every row of [b] to the sink. *)
 val push_batch : t -> Batch.t -> unit
 

@@ -1,6 +1,5 @@
 module Table = Relational.Table
 module Index = Relational.Index
-module Stats = Relational.Stats
 module Clause = Mln.Clause
 module Storage = Kb.Storage
 module Fgraph = Factor_graph.Fgraph
@@ -187,13 +186,13 @@ type result = {
   n_singleton_factors : int;
   n_clause_factors : int;
   load_seconds : float;
-  stats : Stats.t;
+  statements : int;
 }
 
 let run ?(max_iterations = 15) ?(build_factors = true) ?on_iteration kb =
   let db = load kb in
   let rules = Kb.Gamma.rules kb in
-  let stats = Stats.create () in
+  let statements = ref 0 in
   let iterations = ref 0 in
   let converged = ref false in
   let total_new = ref 0 in
@@ -202,11 +201,8 @@ let run ?(max_iterations = 15) ?(build_factors = true) ?on_iteration kb =
     let new_facts = ref 0 in
     List.iter
       (fun c ->
-        let added =
-          Stats.time stats ~label:"rule query" ~rows:Fun.id (fun () ->
-              apply_rule_atoms db c)
-        in
-        new_facts := !new_facts + added)
+        incr statements;
+        new_facts := !new_facts + apply_rule_atoms db c)
       rules;
     total_new := !total_new + !new_facts;
     (match on_iteration with
@@ -221,9 +217,7 @@ let run ?(max_iterations = 15) ?(build_factors = true) ?on_iteration kb =
     List.iter
       (fun c ->
         n_clause_factors :=
-          !n_clause_factors
-          + Stats.time stats ~label:"factor query" ~rows:Fun.id (fun () ->
-                apply_rule_factors db c graph))
+          !n_clause_factors + apply_rule_factors db c graph)
       rules;
     Hashtbl.iter
       (fun _ tbl ->
@@ -247,5 +241,5 @@ let run ?(max_iterations = 15) ?(build_factors = true) ?on_iteration kb =
     n_singleton_factors = !n_singleton_factors;
     n_clause_factors = !n_clause_factors;
     load_seconds = db.load_seconds;
-    stats;
+    statements = !statements;
   }

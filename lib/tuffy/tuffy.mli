@@ -26,7 +26,9 @@ type result = {
   n_singleton_factors : int;
   n_clause_factors : int;
   load_seconds : float;
-  stats : Relational.Stats.t;  (** one entry per per-rule query *)
+  statements : int;
+      (** closure statements issued: one rule query per rule per
+          iteration (the paper's Table 3 count) *)
 }
 
 (** [load kb] bulk-loads the facts of [kb] into per-relation tables.  This

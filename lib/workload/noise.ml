@@ -58,7 +58,6 @@ let scored_rules n = n.scored
 let clean_rules n = n.clean_rules
 let truth_size n = Storage.size n.truth_pi
 let n_ambiguous n = Hashtbl.length n.amb
-let is_ambiguous n e = Hashtbl.mem n.amb e
 
 let rule_key c =
   match Pattern.classify c with
@@ -82,26 +81,6 @@ let is_correct n ~r ~x ~c1 ~y ~c2 =
         (fun y' -> Option.is_some (Storage.find n.truth_pi ~r ~x:x' ~c1 ~y:y' ~c2))
         (expand n y))
     (expand n x)
-
-let precision_of_inferred n =
-  let correct = ref 0 and total = ref 0 in
-  Storage.iter
-    (fun ~id:_ ~r ~x ~c1 ~y ~c2 ~w ->
-      if Table.is_null_weight w then begin
-        incr total;
-        if is_correct n ~r ~x ~c1 ~y ~c2 then incr correct
-      end)
-    (Gamma.pi n.noisy);
-  (!correct, !total)
-
-let inferred_correctness n =
-  let acc = ref [] in
-  Storage.iter
-    (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
-      if Table.is_null_weight w then
-        acc := (id, is_correct n ~r ~x ~c1 ~y ~c2) :: !acc)
-    (Gamma.pi n.noisy);
-  List.rev !acc
 
 (* --- construction --- *)
 

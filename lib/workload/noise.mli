@@ -65,20 +65,9 @@ val truth_size : t -> int
 (** [n_ambiguous n] is the number of merged (ambiguous) entities. *)
 val n_ambiguous : t -> int
 
-(** [is_ambiguous n e] is [true] iff entity [e] is a merged surface form. *)
-val is_ambiguous : t -> int -> bool
-
 (** [is_correct n ~r ~x ~c1 ~y ~c2] is the oracle: true iff some referent
     assignment of the key is in the truth closure. *)
 val is_correct : t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> bool
-
-(** [precision_of_inferred n] scans the noisy KB's inferred (null-weight)
-    facts and returns [(correct, total)]. *)
-val precision_of_inferred : t -> int * int
-
-(** [inferred_correctness n] lists each inferred fact id with its oracle
-    verdict, in insertion (derivation) order. *)
-val inferred_correctness : t -> (int * bool) list
 
 (** [classify_violation n (v, group)] attributes a functional-constraint
     violation to its error source, for the Figure 7(b) analysis.  [group]

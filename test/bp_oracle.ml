@@ -1,3 +1,11 @@
+(* Loopy belief propagation (sum-product), a test oracle: damped,
+   flooding-schedule BP specialized to ProbKB's factor kinds (singleton
+   priors and ground Horn clauses of one or two body atoms).  On acyclic
+   ground graphs it is exact, so test_hybrid cross-checks junction-tree
+   elimination against it on a chain far past the enumeration cap.
+   [marginals ?options c] is the estimate of P(X = 1) per dense variable
+   with its convergence statistics. *)
+
 module Fgraph = Factor_graph.Fgraph
 
 type options = { max_iterations : int; damping : float; tolerance : float }

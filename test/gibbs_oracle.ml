@@ -1,12 +1,11 @@
-(* Test oracles for the samplers' conditional kernel
-   ([Inference.Gibbs.log_odds] / [conditional]) and the MAP flip delta
-   ([Inference.Map_inference.flip_delta]): the satisfied-flip
-   definitions.  For each factor of [v], evaluate [Fgraph.satisfied] with
+(* Test oracle for the sampler's conditional kernel
+   ([Inference.Gibbs.log_odds] / [conditional]): the satisfied-flip
+   definition.  For each factor of [v], evaluate [Fgraph.satisfied] with
    [v] set both ways; where the two differ, the factor's weight enters the
    log-odds, signed by which setting satisfies it.  The kernel must
-   reproduce the conditional bit for bit and the flip delta as a float.
-   Below them, the per-variable chromatic sweep that the class-major
-   sweep replaced, and the colouring statistics. *)
+   reproduce the conditional bit for bit.  Below it, the per-variable
+   chromatic sweep that the class-major sweep replaced, and the colouring
+   statistics. *)
 
 module Fgraph = Factor_graph.Fgraph
 
@@ -26,30 +25,16 @@ let conditional c assignment v =
   assignment.(v) <- prev;
   1. /. (1. +. exp (-. !delta))
 
-let flip_delta c assignment v =
-  let delta = ref 0. in
-  for k = c.Fgraph.adj_off.(v) to c.Fgraph.adj_off.(v + 1) - 1 do
-    let f = c.Fgraph.adj.(k) in
-    let before = Fgraph.satisfied c f assignment in
-    assignment.(v) <- not assignment.(v);
-    let after = Fgraph.satisfied c f assignment in
-    assignment.(v) <- not assignment.(v);
-    if before <> after then
-      delta :=
-        !delta +. if after then c.Fgraph.fweight.(f) else -.c.Fgraph.fweight.(f)
-  done;
-  !delta
-
 (* The chromatic sweep before its class-major layout: every colour class
    is swept in place, [v = cls.(i)] in the original numbering, one
    256-variable chunk after another, chunk [j] of class [k] drawing from
-   the stream [(seed, sweep, global chunk id)].  Online diagnostics
-   go through [Diagnostics.Online.observe].  Pool-free: the chain does
+   the stream [(seed, sweep, global chunk id)].  Online diagnostics, on
+   whenever an early stop is given, go through
+   [Diagnostics.Online.observe].  Pool-free: the chain does
    not depend on the pool.  [Inference.Chromatic.marginals_info] must
    reproduce its marginals and run info bit for bit. *)
 let chromatic ?(options = Inference.Gibbs.default_options)
-    ?(checkpoint = Inference.Chromatic.default_checkpoint) ?online ?early_stop
-    c =
+    ?(checkpoint = Inference.Chromatic.default_checkpoint) ?early_stop c =
   let module Online = Inference.Diagnostics.Online in
   let chunk_size = 256 in
   let n = Fgraph.nvars c in
@@ -62,7 +47,7 @@ let chromatic ?(options = Inference.Gibbs.default_options)
           (Seq.filter (fun v -> colors.(v) = k) (Seq.init n Fun.id)))
   in
   let diag =
-    if Option.value online ~default:(early_stop <> None) then
+    if early_stop <> None then
       Some (Online.create ~segment:checkpoint n)
     else None
   in

@@ -343,8 +343,7 @@ let naive_run ?apply_constraints kb =
       atoms =
         (fun ~delta_from:_ patterns ->
           List.map
-            (fun pat ->
-              (pat, Grounding.Queries.ground_atoms prepared pat pi, 0.))
+            (fun pat -> (pat, Grounding.Queries.ground_atoms prepared pat pi))
             patterns);
       factors =
         (fun () pat g -> Grounding.Queries.ground_factors prepared pat pi g);
@@ -456,9 +455,12 @@ let route_digests () =
            trajectory)
   in
   (* [f] under a zero-threshold spill policy in a fresh directory, which
-     must have received segments — on the single node, exactly one TΠ
-     store: a copy made stale by a compaction is removed. *)
-  let with_spill ?(single = false) spilled f =
+     must have received segments and must be left holding [count] stores
+     whose names start with [prefix]: on the single node one TΠ store (a
+     copy made stale by a compaction is removed), on MPP pn one store per
+     shard of the last distribution (each earlier one is removed when the
+     next replaces it). *)
+  let with_spill ~stores:(prefix, count) spilled f =
     if not spilled then f None
     else begin
       let dir = Filename.temp_dir "probkb-routes" "" in
@@ -466,19 +468,20 @@ let route_digests () =
         f (Some (Storage.Spill.create ~segment_rows:128 ~threshold_bytes:0 ~root:dir ()))
       in
       check_bool "segments written" true (Array.length (Sys.readdir dir) > 0);
-      if single then
-        check_int "one TΠ store left" 1
-          (List.length
-             (List.filter
-                (String.starts_with ~prefix:"tpi-")
-                (Array.to_list (Sys.readdir dir))));
+      check_int
+        (Printf.sprintf "%s* stores left" prefix)
+        count
+        (List.length
+           (List.filter
+              (String.starts_with ~prefix)
+              (Array.to_list (Sys.readdir dir))));
       ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
       d
     end
   in
   let single ?(spilled = false) ?(omega = false) () =
     let kb = Tutil.copy_gamma kb in
-    with_spill ~single:true spilled @@ fun spill ->
+    with_spill ~stores:("tpi-", 1) spilled @@ fun spill ->
     let r =
       Grounding.Ground.run
         ~options:
@@ -512,7 +515,8 @@ let route_digests () =
   in
   let mpp ?(spilled = false) ?(omega = false) mode =
     let kb = Tutil.copy_gamma kb in
-    with_spill spilled @@ fun spill ->
+    let cluster = { Mpp.Cluster.default with Mpp.Cluster.nseg = 4 } in
+    with_spill ~stores:("pn-", cluster.Mpp.Cluster.nseg) spilled @@ fun spill ->
     let r =
       Grounding.Ground_mpp.run
         ~options:
@@ -521,9 +525,7 @@ let route_digests () =
             spill;
             apply_constraints = (if omega then hook kb else None);
           }
-        ~mode
-        { Mpp.Cluster.default with Mpp.Cluster.nseg = 4 }
-        kb
+        ~mode cluster kb
     in
     let trajectory = r.Grounding.Ground_mpp.ground.Grounding.Ground.trajectory in
     fired omega trajectory;
@@ -919,18 +921,15 @@ let test_query_count_independent_of_rule_count () =
   (* With k=2 active partitions (M1, M3) the closure phase must issue
      2 queries per iteration regardless of how many rules each holds. *)
   let kb, _, _ = Tutil.ruth_gruber_kb () in
-  let result = Grounding.Ground.run kb in
-  let entries = Relational.Stats.entries result.Grounding.Ground.stats in
-  let q1 =
-    List.filter
-      (fun e ->
-        String.length e.Relational.Stats.label >= 7
-        && String.sub e.Relational.Stats.label 0 7 = "Query 1")
-      entries
+  let obs = Obs.create ~config:Obs.Config.enabled () in
+  let result =
+    Grounding.Ground.run
+      ~options:{ Grounding.Ground.default_options with obs }
+      kb
   in
   check_int "Query 1 executions = partitions x iterations"
     (2 * result.Grounding.Ground.iterations)
-    (List.length q1)
+    (Obs.Summary.counter (Obs.Summary.of_trace obs) "ground.atom_queries")
 
 let () =
   Alcotest.run "grounding"

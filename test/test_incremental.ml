@@ -296,6 +296,47 @@ let test_promotion () =
   let reference = rebuild kb (Gamma.rules kb) (base_facts kb) in
   check_same_state "promotion" (Dred.kb st, Dred.graph st) reference
 
+(* Two copies of one key in a batch: the first copy wins, whether it
+   inserts a new fact or promotes an inferred one — one fact, the first
+   weight, one singleton factor. *)
+let test_duplicate_keys_in_batch () =
+  let kb = Gamma.create () in
+  ignore (Kb.Loader.load_rules kb [ "1.0 p(x:A, y:B) :- q(x, y)" ]);
+  ignore
+    (Gamma.add_fact_by_name kb ~r:"q" ~x:"a" ~c1:"A" ~y:"b" ~c2:"B" ~w:0.9);
+  let st = expand_dred kb in
+  let key rel x =
+    ( Gamma.relation kb rel, Gamma.entity kb x, Gamma.cls kb "A",
+      Gamma.entity kb "b", Gamma.cls kb "B" )
+  in
+  let weight_of (r, x, c1, y, c2) =
+    let pi = Gamma.pi kb in
+    let id = Storage.find pi ~r ~x ~c1 ~y ~c2 |> Option.get in
+    Relational.Table.weight (Storage.table pi)
+      (Storage.row_of_id pi id |> Option.get)
+  in
+  let twice (r, x, c1, y, c2) w1 w2 =
+    Dred.ingest st [ (r, x, c1, y, c2, w1); (r, x, c1, y, c2, w2) ]
+  in
+  (* A new key: one insert, then its clause factor and one singleton. *)
+  let q_c = key "q" "c" in
+  let ins = twice q_c 0.7 0.4 in
+  check_int "new key inserted once" 1 ins.Dred.inserted;
+  check_int "new key not promoted" 0 ins.Dred.promoted;
+  check_int "new key: one singleton and one clause" 2 ins.Dred.new_factors;
+  Alcotest.(check (float 0.)) "new key keeps the first weight" 0.7
+    (weight_of q_c);
+  (* An inferred key: one promotion, one singleton. *)
+  let p_a = key "p" "a" in
+  let ins = twice p_a 0.6 0.3 in
+  check_int "inferred key not inserted" 0 ins.Dred.inserted;
+  check_int "inferred key promoted once" 1 ins.Dred.promoted;
+  check_int "inferred key: one singleton" 1 ins.Dred.new_factors;
+  Alcotest.(check (float 0.)) "promotion keeps the first weight" 0.6
+    (weight_of p_a);
+  let reference = rebuild kb (Gamma.rules kb) (base_facts kb) in
+  check_same_state "duplicate keys" (Dred.kb st, Dred.graph st) reference
+
 (* --- rule retraction --------------------------------------------------- *)
 
 let test_retract_rules () =
@@ -1403,6 +1444,8 @@ let () =
           Alcotest.test_case "ingest extends factors" `Quick
             test_ingest_extends_factors;
           Alcotest.test_case "promotion" `Quick test_promotion;
+          Alcotest.test_case "duplicate keys in one batch" `Quick
+            test_duplicate_keys_in_batch;
         ] );
       ( "rules",
         [

@@ -1,6 +1,6 @@
 (* Differential tests for the pipelined plan executor: every generated
    plan must produce, on the morsel-driven engine at any pool size, the
-   byte-identical table the legacy materializing engine produces. *)
+   byte-identical table the materializing oracle (Plan_oracle) produces. *)
 
 module Table = Relational.Table
 module Batch = Relational.Batch
@@ -120,7 +120,7 @@ let test_random_plans_differential () =
   with_pools (fun p1 p4 ->
       for i = 1 to 60 do
         let plan = gen_plan st tables (1 + Random.State.int st 3) in
-        let reference = Plan.run_materializing ~pool:p1 plan in
+        let reference = Plan_oracle.run ~pool:p1 plan in
         List.iter
           (fun (label, pool) ->
             let got = Plan.run ~pool plan in
@@ -129,11 +129,11 @@ let test_random_plans_differential () =
               true
               (tables_identical reference got))
           [ ("pipelined/1", p1); ("pipelined/4", p4) ];
-        (* The materializing engine itself must be pool-size invariant. *)
+        (* The materializing oracle itself must be pool-size invariant. *)
         Alcotest.(check bool)
           (Printf.sprintf "plan %d materializing/4 identical" i)
           true
-          (tables_identical reference (Plan.run_materializing ~pool:p4 plan))
+          (tables_identical reference (Plan_oracle.run ~pool:p4 plan))
       done)
 
 (* The driver's other two sources against materialized references, at
@@ -254,7 +254,7 @@ let test_query_plans_differential () =
   with_pools (fun p1 p4 ->
       List.iter
         (fun (pat, plan) ->
-          let reference = Plan.run_materializing ~pool:p1 plan in
+          let reference = Plan_oracle.run ~pool:p1 plan in
           List.iter
             (fun (label, got) ->
               Alcotest.(check bool)
@@ -264,7 +264,7 @@ let test_query_plans_differential () =
             [
               ("pipelined/1", Plan.run ~pool:p1 plan);
               ("pipelined/4", Plan.run ~pool:p4 plan);
-              ("materializing/4", Plan.run_materializing ~pool:p4 plan);
+              ("materializing/4", Plan_oracle.run ~pool:p4 plan);
             ])
         plans)
 
@@ -275,7 +275,7 @@ let test_analyze_matches_run () =
   let tables = base_tables st in
   for i = 1 to 20 do
     let plan = gen_plan st tables 2 in
-    let reference = Plan.run_materializing plan in
+    let reference = Plan_oracle.run plan in
     let table, a = Plan.analyze plan in
     Alcotest.(check bool)
       (Printf.sprintf "analyze %d identical" i)
@@ -317,7 +317,7 @@ let test_batch_boundaries () =
             Plan.Select
               (Plan.Not (Plan.Eq_const (1, 3)), Plan.Scan t)
           in
-          let reference = Plan.run_materializing ~pool:p1 plan in
+          let reference = Plan_oracle.run ~pool:p1 plan in
           List.iter
             (fun pool ->
               Alcotest.(check bool)
@@ -326,7 +326,7 @@ let test_batch_boundaries () =
                 (tables_identical reference (Plan.run ~pool plan)))
             [ p1; p4 ];
           let dplan = Plan.Distinct (Some [| 1 |], Plan.Scan t) in
-          let dref = Plan.run_materializing ~pool:p1 dplan in
+          let dref = Plan_oracle.run ~pool:p1 dplan in
           List.iter
             (fun pool ->
               Alcotest.(check bool)
@@ -342,7 +342,7 @@ let test_scan_returns_base_table () =
   Alcotest.(check bool) "pipelined scan" true (Plan.run (Plan.Scan t) == t);
   Alcotest.(check bool)
     "materializing scan" true
-    (Plan.run_materializing (Plan.Scan t) == t)
+    (Plan_oracle.run (Plan.Scan t) == t)
 
 (* --- direct kernel-level boundary checks --- *)
 

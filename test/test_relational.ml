@@ -369,23 +369,6 @@ let test_distinct_sorted_matches_hash_distinct =
       let d2 = Ops.distinct t [| 0; 1 |] in
       Tutil.rows_as_sorted_lists d1 = Tutil.rows_as_sorted_lists d2)
 
-(* --- stats --- *)
-
-let test_stats_accumulation () =
-  let st = Relational.Stats.create () in
-  let r = Relational.Stats.time st ~label:"q" ~rows:List.length (fun () -> [ 1; 2; 3 ]) in
-  Alcotest.(check (list int)) "result passthrough" [ 1; 2; 3 ] r;
-  Relational.Stats.record st ~label:"q" ~seconds:0.5 ~rows_out:10;
-  Alcotest.(check int) "queries" 2 (Relational.Stats.queries st);
-  Alcotest.(check int) "rows" 13 (Relational.Stats.total_rows st);
-  Alcotest.(check bool) "time positive" true (Relational.Stats.total_seconds st >= 0.5);
-  let st2 = Relational.Stats.create () in
-  Relational.Stats.record st2 ~label:"w" ~seconds:1.0 ~rows_out:1;
-  Relational.Stats.merge st st2;
-  Alcotest.(check int) "merged" 3 (Relational.Stats.queries st);
-  Relational.Stats.reset st;
-  Alcotest.(check int) "reset" 0 (Relational.Stats.queries st)
-
 (* --- dbms model --- *)
 
 let test_dbms_model () =
@@ -585,71 +568,6 @@ let test_nested_loop_dedup () =
   check_int "without dedup: 4 rows" 4 (Table.nrows (run false));
   check_int "with dedup: 1 row" 1 (Table.nrows (run true))
 
-(* --- table I/O --- *)
-
-let test_table_io_roundtrip () =
-  let t = Table.create ~weighted:true ~name:"T_Pi" [| "I"; "R"; "x" |] in
-  Table.append_w t [| 0; 3; 17 |] 0.96;
-  Table.append t [| 1; 3; 18 |] (* null weight *);
-  Table.append_w t [| 2; 4; -5 |] 1.25;
-  let path = Filename.temp_file "tbl" ".tsv" in
-  Relational.Table_io.to_file t path;
-  let t' = Relational.Table_io.of_file path in
-  Sys.remove path;
-  Alcotest.(check string) "name" "T_Pi" (Table.name t');
-  Alcotest.(check (array string)) "schema" (Table.cols t) (Table.cols t');
-  Alcotest.(check bool) "rows equal" true (Tutil.table_rows_equal t t');
-  Alcotest.(check (float 0.)) "weight" 0.96 (Table.weight t' 0);
-  Alcotest.(check bool) "null preserved" true
-    (Table.is_null_weight (Table.weight t' 1))
-
-let test_table_io_roundtrip_qcheck =
-  Tutil.qcheck_case "table io roundtrip (generated)"
-    QCheck.(list (pair int (option (float_bound_inclusive 2.))))
-    (fun rows ->
-      let t = Table.create ~weighted:true ~name:"t" [| "v" |] in
-      List.iter
-        (fun (v, w) ->
-          match w with
-          | Some w -> Table.append_w t [| v |] w
-          | None -> Table.append t [| v |])
-        rows;
-      let path = Filename.temp_file "tbl" ".tsv" in
-      Relational.Table_io.to_file t path;
-      let t' = Relational.Table_io.of_file path in
-      Sys.remove path;
-      Table.nrows t = Table.nrows t'
-      && List.for_all
-           (fun r ->
-             Table.get t r 0 = Table.get t' r 0
-             &&
-             let w = Table.weight t r and w' = Table.weight t' r in
-             (Table.is_null_weight w && Table.is_null_weight w') || w = w')
-           (List.init (Table.nrows t) Fun.id))
-
-let test_table_io_unweighted () =
-  let t = Table.create ~name:"plain" [| "a"; "b" |] in
-  Table.append t [| 1; 2 |];
-  let path = Filename.temp_file "tbl" ".tsv" in
-  Relational.Table_io.to_file t path;
-  let t' = Relational.Table_io.of_file path in
-  Sys.remove path;
-  Alcotest.(check bool) "not weighted" false (Table.weighted t');
-  Alcotest.(check bool) "rows" true (Tutil.table_rows_equal t t')
-
-let test_table_io_rejects_garbage () =
-  let path = Filename.temp_file "tbl" ".tsv" in
-  let oc = open_out path in
-  output_string oc "#table t a\n1\t2\n";
-  close_out oc;
-  let result =
-    match Relational.Table_io.of_file path with
-    | _ -> false
-    | exception Relational.Table_io.Parse_error _ -> true
-  in
-  Sys.remove path;
-  Alcotest.(check bool) "field-count error" true result
-
 (* --- colstats --- *)
 
 let test_colstats () =
@@ -838,14 +756,6 @@ let () =
             test_merge_join_requires_sorted;
           test_distinct_sorted_matches_hash_distinct;
         ] );
-      ( "table-io",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_table_io_roundtrip;
-          test_table_io_roundtrip_qcheck;
-          Alcotest.test_case "unweighted" `Quick test_table_io_unweighted;
-          Alcotest.test_case "garbage rejected" `Quick
-            test_table_io_rejects_garbage;
-        ] );
       ( "plan",
         [
           Alcotest.test_case "colstats" `Quick test_colstats;
@@ -860,7 +770,6 @@ let () =
         ] );
       ( "stats-and-model",
         [
-          Alcotest.test_case "stats" `Quick test_stats_accumulation;
           Alcotest.test_case "dbms model constants" `Quick test_dbms_model;
           Alcotest.test_case "inline dedup" `Quick test_join_inline_dedup;
           test_join_dedup_qcheck;

@@ -1,11 +1,10 @@
 (* The out-of-core columnar store: segment round-trips through the mmap
    reader, store spill/sync, zone-map pruning (results invariant, only
-   counters move), corruption detection, Table_io format versioning, and
-   end-to-end differentials — spilled grounding and spilled MPP shards
-   must be bit-identical to the fully in-memory runs. *)
+   counters move), corruption detection, and end-to-end differentials —
+   spilled grounding and spilled MPP shards must be bit-identical to the
+   fully in-memory runs. *)
 
 module Table = Relational.Table
-module Table_io = Relational.Table_io
 module Segsrc = Relational.Segsrc
 module Colstats = Relational.Colstats
 module Plan = Relational.Plan
@@ -344,7 +343,7 @@ let test_spilled_scan_differential () =
             let pred = gen_pred rng width in
             let mem = Plan.Select (pred, Plan.Scan tbl) in
             let spl = Plan.Select (pred, Plan.Scan_segments src) in
-            let expected = Plan.run_materializing mem in
+            let expected = Plan_oracle.run mem in
             List.iter
               (fun pool ->
                 check_bool "spilled select ≡ in-memory" true
@@ -370,7 +369,7 @@ let test_spilled_scan_differential () =
                 in
                 check_bool "spilled probe join ≡ in-memory" true
                   (tables_identical
-                     (Plan.run_materializing probe_mem)
+                     (Plan_oracle.run probe_mem)
                      (Plan.run ~pool probe)))
               [ p1; p4 ])
       done)
@@ -396,7 +395,7 @@ let test_pruning_invariant_and_counted () =
           let spilled, s =
             run (Plan.Select (pred, Plan.Scan_segments (Store.source st)))
           in
-          let expected = Plan.run_materializing (Plan.Select (pred, Plan.Scan t)) in
+          let expected = Plan_oracle.run (Plan.Select (pred, Plan.Scan t)) in
           check_bool (name ^ ": pruning never changes results") true
             (tables_identical expected spilled);
           check_int (name ^ ": segments skipped") skipped
@@ -418,45 +417,6 @@ let test_pruning_invariant_and_counted () =
       in
       check_int "unprunable: nothing skipped" 0
         (Summary.counter s "storage.segments_skipped"))
-
-(* --- Table_io format versioning --- *)
-
-let test_table_io_version_roundtrip =
-  Tutil.qcheck_case "Table_io round-trip at the current format version"
-    QCheck.(list (pair (pair small_int small_int) (option (float_bound_inclusive 1.0))))
-    (fun rows ->
-      let weighted = List.exists (fun (_, w) -> w <> None) rows in
-      let t = Table.create ~weighted ~name:"t" [| "a"; "b" |] in
-      List.iter
-        (fun ((a, b), w) ->
-          if weighted then
-            Table.append_w t [| a; b |]
-              (match w with Some w -> w | None -> Table.null_weight)
-          else Table.append t [| a; b |])
-        rows;
-      let path = fresh_tmp "tio" in
-      Fun.protect
-        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-        (fun () ->
-          Table_io.to_file t path;
-          tables_identical t (Table_io.of_file path)))
-
-let test_table_io_rejects_other_versions () =
-  let reject name content =
-    let path = fresh_tmp "tio" in
-    let oc = open_out path in
-    output_string oc content;
-    close_out oc;
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        match Table_io.of_file path with
-        | _ -> Alcotest.failf "%s: expected Parse_error" name
-        | exception Table_io.Parse_error _ -> ())
-  in
-  reject "unversioned v1 header" "#table t a b\n0\t1\n";
-  reject "future version" "#table:99 t a b\n0\t1\n";
-  reject "not a table file" "hello\n"
 
 (* --- spilled grounding differentials --- *)
 
@@ -602,12 +562,6 @@ let () =
             test_spilled_scan_differential;
           Alcotest.test_case "zone-map pruning" `Quick
             test_pruning_invariant_and_counted;
-        ] );
-      ( "table_io",
-        [
-          test_table_io_version_roundtrip;
-          Alcotest.test_case "version rejection" `Quick
-            test_table_io_rejects_other_versions;
         ] );
       ( "grounding",
         [
