@@ -102,13 +102,15 @@ type executor = {
           [TΠ]: deduplicated head atoms, in pattern order.  Without a
           delta, every head the full query derives, in its order.  With
           [delta_from = Some id], the delta is the facts from [id] on —
-          the rows of [TΠ] from that id ({!Kb.Storage.rows_from}), read
-          in place — and the executor may instead return only the heads
-          of derivations that use a delta fact, in the full query's
-          order ({!Queries.ground_atoms_delta}): merging either list adds
-          the same facts in the same order *)
+          the rows of [TΠ] from that id ({!Kb.Storage.rows_from}) — and
+          the executor returns the heads of the derivations that use a
+          delta fact, in the full query's order
+          ({!Queries.ground_atoms_delta}), so a delta iteration adds the
+          facts a full one would, in the same order and with the same
+          ids *)
   factors : unit -> Mln.Pattern.t -> Factor_graph.Fgraph.t -> int;
-      (** prepares the factor phase, then runs Query 2-i into [TΦ] *)
+      (** prepares the factor phase, then runs Query 2-i into [TΦ], its
+          rows in the single-node scan join's order *)
   singletons : Factor_graph.Fgraph.t -> int;
       (** [groundFactors(TΠ)] (Algorithm 1, line 10) *)
   point_data : unit -> (string * Obs.value) list;

@@ -59,6 +59,44 @@ let distributed_step cluster cost label rows row_bytes =
     (Mpp.Cost.Coordinator { label; rows })
     (float_of_int (rows / max 1 nseg + 1) *. cluster.Mpp.Cluster.cost_per_row)
 
+(* The single-node scan join's order, restored on the coordinator.  A
+   segment's local join emits its matches in the order of its probe
+   rows — TΠ's, restricted to the shard — and, for one probe row, in the
+   build index's chain order; a motion keeps the relative order of the
+   rows one segment sends.  Every match carries its body ids (I2, I3), so
+   a stable sort by them interleaves the segments' output as one scan of
+   TΠ would: by id for a one-atom pattern; for a two-atom pattern by r id
+   ascending, then q id descending (the scan's order of J rows), with
+   the q term's rows before the r term's.  Returns the sorted row
+   indices of [rows]. *)
+let scan_order (s : Shape.t) rows =
+  let id r c = Table.get rows r c in
+  let cmp =
+    match s with
+    | Shape.One_atom _ -> fun a b -> Int.compare (id a 5) (id b 5)
+    | Shape.Two_atom _ ->
+      fun a b ->
+        match Int.compare (id a 6) (id b 6) with
+        | 0 -> Int.compare (id b 5) (id a 5)
+        | c -> c
+  in
+  let perm = Array.init (Table.nrows rows) Fun.id in
+  Array.stable_sort cmp perm;
+  perm
+
+(* The head atoms of [rows] taken in [perm]'s order, first occurrences
+   only. *)
+let heads rows perm =
+  let t = Table.create ~name:(Table.name rows) Queries.atom_cols in
+  Table.reserve t (Array.length perm);
+  let buf = Array.make (Table.width rows) 0 in
+  Array.iter
+    (fun r ->
+      Table.blit_row rows r buf 0;
+      Table.append_slice t buf 0)
+    perm;
+  Ops.distinct t [| 0; 1; 2; 3; 4 |]
+
 (* The MPP executor: distribution, the [Djoin] plans and every cost
    charge.  One-time distribution work (replicating the MLN tables,
    building the initial views / base table) is load, not query time — the
@@ -68,132 +106,214 @@ let executor options mode cluster cost ~load_sim kb =
   let obs = options.obs in
   let pi = Kb.Gamma.pi kb in
   let parts = Kb.Gamma.partitions kb in
-  let first_distribution = ref true in
-  (* MLN tables are small: replicate them once. *)
+  let nseg = cluster.Mpp.Cluster.nseg in
+  let motion_seconds bytes =
+    cluster.Mpp.Cluster.motion_latency_s
+    +. (float_of_int bytes /. cluster.Mpp.Cluster.bandwidth_bytes_per_s)
+  in
+  (* MLN tables are small: replicate them once — each pattern's rules
+     and, for a two-atom pattern, their mirror, which its r-atom delta
+     term joins. *)
+  let replicate tbl =
+    let bytes = Table.byte_size tbl * (nseg - 1) in
+    Mpp.Cost.charge cost
+      (Mpp.Cost.Broadcast
+         { table = Table.name tbl; rows = Table.nrows tbl; bytes })
+      (motion_seconds bytes);
+    Mpp.Dtable.partition cluster tbl Mpp.Dtable.Replicated
+  in
   let m_repl =
     List.filter_map
       (fun pat ->
         if Mln.Partition.count parts pat = 0 then None
         else begin
           let tbl = Mln.Partition.table parts pat in
-          let bytes = Table.byte_size tbl * (cluster.Mpp.Cluster.nseg - 1) in
-          Mpp.Cost.charge cost
-            (Mpp.Cost.Broadcast
-               { table = Table.name tbl; rows = Table.nrows tbl; bytes })
-            (cluster.Mpp.Cluster.motion_latency_s
-            +. (float_of_int bytes /. cluster.Mpp.Cluster.bandwidth_bytes_per_s));
-          Some (pat, Mpp.Dtable.partition cluster tbl Mpp.Dtable.Replicated)
+          let m = replicate tbl in
+          let mirror =
+            match Queries.shape_of pat with
+            | Shape.One_atom _ -> None
+            | Shape.Two_atom _ ->
+              Some (replicate (Queries.mirror_rule_table pat tbl))
+          in
+          Some (pat, (m, mirror))
         end)
       Pattern.all
   in
   load_sim := Mpp.Cost.elapsed cost;
-  (* Distribution refresh.  Greenplum ships only the rows inserted since
-     the previous iteration (the views are distributed tables receiving
-     INSERTs), so motions are charged on the delta; the re-partition
-     itself is executed materially on the whole table. *)
+  (* redistribute(TΠ) (Algorithm 1, line 7).  Greenplum's views and pn
+     shards are distributed tables that receive INSERTs: each
+     distribution appends the rows TΠ gained since the previous one, and
+     the motion is charged on those rows.  A distribution holds one
+     table value; only a new one — an Ω pass compacted TΠ, so its rows
+     moved — or a resident pn table that must now spill is built
+     afresh, and the stores of the spilled shards it replaces are
+     removed. *)
+  let placed = ref None in
   let prev_rows = ref 0 in
-  (* The pn table of the last distribution: a new distribution replaces
-     it, so the stores of its spilled shards are removed then. *)
-  let last_pn = ref None in
-  let distribute_facts () =
-    Option.iter Mpp.Dtable.remove_spilled !last_pn;
-    last_pn := None;
-    let facts = Storage.table pi in
+  let first_distribution = ref true in
+  let charge_delta facts copies =
     let delta = max 0 (Table.nrows facts - !prev_rows) in
     prev_rows := Table.nrows facts;
-    let charge_delta copies =
-      let nseg = cluster.Mpp.Cluster.nseg in
-      let bytes =
-        copies * delta * Table.row_bytes facts * (nseg - 1) / max 1 nseg
-      in
-      let label = if !first_distribution then "T_Pi(load)" else "T_Pi(delta)" in
-      let seconds =
-        cluster.Mpp.Cluster.motion_latency_s
-        +. (float_of_int bytes /. cluster.Mpp.Cluster.bandwidth_bytes_per_s)
-      in
-      Mpp.Cost.charge cost
-        (Mpp.Cost.Redistribute { table = label; rows = copies * delta; bytes })
-        seconds;
-      if !first_distribution then begin
-        load_sim := !load_sim +. seconds;
-        first_distribution := false
-      end
+    let bytes =
+      copies * delta * Table.row_bytes facts * (nseg - 1) / max 1 nseg
     in
-    match mode with
-    | Views ->
-      charge_delta (List.length Mpp.Matview.distribution_keys);
-      let silent = Mpp.Cost.create () in
+    let label = if !first_distribution then "T_Pi(load)" else "T_Pi(delta)" in
+    let seconds = motion_seconds bytes in
+    Mpp.Cost.charge cost
+      (Mpp.Cost.Redistribute { table = label; rows = copies * delta; bytes })
+      seconds;
+    if !first_distribution then begin
+      load_sim := !load_sim +. seconds;
+      first_distribution := false
+    end
+  in
+  (* ProbKB-pn with out-of-core shards: once [facts] crosses the spill
+     threshold, each hash shard lives in its own segment store and local
+     joins probe it from there — so [measured_seconds] includes the
+     shard I/O. *)
+  let spill_policy facts =
+    match (mode, options.spill) with
+    | No_views, Some policy when Spill.should_spill policy facts -> Some policy
+    | No_views, _ | Views, _ -> None
+  in
+  let spilled = function
+    | `Pn dt -> Mpp.Dtable.spilled dt 0
+    | `Views _ -> false
+  in
+  let rows_attr facts = [ ("rows", Obs.I (Table.nrows facts)) ] in
+  let build facts =
+    Obs.incr obs "mpp.distribution_builds";
+    let pn = Mpp.Dtable.Hash [| 0 |] in
+    match (mode, spill_policy facts) with
+    | Views, _ ->
       `Views
-        (Obs.with_span obs "matview build" ~cat:"mpp"
-           ~attrs:[ ("rows", Obs.I (Table.nrows facts)) ]
-           (fun () -> Mpp.Matview.create cluster silent facts))
-    | No_views ->
-      charge_delta 1;
-      (* ProbKB-pn with out-of-core shards: once the fact table crosses
-         the spill threshold, each hash shard lives in its own segment
-         store and local joins read it back through the mmap — so
-         [measured_seconds] includes the shard I/O. *)
-      let dt =
-        match options.spill with
-        | Some policy when Spill.should_spill policy facts ->
-          Obs.with_span obs "spill shards" ~cat:"mpp"
-            ~attrs:[ ("rows", Obs.I (Table.nrows facts)) ]
+        (Obs.with_span obs "matview build" ~cat:"mpp" ~attrs:(rows_attr facts)
+           (fun () -> Mpp.Matview.create cluster (Mpp.Cost.create ()) facts))
+    | No_views, Some policy ->
+      `Pn
+        (Obs.with_span obs "spill shards" ~cat:"mpp" ~attrs:(rows_attr facts)
+           (fun () ->
+             Mpp.Dtable.partition_spilled policy ~prefix:"pn" cluster facts pn))
+    | No_views, None -> `Pn (Mpp.Dtable.partition cluster facts pn)
+  in
+  let distribute () =
+    let facts = Storage.table pi in
+    let n = Table.nrows facts in
+    charge_delta facts
+      (match mode with
+      | Views -> List.length Mpp.Matview.distribution_keys
+      | No_views -> 1);
+    let d =
+      match !placed with
+      | Some (mirrored, held, d)
+        when mirrored == facts && spilled d = Option.is_some (spill_policy facts)
+        ->
+        if n > held then begin
+          Obs.add obs "mpp.rows_appended" (n - held);
+          Obs.with_span obs "append" ~cat:"mpp"
+            ~attrs:[ ("rows", Obs.I (n - held)) ]
             (fun () ->
-              Mpp.Dtable.partition_spilled policy ~prefix:"pn" cluster facts
-                (Mpp.Dtable.Hash [| 0 |]))
-        | _ -> Mpp.Dtable.partition cluster facts (Mpp.Dtable.Hash [| 0 |])
-      in
-      last_pn := Some dt;
-      `Pn dt
+              match d with
+              | `Views v -> Mpp.Matview.append v facts ~from:held
+              | `Pn dt -> Mpp.Dtable.append dt facts ~from:held)
+        end;
+        d
+      | stale ->
+        Option.iter
+          (function
+            | _, _, `Pn dt -> Mpp.Dtable.remove_spilled dt
+            | _, _, `Views _ -> ())
+          stale;
+        build facts
+    in
+    placed := Some (facts, n, d);
+    d
+  in
+  (* Joins against the replicated rule tables are collocated under any
+     distribution, so Δ is distributed like the finest (best-balanced)
+     replica; the J ⋈ TΠ join reads the view aligned with its key. *)
+  let balanced = function `Views v -> Mpp.Matview.finest v | `Pn dt -> dt in
+  let view key = function
+    | `Views v -> Mpp.Matview.pick v key
+    | `Pn dt -> dt
   in
   let djoin = Mpp.Djoin.hash_join cluster cost in
-  let run_pattern distributed pat ~factors =
-    let s = Queries.shape_of pat in
-    let m = List.assoc pat m_repl in
-    (* Joins against the replicated Mi tables are collocated under any
-       distribution, so they read the finest (best-balanced) replica; the
-       J ⋈ TΠ join needs the view aligned with its key. *)
-    let balanced_view () =
-      match distributed with
-      | `Views v -> Mpp.Matview.finest v
-      | `Pn dt -> dt
+  (* One union term of Query 1-i or 2-i: the rules [m] (replicated) joined
+     with [delta] as the q atom of [pat], or — [mirrored] — of its mirror,
+     which binds Δ to [pat]'s r atom; a two-atom term then joins J with
+     all of TΠ, J staying the build side.  The rows project the head and
+     the body ids in [pat]'s orientation (Queries.factors_out).  Query 1-i
+     deduplicates them on each segment, head and body ids together, which
+     keeps every head's first derivation in the scan's order; Query 2-i
+     keeps every row, as on the single node.  A term whose J is empty
+     skips step 2 and its motions: [None]. *)
+  let term d pat m ~delta ~factors ~mirrored =
+    let s =
+      Queries.shape_of (if mirrored then Queries.mirror_pattern pat else pat)
     in
-    let view key =
-      match distributed with
-      | `Views v -> Mpp.Matview.pick v key
-      | `Pn dt -> dt
+    let name = Pattern.to_string pat ^ if mirrored then "_r" else "" in
+    let out =
+      if mirrored then Queries.factors_out_swapped s else Queries.factors_out s
     in
-    let cols = if factors then Queries.atom_i_cols else Queries.atom_cols in
-    let out = if factors then Queries.factors_out s else Queries.atoms_out s in
     let oweight =
       if factors then Join.Weight_of Join.Build else Join.No_weight
     in
-    Mpp.Dtable.gather
-      (match s with
-      | Shape.One_atom s1 ->
-        djoin ~name:(Pattern.to_string pat) ~cols ~out ~oweight ~dedup:true
-          (m, s1.m_key)
-          (balanced_view (), s1.t_key)
-      | Shape.Two_atom s2 ->
-        let j =
-          djoin
-            ~name:(Pattern.to_string pat ^ "_J")
-            ~cols:Queries.j_cols ~out:(Queries.step1_out s)
-            ~oweight:(Join.Weight_of Join.Build) ~dedup:true (m, s2.m_key1)
-            (balanced_view (), s2.t_key1)
-        in
-        djoin ~name:(Pattern.to_string pat) ~cols ~out ~oweight ~dedup:true
-          (j, s2.j_key2)
-          (view s2.t_key2, s2.t_key2))
+    let derive b p =
+      Some
+        (Mpp.Dtable.gather
+           (djoin ~name ~cols:Queries.atom_i_cols ~out ~oweight
+              ~dedup:(not factors) b p))
+    in
+    match s with
+    | Shape.One_atom s1 -> derive (m, s1.m_key) (delta, s1.t_key)
+    | Shape.Two_atom s2 ->
+      let j =
+        djoin ~name:(name ^ "_J") ~cols:Queries.j_cols
+          ~out:(Queries.step1_out s) ~oweight:(Join.Weight_of Join.Build)
+          ~dedup:true (m, s2.m_key1) (delta, s2.t_key1)
+      in
+      if Mpp.Dtable.nrows j = 0 then None
+      else derive (j, s2.j_key2) (view s2.t_key2 d, s2.t_key2)
   in
-  (* The distributed plans have no delta terms, so every iteration runs
-     the full query and ignores the delta's first id — which
-     {!Ground.executor} allows: it merges into the same facts as the
-     delta query. *)
-  let atoms ~delta_from:_ patterns =
-    (* redistribute(TΠ): refresh the views / re-load the pn table. *)
-    let distributed =
-      Obs.with_span obs "distribute" ~cat:"mpp" distribute_facts
+  (* Query 1-i or 2-i over the derivations with a body atom in Δ, in the
+     single-node scan join's order: the q term and, unless Δ is all of TΠ
+     ([full]), a two-atom pattern's r term too. *)
+  let query d pat ~delta ~full ~factors =
+    let m, mirror = List.assoc pat m_repl in
+    let terms =
+      term d pat m ~delta ~factors ~mirrored:false
+      :: (match mirror with
+         | Some mm when not full ->
+           [ term d pat mm ~delta ~factors ~mirrored:true ]
+         | Some _ | None -> [])
+    in
+    let rows =
+      match List.filter_map Fun.id terms with
+      | [] ->
+        Table.create ~weighted:factors ~name:(Pattern.to_string pat)
+          Queries.atom_i_cols
+      | first :: rest ->
+        List.iter (Table.append_all first) rest;
+        first
+    in
+    (rows, scan_order (Queries.shape_of pat) rows)
+  in
+  let atoms ~delta_from patterns =
+    let d = Obs.with_span obs "distribute" ~cat:"mpp" distribute in
+    (* Δ: the facts from the delta's first id — a suffix of TΠ —
+       distributed like the balanced side; without one, all of TΠ. *)
+    let delta, full =
+      match delta_from with
+      | None -> (balanced d, true)
+      | Some id ->
+        let facts = Storage.table pi in
+        let from =
+          Table.nrows facts
+          - Relational.Pipeline.rows (Storage.rows_from pi id)
+        in
+        ( Mpp.Dtable.partition ~from cluster facts
+            (Mpp.Dtable.dist (balanced d)),
+          false )
     in
     List.map
       (fun pat ->
@@ -201,20 +321,23 @@ let executor options mode cluster cost ~load_sim kb =
           (Printf.sprintf "M%d" (Pattern.index pat + 1))
           ~cat:"mpp"
           (fun () ->
-            let gathered = run_pattern distributed pat ~factors:false in
-            let distinct = Ops.distinct gathered [| 0; 1; 2; 3; 4 |] in
-            distributed_step cluster cost "distinct+merge"
-              (Table.nrows gathered) (Table.row_bytes gathered);
-            (pat, distinct)))
+            let rows, perm = query d pat ~delta ~full ~factors:false in
+            distributed_step cluster cost "distinct+merge" (Table.nrows rows)
+              (Table.row_bytes rows);
+            (pat, heads rows perm)))
       patterns
   in
+  (* The factor phase joins all of TΠ over the last distribution, grown
+     by the last iteration's facts. *)
   let factors () =
-    let distributed = distribute_facts () in
+    let d = Obs.with_span obs "distribute" ~cat:"mpp" distribute in
     fun pat graph ->
-      let rows = run_pattern distributed pat ~factors:true in
+      let rows, perm =
+        query d pat ~delta:(balanced d) ~full:true ~factors:true
+      in
       distributed_step cluster cost "resolve heads" (Table.nrows rows)
         (Table.row_bytes rows);
-      Queries.resolve_heads rows pi graph
+      Queries.resolve_heads (Table.sub rows perm) pi graph
   in
   let singletons graph =
     let n = Queries.singleton_factors pi graph in

@@ -9,13 +9,22 @@
     distributed by its primary key and every join pays redistribution or
     broadcast motions — the two plans of Figure 4.
 
-    Results (the inferred facts, the trajectory, the constraint removals
-    and the ground factors) are identical to the single-node route; the
-    differential tests assert it.  The MPP executor has no delta joins:
-    where {!Ground.drive} hands it the previous iteration's new facts it
-    evaluates the full query, which merges into the same facts, and it
-    offers no incremental mode.  Its joins, [sim_seconds] and
-    [motion_bytes] are those of full evaluation. *)
+    The closure is semi-naive.  The views or pn shards are distributed
+    tables that receive INSERTs: each distribution appends the rows [TΠ]
+    gained since the previous one, and only an Ω pass that compacts
+    [TΠ] forces a rebuild.  From the second iteration on, each pattern
+    joins only the previous iteration's facts (Δ): a one-atom pattern
+    its rules with Δ; a two-atom pattern Δ on its q atom, then J with all
+    of [TΠ], and Δ on its r atom through the mirrored rule table.  The
+    first iteration and the factor phase bind all of [TΠ] to the q atom.
+
+    Every Query 1-i and 2-i returns its rows in the single-node scan
+    join's order: the distributed joins project the body ids, and the
+    coordinator stably sorts the gathered rows by them before it
+    deduplicates heads.  So [TΠ] (every fact id included), [TΦ] and the
+    trajectory are bit-identical to {!Ground.run}'s for either mode, any
+    segment count, spilled or not; the oracle test in [test_mpp] checks
+    it. *)
 
 type mode =
   | Views  (** ProbKB-p: redistributed materialized views *)
@@ -34,15 +43,20 @@ type options = {
       (** out-of-core shards for [No_views] mode (default [None]): once
           [TΠ] crosses the policy's byte threshold, each hash shard of
           the distributed fact table is flushed to its own on-disk
-          segment store and local joins materialize it back through the
-          mmap — [measured_seconds] then includes the shard read I/O.
-          Results are bit-identical with or without spilling *)
+          segment store, each later distribution appends its new rows as
+          one more segment, and local joins probe the shard from its
+          mmap'd segments — [measured_seconds] then includes the shard
+          read I/O.  A rebuild removes the stores it replaces, so a run
+          leaves one store per shard.  Results are bit-identical with or
+          without spilling *)
   obs : Obs.t;
       (** trace context (default {!Obs.null}).  When enabled, the run
           emits [closure > iteration i > distribute/M1..M6] and
-          [factors] span trees, the loop's counters under [mpp.*], and
-          [mpp.*] counters (motions, motion bytes, per-segment join busy
-          time and skew) derived from the cost trace. *)
+          [factors] span trees, the loop's counters under [mpp.*], the
+          distribution counters [mpp.distribution_builds] and
+          [mpp.rows_appended], and [mpp.*] counters (motions, motion
+          bytes, per-segment join busy time and skew) derived from the
+          cost trace. *)
 }
 
 val default_options : options

@@ -48,6 +48,21 @@ val step1_out : Shape.t -> Relational.Join.out_col array
 val atoms_out : Shape.t -> Relational.Join.out_col array
 val factors_out : Shape.t -> Relational.Join.out_col array
 
+(** [factors_out_swapped s] is [factors_out s] for the shape [s] of a
+    mirrored pattern ({!mirror_pattern}) run with Δ on the original
+    pattern's r atom: the head's x and y columns and the body ids I2/I3
+    are swapped back, so its rows read as the original pattern's. *)
+val factors_out_swapped : Shape.t -> Relational.Join.out_col array
+
+(** [mirror_pattern pat] is the pattern that runs [pat]'s r atom as its
+    q atom: P3↔P3, P4↔P5, P6↔P6 (one-atom patterns map to themselves). *)
+val mirror_pattern : Mln.Pattern.t -> Mln.Pattern.t
+
+(** [mirror_rule_table pat tbl] is [pat]'s rule table [tbl] rewritten
+    for {!mirror_pattern}: rows [(R1, R2, R3, C1, C2, C3)] become
+    [(R1, R3, R2, C2, C1, C3)], weights and row order kept. *)
+val mirror_rule_table : Mln.Pattern.t -> Relational.Table.t -> Relational.Table.t
+
 (** [resolve_heads rows pi g] finalizes a factor query: probe each row's
     head key [(R, x, C1, y, C2)] against [TΠ] and emit
     [(I1, I2, I3, w)] into [g]; rows whose head has no live fact (deleted

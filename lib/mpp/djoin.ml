@@ -54,15 +54,24 @@ let local_join ?pool cluster cost ~name ~cols ~out ~oweight ?dedup ?residual
   (* The per-segment plans are independent, so they execute concurrently
      on the domain pool — the collocated-join parallelism of Figure 4,
      measured for real instead of only simulated.  Per-segment joins fall
-     back to their sequential path while the pool is busy here. *)
+     back to their sequential path while the pool is busy here; a segment
+     with an empty side runs none. *)
   let segs =
     Pool.map_reduce pool ~n:nseg
       ~map:(fun i ->
-        if both_replicated && i > 0 then empty i
+        if
+          (both_replicated && i > 0)
+          || Dtable.seg_rows bdt i = 0
+          || Dtable.seg_rows pdt i = 0
+        then empty i
         else
-          let b = Dtable.seg bdt i and p = Dtable.seg pdt i in
-          Join.hash_join ~name:(Printf.sprintf "%s@%d" name i) ~cols ~out
-            ~oweight ?dedup ?residual ~pool (b, bkey) (p, pkey))
+          (* The build side is indexed on every segment, a replicated one
+             too; the probe side streams in place — a spilled shard from
+             its segments, never materialized. *)
+          Join.hash_join_pre ~name:(Printf.sprintf "%s@%d" name i) ~cols ~out
+            ~oweight ?dedup ?residual ~pool
+            (Join.build (Dtable.seg bdt i) bkey)
+            (Dtable.source pdt i, pkey))
       ~fold:(fun acc s -> s :: acc)
       ~init:[]
     |> List.rev |> Array.of_list

@@ -1,48 +1,55 @@
 module Table = Relational.Table
 module Index = Relational.Index
+module Pipeline = Relational.Pipeline
+module Segsrc = Relational.Segsrc
 module Store = Storage.Store
 module Spill = Storage.Spill
 
 type dist = Hash of int array | Replicated | Unknown
 
-(* A shard is either resident or an on-disk segment store.  Spilled
-   shards are materialized on demand ([seg]) — operators read them back
-   through the mmap for exactly the duration of their local plan, so at
-   most a worker's active shard is resident at a time; metadata
-   questions (row counts, logical sizes, names) never touch data
-   pages. *)
-type backing = Resident of Table.t | Spilled of Store.t
+(* A shard is either resident or an on-disk segment store, kept with its
+   opened scan source.  Joins probe a spilled shard through that source
+   ([source]), streaming its mmap'd segments; only motions and build
+   sides materialize it ([seg]).  Metadata questions (row counts,
+   logical sizes, names) never touch data pages. *)
+type backing =
+  | Resident of Table.t
+  | Spilled of { store : Store.t; src : Segsrc.t }
 
 type t = { segs : backing array; dist : dist }
 
-let seg_of_row cluster key tbl r =
-  Index.hash_row tbl key r mod cluster.Cluster.nseg
+let spilled_backing store = Spilled { store; src = Store.source store }
 
-let partition cluster tbl dist =
+(* Rows [from, nrows tbl) of [tbl] split into [nseg] resident pieces by
+   hash of [key], each in [tbl]'s row order. *)
+let split nseg tbl key ~from =
+  let segs =
+    Array.init nseg (fun i ->
+        let s =
+          Table.create ~weighted:(Table.weighted tbl)
+            ~name:(Printf.sprintf "%s@%d" (Table.name tbl) i)
+            (Table.cols tbl)
+        in
+        (* Pre-size for a uniform spread; skewed segments still grow. *)
+        Table.reserve s ((Table.nrows tbl - from) / nseg);
+        s)
+  in
+  for r = from to Table.nrows tbl - 1 do
+    Table.append_from segs.(Index.hash_row tbl key r mod nseg) tbl r
+  done;
+  segs
+
+let partition ?(from = 0) cluster tbl dist =
+  let nseg = cluster.Cluster.nseg in
   match dist with
   | Unknown -> invalid_arg "Dtable.partition: cannot partition to Unknown"
   | Replicated ->
-    {
-      segs =
-        Array.init cluster.Cluster.nseg (fun _ -> Resident (Table.copy tbl));
-      dist;
-    }
+    (* Every segment reads the one table: it is never written after
+       partitioning. *)
+    if from <> 0 then invalid_arg "Dtable.partition: ~from on Replicated";
+    { segs = Array.make nseg (Resident tbl); dist }
   | Hash key ->
-    let segs =
-      Array.init cluster.Cluster.nseg (fun i ->
-          let s =
-            Table.create ~weighted:(Table.weighted tbl)
-              ~name:(Printf.sprintf "%s@%d" (Table.name tbl) i)
-              (Table.cols tbl)
-          in
-          (* Pre-size for a uniform spread; skewed segments still grow. *)
-          Table.reserve s (Table.nrows tbl / cluster.Cluster.nseg);
-          s)
-    in
-    Table.iter
-      (fun r -> Table.append_from segs.(seg_of_row cluster key tbl r) tbl r)
-      tbl;
-    { segs = Array.map (fun s -> Resident s) segs; dist }
+    { segs = Array.map (fun s -> Resident s) (split nseg tbl key ~from); dist }
 
 (* Hash-partition and immediately flush every shard to its own segment
    store under the spill policy's root — the resident copies are dropped
@@ -56,7 +63,7 @@ let partition_spilled policy ~prefix cluster tbl dist =
       Array.map
         (function
           | Resident s ->
-            Spilled
+            spilled_backing
               (Store.spill
                  ~segment_rows:(Spill.segment_rows policy)
                  ~dir:(Spill.fresh_dir policy ~prefix) s)
@@ -64,21 +71,43 @@ let partition_spilled policy ~prefix cluster tbl dist =
         dt.segs;
   }
 
+let append t tbl ~from =
+  match t.dist with
+  | Replicated | Unknown -> invalid_arg "Dtable.append: not hash-distributed"
+  | Hash key ->
+    Array.iteri
+      (fun i piece ->
+        if Table.nrows piece > 0 then
+          match t.segs.(i) with
+          | Resident s -> Table.append_all s piece
+          | Spilled { store; _ } ->
+            t.segs.(i) <- spilled_backing (Store.append store piece))
+      (split (Array.length t.segs) tbl key ~from)
+
 let remove_spilled t =
-  Array.iter (function Spilled st -> Store.remove st | Resident _ -> ()) t.segs
+  Array.iter
+    (function Spilled { store; _ } -> Store.remove store | Resident _ -> ())
+    t.segs
 
 let of_segments segs dist = { segs = Array.map (fun s -> Resident s) segs; dist }
 let dist t = t.dist
 let nseg t = Array.length t.segs
 
 let seg t i =
-  match t.segs.(i) with Resident tbl -> tbl | Spilled st -> Store.to_table st
+  match t.segs.(i) with
+  | Resident tbl -> tbl
+  | Spilled { src; _ } -> Segsrc.to_table src
+
+let source t i =
+  match t.segs.(i) with
+  | Resident tbl -> Pipeline.of_table tbl
+  | Spilled { src; _ } -> Pipeline.Segments { src; keep = (fun _ -> true) }
 
 (* Row count without materializing spilled shards. *)
 let seg_rows t i =
   match t.segs.(i) with
   | Resident tbl -> Table.nrows tbl
-  | Spilled st -> Store.rows st
+  | Spilled { store; _ } -> Store.rows store
 
 let spilled t i = match t.segs.(i) with Resident _ -> false | Spilled _ -> true
 
@@ -87,9 +116,10 @@ let spilled t i = match t.segs.(i) with Resident _ -> false | Spilled _ -> true
 let seg_bytes t i =
   match t.segs.(i) with
   | Resident tbl -> Table.byte_size tbl
-  | Spilled st ->
-    Store.rows st
-    * ((8 * Array.length (Store.cols st)) + if Store.weighted st then 8 else 0)
+  | Spilled { store; _ } ->
+    Store.rows store
+    * ((8 * Array.length (Store.cols store))
+      + if Store.weighted store then 8 else 0)
 
 let nrows t =
   match t.dist with
@@ -121,7 +151,8 @@ let max_seg_rows t =
 let seg_meta t i =
   match t.segs.(i) with
   | Resident tbl -> (Table.name tbl, Table.cols tbl, Table.weighted tbl)
-  | Spilled st -> (Store.name st, Store.cols st, Store.weighted st)
+  | Spilled { store; _ } ->
+    (Store.name store, Store.cols store, Store.weighted store)
 
 let gather t =
   match t.dist with

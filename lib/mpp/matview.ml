@@ -40,7 +40,13 @@ let create ?pool cluster cost facts =
   List.iter (fun (_, dt) -> charge_view cluster cost facts ~measured_seconds dt) views;
   { views }
 
-let refresh ?pool _old cluster cost facts = create ?pool cluster cost facts
+let append ?pool v facts ~from =
+  let pool = match pool with Some p -> p | None -> Pool.get_default () in
+  let views = Array.of_list v.views in
+  Pool.map_reduce pool ~n:(Array.length views)
+    ~map:(fun i -> Dtable.append (snd views.(i)) facts ~from)
+    ~fold:(fun () () -> ())
+    ~init:()
 
 let subset d key = Array.for_all (fun c -> Array.exists (( = ) c) key) d
 
@@ -58,7 +64,5 @@ let pick v key =
   match best with
   | Some (_, dt) -> dt
   | None -> invalid_arg "Matview.pick: no view is a subset of the join key"
-
-let base v = List.assoc [| 1; 3; 5 |] v.views
 
 let finest v = List.assoc [| 1; 3; 2; 5; 4 |] v.views

@@ -22,19 +22,18 @@ val distribution_keys : int array list
     four view charges). *)
 val create : ?pool:Pool.t -> Cluster.t -> Cost.t -> Relational.Table.t -> t
 
-(** [refresh v cluster cost facts] rebuilds the views after [TΠ] changed —
-    the [redistribute(TΠ)] step of Algorithm 1, line 7. *)
-val refresh :
-  ?pool:Pool.t -> t -> Cluster.t -> Cost.t -> Relational.Table.t -> t
+(** [append v facts ~from] inserts rows [from, nrows facts)] of [facts]
+    into each of the four views ({!Dtable.append}), concurrently on
+    [pool] — the [redistribute(TΠ)] step of Algorithm 1, line 7, when
+    [v] holds rows [0, from)] of the same table.  It charges nothing: the
+    caller charges the motion of the inserted rows. *)
+val append : ?pool:Pool.t -> t -> Relational.Table.t -> from:int -> unit
 
 (** [pick v key] is the best-aligned view for a join on [key] columns of
     [TΠ]: the view with the largest distribution key contained in [key].
     Every grounding query key contains [(R, C1, C2)], so a view always
     qualifies. *)
 val pick : t -> int array -> Dtable.t
-
-(** [base v] is the [(R, C1, C2)] view (the default replica). *)
-val base : t -> Dtable.t
 
 (** [finest v] is the [(R, C1, x, C2, y)] view — the most finely hashed
     replica, hence the best load-balanced.  It is the right probe side for

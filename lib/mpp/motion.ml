@@ -51,10 +51,9 @@ let broadcast cluster cost dt =
     (Cost.Broadcast
        { table = Dtable.name dt; rows = Table.nrows full; bytes })
     (seconds_for cluster bytes);
-  Dtable.of_segments
-    (Array.init cluster.Cluster.nseg (fun i ->
-         if i = 0 then full else Table.copy full))
-    Dtable.Replicated
+  (* Every segment reads the one gathered copy; the motion is charged
+     on the bytes each would receive. *)
+  Dtable.of_segments (Array.make cluster.Cluster.nseg full) Dtable.Replicated
 
 let gather cluster cost dt =
   let full = Dtable.gather dt in

@@ -11,7 +11,9 @@
     [key].  Rows already on the right segment are not charged. *)
 val redistribute : Cluster.t -> Cost.t -> Dtable.t -> int array -> Dtable.t
 
-(** [broadcast cluster cost dt] replicates [dt] to all segments. *)
+(** [broadcast cluster cost dt] replicates [dt] to all segments: every
+    segment reads one shared, read-only copy, and the motion is charged
+    on the bytes shipped to the other [nseg - 1]. *)
 val broadcast : Cluster.t -> Cost.t -> Dtable.t -> Dtable.t
 
 (** [gather cluster cost dt] ships all rows to the coordinator and charges

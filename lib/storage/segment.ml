@@ -11,14 +11,15 @@
    Layout (all fixed-width fields little-endian 64-bit unless noted):
 
    {v
-     0   magic       "pkbseg01"
+     0   magic       "pkbseg02"
      8   checksum    FNV-1a 64 over bytes [16, header_len)
      16  header_len
      24  file_len    expected total size (truncation check)
      32  nrows
      40  width       number of integer columns
      48  weighted    0 | 1
-     56  width x column entry (64 bytes each):
+     56  first_row   the segment's first row within its store
+     64  width x column entry (64 bytes each):
            ndv, min, max, mode (0=frame-of-reference, 1=dictionary),
            param (FOR base | dictionary length), code_width (1|2|4|8),
            dict_off (0 for FOR), lane_off
@@ -42,8 +43,8 @@ module Segsrc = Relational.Segsrc
 exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
-let magic = "pkbseg01"
-let format_version = 1 (* the "01" of the magic *)
+let magic = "pkbseg02"
+let format_version = 2 (* the "02" of the magic *)
 
 (* --- little-endian primitives --- *)
 
@@ -141,11 +142,15 @@ type col_entry = {
 let mode_for = 0
 let mode_dict = 1
 
-let header_len ~width = 64 + (width * 64)
+let header_len ~width = 72 + (width * 64)
 
-let write ~path tbl ~lo ~hi =
+(* Byte offset of column [c]'s header entry. *)
+let entry_off c = 64 + (c * 64)
+
+let write ?(first_row = 0) ~path tbl ~lo ~hi =
   let n = hi - lo in
   if n <= 0 then invalid_arg "Segment.write: empty row range";
+  if first_row < 0 then invalid_arg "Segment.write: negative first_row";
   let width = Table.width tbl in
   let weighted = Table.weighted tbl in
   let hlen = header_len ~width in
@@ -229,9 +234,10 @@ let write ~path tbl ~lo ~hi =
   bytes_set_i64 hdr 32 n;
   bytes_set_i64 hdr 40 width;
   bytes_set_i64 hdr 48 (if weighted then 1 else 0);
+  bytes_set_i64 hdr 56 first_row;
   Array.iteri
     (fun c e ->
-      let o = 56 + (c * 64) in
+      let o = entry_off c in
       bytes_set_i64 hdr o e.ndv;
       bytes_set_i64 hdr (o + 8) e.cmin;
       bytes_set_i64 hdr (o + 16) e.cmax;
@@ -241,7 +247,7 @@ let write ~path tbl ~lo ~hi =
       bytes_set_i64 hdr (o + 48) e.dict_off;
       bytes_set_i64 hdr (o + 56) e.lane_off)
     entries;
-  bytes_set_i64 hdr (56 + (width * 64)) weight_off;
+  bytes_set_i64 hdr (entry_off width) weight_off;
   bytes_set_i64 hdr 8 (Int64.to_int (fnv1a_bytes hdr 16 (hlen - 16)));
   (* Atomic publish: a crash mid-write leaves only the tmp file; a
      reader never sees a half-written segment under its final name. *)
@@ -262,6 +268,7 @@ type t = {
   nrows : int;
   width : int;
   weighted : bool;
+  first_row : int;
   entries : col_entry array;
   weight_off : int;
 }
@@ -294,7 +301,7 @@ let openf path =
   String.iteri
     (fun i c -> if Bigarray.Array1.get map i <> Char.code c then magic_ok := false)
     magic;
-  if not !magic_ok then corrupt "%s: bad magic (not a pkbseg01 segment)" path;
+  if not !magic_ok then corrupt "%s: bad magic (not a %s segment)" path magic;
   let hlen = get_i64 map 16 in
   if hlen < 64 || hlen > size then
     corrupt "%s: header length %d out of bounds (file %d)" path hlen size;
@@ -307,8 +314,10 @@ let openf path =
       file_len size;
   let nrows = get_i64 map 32 in
   let width = get_i64 map 40 in
-  if nrows < 0 || width < 0 || hlen <> header_len ~width then
-    corrupt "%s: inconsistent header (rows=%d width=%d)" path nrows width;
+  let first_row = get_i64 map 56 in
+  if nrows < 0 || width < 0 || first_row < 0 || hlen <> header_len ~width then
+    corrupt "%s: inconsistent header (rows=%d width=%d first_row=%d)" path
+      nrows width first_row;
   let weighted =
     match get_i64 map 48 with
     | 0 -> false
@@ -317,7 +326,7 @@ let openf path =
   in
   let entries =
     Array.init width (fun c ->
-        let o = 56 + (c * 64) in
+        let o = entry_off c in
         let e =
           {
             ndv = get_i64 map o;
@@ -343,12 +352,22 @@ let openf path =
         then corrupt "%s: column %d: dictionary out of bounds" path c;
         e)
   in
-  let weight_off = get_i64 map (56 + (width * 64)) in
+  let weight_off = get_i64 map (entry_off width) in
   if weighted && (weight_off < hlen || weight_off + (nrows * 8) > size) then
     corrupt "%s: weight lane out of bounds" path;
-  { map; file_len = size; nrows; width; weighted; entries; weight_off }
+  {
+    map;
+    file_len = size;
+    nrows;
+    width;
+    weighted;
+    first_row;
+    entries;
+    weight_off;
+  }
 
 let rows t = t.nrows
+let first_row t = t.first_row
 let width t = t.width
 let weighted t = t.weighted
 let byte_size t = t.file_len

@@ -5,8 +5,9 @@
     dictionary or frame-of-reference, whichever is smaller for that
     column) plus an optional raw weight lane storing IEEE bits (the NaN
     null weight survives).  The versioned header is checksummed
-    (FNV-1a) and records the expected file length plus per-column zone
-    maps — ndv, min, max — so readers can validate a file and prune it
+    (FNV-1a) and records the expected file length, the segment's first
+    row within its store, and per-column zone maps — ndv, min, max — so
+    readers can validate a file, check its place in a store and prune it
     against predicates without faulting in any data page.  Reads go
     through a {!Bigarray} mmap; writes are atomic (tmp + rename). *)
 
@@ -18,10 +19,13 @@ exception Corrupt of string
 val magic : string
 val format_version : int
 
-(** [write ~path tbl ~lo ~hi] writes rows [lo, hi)] of [tbl] (cells and,
-    when weighted, weights) as a segment file at [path], atomically.
-    @raise Invalid_argument if the range is empty. *)
-val write : path:string -> Relational.Table.t -> lo:int -> hi:int -> unit
+(** [write ?first_row ~path tbl ~lo ~hi] writes rows [lo, hi)] of [tbl]
+    (cells and, when weighted, weights) as a segment file at [path],
+    atomically.  [first_row] (default 0) is the row the segment starts at
+    within its store, recorded in the header.
+    @raise Invalid_argument if the range is empty or [first_row < 0]. *)
+val write :
+  ?first_row:int -> path:string -> Relational.Table.t -> lo:int -> hi:int -> unit
 
 (** An open (mmap'd, validated) segment. *)
 type t
@@ -31,6 +35,10 @@ type t
 val openf : string -> t
 
 val rows : t -> int
+
+(** [first_row t] is the row the segment starts at within its store. *)
+val first_row : t -> int
+
 val width : t -> int
 val weighted : t -> bool
 

@@ -7,14 +7,20 @@
    worst orphaned segment files, never a manifest pointing at missing
    or half-written segments.
 
-   Two usage modes share the format:
+   Each segment records its first row within the store, so a manifest
+   whose [seg] lines are out of order (two of equal row counts swapped,
+   say) is [Corrupt] rather than a store that reads rows out of order.
+
+   Three usage modes share the format:
    - a full spill ([spill]) writes every row, including a final partial
      segment — a static on-disk copy of the table;
    - an incremental store ([sync], used by the grounding loop) appends
      only whole segments as the backing table grows and leaves the tail
      resident; [source ~tail] stitches the stored prefix and the
      in-memory tail into one {!Segsrc.t} whose row ids equal the
-     backing table's row indices. *)
+     backing table's row indices;
+   - an append-only store ([append], an MPP shard) takes every row it is
+     given, partial last segment included, so none stays resident. *)
 
 module Table = Relational.Table
 module Colstats = Relational.Colstats
@@ -128,9 +134,10 @@ let check_schema tbl =
     (Table.cols tbl)
 
 (* Write segments for rows [from, upto) in [segment_rows] slices; the
-   last slice may be partial.  Returns the new (file, rows, stats parts)
-   list in order. *)
-let write_segments ~dir ~segment_rows ~first_idx tbl ~from ~upto =
+   last slice may be partial.  Row [from] becomes the store's row
+   [first_row].  Returns the new (file, rows, stats parts) list in
+   order. *)
+let write_segments ~dir ~segment_rows ~first_idx ~first_row tbl ~from ~upto =
   let obs = Obs.ambient () in
   let out = ref [] in
   let idx = ref first_idx in
@@ -139,7 +146,7 @@ let write_segments ~dir ~segment_rows ~first_idx tbl ~from ~upto =
     let hi = min upto (!lo + segment_rows) in
     let file = seg_file !idx in
     let path = Filename.concat dir file in
-    Segment.write ~path tbl ~lo:!lo ~hi;
+    Segment.write ~first_row:(first_row + !lo - from) ~path tbl ~lo:!lo ~hi;
     let seg = Segment.openf path in
     if Obs.enabled obs then begin
       Obs.incr obs "storage.segments_written";
@@ -153,8 +160,10 @@ let write_segments ~dir ~segment_rows ~first_idx tbl ~from ~upto =
   done;
   List.rev !out
 
-let make ~dir ~name ~cols ~weighted ~segment_rows segs =
-  let stats = merge_stats ~width:(Array.length cols) (List.map (fun (_, _, p) -> p) segs) in
+(* A store over the segment [files] (name, rows), in scan order, whose
+   table statistics merge [parts]; its manifest is written before it is
+   returned. *)
+let make ~dir ~name ~cols ~weighted ~segment_rows ~parts files =
   let st =
     {
       dir;
@@ -162,9 +171,9 @@ let make ~dir ~name ~cols ~weighted ~segment_rows segs =
       cols;
       weighted;
       segment_rows;
-      stats;
-      seg_files = Array.of_list (List.map (fun (f, _, _) -> f) segs);
-      seg_rows = Array.of_list (List.map (fun (_, n, _) -> n) segs);
+      stats = merge_stats ~width:(Array.length cols) parts;
+      seg_files = Array.of_list (List.map fst files);
+      seg_rows = Array.of_list (List.map snd files);
     }
   in
   write_manifest st;
@@ -179,44 +188,59 @@ let spill ?(segment_rows = default_segment_rows) ?(tail = true) ~dir tbl =
     if tail then n else n - (n mod segment_rows) (* whole segments only *)
   in
   let segs =
-    write_segments ~dir ~segment_rows ~first_idx:0 tbl ~from:0 ~upto
+    write_segments ~dir ~segment_rows ~first_idx:0 ~first_row:0 tbl ~from:0
+      ~upto
   in
   make ~dir ~name:(Table.name tbl) ~cols:(Table.cols tbl)
-    ~weighted:(Table.weighted tbl) ~segment_rows segs
+    ~weighted:(Table.weighted tbl) ~segment_rows
+    ~parts:(List.map (fun (_, _, p) -> p) segs)
+    (List.map (fun (f, n, _) -> (f, n)) segs)
+
+(* The stored rows' statistics as one merge part.  Merging it with new
+   segments' parts gives the statistics of all their parts merged: min
+   and max are exact, and a segment's ndv never exceeds its rows, so the
+   capped ndv sum is a plain sum. *)
+let stats_part st =
+  let width = Array.length st.cols in
+  ( rows st,
+    Array.init width (Colstats.ndv st.stats),
+    Array.init width (fun c ->
+        Option.value ~default:max_int (Colstats.min_value st.stats c)),
+    Array.init width (fun c ->
+        Option.value ~default:min_int (Colstats.max_value st.stats c)) )
+
+(* Rows [from, upto) of [tbl] become the store's next rows, as new
+   segments after the stored ones; the stored prefix is immutable. *)
+let extend st tbl ~from ~upto =
+  let fresh =
+    write_segments ~dir:st.dir ~segment_rows:st.segment_rows
+      ~first_idx:(Array.length st.seg_files) ~first_row:(rows st) tbl ~from
+      ~upto
+  in
+  make ~dir:st.dir ~name:st.name ~cols:st.cols ~weighted:st.weighted
+    ~segment_rows:st.segment_rows
+    ~parts:(stats_part st :: List.map (fun (_, _, p) -> p) fresh)
+    (Array.to_list (Array.map2 (fun f n -> (f, n)) st.seg_files st.seg_rows)
+    @ List.map (fun (f, n, _) -> (f, n)) fresh)
 
 (* Append whole segments for rows the backing table gained since the
-   store was written.  The stored prefix is immutable: [tbl] must be the
-   same logical table, only grown. *)
+   store was written.  [tbl] must be the same logical table, only
+   grown. *)
 let sync st tbl =
   let stored = rows st in
   let n = Table.nrows tbl in
   if n < stored then
     invalid_arg "Store.sync: backing table shrank below the stored prefix";
   let upto = n - (n mod st.segment_rows) in
-  if upto <= stored then st
-  else begin
-    let fresh =
-      write_segments ~dir:st.dir ~segment_rows:st.segment_rows
-        ~first_idx:(Array.length st.seg_files) tbl ~from:stored ~upto
-    in
-    let old =
-      Array.to_list
-        (Array.mapi
-           (fun i f ->
-             ( f,
-               st.seg_rows.(i),
-               (* stats parts of already-stored segments come from the
-                  merged table stats only through [make]'s re-merge; we
-                  reload them from the open segments' headers instead of
-                  trusting a re-derivation. *)
-               (let s = Segment.openf (Filename.concat st.dir f) in
-                (Segment.rows s, Segment.ndv s, Segment.mins s, Segment.maxs s))
-             ))
-           st.seg_files)
-    in
-    make ~dir:st.dir ~name:st.name ~cols:st.cols ~weighted:st.weighted
-      ~segment_rows:st.segment_rows (old @ fresh)
-  end
+  if upto <= stored then st else extend st tbl ~from:stored ~upto
+
+let append st tbl =
+  if
+    Table.width tbl <> Array.length st.cols
+    || Table.weighted tbl <> st.weighted
+  then invalid_arg "Store.append: schema mismatch";
+  if Table.nrows tbl = 0 then st
+  else extend st tbl ~from:0 ~upto:(Table.nrows tbl)
 
 (* Only the store's own files go: a directory that holds anything else
    is kept. *)
@@ -233,6 +257,26 @@ let remove st =
 exception Corrupt = Segment.Corrupt
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
+
+(* The segments of [st], opened and checked against its manifest: each
+   one's rows, width and weight lane, and its first row, which must be
+   the rows of the segments before it. *)
+let open_segments st =
+  let first = ref 0 in
+  Array.mapi
+    (fun i f ->
+      let seg = Segment.openf (Filename.concat st.dir f) in
+      if
+        Segment.rows seg <> st.seg_rows.(i)
+        || Segment.width seg <> Array.length st.cols
+        || Segment.weighted seg <> st.weighted
+      then corrupt "%s: segment %S does not match the manifest" st.dir f;
+      if Segment.first_row seg <> !first then
+        corrupt "%s: segment %S starts at row %d, not %d (out of order)"
+          st.dir f (Segment.first_row seg) !first;
+      first := !first + st.seg_rows.(i);
+      seg)
+    st.seg_files
 
 let open_dir dir =
   let path = Filename.concat dir manifest_name in
@@ -337,16 +381,20 @@ let open_dir dir =
       if total <> stored_rows then
         corrupt "%s: row count mismatch (%d listed vs %d summed)" path
           stored_rows total;
-      {
-        dir;
-        name;
-        cols;
-        weighted;
-        segment_rows;
-        stats = Colstats.of_parts ~rows:stored_rows ~ndv ~mins ~maxs;
-        seg_files;
-        seg_rows;
-      })
+      let st =
+        {
+          dir;
+          name;
+          cols;
+          weighted;
+          segment_rows;
+          stats = Colstats.of_parts ~rows:stored_rows ~ndv ~mins ~maxs;
+          seg_files;
+          seg_rows;
+        }
+      in
+      ignore (open_segments st);
+      st)
 
 (* --- scan sources --- *)
 
@@ -354,36 +402,19 @@ let tail_stats st tail stored =
   let n = Table.nrows tail in
   if n <= stored then st.stats
   else begin
-    let width = Array.length st.cols in
     let seg = Segsrc.seg_of_table ~lo:stored tail in
-    let parts =
-      (seg.Segsrc.rows, Array.make width (seg.Segsrc.rows), seg.Segsrc.mins,
-       seg.Segsrc.maxs)
-    in
-    let stored_parts =
-      ( rows st,
-        Array.init width (Colstats.ndv st.stats),
-        Array.init width (fun c ->
-            Option.value ~default:max_int (Colstats.min_value st.stats c)),
-        Array.init width (fun c ->
-            Option.value ~default:min_int (Colstats.max_value st.stats c)) )
-    in
-    merge_stats ~width [ stored_parts; parts ]
+    merge_stats ~width:(Array.length st.cols)
+      [
+        stats_part st;
+        ( seg.Segsrc.rows,
+          Array.make (Array.length st.cols) seg.Segsrc.rows,
+          seg.Segsrc.mins,
+          seg.Segsrc.maxs );
+      ]
   end
 
 let source ?tail st =
-  let disk =
-    Array.mapi
-      (fun i f ->
-        let seg = Segment.openf (Filename.concat st.dir f) in
-        if
-          Segment.rows seg <> st.seg_rows.(i)
-          || Segment.width seg <> Array.length st.cols
-          || Segment.weighted seg <> st.weighted
-        then corrupt "%s: segment %S does not match the manifest" st.dir f;
-        Segment.to_seg seg)
-      st.seg_files
-  in
+  let disk = Array.map Segment.to_seg (open_segments st) in
   let stored = rows st in
   let segs, stats =
     match tail with

@@ -3,12 +3,14 @@
     The manifest (text, written last, atomic tmp+rename) records the
     schema, the ordered segment list and the table-level {!Colstats}
     merged from the per-segment zone maps, so {!open_dir} never rescans
-    data.  Stores are append-only at segment granularity: a full
-    {!spill} also writes the final partial segment, while the
-    incremental {!sync} used by the grounding loop appends only whole
-    segments and leaves the tail resident — {!source}[ ~tail] stitches
-    the stored prefix and the in-memory tail into one scan source whose
-    row ids equal the backing table's row indices. *)
+    data.  Each segment records its first row within the store, so
+    segments listed out of order end in {!Corrupt}.  Stores are
+    append-only at segment granularity: a full {!spill} also writes the
+    final partial segment, and so does {!append}, while the incremental
+    {!sync} used by the grounding loop appends only whole segments and
+    leaves the tail resident — {!source}[ ~tail] stitches the stored
+    prefix and the in-memory tail into one scan source whose row ids
+    equal the backing table's row indices. *)
 
 type t
 
@@ -32,14 +34,26 @@ val spill :
     same logical table, only grown — the stored prefix is immutable). *)
 val sync : t -> Relational.Table.t -> t
 
-(** [open_dir dir] loads a store from its manifest — no data pages are
-    touched; segments are mapped lazily by {!source}.
-    @raise Corrupt on malformed or version-mismatched manifests. *)
+(** [append st tbl] writes every row of [tbl] (same width and weight
+    lane as [st]) as the store's next rows — one more segment, or
+    [segment_rows]-row slices of them, the last one partial — and returns
+    the updated store.  Nothing stays resident.
+    @raise Invalid_argument on a schema mismatch. *)
+val append : t -> Relational.Table.t -> t
+
+(** [open_dir dir] loads a store from its manifest and checks every
+    listed segment's header against it — rows, width, weight lane and
+    first row, which must be the rows listed before it; no data pages
+    are touched.
+    @raise Corrupt on malformed or version-mismatched manifests, and on
+    segments that disagree with them. *)
 val open_dir : string -> t
 
 (** [source ?tail st] is the store as a segmented scan source.  [tail]
     supplies the resident rows beyond the stored prefix (its row indices
-    [>= rows st] become one extra segment). *)
+    [>= rows st] become one extra segment).  Segments are opened afresh
+    and checked as by {!open_dir}.
+    @raise Corrupt when a segment disagrees with the manifest. *)
 val source : ?tail:Relational.Table.t -> t -> Relational.Segsrc.t
 
 (** [remove st] deletes the store's segment files and MANIFEST, then its

@@ -306,29 +306,6 @@ let test_pool_size_equivalence () =
 
 (* --- delta iterations ≡ the naive closure --- *)
 
-(* TΠ rows in order (id, key, weight bits), TΦ rows in table order (ids,
-   weight bits) and the trajectory, as raw bytes. *)
-let ground_bits kb graph trajectory =
-  let b = Buffer.create 4096 in
-  let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
-  let add_float w = Buffer.add_int64_le b (Int64.bits_of_float w) in
-  Kb.Storage.iter
-    (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
-      List.iter add_int [ id; r; x; c1; y; c2 ];
-      add_float w)
-    (Kb.Gamma.pi kb);
-  Fgraph.iter
-    (fun _ (i1, i2, i3, w) ->
-      List.iter add_int [ i1; i2; i3 ];
-      add_float w)
-    graph;
-  List.iter
-    (fun (p : Grounding.Ground.trajectory_point) ->
-      List.iter add_int
-        [ p.iteration; p.new_facts; p.total_facts; p.violations; p.removed ])
-    trajectory;
-  Buffer.contents b
-
 (* The naive oracle: Algorithm 1 as the paper states it, every iteration
    re-joining all of TΠ ({!Grounding.Queries.ground_atoms}, whatever the
    delta), run through the same closure loop. *)
@@ -363,7 +340,7 @@ let agrees_with_naive ~omega kb =
       else None
     in
     let (r : Grounding.Ground.result) = run ?apply_constraints kb in
-    ( ground_bits kb r.Grounding.Ground.graph r.Grounding.Ground.trajectory,
+    ( Tutil.ground_bits kb r.Grounding.Ground.graph r.Grounding.Ground.trajectory,
       r.Grounding.Ground.removed_by_constraints )
   in
   let bits, removed =
@@ -418,32 +395,37 @@ let test_semi_naive_transitive_chain () =
 
 (* Every grounding route pinned end to end on one ReVerb-Sherlock KB
    (scale 0.008, seed 7): TΠ rows in order (id, key, weight bits), TΦ
-   rows in table order (ids, weight bits) and the trajectory; an MPP
-   route also digests the bits of its simulated clock, its load share
-   and its motion bytes.  The digests were recorded before the
-   single-node and MPP drivers became two executors of one closure loop
-   (x86-64 Linux); every route must reproduce them bit for bit at pool
-   sizes 1 and 4, and each spilled route its resident route's.  The
-   "initial delta" digest was re-recorded when the delta query took the
-   full query's order: its derived facts are the same keys, appended in
-   another order. *)
+   rows in table order (ids, weight bits) and the trajectory.  The
+   digests were recorded before the single-node and MPP drivers became
+   two executors of one closure loop (x86-64 Linux); every route must
+   reproduce them bit for bit at pool sizes 1 and 4, each spilled route
+   its resident route's, and each MPP route the single node's: the MPP
+   executor returns every query's rows in the single node's order.  An
+   MPP route also pins a clock digest: the bits of its simulated clock,
+   its load share and its motion bytes.  Those were re-recorded when
+   the MPP closure became semi-naive over append-only distributions,
+   which changed the joins it charges.  The "initial delta" digest was
+   re-recorded when the delta query took the full query's order: its
+   derived facts are the same keys, appended in another order.
+
+   The MPP routes also check their distributions: built once and then
+   appended to, unless an Ω pass compacted TΠ, which forces a rebuild
+   at the next distribution. *)
 let route_digests () =
   let g =
     Workload.Reverb_sherlock.generate
       { Workload.Reverb_sherlock.default_config with scale = 0.008; seed = 7 }
   in
   let kb = Workload.Reverb_sherlock.kb g in
-  let digest ?mpp kb graph trajectory =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b (ground_bits kb graph trajectory);
-    Option.iter
-      (fun (r : Grounding.Ground_mpp.result) ->
-        Buffer.add_int64_le b
-          (Int64.bits_of_float r.Grounding.Ground_mpp.sim_seconds);
-        Buffer.add_int64_le b
-          (Int64.bits_of_float r.Grounding.Ground_mpp.load_sim_seconds);
-        Buffer.add_int64_le b (Int64.of_int r.Grounding.Ground_mpp.motion_bytes))
-      mpp;
+  let digest kb graph trajectory =
+    Digest.to_hex (Digest.string (Tutil.ground_bits kb graph trajectory))
+  in
+  let clock_digest (r : Grounding.Ground_mpp.result) =
+    let b = Buffer.create 24 in
+    Buffer.add_int64_le b (Int64.bits_of_float r.Grounding.Ground_mpp.sim_seconds);
+    Buffer.add_int64_le b
+      (Int64.bits_of_float r.Grounding.Ground_mpp.load_sim_seconds);
+    Buffer.add_int64_le b (Int64.of_int r.Grounding.Ground_mpp.motion_bytes);
     Digest.to_hex (Digest.string (Buffer.contents b))
   in
   let hook kb = Some (Quality.Semantic.hook (Kb.Gamma.omega kb)) in
@@ -513,9 +495,11 @@ let route_digests () =
     check_bool "delta derived facts" true (r.Grounding.Ground.new_fact_count > 0);
     digest kb r.Grounding.Ground.graph r.Grounding.Ground.trajectory
   in
+  (* The rows digest and the clock digest of one MPP route. *)
   let mpp ?(spilled = false) ?(omega = false) mode =
     let kb = Tutil.copy_gamma kb in
     let cluster = { Mpp.Cluster.default with Mpp.Cluster.nseg = 4 } in
+    let obs = Obs.create ~config:Obs.Config.enabled () in
     with_spill ~stores:("pn-", cluster.Mpp.Cluster.nseg) spilled @@ fun spill ->
     let r =
       Grounding.Ground_mpp.run
@@ -524,12 +508,38 @@ let route_digests () =
             Grounding.Ground_mpp.default_options with
             spill;
             apply_constraints = (if omega then hook kb else None);
+            obs;
           }
         ~mode cluster kb
     in
-    let trajectory = r.Grounding.Ground_mpp.ground.Grounding.Ground.trajectory in
+    let g = r.Grounding.Ground_mpp.ground in
+    let trajectory = g.Grounding.Ground.trajectory in
     fired omega trajectory;
-    digest ~mpp:r kb r.Grounding.Ground_mpp.graph trajectory
+    let summary = Obs.Summary.of_trace obs in
+    let counter = Obs.Summary.counter summary in
+    (* Each Ω pass that removed facts after an iteration compacted TΠ
+       into a new table; the next distribution rebuilds from it. *)
+    let compactions =
+      List.length
+        (List.filter
+           (fun (p : Grounding.Ground.trajectory_point) ->
+             p.iteration > 0 && p.removed > 0)
+           trajectory)
+    in
+    check_int "distributions built" (1 + compactions)
+      (counter "mpp.distribution_builds");
+    if not omega then begin
+      check_int "one build, then appends" 1 (counter "mpp.distribution_builds");
+      check_int "every new fact appended" g.Grounding.Ground.new_fact_count
+        (counter "mpp.rows_appended")
+    end
+    else check_bool "omega forced rebuilds" true (compactions > 0);
+    ( digest kb r.Grounding.Ground_mpp.graph trajectory,
+      clock_digest r )
+  in
+  let mpp_route name route =
+    let rows, clock = route in
+    [ (name, rows); (name ^ " clock", clock) ]
   in
   [
     ("single-node", single ());
@@ -537,11 +547,11 @@ let route_digests () =
     ("initial delta", incremental ());
     ("single-node spilled", single ~spilled:true ());
     ("single-node spilled + omega", single ~spilled:true ~omega:true ());
-    ("mpp views", mpp Grounding.Ground_mpp.Views);
-    ("mpp pn", mpp Grounding.Ground_mpp.No_views);
-    ("mpp pn spilled", mpp ~spilled:true Grounding.Ground_mpp.No_views);
-    ("mpp pn + omega", mpp ~omega:true Grounding.Ground_mpp.No_views);
   ]
+  @ mpp_route "mpp views" (mpp Grounding.Ground_mpp.Views)
+  @ mpp_route "mpp pn" (mpp Grounding.Ground_mpp.No_views)
+  @ mpp_route "mpp pn spilled" (mpp ~spilled:true Grounding.Ground_mpp.No_views)
+  @ mpp_route "mpp pn + omega" (mpp ~omega:true Grounding.Ground_mpp.No_views)
 
 let pinned_route_digests =
   [
@@ -550,10 +560,14 @@ let pinned_route_digests =
     ("initial delta", "fcee6992548bce4795863995705f9f0f");
     ("single-node spilled", "f6834a99dfaa0dfafe6429dcb7ae81dd");
     ("single-node spilled + omega", "d4ae831b87b13d19ec511026c76e02cc");
-    ("mpp views", "0d7d9a50866ef7c8b344172937502853");
-    ("mpp pn", "1477da9a09082a9e18452fe5cf084ae1");
-    ("mpp pn spilled", "1477da9a09082a9e18452fe5cf084ae1");
-    ("mpp pn + omega", "f1aa2c4e6cbf3454bbc8d2a9a000d1d3");
+    ("mpp views", "f6834a99dfaa0dfafe6429dcb7ae81dd");
+    ("mpp views clock", "ae6591e18243b137955c7e40fe2d46ab");
+    ("mpp pn", "f6834a99dfaa0dfafe6429dcb7ae81dd");
+    ("mpp pn clock", "3bd47a16dbc491368fd1a62d283860c8");
+    ("mpp pn spilled", "f6834a99dfaa0dfafe6429dcb7ae81dd");
+    ("mpp pn spilled clock", "3bd47a16dbc491368fd1a62d283860c8");
+    ("mpp pn + omega", "d4ae831b87b13d19ec511026c76e02cc");
+    ("mpp pn + omega clock", "631f0555233f74b6fb256116cceafa0a");
   ]
 
 let test_route_digests_pinned () =

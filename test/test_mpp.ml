@@ -50,7 +50,8 @@ let test_replicated () =
   let dt = Dtable.partition cluster t Dtable.Replicated in
   check_int "logical rows" 100 (Dtable.nrows dt);
   for s = 0 to Dtable.nseg dt - 1 do
-    check_int "full copy per segment" 100 (Table.nrows (Dtable.seg dt s))
+    check_int "full copy per segment" 100 (Table.nrows (Dtable.seg dt s));
+    Alcotest.(check bool) "one table, held once" true (Dtable.seg dt s == t)
   done
 
 let test_partition_rejects_unknown () =
@@ -188,32 +189,144 @@ let test_matview_views_hold_all_facts () =
         (Dtable.nrows (Mpp.Matview.pick v key) = 300))
     [ [| 1; 3; 5 |]; [| 1; 3; 5; 2 |]; [| 1; 3; 5; 4 |] ]
 
-(* --- distributed grounding equivalence --- *)
+(* --- distributed grounding ≡ the single node, bit for bit --- *)
 
-let test_ground_mpp_equivalence () =
+(* [kb] grounded by [Ground.run] and by [Ground_mpp.run] on its own copy
+   for every route — views, pn, and pn with every shard spilled from the
+   start — at 1, 4 and 32 segments, with and without the Ω hook,
+   converged and capped at two iterations: the configurations whose TΠ
+   rows (ids, keys, weight bits), TΦ rows or trajectory differ. *)
+let mpp_mismatches kb =
+  let hook ~omega kb =
+    if omega then Some (Quality.Semantic.hook (Kb.Gamma.omega kb)) else None
+  in
+  let single ~omega ~max_iterations =
+    let kb = Tutil.copy_gamma kb in
+    let apply_constraints = hook ~omega kb in
+    let r =
+      Grounding.Ground.run
+        ~options:
+          {
+            Grounding.Ground.default_options with
+            max_iterations;
+            apply_constraints;
+          }
+        kb
+    in
+    Tutil.ground_bits kb r.Grounding.Ground.graph r.Grounding.Ground.trajectory
+  in
+  let mpp ~omega ~max_iterations ~spilled mode nseg =
+    let kb = Tutil.copy_gamma kb in
+    let apply_constraints = hook ~omega kb in
+    let dir = Filename.temp_dir "probkb-mpp-oracle" "" in
+    Fun.protect
+      ~finally:(fun () -> Tutil.rm_rf dir)
+      (fun () ->
+        let r =
+          Grounding.Ground_mpp.run
+            ~options:
+              {
+                Grounding.Ground_mpp.default_options with
+                max_iterations;
+                apply_constraints;
+                spill =
+                  (if spilled then
+                     Some
+                       (Storage.Spill.create ~segment_rows:64 ~threshold_bytes:0
+                          ~root:dir ())
+                   else None);
+              }
+            ~mode
+            { Cluster.default with Cluster.nseg }
+            kb
+        in
+        Tutil.ground_bits kb r.Grounding.Ground_mpp.graph
+          r.Grounding.Ground_mpp.ground.Grounding.Ground.trajectory)
+  in
+  List.concat_map
+    (fun (omega, max_iterations) ->
+      let expected = single ~omega ~max_iterations in
+      List.concat_map
+        (fun (route, mode, spilled) ->
+          List.filter_map
+            (fun nseg ->
+              if mpp ~omega ~max_iterations ~spilled mode nseg = expected then
+                None
+              else
+                Some
+                  (Printf.sprintf "%s, nseg %d%s, max_iterations %d" route nseg
+                     (if omega then ", omega" else "")
+                     max_iterations))
+            [ 1; 4; 32 ])
+        [
+          ("views", Grounding.Ground_mpp.Views, false);
+          ("pn", Grounding.Ground_mpp.No_views, false);
+          ("pn spilled", Grounding.Ground_mpp.No_views, true);
+        ])
+    [ (false, 15); (true, 15); (false, 2); (true, 2) ]
+
+(* [mpp_mismatches kb] at pools 1 and 4; fails naming every mismatch. *)
+let check_mpp_oracle what kb =
   List.iter
-    (fun (mode, name) ->
+    (fun d ->
+      Pool.set_default_size d;
+      Fun.protect
+        ~finally:(fun () -> Pool.set_default_size (Pool.env_domains ()))
+        (fun () ->
+          match mpp_mismatches kb with
+          | [] -> ()
+          | bad ->
+            Alcotest.failf "%s, pool %d: MPP differs from the single node: %s"
+              what d (String.concat "; " bad)))
+    [ 1; 4 ]
+
+let prop_mpp_oracle =
+  Tutil.qcheck_case ~count:1 "distributed = single node"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
       let g =
         Workload.Reverb_sherlock.generate
-          { Workload.Reverb_sherlock.default_config with scale = 0.008 }
+          { Workload.Reverb_sherlock.default_config with scale = 0.004; seed }
       in
-      let kb = Workload.Reverb_sherlock.kb g in
-      let kb1 = Tutil.copy_gamma kb in
-      let r1 = Grounding.Ground.run kb1 in
-      let kb2 = Tutil.copy_gamma kb in
-      let r2 = Grounding.Ground_mpp.run ~mode cluster kb2 in
-      Alcotest.(check int)
-        (name ^ ": same fact count")
-        (Kb.Storage.size (Kb.Gamma.pi kb1))
-        (Kb.Storage.size (Kb.Gamma.pi kb2));
-      Alcotest.(check int)
-        (name ^ ": same factor count")
-        (Factor_graph.Fgraph.size r1.Grounding.Ground.graph)
-        (Factor_graph.Fgraph.size r2.Grounding.Ground_mpp.graph))
+      check_mpp_oracle
+        (Printf.sprintf "ReVerb-Sherlock seed %d" seed)
+        (Workload.Reverb_sherlock.kb g);
+      true)
+
+(* Every shape a closure over one class can chain: a one-atom rule and
+   the four two-atom shapes, each stated twice with different weights —
+   the rows that the single node deduplicates by head while keeping
+   each factor — and a funcon that fires mid-closure. *)
+let duplicated_rules_kb () =
+  let kb = Kb.Gamma.create () in
+  ignore
+    (Kb.Loader.load_rules kb
+       (List.concat_map
+          (fun (w1, w2, rule) ->
+            [ Printf.sprintf "%s %s" w1 rule; Printf.sprintf "%s %s" w2 rule ])
+          [
+            ("1.0", "0.4", "p(x:E, y:E) :- q(x, y)");
+            ("0.9", "0.3", "r(x:E, y:E) :- p(z:E, x), q(z, y)");
+            ("0.8", "-0.5", "q(x:E, y:E) :- r(x, z:E), p(z, y)");
+            ("0.7", "1.5", "p(x:E, y:E) :- q(z:E, x), r(y, z)");
+            ("0.6", "0.2", "r(x:E, y:E) :- r(x, z:E), q(y, z)");
+          ]));
+  List.iteri
+    (fun i (r, x, y) ->
+      ignore
+        (Kb.Gamma.add_fact_by_name kb ~r ~x ~c1:"E" ~y ~c2:"E"
+           ~w:(0.5 +. (0.05 *. float_of_int i))))
     [
-      (Grounding.Ground_mpp.Views, "views");
-      (Grounding.Ground_mpp.No_views, "no-views");
-    ]
+      ("q", "a", "b"); ("q", "b", "c"); ("q", "c", "d"); ("q", "d", "e");
+      ("p", "e", "a"); ("r", "b", "d"); ("q", "a", "c"); ("r", "e", "e");
+    ];
+  Kb.Gamma.add_funcon kb
+    (Kb.Funcon.make ~rel:(Kb.Gamma.relation kb "r") ~ftype:Kb.Funcon.Type_I
+       ~degree:3);
+  kb
+
+let test_mpp_oracle_duplicated_rules () =
+  check_mpp_oracle "duplicated rules" (duplicated_rules_kb ())
 
 let test_ground_mpp_with_constraints () =
   (* The distributed driver must honor the constraint hook exactly like
@@ -306,8 +419,9 @@ let () =
         ] );
       ( "grounding",
         [
-          Alcotest.test_case "distributed = single node" `Slow
-            test_ground_mpp_equivalence;
+          prop_mpp_oracle;
+          Alcotest.test_case "distributed = single node, duplicated rules"
+            `Quick test_mpp_oracle_duplicated_rules;
           Alcotest.test_case "views not slower" `Slow test_views_ship_fewer_bytes;
           Alcotest.test_case "constraints on MPP" `Quick
             test_ground_mpp_with_constraints;

@@ -27,19 +27,11 @@ let fresh_tmp prefix =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "probkb-%s-%d-%d" prefix (Unix.getpid ()) !tmp_counter)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
 let with_tmpdir f =
   let dir = fresh_tmp "store" in
   Sys.mkdir dir 0o755;
   Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    ~finally:(fun () -> if Sys.file_exists dir then Tutil.rm_rf dir)
     (fun () -> f dir)
 
 (* Bit-exact comparison: same rows in the same order with the same
@@ -257,10 +249,35 @@ let test_store_manifest_corruption () =
             replace "seg seg-000001.pkb 64" "seg seg-000009.pkb 64" );
         ])
 
+(* Segments in another order than they were written end in [Corrupt]:
+   each records its first row within the store.  Two [seg] lines of
+   equal row counts swapped in the MANIFEST fail [open_dir]; two segment
+   files swapped under an open store fail [source]. *)
+let test_store_segments_out_of_order () =
+  with_tmpdir (fun dir ->
+      let t = random_table (Tutil.rng 47) 256 3 in
+      let manifest = Filename.concat dir "MANIFEST" in
+      let st = Store.spill ~segment_rows:64 ~dir t in
+      let line i = Printf.sprintf "seg seg-%06d.pkb 64" i in
+      let swapped =
+        String.concat "\n"
+          (List.map
+             (fun l ->
+               if l = line 1 then line 2 else if l = line 2 then line 1 else l)
+             (String.split_on_char '\n' (read_file manifest)))
+      in
+      write_file manifest swapped;
+      expect_corrupt "seg lines swapped" (fun () ->
+          Store.to_table (Store.open_dir dir));
+      let seg i = Filename.concat dir (Printf.sprintf "seg-%06d.pkb" i) in
+      Sys.rename (seg 1) (seg 9);
+      Sys.rename (seg 2) (seg 1);
+      Sys.rename (seg 9) (seg 2);
+      expect_corrupt "segment files swapped" (fun () -> Store.source st))
+
 (* Any 1–3-byte edit of a spilled store's MANIFEST — a byte replaced,
-   inserted or deleted — opens a store or raises [Corrupt]; no other
-   exception escapes.  (An edit can open a store with the wrong rows:
-   two [seg] lines swapped, say.) *)
+   inserted or deleted — raises [Corrupt] or opens a store that reads
+   exactly the spilled rows; no other exception escapes. *)
 let prop_manifest_fuzz =
   Tutil.qcheck_case ~count:400 "manifest byte-fuzz: Corrupt or a store"
     QCheck.(
@@ -289,7 +306,7 @@ let prop_manifest_fuzz =
           in
           write_file manifest text;
           match Store.to_table (Store.open_dir dir) with
-          | _ -> true
+          | read -> tables_identical t read
           | exception Store.Corrupt _ -> true))
 
 (* --- segmented scans through the plan executor --- *)
@@ -509,6 +526,29 @@ let test_dtable_spilled_shards () =
           (Mpp.Dtable.seg_rows spilled i);
         check_bool "shard round-trip" true
           (tables_identical (Mpp.Dtable.seg resident i) (Mpp.Dtable.seg spilled i))
+      done;
+      (* A distribution of the first 300 rows, appended the other 200
+         (one more segment per spilled shard), equals the partition of
+         all 500, resident or spilled. *)
+      let prefix = Table.sub t (Array.init 300 Fun.id) in
+      let grown_resident =
+        Mpp.Dtable.partition cluster prefix (Mpp.Dtable.Hash [| 0 |])
+      in
+      let grown_spilled =
+        Mpp.Dtable.partition_spilled policy ~prefix:"g" cluster prefix
+          (Mpp.Dtable.Hash [| 0 |])
+      in
+      Mpp.Dtable.append grown_resident t ~from:300;
+      Mpp.Dtable.append grown_spilled t ~from:300;
+      for i = 0 to Mpp.Dtable.nseg resident - 1 do
+        check_bool "appended resident shard" true
+          (tables_identical (Mpp.Dtable.seg resident i)
+             (Mpp.Dtable.seg grown_resident i));
+        check_bool "appended spilled shard" true
+          (tables_identical (Mpp.Dtable.seg resident i)
+             (Mpp.Dtable.seg grown_spilled i));
+        check_bool "appended shard stays on disk" true
+          (Mpp.Dtable.spilled grown_spilled i)
       done)
 
 let test_engine_spill_config () =
@@ -554,6 +594,8 @@ let () =
           Alcotest.test_case "sync + tail" `Quick test_store_sync_and_tail;
           Alcotest.test_case "manifest corruption" `Quick
             test_store_manifest_corruption;
+          Alcotest.test_case "segments out of order" `Quick
+            test_store_segments_out_of_order;
           prop_manifest_fuzz;
         ] );
       ( "plan",

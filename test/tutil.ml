@@ -43,6 +43,16 @@ let rows_as_sorted_lists t =
 
 let table_rows_equal a b = rows_as_sorted_lists a = rows_as_sorted_lists b
 
+(* Deletes [path] and, for a directory, everything under it; a path
+   already gone is skipped. *)
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
 (* A deterministic RNG for tests. *)
 let rng seed = Random.State.make [| seed |]
 
@@ -60,3 +70,26 @@ let copy_gamma kb =
   List.iter (Kb.Gamma.add_rule kb2) (Kb.Gamma.rules kb);
   List.iter (Kb.Gamma.add_funcon kb2) (Kb.Gamma.omega kb);
   kb2
+
+(* TΠ rows in order (id, key, weight bits), TΦ rows in table order (ids,
+   weight bits) and the trajectory, as raw bytes. *)
+let ground_bits kb graph trajectory =
+  let b = Buffer.create 4096 in
+  let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let add_float w = Buffer.add_int64_le b (Int64.bits_of_float w) in
+  Kb.Storage.iter
+    (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
+      List.iter add_int [ id; r; x; c1; y; c2 ];
+      add_float w)
+    (Kb.Gamma.pi kb);
+  Factor_graph.Fgraph.iter
+    (fun _ (i1, i2, i3, w) ->
+      List.iter add_int [ i1; i2; i3 ];
+      add_float w)
+    graph;
+  List.iter
+    (fun (p : Grounding.Ground.trajectory_point) ->
+      List.iter add_int
+        [ p.iteration; p.new_facts; p.total_facts; p.violations; p.removed ])
+    trajectory;
+  Buffer.contents b
