@@ -17,15 +17,11 @@ val expansion_to_json : Engine.expansion -> Json.t
 val pp_trajectory :
   Format.formatter -> Grounding.Ground.trajectory_point list -> unit
 
-val trajectory_to_json : Grounding.Ground.trajectory_point list -> Json.t
-
 (** [pp_inference ppf i] prints the solve report: the per-solver
     breakdown (fraction settled exactly, junction-tree width) and, when
     a core was sampled, the residual sampler's sweeps / early-stop sweep
     / final R̂ and ESS. *)
 val pp_inference : Format.formatter -> Inference.Marginal.solve_info -> unit
-
-val inference_to_json : Inference.Marginal.solve_info -> Json.t
 
 (** [pp_result ppf r] is {!pp_expansion} plus the inference stage. *)
 val pp_result : Format.formatter -> Engine.result -> unit

@@ -1,5 +1,4 @@
 module Table = Relational.Table
-module Ops = Relational.Ops
 module Pipeline = Relational.Pipeline
 module Pattern = Mln.Pattern
 
@@ -58,17 +57,17 @@ type executor = {
   stage : string;
   cat : string;
   atoms : delta_from:int option -> Pattern.t list -> (Pattern.t * Table.t) list;
-  factors : unit -> Pattern.t -> Fgraph.t -> int;
   singletons : Fgraph.t -> int;
   point_data : unit -> (string * Obs.value) list;
 }
 
-let all_atom_cols = [| 0; 1; 2; 3; 4 |]
 let pattern_name pat = Printf.sprintf "M%d" (Pattern.index pat + 1)
 
 (* Algorithm 1, once for every route: the executor runs the joins, this
    loop owns everything between them. *)
 let drive options exec kb =
+  if options.build_factors && options.delta_from <> None then
+    invalid_arg "Ground.drive: delta_from with build_factors";
   let obs = options.obs in
   let counter name = exec.stage ^ "." ^ name in
   let pi = Kb.Gamma.pi kb in
@@ -93,6 +92,23 @@ let drive options exec kb =
      order, so the rows from the id are exactly the surviving new facts —
      a consequence of a deleted fact is never re-derived from its row. *)
   let delta_from = ref options.delta_from in
+  (* Every derivation row the closure's joins returned, per pattern, in
+     iteration order: Query 2-i's rows before head resolution.  Each
+     derivation over the final TΠ is joined in exactly one iteration —
+     the first, if its body facts are base facts, else the one after its
+     newest body fact arrived — so these rows are Query 2-i's, less
+     those a later Ω pass made stale.  They are copied out of the join
+     outputs, which are sized for their probe side. *)
+  let kept =
+    Array.init (List.length Pattern.all) (fun _ ->
+        Table.create ~weighted:true ~name:"derivations" Queries.atom_i_cols)
+  in
+  let keep results =
+    if options.build_factors then
+      List.iter
+        (fun (pat, rows) -> Table.append_all kept.(Pattern.index pat) rows)
+        results
+  in
   (* Returns this pass's (violations, facts removed). *)
   let constrain () =
     match options.apply_constraints with
@@ -142,16 +158,19 @@ let drive options exec kb =
             let first_new = Storage.next_id pi in
             (* Merging a pattern's results into TΠ is part of that
                pattern's work, so it lands in the same M-span path (the
-               summary aggregates the query and merge instances). *)
+               summary aggregates the query and merge instances).  A
+               head is merged at its first occurrence: merging skips a
+               key that has a live row. *)
             let new_facts =
               List.fold_left
-                (fun n (pat, atoms) ->
+                (fun n (pat, rows) ->
                   Obs.incr obs (counter "atom_queries");
                   Obs.with_span obs (pattern_name pat) ~cat:exec.cat (fun () ->
                       Obs.timed obs (counter "merge_seconds") (fun () ->
-                          n + Storage.merge_new pi atoms)))
+                          n + Storage.merge_new pi rows)))
                 0 results
             in
+            keep results;
             delta_from := Some first_new;
             let point = constrain () in
             total_new := !total_new + new_facts;
@@ -164,18 +183,40 @@ let drive options exec kb =
             Option.iter (fun f -> f ~iteration ~new_facts) options.on_iteration;
             if new_facts = 0 then converged := true)
       done);
-  (* Factor phase: Algorithm 1, lines 8-10. *)
+  (* Factor phase: Algorithm 1, lines 8-10, over the kept rows. *)
   let n_clause_factors = ref 0 in
   let n_singleton_factors = ref 0 in
   if options.build_factors then begin
     Obs.with_span obs "factors" ~cat:exec.cat (fun () ->
-        let query = exec.factors () in
+        (* A closure cut short by the iteration budget has not joined
+           the derivations that use its last iteration's facts: one more
+           delta pass finds them, and merges nothing.  (With no
+           iteration at all, that pass is the full query.) *)
+        if not !converged then
+          Obs.with_span obs "last delta" ~cat:exec.cat (fun () ->
+              keep (exec.atoms ~delta_from:!delta_from patterns));
+        (* A body fact Ω deleted after its derivation was joined is not
+           in the final TΠ, and neither are its derivations. *)
+        let body_live rows r =
+          let live c =
+            let id = Table.get rows r c in
+            id = Fgraph.null || Option.is_some (Storage.row_of_id pi id)
+          in
+          live 5 && live 6
+        in
         List.iter
           (fun pat ->
             n_clause_factors :=
               !n_clause_factors
               + Obs.with_span obs (pattern_name pat) ~cat:exec.cat (fun () ->
-                    query pat graph))
+                    let rows = kept.(Pattern.index pat) in
+                    let rows =
+                      if !removed = 0 then rows
+                      else Table.filter rows (body_live rows)
+                    in
+                    Queries.resolve_heads
+                      ~order:(Queries.scan_order pat rows)
+                      rows pi graph))
           patterns;
         n_singleton_factors :=
           Obs.with_span obs "singletons" ~cat:exec.cat (fun () ->
@@ -205,55 +246,31 @@ let local_executor options kb =
   let obs = options.obs in
   let pi = Kb.Gamma.pi kb in
   let prepared = Queries.prepare (Kb.Gamma.partitions kb) in
-  (* Out-of-core scans: once [TΠ] crosses the spill threshold, the phases
-     that scan it — a full iteration and the factor phase — probe an
-     on-disk segment-store copy instead of the resident table (whole
-     segments appended as [TΠ] grows; the partial tail stays resident).
-     The resident store remains the authority — merges, head resolution,
-     constraint passes and the delta probes are untouched — and
-     segmented probes are bit-identical to resident ones, so spilling
-     changes I/O, never results.  The copy mirrors one table value:
-     compaction replaces [Storage.table pi] with a new table whose rows
-     have moved, so a copy of the old one is removed from disk and the
-     compacted table spilled afresh. *)
-  let spill_store = ref None in
-  let sync_spill () =
-    match options.spill with
-    | None -> ()
-    | Some policy -> (
-      let facts = Storage.table pi in
-      let timed f = Obs.timed obs "storage.spill_seconds" f in
-      match !spill_store with
-      | Some (mirrored, st) when mirrored == facts ->
-        spill_store := Some (facts, timed (fun () -> Seg_store.sync st facts))
-      | stale ->
-        Option.iter (fun (_, st) -> Seg_store.remove st) stale;
-        spill_store :=
-          if Spill.should_spill policy facts then
-            Some
-              ( facts,
-                timed (fun () ->
-                    Seg_store.spill
-                      ~segment_rows:(Spill.segment_rows policy)
-                      ~tail:false
-                      ~dir:(Spill.fresh_dir policy ~prefix:"tpi")
-                      facts) )
-          else None)
-  in
-  (* The source a scanning phase probes, shared read-only by the
-     per-pattern workers (mmap'd segments are position-independent; each
-     worker scans with its own batches): the spilled copy plus the
-     resident tail, or the resident table. *)
+  (* Out-of-core scans: once [TΠ] crosses the spill threshold, the one
+     phase that scans it — a run's first query, which joins all of TΠ —
+     probes an on-disk segment-store copy instead of the resident table
+     (whole segments; the partial tail stays resident).  The resident
+     store remains the authority — merges, head resolution, constraint
+     passes and the delta probes are untouched — and segmented probes
+     are bit-identical to resident ones, so spilling changes I/O, never
+     results.  The source is shared read-only by the per-pattern workers
+     (mmap'd segments are position-independent; each worker scans with
+     its own batches). *)
   let fact_src () =
-    sync_spill ();
-    match !spill_store with
-    | Some (_, st) ->
+    let facts = Storage.table pi in
+    match options.spill with
+    | Some policy when Spill.should_spill policy facts ->
+      let st =
+        Obs.timed obs "storage.spill_seconds" (fun () ->
+            Seg_store.spill
+              ~segment_rows:(Spill.segment_rows policy)
+              ~tail:false
+              ~dir:(Spill.fresh_dir policy ~prefix:"tpi")
+              facts)
+      in
       Pipeline.Segments
-        {
-          src = Seg_store.source ~tail:(Storage.table pi) st;
-          keep = (fun _ -> true);
-        }
-    | None -> Pipeline.of_table (Storage.table pi)
+        { src = Seg_store.source ~tail:facts st; keep = (fun _ -> true) }
+    | Some _ | None -> Pipeline.of_table facts
   in
   let atoms ~delta_from patterns =
     let pats = Array.of_list patterns in
@@ -264,39 +281,26 @@ let local_executor options kb =
            build mutates the store, so it happens here, before the
            workers share it.  Δ is read in place. *)
         Storage.build_partial_indexes pi;
-        let delta = Storage.rows_from pi id in
-        fun pat -> Queries.ground_atoms_delta prepared pat pi ~delta
+        fun pat -> Queries.derivations_delta prepared pat pi ~from:id
       | None ->
         let src = fact_src () in
-        fun pat -> Queries.ground_atoms ~src prepared pat pi
+        fun pat -> Queries.derivations ~src prepared pat pi
     in
     Pool.map_reduce (Pool.get_default ()) ~n:(Array.length pats)
       ~map:(fun i ->
         let pat = pats.(i) in
         let sp = Obs.begin_span ~cat:"grounding" obs (pattern_name pat) in
-        let raw = query pat in
-        let t = Ops.distinct raw all_atom_cols in
-        Obs.end_span obs sp
-          ~attrs:
-            [
-              ("rows_raw", Obs.I (Table.nrows raw));
-              ("rows_out", Obs.I (Table.nrows t));
-              ("dedup", Obs.I (Table.nrows raw - Table.nrows t));
-            ];
-        (pat, t))
+        let rows = query pat in
+        Obs.end_span obs sp ~attrs:[ ("rows", Obs.I (Table.nrows rows)) ];
+        (pat, rows))
       ~fold:(fun acc r -> r :: acc)
       ~init:[]
     |> List.rev
-  in
-  let factors () =
-    let src = fact_src () in
-    fun pat graph -> Queries.ground_factors ~src prepared pat pi graph
   in
   {
     stage = "ground";
     cat = "grounding";
     atoms;
-    factors;
     singletons = Queries.singleton_factors pi;
     point_data = (fun () -> []);
   }

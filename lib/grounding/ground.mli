@@ -2,14 +2,18 @@
 
     Repeatedly applies every rule partition in batches, merging new facts
     into [TΠ], applying semantic constraints, until the transitive closure
-    is reached (or an iteration budget is exhausted); then applies the
-    partitions once more to construct the ground factors, plus one
+    is reached (or an iteration budget is exhausted); then builds the
+    ground factors from the derivations those joins found, plus one
     singleton factor per weighted base fact.
 
     The first iteration joins all of [TΠ]; every later one joins only
     the derivations that use a fact the previous iteration added (the
     delta), and appends the same facts, in the same order and with the
-    same ids, as re-joining all of [TΠ] would.
+    same ids, as re-joining all of [TΠ] would.  Each derivation over the
+    final [TΠ] is so joined exactly once, and its row — head key, body
+    ids, rule weight — is kept: [TΦ] is built from those rows, with no
+    second pass over [TΠ], and equals Query 2 over the final [TΠ] row
+    for row, in its order, with the same factor ids.
 
     The loop is written once ({!drive}) and runs the joins through an
     {!executor}: {!run} and {!closure} use the local one (the domain
@@ -26,27 +30,31 @@ type options = {
           facts that derived a deleted fact, so only a ban keeps the
           full join from re-deriving it, and the next delta is read off
           the compacted [TΠ] *)
-  build_factors : bool;  (** run the groundFactors phase (default true) *)
+  build_factors : bool;
+      (** build [TΦ] (default true): keep the closure's derivation rows
+          and resolve them into factors once it ends *)
   delta_from : int option;
       (** incremental mode: the first id of the facts that were just
           added to an already-closed store ({!Kb.Storage.next_id} taken
           before inserting them); the first iteration, too, joins only
           against the facts from that id on.  This is the paper's
           knowledge-expansion loop run *continuously*: new extractions
-          arrive, only their consequences are derived *)
+          arrive, only their consequences are derived.  It derives facts
+          only: the derivations over the older facts were never joined,
+          so [build_factors] must be [false] ({!closure}); {!drive}
+          raises [Invalid_argument] otherwise *)
   on_iteration : (iteration:int -> new_facts:int -> unit) option;
       (** progress callback *)
   spill : Storage.Spill.t option;
       (** out-of-core scans (default [None]): once [TΠ] crosses the
-          policy's byte threshold, the phases that scan it — the first
-          iteration and the factor phase — probe an on-disk segment-store
-          copy via mmap instead of the resident table (whole segments
-          appended as [TΠ] grows, the partial tail resident).  A copy
-          made stale by a constraint pass's compaction is replaced, and
-          its store directory removed, so a run leaves one store.  Delta
-          iterations probe the resident partial-key indexes and read no
-          segment.  The resident store stays the authority; results are
-          bit-identical with or without spilling *)
+          policy's byte threshold, the one phase that scans it — the
+          first iteration (or, with no iteration run, the factor pass)
+          — probes an on-disk segment-store copy via mmap instead of the
+          resident table (whole segments, the partial tail resident).
+          Delta iterations probe the resident partial-key indexes and
+          read no segment, so a run leaves one store.  The resident
+          store stays the authority; results are bit-identical with or
+          without spilling *)
   obs : Obs.t;
       (** trace context (default {!Obs.null}).  When enabled, the run
           emits a [closure > iteration i > M1..M6/merge] span tree, a
@@ -86,10 +94,10 @@ type result = {
 
 (** Where the joins of one route execute.  Everything between them —
     active patterns, Ω passes, the delta, merging in pattern order,
-    trajectory, snapshots, counters, convergence and the factor phase's
-    spans — belongs to {!drive}.  [drive] counts the statements of the
-    paper's Table 3 as the [<stage>.atom_queries] counter: one per
-    Query 1-i it merges. *)
+    trajectory, snapshots, counters, convergence and the factor phase —
+    belongs to {!drive}.  [drive] counts the statements of the paper's
+    Table 3 as the [<stage>.atom_queries] counter: one per Query 1-i it
+    merges. *)
 type executor = {
   stage : string;
       (** snapshot stage and counter prefix (["ground"], ["mpp"]) *)
@@ -98,19 +106,20 @@ type executor = {
     delta_from:int option ->
     Mln.Pattern.t list ->
     (Mln.Pattern.t * Relational.Table.t) list;
-      (** one iteration's Query 1-i per pattern, all against the same
-          [TΠ]: deduplicated head atoms, in pattern order.  Without a
-          delta, every head the full query derives, in its order.  With
-          [delta_from = Some id], the delta is the facts from [id] on —
-          the rows of [TΠ] from that id ({!Kb.Storage.rows_from}) — and
-          the executor returns the heads of the derivations that use a
-          delta fact, in the full query's order
-          ({!Queries.ground_atoms_delta}), so a delta iteration adds the
-          facts a full one would, in the same order and with the same
-          ids *)
-  factors : unit -> Mln.Pattern.t -> Factor_graph.Fgraph.t -> int;
-      (** prepares the factor phase, then runs Query 2-i into [TΦ], its
-          rows in the single-node scan join's order *)
+      (** one iteration's joins per pattern, all against the same [TΠ]:
+          the derivation rows — head key, body ids I2/I3 and rule
+          weight, columns {!Queries.atom_i_cols} — in the single-node
+          scan join's order, every row kept.  Without a delta, every
+          derivation the full query finds ({!Queries.derivations}).
+          With [delta_from = Some id], the delta is the facts from [id]
+          on — the rows of [TΠ] from that id ({!Kb.Storage.rows_from})
+          — and the executor returns each derivation that uses a delta
+          fact once, in the full query's order
+          ({!Queries.derivations_delta}).  [drive] merges each
+          pattern's heads at their first occurrence, so a delta
+          iteration adds the facts a full one would, in the same order
+          and with the same ids; it keeps the rows for the factor
+          phase *)
   singletons : Factor_graph.Fgraph.t -> int;
       (** [groundFactors(TΠ)] (Algorithm 1, line 10) *)
   point_data : unit -> (string * Obs.value) list;
@@ -119,7 +128,19 @@ type executor = {
 
 (** [drive options exec kb] runs Algorithm 1 on [kb], with [exec]
     running the joins.  It does not read [options.spill]: spilling
-    belongs to the executor. *)
+    belongs to the executor.
+
+    With [build_factors], the factor phase (lines 8-10) joins nothing
+    it has joined before.  A closure that stopped at [max_iterations]
+    while still adding facts first runs one more [exec.atoms] over its
+    last iteration's facts, and merges nothing.  Then, for each pattern
+    in order, it takes the rows kept from every iteration, drops those
+    with a body fact Ω deleted, stably sorts them into the full scan's
+    order ({!Queries.scan_order}) and resolves their heads
+    ({!Queries.resolve_heads}); then it adds the singletons.
+
+    @raise Invalid_argument if [options] sets both [delta_from] and
+    [build_factors]. *)
 val drive : options -> executor -> Kb.Gamma.t -> result
 
 (** [run ?options kb] grounds the knowledge base in place: inferred facts
@@ -127,5 +148,6 @@ val drive : options -> executor -> Kb.Gamma.t -> result
 val run : ?options:options -> Kb.Gamma.t -> result
 
 (** [closure ?options kb] is {!run} with [build_factors = false] — computes
-    only the fact closure (the repeated Query 1 phase of Table 3). *)
+    only the fact closure (the repeated Query 1 phase of Table 3), and
+    keeps no derivation rows. *)
 val closure : ?options:options -> Kb.Gamma.t -> result

@@ -1,6 +1,5 @@
 module Table = Relational.Table
 module Join = Relational.Join
-module Ops = Relational.Ops
 module Pattern = Mln.Pattern
 
 (* The spill alias must precede the [Kb.Storage] rebinding: [Storage]
@@ -58,44 +57,6 @@ let distributed_step cluster cost label rows row_bytes =
   Mpp.Cost.charge cost
     (Mpp.Cost.Coordinator { label; rows })
     (float_of_int (rows / max 1 nseg + 1) *. cluster.Mpp.Cluster.cost_per_row)
-
-(* The single-node scan join's order, restored on the coordinator.  A
-   segment's local join emits its matches in the order of its probe
-   rows — TΠ's, restricted to the shard — and, for one probe row, in the
-   build index's chain order; a motion keeps the relative order of the
-   rows one segment sends.  Every match carries its body ids (I2, I3), so
-   a stable sort by them interleaves the segments' output as one scan of
-   TΠ would: by id for a one-atom pattern; for a two-atom pattern by r id
-   ascending, then q id descending (the scan's order of J rows), with
-   the q term's rows before the r term's.  Returns the sorted row
-   indices of [rows]. *)
-let scan_order (s : Shape.t) rows =
-  let id r c = Table.get rows r c in
-  let cmp =
-    match s with
-    | Shape.One_atom _ -> fun a b -> Int.compare (id a 5) (id b 5)
-    | Shape.Two_atom _ ->
-      fun a b ->
-        match Int.compare (id a 6) (id b 6) with
-        | 0 -> Int.compare (id b 5) (id a 5)
-        | c -> c
-  in
-  let perm = Array.init (Table.nrows rows) Fun.id in
-  Array.stable_sort cmp perm;
-  perm
-
-(* The head atoms of [rows] taken in [perm]'s order, first occurrences
-   only. *)
-let heads rows perm =
-  let t = Table.create ~name:(Table.name rows) Queries.atom_cols in
-  Table.reserve t (Array.length perm);
-  let buf = Array.make (Table.width rows) 0 in
-  Array.iter
-    (fun r ->
-      Table.blit_row rows r buf 0;
-      Table.append_slice t buf 0)
-    perm;
-  Ops.distinct t [| 0; 1; 2; 3; 4 |]
 
 (* The MPP executor: distribution, the [Djoin] plans and every cost
    charge.  One-time distribution work (replicating the MLN tables,
@@ -238,16 +199,14 @@ let executor options mode cluster cost ~load_sim kb =
     | `Pn dt -> dt
   in
   let djoin = Mpp.Djoin.hash_join cluster cost in
-  (* One union term of Query 1-i or 2-i: the rules [m] (replicated) joined
-     with [delta] as the q atom of [pat], or — [mirrored] — of its mirror,
+  (* One union term of Query 1-i: the rules [m] (replicated) joined with
+     [delta] as the q atom of [pat], or — [mirrored] — of its mirror,
      which binds Δ to [pat]'s r atom; a two-atom term then joins J with
-     all of TΠ, J staying the build side.  The rows project the head and
-     the body ids in [pat]'s orientation (Queries.factors_out).  Query 1-i
-     deduplicates them on each segment, head and body ids together, which
-     keeps every head's first derivation in the scan's order; Query 2-i
-     keeps every row, as on the single node.  A term whose J is empty
-     skips step 2 and its motions: [None]. *)
-  let term d pat m ~delta ~factors ~mirrored =
+     all of TΠ, J staying the build side.  The rows are derivations:
+     head, body ids in [pat]'s orientation (Queries.factors_out) and
+     rule weight, every one kept.  A term whose J is empty skips step 2
+     and its motions: [None]. *)
+  let term d pat m ~delta ~mirrored =
     let s =
       Queries.shape_of (if mirrored then Queries.mirror_pattern pat else pat)
     in
@@ -255,14 +214,11 @@ let executor options mode cluster cost ~load_sim kb =
     let out =
       if mirrored then Queries.factors_out_swapped s else Queries.factors_out s
     in
-    let oweight =
-      if factors then Join.Weight_of Join.Build else Join.No_weight
-    in
     let derive b p =
       Some
         (Mpp.Dtable.gather
-           (djoin ~name ~cols:Queries.atom_i_cols ~out ~oweight
-              ~dedup:(not factors) b p))
+           (djoin ~name ~cols:Queries.atom_i_cols ~out
+              ~oweight:(Join.Weight_of Join.Build) b p))
     in
     match s with
     | Shape.One_atom s1 -> derive (m, s1.m_key) (delta, s1.t_key)
@@ -275,45 +231,56 @@ let executor options mode cluster cost ~load_sim kb =
       if Mpp.Dtable.nrows j = 0 then None
       else derive (j, s2.j_key2) (view s2.t_key2 d, s2.t_key2)
   in
-  (* Query 1-i or 2-i over the derivations with a body atom in Δ, in the
-     single-node scan join's order: the q term and, unless Δ is all of TΠ
-     ([full]), a two-atom pattern's r term too. *)
-  let query d pat ~delta ~full ~factors =
+  (* Query 1-i over the derivations with a body fact in Δ, in the
+     single-node scan join's order: the q term and, when Δ is the facts
+     from id [delta_from] on rather than all of TΠ, a two-atom pattern's
+     r term, keeping only the q facts older than Δ — a derivation with
+     both body facts in Δ is the q term's.  A segment's local join
+     emits its matches in the order of its probe rows — TΠ's, restricted
+     to the shard — and, for one probe row, in the build index's chain
+     order; a motion keeps the relative order of the rows one segment
+     sends.  So the coordinator's stable sort by body ids
+     (Queries.scan_order) interleaves the segments' output as one scan
+     of TΠ would. *)
+  let query d pat ~delta ~delta_from =
     let m, mirror = List.assoc pat m_repl in
     let terms =
-      term d pat m ~delta ~factors ~mirrored:false
-      :: (match mirror with
-         | Some mm when not full ->
-           [ term d pat mm ~delta ~factors ~mirrored:true ]
-         | Some _ | None -> [])
+      term d pat m ~delta ~mirrored:false
+      :: (match (mirror, delta_from) with
+         | Some mm, Some id ->
+           [
+             Option.map
+               (fun rows ->
+                 Table.filter rows (fun r -> Table.get rows r 5 < id))
+               (term d pat mm ~delta ~mirrored:true);
+           ]
+         | Some _, None | None, _ -> [])
     in
     let rows =
       match List.filter_map Fun.id terms with
       | [] ->
-        Table.create ~weighted:factors ~name:(Pattern.to_string pat)
+        Table.create ~weighted:true ~name:(Pattern.to_string pat)
           Queries.atom_i_cols
       | first :: rest ->
         List.iter (Table.append_all first) rest;
         first
     in
-    (rows, scan_order (Queries.shape_of pat) rows)
+    Table.sub rows (Queries.scan_order pat rows)
   in
   let atoms ~delta_from patterns =
     let d = Obs.with_span obs "distribute" ~cat:"mpp" distribute in
     (* Δ: the facts from the delta's first id — a suffix of TΠ —
        distributed like the balanced side; without one, all of TΠ. *)
-    let delta, full =
+    let delta =
       match delta_from with
-      | None -> (balanced d, true)
+      | None -> balanced d
       | Some id ->
         let facts = Storage.table pi in
         let from =
           Table.nrows facts
           - Relational.Pipeline.rows (Storage.rows_from pi id)
         in
-        ( Mpp.Dtable.partition ~from cluster facts
-            (Mpp.Dtable.dist (balanced d)),
-          false )
+        Mpp.Dtable.partition ~from cluster facts (Mpp.Dtable.dist (balanced d))
     in
     List.map
       (fun pat ->
@@ -321,23 +288,11 @@ let executor options mode cluster cost ~load_sim kb =
           (Printf.sprintf "M%d" (Pattern.index pat + 1))
           ~cat:"mpp"
           (fun () ->
-            let rows, perm = query d pat ~delta ~full ~factors:false in
+            let rows = query d pat ~delta ~delta_from in
             distributed_step cluster cost "distinct+merge" (Table.nrows rows)
               (Table.row_bytes rows);
-            (pat, heads rows perm)))
+            (pat, rows)))
       patterns
-  in
-  (* The factor phase joins all of TΠ over the last distribution, grown
-     by the last iteration's facts. *)
-  let factors () =
-    let d = Obs.with_span obs "distribute" ~cat:"mpp" distribute in
-    fun pat graph ->
-      let rows, perm =
-        query d pat ~delta:(balanced d) ~full:true ~factors:true
-      in
-      distributed_step cluster cost "resolve heads" (Table.nrows rows)
-        (Table.row_bytes rows);
-      Queries.resolve_heads (Table.sub rows perm) pi graph
   in
   let singletons graph =
     let n = Queries.singleton_factors pi graph in
@@ -352,7 +307,7 @@ let executor options mode cluster cost ~load_sim kb =
       ("motion_bytes", Obs.I (Mpp.Cost.motion_bytes cost));
     ]
   in
-  { Ground.stage = "mpp"; cat = "mpp"; atoms; factors; singletons; point_data }
+  { Ground.stage = "mpp"; cat = "mpp"; atoms; singletons; point_data }
 
 let run ?(options = default_options) ?(mode = Views) cluster kb =
   let obs = options.obs in

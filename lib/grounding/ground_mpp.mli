@@ -15,16 +15,18 @@
     [TΠ] forces a rebuild.  From the second iteration on, each pattern
     joins only the previous iteration's facts (Δ): a one-atom pattern
     its rules with Δ; a two-atom pattern Δ on its q atom, then J with all
-    of [TΠ], and Δ on its r atom through the mirrored rule table.  The
-    first iteration and the factor phase bind all of [TΠ] to the q atom.
+    of [TΠ], and Δ on its r atom through the mirrored rule table, keeping
+    only the q facts older than Δ.  The first iteration binds all of
+    [TΠ] to the q atom.
 
-    Every Query 1-i and 2-i returns its rows in the single-node scan
-    join's order: the distributed joins project the body ids, and the
-    coordinator stably sorts the gathered rows by them before it
-    deduplicates heads.  So [TΠ] (every fact id included), [TΦ] and the
-    trajectory are bit-identical to {!Ground.run}'s for either mode, any
-    segment count, spilled or not; the oracle test in [test_mpp] checks
-    it. *)
+    Every query returns its derivation rows — head, body ids and rule
+    weight — in the single-node scan join's order: the distributed joins
+    project the body ids, and the coordinator stably sorts the gathered
+    rows by them.  {!Ground.drive} merges their heads and builds [TΦ]
+    from them, so there is no factor phase of distributed joins.  [TΠ]
+    (every fact id included), [TΦ] and the trajectory are bit-identical
+    to {!Ground.run}'s for either mode, any segment count, spilled or
+    not; the oracle test in [test_mpp] checks it. *)
 
 type mode =
   | Views  (** ProbKB-p: redistributed materialized views *)
@@ -52,7 +54,9 @@ type options = {
   obs : Obs.t;
       (** trace context (default {!Obs.null}).  When enabled, the run
           emits [closure > iteration i > distribute/M1..M6] and
-          [factors] span trees, the loop's counters under [mpp.*], the
+          [factors] span trees ([factors > last delta] distributes and
+          joins once more when the closure stopped at
+          [max_iterations]), the loop's counters under [mpp.*], the
           distribution counters [mpp.distribution_builds] and
           [mpp.rows_appended], and [mpp.*] counters (motions, motion
           bytes, per-segment join busy time and skew) derived from the

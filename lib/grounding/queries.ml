@@ -265,13 +265,14 @@ let atoms_query p pat src =
 let ground_atoms ?src p pat pi =
   atoms_query p pat (Option.value src ~default:(resident pi))
 
-(* Resolve heads against TΠ and emit factor rows. *)
-let resolve_heads rows pi g =
+(* Resolve heads against TΠ and emit factor rows, in [order] when one is
+   given. *)
+let resolve_heads ?order rows pi g =
   let idx = Storage.key_index pi in
   let facts = Storage.table pi in
   let kv = Array.make 5 0 in
   let produced = ref 0 in
-  for r = 0 to Table.nrows rows - 1 do
+  let resolve r =
     for i = 0 to 4 do
       kv.(i) <- Table.get rows r i
     done;
@@ -285,8 +286,34 @@ let resolve_heads rows pi g =
         ~w:(Table.weight rows r) ();
       incr produced
     | Some _ | None -> () (* head was deleted or retracted *)
-  done;
+  in
+  (match order with
+  | Some perm -> Array.iter resolve perm
+  | None ->
+    for r = 0 to Table.nrows rows - 1 do
+      resolve r
+    done);
   !produced
+
+(* The scan join's order of derivation rows, read off their body ids: a
+   one-atom join streams TΠ as its only body atom, so by I2; a two-atom
+   join streams TΠ as the r atom and meets J — q id descending — for
+   each, so by I3 ascending, then I2 descending.  The rows of one body
+   (or body pair) keep their relative order. *)
+let scan_order pat rows =
+  let id r c = Table.get rows r c in
+  let cmp =
+    match shape_of pat with
+    | One_atom _ -> fun a b -> Int.compare (id a 5) (id b 5)
+    | Two_atom _ ->
+      fun a b ->
+        match Int.compare (id a 6) (id b 6) with
+        | 0 -> Int.compare (id b 5) (id a 5)
+        | c -> c
+  in
+  let perm = Array.init (Table.nrows rows) Fun.id in
+  Array.stable_sort cmp perm;
+  perm
 
 (* --- semi-naive (delta) evaluation -------------------------------
 
@@ -389,12 +416,18 @@ let delta_terms p pat ~delta =
   let first = term p.m_index.(Pattern.index pat) pat ~mirrored:false in
   [ first; term (mirror_index p pat) (mirror_pattern pat) ~mirrored:true ]
 
-(* The residual that keeps a delta term's TΠ probe off tombstoned rows:
-   none at all while nothing is dead, so the probe pays one comparison
-   per call, not one per probed row. *)
-let live_residual pi =
-  if Storage.pending_deletes pi = 0 then None
-  else Some (fun _ row -> Storage.live_row pi row)
+(* The residual of a delta term's TΠ probe: live rows only — none at
+   all while nothing is dead, so the probe pays one comparison per call,
+   not one per probed row — and, [below] an id, only the facts older
+   than it. *)
+let probe_residual pi below =
+  let t = Storage.table pi in
+  let live = Storage.pending_deletes pi = 0 in
+  match below with
+  | None -> if live then None else Some (fun _ row -> Storage.live_row pi row)
+  | Some w when live -> Some (fun _ row -> Table.get t row 0 < w)
+  | Some w ->
+    Some (fun _ row -> Table.get t row 0 < w && Storage.live_row pi row)
 
 (* Δ with its rows in ascending id order, each fact once: the order in
    which the scan join meets them in TΠ.  The closure's and an ingest's
@@ -415,30 +448,31 @@ let rec ascending (delta : Pipeline.source) =
                  (fun a b -> Int.compare (id a) (id b))
                  (List.init (hi - lo) (( + ) lo)))))
 
-(* The two union terms of a two-atom delta query, streamed into [sink]
-   in the scan join's order.  The scan join [J ⋈ TΠ] streams TΠ as the r
-   atom: it emits by r row ascending, then by J row descending — q id
-   descending, then the rules of one (q, r) pair in ascending Mi row.
-   Rows ascend with ids, so both orders can be read off ids.  The q term
-   (J built from Δ as the q atom) sorts its matches into that order
-   directly.  The r term's J holds one block of rows per Δ fact, in Δ's
-   order; within a block its matches are sorted by q row descending,
-   then J row descending, which lists the rules of a (q, r) pair in
-   ascending Mi row as well.  Merging the two by r id ascending, then q
-   id descending, the q term first on a tie, yields every derivation
-   that uses a Δ fact in the scan's order; one whose q and r are both in
-   Δ comes twice in a row, and the dedup sink keeps the first. *)
-let probe_scan_order pi ~sink q r =
+(* The two union terms of a two-atom delta query, projected through
+   [out] into [sink] in the scan join's order.  The scan join [J ⋈ TΠ]
+   streams TΠ as the r atom: it emits by r row ascending, then by J row
+   descending — q id descending, then the rules of one (q, r) pair in
+   ascending Mi row.  Rows ascend with ids, so both orders can be read
+   off ids.  The q term (J built from Δ as the q atom) sorts its matches
+   into that order directly.  The r term's J holds one block of rows per
+   Δ fact, in Δ's order; within a block its matches are sorted by q row
+   descending, then J row descending, which lists the rules of a (q, r)
+   pair in ascending Mi row as well.  Merging the two by r id ascending,
+   then q id descending, the q term first on a tie, yields every
+   derivation that uses a Δ fact in the scan's order.  One whose q and r
+   are both in Δ comes twice in a row, unless the r term's probe keeps
+   only q facts [below] Δ's first id. *)
+let probe_scan_order pi ~sink ~out ~oweight ?below q r =
   let t = Storage.table pi in
   let np = Table.nrows t in
-  let residual = live_residual pi in
-  let probe d = Join.index_matches ?residual (d.j, d.j_key)
+  let probe d below =
+    Join.index_matches ?residual:(probe_residual pi below) (d.j, d.j_key)
       (Storage.partial_index pi d.t_key)
   in
   (* q term: TΠ row ascending, then J row descending. *)
   let nq = Table.nrows q.j in
   let qs = ref [] in
-  probe q (fun jr tr -> qs := ((tr * nq) + (nq - 1 - jr)) :: !qs);
+  probe q None (fun jr tr -> qs := ((tr * nq) + (nq - 1 - jr)) :: !qs);
   let qs = Array.of_list !qs in
   Array.sort Int.compare qs;
   (* r term: Δ block by block; within one, TΠ row descending, then J row
@@ -453,7 +487,7 @@ let probe_scan_order pi ~sink q r =
       block := []
     end
   in
-  probe r (fun jr tr ->
+  probe r below (fun jr tr ->
       let id = Table.get r.j jr 7 in
       if id <> !block_id then begin
         close_block ();
@@ -467,11 +501,11 @@ let probe_scan_order pi ~sink q r =
       ~capacity:
         (max 1
            (min (Array.length qs + Array.length rs) Batch.default_capacity))
-      ~weighted:false (Array.length atom_cols)
+      ~weighted:(oweight <> Join.No_weight)
+      (Array.length (out q))
   in
   let emit d jr tr =
-    Join.emit_match ~sink ob ~out:d.atoms_out ~oweight:Join.No_weight d.j jr
-      t tr
+    Join.emit_match ~sink ob ~out:(out d) ~oweight d.j jr t tr
   in
   let i = ref 0 and k = ref 0 in
   while !i < Array.length qs || !k < Array.length rs do
@@ -501,44 +535,66 @@ let probe_scan_order pi ~sink q r =
   if not (Batch.is_empty ob) then Sink.push_batch sink ob;
   (nq + nr)
 
+(* A two-atom delta query through {!probe_scan_order}, with the join
+   counters a scan join records. *)
+let scan_ordered_delta p pat pi ~delta ~sink ~out ~oweight ?below () =
+  let obs = Obs.ambient () in
+  let t0 = if Obs.enabled obs then Obs.now () else 0. in
+  let probe_rows =
+    match delta_terms p pat ~delta with
+    | [ q; r ] -> probe_scan_order pi ~sink ~out ~oweight ?below q r
+    | _ -> assert false
+  in
+  if Obs.enabled obs then begin
+    Obs.add obs "join.joins" 2;
+    Obs.add obs "join.probe_rows" probe_rows;
+    Obs.add obs "join.rows_out" (Sink.rows_out sink);
+    Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0);
+    Sink.record_distinct_obs obs sink
+  end;
+  Sink.table sink
+
 let ground_atoms_delta p pat pi ~delta =
   let delta = ascending delta in
   match shape_of pat with
   | Shape.One_atom _ -> atoms_query p pat delta
   | Shape.Two_atom _ ->
-    let obs = Obs.ambient () in
-    let t0 = if Obs.enabled obs then Obs.now () else 0. in
-    let sink =
-      Sink.create
-        ~dedup_key:(Array.init (Array.length atom_cols) Fun.id)
-        ~name:("atoms_" ^ Pattern.to_string pat)
-        atom_cols
-    in
-    let probe_rows =
-      match delta_terms p pat ~delta with
-      | [ q; r ] -> probe_scan_order pi ~sink q r
-      | _ -> assert false
-    in
-    if Obs.enabled obs then begin
-      Obs.add obs "join.joins" 2;
-      Obs.add obs "join.probe_rows" probe_rows;
-      Obs.add obs "join.rows_out" (Sink.rows_out sink);
-      Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0);
-      Sink.record_distinct_obs obs sink
-    end;
-    Sink.table sink
+    scan_ordered_delta p pat pi ~delta
+      ~sink:
+        (Sink.create
+           ~dedup_key:(Array.init (Array.length atom_cols) Fun.id)
+           ~name:("atoms_" ^ Pattern.to_string pat)
+           atom_cols)
+      ~out:(fun d -> d.atoms_out) ~oweight:Join.No_weight ()
 
 let factors_query p pat ~name src =
   run_query p pat ~name ~cols:atom_i_cols
     ~out:(factors_out (shape_of pat))
     ~oweight:(Join.Weight_of Join.Build) ~dedup:false src
 
+let derivations ?src p pat pi =
+  factors_query p pat
+    ~name:("factors_" ^ Pattern.to_string pat)
+    (Option.value src ~default:(resident pi))
+
+(* Δ is the suffix of TΠ from [from]: a q fact of id [from] or more is in
+   Δ, so the r term keeps only older ones, and a derivation with both
+   body facts in Δ comes once, from the q term. *)
+let derivations_delta p pat pi ~from =
+  let delta = Storage.rows_from pi from in
+  let name = "factors_" ^ Pattern.to_string pat ^ "_d" in
+  match shape_of pat with
+  | Shape.One_atom _ -> factors_query p pat ~name delta
+  | Shape.Two_atom _ ->
+    scan_ordered_delta p pat pi ~delta
+      ~sink:(Sink.create ~weighted:true ~name atom_i_cols)
+      ~out:(fun d -> d.factors_out) ~oweight:(Join.Weight_of Join.Build)
+      ~below:from ()
+
 (* Head resolution looks heads up in the resident store (the authority),
    whichever source the joins probed. *)
 let ground_factors ?src p pat pi g =
-  let src = Option.value src ~default:(resident pi) in
-  let name = "factors_" ^ Pattern.to_string pat in
-  resolve_heads (factors_query p pat ~name src) pi g
+  resolve_heads (derivations ?src p pat pi) pi g
 
 let ground_factors_delta p pat pi ~delta ~watermark g =
   match shape_of pat with
@@ -551,8 +607,6 @@ let ground_factors_delta p pat pi ~delta ~watermark g =
        bound to the r atom via the mirrored pattern, with the q atom
        restricted to *old* facts ([id < watermark]) so instances whose
        body atoms are both new are not emitted twice. *)
-    let t = Storage.table pi in
-    let live = live_residual pi in
     List.fold_left
       (fun n d ->
         let sink =
@@ -560,17 +614,11 @@ let ground_factors_delta p pat pi ~delta ~watermark g =
             ~name:("factors_" ^ Pattern.to_string pat ^ "_d")
             atom_i_cols
         in
-        let residual =
-          match (d.mirrored, live) with
-          | false, _ -> live
-          | true, None -> Some (fun _ p_row -> Table.get t p_row 0 < watermark)
-          | true, Some _ ->
-            Some
-              (fun _ p_row ->
-                Table.get t p_row 0 < watermark && Storage.live_row pi p_row)
-        in
         Join.index_probe_into ~out:d.factors_out
-          ~oweight:(Join.Weight_of Join.Build) ?residual ~sink (d.j, d.j_key)
+          ~oweight:(Join.Weight_of Join.Build)
+          ?residual:
+            (probe_residual pi (if d.mirrored then Some watermark else None))
+          ~sink (d.j, d.j_key)
           (Storage.partial_index pi d.t_key);
         n + resolve_heads (Sink.table sink) pi g)
       0 (delta_terms p pat ~delta)

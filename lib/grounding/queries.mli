@@ -63,13 +63,27 @@ val mirror_pattern : Mln.Pattern.t -> Mln.Pattern.t
     [(R1, R3, R2, C2, C1, C3)], weights and row order kept. *)
 val mirror_rule_table : Mln.Pattern.t -> Relational.Table.t -> Relational.Table.t
 
-(** [resolve_heads rows pi g] finalizes a factor query: probe each row's
-    head key [(R, x, C1, y, C2)] against [TΠ] and emit
-    [(I1, I2, I3, w)] into [g]; rows whose head has no live fact (deleted
-    by quality control, or retracted) are skipped.  Returns the factor
-    count. *)
+(** [resolve_heads ?order rows pi g] finalizes a factor query: probe
+    each derivation row's head key [(R, x, C1, y, C2)] (columns
+    {!atom_i_cols}) against [TΠ] and emit [(I1, I2, I3, w)] into [g],
+    taking the rows in [order] (row indices of [rows]; default: table
+    order); rows whose head has no live fact (deleted by quality
+    control, or retracted) are skipped.  Returns the factor count. *)
 val resolve_heads :
-  Relational.Table.t -> Kb.Storage.t -> Factor_graph.Fgraph.t -> int
+  ?order:int array ->
+  Relational.Table.t ->
+  Kb.Storage.t ->
+  Factor_graph.Fgraph.t ->
+  int
+
+(** [scan_order pat rows] is the stable permutation of the derivation
+    rows [rows] (columns {!atom_i_cols}) of partition [pat] into the
+    order the full scan join over [TΠ] emits them: I2 ascending for a
+    one-atom pattern; I3 ascending, then I2 descending, for a two-atom
+    one.  Rows with equal body ids keep their relative order — the
+    rules of one body, which every query here emits in the scan's
+    order. *)
+val scan_order : Mln.Pattern.t -> Relational.Table.t -> int array
 
 type prepared
 (** Hash indexes over the six [Mi] tables, built once and reused across
@@ -157,10 +171,37 @@ val ground_atoms_delta :
   delta:Relational.Pipeline.source ->
   Relational.Table.t
 
+(** [derivations ?src p pat pi] is Query 2-i's join before head
+    resolution: one row per ground rule of partition [pat] whose body
+    facts exist in [TΠ] — head key, body ids and rule weight, columns
+    {!atom_i_cols} — in the scan join's order, every row kept (a rule
+    stated twice derives twice).  The joins probe [src] as in
+    {!ground_atoms}.  Its first occurrences over columns 0–4 are
+    {!ground_atoms}'s rows. *)
+val derivations :
+  ?src:Relational.Pipeline.source ->
+  prepared ->
+  Mln.Pattern.t ->
+  Kb.Storage.t ->
+  Relational.Table.t
+
+(** [derivations_delta p pat pi ~from] is the semi-naive variant of
+    {!derivations} for the delta of the facts from id [from] on — the
+    rows of [TΠ] from that id ({!Kb.Storage.rows_from}), read in place:
+    the rows {!derivations} over the live rows of [TΠ] would return for
+    the derivations with at least one body fact in Δ, each once and in
+    that query's order.  Two-atom patterns run {!ground_atoms_delta}'s
+    two terms, the r term keeping only q facts older than [from], so a
+    derivation with both body facts in Δ comes from the q term alone.
+    Its first occurrences over columns 0–4 are {!ground_atoms_delta}'s
+    rows for that Δ. *)
+val derivations_delta :
+  prepared -> Mln.Pattern.t -> Kb.Storage.t -> from:int -> Relational.Table.t
+
 (** [ground_factors ?src p pat pi g] is Query 2-i: for every ground
     rule of partition [pat] whose body facts and head fact all exist in
     [TΠ], append the factor [(I1, I2, I3, w)] to [g]; [w] is the rule
-    weight.  The joins probe [src] as in {!ground_atoms}; heads are
+    weight.  It is {!resolve_heads} over {!derivations}; heads are
     resolved against the resident store [pi].  Returns the number of
     factors produced.  Per Proposition 1 of the paper, a deduplicated
     [Mi] produces no duplicate [(I1, I2, I3)] within the partition. *)

@@ -75,11 +75,6 @@ val take_dirty : t -> (int, unit) Hashtbl.t
     without emptying it. *)
 val dirty_count : t -> int
 
-(** [refresh_rules t] re-prepares the partition plans after the rule set
-    changed behind this module's back (prefer {!extend_rules} /
-    {!retract_rules}). *)
-val refresh_rules : t -> unit
-
 (** Outcome of one retraction epoch. *)
 type retract_stats = {
   requested : int;  (** seed facts actually present and retracted *)

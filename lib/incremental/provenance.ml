@@ -45,12 +45,8 @@ let synced_factors t = t.synced
 let derivations t id =
   Option.value ~default:[] (Hashtbl.find_opt t.derives id)
 
-let supports_of t id =
-  Option.value ~default:[] (Hashtbl.find_opt t.supports id)
-
-(* Allocation-free variants of {!derivations} / {!supports_of}: no [Some]
-   wrapper, no default list — the hot path of the DRed rederive fixpoint
-   and of the local grounding walk. *)
+(* Allocation-free walks: no [Some] wrapper, no default list — the hot
+   path of the DRed rederive fixpoint and of the local grounding walk. *)
 let iter_derivations t id f =
   match Hashtbl.find t.derives id with
   | fs -> List.iter f fs

@@ -8,8 +8,8 @@
 
     - the clause factors deriving it ({!derivations} — factors with the
       fact as head),
-    - the clause factors it supports ({!supports_of} — factors with the
-      fact in the body), and
+    - the clause factors it supports ({!iter_supports} — factors with
+      the fact in the body), and
     - its singleton (prior) factor, when the fact is an extracted base
       fact ({!singleton_of}).
 
@@ -42,10 +42,6 @@ val synced_factors : t -> int
     recently appended first). *)
 val derivations : t -> int -> int list
 
-(** [supports_of t id] lists the clause factors with [id] in the body
-    (each factor once, even when [id] fills both body slots). *)
-val supports_of : t -> int -> int list
-
 (** [iter_derivations t id f] applies [f] to every clause-factor position
     with head [id] — {!derivations} without building (or defaulting) a
     list, for hot walk loops. *)
@@ -55,8 +51,8 @@ val iter_derivations : t -> int -> (int -> unit) -> unit
     [id] in the body; allocation-free like {!iter_derivations}. *)
 val iter_supports : t -> int -> (int -> unit) -> unit
 
-(** [has_supports t id] is [true] iff [id] appears in some clause body —
-    [supports_of t id <> []] without materializing the list. *)
+(** [has_supports t id] is [true] iff [id] appears in some clause body,
+    without walking its supports. *)
 val has_supports : t -> int -> bool
 
 (** [singleton_of t id] is the position of [id]'s singleton factor. *)

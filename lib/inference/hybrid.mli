@@ -48,8 +48,6 @@ type solver =
   | Eliminated  (** junction-tree variable elimination *)
   | Sampled  (** part of the residual chromatic Gibbs run *)
 
-val solver_name : solver -> string
-
 type component_info = {
   vars : int;
   factors : int;

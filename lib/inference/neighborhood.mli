@@ -26,16 +26,11 @@
     component fell back to Gibbs. *)
 type method_used = Enumerated | Sampled
 
-(** Probabilities are clipped to [[ε, 1 - ε]] (ε = 1e-6) before the
-    log-odds transform, keeping clamp weights finite. *)
-val clamp_epsilon : float
-
-(** [clamp_weight p] is [log (p / (1 - p))] after clipping. *)
-val clamp_weight : float -> float
-
 (** [clamp_boundary g ~boundary ~prob] adds one pseudo-prior singleton per
-    boundary fact, weighted to pin it at [prob id].  Call before
-    compiling [g]. *)
+    boundary fact, weighted to pin it at [prob id]: the log-odds
+    [log (p / (1 - p))] of [p = prob id] clipped to [[ε, 1 - ε]]
+    (ε = 1e-6), which keeps clamp weights finite.  Call before compiling
+    [g]. *)
 val clamp_boundary :
   Factor_graph.Fgraph.t -> boundary:int array -> prob:(int -> float) -> unit
 

@@ -61,12 +61,6 @@ val relation : t -> string -> int
     (idempotent). *)
 val declare_member : t -> cls:int -> entity:int -> unit
 
-(** [declare_relation kb ~r ~domain ~range] records the signature
-    [R(C1, C2)] in [TR] (idempotent; a relation may carry several
-    signatures, as in ReVerb where [born_in] pairs Writer with both City
-    and Place). *)
-val declare_relation : t -> r:int -> domain:int -> range:int -> unit
-
 (** [member kb ~cls ~entity] is [true] iff the membership was declared. *)
 val member : t -> cls:int -> entity:int -> bool
 

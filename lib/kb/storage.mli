@@ -80,10 +80,13 @@ val add :
     fact. *)
 val find : t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> int option
 
-(** [merge_new s tbl] inserts every row of [tbl] — which must have columns
-    [R, x, C1, y, C2] — as a new inferred fact (null weight) unless the key
-    has a live row already.  This is the [TΠ ← TΠ ∪ (∪ Tj)] step of
-    Algorithm 1, line 5.  Returns the number of facts actually added. *)
+(** [merge_new s tbl] inserts every row of [tbl] — whose columns 0–4
+    are [R, x, C1, y, C2]; later columns, such as a derivation row's body
+    ids, are ignored — as a new inferred fact (null weight) unless the
+    key has a live row already or is banned.  A key repeated in [tbl] is
+    so inserted at its first occurrence.  This is the
+    [TΠ ← TΠ ∪ (∪ Tj)] step of Algorithm 1, line 5.  Returns the number
+    of facts actually added. *)
 val merge_new : t -> Relational.Table.t -> int
 
 (** {1 Deletion}

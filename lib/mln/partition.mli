@@ -29,6 +29,3 @@ val count : t -> Pattern.t -> int
 
 (** [to_rules p] reconstructs the clause list (partition order). *)
 val to_rules : t -> Clause.t list
-
-(** [iter_rules f p] applies [f pat row_index clause] to every rule. *)
-val iter_rules : (Pattern.t -> int -> Clause.t -> unit) -> t -> unit

@@ -77,6 +77,10 @@ val source : t -> int -> Relational.Pipeline.source
     spilled shards. *)
 val seg_rows : t -> int -> int
 
+(** [seg_meta t i] is the i-th shard's name, columns and weighting, read
+    from its metadata: a spilled shard is not materialized. *)
+val seg_meta : t -> int -> string * string array * bool
+
 (** [spilled t i] is true iff the i-th shard is disk-backed. *)
 val spilled : t -> int -> bool
 

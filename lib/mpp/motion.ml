@@ -15,15 +15,15 @@ let redistribute_cost cluster dt =
 let broadcast_cost cluster dt =
   seconds_for cluster (Dtable.byte_size dt * (cluster.Cluster.nseg - 1))
 
+(* Each shard is read once: the schema comes from shard metadata, so a
+   spilled shard is decoded only in the loop. *)
 let redistribute cluster cost dt key =
   let nseg = cluster.Cluster.nseg in
-  let sample = Dtable.seg dt 0 in
+  let name, cols, weighted = Dtable.seg_meta dt 0 in
   let segs =
     Array.init nseg (fun i ->
         let s =
-          Table.create ~weighted:(Table.weighted sample)
-            ~name:(Printf.sprintf "%s@%d" (Table.name sample) i)
-            (Table.cols sample)
+          Table.create ~weighted ~name:(Printf.sprintf "%s@%d" name i) cols
         in
         Table.reserve s (Dtable.nrows dt / nseg);
         s)

@@ -308,15 +308,12 @@ val observe : t -> string -> float -> unit
 (** [timed t name f] accumulates [f]'s duration into timer [name]. *)
 val timed : t -> string -> (unit -> 'a) -> 'a
 
-(** [natural_compare a b] orders mixed text/number strings so that
-    ["iteration 10"] sorts after ["iteration 2"]. *)
-val natural_compare : string -> string -> int
-
 (** {2 Aggregated summaries} *)
 
 module Summary : sig
   (** One aggregation node: all spans sharing a root-to-here name path,
-      children sorted by {!natural_compare}. *)
+      children sorted by name, numbers within names compared as numbers
+      (["iteration 10"] after ["iteration 2"]). *)
   type node = {
     name : string;
     count : int;
@@ -368,4 +365,3 @@ end
 (** {2 Chrome trace_event export} *)
 
 val write_chrome_trace : t -> out_channel -> unit
-val chrome_trace_json : t -> Json.t

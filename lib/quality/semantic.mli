@@ -31,12 +31,6 @@ val violations : Kb.Storage.t -> Kb.Funcon.t list -> violation list
     without quality control.  Returns the number of facts deleted. *)
 val apply : ?ban:bool -> Kb.Storage.t -> Kb.Funcon.t list -> int
 
-(** [apply_collect pi omega] is {!apply} but also returns the violations
-    that triggered the deletions — the per-iteration violation log behind
-    the error-source analysis of Figure 7(b). *)
-val apply_collect :
-  ?ban:bool -> Kb.Storage.t -> Kb.Funcon.t list -> violation list * int
-
 (** [violation_group pi v] lists the facts of the violating group as
     [(key, inferred)] pairs, where [key = (r, x, c1, y, c2)] and
     [inferred] marks null-weight facts.  Capture this *before* applying
@@ -44,9 +38,9 @@ val apply_collect :
 val violation_group :
   Kb.Storage.t -> violation -> ((int * int * int * int * int) * bool) list
 
-(** [hook omega] packages {!apply_collect} as the [apply_constraints]
-    option of the grounding driver, returning
-    [(violation count, facts deleted)]. *)
+(** [hook omega] packages {!apply} as the grounding loop's
+    [apply_constraints] option: each pass returns
+    [(violations found, facts deleted)]. *)
 val hook : Kb.Funcon.t list -> Kb.Storage.t -> int * int
 
 (** [pp_violation ~entity_name ~rel_name ppf v] prints a violation. *)

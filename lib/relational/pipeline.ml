@@ -139,10 +139,14 @@ let rows = function
 let default_parallel_threshold = 2048
 let min_morsel_rows = 1024
 
-(* Scans rows [lo, hi) of [tbl] through [kernel] in batches; returns the
-   number of batches pushed. *)
+(* Scans rows [lo, hi) of [tbl] through [kernel] in batches, none larger
+   than the rows it holds; returns the number of batches pushed. *)
 let scan_rows tbl lo hi kernel =
-  let b = Batch.create ~weighted:(Table.weighted tbl) (Table.width tbl) in
+  let b =
+    Batch.create
+      ~capacity:(max 1 (min Batch.default_capacity (hi - lo)))
+      ~weighted:(Table.weighted tbl) (Table.width tbl)
+  in
   let batches = ref 0 in
   for r = lo to hi - 1 do
     if Batch.is_full b then begin

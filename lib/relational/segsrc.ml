@@ -50,7 +50,11 @@ let seg_of_table ?(lo = 0) ?hi tbl =
     ignore base_rid;
     (* rids from an in-memory segment are the table's own row indices —
        [base_rid] is implied by [lo]. *)
-    let b = Batch.create ~capacity ~weighted:(Table.weighted tbl) width in
+    let b =
+      Batch.create
+        ~capacity:(max 1 (min capacity n))
+        ~weighted:(Table.weighted tbl) width
+    in
     let batches = ref 0 in
     for r = lo to hi - 1 do
       if Batch.is_full b then begin

@@ -25,7 +25,7 @@
     Malformed input answers [{"error": ...}] and the stream continues.
 
     The codec stages are split so the server can run them on different
-    arms: {!op_of_json} (pure parse), {!resolve} (symbol resolution
+    arms: {!op_of_line} (pure parse), {!resolve} (symbol resolution
     against the shared dictionaries — write ops intern, read ops only
     look up, so resolution for reads never mutates), then either
     {!apply} (full session semantics, single-threaded writer arm) or
@@ -53,17 +53,14 @@ type op =
     writer arm); read ops can be answered from a snapshot. *)
 val is_write : op -> bool
 
-(** [op_of_json doc] parses one request document.  [Error] carries the
-    reply-ready message (["missing op"], ["unknown op %S"], ...). *)
-val op_of_json : Obs.Json.t -> (op, string) result
-
-(** [op_of_line line] is {!op_of_json} after JSON parsing
-    (["malformed JSON"] on parse failure). *)
+(** [op_of_line line] parses one request line.  [Error] carries the
+    reply-ready message (["malformed JSON"], ["missing op"],
+    ["unknown op %S"], ...). *)
 val op_of_line : string -> (op, string) result
 
 (** [op_to_json op] is the wire document for [op] — the encoder used by
     the client mode and the load generator; round-trips through
-    {!op_of_json}. *)
+    {!op_of_line}. *)
 val op_to_json : op -> Obs.Json.t
 
 (** A resolved op: symbols replaced by dictionary ids.  Read-op keys

@@ -404,7 +404,11 @@ let to_seg t =
     maxs = (if t.nrows = 0 then [||] else maxs t);
     scan =
       (fun ~capacity ~base_rid push ->
-        let b = Batch.create ~capacity ~weighted:t.weighted t.width in
+        let b =
+          Batch.create
+            ~capacity:(max 1 (min capacity t.nrows))
+            ~weighted:t.weighted t.width
+        in
         let batches = ref 0 in
         for r = 0 to t.nrows - 1 do
           if Batch.is_full b then begin

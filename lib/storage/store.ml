@@ -226,14 +226,6 @@ let extend st tbl ~from ~upto =
 (* Append whole segments for rows the backing table gained since the
    store was written.  [tbl] must be the same logical table, only
    grown. *)
-let sync st tbl =
-  let stored = rows st in
-  let n = Table.nrows tbl in
-  if n < stored then
-    invalid_arg "Store.sync: backing table shrank below the stored prefix";
-  let upto = n - (n mod st.segment_rows) in
-  if upto <= stored then st else extend st tbl ~from:stored ~upto
-
 let append st tbl =
   if
     Table.width tbl <> Array.length st.cols

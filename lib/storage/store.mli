@@ -6,11 +6,11 @@
     data.  Each segment records its first row within the store, so
     segments listed out of order end in {!Corrupt}.  Stores are
     append-only at segment granularity: a full {!spill} also writes the
-    final partial segment, and so does {!append}, while the incremental
-    {!sync} used by the grounding loop appends only whole segments and
-    leaves the tail resident — {!source}[ ~tail] stitches the stored
-    prefix and the in-memory tail into one scan source whose row ids
-    equal the backing table's row indices. *)
+    final partial segment, and so does {!append}, while
+    {!spill}[ ~tail:false], used by the grounding loop, writes whole
+    segments only and leaves the tail resident — {!source}[ ~tail]
+    stitches the stored prefix and the in-memory tail into one scan
+    source whose row ids equal the backing table's row indices. *)
 
 type t
 
@@ -28,11 +28,6 @@ val format_version : int
     {!source}). *)
 val spill :
   ?segment_rows:int -> ?tail:bool -> dir:string -> Relational.Table.t -> t
-
-(** [sync st tbl] appends whole segments for the rows [tbl] gained since
-    [st] was written and returns the updated store ([tbl] must be the
-    same logical table, only grown — the stored prefix is immutable). *)
-val sync : t -> Relational.Table.t -> t
 
 (** [append st tbl] writes every row of [tbl] (same width and weight
     lane as [st]) as the store's next rows — one more segment, or

@@ -72,6 +72,42 @@ let test_redistribute_preserves_and_charges () =
   Alcotest.(check bool) "motion charged" true (Cost.motion_bytes cost > 0);
   Alcotest.(check bool) "time charged" true (Cost.elapsed cost > 0.)
 
+(* A spilled shard's schema comes from its metadata, its rows from one
+   decode: redistributing a spilled table equals redistributing its
+   resident twin — shard names, columns, rows in order, weight bits and
+   cost entries — bit for bit. *)
+let test_redistribute_spilled () =
+  let t = random_table 19 3000 100 in
+  let dir = Filename.temp_dir "probkb-motion" "" in
+  Fun.protect
+    ~finally:(fun () -> Tutil.rm_rf dir)
+    (fun () ->
+      let policy =
+        Storage.Spill.create ~segment_rows:64 ~threshold_bytes:0 ~root:dir ()
+      in
+      let shard_bits s =
+        ( Table.name s,
+          Table.cols s,
+          List.init (Table.nrows s) (fun r ->
+              (Table.row s r, Int64.bits_of_float (Table.weight s r))) )
+      in
+      let redistributed dt =
+        let cost = Cost.create () in
+        let out = Motion.redistribute cluster cost dt [| 1 |] in
+        ( List.init (Dtable.nseg out) (fun i -> shard_bits (Dtable.seg out i)),
+          List.map
+            (fun (e : Cost.entry) -> (e.op, Int64.bits_of_float e.sim_seconds))
+            (Cost.entries cost) )
+      in
+      let resident =
+        redistributed (Dtable.partition cluster t (Dtable.Hash [| 0 |]))
+      and spilled =
+        redistributed
+          (Dtable.partition_spilled policy ~prefix:"t" cluster t
+             (Dtable.Hash [| 0 |]))
+      in
+      Alcotest.(check bool) "rows and cost entries" true (resident = spilled))
+
 let test_broadcast () =
   let t = random_table 7 500 20 in
   let cost = Cost.create () in
@@ -189,20 +225,36 @@ let test_matview_views_hold_all_facts () =
         (Dtable.nrows (Mpp.Matview.pick v key) = 300))
     [ [| 1; 3; 5 |]; [| 1; 3; 5; 2 |]; [| 1; 3; 5; 4 |] ]
 
-(* --- distributed grounding ≡ the single node, bit for bit --- *)
+(* --- every grounding route ≡ the single node ≡ Query 2, bit for bit --- *)
 
-(* [kb] grounded by [Ground.run] and by [Ground_mpp.run] on its own copy
-   for every route — views, pn, and pn with every shard spilled from the
-   start — at 1, 4 and 32 segments, with and without the Ω hook,
-   converged and capped at two iterations: the configurations whose TΠ
-   rows (ids, keys, weight bits), TΦ rows or trajectory differ. *)
+(* [kb] grounded on its own copy by [Ground.run], resident and with TΠ
+   spilled, and by [Ground_mpp.run] for every route — views, pn, and pn
+   with every shard spilled from the start — at 1, 4 and 32 segments,
+   with and without the Ω hook, converged and capped at one and two
+   iterations: the configurations whose TΠ rows (ids, keys, weight
+   bits), TΦ rows or trajectory differ from the resident single node's,
+   and those whose single-node TΦ differs from the Query 2 oracle over
+   the final TΠ ({!Tutil.query2_oracle}).  Every route's TΦ, built from
+   the closure's own derivation rows, is so Query 2's row for row, in
+   its order, with the same factor ids. *)
 let mpp_mismatches kb =
   let hook ~omega kb =
     if omega then Some (Quality.Semantic.hook (Kb.Gamma.omega kb)) else None
   in
-  let single ~omega ~max_iterations =
+  let in_tmp f =
+    let dir = Filename.temp_dir "probkb-mpp-oracle" "" in
+    Fun.protect ~finally:(fun () -> Tutil.rm_rf dir) (fun () -> f dir)
+  in
+  let spill ~spilled dir =
+    if spilled then
+      Some (Storage.Spill.create ~segment_rows:64 ~threshold_bytes:0 ~root:dir ())
+    else None
+  in
+  (* The route's bits and, for the resident single node, the oracle's. *)
+  let single ~omega ~max_iterations ~spilled =
     let kb = Tutil.copy_gamma kb in
     let apply_constraints = hook ~omega kb in
+    in_tmp @@ fun dir ->
     let r =
       Grounding.Ground.run
         ~options:
@@ -210,60 +262,66 @@ let mpp_mismatches kb =
             Grounding.Ground.default_options with
             max_iterations;
             apply_constraints;
+            spill = spill ~spilled dir;
           }
         kb
     in
-    Tutil.ground_bits kb r.Grounding.Ground.graph r.Grounding.Ground.trajectory
+    let trajectory = r.Grounding.Ground.trajectory in
+    ( Tutil.ground_bits kb r.Grounding.Ground.graph trajectory,
+      Tutil.ground_bits kb (Tutil.query2_oracle kb) trajectory )
   in
   let mpp ~omega ~max_iterations ~spilled mode nseg =
     let kb = Tutil.copy_gamma kb in
     let apply_constraints = hook ~omega kb in
-    let dir = Filename.temp_dir "probkb-mpp-oracle" "" in
-    Fun.protect
-      ~finally:(fun () -> Tutil.rm_rf dir)
-      (fun () ->
-        let r =
-          Grounding.Ground_mpp.run
-            ~options:
-              {
-                Grounding.Ground_mpp.default_options with
-                max_iterations;
-                apply_constraints;
-                spill =
-                  (if spilled then
-                     Some
-                       (Storage.Spill.create ~segment_rows:64 ~threshold_bytes:0
-                          ~root:dir ())
-                   else None);
-              }
-            ~mode
-            { Cluster.default with Cluster.nseg }
-            kb
-        in
-        Tutil.ground_bits kb r.Grounding.Ground_mpp.graph
-          r.Grounding.Ground_mpp.ground.Grounding.Ground.trajectory)
+    in_tmp @@ fun dir ->
+    let r =
+      Grounding.Ground_mpp.run
+        ~options:
+          {
+            Grounding.Ground_mpp.default_options with
+            max_iterations;
+            apply_constraints;
+            spill = spill ~spilled dir;
+          }
+        ~mode
+        { Cluster.default with Cluster.nseg }
+        kb
+    in
+    Tutil.ground_bits kb r.Grounding.Ground_mpp.graph
+      r.Grounding.Ground_mpp.ground.Grounding.Ground.trajectory
   in
   List.concat_map
     (fun (omega, max_iterations) ->
-      let expected = single ~omega ~max_iterations in
-      List.concat_map
-        (fun (route, mode, spilled) ->
-          List.filter_map
-            (fun nseg ->
-              if mpp ~omega ~max_iterations ~spilled mode nseg = expected then
-                None
-              else
-                Some
-                  (Printf.sprintf "%s, nseg %d%s, max_iterations %d" route nseg
-                     (if omega then ", omega" else "")
-                     max_iterations))
-            [ 1; 4; 32 ])
-        [
-          ("views", Grounding.Ground_mpp.Views, false);
-          ("pn", Grounding.Ground_mpp.No_views, false);
-          ("pn spilled", Grounding.Ground_mpp.No_views, true);
-        ])
-    [ (false, 15); (true, 15); (false, 2); (true, 2) ]
+      let config =
+        Printf.sprintf "%smax_iterations %d"
+          (if omega then "omega, " else "")
+          max_iterations
+      in
+      let expected, oracle = single ~omega ~max_iterations ~spilled:false in
+      let differs what bits =
+        if bits = expected then None else Some (what ^ ", " ^ config)
+      in
+      (if expected = oracle then []
+       else [ "single node TΦ vs the Query 2 oracle, " ^ config ])
+      @ Option.to_list
+          (differs "single node spilled"
+             (fst (single ~omega ~max_iterations ~spilled:true)))
+      @ List.concat_map
+          (fun (route, mode, spilled) ->
+            List.filter_map
+              (fun nseg ->
+                differs
+                  (Printf.sprintf "%s, nseg %d" route nseg)
+                  (mpp ~omega ~max_iterations ~spilled mode nseg))
+              [ 1; 4; 32 ])
+          [
+            ("views", Grounding.Ground_mpp.Views, false);
+            ("pn", Grounding.Ground_mpp.No_views, false);
+            ("pn spilled", Grounding.Ground_mpp.No_views, true);
+          ])
+    [
+      (false, 15); (true, 15); (false, 1); (true, 1); (false, 2); (true, 2);
+    ]
 
 (* [mpp_mismatches kb] at pools 1 and 4; fails naming every mismatch. *)
 let check_mpp_oracle what kb =
@@ -276,13 +334,15 @@ let check_mpp_oracle what kb =
           match mpp_mismatches kb with
           | [] -> ()
           | bad ->
-            Alcotest.failf "%s, pool %d: MPP differs from the single node: %s"
-              what d (String.concat "; " bad)))
+            Alcotest.failf "%s, pool %d: routes differ: %s" what d
+              (String.concat "; " bad)))
     [ 1; 4 ]
 
+(* The seed has no shrinker: a failure names its seed, and each shrink
+   step would run every route again. *)
 let prop_mpp_oracle =
   Tutil.qcheck_case ~count:1 "distributed = single node"
-    QCheck.(int_range 1 100_000)
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 1 100_000))
     (fun seed ->
       let g =
         Workload.Reverb_sherlock.generate
@@ -393,6 +453,8 @@ let () =
         [
           Alcotest.test_case "redistribute" `Quick
             test_redistribute_preserves_and_charges;
+          Alcotest.test_case "redistribute spilled = resident" `Quick
+            test_redistribute_spilled;
           Alcotest.test_case "broadcast" `Quick test_broadcast;
           Alcotest.test_case "gather" `Quick test_gather_motion;
         ] );

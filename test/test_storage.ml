@@ -1,5 +1,5 @@
 (* The out-of-core columnar store: segment round-trips through the mmap
-   reader, store spill/sync, zone-map pruning (results invariant, only
+   reader, store spill/append, zone-map pruning (results invariant, only
    counters move), corruption detection, and end-to-end differentials —
    spilled grounding and spilled MPP shards must be bit-identical to the
    fully in-memory runs. *)
@@ -196,7 +196,7 @@ let test_store_stats_persisted () =
       Alcotest.(check (option int)) "min b" (Some 501) (Colstats.min_value stats 1);
       Alcotest.(check (option int)) "max b" (Some 1000) (Colstats.max_value stats 1))
 
-let test_store_sync_and_tail () =
+let test_store_spill_tail_append () =
   let rng = Tutil.rng 31 in
   with_tmpdir (fun dir ->
       let t = random_table rng 150 3 in
@@ -205,21 +205,21 @@ let test_store_sync_and_tail () =
       check_int "whole segments stored" 128 (Store.rows st);
       check_bool "prefix + tail ≡ table" true
         (tables_identical t (Segsrc.to_table (Store.source ~tail:t st)));
-      (* Grow, sync, check again. *)
-      let grow t n =
-        let rng = Tutil.rng 37 in
-        let extra = random_table rng n 3 in
-        Table.iter (fun r -> Table.append_w t (Table.row extra r) (Table.weight extra r)) extra
+      (* Grow, append the rows past the stored prefix, check again. *)
+      let extra = random_table (Tutil.rng 37) 200 3 in
+      Table.iter
+        (fun r -> Table.append_w t (Table.row extra r) (Table.weight extra r))
+        extra;
+      let st =
+        Store.append st
+          (Table.sub t (Array.init (Table.nrows t - 128) (( + ) 128)))
       in
-      grow t 200;
-      let st = Store.sync st t in
-      check_int "synced whole segments" 320 (Store.rows st);
-      check_bool "synced prefix + tail ≡ table" true
-        (tables_identical t (Segsrc.to_table (Store.source ~tail:t st)));
-      (* Manifest survives reopen after sync. *)
-      check_bool "reopen after sync" true
-        (tables_identical t
-           (Segsrc.to_table (Store.source ~tail:t (Store.open_dir dir)))))
+      check_int "appended rows stored" 350 (Store.rows st);
+      check_bool "appended store ≡ table" true
+        (tables_identical t (Segsrc.to_table (Store.source st)));
+      (* Manifest survives reopen after append. *)
+      check_bool "reopen after append" true
+        (tables_identical t (Segsrc.to_table (Store.source (Store.open_dir dir)))))
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -591,7 +591,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_store_roundtrip;
           Alcotest.test_case "stats persisted" `Quick test_store_stats_persisted;
-          Alcotest.test_case "sync + tail" `Quick test_store_sync_and_tail;
+          Alcotest.test_case "spill + tail, append" `Quick
+            test_store_spill_tail_append;
           Alcotest.test_case "manifest corruption" `Quick
             test_store_manifest_corruption;
           Alcotest.test_case "segments out of order" `Quick

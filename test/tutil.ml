@@ -71,6 +71,19 @@ let copy_gamma kb =
   List.iter (Kb.Gamma.add_funcon kb2) (Kb.Gamma.omega kb);
   kb2
 
+(* The Query 2 oracle: TΦ as Algorithm 1's lines 8-10 state it, every
+   pattern's Query 2-i over the final TΠ, in pattern order, then the
+   singletons. *)
+let query2_oracle kb =
+  let pi = Kb.Gamma.pi kb in
+  let p = Grounding.Queries.prepare (Kb.Gamma.partitions kb) in
+  let g = Factor_graph.Fgraph.create () in
+  List.iter
+    (fun pat -> ignore (Grounding.Queries.ground_factors p pat pi g))
+    Mln.Pattern.all;
+  ignore (Grounding.Queries.singleton_factors pi g);
+  g
+
 (* TΠ rows in order (id, key, weight bits), TΦ rows in table order (ids,
    weight bits) and the trajectory, as raw bytes. *)
 let ground_bits kb graph trajectory =
