@@ -23,6 +23,7 @@ let all_experiments =
     ("table4", Exp_quality.table4);
     ("fig7a", Exp_quality.fig7a);
     ("fig7b", Exp_quality.fig7b);
+    ("sampler", Exp_sampler.sampler);
     ("micro", Exp_micro.run);
   ]
 

@@ -71,6 +71,7 @@ let inference_to_json (Inference.Marginal.Hybrid_run r) =
       ("total_vars", Json.Int r.total_vars);
       ("exact_vars", Json.Int r.exact_vars);
       ("sampled_vars", Json.Int r.sampled_vars);
+      ("peeled_vars", Json.Int r.peeled_vars);
       ("exact_fraction", Json.Float (exact_fraction r));
       ("enumerated_components", Json.Int r.enumerated_components);
       ("eliminated_components", Json.Int r.eliminated_components);
@@ -103,10 +104,13 @@ let pp_inference ppf (Inference.Marginal.Hybrid_run r) =
     "hybrid: %.1f%% of %d variables settled exactly@,\
     \  components: %d enumerated, %d junction-tree (max width %d), %d \
      sampled@,\
+    \  sampled: %d variables, %d peeled exactly, the chain ran on %d@,\
     \  time: %.3fs exact, %.3fs gibbs"
     (100. *. exact_fraction r)
     r.total_vars r.enumerated_components r.eliminated_components
-    r.max_width_solved r.sampled_components r.exact_seconds r.gibbs_seconds;
+    r.max_width_solved r.sampled_components r.sampled_vars r.peeled_vars
+    (r.sampled_vars - r.peeled_vars)
+    r.exact_seconds r.gibbs_seconds;
   match r.gibbs with
   | Some c -> Format.fprintf ppf "@,  %a" pp_chromatic c
   | None -> ()

@@ -18,9 +18,10 @@ val pp_trajectory :
   Format.formatter -> Grounding.Ground.trajectory_point list -> unit
 
 (** [pp_inference ppf i] prints the solve report: the per-solver
-    breakdown (fraction settled exactly, junction-tree width) and, when
-    a core was sampled, the residual sampler's sweeps / early-stop sweep
-    / final R̂ and ESS. *)
+    breakdown (fraction settled exactly, junction-tree width), how many
+    sampled variables the peel eliminated and how many the chain ran on
+    and, when a chain ran, the residual sampler's sweeps / early-stop
+    sweep / final R̂ and ESS. *)
 val pp_inference : Format.formatter -> Inference.Marginal.solve_info -> unit
 
 (** [pp_result ppf r] is {!pp_expansion} plus the inference stage. *)

@@ -51,8 +51,8 @@ type run_info = {
 
 let default_checkpoint = 20
 
-let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
-    ?(checkpoint = default_checkpoint) ?early_stop c =
+let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
+    ?pool ?(checkpoint = default_checkpoint) ?early_stop ~pairs c =
   if checkpoint < 1 then invalid_arg "Chromatic.marginals_info: checkpoint < 1";
   let n = Fgraph.nvars c in
   let t_start = if Obs.enabled obs then Obs.now () else 0. in
@@ -90,6 +90,13 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
       next.(k) <- next.(k) + 1)
     colors;
   let pc = Fgraph.permute c perm in
+  (* The pairs in the permuted numbering, and how many estimation sweeps
+     ended with both of a pair's variables true. *)
+  let pos = Array.make n 0 in
+  Array.iteri (fun i v -> pos.(v) <- i) perm;
+  let pair_a = Array.map (fun (a, _) -> pos.(a)) pairs
+  and pair_b = Array.map (fun (_, b) -> pos.(b)) pairs in
+  let both = Array.make (Array.length pairs) 0 in
   let class_chunks k =
     (class_off.(k + 1) - class_off.(k) + chunk_size - 1) / chunk_size
   in
@@ -213,6 +220,10 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
         for s = 1 to options.samples do
           Option.iter Diagnostics.Online.begin_sweep diag;
           sweep true;
+          for k = 0 to Array.length both - 1 do
+            if assignment.(pair_a.(k)) && assignment.(pair_b.(k)) then
+              both.(k) <- both.(k) + 1
+          done;
           est_sweeps := s;
           if s mod checkpoint = 0 || s = options.samples then begin
             let rep = Option.map Diagnostics.Online.report diag in
@@ -257,8 +268,17 @@ let marginals_info ?(options = Gibbs.default_options) ?(obs = Obs.null) ?pool
     (fun v a -> marg.(perm.(v)) <- a /. float_of_int (max 1 !est_sweeps))
     acc;
   ( marg,
+    Array.map
+      (fun k -> float_of_int k /. float_of_int (max 1 !est_sweeps))
+      both,
     {
       sweeps_run = !est_sweeps;
       stopped_at_sweep = !stopped;
       diag = diag_report;
     } )
+
+let marginals_info ?options ?obs ?pool ?checkpoint ?early_stop c =
+  let marg, _, info =
+    marginals_joints ?options ?obs ?pool ?checkpoint ?early_stop ~pairs:[||] c
+  in
+  (marg, info)

@@ -73,3 +73,19 @@ val marginals_info :
   ?early_stop:Diagnostics.Online.criteria ->
   Factor_graph.Fgraph.compiled ->
   float array * run_info
+
+(** [marginals_joints ?options ?obs ?pool ?checkpoint ?early_stop ~pairs c]
+    is {!marginals_info} plus, for each pair [(a, b)] of [pairs], the
+    share of estimation sweeps after which both [a] and [b] were true:
+    an estimate of P(a = 1, b = 1) from the chain's states, counted
+    once per sweep.  The chain, and so the marginals and run info, are
+    those of {!marginals_info}. *)
+val marginals_joints :
+  ?options:Gibbs.options ->
+  ?obs:Obs.t ->
+  ?pool:Pool.t ->
+  ?checkpoint:int ->
+  ?early_stop:Diagnostics.Online.criteria ->
+  pairs:(int * int) array ->
+  Factor_graph.Fgraph.compiled ->
+  float array * float array * run_info

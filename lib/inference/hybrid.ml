@@ -43,6 +43,7 @@ type report = {
   total_vars : int;
   exact_vars : int;
   sampled_vars : int;
+  peeled_vars : int;
   enumerated_components : int;
   eliminated_components : int;
   sampled_components : int;
@@ -216,16 +217,17 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
               infos.(i) <- { (infos.(i)) with seconds = Obs.now () -. t0 }));
     ((), Obs.now () -. t0)
   in
-  (* Sampled phase: one chromatic Gibbs run over the subgraph of the
-     high-treewidth cores only. *)
+  (* Sampled phase: the subgraph of the high-treewidth components, peeled
+     down to its 2-core by exact elimination ({!Peel}); one chromatic
+     Gibbs run over the core, and a downward pass for the rest. *)
   let sampled = ref [] in
   for i = nc - 1 downto 0 do
     if infos.(i).solver = Sampled then sampled := i :: !sampled
   done;
   let sampled = !sampled in
-  let gibbs_info, gibbs_seconds =
+  let gibbs_info, peeled_vars, gibbs_seconds =
     match sampled with
-    | [] -> (None, 0.)
+    | [] -> (None, 0, 0.)
     | _ ->
       Obs.with_span obs "hybrid.gibbs" ~cat:"inference" (fun () ->
           let t0 = Obs.now () in
@@ -235,40 +237,26 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
             (fun i ->
               Array.iter (fun f -> keep.(f) <- true) p.Decompose.members.(i))
             sampled;
-          (* Rebuild the residual rows in original factor order, so the
-             subgraph — and the sampler's variable numbering, colouring
-             and RNG streams — is a pure function of the input graph. *)
-          let g = Fgraph.create () in
-          let id v = c.Fgraph.var_ids.(v) in
-          for f = 0 to m - 1 do
-            if keep.(f) then
-              if c.Fgraph.singleton.(f) then
-                Fgraph.add_singleton g ~i:(id c.Fgraph.head.(f))
-                  ~w:c.Fgraph.fweight.(f)
-              else
-                Fgraph.add_clause g
-                  ~i1:(id c.Fgraph.head.(f))
-                  ?i2:
-                    (if c.Fgraph.body1.(f) >= 0 then
-                       Some (id c.Fgraph.body1.(f))
-                     else None)
-                  ?i3:
-                    (if c.Fgraph.body2.(f) >= 0 then
-                       Some (id c.Fgraph.body2.(f))
-                     else None)
-                  ~w:c.Fgraph.fweight.(f) ()
-          done;
-          let sub = Fgraph.compile g in
-          let smarg, info =
-            Chromatic.marginals_info ~options:options.gibbs ~obs ~pool
-              ?checkpoint ?early_stop sub
+          (* The peel takes the residual's variables in the input graph's
+             order, so the core's numbering, colouring and RNG streams
+             are a pure function of the input graph. *)
+          let peel =
+            Obs.with_span obs "hybrid.peel" ~cat:"inference" (fun () ->
+                Peel.run ~keep c)
           in
-          Array.iteri
-            (fun sv p ->
-              marg.(Hashtbl.find c.Fgraph.var_of_id sub.Fgraph.var_ids.(sv)) <-
-                p)
-            smarg;
-          (Some info, Obs.now () -. t0))
+          let core = Peel.core peel in
+          (* A residual that peels away entirely runs no chain. *)
+          let core_marg, joints, info =
+            if Fgraph.nvars core = 0 then ([||], [||], None)
+            else
+              let core_marg, joints, info =
+                Chromatic.marginals_joints ~options:options.gibbs ~obs ~pool
+                  ?checkpoint ?early_stop ~pairs:(Peel.pairs peel) core
+              in
+              (core_marg, joints, Some info)
+          in
+          Peel.expand peel ~core:core_marg ~joints marg;
+          (info, Peel.peeled peel, Obs.now () -. t0))
   in
   (* Reused components copy the last solve's marginals. *)
   let reused =
@@ -337,8 +325,9 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
   Obs.add obs "hybrid.components_reused" (nc - !solved);
   Obs.add obs "hybrid.vars_exact" !vars_exact;
   Obs.add obs "hybrid.vars_sampled" !vars_sampled;
+  Obs.add obs "hybrid.vars_peeled" peeled_vars;
   Obs.add obs "hybrid.vars_reused" !vars_reused;
-  if sampled <> [] then Obs.incr obs "hybrid.sampler_runs";
+  if Option.is_some gibbs_info then Obs.incr obs "hybrid.sampler_runs";
   Obs.add_time obs "hybrid.exact_seconds" exact_seconds;
   Obs.add_time obs "hybrid.enumerate_seconds" seconds_by.(0);
   Obs.add_time obs "hybrid.jtree_seconds" seconds_by.(1);
@@ -380,6 +369,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
       total_vars = !total_vars;
       exact_vars = !exact_vars;
       sampled_vars = !sampled_vars;
+      peeled_vars;
       enumerated_components = !enumerated_components;
       eliminated_components = !eliminated_components;
       sampled_components = !sampled_components;

@@ -11,14 +11,18 @@
       variable elimination ({!Jtree}), exact and deterministic;
     - [vars ≤ exact_max_vars] — enumeration again: small but too dense
       to eliminate under the width bound;
-    - otherwise — one chromatic Gibbs run ({!Chromatic}) over the
-      subgraph of the remaining cores only.
+    - otherwise — sampled: the subgraph of the remaining components is
+      peeled down to its 2-core by exact elimination ({!Peel}), one
+      chromatic Gibbs run ({!Chromatic}) samples the core, and a
+      downward pass answers the peeled variables from the core's
+      marginals.  A component that peels away entirely is answered
+      exactly, with no chain.
 
     Determinism: exact components are solved in parallel across the
     domain pool but each writes a disjoint slice of the result, and the
-    residual subgraph is assembled in original factor order, so the
-    sampler's variable numbering, colouring and RNG streams are pure
-    functions of the input graph — marginals are bit-identical at any
+    residual is peeled in a fixed order, in the input graph's factor
+    order and numbering, so the core's variable numbering, colouring and
+    RNG streams are pure functions of the input graph — marginals are bit-identical at any
     [PROBKB_DOMAINS] value (see DESIGN.md §15). *)
 
 type options = {
@@ -65,13 +69,17 @@ type report = {
   total_vars : int;
   exact_vars : int;  (** variables settled by an exact solver *)
   sampled_vars : int;
+  peeled_vars : int;
+      (** sampled variables the peel eliminated exactly; the chain ran
+          on the other [sampled_vars - peeled_vars] *)
   enumerated_components : int;
   eliminated_components : int;
   sampled_components : int;
   max_width_solved : int;  (** largest width solved by elimination *)
   gibbs : Chromatic.run_info option;
-      (** the residual sampler's run info; [None] when everything was
-          solved exactly *)
+      (** the residual sampler's run info; [None] when no chain ran:
+          everything was solved exactly, or the peel emptied the
+          residual *)
   exact_seconds : float;
   gibbs_seconds : float;
 }
@@ -102,8 +110,8 @@ val memo_vars : memo -> int
 
 (** [solve ?options ?obs ?pool ?checkpoint ?early_stop ?memo c] is the
     marginal P(X = 1) per dense variable plus the dispatch report.
-    [checkpoint]/[early_stop] thread through to the residual
-    {!Chromatic.marginals_info} run.
+    [checkpoint]/[early_stop] thread through to the chain over the
+    residual's core ({!Chromatic.marginals_joints}).
 
     With [memo = (m, dirty)], [dirty] holds the fact ids of every factor
     row appended to or killed from the graph since the solve that filled
@@ -121,8 +129,9 @@ val memo_vars : memo -> int
     per-component spans (when the graph has at most 256 components)
     cover the components this call solved, sampled ones included;
     [hybrid.components_reused] and [hybrid.vars_reused] count the
-    components and variables whose answer was copied, and
-    [hybrid.sampler_runs] the calls that ran the sampler.  Timers:
+    components and variables whose answer was copied,
+    [hybrid.vars_peeled] the sampled variables the peel eliminated, and
+    [hybrid.sampler_runs] the calls that ran a chain.  Timers:
     [hybrid.exact_seconds] and [hybrid.gibbs_seconds] are the two
     phases' wall clock; [hybrid.enumerate_seconds] and
     [hybrid.jtree_seconds] sum the [seconds] of the components this call

@@ -7,7 +7,8 @@
 
     There is one route: {!Hybrid}, which dispatches {e per connected
     component} — enumeration, junction-tree variable elimination, or
-    chromatic Gibbs on the high-treewidth cores only (see {!Hybrid} and
+    chromatic Gibbs on the 2-core of the high-treewidth rest, whose
+    dangling trees are eliminated exactly (see {!Hybrid}, {!Peel} and
     DESIGN.md §15). *)
 
 (** The solve report of one run. *)

@@ -29,9 +29,11 @@ let hash_join_pre ~name ~cols ~out ~oweight ?(dedup = false) ?residual ?pool
   let dedup_key =
     if dedup then Some (Array.init (Array.length out) Fun.id) else None
   in
+  (* No reserve: a selective join over a large probe side would hold an
+     arena sized for the probe rows as long as its result lives; the
+     output doubles as it fills instead. *)
   let sink =
-    Sink.create ?dedup_key ~reserve:(Pipeline.rows src)
-      ~weighted:(oweight <> No_weight) ~name cols
+    Sink.create ?dedup_key ~weighted:(oweight <> No_weight) ~name cols
   in
   let chain s =
     Pipeline.probe bidx ~pkey ~out ~oweight ?residual

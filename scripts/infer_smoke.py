@@ -4,7 +4,8 @@
 Runs `probkb infer --samples 200 --snapshots F --trace T --metrics json`
 on a generated KB.  Stdout must be one JSON document whose inference
 report is the per-component dispatcher's: method "hybrid", an exact
-fraction in [0, 1], and -- when some component was sampled -- a residual
+fraction in [0, 1], peeled variables between 0 and the sampled ones, and
+-- when the sampled components left a core to sample -- a residual
 sampler that ran the 200 requested sweeps.  The NDJSON snapshot stream
 must hold one well-formed snapshot per line, with monotone seq and
 timestamps.
@@ -48,7 +49,10 @@ def main():
     if not 0 <= fraction <= 1:
         fail(f"exact_fraction {fraction} outside [0, 1]")
     sampled = inference["sampled_components"]
-    if sampled > 0 and inference["sampler"]["sweeps_run"] != SAMPLES:
+    sampled_vars, peeled = inference["sampled_vars"], inference["peeled_vars"]
+    if not 0 <= peeled <= sampled_vars:
+        fail(f"peeled_vars {peeled} outside [0, {sampled_vars}]")
+    if peeled < sampled_vars and inference["sampler"]["sweeps_run"] != SAMPLES:
         fail(f"sampler ran {inference['sampler']['sweeps_run']} sweeps, "
              f"not {SAMPLES}")
 
@@ -68,7 +72,8 @@ def main():
     if ats != sorted(ats):
         fail("timestamps not monotone")
     print(f"inference smoke ok: hybrid, exact fraction {fraction:.3f}, "
-          f"{sampled} sampled components, {len(seqs)} snapshots")
+          f"{sampled} sampled components, {peeled} of {sampled_vars} sampled "
+          f"variables peeled, {len(seqs)} snapshots")
 
 
 if __name__ == "__main__":

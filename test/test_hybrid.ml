@@ -549,10 +549,230 @@ let test_extreme_weights =
                     if Float.abs (p -. q) > 1e-9 then
                       fail "jtree var %d: %.12g, reference %.12g" l q p)
                   reference
-              | Inference.Hybrid.Sampled -> ())
+              | Inference.Hybrid.Sampled -> (
+                (* A hub star is a tree: the peel empties it, so even the
+                   sampled route answers it exactly. *)
+                match closed with
+                | Some m ->
+                  Array.iter
+                    (fun v ->
+                      if Float.abs (m.(v) -. marg.(v)) > 1e-9 then
+                        fail "peeled var %d: %.12g, closed form %.12g" v
+                          marg.(v) m.(v))
+                    comp.Inference.Decompose.vars
+                | None -> ()))
             report.Inference.Hybrid.components;
           true)
         route_options)
+
+(* --- the peel --- *)
+
+(* Random graphs over [n] variables with every [add_clause] shape:
+   priors, clauses with one body atom in either slot or two, duplicated
+   factors, heads that are also body atoms, weights up to |w| = 1e3.
+   [Tree] graphs peel away entirely; [Dense] ones (each pair of
+   variables linked both ways) have nothing to peel; [Mixed] ones hang
+   trees and three-variable clauses off a dense core. *)
+type peel_shape = Tree | Dense | Mixed
+
+let peel_graph seed shape n =
+  let rng = Tutil.rng seed in
+  (* Odd seeds keep every weight moderate: near-deterministic variables
+     hide a wrong joint, since their joints are the product of their
+     marginals. *)
+  let w () =
+    if seed land 1 = 0 then extreme_weight rng
+    else Random.State.float rng 4. -. 2.
+  in
+  let var () = Random.State.int rng n in
+  let clause g i1 i2 i3 =
+    match Random.State.int rng 6 with
+    | 0 -> Fgraph.add_clause g ~i1 ~i2 ~w:(w ()) ()
+    | 1 -> Fgraph.add_clause g ~i1 ~i3:i2 ~w:(w ()) ()
+    | 2 -> Fgraph.add_clause g ~i1 ~i2 ~i3:i2 ~w:(w ()) ()
+    | 3 -> Fgraph.add_clause g ~i1 ~i2:i1 ~i3:i2 ~w:(w ()) ()
+    | _ -> Fgraph.add_clause g ~i1 ~i2 ~i3 ~w:(w ()) ()
+  in
+  compile_graph (fun g ->
+      for i = 0 to n - 1 do
+        if Random.State.int rng 4 > 0 then Fgraph.add_singleton g ~i ~w:(w ())
+      done;
+      (match shape with
+      | Tree ->
+        for i = 1 to n - 1 do
+          let p = Random.State.int rng i in
+          if Random.State.bool rng then clause g i p p else clause g p i i
+        done
+      | Dense ->
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            Fgraph.add_clause g ~i1:i ~i2:j ~w:(w ()) ();
+            Fgraph.add_clause g ~i1:j ~i2:i ~w:(w ()) ()
+          done
+        done
+      | Mixed ->
+        let k = max 2 (n / 2) in
+        for i = 0 to k - 1 do
+          Fgraph.add_clause g ~i1:i ~i2:((i + 1) mod k) ~w:(w ()) ();
+          Fgraph.add_clause g ~i1:((i + 1) mod k) ~i2:i ~w:(w ()) ()
+        done;
+        (* Each later variable joins earlier ones through one clause in
+           which it takes a random role. *)
+        for i = k to n - 1 do
+          let vs = [| i; Random.State.int rng i; Random.State.int rng i |] in
+          let r = Random.State.int rng 3 in
+          clause g vs.(r) vs.((r + 1) mod 3) vs.((r + 2) mod 3)
+        done;
+        for _ = 1 to Random.State.int rng 4 do
+          clause g (var ()) (var ()) (var ())
+        done);
+      (* A duplicated factor (two parallel factors: not a tree) and a
+         clause over one variable. *)
+      if shape <> Tree && n > 1 && Random.State.bool rng then begin
+        let a = var () and b = var () in
+        let x = w () in
+        Fgraph.add_clause g ~i1:a ~i2:b ~w:x ();
+        Fgraph.add_clause g ~i1:a ~i2:b ~w:x ()
+      end;
+      if Random.State.bool rng then
+        let a = var () in
+        Fgraph.add_clause g ~i1:a ~i2:a ~w:(w ()) ())
+
+(* Exact marginals and pair joints P(a = 1, b = 1) of a whole compiled
+   graph, by enumerating its worlds in log space. *)
+let enumerate_joints c pairs =
+  let n = Fgraph.nvars c in
+  let a = Array.make n false in
+  let energy () =
+    let e = ref 0. in
+    Array.iteri
+      (fun f w -> if Fgraph.satisfied c f a then e := !e +. w)
+      c.Fgraph.fweight;
+    !e
+  in
+  let worlds body =
+    for world = 0 to (1 lsl n) - 1 do
+      for v = 0 to n - 1 do
+        a.(v) <- (world lsr v) land 1 = 1
+      done;
+      body ()
+    done
+  in
+  let top = ref neg_infinity in
+  worlds (fun () -> top := Float.max !top (energy ()));
+  let z = ref 0.
+  and marg = Array.make n 0.
+  and joint = Array.make (Array.length pairs) 0. in
+  worlds (fun () ->
+      let p = exp (energy () -. !top) in
+      z := !z +. p;
+      Array.iteri (fun v x -> if x then marg.(v) <- marg.(v) +. p) a;
+      Array.iteri
+        (fun k (x, y) -> if a.(x) && a.(y) then joint.(k) <- joint.(k) +. p)
+        pairs);
+  (Array.map (fun m -> m /. !z) marg, Array.map (fun m -> m /. !z) joint)
+
+let gen_peel_case =
+  QCheck.Gen.(
+    triple small_nat
+      (frequencyl [ (1, Tree); (1, Dense); (2, Mixed) ])
+      (int_range 1 10))
+
+let print_peel_case (seed, shape, n) =
+  Printf.sprintf "seed %d, %s, %d vars" seed
+    (match shape with Tree -> "Tree" | Dense -> "Dense" | Mixed -> "Mixed")
+    n
+
+let test_peel_exact =
+  Tutil.qcheck_case ~count:400 "peel + downward pass = enumeration"
+    (QCheck.make ~print:print_peel_case gen_peel_case)
+    (fun (seed, shape, n) ->
+      let c = peel_graph seed shape n in
+      let peel = Inference.Peel.run c in
+      let core = Inference.Peel.core peel in
+      let core_marg, joints =
+        enumerate_joints core (Inference.Peel.pairs peel)
+      in
+      let marg = Array.make (Fgraph.nvars c) Float.nan in
+      Inference.Peel.expand peel ~core:core_marg ~joints marg;
+      (match shape with
+      | Tree when Fgraph.nvars core > 0 ->
+        QCheck.Test.fail_reportf "a tree left a %d-variable core"
+          (Fgraph.nvars core)
+      | Dense when n > 2 && Inference.Peel.peeled peel > 0 ->
+        QCheck.Test.fail_reportf "a dense graph peeled %d variables"
+          (Inference.Peel.peeled peel)
+      | _ -> ());
+      Array.iter
+        (fun comp ->
+          Array.iteri
+            (fun l p ->
+              let v = comp.Inference.Decompose.vars.(l) in
+              if Float.abs (p -. marg.(v)) > 1e-9 then
+                QCheck.Test.fail_reportf "var %d: %.12g, enumeration %.12g" v
+                  marg.(v) p)
+            (Exact_oracle.enumerate comp))
+        (Inference.Decompose.components c);
+      true)
+
+(* A ring of [k] variables coupled both ways by strong but finite
+   weights, so neighbours are nearly equal yet each is uncertain, with
+   [n - k] pendants, each in one clause over two earlier variables in a
+   random role, under extreme weights.  A short chain's count of "both
+   true" often exceeds one of the pair's marginals, which puts a negative
+   cell in an unclamped joint. *)
+let coupled_graph seed n =
+  let rng = Tutil.rng seed in
+  let k = max 3 (n / 4) in
+  compile_graph (fun g ->
+      for i = 0 to k - 1 do
+        let j = (i + 1) mod k in
+        let w () = 5. +. Random.State.float rng 45. in
+        Fgraph.add_clause g ~i1:i ~i2:j ~w:(w ()) ();
+        Fgraph.add_clause g ~i1:j ~i2:i ~w:(w ()) ()
+      done;
+      for i = k to n - 1 do
+        Fgraph.add_singleton g ~i ~w:(extreme_weight rng);
+        let vs = [| i; Random.State.int rng i; Random.State.int rng i |] in
+        let r = Random.State.int rng 3 in
+        Fgraph.add_clause g ~i1:vs.(r) ~i2:vs.((r + 1) mod 3)
+          ~i3:vs.((r + 2) mod 3) ~w:(extreme_weight rng) ()
+      done)
+
+(* Short chains under extreme weights: the pair counts are rough
+   estimates of the joints, and still every marginal is a probability. *)
+let test_peeled_marginals_are_probabilities =
+  let options =
+    {
+      Inference.Hybrid.exact_max_vars = 0;
+      max_width = -1;
+      gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 1 };
+    }
+  in
+  Tutil.qcheck_case ~count:300 "peeled marginals stay probabilities"
+    (QCheck.make
+       ~print:(fun (seed, coupled, n) ->
+         Printf.sprintf "seed %d, %s, %d vars" seed
+           (if coupled then "coupled ring" else "Mixed")
+           n)
+       QCheck.Gen.(
+         triple small_nat
+           (frequencyl [ (2, true); (1, false) ])
+           (int_range 4 60)))
+    (fun (seed, coupled, n) ->
+      let c =
+        if coupled then coupled_graph seed n else peel_graph seed Mixed n
+      in
+      let options =
+        { options with gibbs = { options.gibbs with seed = seed + 1 } }
+      in
+      let marg, _ = Inference.Hybrid.solve ~options c in
+      Array.iteri
+        (fun v p ->
+          if not (Float.is_finite p && 0. <= p && p <= 1.) then
+            QCheck.Test.fail_reportf "var %d: %h is not a probability" v p)
+        marg;
+      true)
 
 (* --- front-end and config --- *)
 
@@ -625,6 +845,7 @@ let () =
             test_neighborhood_dispatch;
           test_extreme_weights;
         ] );
+      ("peel", [ test_peel_exact; test_peeled_marginals_are_probabilities ]);
       ( "front-end",
         [
           Alcotest.test_case "hybrid run info" `Quick

@@ -207,6 +207,28 @@ let test_join_multi_column_key () =
   in
   Alcotest.(check bool) "multi-key equal" true (Tutil.table_rows_equal fast slow)
 
+(* A join's output is sized by the rows it holds, not by its probe side:
+   a join matching 1,000 of 200,000 probe rows keeps no arena for the
+   other 199,000. *)
+let test_join_output_sized_by_rows () =
+  let a = Table.create ~name:"a" [| "k" |] in
+  for k = 0 to 999 do
+    Table.append a [| k * 200 |]
+  done;
+  let b = Table.create ~name:"b" [| "k"; "v" |] in
+  for k = 0 to 199_999 do
+    Table.append b [| k; k |]
+  done;
+  let j =
+    Join.hash_join ~name:"j" ~cols:[| "k"; "vb" |]
+      ~out:[| Join.Col (Join.Build, 0); Join.Col (Join.Probe, 1) |]
+      ~oweight:Join.No_weight (a, [| 0 |]) (b, [| 0 |])
+  in
+  check_int "matches" 1000 (Table.nrows j);
+  let words = Obj.reachable_words (Obj.repr j) in
+  if words > 8 * Table.width j * Table.nrows j then
+    Alcotest.failf "%d rows hold %d words" (Table.nrows j) words
+
 let test_semi_join_absent () =
   let have = Table.create ~name:"h" [| "k" |] in
   Table.append have [| 1 |];
@@ -739,6 +761,8 @@ let () =
           Alcotest.test_case "const output" `Quick test_join_const_output;
           Alcotest.test_case "multi-column key" `Quick test_join_multi_column_key;
           Alcotest.test_case "anti semi join" `Quick test_semi_join_absent;
+          Alcotest.test_case "output sized by its rows" `Quick
+            test_join_output_sized_by_rows;
           Alcotest.test_case "parallel join deterministic" `Quick
             test_parallel_join_deterministic;
           Alcotest.test_case "parallel distinct deterministic" `Quick

@@ -1085,10 +1085,10 @@ let test_dead_rows_on_metrics () =
 (* Trust signals are observable without a flag too: after refreshes,
    /metrics carries the whole graph's exact fraction, largest width
    solved and sampled variable count as gauges, and counters of what the
-   refreshes solved, reused and sampled.  The options sample every
-   component past two variables; the second refresh follows no write,
-   so it copies every exact answer and samples the rest again.  A fact
-   no rule mentions is a component of its own, solved exactly. *)
+   refreshes solved, reused, peeled and sampled.  The options sample
+   every component past two variables; the second refresh follows no
+   write, so it copies every exact answer and samples the rest again.  A
+   fact no rule mentions is a component of its own, solved exactly. *)
 let test_trust_signals_on_metrics () =
   let kb, _, _ = Tutil.ruth_gruber_kb () in
   ignore
@@ -1137,6 +1137,9 @@ let test_trust_signals_on_metrics () =
   in
   check_bool "a component is sampled" true
     (r.Inference.Hybrid.sampled_vars > 0);
+  check_bool "the peel eliminated some sampled variables" true
+    (r.Inference.Hybrid.peeled_vars > 0
+    && r.Inference.Hybrid.peeled_vars < r.Inference.Hybrid.sampled_vars);
   check_bool "a component is exact" true (r.Inference.Hybrid.exact_vars > 0);
   let value name =
     let prefix = name ^ " " in
@@ -1182,6 +1185,10 @@ let test_trust_signals_on_metrics () =
         - r.Inference.Hybrid.sampled_components);
       Printf.sprintf "hybrid_vars_reused_total %d"
         r.Inference.Hybrid.exact_vars;
+      (* Each refresh peels the sampled components afresh. *)
+      "# TYPE hybrid_vars_peeled_total counter";
+      Printf.sprintf "hybrid_vars_peeled_total %d"
+        (2 * r.Inference.Hybrid.peeled_vars);
       "hybrid_sampler_runs_total 2";
     ];
   Server.stop srv
