@@ -17,10 +17,6 @@ val build : Fgraph.t -> t
     is fact [id]. *)
 val derivations : t -> int -> (int * int * float) list
 
-(** [supports l id] is the list of clause-factor heads that fact [id]
-    directly participates in deriving. *)
-val supports : t -> int -> int list
-
 (** [ancestors l id] is the set of facts reachable from [id] through
     derivation bodies (transitively), excluding [id] itself. *)
 val ancestors : t -> int -> int list

@@ -354,14 +354,6 @@ let mirror_rule_table pat tbl =
     tbl;
   out
 
-(* [atoms_out] with the head columns swapped in the projection itself:
-   (R, x', C1', y', C2') → (R, y', C2', x', C1').  The mirrored pattern's
-   join emits rows directly in head orientation, so the delta path needs
-   no post-hoc rewrite pass over a materialized table. *)
-let atoms_out_swapped s =
-  let a = atoms_out s in
-  [| a.(0); a.(3); a.(4); a.(1); a.(2) |]
-
 (* [factors_out] for the mirrored run of a two-atom pattern: the head
    columns (x, C1)/(y, C2) *and* the body ids I2/I3 are swapped back to the
    original orientation, so delta-built factor rows are textually identical
@@ -383,22 +375,22 @@ let mirror_index p pat =
     idx
 
 (* One union term of a two-atom delta query: Δ bound to the q atom of
-   [pat], or — [mirrored] — to its r atom, as the q atom of the mirrored
-   pattern.  Step 1 (the rules ⋈ Δ) has already run into [j]; step 2
-   joins [j] on [j_key] with TΠ on [t_key].  Step 2 walks the Δ-sized J
-   and probes TΠ's maintained partial-key index on [t_key] — never a
-   pass over TΠ ({!Join.index_matches}). *)
+   [pat], or to its r atom, as the q atom of the mirrored pattern.  Step
+   1 (the rules ⋈ Δ) has already run into [j]; step 2 joins [j] on
+   [j_key] with TΠ on [t_key] and projects [out], which puts a mirrored
+   term's head and body ids back in [pat]'s orientation.  Step 2 walks
+   the Δ-sized J and probes TΠ's maintained partial-key index on
+   [t_key] — never a pass over TΠ ({!Join.index_matches}). *)
 type delta_term = {
   j : Table.t;
   j_key : int array;
   t_key : int array;
-  atoms_out : Join.out_col array;
-  factors_out : Join.out_col array;
-  mirrored : bool;
+  out : Join.out_col array;
 }
 
+(* The q term and the r term of two-atom pattern [pat] over [delta]. *)
 let delta_terms p pat ~delta =
-  let term midx as_pat ~mirrored =
+  let term midx as_pat ~out =
     match shape_of as_pat with
     | Shape.One_atom _ -> invalid_arg "Queries.delta_terms: one-atom pattern"
     | Shape.Two_atom s2 as shape ->
@@ -406,15 +398,11 @@ let delta_terms p pat ~delta =
         j = step1 midx as_pat shape delta;
         j_key = s2.j_key2;
         t_key = s2.t_key2;
-        atoms_out =
-          (if mirrored then atoms_out_swapped shape else atoms_out shape);
-        factors_out =
-          (if mirrored then factors_out_swapped shape else factors_out shape);
-        mirrored;
+        out = out shape;
       }
   in
-  let first = term p.m_index.(Pattern.index pat) pat ~mirrored:false in
-  [ first; term (mirror_index p pat) (mirror_pattern pat) ~mirrored:true ]
+  ( term p.m_index.(Pattern.index pat) pat ~out:factors_out,
+    term (mirror_index p pat) (mirror_pattern pat) ~out:factors_out_swapped )
 
 (* The residual of a delta term's TΠ probe: live rows only — none at
    all while nothing is dead, so the probe pays one comparison per call,
@@ -429,40 +417,21 @@ let probe_residual pi below =
   | Some w ->
     Some (fun _ row -> Table.get t row 0 < w && Storage.live_row pi row)
 
-(* Δ with its rows in ascending id order, each fact once: the order in
-   which the scan join meets them in TΠ.  The closure's and an ingest's
-   Δ already are (a suffix of TΠ); an overdelete frontier need not be. *)
-let rec ascending (delta : Pipeline.source) =
-  match delta with
-  | Segments { src; _ } ->
-    ascending (Pipeline.of_table (Relational.Segsrc.to_table src))
-  | Rows { table; lo; hi } ->
-    let id r = Table.get table r 0 in
-    let rec sorted r = r >= hi || (id (r - 1) < id r && sorted (r + 1)) in
-    if sorted (lo + 1) then delta
-    else
-      Pipeline.of_table
-        (Table.sub table
-           (Array.of_list
-              (List.sort_uniq
-                 (fun a b -> Int.compare (id a) (id b))
-                 (List.init (hi - lo) (( + ) lo)))))
-
-(* The two union terms of a two-atom delta query, projected through
-   [out] into [sink] in the scan join's order.  The scan join [J ⋈ TΠ]
-   streams TΠ as the r atom: it emits by r row ascending, then by J row
-   descending — q id descending, then the rules of one (q, r) pair in
-   ascending Mi row.  Rows ascend with ids, so both orders can be read
-   off ids.  The q term (J built from Δ as the q atom) sorts its matches
-   into that order directly.  The r term's J holds one block of rows per
-   Δ fact, in Δ's order; within a block its matches are sorted by q row
-   descending, then J row descending, which lists the rules of a (q, r)
-   pair in ascending Mi row as well.  Merging the two by r id ascending,
-   then q id descending, the q term first on a tie, yields every
-   derivation that uses a Δ fact in the scan's order.  One whose q and r
-   are both in Δ comes twice in a row, unless the r term's probe keeps
-   only q facts [below] Δ's first id. *)
-let probe_scan_order pi ~sink ~out ~oweight ?below q r =
+(* The two union terms of a two-atom delta query, projected into [sink]
+   in the scan join's order.  The scan join [J ⋈ TΠ] streams TΠ as the r
+   atom: it emits by r row ascending, then by J row descending — q id
+   descending, then the rules of one (q, r) pair in ascending Mi row.
+   Rows ascend with ids, so both orders can be read off ids.  The q term
+   (J built from Δ as the q atom) sorts its matches into that order
+   directly.  The r term's J holds one block of rows per Δ fact, in Δ's
+   order; within a block its matches are sorted by q row descending,
+   then J row descending, which lists the rules of a (q, r) pair in
+   ascending Mi row as well.  Merging the two by r id ascending, then q
+   id descending, the q term first on a tie, yields every derivation
+   that uses a Δ fact in the scan's order.  The r term's probe keeps
+   only q facts [below] Δ's first id, so one whose q and r are both in
+   Δ comes once, from the q term. *)
+let probe_scan_order pi ~sink ~below q r =
   let t = Storage.table pi in
   let np = Table.nrows t in
   let probe d below =
@@ -487,7 +456,7 @@ let probe_scan_order pi ~sink ~out ~oweight ?below q r =
       block := []
     end
   in
-  probe r below (fun jr tr ->
+  probe r (Some below) (fun jr tr ->
       let id = Table.get r.j jr 7 in
       if id <> !block_id then begin
         close_block ();
@@ -501,11 +470,11 @@ let probe_scan_order pi ~sink ~out ~oweight ?below q r =
       ~capacity:
         (max 1
            (min (Array.length qs + Array.length rs) Batch.default_capacity))
-      ~weighted:(oweight <> Join.No_weight)
-      (Array.length (out q))
+      ~weighted:true (Array.length q.out)
   in
   let emit d jr tr =
-    Join.emit_match ~sink ob ~out:(out d) ~oweight d.j jr t tr
+    Join.emit_match ~sink ob ~out:d.out ~oweight:(Join.Weight_of Join.Build)
+      d.j jr t tr
   in
   let i = ref 0 and k = ref 0 in
   while !i < Array.length qs || !k < Array.length rs do
@@ -535,38 +504,6 @@ let probe_scan_order pi ~sink ~out ~oweight ?below q r =
   if not (Batch.is_empty ob) then Sink.push_batch sink ob;
   (nq + nr)
 
-(* A two-atom delta query through {!probe_scan_order}, with the join
-   counters a scan join records. *)
-let scan_ordered_delta p pat pi ~delta ~sink ~out ~oweight ?below () =
-  let obs = Obs.ambient () in
-  let t0 = if Obs.enabled obs then Obs.now () else 0. in
-  let probe_rows =
-    match delta_terms p pat ~delta with
-    | [ q; r ] -> probe_scan_order pi ~sink ~out ~oweight ?below q r
-    | _ -> assert false
-  in
-  if Obs.enabled obs then begin
-    Obs.add obs "join.joins" 2;
-    Obs.add obs "join.probe_rows" probe_rows;
-    Obs.add obs "join.rows_out" (Sink.rows_out sink);
-    Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0);
-    Sink.record_distinct_obs obs sink
-  end;
-  Sink.table sink
-
-let ground_atoms_delta p pat pi ~delta =
-  let delta = ascending delta in
-  match shape_of pat with
-  | Shape.One_atom _ -> atoms_query p pat delta
-  | Shape.Two_atom _ ->
-    scan_ordered_delta p pat pi ~delta
-      ~sink:
-        (Sink.create
-           ~dedup_key:(Array.init (Array.length atom_cols) Fun.id)
-           ~name:("atoms_" ^ Pattern.to_string pat)
-           atom_cols)
-      ~out:(fun d -> d.atoms_out) ~oweight:Join.No_weight ()
-
 let factors_query p pat ~name src =
   run_query p pat ~name ~cols:atom_i_cols
     ~out:(factors_out (shape_of pat))
@@ -579,49 +516,31 @@ let derivations ?src p pat pi =
 
 (* Δ is the suffix of TΠ from [from]: a q fact of id [from] or more is in
    Δ, so the r term keeps only older ones, and a derivation with both
-   body facts in Δ comes once, from the q term. *)
+   body facts in Δ comes once, from the q term.  A two-atom query
+   records the join counters a scan join records. *)
 let derivations_delta p pat pi ~from =
   let delta = Storage.rows_from pi from in
   let name = "factors_" ^ Pattern.to_string pat ^ "_d" in
   match shape_of pat with
   | Shape.One_atom _ -> factors_query p pat ~name delta
   | Shape.Two_atom _ ->
-    scan_ordered_delta p pat pi ~delta
-      ~sink:(Sink.create ~weighted:true ~name atom_i_cols)
-      ~out:(fun d -> d.factors_out) ~oweight:(Join.Weight_of Join.Build)
-      ~below:from ()
+    let obs = Obs.ambient () in
+    let t0 = if Obs.enabled obs then Obs.now () else 0. in
+    let sink = Sink.create ~weighted:true ~name atom_i_cols in
+    let q, r = delta_terms p pat ~delta in
+    let probe_rows = probe_scan_order pi ~sink ~below:from q r in
+    if Obs.enabled obs then begin
+      Obs.add obs "join.joins" 2;
+      Obs.add obs "join.probe_rows" probe_rows;
+      Obs.add obs "join.rows_out" (Sink.rows_out sink);
+      Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0)
+    end;
+    Sink.table sink
 
 (* Head resolution looks heads up in the resident store (the authority),
    whichever source the joins probed. *)
 let ground_factors ?src p pat pi g =
   resolve_heads (derivations ?src p pat pi) pi g
-
-let ground_factors_delta p pat pi ~delta ~watermark g =
-  match shape_of pat with
-  | One_atom _ ->
-    (* The only body atom must be a delta fact. *)
-    let name = "factors_" ^ Pattern.to_string pat ^ "_d" in
-    resolve_heads (factors_query p pat ~name delta) pi g
-  | Two_atom _ ->
-    (* Δ bound to the q atom (the r atom ranges over all of TΠ), then Δ
-       bound to the r atom via the mirrored pattern, with the q atom
-       restricted to *old* facts ([id < watermark]) so instances whose
-       body atoms are both new are not emitted twice. *)
-    List.fold_left
-      (fun n d ->
-        let sink =
-          Sink.create ~weighted:true
-            ~name:("factors_" ^ Pattern.to_string pat ^ "_d")
-            atom_i_cols
-        in
-        Join.index_probe_into ~out:d.factors_out
-          ~oweight:(Join.Weight_of Join.Build)
-          ?residual:
-            (probe_residual pi (if d.mirrored then Some watermark else None))
-          ~sink (d.j, d.j_key)
-          (Storage.partial_index pi d.t_key);
-        n + resolve_heads (Sink.table sink) pi g)
-      0 (delta_terms p pat ~delta)
 
 let singleton_factors pi g =
   let n = ref 0 in

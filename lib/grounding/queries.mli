@@ -36,16 +36,14 @@ end
 (** [shape_of pat] is the query shape of a partition. *)
 val shape_of : Mln.Pattern.t -> Shape.t
 
-(** Column names of the intermediate and result tables. *)
+(** Column names of the intermediate [J] and of the derivation rows. *)
 val j_cols : string array
 
-val atom_cols : string array
 val atom_i_cols : string array
 
-(** Projection (SELECT) lists of the three join kinds. *)
+(** Projection (SELECT) lists of step 1 and of Query 2-i. *)
 val step1_out : Shape.t -> Relational.Join.out_col array
 
-val atoms_out : Shape.t -> Relational.Join.out_col array
 val factors_out : Shape.t -> Relational.Join.out_col array
 
 (** [factors_out_swapped s] is [factors_out s] for the shape [s] of a
@@ -119,58 +117,6 @@ val ground_atoms :
   Kb.Storage.t ->
   Relational.Table.t
 
-(** One union term of a two-atom semi-naive query (see
-    {!ground_atoms_delta}): Δ bound to the q atom of the pattern, or —
-    [mirrored] — to its r atom, run as the q atom of the mirrored
-    pattern.  Step 1 (the rule partition ⋈ Δ) has already run into [j]
-    (columns {!j_cols}, rule weight carried); step 2 joins [j] on
-    [j_key] with [TΠ] on [t_key] — one of [TΠ]'s two partial keys
-    ({!Kb.Storage.partial_index}) — projecting [atoms_out] or
-    [factors_out], which already put the head (and, for factors, the body
-    ids) back in the original pattern's orientation. *)
-type delta_term = {
-  j : Relational.Table.t;
-  j_key : int array;
-  t_key : int array;
-  atoms_out : Relational.Join.out_col array;
-  factors_out : Relational.Join.out_col array;
-  mirrored : bool;
-}
-
-(** [delta_terms p pat ~delta] is the q-atom term then the r-atom term of
-    two-atom pattern [pat] for the delta facts [delta] (rows with the
-    [TΠ] schema — typically the rows of [TΠ] from the first new fact,
-    which are read in place, never copied).
-    @raise Invalid_argument for a one-atom pattern. *)
-val delta_terms :
-  prepared ->
-  Mln.Pattern.t ->
-  delta:Relational.Pipeline.source ->
-  delta_term list
-
-(** [ground_atoms_delta p pat pi ~delta] is the semi-naive variant of
-    Query 1-i: the rows {!ground_atoms} over the live rows of [TΠ] would
-    return for the derivations with at least one body atom bound to a
-    [delta] fact (rows with the [TΠ] schema, whose facts must be live
-    rows of [pi]; order and repeats do not matter), in that query's
-    order — the same head atoms, first occurrences in the same order.
-    Merged into [TΠ] after a closure's earlier iterations, it so adds
-    the same facts in the same order as the full query.  For two-atom
-    patterns it runs the plan twice — once with Δ on the first body
-    atom, once with Δ on the second via the *mirrored* pattern (P3↔P3,
-    P4↔P5, P6↔P6 with transformed rule rows and the head columns swapped
-    back inside the projection) — and merges both terms' matches into
-    one shared dedup sink in the full query's order.  Step 2 of each
-    term probes [TΠ]'s maintained partial-key index
-    ({!Kb.Storage.partial_index}, built here on first use) from the Δ
-    side instead of scanning [TΠ], skipping tombstoned rows. *)
-val ground_atoms_delta :
-  prepared ->
-  Mln.Pattern.t ->
-  Kb.Storage.t ->
-  delta:Relational.Pipeline.source ->
-  Relational.Table.t
-
 (** [derivations ?src p pat pi] is Query 2-i's join before head
     resolution: one row per ground rule of partition [pat] whose body
     facts exist in [TΠ] — head key, body ids and rule weight, columns
@@ -190,11 +136,16 @@ val derivations :
     rows of [TΠ] from that id ({!Kb.Storage.rows_from}), read in place:
     the rows {!derivations} over the live rows of [TΠ] would return for
     the derivations with at least one body fact in Δ, each once and in
-    that query's order.  Two-atom patterns run {!ground_atoms_delta}'s
-    two terms, the r term keeping only q facts older than [from], so a
-    derivation with both body facts in Δ comes from the q term alone.
-    Its first occurrences over columns 0–4 are {!ground_atoms_delta}'s
-    rows for that Δ. *)
+    that query's order.  A two-atom pattern runs two union terms: Δ on
+    the q atom, and Δ on the r atom as the q atom of the mirrored
+    pattern (P3↔P3, P4↔P5, P6↔P6, rule rows transformed, head columns
+    and body ids swapped back inside the projection), keeping only q
+    facts older than [from], so a derivation with both body facts in Δ
+    comes from the q term alone.  Step 2 of each term walks its Δ-sized
+    intermediate and probes [TΠ]'s maintained partial-key index
+    ({!Kb.Storage.partial_index}, built on first use), skipping
+    tombstoned rows; the two terms' matches are merged in the full
+    query's order. *)
 val derivations_delta :
   prepared -> Mln.Pattern.t -> Kb.Storage.t -> from:int -> Relational.Table.t
 
@@ -210,31 +161,6 @@ val ground_factors :
   prepared ->
   Mln.Pattern.t ->
   Kb.Storage.t ->
-  Factor_graph.Fgraph.t ->
-  int
-
-(** [ground_factors_delta p pat pi ~delta ~watermark g] is the
-    incremental Query 2-i: only ground-clause instances with at least one
-    body atom bound to a [delta] fact (rows with the [TΠ] schema, e.g.
-    {!Kb.Storage.rows_from} the watermark).
-    Like {!ground_atoms_delta} it runs two-atom patterns twice — Δ on the
-    first body atom against all of [TΠ], then Δ on the second via the
-    mirrored pattern with both the head columns and the body-id columns
-    swapped back inside the projection — and avoids double-counting
-    instances whose body atoms are both new by restricting the second
-    term's other atom to facts with [id < watermark] (take the watermark
-    from [Storage.next_id] before inserting the batch).  On a store whose
-    previous closure converged, appending these factors to the factors of
-    the previous epochs reproduces the batch [ground_factors] output over
-    the grown [TΠ]: an instance built only from old facts would imply its
-    head was already derivable, hence already present with its factor.
-    Returns the number of factors appended. *)
-val ground_factors_delta :
-  prepared ->
-  Mln.Pattern.t ->
-  Kb.Storage.t ->
-  delta:Relational.Pipeline.source ->
-  watermark:int ->
   Factor_graph.Fgraph.t ->
   int
 

@@ -1,5 +1,4 @@
 module Table = Relational.Table
-module Pipeline = Relational.Pipeline
 module Storage = Kb.Storage
 module Gamma = Kb.Gamma
 module Fgraph = Factor_graph.Fgraph
@@ -111,68 +110,34 @@ let active_patterns st =
     (fun pat -> Mln.Partition.count (Queries.partitions st.prepared) pat > 0)
     Pattern.all
 
-let tpi_cols = [| "I"; "R"; "x"; "C1"; "y"; "C2" |]
-
-(* The frontier of one overdelete wave as a delta table with the [TΠ]
-   schema (the facts are still physically present — deleted facts must
-   stay joinable while their consequence cone is computed). *)
-let delta_of_ids pi ids =
-  let t = Storage.table pi in
-  let d = Table.create ~weighted:true ~name:"delta_retract" tpi_cols in
-  List.iter
-    (fun id ->
-      match Storage.row_of_id pi id with
-      | Some row -> Table.append_from d t row
-      | None -> ())
-    ids;
-  d
-
-(* Overdelete (DRed phase 1): the descendant cone of the seeds, computed
-   semi-naively with the M1..M6 partition queries — each wave joins the
-   current frontier as the delta, exactly like [delta_from] does for
-   inserts.  Only inferred facts (no singleton support) enter the cone;
-   base facts found as heads keep their extraction support and stop the
-   wave.  Returns the membership set and the discovery order. *)
-let expand_cone st pi ~seeds ~in_cone =
+(* Overdelete (DRed phase 1): the descendant cone of the seeds, walked
+   breadth first through the provenance index.  TΦ holds Query 2 over
+   TΠ, so the live factors a fact supports are exactly the derivations
+   that use it, and each names a head that loses one.  Only inferred
+   facts (no singleton support) enter the cone; base facts found as
+   heads keep their extraction support and stop the wave.  Returns the
+   discovery order, seeds first. *)
+let expand_cone st ~seeds ~in_cone =
   let order = ref (List.rev seeds) in
-  let frontier = ref seeds in
-  let patterns = active_patterns st in
-  while !frontier <> [] do
-    let delta = delta_of_ids pi !frontier in
-    let next = ref [] in
-    List.iter
-      (fun pat ->
-        Obs.with_span st.obs (Pattern.to_string pat) ~cat:"incremental"
-          (fun () ->
-            let atoms =
-              Queries.ground_atoms_delta st.prepared pat pi
-                ~delta:(Pipeline.of_table delta)
-            in
-            for row = 0 to Table.nrows atoms - 1 do
-              match
-                Storage.find pi ~r:(Table.get atoms row 0)
-                  ~x:(Table.get atoms row 1) ~c1:(Table.get atoms row 2)
-                  ~y:(Table.get atoms row 3) ~c2:(Table.get atoms row 4)
-              with
-              | Some id
-                when (not (Hashtbl.mem in_cone id))
-                     && not (Provenance.is_base st.prov id) ->
-                Hashtbl.replace in_cone id ();
-                order := id :: !order;
-                next := id :: !next
-              | Some _ | None -> ()
-            done))
-      patterns;
-    frontier := List.rev !next
+  let frontier = Queue.of_seq (List.to_seq seeds) in
+  while not (Queue.is_empty frontier) do
+    Provenance.iter_supports st.prov (Queue.pop frontier) (fun f ->
+        let h, _, _, _ = Fgraph.factor st.graph f in
+        if (not (Hashtbl.mem in_cone h)) && not (Provenance.is_base st.prov h)
+        then begin
+          Hashtbl.replace in_cone h ();
+          order := h :: !order;
+          Queue.add h frontier
+        end)
   done;
   List.rev !order
 
 (* Rederive (DRed phase 2): a worklist fixpoint over the provenance index.
    A cone fact survives when some recorded derivation has its whole body
    alive (outside the cone, or already rederived); each rescue re-examines
-   the cone facts it supports.  On a converged closure the factor graph
-   records {e every} derivation among the stored facts (Query 2 enumerates
-   them all), so this pure index walk is complete — no queries needed. *)
+   the cone facts it supports.  TΦ holds Query 2 over TΠ — {e every}
+   derivation among the stored facts — so this pure index walk is
+   complete: no queries needed. *)
 let rederive st ~in_cone ~order ~banned =
   let rederived = Hashtbl.create 64 in
   let alive id =
@@ -292,14 +257,14 @@ let run_dred st ~seeds ~withdrawn ~ban =
   in
   let order =
     if empty_cone then begin
-      (* None of the retracted facts supports any derivation: skip the
-         M-query machinery entirely — rederive locally, retire. *)
+      (* None of the retracted facts supports any derivation: there is
+         no cone to walk — rederive locally, retire. *)
       Obs.incr st.obs "incremental.empty_cone_fast_path";
       seeds
     end
     else
       Obs.with_span st.obs "overdelete" ~cat:"incremental" (fun () ->
-          expand_cone st pi ~seeds ~in_cone)
+          expand_cone st ~seeds ~in_cone)
   in
   let banned = Hashtbl.create 16 in
   if ban then List.iter (fun id -> Hashtbl.replace banned id ()) withdrawn;
@@ -376,6 +341,26 @@ let retract ?(ban = false) st ids =
     stats
   end
 
+(* A multiset of factor rows, (I1, I2, I3, w) to its count: the live
+   rows of [g]. *)
+let row_counts g =
+  let counts = Hashtbl.create 64 in
+  Fgraph.iter
+    (fun _ row ->
+      Hashtbl.replace counts row
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts row)))
+    g;
+  counts
+
+(* [take counts row] removes one copy of [row] from the multiset, and
+   says whether there was one. *)
+let take counts row =
+  match Hashtbl.find_opt counts row with
+  | Some n when n > 0 ->
+    Hashtbl.replace counts row (n - 1);
+    true
+  | Some _ | None -> false
+
 (* Rule retraction: enumerate the ground instances of the removed rules
    over the current [TΠ] (the batch Query 2 with a single-partition rule
    set), retire exactly those factor rows (multiset subtraction —
@@ -399,30 +384,22 @@ let retract_rules st ~remove =
         if Mln.Partition.count (Queries.partitions rp) pat > 0 then
           ignore (Queries.ground_factors rp pat pi tmp))
       Pattern.all;
-    let want = Hashtbl.create 64 in
-    Fgraph.iter
-      (fun _ row ->
-        Hashtbl.replace want row
-          (1 + Option.value ~default:0 (Hashtbl.find_opt want row)))
-      tmp;
+    let want = row_counts tmp in
     let doomed = ref [] in
     let seen_seed = Hashtbl.create 16 in
     let seeds = ref [] in
     Fgraph.iter
       (fun f ((i1, i2, i3, _w) as row) ->
-        if i2 <> Fgraph.null || i3 <> Fgraph.null then
-          match Hashtbl.find_opt want row with
-          | Some n when n > 0 ->
-            Hashtbl.replace want row (n - 1);
-            doomed := f :: !doomed;
-            if
-              (not (Hashtbl.mem seen_seed i1))
-              && not (Provenance.is_base st.prov i1)
-            then begin
-              Hashtbl.replace seen_seed i1 ();
-              seeds := i1 :: !seeds
-            end
-          | _ -> ())
+        if (i2 <> Fgraph.null || i3 <> Fgraph.null) && take want row then begin
+          doomed := f :: !doomed;
+          if
+            (not (Hashtbl.mem seen_seed i1))
+            && not (Provenance.is_base st.prov i1)
+          then begin
+            Hashtbl.replace seen_seed i1 ();
+            seeds := i1 :: !seeds
+          end
+        end)
       st.graph;
     Obs.with_span st.obs "retire" ~cat:"incremental" (fun () ->
         List.iter
@@ -430,10 +407,10 @@ let retract_rules st ~remove =
           !doomed;
         Provenance.retire st.prov st.graph !doomed);
     let rule_factors_removed = List.length !doomed in
-    (* The remaining rules take over before the cone is explored: every
-       head of a removed instance is a seed already, so descendants via
-       the removed rules need no queries — only the surviving rules can
-       extend the cone. *)
+    (* The remaining rules take over before the cone is walked: every
+       head of a removed instance is a seed already, and the removed
+       instances have left the provenance index, so only the surviving
+       rules' factors extend the cone. *)
     Gamma.set_rules st.kb kept_rules;
     refresh_rules st;
     let stats =
@@ -536,23 +513,25 @@ let ingest ?(max_iterations = 15) st facts =
              }
            st.kb)
   in
-  (* Incremental factor maintenance: every ground-clause instance with at
-     least one atom among this epoch's new facts (inserted or derived —
-     exactly the rows with [id >= watermark], read in place), plus one
-     singleton per new or promoted base fact. *)
+  (* Incremental factor maintenance: Query 2's rows over the grown TΠ
+     with a body fact among this epoch's new facts (inserted or derived —
+     exactly the rows with [id >= watermark], read in place), found by
+     the delta query the closure itself runs, in Query 2's order; plus
+     one singleton per new or promoted base fact. *)
   let new_factors = ref 0 in
   let t = Storage.table pi in
   Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
-      let fdelta = Storage.rows_from pi watermark in
-      if Pipeline.rows fdelta > 0 then
+      if inserted <> [] then
         List.iter
           (fun pat ->
             Obs.with_span st.obs (Pattern.to_string pat) ~cat:"incremental"
               (fun () ->
                 new_factors :=
                   !new_factors
-                  + Queries.ground_factors_delta st.prepared pat pi
-                      ~delta:fdelta ~watermark st.graph))
+                  + Queries.resolve_heads
+                      (Queries.derivations_delta st.prepared pat pi
+                         ~from:watermark)
+                      pi st.graph))
           (active_patterns st);
       List.iter
         (fun id ->
@@ -588,27 +567,23 @@ let ingest ?(max_iterations = 15) st facts =
   }
 
 (* Rule addition / re-expansion.  New rules can fire on pairs of {e old}
-   facts, so the closure's first iteration joins all of [TΠ] (no initial
-   delta); the factor extension splits into
-   (a) a batch pass with just the new rules over the whole of [TΠ] and
-   (b) the delta factor queries with the {e previous} rule set over the
-   facts the closure added — together exactly the new instances, counted
-   once. *)
+   facts, so the epoch runs the batch grounding over the whole store:
+   its first iteration joins all of [TΠ], and its graph is Query 2 over
+   the final [TΠ] plus the singletons — what a rebuild would hold.  The
+   rows the live [TΦ] lacks are appended, in that graph's order: the new
+   rules' instances, the derivations that use a new fact, and whatever
+   an earlier capped closure or a fact stored behind the session's back
+   left out. *)
 let extend_rules ?(max_iterations = 15) st rules =
   Obs.with_ambient st.obs @@ fun () ->
   Obs.with_span st.obs "reexpand" ~cat:"incremental" @@ fun () ->
   sync st;
-  (* The closure's first iteration and the new rules' factor pass scan
-     all of TΠ. *)
+  (* The grounding's first iteration scans all of TΠ. *)
   compact_facts st;
-  let pi = Gamma.pi st.kb in
-  let watermark = Storage.next_id pi in
-  let prepared_old = st.prepared in
-  let old_patterns = active_patterns st in
   List.iter (Gamma.add_rule st.kb) rules;
   refresh_rules st;
   let result =
-    Grounding.Ground.closure
+    Grounding.Ground.run
       ~options:
         {
           Grounding.Ground.default_options with
@@ -618,24 +593,15 @@ let extend_rules ?(max_iterations = 15) st rules =
       st.kb
   in
   let new_factors = ref 0 in
-  Obs.with_span st.obs "factors" ~cat:"incremental" (fun () ->
-      (if rules <> [] then
-         let rp = Queries.prepare (Mln.Partition.of_rules rules) in
-         List.iter
-           (fun pat ->
-             if Mln.Partition.count (Queries.partitions rp) pat > 0 then
-               new_factors :=
-                 !new_factors + Queries.ground_factors rp pat pi st.graph)
-           Pattern.all);
-      let fdelta = Storage.rows_from pi watermark in
-      if Pipeline.rows fdelta > 0 then
-        List.iter
-          (fun pat ->
-            new_factors :=
-              !new_factors
-              + Queries.ground_factors_delta prepared_old pat pi ~delta:fdelta
-                  ~watermark st.graph)
-          old_patterns);
+  Obs.with_span st.obs "append" ~cat:"incremental" (fun () ->
+      let live = row_counts st.graph in
+      Fgraph.iter
+        (fun _ ((i1, i2, i3, w) as row) ->
+          if not (take live row) then begin
+            Fgraph.add_clause st.graph ~i1 ~i2 ~i3 ~w ();
+            incr new_factors
+          end)
+        result.Grounding.Ground.graph);
   sync st;
   {
     inserted = 0;

@@ -7,12 +7,12 @@
 
     - {!retract} removes facts with delete–rederive (DRed, Gupta,
       Mumick & Subrahmanian, SIGMOD 1993): first {e overdelete} the
-      retracted facts' consequence cone — computed semi-naively with the
-      same M1..M6 partition queries that ground inserts, the
-      frontier-of-deleted playing the role of the delta — then
+      retracted facts' consequence cone — walked through the
+      {!Provenance} index from each fact to the heads of the live
+      factors it supports, since [TΦ] holds Query 2 over [TΠ] — then
       {e rederive} the overdeleted facts that still have an alternative
-      derivation (a pure walk of the {!Provenance} index; no queries),
-      and finally {e retire} what died: the dead facts' factors, found
+      derivation (a walk of the same index; no queries either), and
+      finally {e retire} what died: the dead facts' factors, found
       through the provenance index, are masked in [TΦ] ([Fgraph.kill])
       and dropped from the index in place, and the dead facts are
       tombstoned in [TΠ] ([Storage.mark_deleted]).  Nothing moves, so a
@@ -24,11 +24,19 @@
       factors never change, so marginals remain comparable across the
       retraction.
     - {!ingest} inserts a batch: semi-naive closure from the batch as the
-      initial delta, then the delta factor queries
-      ([Queries.ground_factors_delta]) extend [TΦ] with exactly the new
-      ground-clause instances, plus singletons for new base facts.
+      initial delta, then the closure's own delta query
+      ([Queries.derivations_delta] from the batch's first id) extends
+      [TΦ] with exactly the new ground-clause instances, in Query 2's
+      order, plus singletons for new base facts.
     - {!retract_rules} / {!extend_rules} change the rule set [H] and
-      repair facts and factors accordingly.
+      repair facts and factors accordingly; {!extend_rules} and
+      {!reexpand} run the batch grounding, so they leave the store as a
+      rebuild would.
+
+    Every operation keeps [TΦ] equal, as a multiset, to Query 2 over
+    the live [TΠ] plus one singleton per base fact — the batch's rule —
+    which is what lets the overdelete and rederive steps read the
+    derivations off the index.
     - {!enforce_constraints} applies the semantic constraints Ω as a
       retraction (with banned keys), so a violation's already-derived
       consequences leave both [TΠ] and [TΦ] — the session-mode
@@ -36,9 +44,9 @@
 
     All operations emit [incremental.*] counters (among them
     [incremental.compactions], one per table compacted) and a
-    [retract > overdelete > M1..M6 / rederive / retire / compact] (resp.
-    [ingest > closure / factors]) span tree through the attached [Obs]
-    context. *)
+    [retract > overdelete / rederive / retire / compact] (resp.
+    [ingest > closure / factors > M1..M6], [reexpand > closure / factors
+    / append]) span tree through the attached [Obs] context. *)
 
 type t
 
@@ -87,8 +95,8 @@ type retract_stats = {
           loses its singleton factor and extraction weight *)
   factors_removed : int;  (** factor rows retired from [TΦ] *)
   empty_cone : bool;
-      (** no retracted fact supported any derivation — the M-query
-          machinery was skipped entirely *)
+      (** no retracted fact supported any derivation — there was no
+          cone to walk *)
   deleted_ids : int list;  (** the removed fact ids, discovery order *)
 }
 
@@ -143,7 +151,11 @@ val compact : t -> unit
 (** [ingest ?max_iterations t facts] inserts a batch of weighted
     extractions [(r, x, c1, y, c2, w)], runs the incremental closure with
     the batch as the initial delta, and extends [TΦ] with the new ground
-    instances and singletons.  Banned keys are silently skipped;
+    instances — Query 2's rows over the grown [TΠ] with a body fact from
+    the batch's first id on, found by the delta query the closure runs
+    and appended in Query 2's order — and singletons.  On a store whose
+    closure was capped it grounds only the derivations that use a new
+    fact; {!reexpand} grounds the rest.  Banned keys are silently skipped;
     extractions for existing inferred facts promote them (see
     {!ingest_stats.promoted}); duplicate extractions of base facts are
     no-ops, and so is every copy of a key after its first in the batch
@@ -153,16 +165,19 @@ val ingest :
   ingest_stats
 
 (** [extend_rules ?max_iterations t rules] appends deductive rules to [H]
-    and re-expands: a naive closure (new rules fire on pairs of old
-    facts, so there is no delta to restrict to), then the factor
-    extension — one batch pass with just the new rules over all of [TΠ],
-    plus the delta factor queries with the {e previous} rule set over the
-    facts the closure added.  Together these append exactly the
-    instances a from-scratch grounding of the grown store would add. *)
+    and re-expands with the batch grounding ([Ground.run]): new rules
+    fire on pairs of old facts, so its first iteration joins all of
+    [TΠ], and its graph is Query 2 over the final [TΠ] plus the
+    singletons.  The rows of that graph the live [TΦ] lacks (a multiset
+    difference) are appended in its order: the new rules' instances,
+    the derivations that use a new fact, and whatever a capped closure
+    or a fact stored in the KB behind the session's back left out.  The
+    store then holds what a from-scratch grounding would, fact ids and
+    factor order apart. *)
 val extend_rules : ?max_iterations:int -> t -> Mln.Clause.t list -> ingest_stats
 
 (** [reexpand ?max_iterations t] is {!extend_rules} with no new rules: a
-    consistency pass that derives anything the last epochs left out (a
-    no-op returning [converged = true], [derived = 0] on a closed
-    store). *)
+    consistency pass that derives and grounds anything the last epochs
+    left out (a no-op returning [converged = true], [derived = 0] and
+    [new_factors = 0] on a closed store). *)
 val reexpand : ?max_iterations:int -> t -> ingest_stats

@@ -42,9 +42,6 @@ let of_graph g =
 
 let synced_factors t = t.synced
 
-let derivations t id =
-  Option.value ~default:[] (Hashtbl.find_opt t.derives id)
-
 (* Allocation-free walks: no [Some] wrapper, no default list — the hot
    path of the DRed rederive fixpoint and of the local grounding walk. *)
 let iter_derivations t id f =

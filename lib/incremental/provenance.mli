@@ -6,8 +6,8 @@
     needs the index to survive epochs of appends and retractions without
     rebuilding.  This index maps each fact id to
 
-    - the clause factors deriving it ({!derivations} — factors with the
-      fact as head),
+    - the clause factors deriving it ({!iter_derivations} — factors
+      with the fact as head),
     - the clause factors it supports ({!iter_supports} — factors with
       the fact in the body), and
     - its singleton (prior) factor, when the fact is an extracted base
@@ -23,10 +23,7 @@
 
 type t
 
-(** [create ()] is an empty index (synced to an empty graph). *)
-val create : unit -> t
-
-(** [of_graph g] is [create] followed by [sync _ g]. *)
+(** [of_graph g] indexes the live factors of [g]. *)
 val of_graph : Factor_graph.Fgraph.t -> t
 
 (** [sync t g] indexes the live factors appended to [g] since the last
@@ -38,13 +35,9 @@ val sync : t -> Factor_graph.Fgraph.t -> unit
     [Fgraph.bound] of the graph at the last {!sync} or {!remap}. *)
 val synced_factors : t -> int
 
-(** [derivations t id] lists the clause factors with head [id] (most
-    recently appended first). *)
-val derivations : t -> int -> int list
-
 (** [iter_derivations t id f] applies [f] to every clause-factor position
-    with head [id] — {!derivations} without building (or defaulting) a
-    list, for hot walk loops. *)
+    with head [id], most recently appended first, allocation-free for hot
+    walk loops. *)
 val iter_derivations : t -> int -> (int -> unit) -> unit
 
 (** [iter_supports t id f] applies [f] to every clause-factor position with

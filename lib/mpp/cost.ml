@@ -25,11 +25,6 @@ let elapsed t = t.elapsed
 let measured_seconds t = t.measured
 let entries t = List.rev t.entries
 
-let reset t =
-  t.entries <- [];
-  t.elapsed <- 0.;
-  t.measured <- 0.
-
 let motion_bytes t =
   List.fold_left
     (fun acc e ->

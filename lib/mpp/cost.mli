@@ -35,9 +35,6 @@ val measured_seconds : t -> float
 (** [entries t] is the trace, oldest first. *)
 val entries : t -> entry list
 
-(** [reset t] clears the trace and the clock. *)
-val reset : t -> unit
-
 (** [motion_bytes t] is the total bytes shipped by motions. *)
 val motion_bytes : t -> int
 

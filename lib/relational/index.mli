@@ -60,10 +60,7 @@ val count_matches : t -> int array -> int
 (** [size idx] is the number of indexed rows. *)
 val size : t -> int
 
-(** [hash_key kv] is the hash used internally for a key tuple; exposed so
-    the MPP layer hash-distributes rows consistently with join probes. *)
-val hash_key : int array -> int
-
-(** [hash_row tbl key r] hashes the key columns of row [r] of [tbl],
-    consistently with {!hash_key}. *)
+(** [hash_row tbl key r] hashes the key columns of row [r] of [tbl] with
+    the hash the index uses for its buckets, so the MPP layer
+    hash-distributes rows consistently with join probes. *)
 val hash_row : Table.t -> int array -> int -> int

@@ -3,8 +3,8 @@
    through a probe kernel into a {!Sink}, so the local operators, the
    query planner and the per-segment MPP joins all share one kernel
    implementation, over a resident or a spilled probe side alike.
-   [index_matches] and [index_probe_into] are its index-probe access
-   path for delta terms.  The output spec types are re-exported from
+   [index_matches] and [emit_match] are its index-probe access path for
+   delta terms.  The output spec types are re-exported from
    [Pipeline]. *)
 
 type side = Pipeline.side = Build | Probe
@@ -94,43 +94,6 @@ let emit_match ~sink ob ~out ~oweight btbl br ptbl ir =
   | No_weight -> ()
   | Weight_of Build -> Batch.set_weight ob i (Table.weight btbl br)
   | Weight_of Probe -> Batch.set_weight ob i (Table.weight ptbl ir)
-
-(* The scan join emits its matches in probe-row order and, within one
-   probe row, in the build index's chain order: descending [btbl] row.
-   Walking [btbl] meets the same pairs in another order, so they are
-   collected as codes that sort into the scan's order — indexed row
-   ascending, then [btbl] row descending — and projected only then: the
-   sink sees the scan's rows in the scan's order, and keeps the same
-   first occurrences. *)
-let index_probe_into ~out ~oweight ?residual ~sink (btbl, bkey) idx =
-  let obs = Obs.ambient () in
-  let t0 = if Obs.enabled obs then Obs.now () else 0. in
-  let before = Sink.rows_out sink in
-  let ptbl = Index.table idx in
-  let nb = Table.nrows btbl in
-  let codes = ref [] in
-  index_matches ?residual (btbl, bkey) idx (fun br ir ->
-      codes := ((ir * nb) + (nb - 1 - br)) :: !codes);
-  let codes = Array.of_list !codes in
-  Array.sort Int.compare codes;
-  let ob =
-    Batch.create
-      ~capacity:(max 1 (min (Array.length codes) Batch.default_capacity))
-      ~weighted:(oweight <> No_weight) (Array.length out)
-  in
-  Array.iter
-    (fun code ->
-      emit_match ~sink ob ~out ~oweight btbl
-        (nb - 1 - (code mod nb))
-        ptbl (code / nb))
-    codes;
-  if not (Batch.is_empty ob) then Sink.push_batch sink ob;
-  if Obs.enabled obs then begin
-    Obs.incr obs "join.joins";
-    Obs.add obs "join.probe_rows" nb;
-    Obs.add obs "join.rows_out" (Sink.rows_out sink - before);
-    Obs.add_time obs "join.probe_seconds" (Obs.now () -. t0)
-  end
 
 let hash_join ~name ~cols ~out ~oweight ?dedup ?residual ?pool (btbl, bkey)
     (ptbl, pkey) =

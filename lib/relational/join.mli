@@ -4,9 +4,10 @@
     between the rule partition tables [Mi] and the fact table [TΠ].  This
     module provides the physical operator they compile to: a build/probe
     hash join with projection, optional residual predicate and weight
-    propagation — plus, for semi-naive delta terms, the same join run
-    from the small side against a maintained index of the large one
-    ({!index_probe_into}), with identical output.
+    propagation — plus, for semi-naive delta terms, the walk of the
+    small side against a maintained index of the large one
+    ({!index_matches}) and the projection of one match ({!emit_match}),
+    from which a caller assembles the scan join's output in its order.
 
     The output specification names, for each output column, which side and
     column it is read from; this is the SELECT clause of the SQL queries in
@@ -87,44 +88,18 @@ val hash_join_pre :
     {!hash_join} records them). *)
 val build : Table.t -> int array -> Index.t
 
-(** [index_probe_into ~out ~oweight ?residual ~sink (b, bkey) idx] is
-    the index-probe access path of {!hash_join}: it walks the rows of [b]
-    and probes [idx] — a maintained index over the large table
-    [Index.table idx], e.g. a partial-key index of the fact table — with
-    each row's [bkey] columns, streaming the matches into the
-    caller-owned [sink] (whose schema must match [out]).  Several joins
-    can union into one shared dedup sink this way.
-
-    [out], [oweight] and [residual] keep their {!hash_join} meaning with
-    [b] as the [Build] side and the indexed table as the [Probe] side;
-    [residual] sees [(b row, indexed row)].  Matches are emitted in
-    exactly the order of [hash_join (b, bkey) (Index.table idx,
-    Index.key idx)] — indexed row ascending, then [b] row descending — so
-    the sink keeps the same rows, weights and first occurrences as that
-    scan, at O(|b| + matches · log matches) instead of a pass over the
-    indexed table.  Runs on the calling domain.  Emits the [join.*]
-    counters ([join.probe_rows] counts the rows of [b]; a maintained
-    index adds nothing to [join.build_rows]); the caller records the
-    sink's dedup counters once it is complete
-    ({!Sink.record_distinct_obs}).
-
-    @raise Invalid_argument if the key arities differ. *)
-val index_probe_into :
-  out:out_col array ->
-  oweight:out_weight ->
-  ?residual:(int -> int -> bool) ->
-  sink:Sink.t ->
-  Table.t * int array ->
-  Index.t ->
-  unit
-
-(** [index_matches ?residual (b, bkey) idx f] is the walk under
-    {!index_probe_into}: it applies [f b_row indexed_row] to every match
-    that survives [residual], in walk order — [b] row ascending, then
-    indexed row descending (the index's chain order).  Callers that need
-    another order than the scan join's collect the matches and sort them
-    themselves, then project them with {!emit_match}.  Runs on the
-    calling domain; records no counters.
+(** [index_matches ?residual (b, bkey) idx f] is the index-probe access
+    path of {!hash_join}: it walks the rows of [b] and probes [idx] — a
+    maintained index over the large table [Index.table idx], e.g. a
+    partial-key index of the fact table — with each row's [bkey]
+    columns, applying [f b_row indexed_row] to every match that survives
+    [residual], in walk order: [b] row ascending, then indexed row
+    descending (the index's chain order).  That costs O(|b| + matches),
+    not a pass over the indexed table.  The scan join would meet the
+    same matches indexed row ascending, then [b] row descending; callers
+    collect the matches, sort them into the order they need and project
+    them with {!emit_match}.  Runs on the calling domain; records no
+    counters.
 
     @raise Invalid_argument if the key arities differ. *)
 val index_matches :

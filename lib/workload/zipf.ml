@@ -15,8 +15,6 @@ let create ~n ~alpha =
   done;
   { cdf }
 
-let size z = Array.length z.cdf
-
 let sample z rng =
   let u = Rng.float rng 1. in
   (* Binary search for the first rank whose CDF is >= u. *)

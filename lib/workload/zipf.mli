@@ -16,8 +16,5 @@ val create : n:int -> alpha:float -> t
 (** [sample z rng] draws a rank, 0 being the most likely. *)
 val sample : t -> Rng.t -> int
 
-(** [size z] is the support size [n]. *)
-val size : t -> int
-
 (** [prob z rank] is the probability of [rank]. *)
 val prob : t -> int -> float

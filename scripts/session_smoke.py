@@ -21,6 +21,13 @@ replies, marginals included, must be identical at both pool sizes, and
 A's closing stderr line must report that its refreshes reused
 components.
 
+Last, a session opened with `--max-iterations 1` (each epoch's closure
+capped at one iteration) is sent `reexpand` until a reply has
+"derived":0, at both pool sizes.  A rule epoch grounds the whole store
+as the batch does, so that reply's `facts` and `factors` must equal
+`probkb expand`'s on the same files: the fact lines it writes and its
+`n_factors`.
+
 Usage: session_smoke.py PROBKB_EXE DATA_DIR
 
 DATA_DIR must contain facts.tsv and rules.mln (from `probkb generate`).
@@ -31,6 +38,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 
 def fail(msg):
@@ -126,6 +134,53 @@ def incremental_round(exe, facts, rules, round_trip, queries):
     return resolved, reused
 
 
+def capped_reaches_batch(exe, facts, rules, workdir):
+    """Re-expand a capped session until an epoch derives nothing; it
+    must then hold the batch expansion's facts and factors."""
+    out = os.path.join(workdir, "expanded.tsv")
+    proc = subprocess.run(
+        [exe, "expand", "--facts", facts, "--rules", rules,
+         "--metrics", "json", "--out", out],
+        capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        fail(f"probkb expand exited {proc.returncode}:\n{proc.stderr}")
+    with open(out) as f:
+        batch = (sum(1 for line in f if line.strip()),
+                 json.loads(proc.stdout)["expansion"]["n_factors"])
+    for domains in (1, 4):
+        env = dict(os.environ, PROBKB_DOMAINS=str(domains))
+        session = subprocess.Popen(
+            [exe, "session", "--facts", facts, "--rules", rules,
+             "--max-iterations", "1", "--samples", "100"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, env=env)
+        replies = []
+        try:
+            while not replies or replies[-1].get("derived") != 0:
+                if len(replies) == 50:
+                    fail(f"50 capped reexpands at PROBKB_DOMAINS={domains} "
+                         f"still derive facts: {replies[-1]}")
+                session.stdin.write(json.dumps({"op": "reexpand"}) + "\n")
+                session.stdin.flush()
+                line = session.stdout.readline()
+                if not line:
+                    fail(f"capped session ended at PROBKB_DOMAINS={domains} "
+                         f"after {len(replies)} replies")
+                replies.append(json.loads(line))
+                if "error" in replies[-1]:
+                    fail(f"capped reexpand failed: {replies[-1]}")
+        finally:
+            session.stdin.close()
+            session.wait(timeout=600)
+        last = replies[-1]
+        if (last["facts"], last["factors"]) != batch:
+            fail(f"a capped session re-expanded to {last['facts']} facts "
+                 f"and {last['factors']} factors at "
+                 f"PROBKB_DOMAINS={domains}; probkb expand holds {batch[0]} "
+                 f"and {batch[1]}")
+    return len(replies), batch
+
+
 def main():
     exe, data = sys.argv[1], sys.argv[2]
     facts = os.path.join(data, "facts.tsv")
@@ -174,12 +229,16 @@ def main():
     resolved, reused = incremental_round(
         exe, facts, rules, round_trip,
         [{"op": "query", "key": k} for k in keys + others])
+    with tempfile.TemporaryDirectory() as workdir:
+        reexpands, (nfacts, nfactors) = capped_reaches_batch(
+            exe, facts, rules, workdir)
     print(f"session smoke ok (cone {retract['cone']}, "
           f"{retract['retracted']} retracted, {ingest['inserted']} "
           f"re-inserted, {ingest['derived']} re-derived; both round trips "
           f"and pools 1 and 4 agree; the incremental refreshes re-solved "
           f"{resolved} components, reused {reused} and answer as a full "
-          f"one)")
+          f"one; a capped session reached the batch's {nfacts} facts and "
+          f"{nfactors} factors in {reexpands} reexpands)")
 
 
 if __name__ == "__main__":

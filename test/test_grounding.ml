@@ -624,41 +624,28 @@ let test_monotonicity =
       List.iter (fun k -> Hashtbl.replace big_set k ()) (keys big);
       List.for_all (Hashtbl.mem big_set) (keys small))
 
-(* --- index-probed delta terms ≡ the scan-probed oracle --- *)
+(* --- the index-probed delta query ≡ the filtered scan oracle --- *)
 
-(* Step 2 of every two-atom delta term walks J and probes TΠ's maintained
-   partial-key index; {!Join_oracle} runs the same terms the way they
-   used to run, indexing J and scanning TΠ.  Atom rows (after the shared
-   dedup) and factor rows (after head resolution) must agree in content,
-   order and weight bits, at pools 1 and 4. *)
-
-let two_atom_patterns = Mln.Pattern.[ P3; P4; P5; P6 ]
+(* {!Grounding.Queries.derivations_delta} walks Δ and probes TΠ's
+   maintained partial-key indexes; {!Join_oracle.derivations_delta} is
+   the full scan join filtered to the rows with a body fact in Δ.  Every
+   pattern's rows must agree in content, order and weight bits, at pools
+   1 and 4. *)
 
 let same_table a b =
   Table.nrows a = Table.nrows b
   && List.for_all
-       (fun r -> Table.equal_rows a r b r)
+       (fun r ->
+         Table.equal_rows a r b r
+         && Int64.bits_of_float (Table.weight a r)
+            = Int64.bits_of_float (Table.weight b r))
        (List.init (Table.nrows a) Fun.id)
 
-let graph_rows g =
-  let acc = ref [] in
-  Fgraph.iter
-    (fun _ (i1, i2, i3, w) ->
-      acc := (i1, i2, i3, Int64.bits_of_float w) :: !acc)
-    g;
-  List.rev !acc
-
-(* Every two-atom pattern's delta terms on [delta], index-probed and
-   scan-probed (the oracles read a copy of its rows), at pools 1 and 4. *)
-let delta_terms_agree kb ~delta ~watermark =
+(* Every pattern's delta query over the facts from id [from] on, and
+   its oracle, at pools 1 and 4. *)
+let delta_query_agrees kb ~from =
   let p = Grounding.Queries.prepare (Kb.Gamma.partitions kb) in
   let pi = Kb.Gamma.pi kb in
-  let copy =
-    match delta with
-    | Relational.Pipeline.Rows { table; lo; hi } ->
-      Table.sub table (Array.init (hi - lo) (( + ) lo))
-    | Segments { src; _ } -> Relational.Segsrc.to_table src
-  in
   List.for_all
     (fun d ->
       Pool.set_default_size d;
@@ -667,69 +654,11 @@ let delta_terms_agree kb ~delta ~watermark =
         (fun () ->
           List.for_all
             (fun pat ->
-              let atoms = Grounding.Queries.ground_atoms_delta p pat pi ~delta
-              and atoms' = Join_oracle.atoms_delta p pat pi ~delta:copy in
-              let g = Fgraph.create () and g' = Fgraph.create () in
-              let n =
-                Grounding.Queries.ground_factors_delta p pat pi ~delta
-                  ~watermark g
-              and n' =
-                Join_oracle.factors_delta p pat pi ~delta:copy ~watermark g'
-              in
-              same_table atoms atoms' && n = n'
-              && graph_rows g = graph_rows g')
-            two_atom_patterns))
+              same_table
+                (Grounding.Queries.derivations_delta p pat pi ~from)
+                (Join_oracle.derivations_delta p pat pi ~from))
+            Mln.Pattern.all))
     [ 1; 4 ]
-
-(* A dense random KB: two relations, mostly one class and four
-   entities, so J rows share their step-2 keys and TΠ keys repeat across
-   rules. *)
-let dense_kb st =
-  let pick a = a.(Random.State.int st (Array.length a)) in
-  let rel () = pick [| "p"; "q" |] and cls () = pick [| "C"; "C"; "C"; "D" |] in
-  let ent () = pick [| "a"; "b"; "c"; "d" |] in
-  let rule () =
-    let w = pick [| "0.5"; "1.25"; "-0.75"; "2" |] in
-    let h = rel () and q = rel () and r = rel () in
-    let c1 = cls () and c2 = cls () and c3 = cls () in
-    match Random.State.int st 5 with
-    | 0 -> Printf.sprintf "%s %s(x:%s, y:%s) :- %s(x, y)" w h c1 c2 q
-    | 1 ->
-      Printf.sprintf "%s %s(x:%s, y:%s) :- %s(z:%s, x), %s(z, y)" w h c1 c2 q
-        c3 r
-    | 2 ->
-      Printf.sprintf "%s %s(x:%s, y:%s) :- %s(x, z:%s), %s(z, y)" w h c1 c2 q
-        c3 r
-    | 3 ->
-      Printf.sprintf "%s %s(x:%s, y:%s) :- %s(z:%s, x), %s(y, z)" w h c1 c2 q
-        c3 r
-    | _ ->
-      Printf.sprintf "%s %s(x:%s, y:%s) :- %s(x, z:%s), %s(y, z)" w h c1 c2 q
-        c3 r
-  in
-  let kb = Kb.Gamma.create () in
-  ignore
-    (Kb.Loader.load_rules kb
-       (List.init (4 + Random.State.int st 8) (fun _ -> rule ())));
-  let fact () =
-    ( Kb.Gamma.relation kb (rel ()), Kb.Gamma.entity kb (ent ()),
-      Kb.Gamma.cls kb (cls ()), Kb.Gamma.entity kb (ent ()),
-      Kb.Gamma.cls kb (cls ()) )
-  in
-  for _ = 1 to 8 + Random.State.int st 12 do
-    let r, x, c1, y, c2 = fact () in
-    ignore (Kb.Gamma.add_fact kb ~r ~x ~c1 ~y ~c2 ~w:(Random.State.float st 1.))
-  done;
-  (kb, fact)
-
-let tpi_cols = [| "I"; "R"; "x"; "C1"; "y"; "C2" |]
-
-(* Rows [rows] of TΠ as a delta table. *)
-let delta_of kb rows =
-  let t = Kb.Storage.table (Kb.Gamma.pi kb) in
-  let d = Table.create ~weighted:true ~name:"delta" tpi_cols in
-  List.iter (fun r -> Table.append_from d t r) rows;
-  Relational.Pipeline.of_table d
 
 (* [f d] at pools 1 and 4, each comparing the delta closure of KBs
    against the naive oracle bit for bit under the given [omega]s with
@@ -777,7 +706,7 @@ let test_semi_naive_differential () =
     against_naive_at_pools ~omegas:[ false; true ] (fun d check ->
         for seed = 1 to 40 do
           let st = Tutil.rng seed in
-          let kb, _ = dense_kb st in
+          let kb, _ = Tutil.dense_kb st in
           List.iter
             (fun rel ->
               Kb.Gamma.add_funcon kb
@@ -822,20 +751,20 @@ let test_semi_naive_with_constraints_differential () =
   let fired = against_naive_at_pools ~omegas:[ true ] reverb_sherlock_kbs in
   check_bool "hook fired for at least one seed" true (fired > 0)
 
-let prop_delta_terms_match_scan =
+let prop_delta_query_matches_scan =
   Tutil.qcheck_case ~count:60 "index-probed delta terms = scan oracle"
     QCheck.(pair small_nat bool)
     (fun (seed, ingest) ->
       let st = Tutil.rng (seed + 1) in
-      let kb, fact = dense_kb st in
+      let kb, fact = Tutil.dense_kb st in
       ignore (Grounding.Ground.run kb);
       let pi = Kb.Gamma.pi kb in
       if ingest then begin
         (* The ingest shape: the indexes exist (and are extended by the
-           appends), Δ is the suffix of new facts, the watermark its first
-           id — both-new instances hit the residual. *)
+           appends), Δ is the suffix of new facts and the closure from it
+           has run, so both-new derivations hit the r term's filter. *)
         Kb.Storage.build_partial_indexes pi;
-        let watermark = Kb.Storage.next_id pi in
+        let from = Kb.Storage.next_id pi in
         for _ = 1 to 1 + Random.State.int st 4 do
           let r, x, c1, y, c2 = fact () in
           ignore (Kb.Gamma.add_fact kb ~r ~x ~c1 ~y ~c2 ~w:0.5)
@@ -845,35 +774,28 @@ let prop_delta_terms_match_scan =
              ~options:
                {
                  Grounding.Ground.default_options with
-                 delta_from = Some watermark;
+                 delta_from = Some from;
                }
              kb);
-        delta_terms_agree kb ~delta:(Kb.Storage.rows_from pi watermark)
-          ~watermark
+        delta_query_agrees kb ~from
       end
       else begin
-        (* The overdelete shape: an arbitrary frontier (duplicates
-           included), after a compaction rebuilt the indexes, and a
-           watermark anywhere in the id range. *)
+        (* Any suffix of a closed store, after a compaction rebuilt the
+           indexes: from anywhere in the id range, the empty suffix and
+           all of TΠ included. *)
         Kb.Storage.build_partial_indexes pi;
         let n = Kb.Storage.size pi in
         if n > 2 then
           ignore
             (Kb.Storage.delete_ids pi
                [ Table.get (Kb.Storage.table pi) (Random.State.int st n) 0 ]);
-        let n = Kb.Storage.size pi in
-        let rows =
-          List.init (1 + Random.State.int st 8) (fun _ ->
-              Random.State.int st (max 1 n))
-          |> List.filter (fun r -> r < n)
-        in
-        let watermark = Random.State.int st (Kb.Storage.next_id pi + 1) in
-        delta_terms_agree kb ~delta:(delta_of kb rows) ~watermark
+        delta_query_agrees kb
+          ~from:(Random.State.int st (Kb.Storage.next_id pi + 1))
       end)
 
-(* The workload KB: TΠ above the parallel probe threshold, so the
-   scan-probed oracle partitions its probe at pool 4. *)
-let test_delta_terms_match_scan_workload () =
+(* The workload KB: TΠ above the parallel probe threshold, so the scan
+   oracle partitions its probe at pool 4. *)
+let test_delta_query_matches_scan_workload () =
   let g =
     Workload.Reverb_sherlock.generate
       { Workload.Reverb_sherlock.default_config with scale = 0.004; seed = 3 }
@@ -881,14 +803,14 @@ let test_delta_terms_match_scan_workload () =
   let kb = Workload.Reverb_sherlock.kb g in
   ignore (Grounding.Ground.run kb);
   let pi = Kb.Gamma.pi kb in
-  let n = Kb.Storage.size pi in
-  check_bool "TΠ above the parallel threshold" true (n > 2048);
+  check_bool "TΠ above the parallel threshold" true (Kb.Storage.size pi > 2048);
   let st = Tutil.rng 5 in
   for _ = 1 to 4 do
-    let rows = List.init 8 (fun _ -> Random.State.int st n) in
-    let watermark = Random.State.int st (Kb.Storage.next_id pi + 1) in
-    check_bool "terms agree" true
-      (delta_terms_agree kb ~delta:(delta_of kb rows) ~watermark)
+    let from = Random.State.int st (Kb.Storage.next_id pi + 1) in
+    check_bool
+      (Printf.sprintf "delta query from %d agrees" from)
+      true
+      (delta_query_agrees kb ~from)
   done
 
 (* --- the SQL of Figure 3 --- *)
@@ -1009,9 +931,9 @@ let () =
         ] );
       ( "delta-probe",
         [
-          prop_delta_terms_match_scan;
+          prop_delta_query_matches_scan;
           Alcotest.test_case "workload KB, pools 1 and 4" `Quick
-            test_delta_terms_match_scan_workload;
+            test_delta_query_matches_scan_workload;
         ] );
       ( "figure-3-sql",
         [

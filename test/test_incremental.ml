@@ -86,6 +86,11 @@ let expand_dred kb =
   let result = Grounding.Ground.run kb in
   Dred.create kb result.Grounding.Ground.graph
 
+(* The ReVerb–Sherlock workload at scale 0.005. *)
+let workload () =
+  Workload.Reverb_sherlock.generate
+    { Workload.Reverb_sherlock.default_config with scale = 0.005; seed = 9 }
+
 (* --- worked example ---------------------------------------------------- *)
 
 let test_retract_worked_example () =
@@ -337,6 +342,79 @@ let test_duplicate_keys_in_batch () =
   let reference = rebuild kb (Gamma.rules kb) (base_facts kb) in
   check_same_state "duplicate keys" (Dred.kb st, Dred.graph st) reference
 
+(* An ingest's clause rows are Query 2's rows over the grown TΠ with a
+   body fact at or above the watermark, in Query 2's order: the rows a
+   rebuild's TΦ gains, as the batch grounding orders them.
+   [ingest_in_query2_order msg st batch] ingests [batch], checks that,
+   and returns how many clause rows the ingest appended. *)
+let ingest_in_query2_order msg st batch =
+  let kb = Dred.kb st in
+  let pi = Gamma.pi kb and graph = Dred.graph st in
+  let watermark = Storage.next_id pi and bound = Fgraph.bound graph in
+  ignore (Dred.ingest st batch);
+  let bits (i1, i2, i3, w) = (i1, i2, i3, Int64.bits_of_float w) in
+  let appended =
+    List.init (Fgraph.bound graph - bound) (fun k ->
+        bits (Fgraph.factor graph (bound + k)))
+    |> List.filter (fun (_, i2, i3, _) ->
+           i2 <> Fgraph.null || i3 <> Fgraph.null)
+  in
+  let expected = Fgraph.create () in
+  let p = Grounding.Queries.prepare (Gamma.partitions kb) in
+  List.iter
+    (fun pat ->
+      let rows = Grounding.Queries.derivations p pat pi in
+      ignore
+        (Grounding.Queries.resolve_heads
+           (Table.filter rows (fun r ->
+                Table.get rows r 5 >= watermark
+                || Table.get rows r 6 >= watermark))
+           pi expected))
+    Mln.Pattern.all;
+  let expected =
+    List.init (Fgraph.bound expected) (fun f -> bits (Fgraph.factor expected f))
+  in
+  check_bool msg true (appended = expected);
+  List.length appended
+
+(* Dense random KBs, where both body facts of a derivation are often
+   new, and the ReVerb–Sherlock KB. *)
+let test_ingest_appends_query2_order () =
+  let rows = ref 0 in
+  for seed = 1 to 30 do
+    let rng = Tutil.rng seed in
+    let kb, fact = Tutil.dense_kb rng in
+    let st = expand_dred kb in
+    for batch = 1 to 2 do
+      rows :=
+        !rows
+        + ingest_in_query2_order
+            (Printf.sprintf "dense KB %d, batch %d" seed batch)
+            st
+            (List.init
+               (1 + Random.State.int rng 4)
+               (fun _ ->
+                 let r, x, c1, y, c2 = fact () in
+                 (r, x, c1, y, c2, 0.5)))
+    done
+  done;
+  let g = workload () in
+  let st = expand_dred (Workload.Reverb_sherlock.kb g) in
+  let rng = Workload.Rng.create 11 in
+  for batch = 1 to 4 do
+    rows :=
+      !rows
+      + ingest_in_query2_order
+          (Printf.sprintf "workload KB, batch %d" batch)
+          st
+          (List.init 4 (fun _ ->
+               let r, x, c1, y, c2 =
+                 Workload.Reverb_sherlock.random_fact g rng
+               in
+               (r, x, c1, y, c2, 0.7)))
+  done;
+  check_bool "the ingests appended clause rows" true (!rows > 0)
+
 (* --- rule retraction --------------------------------------------------- *)
 
 let test_retract_rules () =
@@ -374,6 +452,93 @@ let test_extend_rules () =
   let ins = Dred.reexpand st in
   check_int "reexpand derives nothing" 0 ins.Dred.derived;
   check_int "reexpand adds no factors" 0 ins.Dred.new_factors
+
+(* --- rule epochs on a capped or externally grown store ---------------- *)
+
+(* A rule epoch runs the batch grounding over the whole store, so it
+   leaves the store as a rebuild would whatever the store held before:
+   a closure cut short, or facts that never went through an epoch. *)
+
+(* Rules p ← q and s ← p over one q fact: a closure capped at one
+   iteration derives p and leaves s, whose body is an old fact, for the
+   next epoch. *)
+let chain_kb () =
+  let kb = Gamma.create () in
+  ignore
+    (Kb.Loader.load_rules kb
+       [ "1.0 p(x:A, y:B) :- q(x, y)"; "0.5 s(x:A, y:B) :- p(x, y)" ]);
+  ignore
+    (Gamma.add_fact_by_name kb ~r:"q" ~x:"a" ~c1:"A" ~y:"b" ~c2:"B" ~w:0.9);
+  kb
+
+let workload_kb () = Workload.Reverb_sherlock.kb (workload ())
+
+let capped_dred kb =
+  let result =
+    Grounding.Ground.run
+      ~options:{ Grounding.Ground.default_options with max_iterations = 1 }
+      kb
+  in
+  check_bool "the capped closure stopped short" false
+    result.Grounding.Ground.converged;
+  Dred.create kb result.Grounding.Ground.graph
+
+let check_rebuilt msg st =
+  let kb = Dred.kb st in
+  check_same_state msg (kb, Dred.graph st)
+    (rebuild kb (Gamma.rules kb) (base_facts kb))
+
+let test_reexpand_capped () =
+  List.iter
+    (fun (name, kb) ->
+      let st = capped_dred kb in
+      let ins = Dred.reexpand st in
+      check_bool (name ^ ": reexpand derived facts") true
+        (ins.Dred.derived > 0);
+      check_rebuilt (name ^ ": reexpand after a capped closure") st)
+    [ ("chain", chain_kb ()); ("workload", workload_kb ()) ]
+
+let test_reexpand_external_facts () =
+  let chain = chain_kb () and g = workload () in
+  let rng = Workload.Rng.create 17 in
+  List.iter
+    (fun (name, kb, facts) ->
+      let st = expand_dred kb in
+      List.iter
+        (fun (r, x, c1, y, c2) ->
+          ignore (Gamma.add_fact kb ~r ~x ~c1 ~y ~c2 ~w:0.8))
+        facts;
+      ignore (Dred.reexpand st);
+      check_rebuilt (name ^ ": reexpand after facts stored behind it") st)
+    [
+      ( "chain",
+        chain,
+        [
+          ( Gamma.relation chain "q", Gamma.entity chain "c",
+            Gamma.cls chain "A", Gamma.entity chain "d", Gamma.cls chain "B" );
+        ] );
+      ( "workload",
+        Workload.Reverb_sherlock.kb g,
+        List.init 6 (fun _ -> Workload.Reverb_sherlock.random_fact g rng) );
+    ]
+
+(* The new rule derives a fresh relation from the body of the KB's
+   first rule. *)
+let test_extend_rules_capped () =
+  List.iter
+    (fun (name, kb) ->
+      let st = capped_dred kb in
+      let rule =
+        {
+          (List.hd (Gamma.rules kb)) with
+          Mln.Clause.head_rel = Gamma.relation kb "extra";
+          weight = 0.7;
+        }
+      in
+      let ins = Dred.extend_rules st [ rule ] in
+      check_bool (name ^ ": the new rule fired") true (ins.Dred.derived > 0);
+      check_rebuilt (name ^ ": extend_rules on a capped store") st)
+    [ ("chain", chain_kb ()); ("workload", workload_kb ()) ]
 
 (* --- randomized differentials ------------------------------------------ *)
 
@@ -861,18 +1026,21 @@ let test_session_constraints_via_dred () =
 (* A session pinned end to end: a fixed stream of ingest, retract and
    refresh epochs on the ReVerb-Sherlock KB at scale 0.005.  The stream
    retracts random base facts (real overdelete cones), ingests them back,
-   and ingests then retracts fresh random facts.  One run yields three
+   and ingests then retracts fresh random facts.  One run yields four
    digests:
    - the rows digest, epoch by epoch: TΠ rows in order (id, key, weight
      bits) and TΦ rows in order (ids, weight bits).  It was recorded
      before the delta joins switched from scanning TΠ to probing its
      maintained indexes (x86-64 Linux, glibc libm);
+   - the order-free digest, epoch by epoch: the same TΠ rows sorted by
+     id and the same TΦ rows sorted, so it pins what each epoch holds
+     whatever order it appended its factors in;
    - the marginal digest: every marginal's bits after each refresh;
    - the reply digest: each epoch's reply ([Report.epoch_to_json],
      [wall_seconds] stripped) and the [Snapshot.stats] of the frozen
      snapshot taken right after it — the [cone], [rederived],
      [retracted], [facts] and [factors] counts the rows cannot show.
-   The incremental layer must reproduce all three bit for bit at pool
+   The incremental layer must reproduce all four bit for bit at pool
    sizes 1 and 4. *)
 let session_digests () =
   let g =
@@ -897,6 +1065,7 @@ let session_digests () =
   let s = Probkb.Engine.session engine in
   let pi = Gamma.pi kb in
   let b = Buffer.create 4096 in
+  let sorted = Buffer.create 4096 in
   let marginals = Buffer.create 4096 in
   let replies = Buffer.create 4096 in
   let add_int b i = Buffer.add_int64_le b (Int64.of_int i) in
@@ -915,16 +1084,29 @@ let session_digests () =
          ss.Probkb.Snapshot.marginals_cached ss.Probkb.Snapshot.frozen)
   in
   let record_state () =
+    let facts = ref [] and factors = ref [] in
     Storage.iter
       (fun ~id ~r ~x ~c1 ~y ~c2 ~w ->
         List.iter (add_int b) [ id; r; x; c1; y; c2 ];
-        add_float b w)
+        add_float b w;
+        facts := (id, r, x, c1, y, c2, Int64.bits_of_float w) :: !facts)
       pi;
     Fgraph.iter
       (fun _ (i1, i2, i3, w) ->
         List.iter (add_int b) [ i1; i2; i3 ];
-        add_float b w)
-      (Probkb.Engine.Session.graph s)
+        add_float b w;
+        factors := (i1, i2, i3, Int64.bits_of_float w) :: !factors)
+      (Probkb.Engine.Session.graph s);
+    List.iter
+      (fun (id, r, x, c1, y, c2, w) ->
+        List.iter (add_int sorted) [ id; r; x; c1; y; c2 ];
+        Buffer.add_int64_le sorted w)
+      (List.sort compare !facts);
+    List.iter
+      (fun (i1, i2, i3, w) ->
+        List.iter (add_int sorted) [ i1; i2; i3 ];
+        Buffer.add_int64_le sorted w)
+      (List.sort compare !factors)
   in
   let epoch st =
     reply st;
@@ -974,17 +1156,27 @@ let session_digests () =
   done;
   refresh ();
   let hex b = Digest.to_hex (Digest.string (Buffer.contents b)) in
-  (hex b, hex marginals, hex replies)
+  (hex b, hex sorted, hex marginals, hex replies)
 
 (* Both digests were re-recorded when an ingest's delta query took the
    full query's order: every epoch holds the same fact keys and the same
    factors over them as before, but an ingest appends its derived facts
    in another order, which renumbers them and the sampler's variables.
    The marginal digest was first recorded when refreshes moved to the
-   hybrid dispatcher, which settles exact components exactly. *)
-let pinned_rows_digest = "cc5fe6cd2cfe504c2e1b6c8e25e0db93"
+   hybrid dispatcher, which settles exact components exactly.  The rows
+   digest was re-recorded once more (cc5fe6cd2cfe504c2e1b6c8e25e0db93 →
+   8836965a373dfa7f6a11008f3bfadddf) when an ingest's factors came from
+   the closure's own delta query: the same rows as before, each once,
+   but appended in Query 2's order rather than the q term's rows, then
+   the r term's.  Facts, factor multisets (the order-free digest) and
+   marginals did not move. *)
+let pinned_rows_digest = "8836965a373dfa7f6a11008f3bfadddf"
 
 let pinned_marginal_digest = "64f0042c348711b4165a3cf077ec6cef"
+
+(* Recorded before an ingest's factors came from the closure's own delta
+   query, which appends the same rows in another order. *)
+let pinned_order_free_digest = "3c43d2e832c6086a08915fd7a5209100"
 
 let at_pools f =
   List.iter
@@ -997,10 +1189,13 @@ let at_pools f =
 
 let test_session_digest_pinned () =
   at_pools (fun d ->
-      let rows, marginals, _ = session_digests () in
+      let rows, order_free, marginals, _ = session_digests () in
       Alcotest.(check string)
         (Printf.sprintf "rows digest at pool %d" d)
         pinned_rows_digest rows;
+      Alcotest.(check string)
+        (Printf.sprintf "order-free digest at pool %d" d)
+        pinned_order_free_digest order_free;
       Alcotest.(check string)
         (Printf.sprintf "marginal digest at pool %d" d)
         pinned_marginal_digest marginals)
@@ -1016,7 +1211,7 @@ let test_epoch_replies_pinned () =
       Alcotest.(check string)
         (Printf.sprintf "epoch reply digest at pool %d" d)
         pinned_reply_digest
-        (let _, _, replies = session_digests () in
+        (let _, _, _, replies = session_digests () in
          replies))
 
 (* An ingest epoch's joins cost O(Δ), not O(|TΠ|): with a trace on, one
@@ -1446,11 +1641,19 @@ let () =
           Alcotest.test_case "promotion" `Quick test_promotion;
           Alcotest.test_case "duplicate keys in one batch" `Quick
             test_duplicate_keys_in_batch;
+          Alcotest.test_case "an ingest appends Query 2's rows in its order"
+            `Quick test_ingest_appends_query2_order;
         ] );
       ( "rules",
         [
           Alcotest.test_case "retract rules" `Quick test_retract_rules;
           Alcotest.test_case "extend rules" `Quick test_extend_rules;
+          Alcotest.test_case "reexpand ≡ rebuild: a capped closure" `Quick
+            test_reexpand_capped;
+          Alcotest.test_case "reexpand ≡ rebuild: facts stored behind it"
+            `Quick test_reexpand_external_facts;
+          Alcotest.test_case "reexpand ≡ rebuild: extend_rules when capped"
+            `Quick test_extend_rules_capped;
         ] );
       ( "differential",
         [

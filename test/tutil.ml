@@ -106,3 +106,44 @@ let ground_bits kb graph trajectory =
         [ p.iteration; p.new_facts; p.total_facts; p.violations; p.removed ])
     trajectory;
   Buffer.contents b
+
+(* A dense random KB: two relations, mostly one class and four
+   entities, so J rows share their step-2 keys and TΠ keys repeat across
+   rules. *)
+let dense_kb st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let rel () = pick [| "p"; "q" |] and cls () = pick [| "C"; "C"; "C"; "D" |] in
+  let ent () = pick [| "a"; "b"; "c"; "d" |] in
+  let rule () =
+    let w = pick [| "0.5"; "1.25"; "-0.75"; "2" |] in
+    let h = rel () and q = rel () and r = rel () in
+    let c1 = cls () and c2 = cls () and c3 = cls () in
+    match Random.State.int st 5 with
+    | 0 -> Printf.sprintf "%s %s(x:%s, y:%s) :- %s(x, y)" w h c1 c2 q
+    | 1 ->
+      Printf.sprintf "%s %s(x:%s, y:%s) :- %s(z:%s, x), %s(z, y)" w h c1 c2 q
+        c3 r
+    | 2 ->
+      Printf.sprintf "%s %s(x:%s, y:%s) :- %s(x, z:%s), %s(z, y)" w h c1 c2 q
+        c3 r
+    | 3 ->
+      Printf.sprintf "%s %s(x:%s, y:%s) :- %s(z:%s, x), %s(y, z)" w h c1 c2 q
+        c3 r
+    | _ ->
+      Printf.sprintf "%s %s(x:%s, y:%s) :- %s(x, z:%s), %s(y, z)" w h c1 c2 q
+        c3 r
+  in
+  let kb = Kb.Gamma.create () in
+  ignore
+    (Kb.Loader.load_rules kb
+       (List.init (4 + Random.State.int st 8) (fun _ -> rule ())));
+  let fact () =
+    ( Kb.Gamma.relation kb (rel ()), Kb.Gamma.entity kb (ent ()),
+      Kb.Gamma.cls kb (cls ()), Kb.Gamma.entity kb (ent ()),
+      Kb.Gamma.cls kb (cls ()) )
+  in
+  for _ = 1 to 8 + Random.State.int st 12 do
+    let r, x, c1, y, c2 = fact () in
+    ignore (Kb.Gamma.add_fact kb ~r ~x ~c1 ~y ~c2 ~w:(Random.State.float st 1.))
+  done;
+  (kb, fact)
