@@ -43,9 +43,11 @@ type t = {
   n_marginals : int;
   solver : Inference.Hybrid.options;  (* neighbourhood dispatch *)
   trace : Obs.t;
-  fingerprint : int;
-      (* hash of [phi] taken at freeze time: a re-hash that differs is
-         proof a writer tore through state the snapshot references *)
+  fingerprint : int option;
+      (* under [Obs.debug], a hash of [phi] taken at freeze time: a
+         re-hash that differs is proof a writer tore through state the
+         snapshot references; [None] otherwise, since only that check
+         reads it *)
 }
 
 let sigmoid w = 1. /. (1. +. exp (-.w))
@@ -118,7 +120,7 @@ let freeze ?(epoch = 0) ?marginals
     n_marginals = Hashtbl.length m;
     solver;
     trace = obs;
-    fingerprint = fingerprint_of phi;
+    fingerprint = (if Obs.debug then Some (fingerprint_of phi) else None);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -187,7 +189,8 @@ let view t id =
       }
   else None
 
-let verify_integrity t = fingerprint_of t.phi = t.fingerprint
+let verify_integrity t =
+  match t.fingerprint with None -> true | Some h -> fingerprint_of t.phi = h
 
 (* ------------------------------------------------------------------ *)
 (* The solve path: local grounding walk → boundary clamp → compile →
@@ -197,7 +200,7 @@ let verify_integrity t = fingerprint_of t.phi = t.fingerprint
    here. *)
 
 let answer_by_id ?budget t id =
-  if Obs.debug && not (verify_integrity t) then
+  if not (verify_integrity t) then
     invalid_arg
       "Snapshot.query_local: torn read — frozen state mutated under the \
        snapshot";

@@ -20,10 +20,11 @@
     and [probkb query --local] (a freeze of [Engine.expand]'s graph) all
     answer through it.
 
-    Under [PROBKB_DEBUG] ({!Obs.debug}), every {!query_local} re-hashes
-    the copied factor table and compares against the fingerprint taken
-    at freeze time — a torn read (a writer mutating state a snapshot
-    still references) trips the check immediately. *)
+    Under [PROBKB_DEBUG] ({!Obs.debug}), a freeze hashes the copied
+    factor table, and every {!query_local} re-hashes it and compares —
+    a torn read (a writer mutating state a snapshot still references)
+    trips the check immediately.  Without the flag no hash is taken, so
+    a publish does not pay for it. *)
 
 (** A fact as seen through a snapshot (mirrors [Engine.Session.fact_view]). *)
 type view = {
@@ -111,6 +112,7 @@ val query_local :
 
 (** [verify_integrity t] re-hashes the snapshot's copied factor table
     against the fingerprint taken at freeze time; [true] means no writer
-    has torn through the snapshot's state.  Runs automatically per query
-    under [PROBKB_DEBUG]. *)
+    has torn through the snapshot's state.  The fingerprint is taken
+    only under [PROBKB_DEBUG]; without it there is nothing to compare
+    and the answer is [true].  Runs automatically per query. *)
 val verify_integrity : t -> bool

@@ -70,14 +70,8 @@ type compiled = {
   singleton : bool array;
   adj_off : int array;
   adj : int array;
-  slot_roles : int array;
-  slot_weights : float array;
 }
 
-let role_inert = 0
-let role_prior = 1
-let role_head = 2
-let role_body = 3
 let nvars c = Array.length c.var_ids
 
 let compile g =
@@ -151,36 +145,6 @@ let compile g =
         adj.(cursor.(v)) <- f;
         cursor.(v) <- cursor.(v) + 1)
   done;
-  (* The role-coded copy of [adj]: what flipping the slot's variable [v]
-     does to the factor, decided once here rather than by evaluating
-     [satisfied] with [v] true and false on every update. *)
-  let slot_roles = Array.make (3 * deg.(nv)) (-1) in
-  let slot_weights = Array.make deg.(nv) 0. in
-  let code k role x y w =
-    slot_roles.(3 * k) <- role;
-    slot_roles.((3 * k) + 1) <- x;
-    slot_roles.((3 * k) + 2) <- y;
-    slot_weights.(k) <- w
-  in
-  for v = 0 to nv - 1 do
-    for k = adj_off.(v) to adj_off.(v + 1) - 1 do
-      let f = adj.(k) in
-      let h = head.(f) and b1 = body1.(f) and b2 = body2.(f) in
-      if singleton.(f) then code k role_prior (-1) (-1) fweight.(f)
-      else if v <> h then begin
-        (* [v] is a body atom; [x] is the other one, if there is one. *)
-        let x = if v = b1 then b2 else b1 in
-        code k role_body (if x = v then -1 else x) h (-.fweight.(f))
-      end
-      else if v = b1 || v = b2 then code k role_inert (-1) (-1) 0.
-      else begin
-        (* A clause has at least one body atom; with one, it fills both
-           other-variable fields. *)
-        let x = if b1 >= 0 then b1 else b2 in
-        code k role_head x (if b2 >= 0 then b2 else x) fweight.(f)
-      end
-    done
-  done;
   {
     var_ids;
     var_of_id;
@@ -191,8 +155,6 @@ let compile g =
     singleton;
     adj_off;
     adj;
-    slot_roles;
-    slot_weights;
   }
 
 let permute c perm =
@@ -214,23 +176,13 @@ let permute c perm =
     (fun nv v ->
       adj_off.(nv + 1) <- adj_off.(nv) + c.adj_off.(v + 1) - c.adj_off.(v))
     perm;
-  let slots = Array.length c.adj in
-  let adj = Array.make slots 0
-  and slot_roles = Array.make (3 * slots) (-1)
-  and slot_weights = Array.make slots 0. in
+  let adj = Array.make (Array.length c.adj) 0 in
   (* Each variable's slots move as one block, in their original order,
      so a conditional sums the same terms in the same order. *)
   Array.iteri
     (fun nv v ->
-      let src = c.adj_off.(v) and dst = adj_off.(nv) in
-      for i = 0 to adj_off.(nv + 1) - dst - 1 do
-        let k = src + i and k' = dst + i in
-        adj.(k') <- c.adj.(k);
-        slot_roles.(3 * k') <- c.slot_roles.(3 * k);
-        slot_roles.((3 * k') + 1) <- remap c.slot_roles.((3 * k) + 1);
-        slot_roles.((3 * k') + 2) <- remap c.slot_roles.((3 * k) + 2);
-        slot_weights.(k') <- c.slot_weights.(k)
-      done)
+      Array.blit c.adj c.adj_off.(v) adj adj_off.(nv)
+        (adj_off.(nv + 1) - adj_off.(nv)))
     perm;
   {
     var_ids;
@@ -242,8 +194,6 @@ let permute c perm =
     singleton = Array.copy c.singleton;
     adj_off;
     adj;
-    slot_roles;
-    slot_weights;
   }
 
 let satisfied c f assignment =

@@ -93,42 +93,17 @@ type compiled = {
   fweight : float array;
   singleton : bool array;  (** true for prior factors *)
   adj_off : int array;  (** CSR offsets, length [nvars + 1] *)
-  adj : int array;  (** factor indexes, grouped by variable *)
-  slot_roles : int array;
-      (** the role-coded copy of [adj], three ints per slot [k]: at [3k]
-          the factor's role for the slot's variable, at [3k+1] and [3k+2]
-          its other variables (see the role constants below) *)
-  slot_weights : float array;
-      (** per slot: the factor's weight, negated for {!role_body} *)
+  adj : int array;
+      (** factor indexes, grouped by variable: variable [v]'s slots,
+          [adj_off.(v)] to [adj_off.(v + 1) - 1], list each factor that
+          mentions [v] once, in factor order *)
 }
 
-(** {2 Roles}
-
-    What flipping variable [v] from false to true does to the log-weight
-    of one factor [f] it appears in; [x] and [y] are the slot's other
-    variables.  The Gibbs conditional sums these terms over [v]'s slots
-    in slot order (Inference.Gibbs.log_odds). *)
-
-(** [v] is the head and also a body atom of [f]: the factor is satisfied
-    either way, so no term. *)
-val role_inert : int
-
-(** [f] is [v]'s singleton prior: always [+w]. *)
-val role_prior : int
-
-(** [v] is the head: [+w] iff [x] and [y] are true.  [x] and [y] are the
-    body atoms; a clause with one body atom stores it in both. *)
-val role_head : int
-
-(** [v] is a body atom: [-w] iff [x] is true or [-1] (no other body
-    atom), and the head [y] is false. *)
-val role_body : int
-
-(** [compile g] builds the dense view of the live factors, the
-    role-coded adjacency included.  Factors with non-finite weights are
-    excluded: NaN is the null weight (no weight at all), and ±inf is a
-    hard rule, which quality control enforces, not inference.  A fact
-    mentioned only by excluded factors is not a variable. *)
+(** [compile g] builds the dense view of the live factors.  Factors
+    with non-finite weights are excluded: NaN is the null weight (no
+    weight at all), and ±inf is a hard rule, which quality control
+    enforces, not inference.  A fact mentioned only by excluded factors
+    is not a variable. *)
 val compile : t -> compiled
 
 (** [nvars c] is the number of distinct variables. *)
@@ -137,9 +112,9 @@ val nvars : compiled -> int
 (** [permute c perm] is [c] with its variables renumbered: new variable
     [i] is old variable [perm.(i)].  Every variable-indexed field and
     every variable reference is rebuilt; factors keep their indexes, and
-    each variable keeps its slots in their original order, so
-    Inference.Gibbs.log_odds sums the same terms in the same order and
-    returns the same float.
+    each variable keeps its slots in their original order, so a
+    conditional summed over them (Inference.Gibbs.log_odds) adds the
+    same terms in the same order and returns the same float.
     @raise Invalid_argument if [perm] is not a permutation of
     [0 .. nvars c - 1]. *)
 val permute : compiled -> int array -> compiled

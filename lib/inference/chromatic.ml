@@ -89,7 +89,9 @@ let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
       perm.(next.(k)) <- v;
       next.(k) <- next.(k) + 1)
     colors;
-  let pc = Fgraph.permute c perm in
+  (* The chain's slots in mask form, over the permuted graph: built here,
+     once per run, since only the chain reads them. *)
+  let kernel = Gibbs.kernel (Fgraph.permute c perm) in
   (* The pairs in the permuted numbering, and how many estimation sweeps
      ended with both of a pair's variables true. *)
   let pos = Array.make n 0 in
@@ -108,10 +110,11 @@ let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
   let class_names = Array.init n_colors (Printf.sprintf "class %d") in
   (* The starting state is drawn from one single-threaded stream in
      ascending original variable order, so it — and hence the whole
-     chain — is a deterministic function of the seed at any pool size. *)
+     chain — is a deterministic function of the seed at any pool size.
+     The chain keeps it as the kernel's 0/1 [int] state. *)
   let init_rng = Random.State.make [| options.seed |] in
   let initial = Array.init n (fun _ -> Random.State.bool init_rng) in
-  let assignment = Array.map (fun v -> initial.(v)) perm in
+  let st = Gibbs.state n (fun v -> initial.(perm.(v))) in
   let acc = Array.make n 0. in
   let sweep_no = ref 0 in
   let sweep estimate =
@@ -157,9 +160,9 @@ let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
                     and prev = vw.Diagnostics.Online.v_prev
                     and cross = vw.Diagnostics.Online.v_cross in
                     for v = lo to hi - 1 do
-                      Gibbs.conditional pc assignment v out;
+                      Gibbs.conditional kernel st v out;
                       let p = out.value in
-                      assignment.(v) <- Random.State.float rng 1. < p;
+                      st.(v) <- Bool.to_int (Random.State.float rng 1. < p);
                       acc.(v) <- acc.(v) +. p;
                       let u = perm.(v) in
                       let d = p -. mean.(u) in
@@ -171,16 +174,16 @@ let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
                     done
                   | true, None ->
                     for v = lo to hi - 1 do
-                      Gibbs.conditional pc assignment v out;
+                      Gibbs.conditional kernel st v out;
                       let p = out.value in
-                      assignment.(v) <- Random.State.float rng 1. < p;
+                      st.(v) <- Bool.to_int (Random.State.float rng 1. < p);
                       acc.(v) <- acc.(v) +. p
                     done
                   | false, _ ->
                     for v = lo to hi - 1 do
-                      Gibbs.conditional pc assignment v out;
+                      Gibbs.conditional kernel st v out;
                       let p = out.value in
-                      assignment.(v) <- Random.State.float rng 1. < p
+                      st.(v) <- Bool.to_int (Random.State.float rng 1. < p)
                     done))
         done)
   in
@@ -221,8 +224,7 @@ let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
           Option.iter Diagnostics.Online.begin_sweep diag;
           sweep true;
           for k = 0 to Array.length both - 1 do
-            if assignment.(pair_a.(k)) && assignment.(pair_b.(k)) then
-              both.(k) <- both.(k) + 1
+            both.(k) <- both.(k) + (st.(pair_a.(k)) land st.(pair_b.(k)))
           done;
           est_sweeps := s;
           if s mod checkpoint = 0 || s = options.samples then begin

@@ -17,7 +17,10 @@
     contiguous range of variables, slots and accumulators.  Chunks keep
     their variables, order and RNG streams, the starting state is drawn
     in the original numbering, and every result is mapped back: the
-    layout changes no bit of the chain. *)
+    layout changes no bit of the chain.  Each run builds the mask slots
+    of its conditional kernel ({!Gibbs.kernel}) once, over that
+    renumbering, and keeps the chain's state as the kernel's 0/1 [int]
+    array. *)
 
 (** [color c] greedily colours the variable-interaction graph; two
     variables are adjacent when some factor mentions both.  Returns the

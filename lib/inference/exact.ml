@@ -19,9 +19,15 @@ let stored_max_vars = 16
 (* Enumerate one canonical component's 2^k worlds; P(X=1) per local
    variable.  World [w] sets local variable [v] iff bit [v] of [w] is
    set.  Factor [f] is satisfied unless its whole body [body.(f)] is
-   true and its head [head.(f)] false (a prior has an empty body), and
-   a world's log-weight adds the satisfied weights in canonical factor
-   order from 0, so it is the same float at any assembly. *)
+   true and its head [head.(f)] false (a prior has an empty body): that
+   is, iff [missing], the body bits the world lacks and the head bit it
+   has, is not 0.  A world's log-weight adds every factor's weight times
+   that 0/1 mask, in canonical factor order from [+0.], and a world's
+   mass goes to each variable times its bit, with no branch on the
+   world.  A masked-out term is [±0.] (weights are finite, masses not
+   negative), which leaves a sum that starts at [+0.] as it is, so each
+   sum is the float that adding only the unmasked terms gives, and the
+   same at any assembly. *)
 let enumerate ?(max_vars = max_vars) comp =
   let k = Decompose.nvars comp in
   if k > max_vars then
@@ -42,12 +48,12 @@ let enumerate ?(max_vars = max_vars) comp =
   let stored = k <= stored_max_vars in
   let sums = Array.create_float (if stored then worlds else 1) in
   let slot world = if stored then world else 0 in
+  let top = Sys.int_size - 1 in
   let eval world =
     let total = ref 0. in
     for f = 0 to Array.length weight - 1 do
-      let b = body.(f) in
-      if world land b <> b || world land head.(f) <> 0 then
-        total := !total +. weight.(f)
+      let missing = (body.(f) land lnot world) lor (head.(f) land world) in
+      total := !total +. (weight.(f) *. float_of_int ((-missing) lsr top))
     done;
     sums.(slot world) <- !total
   in
@@ -65,7 +71,7 @@ let enumerate ?(max_vars = max_vars) comp =
     let p = exp (sums.(slot world) -. max_e) in
     z := !z +. p;
     for v = 0 to k - 1 do
-      if (world lsr v) land 1 = 1 then mass.(v) <- mass.(v) +. p
+      mass.(v) <- mass.(v) +. (p *. float_of_int ((world lsr v) land 1))
     done
   done;
   let out = Array.make k 0. in

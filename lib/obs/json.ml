@@ -209,6 +209,9 @@ let non_finite_error cur token =
         \"NaN\", \"Infinity\" and \"-Infinity\")"
        token)
 
+(* JSON's number grammar: [-]? (0 | [1-9][0-9]* ) (. [0-9]+)?
+   ([eE] [+-]? [0-9]+)?.  Every lexeme it rejects ends in [Malformed]
+   here, so [float_of_string] only ever sees one it accepts. *)
 let parse_number cur =
   let start = cur.pos in
   let is_float = ref false in
@@ -217,14 +220,23 @@ let parse_number cur =
   (match peek cur with
   | Some 'I' -> non_finite_error cur "-Infinity"
   | _ -> ());
-  let rec digits () =
+  let rec more_digits () =
     match peek cur with
     | Some ('0' .. '9') ->
       advance ();
-      digits ()
+      more_digits ()
     | _ -> ()
   in
-  digits ();
+  let digits () =
+    match peek cur with
+    | Some ('0' .. '9') ->
+      advance ();
+      more_digits ()
+    | _ -> error cur "malformed number"
+  in
+  (match peek cur with
+  | Some '0' -> advance ()
+  | _ -> digits ());
   (match peek cur with
   | Some '.' ->
     is_float := true;
@@ -239,7 +251,6 @@ let parse_number cur =
     digits ()
   | _ -> ());
   let s = String.sub cur.src start (cur.pos - start) in
-  if s = "" || s = "-" then error cur "malformed number";
   if !is_float then Float (float_of_string s)
   else
     match int_of_string_opt s with

@@ -2,10 +2,10 @@
    ([Inference.Gibbs.log_odds] / [conditional]): the satisfied-flip
    definition.  For each factor of [v], evaluate [Fgraph.satisfied] with
    [v] set both ways; where the two differ, the factor's weight enters the
-   log-odds, signed by which setting satisfies it.  The kernel must
-   reproduce the conditional bit for bit.  Below it, the per-variable
-   chromatic sweep that the class-major sweep replaced, and the colouring
-   statistics. *)
+   log-odds, signed by which setting satisfies it.  The kernel's mask
+   slots must reproduce the conditional bit for bit.  Below it, the
+   per-variable chromatic sweep that the class-major sweep replaced, and
+   the colouring statistics. *)
 
 module Fgraph = Factor_graph.Fgraph
 
@@ -25,16 +25,20 @@ let conditional c assignment v =
   assignment.(v) <- prev;
   1. /. (1. +. exp (-. !delta))
 
-(* The chromatic sweep before its class-major layout: every colour class
-   is swept in place, [v = cls.(i)] in the original numbering, one
-   256-variable chunk after another, chunk [j] of class [k] drawing from
-   the stream [(seed, sweep, global chunk id)].  Online diagnostics, on
-   whenever an early stop is given, go through
-   [Diagnostics.Online.observe].  Pool-free: the chain does
-   not depend on the pool.  [Inference.Chromatic.marginals_info] must
-   reproduce its marginals and run info bit for bit. *)
+(* The chromatic sweep before its class-major layout and its mask
+   kernel: every colour class is swept in place, [v = cls.(i)] in the
+   original numbering, one 256-variable chunk after another, chunk [j]
+   of class [k] drawing from the stream [(seed, sweep, global chunk id)],
+   each update reading the satisfied-flip [conditional] over a bool
+   assignment.  Online diagnostics, on whenever an early stop is given,
+   go through [Diagnostics.Online.observe].  After each estimation sweep
+   it counts the [pairs] whose variables are both true.  Pool-free: the
+   chain does not depend on the pool.
+   [Inference.Chromatic.marginals_joints] must reproduce its marginals,
+   joints and run info bit for bit. *)
 let chromatic ?(options = Inference.Gibbs.default_options)
-    ?(checkpoint = Inference.Chromatic.default_checkpoint) ?early_stop c =
+    ?(checkpoint = Inference.Chromatic.default_checkpoint) ?early_stop
+    ?(pairs = [||]) c =
   let module Online = Inference.Diagnostics.Online in
   let chunk_size = 256 in
   let n = Fgraph.nvars c in
@@ -54,7 +58,7 @@ let chromatic ?(options = Inference.Gibbs.default_options)
   let init_rng = Random.State.make [| options.seed |] in
   let assignment = Array.init n (fun _ -> Random.State.bool init_rng) in
   let acc = Array.make n 0. in
-  let out = { Inference.Gibbs.value = 0. } in
+  let both = Array.make (Array.length pairs) 0 in
   let sweep_no = ref 0 in
   let sweep estimate =
     incr sweep_no;
@@ -69,8 +73,7 @@ let chromatic ?(options = Inference.Gibbs.default_options)
           incr chunk;
           for i = j * chunk_size to min len ((j + 1) * chunk_size) - 1 do
             let v = cls.(i) in
-            Inference.Gibbs.conditional c assignment v out;
-            let p = out.value in
+            let p = conditional c assignment v in
             assignment.(v) <- Random.State.float rng 1. < p;
             if estimate then begin
               acc.(v) <- acc.(v) +. p;
@@ -87,6 +90,10 @@ let chromatic ?(options = Inference.Gibbs.default_options)
   while !stopped = None && !sweeps_run < options.samples do
     Option.iter Online.begin_sweep diag;
     sweep true;
+    Array.iteri
+      (fun k (a, b) ->
+        if assignment.(a) && assignment.(b) then both.(k) <- both.(k) + 1)
+      pairs;
     incr sweeps_run;
     let s = !sweeps_run in
     match (early_stop, diag) with
@@ -96,7 +103,9 @@ let chromatic ?(options = Inference.Gibbs.default_options)
       stopped := Some s
     | _ -> ()
   done;
-  ( Array.map (fun a -> a /. float_of_int (max 1 !sweeps_run)) acc,
+  let share x = x /. float_of_int (max 1 !sweeps_run) in
+  ( Array.map share acc,
+    Array.map (fun k -> share (float_of_int k)) both,
     {
       Inference.Chromatic.sweeps_run = !sweeps_run;
       stopped_at_sweep = !stopped;

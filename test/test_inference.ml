@@ -294,18 +294,25 @@ let test_kernel_matches_oracle =
     arb_kernel_case
     (fun (factors, bits) ->
       let c = compile_graph (fun g -> List.iter (add_factor g) factors) in
-      let a = Array.init (Fgraph.nvars c) (fun v -> bits.(v)) in
+      let n = Fgraph.nvars c in
+      let kernel = Inference.Gibbs.kernel c in
+      let a = Array.init n (fun v -> bits.(v)) in
+      let st = Inference.Gibbs.state n (fun v -> a.(v)) in
       let out = { Inference.Gibbs.value = Float.nan } in
-      for v = 0 to Fgraph.nvars c - 1 do
-        let before = Array.copy a in
-        Inference.Gibbs.conditional c a v out;
-        if a <> before then QCheck.Test.fail_reportf "var %d: assignment written" v;
+      for v = 0 to n - 1 do
+        let before = Array.copy st in
+        Inference.Gibbs.conditional kernel st v out;
+        if st <> before then QCheck.Test.fail_reportf "var %d: state written" v;
         let expect = Gibbs_oracle.conditional c a v in
         if Int64.bits_of_float out.value <> Int64.bits_of_float expect then
           QCheck.Test.fail_reportf "var %d: conditional %h, oracle %h" v
             out.value expect
       done;
-      true)
+      (* The kernel reads its slots unchecked: a state without its two
+         constant cells is refused, not read past its end. *)
+      match Inference.Gibbs.log_odds kernel (Array.sub st 0 n) 0 with
+      | exception Invalid_argument _ -> true
+      | _ -> QCheck.Test.fail_reportf "a %d-cell state was read" n)
 
 let digest_marginals m =
   let b = Buffer.create (8 * Array.length m) in
@@ -315,7 +322,7 @@ let digest_marginals m =
 (* Marginals pinned end to end: digests of every marginal's bits on the
    ReVerb-Sherlock generator KB at scale 0.005 (3,812 variables; Hybrid
    samples 227 of them), recorded with the satisfied-flip conditional
-   ({!Gibbs_oracle}) on x86-64 Linux (glibc libm).  The role-coded kernel
+   ({!Gibbs_oracle}) on x86-64 Linux (glibc libm).  The mask-form kernel
    must reproduce them bit for bit, at pool sizes 1, 2 and 4.  The
    hybrid digest was re-recorded when the sampled route began to peel
    the residual down to its 2-core and sample only that (74 of the 227
@@ -368,14 +375,17 @@ let test_permute_keeps_log_odds =
       let pc = Fgraph.permute c perm in
       let a = Array.init n (fun v -> bits.(v)) in
       let pa = Array.map (fun v -> a.(v)) perm in
+      let k = Inference.Gibbs.kernel c and pk = Inference.Gibbs.kernel pc in
+      let st = Inference.Gibbs.state n (fun v -> a.(v))
+      and pst = Inference.Gibbs.state n (fun v -> pa.(v)) in
       Array.iteri
         (fun nv v ->
           let id = c.Fgraph.var_ids.(v) in
           if pc.Fgraph.var_ids.(nv) <> id
              || Hashtbl.find pc.Fgraph.var_of_id id <> nv
           then QCheck.Test.fail_reportf "var %d: id map not renumbered" v;
-          let x = Inference.Gibbs.log_odds c a v
-          and y = Inference.Gibbs.log_odds pc pa nv in
+          let x = Inference.Gibbs.log_odds k st v
+          and y = Inference.Gibbs.log_odds pk pst nv in
           if not (same_bits [| x |] [| y |]) then
             QCheck.Test.fail_reportf "var %d: log-odds %h, renumbered %h" v x y)
         perm;
@@ -390,8 +400,10 @@ let test_permute_keeps_log_odds =
    several 256-variable chunks, swept at pools 1, 2 and 4 with no
    diagnostics, with online diagnostics (an early stop that never
    fires), and with an early stop that fires at the second checkpoint:
-   marginals, sweep counts and the diagnostics report must equal the
-   per-variable sweep's, bit for bit. *)
+   marginals, pair joints, sweep counts and the diagnostics report must
+   equal the per-variable sweep's, bit for bit.  The pairs are each
+   clause's head and first body atom, and random pairs, a variable
+   paired with itself among them. *)
 let test_chromatic_matches_sweep_oracle () =
   let fires =
     { Inference.Diagnostics.Online.target_r_hat = infinity; min_ess = 0. }
@@ -404,10 +416,25 @@ let test_chromatic_matches_sweep_oracle () =
         (fun (seed, nvars) ->
           let c = random_graph seed nvars (nvars + (seed * 37 mod nvars)) in
           let options = { Inference.Gibbs.burn_in = 3; samples = 25; seed } in
+          let pairs =
+            let rng = Tutil.rng (seed + 1000) and n = Fgraph.nvars c in
+            let clauses = ref [] in
+            Array.iteri
+              (fun f h ->
+                let b = c.Fgraph.body1.(f) in
+                if b >= 0 && b <> h then clauses := (h, b) :: !clauses)
+              c.Fgraph.head;
+            Array.append
+              (Array.of_list (List.rev !clauses))
+              (Array.init 8 (fun i ->
+                   let a = Random.State.int rng n in
+                   (a, if i = 0 then a else Random.State.int rng n)))
+          in
           List.iter
             (fun (mode, early_stop) ->
-              let expect_m, expect =
-                Gibbs_oracle.chromatic ~options ~checkpoint:5 ?early_stop c
+              let expect_m, expect_j, expect =
+                Gibbs_oracle.chromatic ~options ~checkpoint:5 ?early_stop
+                  ~pairs c
               in
               if
                 mode = "early stop"
@@ -415,9 +442,9 @@ let test_chromatic_matches_sweep_oracle () =
               then Alcotest.failf "seed %d: the early stop never fired" seed;
               List.iter
                 (fun pool ->
-                  let m, info =
-                    Inference.Chromatic.marginals_info ~options ~pool
-                      ~checkpoint:5 ?early_stop c
+                  let m, j, info =
+                    Inference.Chromatic.marginals_joints ~options ~pool
+                      ~checkpoint:5 ?early_stop ~pairs c
                   in
                   let where =
                     Printf.sprintf "seed %d, %d vars, %s, pool %d" seed nvars
@@ -425,6 +452,8 @@ let test_chromatic_matches_sweep_oracle () =
                   in
                   Alcotest.(check bool) (where ^ ": marginals") true
                     (same_bits m expect_m);
+                  Alcotest.(check bool) (where ^ ": joints") true
+                    (same_bits j expect_j);
                   Alcotest.(check int) (where ^ ": sweeps run")
                     expect.Inference.Chromatic.sweeps_run
                     info.Inference.Chromatic.sweeps_run;

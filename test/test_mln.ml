@@ -215,6 +215,26 @@ let test_tuple_roundtrip_generated =
       let c' = Pattern.of_identifier_tuple p (Pattern.identifier_tuple p c) c.Clause.weight in
       Clause.equal c c')
 
+(* Byte-fuzz over the rule parser: random bytes and mutated valid rules
+   either parse or raise [Syntax_error], never another exception. *)
+let test_parse_byte_fuzz =
+  let valid =
+    List.map snd pattern_examples
+    @ [
+        "1.40 live_in(x:W, y:P) :- born_in(x, y)";
+        "-2.5e-1 located_in(x:P, y:C) :- live_in(z:W, x), live_in(z, y)";
+        "inf same_city(x:City, y:City) :- capital_of(x, z:Country), \
+         capital_of(y, z)";
+      ]
+  in
+  Tutil.qcheck_case ~count:5000 "rule parser byte-fuzz: a rule or Syntax_error"
+    (Tutil.arb_fuzzed ~alphabet:"():-,.: xyzeE0123456789inf" valid)
+    (fun line ->
+      match parse line with
+      | _ | (exception Parse.Syntax_error _) -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "mln"
     [
@@ -246,6 +266,7 @@ let () =
       ( "parse",
         [
           Alcotest.test_case "weights" `Quick test_parse_weights;
+          test_parse_byte_fuzz;
           Alcotest.test_case "scientific weights" `Quick
             test_parse_scientific_weights;
           Alcotest.test_case "class consistency" `Quick

@@ -119,6 +119,20 @@ let test_malformed_json () =
   check_bool "unterminated object rejected" true
     (Obs.Json.of_string_opt "{\"a\": " = None);
   check_bool "garbage rejected" true (Obs.Json.of_string_opt "nonsense" = None);
+  (* A number lexeme JSON's grammar rejects ends in [Malformed] as well,
+     never in [float_of_string]'s [Failure]. *)
+  List.iter
+    (fun n ->
+      check_bool (n ^ " rejected") true (Obs.Json.of_string_opt n = None))
+    [ "1e"; "1e+"; "1.4E"; "1."; "-"; "-e5"; "-.5"; "01"; "--1"; "1.e5" ];
+  List.iter
+    (fun (n, v) ->
+      check_bool (n ^ " accepted") true (Obs.Json.of_string_opt n = Some v))
+    Obs.Json.
+      [
+        ("0", Int 0); ("-0", Int 0); ("1e5", Float 1e5); ("1E+5", Float 1e5);
+        ("-1.5e-3", Float (-1.5e-3)); ("0.25", Float 0.25);
+      ];
   let raised =
     try
       ignore (Summary.of_json_string "[1, 2]");

@@ -456,8 +456,7 @@ let test_join_dedup_qcheck =
         Join.hash_join ~name:"d" ~cols:[| "va"; "vb" |] ~out
           ~oweight:Join.No_weight ~dedup:true (a, [| 0 |]) (b, [| 0 |])
       in
-      Tutil.rows_as_sorted_lists ded
-      = List.sort_uniq compare (Tutil.rows_as_sorted_lists raw))
+      Tutil.sorted_rows ded = Tutil.sorted_rows ~distinct:true raw)
 
 (* --- parallel partitioned probe --- *)
 

@@ -80,6 +80,17 @@ let test_codec_errors () =
     | Ok _ -> Alcotest.failf "accepted: %s" line
   in
   check_string "parse failure" "malformed JSON" (err "{");
+  List.iter
+    (fun line -> check_string line "malformed JSON" (err line))
+    [
+      {|{"op":"stats","x":1e}|};
+      {|{"op":"stats","x":1e+}|};
+      {|{"op":"stats","x":1.4E}|};
+      {|{"op":"stats","x":1.}|};
+      {|{"op":"stats","x":-}|};
+      {|{"op":"stats","x":-e5}|};
+      {|{"op":"stats","x":01}|};
+    ];
   check_string "no op member" "missing op" (err {|{"x":1}|});
   check_string "unknown op" "unknown op \"frobnicate\""
     (err {|{"op":"frobnicate"}|});
@@ -88,6 +99,33 @@ let test_codec_errors () =
     (err {|{"op":"retract_rules"}|});
   check_string "bad budget" "Local.budget: decay must be in (0, 1]"
     (err {|{"op":"query_local","key":["r","x","C","y","C"],"decay":0.0}|})
+
+(* Byte-fuzz over the request decoder: random bytes and mutated valid
+   request lines (every op, numbers in every JSON form) must each end in
+   [Ok] or [Error], never in an exception — one escaping the decoder
+   would end a session or drop a served connection without a reply. *)
+let test_codec_byte_fuzz =
+  let valid =
+    [
+      {|{"op":"ingest","facts":[["r","x","C1","y","C2",0.9],["s","a","C","b","C",-2.5E-1]]}|};
+      {|{"op":"retract","keys":[["r","x","C1","y","C2"]],"ban":true}|};
+      {|{"op":"retract_rules","head":"r"}|};
+      {|{"op":"add_rules","rules":["1.40 live_in(x:W, y:P) :- born_in(x, y)"]}|};
+      {|{"op":"reexpand"}|};
+      {|{"op":"refresh"}|};
+      {|{"op":"query","key":["r","x","C1","y","C2"]}|};
+      {|{"op":"query_local","key":["r","x","C","y","C"],"budget":64,"max_hops":3,"decay":0.8,"min_influence":1e-2}|};
+      {|{"op":"stats","x":[0,-0,1.5e+3,-12,null,false,"é"]}|};
+      {|{"op":"metrics"}|};
+    ]
+  in
+  Tutil.qcheck_case ~count:5000 "op decoder byte-fuzz: Ok or Error"
+    (Tutil.arb_fuzzed ~alphabet:{|{}[]":,.-+eE0123456789 \u|} valid)
+    (fun line ->
+      match Protocol.op_of_line line with
+      | Ok _ | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 let test_resolve_reads_never_intern () =
   let kb, _, _ = Tutil.ruth_gruber_kb () in
@@ -737,6 +775,41 @@ let test_server_bounds_request_lines () =
   check_int "the oversized line is counted as an error" 1
     (Obs.Summary.counter (Obs.Summary.of_trace obs) "serve.errors")
 
+(* A request line holding a number JSON's grammar rejects ([1e], an
+   exponent without digits) gets the malformed-JSON error reply, and the
+   next request on the same connection is answered. *)
+let test_server_answers_malformed_number () =
+  let kb, _, _ = Tutil.ruth_gruber_kb () in
+  let writer = Writer.of_session (Engine.session (no_infer_engine kb)) in
+  let srv =
+    Server.start ~pool:1 ~kb ~writer
+      ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+      ()
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+      Server.stop srv)
+    (fun () ->
+      Unix.connect fd (Server.sockaddr srv);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      let ic = Unix.in_channel_of_descr fd
+      and oc = Unix.out_channel_of_descr fd in
+      let ask line =
+        send oc line;
+        match input_line ic with
+        | reply -> Json.of_string_opt reply
+        | exception (End_of_file | Sys_error _ | Sys_blocked_io) -> None
+      in
+      check_bool "the malformed number gets the error reply" true
+        (ask {|{"op":"stats","x":1e}|}
+        = Some (Json.Obj [ ("error", Json.String "malformed JSON") ]));
+      check_bool "the next request on the connection is answered" true
+        (match ask {|{"op":"stats"}|} with
+        | Some doc -> Json.member "epoch" doc <> None
+        | None -> false))
+
 (* --- first reads in fresh processes ------------------------------------- *)
 
 (* Two clients send their first query_local at the same moment, each in
@@ -1201,6 +1274,7 @@ let () =
           Alcotest.test_case "ops round-trip the wire" `Quick
             test_codec_roundtrip;
           Alcotest.test_case "malformed input" `Quick test_codec_errors;
+          test_codec_byte_fuzz;
           Alcotest.test_case "read resolution never interns" `Quick
             test_resolve_reads_never_intern;
           Alcotest.test_case "session-mode step" `Quick
@@ -1230,6 +1304,8 @@ let () =
             test_server_survives_raising_request;
           Alcotest.test_case "an oversized request line is cut off" `Quick
             test_server_bounds_request_lines;
+          Alcotest.test_case "a malformed number is answered" `Quick
+            test_server_answers_malformed_number;
           Alcotest.test_case "first reads race in fresh processes" `Quick
             test_first_reads_race;
         ] );

@@ -35,13 +35,94 @@ let fact_strings kb =
     (Kb.Gamma.pi kb);
   List.sort compare !acc
 
-(* Multiset comparison of two tables' rows (ignoring order and weights). *)
+(* A table's rows as sorted int lists (ignoring weights), for checks
+   against a literal list. *)
 let rows_as_sorted_lists t =
   let rows = ref [] in
   Table.iter (fun r -> rows := Array.to_list (Table.row t r) :: !rows) t;
   List.sort compare !rows
 
-let table_rows_equal a b = rows_as_sorted_lists a = rows_as_sorted_lists b
+(* A table's rows, weights ignored, sorted lexicographically and laid
+   end to end in one int array; [~distinct:true] keeps one copy of each
+   row.  Tests compare join outputs of millions of rows over a few
+   small values, so when the columns' value ranges multiply to at most
+   [4n + 1024] each row becomes one mixed-radix key and a counting sort
+   over the keys orders them in O(n); other tables sort their row
+   indexes. *)
+let sorted_rows ?(distinct = false) t =
+  let k = Table.width t and n = Table.nrows t in
+  let rows = Array.make (k * n) 0 in
+  for r = 0 to n - 1 do
+    Table.blit_row t r rows (k * r)
+  done;
+  let out = Array.make (k * n) 0 and m = ref 0 in
+  let lo = Array.make k max_int and span = Array.make k 1 in
+  for c = 0 to k - 1 do
+    let hi = ref min_int in
+    for r = 0 to n - 1 do
+      let v = rows.((k * r) + c) in
+      if v < lo.(c) then lo.(c) <- v;
+      if v > !hi then hi := v
+    done;
+    if n > 0 then span.(c) <- !hi - lo.(c) + 1
+  done;
+  let limit = (4 * n) + 1024 in
+  let keys =
+    Array.fold_left
+      (fun acc s -> if s > 0 && acc <= limit / s then acc * s else limit + 1)
+      1 span
+  in
+  if keys <= limit then begin
+    let count = Array.make keys 0 in
+    for r = 0 to n - 1 do
+      let key = ref 0 in
+      for c = 0 to k - 1 do
+        key := (!key * span.(c)) + rows.((k * r) + c) - lo.(c)
+      done;
+      count.(!key) <- count.(!key) + 1
+    done;
+    Array.iteri
+      (fun key copies ->
+        if copies > 0 then begin
+          let first = k * !m and rest = ref key in
+          for c = k - 1 downto 0 do
+            out.(first + c) <- lo.(c) + (!rest mod span.(c));
+            rest := !rest / span.(c)
+          done;
+          let copies = if distinct then 1 else copies in
+          for i = 1 to copies - 1 do
+            for c = 0 to k - 1 do
+              out.(first + (k * i) + c) <- out.(first + c)
+            done
+          done;
+          m := !m + copies
+        end)
+      count
+  end
+  else begin
+    let rec cmp i j c =
+      if c = k then 0
+      else
+        match Int.compare rows.((k * i) + c) rows.((k * j) + c) with
+        | 0 -> cmp i j (c + 1)
+        | d -> d
+    in
+    let idx = Array.init n Fun.id in
+    Array.stable_sort (fun i j -> cmp i j 0) idx;
+    Array.iteri
+      (fun p i ->
+        if not (distinct && p > 0 && cmp idx.(p - 1) i 0 = 0) then begin
+          Array.blit rows (k * i) out (k * !m) k;
+          incr m
+        end)
+      idx
+  end;
+  if !m = n then out else Array.sub out 0 (k * !m)
+
+(* Multiset comparison of two tables' rows (ignoring order and
+   weights). *)
+let table_rows_equal a b =
+  Table.nrows a = Table.nrows b && sorted_rows a = sorted_rows b
 
 (* Deletes [path] and, for a directory, everything under it; a path
    already gone is skipped. *)
@@ -59,6 +140,35 @@ let rng seed = Random.State.make [| seed |]
 let qcheck_case ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
+
+(* Byte-fuzz inputs for a parser: up to 64 random bytes, or one of the
+   [valid] lines after one to four byte edits (overwrite, insert, delete
+   or truncate).  Each new byte is half the time drawn from [alphabet],
+   the characters the parser branches on. *)
+let arb_fuzzed ~alphabet valid =
+  let open QCheck.Gen in
+  let byte =
+    oneof
+      [ char; oneofl (List.init (String.length alphabet) (String.get alphabet)) ]
+  in
+  let edit s =
+    let n = String.length s in
+    let+ kind = int_bound 3 and+ pos = int_bound n and+ c = byte in
+    let before = String.sub s 0 pos
+    and from k = String.sub s (min n (pos + k)) (n - min n (pos + k)) in
+    match kind with
+    | 0 -> before ^ String.make 1 c ^ from 1
+    | 1 -> before ^ String.make 1 c ^ from 0
+    | 2 -> before ^ from 1
+    | _ -> before
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  let mutated =
+    let* s = oneofl valid and* k = int_range 1 4 in
+    edits k s
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (oneof [ string_size ~gen:byte (int_bound 64); mutated ])
 
 (* Deep copy of a knowledge base (shared dictionaries). *)
 let copy_gamma kb =
