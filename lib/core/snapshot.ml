@@ -232,6 +232,8 @@ let answer_by_id ?budget t id =
     Obs.observe t.trace "query_local.infer_seconds_dist" infer_seconds;
     Obs.observe t.trace "query_local.factors_dist"
       (float_of_int (Fgraph.size r.Local.graph));
+    Obs.observe t.trace "query_local.vars_dist"
+      (float_of_int (Fgraph.nvars c));
     {
       id;
       marginal;

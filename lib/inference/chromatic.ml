@@ -37,10 +37,10 @@ let verify_coloring c colors =
     c.Fgraph.fweight;
   !ok
 
-(* Fixed chunking of a colour class, independent of the pool size: the RNG
-   stream of a chunk is derived from (seed, sweep, global chunk id), so the
-   Markov chain — and hence the marginals — is bit-identical for any
-   PROBKB_DOMAINS. *)
+(* Fixed chunking of a colour class: the RNG stream of a chunk is derived
+   from (seed, sweep, global chunk id), and the chunking depends only on
+   the class sizes, so the Markov chain — and hence the marginals — is a
+   function of the graph and the seed alone. *)
 let chunk_size = 256
 
 type run_info = {
@@ -52,7 +52,7 @@ type run_info = {
 let default_checkpoint = 20
 
 let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
-    ?pool ?(checkpoint = default_checkpoint) ?early_stop ~pairs c =
+    ?(checkpoint = default_checkpoint) ?early_stop ~pairs c =
   if checkpoint < 1 then invalid_arg "Chromatic.marginals_info: checkpoint < 1";
   let n = Fgraph.nvars c in
   let t_start = if Obs.enabled obs then Obs.now () else 0. in
@@ -60,7 +60,6 @@ let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
   if Obs.debug && not (verify_coloring c colors) then
     invalid_arg "Chromatic.marginals_info: improper coloring";
   let n_colors = 1 + Array.fold_left max (-1) colors in
-  let pool = match pool with Some p -> p | None -> Pool.get_default () in
   (* Online diagnostics are on whenever an early-stop criterion needs
      them. *)
   let diag =
@@ -108,10 +107,10 @@ let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
     chunk_id0.(k) <- chunk_id0.(k - 1) + class_chunks (k - 1)
   done;
   let class_names = Array.init n_colors (Printf.sprintf "class %d") in
-  (* The starting state is drawn from one single-threaded stream in
-     ascending original variable order, so it — and hence the whole
-     chain — is a deterministic function of the seed at any pool size.
-     The chain keeps it as the kernel's 0/1 [int] state. *)
+  (* The starting state is drawn from one stream in ascending original
+     variable order, so it — and hence the whole chain — is a
+     deterministic function of the seed.  The chain keeps it as the
+     kernel's 0/1 [int] state. *)
   let init_rng = Random.State.make [| options.seed |] in
   let initial = Array.init n (fun _ -> Random.State.bool init_rng) in
   let st = Gibbs.state n (fun v -> initial.(perm.(v))) in
@@ -132,59 +131,62 @@ let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
        while still timing every class of every sweep. *)
     Obs.with_span obs "sweep" ~cat:"inference" (fun () ->
         for k = 0 to n_colors - 1 do
-          (* One parallel step: variables of a colour class share no
-             factor, so their conditionals are mutually independent —
-             neither the conditional of [v] nor its flip touches any
-             state another chunk of the same class reads.  Classes are
-             separated by the pool barrier. *)
+          (* Variables of a colour class share no factor, so their
+             conditionals are mutually independent: neither the
+             conditional of [v] nor its flip touches any state another
+             variable of the class reads, and the class could be swept
+             in any order, or in parallel.  It is swept here, on the
+             calling domain, chunk after chunk: a pool region per class
+             costs more than the largest class's sweep. *)
           Obs.with_span obs class_names.(k) ~cat:"inference" (fun () ->
               let base = class_off.(k) and last = class_off.(k + 1) in
-              Pool.parallel_for pool ~n:(class_chunks k) (fun j ->
-                  let lo = base + (j * chunk_size) in
-                  let hi = min last (lo + chunk_size) in
-                  let rng =
-                    Random.State.make [| options.seed; s; chunk_id0.(k) + j |]
-                  in
-                  let out = { Gibbs.value = 0. } in
-                  (* Three copies of the inner loop so the estimate and
-                     diagnostics tests happen once per chunk, not once
-                     per variable, and the Welford + lag-1 update is
-                     inlined through the view rather than paying a
-                     cross-module call per variable.  Diagnostics stay
-                     keyed by the original variable [perm.(v)]. *)
-                  match (estimate, dview) with
-                  | true, Some vw ->
-                    let mean = vw.Diagnostics.Online.v_mean
-                    and m2 = vw.Diagnostics.Online.v_m2
-                    and ic = vw.Diagnostics.Online.v_inv_count
-                    and prev = vw.Diagnostics.Online.v_prev
-                    and cross = vw.Diagnostics.Online.v_cross in
-                    for v = lo to hi - 1 do
-                      Gibbs.conditional kernel st v out;
-                      let p = out.value in
-                      st.(v) <- Bool.to_int (Random.State.float rng 1. < p);
-                      acc.(v) <- acc.(v) +. p;
-                      let u = perm.(v) in
-                      let d = p -. mean.(u) in
-                      let m = mean.(u) +. (d *. ic) in
-                      mean.(u) <- m;
-                      m2.(u) <- m2.(u) +. (d *. (p -. m));
-                      cross.(u) <- cross.(u) +. (p *. prev.(u));
-                      prev.(u) <- p
-                    done
-                  | true, None ->
-                    for v = lo to hi - 1 do
-                      Gibbs.conditional kernel st v out;
-                      let p = out.value in
-                      st.(v) <- Bool.to_int (Random.State.float rng 1. < p);
-                      acc.(v) <- acc.(v) +. p
-                    done
-                  | false, _ ->
-                    for v = lo to hi - 1 do
-                      Gibbs.conditional kernel st v out;
-                      let p = out.value in
-                      st.(v) <- Bool.to_int (Random.State.float rng 1. < p)
-                    done))
+              for j = 0 to class_chunks k - 1 do
+                let lo = base + (j * chunk_size) in
+                let hi = min last (lo + chunk_size) in
+                let rng =
+                  Random.State.make [| options.seed; s; chunk_id0.(k) + j |]
+                in
+                let out = { Gibbs.value = 0. } in
+                (* Three copies of the inner loop so the estimate and
+                   diagnostics tests happen once per chunk, not once
+                   per variable, and the Welford + lag-1 update is
+                   inlined through the view rather than paying a
+                   cross-module call per variable.  Diagnostics stay
+                   keyed by the original variable [perm.(v)]. *)
+                match (estimate, dview) with
+                | true, Some vw ->
+                  let mean = vw.Diagnostics.Online.v_mean
+                  and m2 = vw.Diagnostics.Online.v_m2
+                  and ic = vw.Diagnostics.Online.v_inv_count
+                  and prev = vw.Diagnostics.Online.v_prev
+                  and cross = vw.Diagnostics.Online.v_cross in
+                  for v = lo to hi - 1 do
+                    Gibbs.conditional kernel st v out;
+                    let p = out.value in
+                    st.(v) <- Bool.to_int (Random.State.float rng 1. < p);
+                    acc.(v) <- acc.(v) +. p;
+                    let u = perm.(v) in
+                    let d = p -. mean.(u) in
+                    let m = mean.(u) +. (d *. ic) in
+                    mean.(u) <- m;
+                    m2.(u) <- m2.(u) +. (d *. (p -. m));
+                    cross.(u) <- cross.(u) +. (p *. prev.(u));
+                    prev.(u) <- p
+                  done
+                | true, None ->
+                  for v = lo to hi - 1 do
+                    Gibbs.conditional kernel st v out;
+                    let p = out.value in
+                    st.(v) <- Bool.to_int (Random.State.float rng 1. < p);
+                    acc.(v) <- acc.(v) +. p
+                  done
+                | false, _ ->
+                  for v = lo to hi - 1 do
+                    Gibbs.conditional kernel st v out;
+                    let p = out.value in
+                    st.(v) <- Bool.to_int (Random.State.float rng 1. < p)
+                  done
+              done)
         done)
   in
   (* Checkpoint emission: volatile rates are computed only when a sink is
@@ -279,8 +281,8 @@ let marginals_joints ?(options = Gibbs.default_options) ?(obs = Obs.null)
       diag = diag_report;
     } )
 
-let marginals_info ?options ?obs ?pool ?checkpoint ?early_stop c =
+let marginals_info ?options ?obs ?checkpoint ?early_stop c =
   let marg, _, info =
-    marginals_joints ?options ?obs ?pool ?checkpoint ?early_stop ~pairs:[||] c
+    marginals_joints ?options ?obs ?checkpoint ?early_stop ~pairs:[||] c
   in
   (marg, info)

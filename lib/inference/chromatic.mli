@@ -1,16 +1,21 @@
-(** Chromatic ("parallel") Gibbs sampling.
+(** Chromatic Gibbs sampling.
 
     The parallel Gibbs sampler of Gonzalez et al. (AISTATS 2011) — the
     algorithm behind the GraphLab engine the paper hands its factor graphs
     to — colours the Markov blanket graph and updates each colour class
-    jointly: variables of one colour share no factor, so their conditionals
-    are mutually independent and are sampled in parallel — each colour
-    class is split into fixed-size chunks that the domain pool sweeps
-    concurrently, with a barrier between classes.  Every chunk draws from
-    its own RNG stream derived from [(seed, sweep, chunk id)] with a
-    chunking function that depends only on the class sizes, so the Markov
-    chain — and hence the marginals — is bit-identical for every
-    [PROBKB_DOMAINS] value.
+    jointly: variables of one colour share no factor, so their
+    conditionals are mutually independent and a class could be swept in
+    any order, or in parallel.  Each colour class is split into fixed
+    256-variable chunks, and every chunk draws from its own RNG stream
+    derived from [(seed, sweep, chunk id)], with a chunking that depends
+    only on the class sizes: the Markov chain — and hence the marginals —
+    is a function of the graph and the seed alone.
+
+    The chunks are swept on the calling domain, one after another.  On
+    the graphs this sampler runs on — the residual's 2-core, a few
+    thousand variables — a pool region per class per sweep cost more CPU
+    than it saved wall time (DESIGN.md §6b), and the streams need no pool
+    to stay bit-identical.
 
     The sweep runs over a class-major renumbering of the graph
     ({!Factor_graph.Fgraph.permute}), so each colour class is one
@@ -46,11 +51,10 @@ type run_info = {
     snapshot records). *)
 val default_checkpoint : int
 
-(** [marginals_info ?options ?obs ?pool ?checkpoint ?early_stop c]
-    estimates marginals with the chromatic schedule, sweeping each colour
-    class across [pool] (default {!Pool.get_default}).  Options are
-    shared with {!Gibbs.options}; results do not depend on the pool
-    size.  When [obs] (default {!Obs.null}) is enabled, sweeps emit an
+(** [marginals_info ?options ?obs ?checkpoint ?early_stop c] estimates
+    marginals with the chromatic schedule, sweeping every colour class on
+    the calling domain.  Options are shared with {!Gibbs.options}.  When
+    [obs] (default {!Obs.null}) is enabled, sweeps emit an
     aggregated [burn_in/sampling > sweep > class k] span tree plus
     [gibbs.*] counters and a samples-per-second gauge.  Beyond that:
 
@@ -65,19 +69,19 @@ val default_checkpoint : int
       full-length run.
 
     The starting state is drawn from the seed in ascending variable
-    order, so it is the same at any pool size.  Diagnostic values in the
-    returned {!run_info} and in snapshot [data] are bit-identical for
-    every pool size (the chain itself is). *)
+    order.  The chain, the diagnostic values in the returned {!run_info}
+    and in snapshot [data] are functions of the graph, the options and
+    [early_stop] alone: the same bits in every process, whatever its
+    [PROBKB_DOMAINS]. *)
 val marginals_info :
   ?options:Gibbs.options ->
   ?obs:Obs.t ->
-  ?pool:Pool.t ->
   ?checkpoint:int ->
   ?early_stop:Diagnostics.Online.criteria ->
   Factor_graph.Fgraph.compiled ->
   float array * run_info
 
-(** [marginals_joints ?options ?obs ?pool ?checkpoint ?early_stop ~pairs c]
+(** [marginals_joints ?options ?obs ?checkpoint ?early_stop ~pairs c]
     is {!marginals_info} plus, for each pair [(a, b)] of [pairs], the
     share of estimation sweeps after which both [a] and [b] were true:
     an estimate of P(a = 1, b = 1) from the chain's states, counted
@@ -86,7 +90,6 @@ val marginals_info :
 val marginals_joints :
   ?options:Gibbs.options ->
   ?obs:Obs.t ->
-  ?pool:Pool.t ->
   ?checkpoint:int ->
   ?early_stop:Diagnostics.Online.criteria ->
   pairs:(int * int) array ->

@@ -154,12 +154,12 @@ let components c =
   let p = partition c in
   Array.init (Array.length p.roots) (canonical c p)
 
-let max_size c =
-  (* Count variables per component without canonicalizing: every
-     variable is mentioned by at least one factor ([Fgraph.compile]
-     interns them from factors), so the partition alone gives the
-     sizes. *)
-  let p = partition c in
+(* Every variable is mentioned by at least one factor of its component
+   ([Fgraph.compile] interns them from factors), so the partition alone
+   gives the sizes. *)
+let sizes p =
   let sizes = Array.make (Array.length p.roots) 0 in
   Array.iter (fun i -> sizes.(i) <- sizes.(i) + 1) p.comp_of_var;
-  Array.fold_left max 0 sizes
+  sizes
+
+let max_size c = Array.fold_left max 0 (sizes (partition c))

@@ -55,6 +55,10 @@ type partition = {
     with no per-component sort. *)
 val partition : Factor_graph.Fgraph.compiled -> partition
 
+(** [sizes p] is the variable count of each component of [p], the
+    [nvars] of its canonical form, without canonicalizing. *)
+val sizes : partition -> int array
+
 (** [canonical c p i] is component [i] of [p] in canonical form. *)
 val canonical : Factor_graph.Fgraph.compiled -> partition -> int -> component
 

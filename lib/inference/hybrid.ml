@@ -25,6 +25,14 @@ let enum_cutoff = 16
 
 type solver = Enumerated | Eliminated | Sampled
 
+(* What the exact phase runs on a component this call solves: the
+   canonical form, and for elimination its order.  A sampled component
+   needs neither: the peel reads it straight from the graph. *)
+type plan =
+  | Enumerate of Decompose.component
+  | Eliminate of Decompose.component * int array
+  | Sample
+
 let solver_name = function
   | Enumerated -> "enumerated"
   | Eliminated -> "jtree"
@@ -104,10 +112,10 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
      facts are dirty), so it is that solve's component, and its
      canonical form, plan and exact answer are the same.  [cached.(i)] is
      the last solve's report of such a component; only the others are
-     canonicalized.  A sampled answer is never copied: it depends on the
-     whole residual subgraph, so the sampler runs on every solve that
-     has a sampled component, clean ones keeping their plan. *)
-  let p, old_of_var, cached, comps =
+     planned.  A sampled answer is never copied: it depends on the whole
+     residual subgraph, so the sampler runs on every solve that has a
+     sampled component, clean ones keeping their plan. *)
+  let p, old_of_var, cached, size =
     Obs.with_span obs "hybrid.decompose" ~cat:"inference" (fun () ->
         let p = Decompose.partition c in
         let nc = Array.length p.Decompose.roots in
@@ -140,16 +148,9 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
               p.Decompose.roots;
             old_of_var
         in
-        let comps =
-          Array.mapi
-            (fun i info ->
-              if Option.is_none info then Some (Decompose.canonical c p i)
-              else None)
-            cached
-        in
-        (p, old_of_var, cached, comps))
+        (p, old_of_var, cached, Decompose.sizes p))
   in
-  let nc = Array.length comps in
+  let nc = Array.length cached in
   (* Routing: components under the enumeration cutoff keep the canonical
      enumerator (bit-identical to [Exact.marginals] by construction);
      larger components go to variable elimination when their induced
@@ -161,35 +162,62 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
      to [Eliminated] even under a permissive [max_width] (an options
      record built directly can exceed [Config.make]'s bound) — those
      components degrade to the next solver instead of letting
-     [Jtree.solve] abort the run on its allocation guard. *)
+     [Jtree.solve] abort the run on its allocation guard.
+
+     The sampler's question is answered before any canonical form is
+     built: a component too big to enumerate that meets the graph's
+     (max_width + 1)-core has width over the bound along every order
+     ({!Triangulate.core}), which is what the capped fill-in would
+     report, so it is sampled with width [max_width + 1] and no
+     canonical form, MCS or fill-in.  Every other component is
+     canonicalized and triangulated. *)
   let plans =
     Obs.with_span obs "hybrid.plan" ~cat:"inference" (fun () ->
-        Array.map
-          (Option.map (fun comp ->
-               let tri = Triangulate.analyze ~cap:options.max_width comp in
-               let k = Decompose.nvars comp in
-               let solver =
-                 if k <= min options.exact_max_vars enum_cutoff then Enumerated
-                 else if
-                   tri.Triangulate.width <= options.max_width
-                   && tri.Triangulate.width < Jtree.max_clique_vars
-                 then Eliminated
-                 else if k <= options.exact_max_vars then Enumerated
-                 else Sampled
-               in
-               (comp, solver, tri)))
-          comps)
+        let sample = Array.make nc false in
+        let keep =
+          Array.map
+            (fun i ->
+              Option.is_none cached.(i) && size.(i) > options.exact_max_vars)
+            p.Decompose.comp_of_var
+        in
+        Array.iteri
+          (fun v inside ->
+            if inside then sample.(p.Decompose.comp_of_var.(v)) <- true)
+          (Triangulate.core c ~k:(options.max_width + 1) ~keep);
+        Array.mapi
+          (fun i cached ->
+            if Option.is_some cached then None
+            else if sample.(i) then Some (Sample, options.max_width + 1)
+            else
+              let comp = Decompose.canonical c p i in
+              if size.(i) <= min options.exact_max_vars enum_cutoff then
+                Some
+                  ( Enumerate comp,
+                    Triangulate.width_of ~cap:options.max_width comp )
+              else
+                let tri = Triangulate.analyze ~cap:options.max_width comp in
+                let width = tri.Triangulate.width in
+                if width <= options.max_width && width < Jtree.max_clique_vars
+                then Some (Eliminate (comp, tri.Triangulate.order), width)
+                else if size.(i) <= options.exact_max_vars then
+                  Some (Enumerate comp, width)
+                else Some (Sample, width))
+          cached)
   in
   let infos =
     Array.mapi
       (fun i -> function
         | None -> Option.get cached.(i)
-        | Some (comp, solver, tri) ->
+        | Some (plan, width) ->
           {
-            vars = Decompose.nvars comp;
-            factors = Decompose.nfactors comp;
-            width = tri.Triangulate.width;
-            solver;
+            vars = size.(i);
+            factors = Array.length p.Decompose.members.(i);
+            width;
+            solver =
+              (match plan with
+              | Enumerate _ -> Enumerated
+              | Eliminate _ -> Eliminated
+              | Sample -> Sampled);
             seconds = 0.;
           })
       plans
@@ -202,19 +230,22 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
     let t0 = Obs.now () in
     Obs.with_span obs "hybrid.exact" ~cat:"inference" (fun () ->
         Pool.parallel_for pool ~n:nc (fun i ->
-            match plans.(i) with
-            | None | Some (_, Sampled, _) -> ()
-            | Some (comp, solver, tri) ->
+            let timed solve =
               let t0 = Obs.now () in
-              (if solver = Enumerated then
-                 Exact.solve_component ~max_vars:options.exact_max_vars comp
-                   marg
-               else
-                 let local = Jtree.solve ~order:tri.Triangulate.order comp in
-                 Array.iteri
-                   (fun v p -> marg.(comp.Decompose.vars.(v)) <- p)
-                   local);
-              infos.(i) <- { (infos.(i)) with seconds = Obs.now () -. t0 }));
+              solve ();
+              infos.(i) <- { (infos.(i)) with seconds = Obs.now () -. t0 }
+            in
+            match plans.(i) with
+            | None | Some (Sample, _) -> ()
+            | Some (Enumerate comp, _) ->
+              timed (fun () ->
+                  Exact.solve_component ~max_vars:options.exact_max_vars comp
+                    marg)
+            | Some (Eliminate (comp, order), _) ->
+              timed (fun () ->
+                  Array.iteri
+                    (fun v p -> marg.(comp.Decompose.vars.(v)) <- p)
+                    (Jtree.solve ~order comp))));
     ((), Obs.now () -. t0)
   in
   (* Sampled phase: the subgraph of the high-treewidth components, peeled
@@ -250,7 +281,7 @@ let solve ?(options = default_options) ?(obs = Obs.null) ?pool ?checkpoint
             if Fgraph.nvars core = 0 then ([||], [||], None)
             else
               let core_marg, joints, info =
-                Chromatic.marginals_joints ~options:options.gibbs ~obs ~pool
+                Chromatic.marginals_joints ~options:options.gibbs ~obs
                   ?checkpoint ?early_stop ~pairs:(Peel.pairs peel) core
               in
               (core_marg, joints, Some info)

@@ -18,6 +18,13 @@
       marginals.  A component that peels away entirely is answered
       exactly, with no chain.
 
+    A component too big to enumerate that meets the graph's
+    [(max_width + 1)]-core ({!Triangulate.core}, O(slots)) is over the
+    bound along every elimination order, so it is sampled with width
+    [max_width + 1] and no canonical form, MCS order or fill-in.  Every
+    other component is canonicalized and triangulated, so every route,
+    order and bit is what the fill-in alone would give.
+
     Determinism: exact components are solved in parallel across the
     domain pool but each writes a disjoint slice of the result, and the
     residual is peeled in a fixed order, in the input graph's factor
@@ -57,7 +64,9 @@ type component_info = {
   factors : int;
   width : int;
       (** induced width estimate; [max_width + 1] means "over the
-          bound" (the fill-in simulation bails early) *)
+          bound": the fill-in simulation bailed early, or the component
+          met the graph's [(max_width + 1)]-core ({!Triangulate.core}),
+          which proves the same *)
   solver : solver;
   seconds : float;  (** exact-solve wall clock; 0 for sampled *)
 }
@@ -110,8 +119,10 @@ val memo_vars : memo -> int
 
 (** [solve ?options ?obs ?pool ?checkpoint ?early_stop ?memo c] is the
     marginal P(X = 1) per dense variable plus the dispatch report.
-    [checkpoint]/[early_stop] thread through to the chain over the
-    residual's core ({!Chromatic.marginals_joints}).
+    [pool] (default {!Pool.get_default}) solves the exact components;
+    the chain over the residual's core runs on the calling domain
+    ({!Chromatic.marginals_joints}), and [checkpoint]/[early_stop]
+    thread through to it.
 
     With [memo = (m, dirty)], [dirty] holds the fact ids of every factor
     row appended to or killed from the graph since the solve that filled

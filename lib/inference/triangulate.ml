@@ -1,3 +1,5 @@
+module Fgraph = Factor_graph.Fgraph
+
 type t = { order : int array; width : int }
 
 (* Variable-interaction adjacency of one canonical component: sets of
@@ -113,3 +115,59 @@ let analyze ?cap comp =
   end
 
 let width_of ?cap comp = (analyze ?cap comp).width
+
+(* Degeneracy peel (Matula & Beck): drop every variable with fewer than
+   [k] distinct live neighbours, and let each drop lower its neighbours'
+   counts, until none is left to drop; what stays is the k-core.  A
+   neighbour met through several factors counts once: [seen] stamps the
+   variables of one walk over a variable's slots.  Each variable's slots
+   are walked at most twice, once to count and once when it is dropped,
+   so the peel is O(slots). *)
+let core c ~k ~keep =
+  let n = Fgraph.nvars c in
+  if Array.length keep <> n then invalid_arg "Triangulate.core: keep size";
+  let inside = Array.copy keep and degree = Array.make n 0 in
+  let queue = Array.make n 0 and tail = ref 0 in
+  let drop v =
+    inside.(v) <- false;
+    queue.(!tail) <- v;
+    incr tail
+  in
+  let seen = Array.make n (-1) and stamp = ref (-1) in
+  (* [walk v ~peel] is the number of distinct kept neighbours of [v];
+     with [~peel], each of them still inside loses [v] as a neighbour. *)
+  let walk v ~peel =
+    incr stamp;
+    let count = ref 0 in
+    for s = c.Fgraph.adj_off.(v) to c.Fgraph.adj_off.(v + 1) - 1 do
+      let f = c.Fgraph.adj.(s) in
+      for j = 0 to 2 do
+        let u =
+          if j = 0 then c.Fgraph.head.(f)
+          else if j = 1 then c.Fgraph.body1.(f)
+          else c.Fgraph.body2.(f)
+        in
+        if u >= 0 && u <> v && keep.(u) && seen.(u) <> !stamp then begin
+          seen.(u) <- !stamp;
+          incr count;
+          if peel && inside.(u) then begin
+            degree.(u) <- degree.(u) - 1;
+            if degree.(u) < k then drop u
+          end
+        end
+      done
+    done;
+    !count
+  in
+  for v = 0 to n - 1 do
+    if keep.(v) then begin
+      degree.(v) <- walk v ~peel:false;
+      if degree.(v) < k then drop v
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    ignore (walk queue.(!head) ~peel:true);
+    incr head
+  done;
+  inside

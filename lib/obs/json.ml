@@ -172,11 +172,20 @@ let parse_string cur =
       | Some 'u' ->
         if cur.pos + 4 >= String.length cur.src then
           error cur "truncated \\u escape";
-        let hex = String.sub cur.src (cur.pos + 1) 4 in
-        let code =
-          try int_of_string ("0x" ^ hex)
-          with _ -> error cur "bad \\u escape"
-        in
+        (* Exactly four hex digits: [int_of_string] alone would also
+           take underscores and signs. *)
+        let code = ref 0 in
+        for i = cur.pos + 1 to cur.pos + 4 do
+          let d =
+            match cur.src.[i] with
+            | '0' .. '9' as c -> Char.code c - Char.code '0'
+            | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+            | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+            | _ -> error cur "bad \\u escape"
+          in
+          code := (!code lsl 4) lor d
+        done;
+        let code = !code in
         (* Encode the code point as UTF-8 (surrogate pairs are passed
            through as two separate 3-byte sequences, which is enough for
            telemetry labels). *)

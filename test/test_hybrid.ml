@@ -67,6 +67,67 @@ let test_width_cap_bails_early () =
   Alcotest.(check int) "uncapped is exact" 9
     (Inference.Triangulate.width_of comp)
 
+(* The k-core certificate on closed forms: a neighbour counts once
+   however many factors link it, a variable's own head-in-body clause
+   adds no neighbour, and the peel keeps exactly the variables with [k]
+   neighbours inside the core. *)
+let test_core_closed_forms () =
+  let core_size ?keep build k =
+    let c = compile_graph build in
+    let keep =
+      match keep with
+      | Some f -> Array.map f c.Fgraph.var_ids
+      | None -> Array.make (Fgraph.nvars c) true
+    in
+    Array.fold_left
+      (fun n inside -> if inside then n + 1 else n)
+      0
+      (Inference.Triangulate.core c ~k ~keep)
+  in
+  let clique n g =
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        Fgraph.add_clause g ~i1:i ~i2:j ~w:0.5 ()
+      done
+    done
+  in
+  Alcotest.(check int) "K5 is its own 4-core" 5 (core_size (clique 5) 4);
+  Alcotest.(check int) "K5 has no 5-core" 0 (core_size (clique 5) 5);
+  Alcotest.(check int) "k <= 0 keeps every variable" 5
+    (core_size (clique 5) 0);
+  let cycle g =
+    for i = 0 to 5 do
+      Fgraph.add_clause g ~i1:i ~i2:((i + 1) mod 6) ~w:0.5 ()
+    done;
+    (* a pendant path hangs off the cycle *)
+    Fgraph.add_clause g ~i1:6 ~i2:0 ~w:0.5 ();
+    Fgraph.add_clause g ~i1:7 ~i2:6 ~w:0.5 ()
+  in
+  Alcotest.(check int) "a cycle's 2-core drops its pendant path" 6
+    (core_size cycle 2);
+  Alcotest.(check int) "a cycle has no 3-core" 0 (core_size cycle 3);
+  (* Every link in three factors, one of them a clause whose head is
+     also a body atom: counted once per factor, every variable of the
+     path would have at least three neighbours. *)
+  let repeated_path g =
+    for i = 0 to 7 do
+      Fgraph.add_clause g ~i1:(i + 1) ~i2:i ~w:0.5 ();
+      Fgraph.add_clause g ~i1:i ~i2:(i + 1) ~w:0.5 ();
+      Fgraph.add_clause g ~i1:i ~i2:i ~i3:(i + 1) ~w:0.5 ()
+    done
+  in
+  Alcotest.(check int) "a path of repeated factors has no 2-core" 0
+    (core_size repeated_path 2);
+  (* A triangle clause links all three of its variables. *)
+  Alcotest.(check int) "a three-variable clause is a triangle" 3
+    (core_size (fun g -> Fgraph.add_clause g ~i1:0 ~i2:1 ~i3:2 ~w:0.5 ()) 2);
+  (* Variables outside [keep] are not neighbours: K5 less one vertex is
+     a K4, whose 4-core is empty. *)
+  Alcotest.(check int) "unkept variables are not neighbours" 0
+    (core_size ~keep:(fun id -> id <> 0) (clique 5) 4);
+  Alcotest.(check int) "unkept variables are never in the core" 4
+    (core_size ~keep:(fun id -> id <> 0) (clique 5) 3)
+
 (* --- junction tree vs enumeration --- *)
 
 (* Random tree-shaped component: var i > 0 hangs off a random earlier
@@ -774,6 +835,150 @@ let test_peeled_marginals_are_probabilities =
         marg;
       true)
 
+(* --- the route certificate --- *)
+
+(* Graphs of one to three parts: the peel group's small graphs (trees,
+   dense graphs, trees hung off a dense core; every clause shape,
+   duplicated factors), dense graphs of 26 to 32 variables (over the
+   default enumeration cap and the default width bound) and hub stars
+   (any number of leaves, degeneracy 1). *)
+type route_part = Small of peel_shape * int | Clique of int | Star of int
+
+let gen_route_case =
+  QCheck.Gen.(
+    pair small_nat
+      (list_size (int_range 1 3)
+         (frequency
+            [
+              ( 3,
+                map2
+                  (fun shape n -> Small (shape, n))
+                  (frequencyl [ (1, Tree); (1, Dense); (2, Mixed) ])
+                  (int_range 1 10) );
+              (1, map (fun n -> Clique n) (int_range 26 32));
+              (1, map (fun n -> Star n) (int_range 1 300));
+            ])))
+
+let print_route_case (seed, parts) =
+  Printf.sprintf "seed %d: %s" seed
+    (String.concat ", "
+       (List.map
+          (function
+            | Small (Tree, n) -> Printf.sprintf "Tree %d" n
+            | Small (Dense, n) -> Printf.sprintf "Dense %d" n
+            | Small (Mixed, n) -> Printf.sprintf "Mixed %d" n
+            | Clique n -> Printf.sprintf "Clique %d" n
+            | Star n -> Printf.sprintf "Star %d" n)
+          parts))
+
+(* The parts' factors in one graph, each part's fact ids shifted past
+   the previous parts'. *)
+let route_graph (seed, parts) =
+  let g = Fgraph.create () in
+  let offset = ref 0 in
+  List.iteri
+    (fun k part ->
+      let c =
+        match part with
+        | Small (shape, n) -> peel_graph (seed + k) shape n
+        | Clique n -> peel_graph (seed + k) Dense n
+        | Star n -> shape_graph (seed + k) (Hub n)
+      in
+      let id v = !offset + c.Fgraph.var_ids.(v) in
+      let opt v = if v < 0 then None else Some (id v) in
+      Array.iteri
+        (fun f h ->
+          let w = c.Fgraph.fweight.(f) in
+          if c.Fgraph.singleton.(f) then Fgraph.add_singleton g ~i:(id h) ~w
+          else
+            Fgraph.add_clause g ~i1:(id h) ?i2:(opt c.Fgraph.body1.(f))
+              ?i3:(opt c.Fgraph.body2.(f)) ~w ())
+        c.Fgraph.head;
+      offset := !offset + 1 + Array.fold_left max 0 c.Fgraph.var_ids)
+    parts;
+  Fgraph.compile g
+
+(* Options on both sides of every cutoff: the defaults, no enumeration
+   at the default bound, tight bounds that the small graphs' cores
+   cross, and a bound no component meets. *)
+let route_oracle_options =
+  let gibbs = { Inference.Gibbs.burn_in = 2; samples = 4; seed = 1 } in
+  [
+    { Inference.Hybrid.default_options with gibbs };
+    { Inference.Hybrid.exact_max_vars = 0; max_width = 12; gibbs };
+    { Inference.Hybrid.exact_max_vars = 0; max_width = 3; gibbs };
+    { Inference.Hybrid.exact_max_vars = 6; max_width = 1; gibbs };
+    { Inference.Hybrid.exact_max_vars = 0; max_width = -1; gibbs };
+  ]
+
+let solver_name = function
+  | Inference.Hybrid.Enumerated -> "enumerated"
+  | Eliminated -> "jtree"
+  | Sampled -> "sampled"
+
+(* [Hybrid.solve] decides a route from the k-core certificate before it
+   builds a canonical form.  Its per-component report must equal the
+   route of a solve that canonicalizes every component and runs the
+   capped MCS fill-in, and wherever the certificate fires, that fill-in
+   must report the cap's overflow. *)
+let test_route_oracle =
+  Tutil.qcheck_case ~count:200 "k-core route = canonical MCS route"
+    (QCheck.make ~print:print_route_case gen_route_case)
+    (fun case ->
+      let c = route_graph case in
+      let comps = Inference.Decompose.components c in
+      List.iter
+        (fun o ->
+          let cap = o.Inference.Hybrid.max_width in
+          let _, report = Inference.Hybrid.solve ~options:o c in
+          let core =
+            Inference.Triangulate.core c ~k:(cap + 1)
+              ~keep:(Array.make (Fgraph.nvars c) true)
+          in
+          let reported = report.Inference.Hybrid.components in
+          if Array.length reported <> Array.length comps then
+            QCheck.Test.fail_reportf "%d components reported, %d expected"
+              (Array.length reported) (Array.length comps);
+          Array.iteri
+            (fun i comp ->
+              let k = Inference.Decompose.nvars comp in
+              let width = Inference.Triangulate.width_of ~cap comp in
+              let solver =
+                if k <= min o.exact_max_vars Inference.Hybrid.enum_cutoff then
+                  Inference.Hybrid.Enumerated
+                else if width <= cap && width < Inference.Jtree.max_clique_vars
+                then Inference.Hybrid.Eliminated
+                else if k <= o.exact_max_vars then Inference.Hybrid.Enumerated
+                else Inference.Hybrid.Sampled
+              in
+              let r = reported.(i) in
+              if
+                (r.Inference.Hybrid.vars, r.factors, r.width, r.solver)
+                <> (k, Inference.Decompose.nfactors comp, width, solver)
+              then
+                QCheck.Test.fail_reportf
+                  "cap %d, exact_max_vars %d, component %d (root %d): \
+                   reported (%d vars, %d factors, width %d, %s), oracle \
+                   (%d, %d, %d, %s)"
+                  cap o.exact_max_vars i comp.Inference.Decompose.root
+                  r.vars r.factors r.width
+                  (solver_name r.solver)
+                  k
+                  (Inference.Decompose.nfactors comp)
+                  width
+                  (solver_name solver);
+              if
+                Array.exists (fun v -> core.(v)) comp.Inference.Decompose.vars
+                && width <> cap + 1
+              then
+                QCheck.Test.fail_reportf
+                  "cap %d: component %d meets the %d-core, yet its capped \
+                   width is %d"
+                  cap i (cap + 1) width)
+            comps)
+        route_oracle_options;
+      true)
+
 (* --- front-end and config --- *)
 
 let test_marginal_hybrid_front_end () =
@@ -814,6 +1019,8 @@ let () =
           Alcotest.test_case "closed-form widths" `Quick
             test_width_closed_forms;
           Alcotest.test_case "cap bails early" `Quick test_width_cap_bails_early;
+          Alcotest.test_case "k-core closed forms" `Quick
+            test_core_closed_forms;
         ] );
       ( "jtree",
         [
@@ -844,6 +1051,7 @@ let () =
           Alcotest.test_case "neighbourhood dispatch" `Quick
             test_neighborhood_dispatch;
           test_extreme_weights;
+          test_route_oracle;
         ] );
       ("peel", [ test_peel_exact; test_peeled_marginals_are_probabilities ]);
       ( "front-end",

@@ -202,8 +202,10 @@ let test_verify_coloring () =
     (Inference.Chromatic.verify_coloring c (Array.make (Fgraph.nvars c) 0))
 
 let test_chromatic_pool_deterministic () =
-  (* A colour class bigger than the 256-slot RNG chunk, so a pool of 4
-     really splits it — marginals must still be bit-identical to pool 1. *)
+  (* A colour class bigger than the 256-variable RNG chunk, so it spans
+     several streams.  The chain takes no pool: it sweeps on the domain
+     that calls it, so a run on the main domain and one on a fresh domain
+     (where a server's point read runs it) must give the same bits. *)
   let c =
     compile_graph (fun g ->
         for i = 0 to 1999 do
@@ -214,17 +216,9 @@ let test_chromatic_pool_deterministic () =
         done)
   in
   let opts = { Inference.Gibbs.burn_in = 10; samples = 30; seed = 11 } in
-  let p1 = Pool.create 1 and p4 = Pool.create 4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown p1;
-      Pool.shutdown p4)
-    (fun () ->
-      let run pool =
-        fst (Inference.Chromatic.marginals_info ~options:opts ~pool c)
-      in
-      let a = run p1 and b = run p4 in
-      Alcotest.(check bool) "marginals bit-identical across pools" true (a = b))
+  let run () = fst (Inference.Chromatic.marginals_info ~options:opts c) in
+  let a = run () and b = Domain.join (Domain.spawn run) in
+  Alcotest.(check bool) "marginals bit-identical across domains" true (a = b)
 
 (* --- the conditional kernel against its satisfied-flip oracle --- *)
 
@@ -323,23 +317,21 @@ let digest_marginals m =
    ReVerb-Sherlock generator KB at scale 0.005 (3,812 variables; Hybrid
    samples 227 of them), recorded with the satisfied-flip conditional
    ({!Gibbs_oracle}) on x86-64 Linux (glibc libm).  The mask-form kernel
-   must reproduce them bit for bit, at pool sizes 1, 2 and 4.  The
+   must reproduce them bit for bit, the hybrid solve at pool sizes 1, 2
+   and 4 (the chain itself takes no pool).  The
    hybrid digest was re-recorded when the sampled route began to peel
    the residual down to its 2-core and sample only that (74 of the 227
    are peeled). *)
 let test_marginals_pinned () =
   let c = reverb_graph () in
+  Alcotest.(check string) "chromatic" "1481f2d9674b2e5224357d3626284782"
+    (digest_marginals (fst (Inference.Chromatic.marginals_info c)));
   List.iter
     (fun d ->
       let pool = Pool.create d in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown pool)
         (fun () ->
-          Alcotest.(check string)
-            (Printf.sprintf "chromatic, pool %d" d)
-            "1481f2d9674b2e5224357d3626284782"
-            (digest_marginals
-               (fst (Inference.Chromatic.marginals_info ~pool c)));
           Alcotest.(check string)
             (Printf.sprintf "hybrid, pool %d" d)
             "1c052592e67fe4bc082ae093efa6f5f0"
@@ -397,92 +389,78 @@ let test_permute_keeps_log_odds =
       true)
 
 (* Random graphs up to 700 variables, so some colour classes span
-   several 256-variable chunks, swept at pools 1, 2 and 4 with no
-   diagnostics, with online diagnostics (an early stop that never
-   fires), and with an early stop that fires at the second checkpoint:
-   marginals, pair joints, sweep counts and the diagnostics report must
-   equal the per-variable sweep's, bit for bit.  The pairs are each
-   clause's head and first body atom, and random pairs, a variable
-   paired with itself among them. *)
+   several 256-variable chunks, swept with no diagnostics, with online
+   diagnostics (an early stop that never fires), and with an early stop
+   that fires at the second checkpoint: marginals, pair joints, sweep
+   counts and the diagnostics report must equal the per-variable
+   sweep's, bit for bit.  The pairs are each clause's head and first
+   body atom, and random pairs, a variable paired with itself among
+   them. *)
 let test_chromatic_matches_sweep_oracle () =
   let fires =
     { Inference.Diagnostics.Online.target_r_hat = infinity; min_ess = 0. }
   in
-  let pools = List.map Pool.create [ 1; 2; 4 ] in
-  Fun.protect
-    ~finally:(fun () -> List.iter Pool.shutdown pools)
-    (fun () ->
+  List.iter
+    (fun (seed, nvars) ->
+      let c = random_graph seed nvars (nvars + (seed * 37 mod nvars)) in
+      let options = { Inference.Gibbs.burn_in = 3; samples = 25; seed } in
+      let pairs =
+        let rng = Tutil.rng (seed + 1000) and n = Fgraph.nvars c in
+        let clauses = ref [] in
+        Array.iteri
+          (fun f h ->
+            let b = c.Fgraph.body1.(f) in
+            if b >= 0 && b <> h then clauses := (h, b) :: !clauses)
+          c.Fgraph.head;
+        Array.append
+          (Array.of_list (List.rev !clauses))
+          (Array.init 8 (fun i ->
+               let a = Random.State.int rng n in
+               (a, if i = 0 then a else Random.State.int rng n)))
+      in
       List.iter
-        (fun (seed, nvars) ->
-          let c = random_graph seed nvars (nvars + (seed * 37 mod nvars)) in
-          let options = { Inference.Gibbs.burn_in = 3; samples = 25; seed } in
-          let pairs =
-            let rng = Tutil.rng (seed + 1000) and n = Fgraph.nvars c in
-            let clauses = ref [] in
-            Array.iteri
-              (fun f h ->
-                let b = c.Fgraph.body1.(f) in
-                if b >= 0 && b <> h then clauses := (h, b) :: !clauses)
-              c.Fgraph.head;
-            Array.append
-              (Array.of_list (List.rev !clauses))
-              (Array.init 8 (fun i ->
-                   let a = Random.State.int rng n in
-                   (a, if i = 0 then a else Random.State.int rng n)))
+        (fun (mode, early_stop) ->
+          let expect_m, expect_j, expect =
+            Gibbs_oracle.chromatic ~options ~checkpoint:5 ?early_stop ~pairs c
           in
-          List.iter
-            (fun (mode, early_stop) ->
-              let expect_m, expect_j, expect =
-                Gibbs_oracle.chromatic ~options ~checkpoint:5 ?early_stop
-                  ~pairs c
-              in
-              if
-                mode = "early stop"
-                && expect.Inference.Chromatic.stopped_at_sweep = None
-              then Alcotest.failf "seed %d: the early stop never fired" seed;
-              List.iter
-                (fun pool ->
-                  let m, j, info =
-                    Inference.Chromatic.marginals_joints ~options ~pool
-                      ~checkpoint:5 ?early_stop ~pairs c
-                  in
-                  let where =
-                    Printf.sprintf "seed %d, %d vars, %s, pool %d" seed nvars
-                      mode (Pool.size pool)
-                  in
-                  Alcotest.(check bool) (where ^ ": marginals") true
-                    (same_bits m expect_m);
-                  Alcotest.(check bool) (where ^ ": joints") true
-                    (same_bits j expect_j);
-                  Alcotest.(check int) (where ^ ": sweeps run")
-                    expect.Inference.Chromatic.sweeps_run
-                    info.Inference.Chromatic.sweeps_run;
-                  Alcotest.(check (option int)) (where ^ ": stopped at")
-                    expect.Inference.Chromatic.stopped_at_sweep
-                    info.Inference.Chromatic.stopped_at_sweep;
-                  let open Inference.Diagnostics.Online in
-                  match
-                    ( expect.Inference.Chromatic.diag,
-                      info.Inference.Chromatic.diag )
-                  with
-                  | None, None -> ()
-                  | Some d, Some e ->
-                    Alcotest.(check int) (where ^ ": report sweeps") d.sweeps
-                      e.sweeps;
-                    Alcotest.(check bool) (where ^ ": report") true
-                      (same_bits d.r_hat e.r_hat && same_bits d.ess e.ess
-                      && same_bits
-                           [| d.max_r_hat; d.min_ess |]
-                           [| e.max_r_hat; e.min_ess |])
-                  | _ ->
-                    Alcotest.failf "%s: diagnostics on one side only" where)
-                pools)
-            [
-              ("plain", None);
-              ("online", Some never_stop);
-              ("early stop", Some fires);
-            ])
-        [ (1, 1); (2, 7); (3, 40); (4, 300); (5, 700); (6, 520); (7, 90) ])
+          if
+            mode = "early stop"
+            && expect.Inference.Chromatic.stopped_at_sweep = None
+          then Alcotest.failf "seed %d: the early stop never fired" seed;
+          let m, j, info =
+            Inference.Chromatic.marginals_joints ~options ~checkpoint:5
+              ?early_stop ~pairs c
+          in
+          let where = Printf.sprintf "seed %d, %d vars, %s" seed nvars mode in
+          Alcotest.(check bool) (where ^ ": marginals") true
+            (same_bits m expect_m);
+          Alcotest.(check bool) (where ^ ": joints") true
+            (same_bits j expect_j);
+          Alcotest.(check int) (where ^ ": sweeps run")
+            expect.Inference.Chromatic.sweeps_run
+            info.Inference.Chromatic.sweeps_run;
+          Alcotest.(check (option int)) (where ^ ": stopped at")
+            expect.Inference.Chromatic.stopped_at_sweep
+            info.Inference.Chromatic.stopped_at_sweep;
+          let open Inference.Diagnostics.Online in
+          match
+            (expect.Inference.Chromatic.diag, info.Inference.Chromatic.diag)
+          with
+          | None, None -> ()
+          | Some d, Some e ->
+            Alcotest.(check int) (where ^ ": report sweeps") d.sweeps e.sweeps;
+            Alcotest.(check bool) (where ^ ": report") true
+              (same_bits d.r_hat e.r_hat && same_bits d.ess e.ess
+              && same_bits
+                   [| d.max_r_hat; d.min_ess |]
+                   [| e.max_r_hat; e.min_ess |])
+          | _ -> Alcotest.failf "%s: diagnostics on one side only" where)
+        [
+          ("plain", None);
+          ("online", Some never_stop);
+          ("early stop", Some fires);
+        ])
+    [ (1, 1); (2, 7); (3, 40); (4, 300); (5, 700); (6, 520); (7, 90) ]
 
 (* Random components of 1-20 variables — both sides of the enumerator's
    16-variable stored-sum bound — held together by a random tree of
@@ -535,9 +513,8 @@ let test_chromatic_alloc_per_update () =
         done)
   in
   let options = { Inference.Gibbs.burn_in = 20; samples = 80; seed = 3 } in
-  let pool = Pool.create 1 in
   let w0 = Gc.minor_words () in
-  ignore (Inference.Chromatic.marginals_info ~options ~pool c);
+  ignore (Inference.Chromatic.marginals_info ~options c);
   let words = Gc.minor_words () -. w0 in
   let per_update = words /. float_of_int (100 * Fgraph.nvars c) in
   if per_update > 3. then
@@ -759,7 +736,9 @@ let test_online_early_stop () =
 
 let test_online_deterministic_across_pools () =
   (* Diagnostics accumulate per-variable state under the chromatic
-     schedule, so the report must be bit-identical for any pool size. *)
+     schedule; the chain sweeps on the domain that calls it, so the
+     report must be the same bits on the main domain and on a fresh
+     one. *)
   let c =
     compile_graph (fun g ->
         for i = 0 to 999 do
@@ -770,24 +749,17 @@ let test_online_deterministic_across_pools () =
         done)
   in
   let opts = { Inference.Gibbs.burn_in = 10; samples = 60; seed = 11 } in
-  let p1 = Pool.create 1 and p4 = Pool.create 4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown p1;
-      Pool.shutdown p4)
-    (fun () ->
-      let run pool =
-        Inference.Chromatic.marginals_info ~options:opts ~pool ~early_stop:never_stop c
-      in
-      let m1, i1 = run p1 and m4, i4 = run p4 in
-      Alcotest.(check bool) "marginals identical" true (m1 = m4);
-      match (i1.Inference.Chromatic.diag, i4.Inference.Chromatic.diag) with
-      | Some d1, Some d4 ->
-        let open Inference.Diagnostics.Online in
-        Alcotest.(check bool) "R-hat bit-identical" true
-          (d1.r_hat = d4.r_hat);
-        Alcotest.(check bool) "ESS bit-identical" true (d1.ess = d4.ess)
-      | _ -> Alcotest.fail "missing online report")
+  let run () =
+    Inference.Chromatic.marginals_info ~options:opts ~early_stop:never_stop c
+  in
+  let m1, i1 = run () and m2, i2 = Domain.join (Domain.spawn run) in
+  Alcotest.(check bool) "marginals identical" true (m1 = m2);
+  match (i1.Inference.Chromatic.diag, i2.Inference.Chromatic.diag) with
+  | Some d1, Some d2 ->
+    let open Inference.Diagnostics.Online in
+    Alcotest.(check bool) "R-hat bit-identical" true (d1.r_hat = d2.r_hat);
+    Alcotest.(check bool) "ESS bit-identical" true (d1.ess = d2.ess)
+  | _ -> Alcotest.fail "missing online report"
 
 let test_online_never_stops_on_short_chain () =
   (* Fewer sweeps than two checkpoint windows: R̂ is incomputable (NaN),

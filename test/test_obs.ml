@@ -133,6 +133,22 @@ let test_malformed_json () =
         ("0", Int 0); ("-0", Int 0); ("1e5", Float 1e5); ("1E+5", Float 1e5);
         ("-1.5e-3", Float (-1.5e-3)); ("0.25", Float 0.25);
       ];
+  (* A \u escape is exactly four hex digits. *)
+  List.iter
+    (fun s ->
+      check_bool (s ^ " rejected") true (Obs.Json.of_string_opt s = None))
+    [
+      {|"\u1_23"|}; {|"\u_123"|}; {|"\u+123"|}; {|"\u-123"|}; {|"\u12g4"|};
+      {|"\u12"|};
+    ];
+  List.iter
+    (fun (s, v) ->
+      check_bool (s ^ " accepted") true
+        (Obs.Json.of_string_opt s = Some (Obs.Json.String v)))
+    [
+      ({|"\u0041"|}, "A"); ({|"\u00e9"|}, "\xc3\xa9");
+      ({|"\uABCD"|}, "\xea\xaf\x8d");
+    ];
   let raised =
     try
       ignore (Summary.of_json_string "[1, 2]");

@@ -256,6 +256,54 @@ let test_snapshot_immutable_across_epochs () =
   check_bool "old snapshot still verifies after the commit" true
     (Snapshot.verify_integrity snap0)
 
+(* An unbudgeted read walks and solves its fact's whole component: a
+   fact of a sampled component's 2-core costs the core's chain.  The read
+   records the compiled neighbourhood's variable count as the
+   [query_local.vars_dist] histogram, the figure that names that cost. *)
+let test_query_local_vars_dist () =
+  let kb, _, _ = Tutil.ruth_gruber_kb () in
+  let graph = (Engine.expand (no_infer_engine kb)).Engine.graph in
+  let obs = Obs.create ~config:Obs.Config.enabled () in
+  let solver =
+    {
+      Inference.Hybrid.exact_max_vars = 2;
+      max_width = 1;
+      gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 3 };
+    }
+  in
+  let snap = Snapshot.freeze ~solver ~obs ~pi:(Gamma.pi kb) ~graph () in
+  let r, x, c1, y, c2 =
+    key_ids kb ("located_in", "Brooklyn", "P", "New York City", "C")
+  in
+  let id = Option.get (Snapshot.find snap ~r ~x ~c1 ~y ~c2) in
+  (* The fact's component, and the 2-core the sampler runs on. *)
+  let c = Factor_graph.Fgraph.compile graph in
+  let p = Inference.Decompose.partition c in
+  let comp = p.comp_of_var.(Hashtbl.find c.var_of_id id) in
+  let vars =
+    Array.fold_left
+      (fun n i -> if i = comp then n + 1 else n)
+      0 p.comp_of_var
+  in
+  let core = Inference.Peel.core (Inference.Peel.run c) in
+  check_bool "the fact is in the 2-core" true
+    (Hashtbl.mem core.Factor_graph.Fgraph.var_of_id id);
+  let a = Option.get (Snapshot.query_local snap ~r ~x ~c1 ~y ~c2) in
+  check_bool "sampled" false a.Snapshot.enumerated;
+  check_bool "not truncated" false a.Snapshot.truncated;
+  match
+    Obs.Summary.hist (Obs.Summary.of_trace obs) "query_local.vars_dist"
+  with
+  | Some h ->
+    (* One read: its sample is the histogram's maximum. *)
+    check_int "one sample" 1 (Obs.Hist.count h);
+    Alcotest.(check (float 0.)) "the neighbourhood's variable count"
+      (float_of_int vars) (Obs.Hist.sum h);
+    check_bool "the top bucket holds it" true
+      (let m = Obs.Hist.max_value h in
+       float_of_int vars <= m && m < float_of_int (2 * vars))
+  | None -> Alcotest.fail "no query_local.vars_dist histogram"
+
 (* --- frozen snapshot = the old freeze ------------------------------------ *)
 
 (* A frozen snapshot copies TΠ's and TΦ's arrays and builds a CSR
@@ -1290,6 +1338,8 @@ let () =
             test_view_after_run;
           Alcotest.test_case "engine sees session rule edits" `Quick
             test_engine_sees_session_rule_edits;
+          Alcotest.test_case "an unbudgeted read records its variables"
+            `Quick test_query_local_vars_dist;
         ] );
       ( "concurrency",
         [

@@ -309,6 +309,79 @@ let prop_manifest_fuzz =
           | read -> tables_identical t read
           | exception Store.Corrupt _ -> true))
 
+(* Any 1–3-byte edit inside the header of one of a store's spilled
+   segments — a byte replaced, inserted or deleted — raises
+   [Segment.Corrupt] from [Segment.openf] or opens a segment that reads
+   exactly the rows written there; no other exception escapes.  Edits
+   land in the header as it stands after the previous edits. *)
+let prop_segment_header_fuzz =
+  Tutil.qcheck_case ~count:400 "segment header byte-fuzz: Corrupt or the rows"
+    QCheck.(
+      pair small_nat
+        (list_of_size (Gen.int_range 1 3) (triple small_nat int char)))
+    (fun (seed, edits) ->
+      with_tmpdir (fun dir ->
+          let rng = Tutil.rng (seed + 1) in
+          let weighted = Random.State.bool rng in
+          let t =
+            random_table ~weighted rng 200 (1 + Random.State.int rng 3)
+          in
+          ignore (Store.spill ~segment_rows:64 ~dir t);
+          let segs =
+            List.sort compare
+              (List.filter
+                 (String.starts_with ~prefix:"seg-")
+                 (Array.to_list (Sys.readdir dir)))
+          in
+          let path =
+            Filename.concat dir (List.nth segs (seed mod List.length segs))
+          in
+          let s = Segment.openf path in
+          let first = Segment.first_row s and rows = Segment.rows s in
+          let hlen = 72 + (64 * Table.width t) in
+          let text, _ =
+            List.fold_left
+              (fun (text, hlen) (op, pos, c) ->
+                let n = String.length text in
+                match op mod 3 with
+                | 0 ->
+                  let at = abs pos mod hlen in
+                  (String.mapi (fun i x -> if i = at then c else x) text, hlen)
+                | 1 ->
+                  let at = abs pos mod (hlen + 1) in
+                  ( String.sub text 0 at ^ String.make 1 c
+                    ^ String.sub text at (n - at),
+                    hlen + 1 )
+                | _ ->
+                  let at = abs pos mod hlen in
+                  ( String.sub text 0 at
+                    ^ String.sub text (at + 1) (n - at - 1),
+                    hlen - 1 ))
+              (read_file path, hlen) edits
+          in
+          write_file path text;
+          match Segment.openf path with
+          | s ->
+            Segment.first_row s = first
+            && Segment.rows s = rows
+            && Segment.width s = Table.width t
+            && Segment.weighted s = weighted
+            &&
+            let ok = ref true in
+            for r = 0 to rows - 1 do
+              for c = 0 to Table.width t - 1 do
+                if Segment.get s r c <> Table.get t (first + r) c then
+                  ok := false
+              done;
+              if
+                weighted
+                && compare (Segment.weight s r) (Table.weight t (first + r))
+                   <> 0
+              then ok := false
+            done;
+            !ok
+          | exception Segment.Corrupt _ -> true))
+
 (* --- segmented scans through the plan executor --- *)
 
 let with_pools f =
@@ -598,6 +671,7 @@ let () =
           Alcotest.test_case "segments out of order" `Quick
             test_store_segments_out_of_order;
           prop_manifest_fuzz;
+          prop_segment_header_fuzz;
         ] );
       ( "plan",
         [
