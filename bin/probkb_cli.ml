@@ -996,7 +996,7 @@ let query_run facts rules constraints sc theta iterations samples max_width
           Probkb.Snapshot.freeze
             ~solver:(Probkb.Config.solver (Probkb.Engine.config engine))
             ~obs:(Probkb.Engine.trace engine) ~pi:(Kb.Gamma.pi kb)
-            ~graph:e.Probkb.Engine.graph ()
+            ~lineage:(Factor_graph.Lineage.build e.Probkb.Engine.graph) ()
         in
         let budget =
           match (budget, max_hops, decay, min_influence) with

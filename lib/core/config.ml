@@ -111,5 +111,3 @@ let early_stop_criteria c =
           Option.value tr ~default:Float.infinity;
         min_ess = Option.value me ~default:0.;
       }
-
-let domains = Pool.env_domains

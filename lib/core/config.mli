@@ -137,8 +137,3 @@ val with_early_stop : ?target_r_hat:float -> ?min_ess:float -> t -> t
     set ([None] otherwise); an unset knob defaults to always-satisfied. *)
 val early_stop_criteria :
   t -> Inference.Diagnostics.Online.criteria option
-
-(** [domains ()] is the size of the shared-memory execution pool, read
-    from the [PROBKB_DOMAINS] environment variable (default 1 — fully
-    sequential, no domains spawned).  See {!Pool}. *)
-val domains : unit -> int

@@ -368,34 +368,6 @@ module Session = struct
       Obs.observe s.engine.trace "refresh.seconds" st.wall_seconds;
       Some st
 
-  type fact_view = {
-    id : int;
-    base : bool;  (** carries extraction (singleton) support *)
-    weight : float;  (** extraction confidence; null for inferred facts *)
-    marginal : float option;  (** estimate from the last refresh, if any *)
-  }
-
-  let query s ~r ~x ~c1 ~y ~c2 =
-    let pi = Gamma.pi s.engine.kb in
-    match Storage.find pi ~r ~x ~c1 ~y ~c2 with
-    | None -> None
-    | Some id ->
-      let weight =
-        match Storage.row_of_id pi id with
-        | Some row -> Table.weight (Storage.table pi) row
-        | None -> Table.null_weight
-      in
-      Some
-        {
-          id;
-          base =
-            Incremental.Provenance.is_base
-              (Incremental.Dred.provenance s.dred)
-              id;
-          weight;
-          marginal = Hashtbl.find_opt s.marginals id;
-        }
-
   let marginal s id = Hashtbl.find_opt s.marginals id
 
   (* The session's frozen snapshot: everything the read path needs,
@@ -408,7 +380,8 @@ module Session = struct
       let v =
         Snapshot.freeze ~epoch:s.epoch ~marginals:s.marginals
           ~solver:(Config.solver s.engine.config) ~obs:s.engine.trace
-          ~pi:(Gamma.pi s.engine.kb) ~graph:(graph s) ()
+          ~pi:(Gamma.pi s.engine.kb)
+          ~lineage:(Incremental.Dred.lineage s.dred) ()
       in
       s.read <- Some v;
       v

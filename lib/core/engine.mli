@@ -7,10 +7,10 @@
     into the knowledge base, "thereby avoiding query-time computation" —
     paper, Section 2.2).  {!run} is their composition.
 
-    Point queries have one read path, {!Snapshot}: a frozen copy of an
-    expansion ([Snapshot.freeze] over [Kb.Gamma.pi] and
-    {!expansion.graph}), of a session's epoch ({!Session.snapshot}) or of
-    the epoch a {!Writer} published.
+    Point queries and key lookups have one read path, {!Snapshot}: a
+    frozen copy of an expansion ([Snapshot.freeze] over [Kb.Gamma.pi]
+    and the lineage of {!expansion.graph}), of a session's epoch
+    ({!Session.snapshot}) or of the epoch a {!Writer} published.
 
     Every stage records into the engine's {!trace} (a no-op unless
     [config.obs] enables it); {!expansion} and {!result} carry the
@@ -171,30 +171,20 @@ module Session : sig
       [inference.sampled_vars] describe the whole graph. *)
   val refresh_marginals : t -> epoch_stats option
 
-  (** A fact as seen through the session. *)
-  type fact_view = {
-    id : int;
-    base : bool;  (** carries extraction (singleton) support *)
-    weight : float;  (** extraction confidence; null for inferred facts *)
-    marginal : float option;  (** estimate from the last refresh, if any *)
-  }
-
-  (** [query s ~r ~x ~c1 ~y ~c2] looks a fact up by key. *)
-  val query :
-    t -> r:int -> x:int -> c1:int -> y:int -> c2:int -> fact_view option
-
   (** [marginal s id] is the fact's estimate from the last refresh. *)
   val marginal : t -> int -> float option
 
   (** [snapshot s] is the frozen snapshot of the session's current
       epoch: every input of the read path — [TΠ] and its key index,
-      [TΦ], the fact↔factor adjacency, cached marginals — copied out of
-      the live state as flat arrays, sharing nothing mutable with later
-      epochs.  Cached until the next epoch mutation, so repeated calls
-      between epochs return the {e same} snapshot (what
-      [Engine.Writer.publish] hands to concurrent readers).  A session's
-      point queries answer from it: the first one after a write pays
-      for the freeze. *)
+      [TΦ], cached marginals — copied out of the live state as flat
+      arrays, sharing nothing mutable with later epochs, and the
+      fact↔factor index ([Incremental.Dred.lineage]) shared, since it
+      never changes once built.  Cached until the next epoch mutation,
+      so repeated calls between epochs return the {e same} snapshot
+      (what [Engine.Writer.publish] hands to concurrent readers).  A
+      session's lookups and point queries answer from it: the first one
+      after a write pays for the freeze, and for the index when the
+      write appended to [TΦ] or compacted it. *)
   val snapshot : t -> Snapshot.t
 end
 

@@ -1,6 +1,7 @@
 module Storage = Kb.Storage
 module Table = Relational.Table
 module Fgraph = Factor_graph.Fgraph
+module Lineage = Factor_graph.Lineage
 module Local = Grounding.Local
 
 type view = {
@@ -81,18 +82,19 @@ let has_any iter id =
   | exception Exit -> true
 
 let freeze ?(epoch = 0) ?marginals
-    ?(solver = Inference.Hybrid.default_options) ?(obs = Obs.null) ~pi ~graph
-    () =
+    ?(solver = Inference.Hybrid.default_options) ?(obs = Obs.null) ~pi
+    ~lineage () =
   (* Copies of the two tables' arrays and dead-row masks — TΠ with its
      key index blitted, not rehashed, and TΦ — so the snapshot aliases
      nothing a later epoch mutates ([Storage] appends, tombstones and
-     compacts; [Fgraph] appends, retires and compacts).  Reads then call
-     the same functions the live state answers with: [Storage.find] and
-     [Storage.row_of_id] on the TΠ copy, [Local.adjacency_of_graph] on
-     the TΦ copy — each of which skips dead rows. *)
+     compacts; [Fgraph] appends, retires and compacts).  The lineage's
+     CSR never changes once built, so it is shared, read through the TΦ
+     copy.  Reads then call the same functions the live state answers
+     with: [Storage.find] and [Storage.row_of_id] on the TΠ copy, the
+     lineage through the TΦ copy — each of which skips dead rows. *)
   let pi = Storage.copy pi in
-  let phi = Fgraph.copy graph in
-  let adj = Local.adjacency_of_graph phi in
+  let phi = Fgraph.copy (Lineage.graph lineage) in
+  let adj = Local.adjacency_of_lineage (Lineage.through lineage phi) in
   (* Cached marginals, dense by fact id; presence is kept apart from the
      value.  Sized by [next_id], which grows with churn: ids are never
      reused. *)

@@ -3,12 +3,13 @@
     A snapshot answers point queries ({!query_local}), key lookups
     ({!find}, {!view}) and cached-marginal reads ({!marginal}) without
     touching any mutable engine or session state.  {!freeze} is its one
-    constructor: it copies everything the read path needs out of a
-    materialized epoch, as flat arrays — [TΠ] with its key index and
-    dead-row mask ([Kb.Storage.copy]), the factor table [TΦ] with its
-    mask ([Factor_graph.Fgraph.copy]), a CSR fact↔factor adjacency over
-    the copy's live factors ([Grounding.Local.adjacency_of_graph]) and
-    the cached marginals, dense by fact id.  The result shares
+    constructor: it copies everything mutable the read path needs out
+    of a materialized epoch, as flat arrays — [TΠ] with its key index
+    and dead-row mask ([Kb.Storage.copy]), the factor table [TΦ] with
+    its mask ([Factor_graph.Fgraph.copy]) and the cached marginals,
+    dense by fact id — and reads the fact↔factor index it is given
+    ([Factor_graph.Lineage], immutable once built) through the [TΦ]
+    copy ([Lineage.through]), sharing it.  The result shares
     {e nothing} mutable with the writer, so it can be handed to any
     number of reader domains while the next epoch commits behind it
     (the serving layer's MVCC-by-epoch read arm; see DESIGN.md §13).
@@ -16,9 +17,10 @@
     deletions, which is what makes the copy cheap: ids, cached marginals
     and keys all carry over without remapping.
 
-    The server, a session ([Engine.Session.snapshot], cached per epoch)
-    and [probkb query --local] (a freeze of [Engine.expand]'s graph) all
-    answer through it.
+    The server, a session ([Engine.Session.snapshot], cached per epoch,
+    its [query] and [query_local] ops included) and [probkb query
+    --local] (a freeze of [Engine.expand]'s graph) all answer through
+    it.
 
     Under [PROBKB_DEBUG] ({!Obs.debug}), a freeze hashes the copied
     factor table, and every {!query_local} re-hashes it and compares —
@@ -26,7 +28,7 @@
     trips the check immediately.  Without the flag no hash is taken, so
     a publish does not pay for it. *)
 
-(** A fact as seen through a snapshot (mirrors [Engine.Session.fact_view]). *)
+(** A fact as seen through a snapshot. *)
 type view = {
   id : int;
   base : bool;  (** carries extraction (singleton) support *)
@@ -60,9 +62,12 @@ type stats = {
 
 type t
 
-(** [freeze ?epoch ?marginals ?solver ?obs ~pi ~graph ()] copies the
-    read state out of [(pi, graph)] — array copies and one counting sort
-    over the factors, no rehashing, no re-grounding and no compile.
+(** [freeze ?epoch ?marginals ?solver ?obs ~pi ~lineage ()] copies the
+    read state out of [pi] and [lineage]'s graph ([Lineage.graph]) —
+    array copies, no index build, no rehashing, no re-grounding and no
+    compile.  [lineage] must index that graph as it stands: built after
+    its last append or compaction ([Incremental.Dred.lineage] in a
+    session, [Lineage.build graph] otherwise).
     Lookups run [Storage.find] and [Storage.row_of_id] on the copy of
     [pi], so tombstoned facts are excluded exactly as they are from the
     live store, and the fact count is Storage's live count: no per-row
@@ -80,7 +85,7 @@ val freeze :
   ?solver:Inference.Hybrid.options ->
   ?obs:Obs.t ->
   pi:Kb.Storage.t ->
-  graph:Factor_graph.Fgraph.t ->
+  lineage:Factor_graph.Lineage.t ->
   unit ->
   t
 

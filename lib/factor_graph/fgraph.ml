@@ -40,25 +40,15 @@ let iter f g =
   done
 
 let compact g =
-  let n = bound g in
-  let remap = Array.make n (-1) in
-  let next = ref 0 in
-  for f = 0 to n - 1 do
-    if live g f then begin
-      remap.(f) <- !next;
-      incr next
-    end
-  done;
-  if !next < n then begin
+  if dead_rows g > 0 then begin
     (* [Table.filter] appends survivors in scan order, so live factors
        keep their relative order — [compile] interns variables in
        factor-table order, so it numbers them exactly as before. *)
     let kept = Table.filter g.tphi (live g) in
     Table.clear g.tphi;
-    Table.append_all g.tphi kept
-  end;
-  Deadrows.clear g.dead;
-  (n - !next, remap)
+    Table.append_all g.tphi kept;
+    Deadrows.clear g.dead
+  end
 
 type compiled = {
   var_ids : int array;

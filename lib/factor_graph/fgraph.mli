@@ -17,7 +17,7 @@
     exactly the live factors, in position order, which is what a
     compacted table holds — while {!bound}, {!factor} and {!table} are
     physical and see dead rows too.  {!compact} drops the dead rows and
-    returns how positions moved. *)
+    moves positions. *)
 
 type t
 
@@ -73,11 +73,10 @@ val factor : t -> int -> int * int * int * float
 val iter : (int -> int * int * int * float -> unit) -> t -> unit
 
 (** [compact g] drops the dead rows in place.  Live factors keep their
-    relative order, so {!compile} numbers variables exactly as before.
-    Returns [(removed, remap)] where [remap.(old) = new] for live factors
-    and [-1] for dead ones — apply it to any external index holding
-    factor positions (see [Incremental.Provenance]). *)
-val compact : t -> int * int array
+    relative order, so {!compile} numbers variables exactly as before,
+    but their positions move: an index of positions built before
+    ({!Lineage}) must be built again. *)
+val compact : t -> unit
 
 (** {1 Compiled form}
 

@@ -18,14 +18,9 @@
 
 exception Parse_error of string
 
-(** [write g oc] writes the graph, one factor per line. *)
-val write : Fgraph.t -> out_channel -> unit
-
-(** [read ic] parses a graph written by {!write}.
-    @raise Parse_error on malformed input. *)
-val read : in_channel -> Fgraph.t
-
-(** [to_file g path] / [of_file path] are file-level conveniences. *)
+(** [to_file g path] writes the graph to [path], one factor per line. *)
 val to_file : Fgraph.t -> string -> unit
 
+(** [of_file path] parses a graph written by {!to_file}.
+    @raise Parse_error on malformed input. *)
 val of_file : string -> Fgraph.t

@@ -1,5 +1,5 @@
-module Table = Relational.Table
 module Fgraph = Factor_graph.Fgraph
+module Lineage = Factor_graph.Lineage
 
 (* --- budget ---------------------------------------------------------- *)
 
@@ -32,74 +32,12 @@ type adjacency = {
   factor_of : int -> int * int * int * float;
 }
 
-(* One CSR per direction, built by counting sort over fact ids: fact
-   [v]'s factors are [arr.(off.(v))] .. [arr.(off.(v + 1) - 1)].  The
-   fill runs from the last factor down, so each slice lists its factors
-   in descending index order — the order a forward scan consing onto
-   per-fact lists gives.  A fact's prior is its last singleton factor.
-   Retired factors are skipped: only live positions are counted and
-   filled. *)
-let adjacency_of_graph g =
-  let t = Fgraph.table ~g in
-  let n = Fgraph.bound g in
-  let live = Fgraph.live g in
-  let null = Fgraph.null in
-  let nids = ref 0 in
-  for f = 0 to n - 1 do
-    let i1 = Table.get t f 0 and i2 = Table.get t f 1 and i3 = Table.get t f 2 in
-    if i1 < 0 || i2 < null || i3 < null then
-      invalid_arg "Local.adjacency_of_graph: negative fact id";
-    if live f then nids := Int.max !nids (1 + Int.max i1 (Int.max i2 i3))
-  done;
-  let nids = !nids in
-  let singleton = Array.make nids (-1) in
-  let derive_off = Array.make (nids + 1) 0
-  and support_off = Array.make (nids + 1) 0 in
-  let count off v = off.(v + 1) <- off.(v + 1) + 1 in
-  for f = 0 to n - 1 do
-    let i1 = Table.get t f 0 and i2 = Table.get t f 1 and i3 = Table.get t f 2 in
-    if live f then
-      if i2 = null && i3 = null then singleton.(i1) <- f
-      else begin
-        count derive_off i1;
-        if i2 <> null then count support_off i2;
-        if i3 <> null && i3 <> i2 then count support_off i3
-      end
-  done;
-  for v = 1 to nids do
-    derive_off.(v) <- derive_off.(v) + derive_off.(v - 1);
-    support_off.(v) <- support_off.(v) + support_off.(v - 1)
-  done;
-  let derives = Array.make derive_off.(nids) 0
-  and supports = Array.make support_off.(nids) 0 in
-  let derive_at = Array.sub derive_off 0 nids
-  and support_at = Array.sub support_off 0 nids in
-  let put arr at v f =
-    arr.(at.(v)) <- f;
-    at.(v) <- at.(v) + 1
-  in
-  for f = n - 1 downto 0 do
-    let i1 = Table.get t f 0 and i2 = Table.get t f 1 and i3 = Table.get t f 2 in
-    if live f && not (i2 = null && i3 = null) then begin
-      put derives derive_at i1 f;
-      if i2 <> null then put supports support_at i2 f;
-      if i3 <> null && i3 <> i2 then put supports support_at i3 f
-    end
-  done;
-  let iter_slice off arr v k =
-    if v >= 0 && v < nids then
-      for p = off.(v) to off.(v + 1) - 1 do
-        k arr.(p)
-      done
-  in
+let adjacency_of_lineage l =
   {
-    iter_derivations = iter_slice derive_off derives;
-    iter_supports = iter_slice support_off supports;
-    singleton_of =
-      (fun v ->
-        if v >= 0 && v < nids && singleton.(v) >= 0 then Some singleton.(v)
-        else None);
-    factor_of = Fgraph.factor g;
+    iter_derivations = Lineage.iter_derivations l;
+    iter_supports = Lineage.iter_supports l;
+    singleton_of = Lineage.singleton_of l;
+    factor_of = Fgraph.factor (Lineage.graph l);
   }
 
 (* --- the walk --------------------------------------------------------- *)

@@ -1,10 +1,11 @@
 (** Query-driven local grounding (ProPPR-style).
 
     A point query grounds only the proof neighbourhood of the queried
-    fact: a breadth-first walk over the fact↔factor adjacency of a
-    materialized factor graph ([TΦ]), bounded by a PageRank-style
-    budget, emitting a small self-contained {!Factor_graph.Fgraph}
-    subgraph plus the interior/boundary variable mapping.
+    fact: a breadth-first walk over the fact↔factor index of a
+    materialized factor graph ([TΦ]; {!Factor_graph.Lineage}, read
+    through a {!adjacency} record), bounded by a PageRank-style budget,
+    emitting a small self-contained {!Factor_graph.Fgraph} subgraph plus
+    the interior/boundary variable mapping.
 
     The walk needs [TΦ] — the whole fact closure and the factor phase —
     but not inference over all of it: the answer costs a solve of the
@@ -45,8 +46,8 @@ val budget :
   budget
 
 (** Fact↔factor adjacency of a materialized graph.  The walk reads
-    nothing else, so any index over [TΦ] can back it: {!adjacency_of_graph}
-    builds the flat one frozen snapshots use. *)
+    nothing else, so any index over [TΦ] can back it:
+    {!adjacency_of_lineage} reads the one the library keeps. *)
 type adjacency = {
   iter_derivations : int -> (int -> unit) -> unit;
       (** clause factors with the fact as head *)
@@ -56,19 +57,11 @@ type adjacency = {
   factor_of : int -> int * int * int * float;  (** factor row by position *)
 }
 
-(** [adjacency_of_graph g] builds the adjacency as flat arrays over
-    fact ids: two counting-sort passes over [g] give one CSR for
-    derivations and one for supports (offsets by fact id plus a flat
-    array of factor indexes), and a dense array of priors.  Each fact's
-    factors are listed in descending factor index; a fact with several
-    singleton factors reports the last.  Only live factors are listed
-    (retired ones are skipped, see {!Factor_graph.Fgraph.kill}).  The
-    arrays are sized by the largest fact id of a live factor.  The
-    result only reads [g], so it may be shared across domains while
-    nothing mutates [g].
-    @raise Invalid_argument if a factor holds a negative fact id (other
-    than {!Factor_graph.Fgraph.null} in a body slot). *)
-val adjacency_of_graph : Factor_graph.Fgraph.t -> adjacency
+(** [adjacency_of_lineage l] is the adjacency [l] lists, with rows read
+    through [l]'s graph ({!Factor_graph.Lineage.graph}): the live
+    factors, each fact's in descending position.  It only reads, so it
+    may be shared across domains while nothing mutates that graph. *)
+val adjacency_of_lineage : Factor_graph.Lineage.t -> adjacency
 
 type result = {
   graph : Factor_graph.Fgraph.t;

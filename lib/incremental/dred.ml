@@ -2,13 +2,19 @@ module Table = Relational.Table
 module Storage = Kb.Storage
 module Gamma = Kb.Gamma
 module Fgraph = Factor_graph.Fgraph
+module Lineage = Factor_graph.Lineage
 module Pattern = Mln.Pattern
 module Queries = Grounding.Queries
 
 type t = {
   kb : Gamma.t;
   graph : Fgraph.t;
-  prov : Provenance.t;
+  mutable synced : int;
+      (* [Fgraph.bound graph] at the last [sync]: the rows past it are
+         the ones appended since *)
+  mutable lineage : Lineage.t option;
+      (* over [graph] as of the last [sync]; [None] once rows were
+         appended or moved, until the next read builds it again *)
   mutable prepared : Queries.prepared;
   mutable compactions : int;
   mutable dirty : (int, unit) Hashtbl.t;
@@ -20,7 +26,8 @@ let create ?(obs = Obs.null) kb graph =
   {
     kb;
     graph;
-    prov = Provenance.of_graph graph;
+    synced = Fgraph.bound graph;
+    lineage = None;
     prepared = Queries.prepare (Gamma.partitions kb);
     compactions = 0;
     dirty = Hashtbl.create 64;
@@ -29,7 +36,6 @@ let create ?(obs = Obs.null) kb graph =
 
 let kb t = t.kb
 let graph t = t.graph
-let provenance t = t.prov
 let compactions t = t.compactions
 
 (* Every TΦ row killed passes through here, by position, before any
@@ -40,16 +46,31 @@ let note_factor t f =
   if i2 <> Fgraph.null then Hashtbl.replace t.dirty i2 ();
   if i3 <> Fgraph.null then Hashtbl.replace t.dirty i3 ()
 
-(* The rows past the provenance index's watermark are the rows appended
-   since it was last synced — by a finished operation or by one that
-   raised halfway.  Noting them here, just before the index takes them
-   in, is the only way an appended row reaches the dirty set, so none
-   is missed. *)
+(* The rows past the watermark are the rows appended since the last
+   sync — by a finished operation or by one that raised halfway.
+   Noting them here is the only way an appended row reaches the dirty
+   set, so none is missed; and since the lineage does not list them, it
+   goes. *)
 let sync t =
-  for f = Provenance.synced_factors t.prov to Fgraph.bound t.graph - 1 do
-    note_factor t f
-  done;
-  Provenance.sync t.prov t.graph
+  let n = Fgraph.bound t.graph in
+  if n <> t.synced then begin
+    for f = t.synced to n - 1 do
+      note_factor t f
+    done;
+    t.synced <- n;
+    t.lineage <- None
+  end
+
+(* Kills need no rebuild: the lineage skips the positions the graph has
+   killed when it is read. *)
+let lineage t =
+  sync t;
+  match t.lineage with
+  | Some l -> l
+  | None ->
+    let l = Lineage.build t.graph in
+    t.lineage <- Some l;
+    l
 
 let take_dirty t =
   sync t;
@@ -111,19 +132,19 @@ let active_patterns st =
     Pattern.all
 
 (* Overdelete (DRed phase 1): the descendant cone of the seeds, walked
-   breadth first through the provenance index.  TΦ holds Query 2 over
+   breadth first through the lineage.  TΦ holds Query 2 over
    TΠ, so the live factors a fact supports are exactly the derivations
    that use it, and each names a head that loses one.  Only inferred
    facts (no singleton support) enter the cone; base facts found as
    heads keep their extraction support and stop the wave.  Returns the
    discovery order, seeds first. *)
-let expand_cone st ~seeds ~in_cone =
+let expand_cone st lin ~seeds ~in_cone =
   let order = ref (List.rev seeds) in
   let frontier = Queue.of_seq (List.to_seq seeds) in
   while not (Queue.is_empty frontier) do
-    Provenance.iter_supports st.prov (Queue.pop frontier) (fun f ->
+    Lineage.iter_supports lin (Queue.pop frontier) (fun f ->
         let h, _, _, _ = Fgraph.factor st.graph f in
-        if (not (Hashtbl.mem in_cone h)) && not (Provenance.is_base st.prov h)
+        if (not (Hashtbl.mem in_cone h)) && not (Lineage.is_base lin h)
         then begin
           Hashtbl.replace in_cone h ();
           order := h :: !order;
@@ -132,13 +153,13 @@ let expand_cone st ~seeds ~in_cone =
   done;
   List.rev !order
 
-(* Rederive (DRed phase 2): a worklist fixpoint over the provenance index.
+(* Rederive (DRed phase 2): a worklist fixpoint over the lineage.
    A cone fact survives when some recorded derivation has its whole body
    alive (outside the cone, or already rederived); each rescue re-examines
    the cone facts it supports.  TΦ holds Query 2 over TΠ — {e every}
    derivation among the stored facts — so this pure index walk is
    complete: no queries needed. *)
-let rederive st ~in_cone ~order ~banned =
+let rederive st lin ~in_cone ~order ~banned =
   let rederived = Hashtbl.create 64 in
   let alive id =
     (not (Hashtbl.mem in_cone id)) || Hashtbl.mem rederived id
@@ -146,7 +167,7 @@ let rederive st ~in_cone ~order ~banned =
   let exception Found in
   let supported id =
     try
-      Provenance.iter_derivations st.prov id (fun f ->
+      Lineage.iter_derivations lin id (fun f ->
           let _, i2, i3, _ = Fgraph.factor st.graph f in
           if (i2 = Fgraph.null || alive i2) && (i3 = Fgraph.null || alive i3)
           then raise_notrace Found);
@@ -166,7 +187,7 @@ let rederive st ~in_cone ~order ~banned =
       Hashtbl.replace rederived id ();
       (* A rescued fact may complete the last missing body atom of a
          derivation of another cone fact. *)
-      Provenance.iter_supports st.prov id (fun f ->
+      Lineage.iter_supports lin id (fun f ->
           let h, _, _, _ = Fgraph.factor st.graph f in
           if Hashtbl.mem in_cone h && not (Hashtbl.mem rederived h) then
             Queue.add h queue)
@@ -175,27 +196,26 @@ let rederive st ~in_cone ~order ~banned =
   rederived
 
 (* Retire (DRed phase 3): kill every factor that mentions a dead fact —
-   found through the provenance index, O(cone × degree), never a pass
-   over TΦ — plus the singletons of demoted base facts, and drop them
-   from the index in place.  No position moves.  Returns the count. *)
-let retire st ~dead ~demoted =
-  let killed = ref [] in
+   found through the lineage, O(cone × degree), never a pass over TΦ —
+   plus the singletons of demoted base facts.  No position moves, and
+   the lineage skips what died from now on.  Returns the count. *)
+let retire st lin ~dead ~demoted =
+  let killed = ref 0 in
   let kill f =
     if Fgraph.kill st.graph f then begin
       note_factor st f;
-      killed := f :: !killed
+      incr killed
     end
   in
-  let kill_singleton id = Option.iter kill (Provenance.singleton_of st.prov id) in
+  let kill_singleton id = Option.iter kill (Lineage.singleton_of lin id) in
   Hashtbl.iter
     (fun id () ->
-      Provenance.iter_derivations st.prov id kill;
-      Provenance.iter_supports st.prov id kill;
+      Lineage.iter_derivations lin id kill;
+      Lineage.iter_supports lin id kill;
       kill_singleton id)
     dead;
   Hashtbl.iter (fun id () -> kill_singleton id) demoted;
-  Provenance.retire st.prov st.graph !killed;
-  List.length !killed
+  !killed
 
 (* Dead rows are compacted away once they pass this fraction of a
    table's physical rows, decided for TΠ and TΦ separately.  A
@@ -213,7 +233,8 @@ let compacted st f =
   st.compactions <- st.compactions + 1;
   Obs.incr st.obs "incremental.compactions"
 
-(* Compaction never moves a fact id, so only TΦ's carries a remap. *)
+(* Compaction never moves a fact id, so only TΦ's invalidates the
+   lineage. *)
 let compact_facts st =
   let pi = Gamma.pi st.kb in
   if Storage.pending_deletes pi > 0 then
@@ -223,8 +244,9 @@ let compact_factors st =
   if Fgraph.dead_rows st.graph > 0 then
     compacted st (fun () ->
         sync st;
-        let _, remap = Fgraph.compact st.graph in
-        Provenance.remap st.prov remap)
+        Fgraph.compact st.graph;
+        st.synced <- Fgraph.bound st.graph;
+        st.lineage <- None)
 
 let compact st =
   Obs.with_ambient st.obs @@ fun () ->
@@ -250,10 +272,11 @@ let compact_if_due st =
    retracted facts that end up deleted and blocks their rederivation. *)
 let run_dred st ~seeds ~withdrawn ~ban =
   let pi = Gamma.pi st.kb in
+  let lin = lineage st in
   let in_cone = Hashtbl.create 64 in
   List.iter (fun id -> Hashtbl.replace in_cone id ()) seeds;
   let empty_cone =
-    not (List.exists (fun id -> Provenance.has_supports st.prov id) seeds)
+    not (List.exists (fun id -> Lineage.has_supports lin id) seeds)
   in
   let order =
     if empty_cone then begin
@@ -264,20 +287,20 @@ let run_dred st ~seeds ~withdrawn ~ban =
     end
     else
       Obs.with_span st.obs "overdelete" ~cat:"incremental" (fun () ->
-          expand_cone st ~seeds ~in_cone)
+          expand_cone st lin ~seeds ~in_cone)
   in
   let banned = Hashtbl.create 16 in
   if ban then List.iter (fun id -> Hashtbl.replace banned id ()) withdrawn;
   let rederived =
     Obs.with_span st.obs "rederive" ~cat:"incremental" (fun () ->
-        rederive st ~in_cone ~order ~banned)
+        rederive st lin ~in_cone ~order ~banned)
   in
   (* Survivors of the withdrawn set keep the fact but lose base status:
      the singleton factor goes, the weight becomes null (inferred). *)
   let demoted = Hashtbl.create 16 in
   List.iter
     (fun id ->
-      if Hashtbl.mem rederived id && Provenance.is_base st.prov id then
+      if Hashtbl.mem rederived id && Lineage.is_base lin id then
         Hashtbl.replace demoted id ())
     withdrawn;
   let dead = Hashtbl.create 64 in
@@ -305,7 +328,7 @@ let run_dred st ~seeds ~withdrawn ~ban =
           | Some row -> Table.set_weight tbl row Table.null_weight
           | None -> ())
         demoted;
-      let factors_removed = retire st ~dead ~demoted in
+      let factors_removed = retire st lin ~dead ~demoted in
       List.iter (Storage.mark_deleted pi) deleted_ids;
       let stats =
         {
@@ -385,6 +408,7 @@ let retract_rules st ~remove =
           ignore (Queries.ground_factors rp pat pi tmp))
       Pattern.all;
     let want = row_counts tmp in
+    let lin = lineage st in
     let doomed = ref [] in
     let seen_seed = Hashtbl.create 16 in
     let seeds = ref [] in
@@ -394,7 +418,7 @@ let retract_rules st ~remove =
           doomed := f :: !doomed;
           if
             (not (Hashtbl.mem seen_seed i1))
-            && not (Provenance.is_base st.prov i1)
+            && not (Lineage.is_base lin i1)
           then begin
             Hashtbl.replace seen_seed i1 ();
             seeds := i1 :: !seeds
@@ -404,13 +428,12 @@ let retract_rules st ~remove =
     Obs.with_span st.obs "retire" ~cat:"incremental" (fun () ->
         List.iter
           (fun f -> if Fgraph.kill st.graph f then note_factor st f)
-          !doomed;
-        Provenance.retire st.prov st.graph !doomed);
+          !doomed);
     let rule_factors_removed = List.length !doomed in
     (* The remaining rules take over before the cone is walked: every
        head of a removed instance is a seed already, and the removed
-       instances have left the provenance index, so only the surviving
-       rules' factors extend the cone. *)
+       instances are dead, so the lineage skips them and only the
+       surviving rules' factors extend the cone. *)
     Gamma.set_rules st.kb kept_rules;
     refresh_rules st;
     let stats =
@@ -471,6 +494,7 @@ let ingest ?(max_iterations = 15) st facts =
   let watermark = Storage.next_id pi in
   let inserted = ref [] and promoted = ref [] in
   let promoted_now = Hashtbl.create 8 in
+  let is_base id = Lineage.is_base (lineage st) id in
   List.iter
     (fun (r, x, c1, y, c2, w) ->
       if not (Storage.is_banned pi ~r ~x ~c1 ~y ~c2) then
@@ -484,10 +508,10 @@ let ingest ?(max_iterations = 15) st facts =
              other copy of a base fact is a no-op (first weight wins, as
              in batch loading), and so is a copy of a key this batch
              already inserted ([id >= watermark]) or promoted, which the
-             provenance index lists as base only after the batch. *)
+             lineage lists as base only after the batch. *)
           if
             id < watermark
-            && (not (Provenance.is_base st.prov id))
+            && (not (is_base id))
             && (not (Hashtbl.mem promoted_now id))
             && not (Table.is_null_weight w)
           then begin

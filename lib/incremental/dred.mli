@@ -7,16 +7,16 @@
 
     - {!retract} removes facts with delete–rederive (DRed, Gupta,
       Mumick & Subrahmanian, SIGMOD 1993): first {e overdelete} the
-      retracted facts' consequence cone — walked through the
-      {!Provenance} index from each fact to the heads of the live
-      factors it supports, since [TΦ] holds Query 2 over [TΠ] — then
+      retracted facts' consequence cone — walked through the fact↔factor
+      index ({!lineage}) from each fact to the heads of the live factors
+      it supports, since [TΦ] holds Query 2 over [TΠ] — then
       {e rederive} the overdeleted facts that still have an alternative
       derivation (a walk of the same index; no queries either), and
       finally {e retire} what died: the dead facts' factors, found
-      through the provenance index, are masked in [TΦ] ([Fgraph.kill])
-      and dropped from the index in place, and the dead facts are
-      tombstoned in [TΠ] ([Storage.mark_deleted]).  Nothing moves, so a
-      retract costs its cone, not the KB.  Dead rows persist across
+      through the index, are masked in [TΦ] ([Fgraph.kill]), which the
+      index skips from then on, and the dead facts are tombstoned in
+      [TΠ] ([Storage.mark_deleted]).  Nothing moves and no index is
+      edited, so a retract costs its cone, not the KB.  Dead rows persist across
       epochs; a table is compacted only once its dead rows pass a fixed
       fraction of its rows (amortised O(Δ)), and before the whole-KB
       passes of {!extend_rules}, {!retract_rules} and
@@ -52,13 +52,24 @@ type t
 
 (** [create ?obs kb graph] wraps an already-grounded knowledge base: [kb]
     closed under its rules and [graph] the matching factor graph (as
-    produced by [Ground.run] / [Engine.expand]).  Builds the provenance
-    index and prepares the partition query plans. *)
+    produced by [Ground.run] / [Engine.expand]).  Prepares the partition
+    query plans; the fact↔factor index is built on its first read. *)
 val create : ?obs:Obs.t -> Kb.Gamma.t -> Factor_graph.Fgraph.t -> t
 
 val kb : t -> Kb.Gamma.t
 val graph : t -> Factor_graph.Fgraph.t
-val provenance : t -> Provenance.t
+
+(** [lineage t] is the fact↔factor index of {!graph} as it stands
+    ([Factor_graph.Lineage]).  It is built on first demand and kept
+    until an operation appends to [TΦ] or compacts it: a retract's
+    kills need no rebuild, since the index skips killed positions when
+    read.  So after a retract, a refresh or nothing at all, every call
+    returns the same index — the one a session's snapshots share — and
+    the first call after an append or compaction builds a new one, one
+    counting sort over [TΦ].  A returned index reads {!graph} correctly
+    until the next append or compaction, and a copy of {!graph} taken
+    now ([Lineage.through]) for good. *)
+val lineage : t -> Factor_graph.Lineage.t
 
 (** [compactions t] is the number of table compactions so far — the
     [incremental.compactions] counter, kept whether or not a trace is
@@ -70,10 +81,10 @@ val compactions : t -> int
     and empties it.  Every operation below that changes [TΦ] adds to it:
     ingest, retract, {!enforce_constraints}, {!extend_rules},
     {!retract_rules} and {!reexpand}.  Killed rows are noted as they die;
-    appended rows are the ones past the provenance index's sync
-    watermark, noted when the index takes them in — at the start and end
-    of every operation and here — so rows left by an operation that
-    raised halfway are dirty too.  Compaction moves rows but changes
+    appended rows are the ones past a sync watermark ([Fgraph.bound] when
+    last noted), noted at the start and end of every operation, before a
+    compaction, by {!lineage} and here — so rows left by an operation
+    that raised halfway are dirty too.  Compaction moves rows but changes
     none, so it adds nothing.  A marginal solve that holds this set
     against the last one re-solves only the components it touches
     ([Inference.Hybrid.solve]). *)
@@ -143,8 +154,8 @@ val retract_rules : t -> remove:(Mln.Clause.t -> bool) -> retract_stats
 val enforce_constraints : t -> int * retract_stats
 
 (** [compact t] compacts the dead rows out of [TΠ] and [TΦ] now, whatever
-    their share, remapping the provenance index — what the compaction
-    policy does once dead rows pass its fraction.  Every answer, count
+    their share, dropping the {!lineage} when [TΦ] had dead rows — what
+    the compaction policy does once dead rows pass its fraction.  Every answer, count
     and marginal is the same with or without it. *)
 val compact : t -> unit
 

@@ -1,5 +1,5 @@
-(** Live maintenance of a grounded knowledge base: the provenance index
-    and the DRed delete–rederive / incremental re-expansion engine. *)
+(** Live maintenance of a grounded knowledge base: the DRed
+    delete–rederive / incremental re-expansion engine, which walks
+    [TΦ]'s fact↔factor index ([Factor_graph.Lineage]). *)
 
-module Provenance = Provenance
 module Dred = Dred

@@ -34,8 +34,3 @@ let of_table tbl =
         :: !acc)
     tbl;
   List.rev !acc
-
-let pp ~rel_name ppf c =
-  let dir = match c.ftype with Type_I -> "x -> y" | Type_II -> "y -> x" in
-  Format.fprintf ppf "functional %s (%s, degree %d)" (rel_name c.rel) dir
-    c.degree

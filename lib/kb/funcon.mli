@@ -27,6 +27,3 @@ val to_table : t list -> Relational.Table.t
 
 (** [of_table tbl] is the inverse of {!to_table}. *)
 val of_table : Relational.Table.t -> t list
-
-(** [pp ~rel_name ppf c] prints a constraint for humans. *)
-val pp : rel_name:(int -> string) -> Format.formatter -> t -> unit

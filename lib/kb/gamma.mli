@@ -64,9 +64,6 @@ val declare_member : t -> cls:int -> entity:int -> unit
 (** [member kb ~cls ~entity] is [true] iff the membership was declared. *)
 val member : t -> cls:int -> entity:int -> bool
 
-(** [members kb ~cls] is the list of entities declared in [cls]. *)
-val members : t -> cls:int -> int list
-
 (** [subclass kb ~sub ~super] is [true] iff every declared member of [sub]
     is a declared member of [super] — the subset-based class hierarchy of
     the paper's Remark 1. *)

@@ -32,5 +32,4 @@ let make ~head_rel ~body ~c1 ~c2 ?c3 ~weight () =
 let is_hard c = c.weight = infinity
 let body_length c = List.length c.body
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
 let var_name = function X -> "x" | Y -> "y" | Z -> "z"

@@ -53,8 +53,5 @@ val body_length : t -> int
 (** [equal a b] is structural equality. *)
 val equal : t -> t -> bool
 
-(** [compare a b] is a total order (weights compared last). *)
-val compare : t -> t -> int
-
 (** [var_name v] is ["x"], ["y"] or ["z"]. *)
 val var_name : var -> string

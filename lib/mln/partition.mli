@@ -12,12 +12,6 @@ type t
     @raise Invalid_argument on a structurally invalid clause. *)
 val of_rules : Clause.t list -> t
 
-(** [empty ()] is a partition set with six empty tables. *)
-val empty : unit -> t
-
-(** [add p c] inserts clause [c] into its partition table. *)
-val add : t -> Clause.t -> unit
-
 (** [table p pat] is the relational table [Mi] of pattern [pat]. *)
 val table : t -> Pattern.t -> Relational.Table.t
 

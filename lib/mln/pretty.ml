@@ -1,10 +1,5 @@
 let weight w = if w = infinity then "inf" else Printf.sprintf "%g" w
 
-let atom ~rel_name (a : Clause.atom) =
-  Printf.sprintf "%s(%s, %s)" (rel_name a.Clause.rel)
-    (Clause.var_name a.Clause.a)
-    (Clause.var_name a.Clause.b)
-
 let clause ~rel_name ~cls_name (c : Clause.t) =
   let seen : (Clause.var, unit) Hashtbl.t = Hashtbl.create 3 in
   let var v =

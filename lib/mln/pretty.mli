@@ -6,9 +6,3 @@
     [Relational.Dict.name]). *)
 val clause :
   rel_name:(int -> string) -> cls_name:(int -> string) -> Clause.t -> string
-
-(** [atom ~rel_name a] renders a single body atom, without annotations. *)
-val atom : rel_name:(int -> string) -> Clause.atom -> string
-
-(** [weight w] renders a weight ([inf] for hard rules). *)
-val weight : float -> string

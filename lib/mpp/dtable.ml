@@ -141,13 +141,6 @@ let byte_size t =
     done;
     !acc
 
-let max_seg_rows t =
-  let acc = ref 0 in
-  for i = 0 to nseg t - 1 do
-    acc := max !acc (seg_rows t i)
-  done;
-  !acc
-
 let seg_meta t i =
   match t.segs.(i) with
   | Resident tbl -> (Table.name tbl, Table.cols tbl, Table.weighted tbl)

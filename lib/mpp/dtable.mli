@@ -90,10 +90,6 @@ val nrows : t -> int
 (** [byte_size t] is the logical byte size (one copy). *)
 val byte_size : t -> int
 
-(** [max_seg_rows t] is the largest per-segment cardinality — the skew
-    measure that bounds parallel speedup. *)
-val max_seg_rows : t -> int
-
 (** [gather t] concatenates the segments back into one table
     ([Replicated] returns segment 0). *)
 val gather : t -> Relational.Table.t

@@ -365,19 +365,8 @@ let apply ?(obs = Obs.null) s = function
     match Session.refresh_marginals s with
     | Some st -> Probkb.Report.epoch_to_json st
     | None -> error_json "inference disabled")
-  | RQuery None -> not_found
-  | RQuery (Some (r, x, c1, y, c2)) -> (
-    match Session.query s ~r ~x ~c1 ~y ~c2 with
-    | None -> not_found
-    | Some v ->
-      view_json
-        {
-          Snapshot.id = v.Session.id;
-          base = v.Session.base;
-          weight = v.Session.weight;
-          marginal = v.Session.marginal;
-        })
-  | (RQuery_local _ | RStats) as rop -> answer (Session.snapshot s) rop
+  | (RQuery _ | RQuery_local _ | RStats) as rop ->
+    answer (Session.snapshot s) rop
   | RMetrics -> metrics_json obs
 
 let step ?obs kb s line =

@@ -89,9 +89,9 @@ val resolve : Kb.Gamma.t -> op -> (resolved, string) result
 
 (** [apply ?obs s rop] executes any resolved op against the live
     session — the single-threaded interpreter behind the [session]
-    subcommand and the server's writer arm.  [query_local] and [stats]
-    are {!answer}ed from [Session.snapshot s], the epoch's cached
-    snapshot.  Returns the reply document.  [obs] (default {!Obs.null})
+    subcommand and the server's writer arm.  The read ops but
+    [metrics] ([query], [query_local], [stats]) are {!answer}ed from
+    [Session.snapshot s], the epoch's cached snapshot.  Returns the reply document.  [obs] (default {!Obs.null})
     is the trace the [metrics] op summarizes. *)
 val apply :
   ?obs:Obs.t -> Probkb.Engine.Session.t -> resolved -> Obs.Json.t

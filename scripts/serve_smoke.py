@@ -83,12 +83,13 @@ def main():
         fail(f"oversized line answered {oversized!r}")
 
     # Drive the NDJSON protocol: one write, a refresh, two reads, one
-    # in-band scrape.
+    # in-band scrape.  The point query is budgeted (the protocol's
+    # "budget" member caps its interior facts), as served reads are.
     ops = [
         {"op": "ingest",
          "facts": [[key[0], "smoke_entity", key[2], key[3], key[4], 0.7]]},
         {"op": "refresh"},
-        {"op": "query_local", "key": key, "max_facts": 32},
+        {"op": "query_local", "key": key, "budget": 32},
         {"op": "stats"},
         {"op": "metrics"},
     ]
@@ -107,6 +108,9 @@ def main():
         fail(f"refresh reply: {replies[1]}")
     if replies[2].get("found") is not True:
         fail(f"query_local reply: {replies[2]}")
+    if not isinstance(replies[2].get("interior"), int) \
+            or replies[2]["interior"] > 32:
+        fail(f"query_local walked past its budget of 32: {replies[2]}")
     if "epoch" not in replies[3]:
         fail(f"stats reply: {replies[3]}")
     summary = replies[4].get("metrics")

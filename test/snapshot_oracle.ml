@@ -5,9 +5,9 @@
    point queries itself: [Local.run] over those lists, boundary clamp,
    compile and [Neighborhood.solve].  A frozen snapshot must answer
    exactly as this one does — [find], [view], [marginal], [stats] and
-   [query_local], bit for bit — and [Local.adjacency_of_graph] must list
-   the same derivations, supports and priors as [adjacency_of_graph]
-   below. *)
+   [query_local], bit for bit — and the lineage's CSR
+   ([Factor_graph.Lineage]) must list the same derivations, supports and
+   priors as [adjacency_of_graph] below. *)
 
 module Storage = Kb.Storage
 module Table = Relational.Table

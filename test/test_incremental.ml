@@ -1,4 +1,4 @@
-(* The retraction subsystem: provenance-indexed DRed delete–rederive,
+(* The retraction subsystem: lineage-indexed DRed delete–rederive,
    incremental factor maintenance, and live engine sessions.
 
    The load-bearing property throughout is *retract-equals-rebuild*: after
@@ -11,7 +11,7 @@ module Storage = Kb.Storage
 module Gamma = Kb.Gamma
 module Fgraph = Factor_graph.Fgraph
 module Dred = Incremental.Dred
-module Provenance = Incremental.Provenance
+module Lineage = Factor_graph.Lineage
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -99,7 +99,12 @@ let test_retract_worked_example () =
   let base = base_facts kb in
   let st = expand_dred kb in
   check_int "all 8 factors indexed" 8
-    (Provenance.synced_factors (Dred.provenance st));
+    (let l = Dred.lineage st and n = ref 0 in
+     for id = 0 to Storage.next_id (Gamma.pi kb) do
+       Lineage.iter_derivations l id (fun _ -> incr n);
+       if Lineage.is_base l id then incr n
+     done;
+     !n);
   let f2_key = key_of (Gamma.pi kb) f2 in
   let stats = Dred.retract st [ f2 ] in
   check_int "one fact requested" 1 stats.Dred.requested;
@@ -159,13 +164,13 @@ let test_demotion () =
   in
   let st = expand_dred kb in
   check_bool "p starts as base" true
-    (Provenance.is_base (Dred.provenance st) fp);
+    (Lineage.is_base (Dred.lineage st) fp);
   let stats = Dred.retract st [ fp ] in
   check_int "nothing deleted" 0 stats.Dred.overdeleted;
   check_int "one demotion" 1 stats.Dred.demoted;
   check_int "singleton spliced out" 1 stats.Dred.factors_removed;
   check_bool "p no longer base" false
-    (Provenance.is_base (Dred.provenance st) fp);
+    (Lineage.is_base (Dred.lineage st) fp);
   (match Storage.row_of_id (Gamma.pi kb) fp with
   | Some row ->
     check_bool "weight nulled" true
@@ -292,12 +297,12 @@ let test_promotion () =
   let r, x, c1, y, c2 = key in
   let pid = Storage.find (Gamma.pi kb) ~r ~x ~c1 ~y ~c2 |> Option.get in
   check_bool "p starts inferred" false
-    (Provenance.is_base (Dred.provenance st) pid);
+    (Lineage.is_base (Dred.lineage st) pid);
   let ins = Dred.ingest st [ (r, x, c1, y, c2, 0.6) ] in
   check_int "promoted, not inserted" 0 ins.Dred.inserted;
   check_int "one promotion" 1 ins.Dred.promoted;
   check_int "one new singleton" 1 ins.Dred.new_factors;
-  check_bool "now base" true (Provenance.is_base (Dred.provenance st) pid);
+  check_bool "now base" true (Lineage.is_base (Dred.lineage st) pid);
   let reference = rebuild kb (Gamma.rules kb) (base_facts kb) in
   check_same_state "promotion" (Dred.kb st, Dred.graph st) reference
 
@@ -959,14 +964,15 @@ let test_session_epochs () =
   let st = Probkb.Engine.Session.refresh_marginals s |> Option.get in
   check_int "refresh is an epoch" 1 st.Probkb.Engine.Session.epoch;
   let v =
-    Probkb.Engine.Session.query s ~r:(Gamma.relation kb "born_in")
+    let snap = Probkb.Engine.Session.snapshot s in
+    Probkb.Snapshot.find snap ~r:(Gamma.relation kb "born_in")
       ~x:(Gamma.entity kb "Ruth Gruber") ~c1:(Gamma.cls kb "W")
       ~y:(Gamma.entity kb "New York City") ~c2:(Gamma.cls kb "C")
-    |> Option.get
+    |> Option.get |> Probkb.Snapshot.view snap |> Option.get
   in
-  check_bool "base fact" true v.Probkb.Engine.Session.base;
+  check_bool "base fact" true v.Probkb.Snapshot.base;
   check_bool "marginal available after refresh" true
-    (v.Probkb.Engine.Session.marginal <> None);
+    (v.Probkb.Snapshot.marginal <> None);
   (* The first refresh solves what batch inference solves: the same
      marginals, bit for bit, as [Engine.infer_full] on an identical KB. *)
   let batch =
@@ -1285,7 +1291,7 @@ let test_retract_retires_in_place () =
       if
         List.length !victims < 4
         && (not (Table.is_null_weight w))
-        && Provenance.has_supports (Dred.provenance dred) id
+        && Lineage.has_supports (Dred.lineage dred) id
       then victims := id :: !victims)
     pi;
   check_int "four victims" 4 (List.length !victims);
@@ -1382,7 +1388,7 @@ let test_dirty_ingest_retract () =
       end
       else if
         List.length !supported < 3
-        && Provenance.has_supports (Dred.provenance st) id
+        && Lineage.has_supports (Dred.lineage st) id
       then supported := id :: !supported)
     pi;
   let ins =
@@ -1528,7 +1534,7 @@ let check_refresh_solved name s options =
 
 (* A write can raise after its grounding pass appended rows to TΦ; the
    serving writer catches the exception and keeps the session.  Those
-   rows lie past the provenance index's watermark, so they are dirty
+   rows lie past DRed's sync watermark, so they are dirty
    all the same, and the next refresh re-solves what they touch. *)
 let test_refresh_after_failed_write () =
   let g =
@@ -1617,6 +1623,128 @@ let test_dirty_set_bounded () =
   check_int "a write past the memo's size drops the set" 0 (dirty ());
   check_refresh_solved "a refresh after the drop" s transcript_solver
 
+(* --- the one fact↔factor index under churn ------------------------------ *)
+
+(* [Dred.lineage] is built once and then kept across retracts, which it
+   reads through by skipping killed positions, and dropped at every
+   append and compaction.  Random streams of ingests, retracts with and
+   without ban, rule drops and restores and compactions run over dense
+   random KBs; after every epoch the lineage must list, for every fact
+   id, what the per-fact hash tables of a rebuild over the live graph
+   list (Snapshot_oracle), in the same order, and a lineage frozen
+   before the epoch — read through a copy of the graph, as a snapshot
+   reads it — and a snapshot frozen before it must still list and view
+   what they did. *)
+
+type churn_op =
+  | Ingest of int  (** this many random facts, fresh or not *)
+  | Retract of int list * bool  (** live facts, by index mod count; ban? *)
+  | Drop_rules of int  (** retract the rules of one head relation *)
+  | Restore_rules  (** add back the rules dropped last *)
+  | Compact
+
+let gen_churn_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map (fun n -> Ingest (1 + n)) (int_bound 3));
+      (4, map2 (fun ks ban -> Retract (ks, ban))
+           (list_size (1 -- 3) (int_bound 99)) bool);
+      (1, map (fun k -> Drop_rules k) (int_bound 99));
+      (1, return Restore_rules);
+      (1, return Compact);
+    ]
+
+let print_churn_op = function
+  | Ingest n -> Printf.sprintf "Ingest %d" n
+  | Retract (ks, ban) ->
+    Printf.sprintf "Retract ([%s], %b)"
+      (String.concat "; " (List.map string_of_int ks))
+      ban
+  | Drop_rules k -> Printf.sprintf "Drop_rules %d" k
+  | Restore_rules -> "Restore_rules"
+  | Compact -> "Compact"
+
+let test_lineage_under_churn =
+  Tutil.qcheck_case ~count:150 "the one index under churn"
+    QCheck.(
+      pair small_nat
+        (make
+           ~print:(QCheck.Print.list print_churn_op)
+           Gen.(list_size (4 -- 12) gen_churn_op)))
+    (fun (seed, ops) ->
+      let rng = Tutil.rng seed in
+      let kb, fact = Tutil.dense_kb rng in
+      let st = expand_dred kb in
+      let pi = Gamma.pi kb in
+      let ids () = List.init (Storage.next_id pi + 1) Fun.id in
+      let views snap ids = List.map (Probkb.Snapshot.view snap) ids in
+      let dropped = ref [] in
+      let apply = function
+        | Ingest n ->
+          ignore
+            (Dred.ingest st
+               (List.init n (fun _ ->
+                    let r, x, c1, y, c2 = fact () in
+                    (r, x, c1, y, c2, Random.State.float rng 1.))))
+        | Retract (ks, ban) -> (
+          let live = ref [] in
+          Storage.iter
+            (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w:_ -> live := id :: !live)
+            pi;
+          match Array.of_list (List.rev !live) with
+          | [||] -> ()
+          | live ->
+            ignore
+              (Dred.retract ~ban st
+                 (List.map (fun k -> live.(k mod Array.length live)) ks)))
+        | Drop_rules k -> (
+          match Gamma.rules kb with
+          | [] -> ()
+          | rules ->
+            let rel =
+              (List.nth rules (k mod List.length rules)).Mln.Clause.head_rel
+            in
+            let remove c = c.Mln.Clause.head_rel = rel in
+            dropped := List.filter remove rules :: !dropped;
+            ignore (Dred.retract_rules st ~remove))
+        | Restore_rules -> (
+          match !dropped with
+          | [] -> ()
+          | rules :: rest ->
+            dropped := rest;
+            ignore (Dred.extend_rules st rules))
+        | Compact -> Dred.compact st
+      in
+      let lists l =
+        Tutil.adjacency_lists (Grounding.Local.adjacency_of_lineage l)
+      in
+      List.for_all
+        (fun op ->
+          let ids_before = ids () in
+          let frozen =
+            Lineage.through (Dred.lineage st) (Fgraph.copy (Dred.graph st))
+          in
+          let snap = Probkb.Snapshot.freeze ~pi ~lineage:(Dred.lineage st) () in
+          let frozen_lists = lists frozen ids_before
+          and frozen_views = views snap ids_before in
+          apply op;
+          let l = Dred.lineage st and ids = ids () in
+          let expected =
+            Tutil.adjacency_lists
+              (Snapshot_oracle.adjacency_of_graph (Dred.graph st))
+              ids
+          in
+          lists l ids = expected
+          && List.for_all2
+               (fun id (_, supports, prior) ->
+                 Lineage.is_base l id = (prior <> None)
+                 && Lineage.has_supports l id = (supports <> []))
+               ids expected
+          && lists frozen ids_before = frozen_lists
+          && compare (views snap ids_before) frozen_views = 0)
+        ops)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -1663,6 +1791,7 @@ let () =
             `Quick test_compaction_invisible;
           Alcotest.test_case "incremental refresh ≡ full solve" `Quick
             test_incremental_refresh;
+          test_lineage_under_churn;
         ] );
       ( "session",
         [

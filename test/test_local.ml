@@ -4,9 +4,9 @@
    budget, the neighbourhood subgraph emitted by [Grounding.Local] is the
    query's connected component of the full ground graph in canonical
    order, so exact inference over it reproduces the full-closure exact
-   marginals bit for bit — whichever adjacency the walk reads (the CSR
-   frozen snapshots build, or the per-fact hash tables of
-   test/snapshot_oracle.ml).  Budgets trade that identity for latency;
+   marginals bit for bit — whichever adjacency the walk reads (the
+   lineage's CSR that frozen snapshots read, or the per-fact hash tables
+   of test/snapshot_oracle.ml).  Budgets trade that identity for latency;
    the truncation tests pin down the direction of the trade. *)
 
 module Table = Relational.Table
@@ -50,7 +50,7 @@ let local_marginal ?clamp (r : Local.result) id =
 (* Ground [kb] in place; its graph and the adjacency the walk reads. *)
 let grounded kb =
   let graph = (Grounding.Ground.run kb).Grounding.Ground.graph in
-  (graph, Local.adjacency_of_graph graph)
+  (graph, Local.adjacency_of_lineage (Factor_graph.Lineage.build graph))
 
 let all_fact_ids kb =
   let acc = ref [] in
@@ -112,7 +112,8 @@ let freeze_expansion ?config kb =
   let engine = Probkb.Engine.create ?config kb in
   let e = Probkb.Engine.expand engine in
   ( e,
-    Probkb.Snapshot.freeze ~pi:(Gamma.pi kb) ~graph:e.Probkb.Engine.graph () )
+    Probkb.Snapshot.freeze ~pi:(Gamma.pi kb)
+      ~lineage:(Factor_graph.Lineage.build e.Probkb.Engine.graph) () )
 
 let test_engine_unknown_key () =
   let kb, _, _ = Tutil.ruth_gruber_kb () in
@@ -372,7 +373,8 @@ let test_reads_after_run () =
   check_bool "marginals were stored" true
     (result.Probkb.Engine.marginals_stored > 0);
   let snap =
-    Probkb.Snapshot.freeze ~pi:(Gamma.pi kb) ~graph:e.Probkb.Engine.graph ()
+    Probkb.Snapshot.freeze ~pi:(Gamma.pi kb)
+      ~lineage:(Factor_graph.Lineage.build e.Probkb.Engine.graph) ()
   in
   Storage.iter
     (fun ~id ~r ~x ~c1 ~y ~c2 ~w:_ ->
@@ -419,10 +421,10 @@ let test_session_query_local () =
   check_bool "epoch ran" true (st.Probkb.Engine.Session.inserted = 1);
   check_epoch "post-ingest"
 
-(* --- adjacency_of_graph ---------------------------------------------- *)
+(* --- the lineage's adjacency ------------------------------------------ *)
 
-(* The CSR [Local.adjacency_of_graph] lists, for every fact id, the same
-   derivations, supports and prior as the per-fact hash tables it
+(* The CSR of [Factor_graph.Lineage.build] lists, for every fact id, the
+   same derivations, supports and prior as the per-fact hash tables it
    replaced (test/snapshot_oracle.ml), in the same order.  The random
    graphs carry duplicate factors, clauses whose two body slots hold one
    fact, heads repeated in their own body, several priors for one fact
@@ -468,28 +470,15 @@ let graph_of_specs specs =
     specs;
   g
 
-let adjacency_lists (adj : Local.adjacency) ids =
-  List.map
-    (fun v ->
-      let collect iter =
-        let acc = ref [] in
-        iter v (fun f -> acc := f :: !acc);
-        List.rev !acc
-      in
-      ( collect adj.Local.iter_derivations,
-        collect adj.Local.iter_supports,
-        adj.Local.singleton_of v ))
-    ids
-
 let test_adjacency_csr_equals_hashtbl =
   Tutil.qcheck_case ~count:500 "CSR adjacency = per-fact hash tables"
     (QCheck.make gen_adjacency_graph) (fun specs ->
       let g = graph_of_specs specs in
-      let csr = Local.adjacency_of_graph g
+      let csr = Local.adjacency_of_lineage (Factor_graph.Lineage.build g)
       and old = Snapshot_oracle.adjacency_of_graph g in
       (* Every id the graph can mention, plus ids on either side. *)
       let ids = List.init 11 (fun i -> i - 1) in
-      adjacency_lists csr ids = adjacency_lists old ids
+      Tutil.adjacency_lists csr ids = Tutil.adjacency_lists old ids
       && List.for_all
            (fun f -> compare (csr.Local.factor_of f) (old.Local.factor_of f) = 0)
            (List.init (Fgraph.size g) Fun.id))

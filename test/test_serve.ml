@@ -173,7 +173,9 @@ let test_view_after_run () =
   check_bool "marginals stored" true (r.Engine.marginals_stored > 0);
   let pi = Gamma.pi kb in
   let snap =
-    Snapshot.freeze ~pi ~graph:r.Engine.expansion.Engine.graph ()
+    Snapshot.freeze ~pi
+      ~lineage:(Factor_graph.Lineage.build r.Engine.expansion.Engine.graph)
+      ()
   in
   let stored id =
     Relational.Table.weight (Storage.table pi)
@@ -271,7 +273,10 @@ let test_query_local_vars_dist () =
       gibbs = { Inference.Gibbs.burn_in = 5; samples = 20; seed = 3 };
     }
   in
-  let snap = Snapshot.freeze ~solver ~obs ~pi:(Gamma.pi kb) ~graph () in
+  let snap =
+    Snapshot.freeze ~solver ~obs ~pi:(Gamma.pi kb)
+      ~lineage:(Factor_graph.Lineage.build graph) ()
+  in
   let r, x, c1, y, c2 =
     key_ids kb ("located_in", "Brooklyn", "P", "New York City", "C")
   in
@@ -354,7 +359,8 @@ let solver_small =
 let check_freeze_against_oracle ~what ~epoch ~marginals ~keys ~probes ~pi
     ~graph =
   let snap =
-    Snapshot.freeze ~epoch ~marginals ~solver:solver_small ~pi ~graph ()
+    Snapshot.freeze ~epoch ~marginals ~solver:solver_small ~pi
+      ~lineage:(Factor_graph.Lineage.build graph) ()
   and oracle =
     Snapshot_oracle.freeze ~epoch ~marginals ~solver:solver_small ~pi ~graph ()
   in

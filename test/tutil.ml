@@ -257,3 +257,18 @@ let dense_kb st =
     ignore (Kb.Gamma.add_fact kb ~r ~x ~c1 ~y ~c2 ~w:(Random.State.float st 1.))
   done;
   (kb, fact)
+
+(* Per fact id: the derivations, supports and prior an adjacency lists,
+   in its listing order. *)
+let adjacency_lists (adj : Grounding.Local.adjacency) ids =
+  List.map
+    (fun v ->
+      let collect iter =
+        let acc = ref [] in
+        iter v (fun f -> acc := f :: !acc);
+        List.rev !acc
+      in
+      ( collect adj.Grounding.Local.iter_derivations,
+        collect adj.Grounding.Local.iter_supports,
+        adj.Grounding.Local.singleton_of v ))
+    ids
