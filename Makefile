@@ -11,7 +11,11 @@ test:
 
 # The determinism gate: the whole suite must pass both with the pool
 # disabled (PROBKB_DOMAINS=1, no domains spawned) and with a 4-domain
-# pool, with the debug assertions (e.g. colouring verification) on.
+# pool, with the debug assertions (e.g. colouring verification) on, and
+# once more in the build the benchmark measures (`--profile release`,
+# where kernels inline across modules) on the 2-domain pool every
+# perfbench workload runs on, in its own build directory so `_build`
+# stays in the dev profile.
 # Then the observability smoke: `--explain --metrics json` must put
 # exactly one well-formed JSON document on stdout (chatter is stderr),
 # `probkb infer` must report one hybrid solve and stream monotone
@@ -37,6 +41,8 @@ test:
 check: build
 	PROBKB_DOMAINS=1 PROBKB_DEBUG=1 dune runtest --force
 	PROBKB_DOMAINS=4 PROBKB_DEBUG=1 dune runtest --force
+	PROBKB_DOMAINS=2 PROBKB_DEBUG=1 dune runtest --force --profile release \
+	  --build-dir _build_release
 	rm -rf _smoke && mkdir -p _smoke
 	dune exec bin/probkb_cli.exe -- generate --scale 0.01 --out _smoke
 	dune exec bin/probkb_cli.exe -- expand --facts _smoke/facts.tsv \

@@ -7,7 +7,6 @@ type t = { kb : Gamma.t; config : Config.t; trace : Obs.t }
 let create ?(config = Config.default) kb =
   { kb; config; trace = Obs.create ~config:config.Config.obs () }
 
-let kb t = t.kb
 let config t = t.config
 let trace t = t.trace
 

@@ -23,7 +23,6 @@ type t
     trace context created from [config.obs]. *)
 val create : ?config:Config.t -> Kb.Gamma.t -> t
 
-val kb : t -> Kb.Gamma.t
 val config : t -> Config.t
 
 (** [trace t] is the engine's trace context — pass it to ad-hoc

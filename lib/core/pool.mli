@@ -2,22 +2,23 @@
 
     OCaml 5 gives the runtime real parallelism through [Domain]s; this
     module owns a small set of long-lived worker domains and hands them
-    chunked work: the probe side of a partitioned hash join, the colour
-    classes of the chromatic Gibbs schedule, the per-segment plans of the
-    simulated MPP cluster.
+    top-level regions of independent work: grounding's per-pattern
+    queries, the per-segment joins and the views of the simulated MPP
+    cluster, and the exact components of hybrid inference.  Each task of
+    a region runs whole relational pipelines on its own domain; no
+    library path submits to the pool from inside one of its tasks.
 
     Design constraints, in order:
 
     - A pool of size 1 spawns no domains and runs every submission inline
       on the caller, so the default configuration ([PROBKB_DOMAINS] unset)
       is byte-for-byte the old single-threaded engine.
-    - Submissions are synchronous barriers: when {!run}, {!parallel_for}
-      or {!map_reduce} returns, all work (and all its writes) is visible
-      to the caller — the mutex handoff provides the happens-before edge.
-    - The pool is not reentrant.  A nested submission (a parallel join
-      issued from inside a parallel grounding query) detects that the pool
-      is busy and degrades to inline sequential execution instead of
-      deadlocking.
+    - Submissions are synchronous barriers: when {!parallel_for} or
+      {!map_reduce} returns, all work (and all its writes) is visible to
+      the caller — the mutex handoff provides the happens-before edge.
+    - The pool is not reentrant.  A nested submission (one made from
+      inside a region's task) detects that the pool is busy and degrades
+      to inline sequential execution instead of deadlocking.
     - Worker domains are spawned lazily on the first real submission, so
       merely creating (or defaulting) a pool costs nothing. *)
 
@@ -38,23 +39,17 @@ val size : t -> int
     submissions run inline sequentially.  Idempotent. *)
 val shutdown : t -> unit
 
-(** [run t f] executes [f w] for every worker index [w] in
-    [0 .. size t - 1], [f 0] on the calling domain, and waits for all of
-    them.  If any [f w] raises, one of the exceptions is re-raised after
-    the barrier.  If the pool is busy (nested submission) or stopped, the
-    calls run inline sequentially. *)
-val run : t -> (int -> unit) -> unit
-
 (** [in_region ()] is [true] while the calling domain runs its own share
-    of a {!run} region ([f 0], and any worker indexes it covers) while
-    worker domains run theirs.  A size-1 pool and a nested (inline)
-    submission run no workers, so they leave it as it was. *)
+    of a {!parallel_for} or {!map_reduce} region while worker domains
+    run theirs.  A size-1 pool and a nested (inline) submission run no
+    workers, so they leave it as it was. *)
 val in_region : unit -> bool
 
 (** [parallel_for t ~n f] executes [f i] for every [i] in [0 .. n - 1],
     dynamically scheduled over the pool.  The iterations must be
     independent (write disjoint state); their execution order is
-    unspecified. *)
+    unspecified.  If any [f i] raises, one of the exceptions is re-raised
+    after the barrier. *)
 val parallel_for : t -> n:int -> (int -> unit) -> unit
 
 (** [map_reduce t ~n ~map ~fold ~init] computes
@@ -71,9 +66,8 @@ val map_reduce :
 val env_domains : unit -> int
 
 (** [get_default ()] is the process-wide pool, created on first use with
-    {!env_domains} domains.  The relational operators, the chromatic
-    sampler and the MPP executor all draw on it unless handed an explicit
-    pool. *)
+    {!env_domains} domains.  Grounding, the MPP executor and hybrid
+    inference draw on it unless handed an explicit pool. *)
 val get_default : unit -> t
 
 (** [set_default_size n] replaces the process-wide pool with a fresh pool

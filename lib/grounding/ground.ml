@@ -268,8 +268,7 @@ let local_executor options kb =
               ~dir:(Spill.fresh_dir policy ~prefix:"tpi")
               facts)
       in
-      Pipeline.Segments
-        { src = Seg_store.source ~tail:facts st; keep = (fun _ -> true) }
+      Pipeline.Segments (Seg_store.source ~tail:facts st)
     | Some _ | None -> Pipeline.of_table facts
   in
   let atoms ~delta_from patterns =

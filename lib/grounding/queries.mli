@@ -96,8 +96,8 @@ val partitions : prepared -> Mln.Partition.t
 (** [atoms_plan p pat pi] is Query 1-i expressed as a logical plan over
     the *current* [Mi] and [TΠ] tables — the same joins and projections
     the physical path runs, with the join-folded dedup made an explicit
-    [Distinct].  Feed it to [Relational.Plan.explain] (estimates only) or
-    [Plan.analyze] (estimates vs. observed rows) for EXPLAIN output. *)
+    [Distinct].  Feed it to [Relational.Plan.analyze] (estimates vs.
+    observed rows) for [probkb expand --explain]'s EXPLAIN ANALYZE. *)
 val atoms_plan : prepared -> Mln.Pattern.t -> Kb.Storage.t -> Relational.Plan.t
 
 (** [ground_atoms ?src p pat pi] is Query 1-i: the head atoms derivable

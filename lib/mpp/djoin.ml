@@ -53,9 +53,9 @@ let local_join ?pool cluster cost ~name ~cols ~out ~oweight ?dedup ?residual
   let t0 = Obs.now () in
   (* The per-segment plans are independent, so they execute concurrently
      on the domain pool — the collocated-join parallelism of Figure 4,
-     measured for real instead of only simulated.  Per-segment joins fall
-     back to their sequential path while the pool is busy here; a segment
-     with an empty side runs none. *)
+     measured for real instead of only simulated.  Each segment's join
+     runs on the domain that takes the segment; a segment with an empty
+     side runs none. *)
   let segs =
     Pool.map_reduce pool ~n:nseg
       ~map:(fun i ->
@@ -69,7 +69,7 @@ let local_join ?pool cluster cost ~name ~cols ~out ~oweight ?dedup ?residual
              too; the probe side streams in place — a spilled shard from
              its segments, never materialized. *)
           Join.hash_join_pre ~name:(Printf.sprintf "%s@%d" name i) ~cols ~out
-            ~oweight ?dedup ?residual ~pool
+            ~oweight ?dedup ?residual
             (Join.build (Dtable.seg bdt i) bkey)
             (Dtable.source pdt i, pkey))
       ~fold:(fun acc s -> s :: acc)

@@ -101,7 +101,7 @@ let seg t i =
 let source t i =
   match t.segs.(i) with
   | Resident tbl -> Pipeline.of_table tbl
-  | Spilled { src; _ } -> Pipeline.Segments { src; keep = (fun _ -> true) }
+  | Spilled { src; _ } -> Pipeline.Segments src
 
 (* Row count without materializing spilled shards. *)
 let seg_rows t i =

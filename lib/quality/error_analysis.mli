@@ -16,7 +16,6 @@ type source =
   | Synonym  (** two names for one object *)
 
 val all_sources : source list
-val source_name : source -> string
 
 type report = {
   total : int;  (** number of violations categorized *)

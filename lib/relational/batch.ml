@@ -22,8 +22,6 @@ let create ?(capacity = default_capacity) ~weighted width =
     rids = Array.make capacity 0;
   }
 
-let width b = b.width
-let weighted b = b.weighted
 let capacity b = b.capacity
 let length b = b.n
 let is_empty b = b.n = 0
@@ -54,15 +52,6 @@ let alloc_row b ~rid =
   if b.weighted then b.wts.(i) <- Table.null_weight;
   b.n <- i + 1;
   i
-
-let move_row b ~src ~dst =
-  if src <> dst then begin
-    Array.blit b.cells (src * b.width) b.cells (dst * b.width) b.width;
-    if b.weighted then b.wts.(dst) <- b.wts.(src);
-    b.rids.(dst) <- b.rids.(src)
-  end
-
-let truncate b n = b.n <- n
 
 let append_row_to_table tbl b r =
   if Table.weighted tbl && b.weighted then

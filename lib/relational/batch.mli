@@ -7,9 +7,9 @@
     provenance in the pipeline's source table (used by residual join
     predicates).
 
-    Operator kernels mutate batches in place — a filter compacts the
-    surviving rows to the front, a probe fills a private output batch —
-    so steady-state execution allocates nothing per row.  The concrete
+    Operator kernels reuse their batches — a projection or a probe fills
+    a private output batch and clears it after each push — so
+    steady-state execution allocates nothing per row.  The concrete
     record is exposed for the kernels' inner loops; everything outside
     [lib/relational] should treat values as abstract. *)
 
@@ -32,8 +32,6 @@ val default_capacity : int
     columns.  @raise Invalid_argument if [capacity < 1]. *)
 val create : ?capacity:int -> weighted:bool -> int -> t
 
-val width : t -> int
-val weighted : t -> bool
 val capacity : t -> int
 
 (** [length b] is the number of live rows. *)
@@ -68,13 +66,6 @@ val push_from_table : t -> Table.t -> int -> unit
     initialized to null) and returns its index; the caller fills the
     cells via {!set}.  The caller must check {!is_full} first. *)
 val alloc_row : t -> rid:int -> int
-
-(** [move_row b ~src ~dst] copies row [src] onto [dst] ([dst <= src]);
-    used by filters compacting a batch in place. *)
-val move_row : t -> src:int -> dst:int -> unit
-
-(** [truncate b n] sets the live row count to [n] ([n <= length b]). *)
-val truncate : t -> int -> unit
 
 (** [append_row_to_table tbl b r] appends batch row [r] to [tbl],
     carrying the weight when both sides are weighted. *)

@@ -21,8 +21,8 @@ let check_arity bidx pkey =
    the ambient trace is enabled, it records rows in/out, probe time and
    — through the shared sink abstraction — the same dedup counters a
    standalone DISTINCT reports. *)
-let hash_join_pre ~name ~cols ~out ~oweight ?(dedup = false) ?residual ?pool
-    bidx (src, pkey) =
+let hash_join_pre ~name ~cols ~out ~oweight ?(dedup = false) ?residual bidx
+    (src, pkey) =
   check_arity bidx pkey;
   let obs = Obs.ambient () in
   let t0 = if Obs.enabled obs then Obs.now () else 0. in
@@ -35,14 +35,10 @@ let hash_join_pre ~name ~cols ~out ~oweight ?(dedup = false) ?residual ?pool
   let sink =
     Sink.create ?dedup_key ~weighted:(oweight <> No_weight) ~name cols
   in
-  let chain s =
-    Pipeline.probe bidx ~pkey ~out ~oweight ?residual
-      ~next:(Pipeline.into_sink s) ()
-  in
   ignore
-    (Pipeline.run ?pool ~source:src
-       ~make_sink:(fun () -> Sink.clone_empty sink)
-       ~chain ~sink ());
+    (Pipeline.run ~source:src
+       (Pipeline.probe bidx ~pkey ~out ~oweight ?residual
+          ~next:(Pipeline.into_sink sink) ()));
   let result = Sink.table sink in
   if Obs.enabled obs then begin
     Obs.incr obs "join.joins";
@@ -95,9 +91,9 @@ let emit_match ~sink ob ~out ~oweight btbl br ptbl ir =
   | Weight_of Build -> Batch.set_weight ob i (Table.weight btbl br)
   | Weight_of Probe -> Batch.set_weight ob i (Table.weight ptbl ir)
 
-let hash_join ~name ~cols ~out ~oweight ?dedup ?residual ?pool (btbl, bkey)
+let hash_join ~name ~cols ~out ~oweight ?dedup ?residual (btbl, bkey)
     (ptbl, pkey) =
-  hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual ?pool
+  hash_join_pre ~name ~cols ~out ~oweight ?dedup ?residual
     (build btbl bkey)
     (Pipeline.of_table ptbl, pkey)
 

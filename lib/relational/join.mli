@@ -11,7 +11,11 @@
 
     The output specification names, for each output column, which side and
     column it is read from; this is the SELECT clause of the SQL queries in
-    Figure 3 of the paper. *)
+    Figure 3 of the paper.
+
+    A join runs on the calling domain, one scan of its probe side; the
+    pool's parallelism runs whole joins, as the tasks of grounding's
+    per-pattern and the MPP executor's per-segment regions. *)
 
 (** Which input a projected column or weight comes from (re-exported
     from {!Pipeline}, whose probe kernel executes the join). *)
@@ -37,15 +41,10 @@ type out_weight = Pipeline.out_weight =
     are named [cols].  With [dedup = true] (default [false]) the join
     performs an inline DISTINCT over the integer output columns — the
     first matching row wins — so duplicate-heavy queries never
-    materialize their raw output.
-
-    When [pool] (default {!Pool.get_default}) has more than one domain and
-    the probe side is large enough, the probe rows are partitioned into
-    one contiguous chunk per worker; each worker probes the shared
-    read-only build index into a private table and the chunks are
-    concatenated (re-deduplicating when [dedup] is set) in worker order.
-    The output — row order, weights, dedup winners — is bit-identical to
-    the sequential join for every pool size.
+    materialize their raw output.  The join runs on the calling domain:
+    the probe rows stream in order through the read-only build index, so
+    the output — row order, weights, dedup winners — is the same on
+    whichever domain runs it.
 
     @raise Invalid_argument if the key arities differ. *)
 val hash_join :
@@ -55,7 +54,6 @@ val hash_join :
   oweight:out_weight ->
   ?dedup:bool ->
   ?residual:(int -> int -> bool) ->
-  ?pool:Pool.t ->
   Table.t * int array ->
   Table.t * int array ->
   Table.t
@@ -65,7 +63,7 @@ val hash_join :
     (its table and key are taken from the index) — reusing a persistent
     index across the queries of one grounding iteration — and the probe
     side given as a {!Pipeline.source}: rows of a resident table, or a
-    spilled table's segments, which stream as one morsel each and are
+    spilled table's segments, which stream one after another and are
     never materialized.  The output, telemetry and bit-identical-output
     contract are {!hash_join}'s whichever the source: a segmented source
     yields exactly the rows of the same join over the resident table,
@@ -78,7 +76,6 @@ val hash_join_pre :
   oweight:out_weight ->
   ?dedup:bool ->
   ?residual:(int -> int -> bool) ->
-  ?pool:Pool.t ->
   Index.t ->
   Pipeline.source * int array ->
   Table.t

@@ -1,30 +1,21 @@
-let parallel_distinct_threshold = 4096
-
 (* DISTINCT is a pipeline with no kernels: the source streams straight
-   into a dedup sink (per-morsel private sinks absorbed in morsel order
-   when parallel — the first occurrence in row order wins, exactly as in
-   a sequential pass).  Inline join dedup terminates in the same sink
-   abstraction, so both paths report identical Obs counters. *)
-let distinct_sink ?pool t key =
+   into a dedup sink, so the first occurrence in row order wins.  Inline
+   join dedup terminates in the same sink abstraction, so both paths
+   report identical Obs counters. *)
+let distinct_sink t key =
   let sink =
     Sink.create ~dedup_key:key ~weighted:(Table.weighted t)
       ~name:(Table.name t) (Table.cols t)
   in
-  ignore
-    (Pipeline.run ?pool ~threshold:parallel_distinct_threshold
-       ~source:(Pipeline.of_table t)
-       ~make_sink:(fun () -> Sink.clone_empty sink)
-       ~chain:Pipeline.into_sink ~sink ());
+  ignore (Pipeline.run ~source:(Pipeline.of_table t) (Pipeline.into_sink sink));
   sink
 
-let distinct_raw ?pool t key = Sink.table (distinct_sink ?pool t key)
-
-let distinct ?pool t key =
+let distinct t key =
   let obs = Obs.ambient () in
-  if not (Obs.enabled obs) then distinct_raw ?pool t key
+  if not (Obs.enabled obs) then Sink.table (distinct_sink t key)
   else begin
     let t0 = Obs.now () in
-    let sink = distinct_sink ?pool t key in
+    let sink = distinct_sink t key in
     Sink.record_distinct_obs obs sink;
     Obs.add_time obs "distinct.seconds" (Obs.now () -. t0);
     Sink.table sink

@@ -2,15 +2,12 @@
 
     These back the DISTINCT / GROUP BY ... HAVING clauses of the paper's
     Query 3 (constraint application) and the bag/set unions of Algorithm 1
-    (lines 5 and 9-10). *)
+    (lines 5 and 9-10).  Each runs on the calling domain. *)
 
 (** [distinct t key] is a new table keeping the first row of [t] for each
-    distinct valuation of the [key] columns (all columns are copied).
-    Large inputs are deduplicated in parallel over [pool] (default
-    {!Pool.get_default}) — per-worker local dedup over contiguous chunks
-    followed by an ordered global merge — with output identical to the
-    sequential pass for every pool size. *)
-val distinct : ?pool:Pool.t -> Table.t -> int array -> Table.t
+    distinct valuation of the [key] columns (all columns are copied), in
+    one pass on the calling domain. *)
+val distinct : Table.t -> int array -> Table.t
 
 (** [group_count t key] groups the rows of [t] by the [key] columns and
     returns a table with columns [key-cols @ ["count"]]: one row per group

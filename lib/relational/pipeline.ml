@@ -1,19 +1,16 @@
-(* Push-based, batch-at-a-time operator pipelines (HyPer-style morsel
-   parallelism over MonetDB/X100-style vectorized kernels).
+(* Push-based, batch-at-a-time operator pipelines (MonetDB/X100-style
+   vectorized kernels).
 
    A pipeline is: a source (rows of a resident table, or the segments
-   of a spilled one) scanned in fixed-size batches, a chain
-   of kernels transforming batches in flight, and a sink materializing
-   the survivors.  The only materialization points are sinks — filters,
-   projections and hash-probe chains never produce a Table.t.
+   of a spilled one) scanned in fixed-size batches, a chain of kernels
+   transforming batches in flight, and a sink materializing the
+   survivors.  The only materialization points are sinks — projections
+   and hash-probe chains never produce a Table.t.
 
-   Determinism contract (same as the partitioned operators this layer
-   replaces): the parallel driver hands contiguous morsels to pool
-   workers, each worker runs the whole kernel chain over its morsel into
-   a private sink, and the private sinks are absorbed into the global
-   sink in morsel order — so the output is bit-identical to the
-   sequential engine for any pool size, including first-occurrence
-   semantics of dedup sinks. *)
+   A pipeline is one sequential scan on the calling domain: kernels emit
+   in row order, so the output is the same whichever domain runs it.
+   The pool's parallelism sits above, in regions that each run whole
+   pipelines. *)
 
 type side = Build | Probe
 type out_col = Col of side * int | Const of int
@@ -22,25 +19,6 @@ type out_weight = No_weight | Weight_of of side
 type kernel = { push : Batch.t -> unit; flush : unit -> unit }
 
 let into_sink s = { push = Sink.push_batch s; flush = (fun () -> ()) }
-
-(* Filter: compacts the incoming batch in place (the producer refills it
-   from scratch after the push returns). *)
-let select pred ~next =
-  {
-    push =
-      (fun b ->
-        let n = Batch.length b in
-        let keep = ref 0 in
-        for r = 0 to n - 1 do
-          if pred b r then begin
-            Batch.move_row b ~src:r ~dst:!keep;
-            incr keep
-          end
-        done;
-        Batch.truncate b !keep;
-        if !keep > 0 then next.push b);
-    flush = next.flush;
-  }
 
 (* Projection: 1:1 into a private output batch (allocated on first push,
    matching the incoming capacity), weights and row ids carried over. *)
@@ -124,20 +102,17 @@ let probe idx ~pkey ~out ~oweight ?residual ~next () =
         next.flush ());
   }
 
-(* --- the morsel driver --- *)
+(* --- the driver --- *)
 
 type source =
   | Rows of { table : Table.t; lo : int; hi : int }
-  | Segments of { src : Segsrc.t; keep : Segsrc.seg -> bool }
+  | Segments of Segsrc.t
 
 let of_table t = Rows { table = t; lo = 0; hi = Table.nrows t }
 
 let rows = function
   | Rows { lo; hi; _ } -> hi - lo
-  | Segments { src; _ } -> Segsrc.rows src
-
-let default_parallel_threshold = 2048
-let min_morsel_rows = 1024
+  | Segments src -> Segsrc.rows src
 
 (* Scans rows [lo, hi) of [tbl] through [kernel] in batches, none larger
    than the rows it holds; returns the number of batches pushed. *)
@@ -163,101 +138,41 @@ let scan_rows tbl lo hi kernel =
   end;
   !batches
 
-(* The morsels of [source], each a scan into a kernel, and whether they
-   run in parallel.  Resident rows are one morsel sequentially, or split
-   into contiguous runs of at least [min_morsel_rows]; a segmented
-   source has one morsel per kept segment either way, and skipped
-   segments still advance the row ids, so surviving rows carry the same
-   ids as an unspilled scan. *)
-let morsels ~nworkers ~threshold = function
-  | Rows { table; lo; hi } ->
-    let n = hi - lo in
-    if nworkers <= 1 || n < threshold then ([| scan_rows table lo hi |], false)
-    else begin
-      let nm =
-        min (nworkers * 4)
-          (max 1 ((n + min_morsel_rows - 1) / min_morsel_rows))
-      in
-      let chunk = (n + nm - 1) / nm in
-      ( Array.init nm (fun i ->
-            scan_rows table
-              (min hi (lo + (i * chunk)))
-              (min hi (lo + ((i + 1) * chunk)))),
-        true )
-    end
-  | Segments { src; keep } ->
-    let base = ref 0 and kept = ref [] in
-    Array.iter
-      (fun (seg : Segsrc.seg) ->
-        let base_rid = !base in
-        if seg.rows > 0 && keep seg then
-          kept :=
-            (fun k ->
-              seg.scan ~capacity:Batch.default_capacity ~base_rid k.push)
-            :: !kept;
-        base := !base + seg.rows)
-      src.segs;
-    let kept = Array.of_list (List.rev !kept) in
-    (kept, nworkers > 1 && Array.length kept > 1)
+(* Every non-empty segment streams in order, its row ids offset by the
+   rows before it, so every row carries the id it has in the unspilled
+   table; returns the batches pushed and the segments read. *)
+let scan_segments (src : Segsrc.t) kernel =
+  let base = ref 0 and batches = ref 0 and scanned = ref 0 in
+  Array.iter
+    (fun (seg : Segsrc.seg) ->
+      if seg.rows > 0 then begin
+        incr scanned;
+        batches :=
+          !batches
+          + seg.scan ~capacity:Batch.default_capacity ~base_rid:!base
+              kernel.push
+      end;
+      base := !base + seg.rows)
+    src.segs;
+  (!batches, !scanned)
 
-(* Sequentially, one kernel chain consumes every morsel in order with a
-   single flush at the end; in parallel, each morsel streams through a
-   private chain and sink, and the sinks are absorbed in morsel order.
-   Kernels emit in row order either way, so the output is bit-identical
-   at any pool size (dedup sinks re-check while absorbing). *)
-let run ?pool ?(threshold = default_parallel_threshold) ~source ~make_sink
-    ~chain ~sink () =
-  let pool = match pool with Some p -> p | None -> Pool.get_default () in
-  let morsels, parallel =
-    morsels ~nworkers:(Pool.size pool) ~threshold source
-  in
-  let nm = Array.length morsels in
+let run ~source kernel =
   let obs = Obs.ambient () in
   let enabled = Obs.enabled obs in
-  let now () = if enabled then Obs.now () else 0. in
-  let t0 = now () in
-  let batches, busy, skew =
-    if not parallel then begin
-      let t = now () in
-      let kernel = chain sink in
-      let batches =
-        Array.fold_left (fun b scan -> b + scan kernel) 0 morsels
-      in
-      kernel.flush ();
-      (batches, now () -. t, 1.)
-    end
-    else begin
-      let batches, busy, max_rows, total_rows =
-        Pool.map_reduce pool ~n:nm
-          ~map:(fun i ->
-            let s = make_sink () in
-            let t = now () in
-            let kernel = chain s in
-            let b = morsels.(i) kernel in
-            kernel.flush ();
-            (s, b, now () -. t))
-          ~fold:(fun (batches, busy, max_rows, total_rows) (s, b, sec) ->
-            let rows = Sink.rows_out s in
-            Sink.absorb sink (Sink.table s);
-            Sink.add_pushed sink (Sink.pushed s);
-            (batches + b, busy +. sec, max max_rows rows, total_rows + rows))
-          ~init:(0, 0., 0, 0)
-      in
-      let mean = float_of_int total_rows /. float_of_int nm in
-      (batches, busy, if mean > 0. then float_of_int max_rows /. mean else 1.)
-    end
+  let t0 = if enabled then Obs.now () else 0. in
+  let batches, scanned =
+    match source with
+    | Rows { table; lo; hi } -> (scan_rows table lo hi kernel, 0)
+    | Segments src -> scan_segments src kernel
   in
+  kernel.flush ();
   if enabled then begin
     Obs.incr obs "pipeline.runs";
     Obs.add obs "pipeline.rows" (rows source);
     Obs.add obs "pipeline.batches" batches;
-    Obs.add_time obs "pipeline.busy_seconds" busy;
-    Obs.add_time obs "pipeline.seconds" (now () -. t0);
-    Obs.gauge_max obs "pipeline.morsel_skew" skew;
+    Obs.add_time obs "pipeline.seconds" (Obs.now () -. t0);
     match source with
-    | Segments { src; _ } ->
-      Obs.add obs "storage.segments_scanned" nm;
-      Obs.add obs "storage.segments_skipped" (Array.length src.segs - nm)
+    | Segments _ -> Obs.add obs "storage.segments_scanned" scanned
     | Rows _ -> ()
   end;
   batches

@@ -3,19 +3,17 @@
     This is the execution engine under {!Join}, {!Ops} and {!Plan}: a
     {!source} — rows of a resident table or the segments of a spilled
     one — is scanned in {!Batch.t} chunks, a chain of kernels
-    transforms each batch in flight (filters compact in place, probes
-    stream against prebuilt hash indexes), and a {!Sink.t} materializes
-    the survivors.  The only pipeline breakers are hash-table build
-    sides, DISTINCT (a dedup sink) and sorts — Scan→Select→Project→probe
-    chains never materialize an intermediate table.
+    transforms each batch in flight (projections copy, probes stream
+    against prebuilt hash indexes), and a {!Sink.t} materializes the
+    survivors.  The only pipeline breakers are hash-table build sides
+    and DISTINCT (a dedup sink) — Scan→Project→probe chains never
+    materialize an intermediate table.
 
-    Parallelism is morsel-driven: one driver ({!run}) splits either kind
-    of source into contiguous morsels, dynamically scheduled over the
-    domain pool; each worker runs the whole kernel chain over its morsel
-    into a private sink, and the private sinks are absorbed into the
-    global sink in morsel order.  Output is therefore bit-identical to the sequential
-    engine for any pool size — including first-occurrence semantics of
-    dedup sinks, which re-check their dedup set while absorbing. *)
+    A pipeline runs on the calling domain, one sequential scan into one
+    kernel chain.  Parallelism lives a level up, in the pool's top-level
+    regions (grounding's patterns, the MPP segments and views, the exact
+    components of inference), each of which runs whole pipelines; no
+    pipeline submits to the pool itself. *)
 
 (** Which input of a join an output column or weight is drawn from.
     These types are re-exported by {!Join} under the same constructors;
@@ -33,10 +31,6 @@ type kernel = { push : Batch.t -> unit; flush : unit -> unit }
 
 (** [into_sink s] is the terminal kernel appending into [s]. *)
 val into_sink : Sink.t -> kernel
-
-(** [select pred ~next] keeps the rows satisfying [pred b r], compacting
-    the batch in place. *)
-val select : (Batch.t -> int -> bool) -> next:kernel -> kernel
 
 (** [project ~cols ~weighted ~next ()] maps each row to the given child
     columns (weights carried over when [weighted]). *)
@@ -63,42 +57,19 @@ type source =
   | Rows of { table : Table.t; lo : int; hi : int }
       (** rows [lo, hi)] of a resident table; the row ids the kernels
           see are the table's own row indices *)
-  | Segments of { src : Segsrc.t; keep : Segsrc.seg -> bool }
-      (** a segmented (spilled) table.  Segments [keep] rejects are
-          never read: [keep] may only reject segments none of whose rows
-          could survive the chain, so pruning changes counters, never
-          results.  Row ids equal the row indices of the unspilled
-          table, skipped segments included. *)
+  | Segments of Segsrc.t
+      (** a segmented (spilled) table, read segment by segment; row ids
+          equal the row indices of the unspilled table *)
 
 (** [of_table t] is every row of [t]. *)
 val of_table : Table.t -> source
 
-(** [rows s] is the number of rows [s] covers, rejected segments
-    included. *)
+(** [rows s] is the number of rows [s] covers. *)
 val rows : source -> int
 
-(** [run ~source ~make_sink ~chain ~sink ()] drives a full pipeline over
-    [source] in morsels.  Resident rows are one morsel, or — when the
-    pool has workers and the rows clear [threshold] (default 2,048;
-    below it the per-morsel sinks and the ordered absorb cost more than
-    they save) — contiguous runs of at least 1,024 rows; each kept
-    segment is one morsel.  Sequentially
-    one [chain sink] consumes every morsel in order and is flushed once;
-    in parallel each morsel runs through [chain (make_sink ())] and the
-    private sinks are absorbed into [sink] in morsel order.  [chain]
-    must build a fresh kernel chain ending at the given sink each time
-    it is called.  Output is bit-identical to a sequential scan of the
-    resident table at any pool size.  Returns the number of source
-    batches scanned; records [pipeline.*] counters and the morsel-skew
-    gauge on the ambient trace when enabled, plus
-    [storage.segments_scanned] / [storage.segments_skipped] for a
+(** [run ~source kernel] scans [source] in order through [kernel] and
+    flushes it once at the end, on the calling domain.  Returns the
+    number of batches scanned; records [pipeline.*] counters on the
+    ambient trace when enabled, plus [storage.segments_scanned] for a
     segmented source. *)
-val run :
-  ?pool:Pool.t ->
-  ?threshold:int ->
-  source:source ->
-  make_sink:(unit -> Sink.t) ->
-  chain:(Sink.t -> kernel) ->
-  sink:Sink.t ->
-  unit ->
-  int
+val run : source:source -> kernel -> int

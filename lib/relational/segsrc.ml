@@ -2,11 +2,11 @@
 
    [lib/storage] keeps tables as immutable on-disk column segments; the
    pipelined executor only needs, per segment, the row count, the
-   per-column zone maps (for partition pruning) and a way to stream the
-   rows out as batches.  This record is that contract — it lives in
-   [lib/relational] so {!Pipeline} and {!Plan} can consume spilled
-   tables without depending on the storage layer (and so tests can back
-   a source with plain in-memory tables). *)
+   per-column zone maps and a way to stream the rows out as batches.
+   This record is that contract — it lives in [lib/relational] so
+   {!Pipeline} can consume spilled tables without depending on the
+   storage layer (and so tests can back a source with plain in-memory
+   tables). *)
 
 type seg = {
   rows : int;
@@ -17,7 +17,7 @@ type seg = {
          [capacity] rows; row ids are [base_rid + local row index] so a
          segmented scan hands out the same rids as a scan of the
          unspilled table.  Returns the number of batches pushed; must be
-         re-entrant (parallel scans each call it with their own push). *)
+         re-entrant (concurrent scans each call it with their own push). *)
 }
 
 type t = {

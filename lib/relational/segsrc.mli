@@ -3,11 +3,10 @@
     A source is an ordered array of immutable segments, each knowing its
     row count, per-column min/max zone maps, and how to stream its rows
     out as {!Batch.t} chunks.  The storage layer ([lib/storage]) builds
-    these over mmap'd column-segment files; {!Pipeline.run} drives them
-    (one segment = one morsel) and {!Plan} prunes segments
-    whose zone maps exclude a scan's predicates.  Row ids handed out by
-    a segmented scan equal the row indices of the unspilled table, so
-    downstream residual predicates behave identically. *)
+    these over mmap'd column-segment files and {!Pipeline.run} streams
+    them in order.  Row ids handed out by a segmented scan equal the row
+    indices of the unspilled table, so downstream residual predicates
+    behave identically. *)
 
 type seg = {
   rows : int;

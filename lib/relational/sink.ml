@@ -25,17 +25,9 @@ let create ?dedup_key ?reserve ?(weighted = false) ~name cols =
     pushed = 0;
   }
 
-let clone_empty s =
-  create
-    ?dedup_key:
-      (if Array.length s.dedup_key > 0 then Some s.dedup_key else None)
-    ~weighted:(Table.weighted s.table) ~name:(Table.name s.table)
-    (Table.cols s.table)
-
 let table s = s.table
 let rows_out s = Table.nrows s.table
 let pushed s = s.pushed
-let add_pushed s n = s.pushed <- s.pushed + n
 
 let push_batch s b =
   let n = Batch.length b in
@@ -54,22 +46,6 @@ let push_batch s b =
       done;
       if not (Index.mem idx kbuf) then begin
         Batch.append_row_to_table s.table b r;
-        Index.add idx (Table.nrows s.table - 1)
-      end
-    done
-
-(* Appends every row of [src] (same schema as the sink table), re-checking
-   the dedup set so the sink's global first occurrence wins.  Used when
-   merging per-morsel sinks in morsel order; does not count as pushes —
-   the driver transfers the local sinks' push counts instead. *)
-let absorb s src =
-  match s.dedup with
-  | None -> Table.append_all s.table src
-  | Some idx ->
-    let key = s.dedup_key in
-    for r = 0 to Table.nrows src - 1 do
-      if not (Index.mem_row idx src key r) then begin
-        Table.append_from s.table src r;
         Index.add idx (Table.nrows s.table - 1)
       end
     done

@@ -6,12 +6,9 @@
     deduplication ({!Join.hash_join} [~dedup:true]) and the standalone
     {!Ops.distinct} operator both terminate in this one abstraction, so
     their [Obs] dedup counters are computed identically
-    ({!record_distinct_obs}).
-
-    Parallel (morsel-driven) pipelines give each worker a private sink
-    and {!absorb} them into the global one in morsel order; absorbing
-    re-checks the dedup set so the global first occurrence — the one the
-    sequential engine would keep — wins. *)
+    ({!record_distinct_obs}).  A pipeline pushes its rows in source
+    order, so a dedup sink keeps each key's first occurrence in that
+    order. *)
 
 type t
 
@@ -27,11 +24,6 @@ val create :
   string array ->
   t
 
-(** [clone_empty s] is a fresh empty sink with the same schema, weight
-    and dedup configuration — the per-morsel private sink of the
-    parallel driver. *)
-val clone_empty : t -> t
-
 (** [table s] is the sink's output table. *)
 val table : t -> Table.t
 
@@ -42,17 +34,8 @@ val rows_out : t -> int
     the difference is the dedup hits). *)
 val pushed : t -> int
 
-(** [add_pushed s n] transfers [n] logical pushes into [s]'s count —
-    used by the morsel driver when the physical pushes happened in
-    per-worker sinks. *)
-val add_pushed : t -> int -> unit
-
 (** [push_batch s b] offers every row of [b] to the sink. *)
 val push_batch : t -> Batch.t -> unit
-
-(** [absorb s src] appends the rows of [src] (same schema), re-checked
-    against the dedup set; does not count as pushes. *)
-val absorb : t -> Table.t -> unit
 
 (** [record_distinct_obs obs s] emits the uniform dedup counters
     ([distinct.rows_in], [distinct.rows_out], [distinct.duplicates]) for

@@ -159,24 +159,3 @@ let equal_rows a ra b rb =
        && eq (c + 1)
   in
   a.width = b.width && eq 0
-
-let pp ?(max_rows = 20) ppf t =
-  Format.fprintf ppf "@[<v>%s (%d rows)@," t.name t.nrows;
-  Format.fprintf ppf "  %a%s@,"
-    Fmt.(array ~sep:(any " | ") string)
-    t.cols
-    (if t.weighted then " | w" else "");
-  let shown = min max_rows t.nrows in
-  for r = 0 to shown - 1 do
-    Format.fprintf ppf "  ";
-    for c = 0 to t.width - 1 do
-      if c > 0 then Format.fprintf ppf " | ";
-      Format.fprintf ppf "%d" (get t r c)
-    done;
-    if t.weighted then
-      if is_null_weight t.wts.(r) then Format.fprintf ppf " | NULL"
-      else Format.fprintf ppf " | %.2f" t.wts.(r);
-    Format.fprintf ppf "@,"
-  done;
-  if shown < t.nrows then Format.fprintf ppf "  ... (%d more)@," (t.nrows - shown);
-  Format.fprintf ppf "@]"

@@ -116,6 +116,3 @@ val row_bytes : t -> int
 (** [equal_rows a ra b rb] is [true] iff row [ra] of [a] and row [rb] of [b]
     have identical integer cells (weights are ignored). *)
 val equal_rows : t -> int -> t -> int -> bool
-
-(** [pp ?max_rows ppf t] prints a human-readable rendering of [t]. *)
-val pp : ?max_rows:int -> Format.formatter -> t -> unit

@@ -16,10 +16,6 @@
     included). *)
 val render : Obs.Summary.t -> string
 
-(** [mangle name] maps [name] onto the Prometheus name alphabet
-    ([[a-zA-Z0-9_:]], leading digit replaced). *)
-val mangle : string -> string
-
 (** [split_labels name] splits the ["base|k=v,..."] convention into base
     name and labels (empty without ['|']). *)
 val split_labels : string -> string * (string * string) list

@@ -39,7 +39,6 @@ let sockaddr t = t.bound
 let port t =
   match t.bound with Unix.ADDR_INET (_, p) -> Some p | Unix.ADDR_UNIX _ -> None
 
-let writer t = t.writer
 let trace t = t.trace
 
 (* [ndjson_sink oc] serializes concurrent access-log records (reader

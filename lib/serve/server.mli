@@ -85,9 +85,6 @@ val sockaddr : t -> Unix.sockaddr
 (** [port t] is the bound TCP port ([None] for Unix-domain sockets). *)
 val port : t -> int option
 
-(** [writer t] is the writer arm passed to {!start}. *)
-val writer : t -> Probkb.Engine.Writer.t
-
 (** [stop t] shuts down: closes the listening socket and every open
     connection, drains the writer queue, and joins all domains.
     Idempotent. *)

@@ -3,10 +3,10 @@
    A segment holds a fixed slice of a table's rows in columnar form: one
    compressed lane per integer column plus an optional raw weight lane.
    The header is versioned, checksummed and carries per-column zone maps
-   (ndv/min/max), so a reader can validate a file and prune it against a
-   predicate without touching the data pages; reads go through a
-   [Bigarray] mmap ({!Unix.map_file}), so skipped segments and skipped
-   lanes never fault pages in.
+   (ndv/min/max), so a reader can validate a file and merge a store's
+   statistics without touching the data pages; reads go through a
+   [Bigarray] mmap ({!Unix.map_file}), so the header reads fault no
+   data page in.
 
    Layout (all fixed-width fields little-endian 64-bit unless noted):
 
@@ -44,7 +44,6 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let magic = "pkbseg02"
-let format_version = 2 (* the "02" of the magic *)
 
 (* --- little-endian primitives --- *)
 

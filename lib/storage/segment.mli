@@ -7,8 +7,8 @@
     null weight survives).  The versioned header is checksummed
     (FNV-1a) and records the expected file length, the segment's first
     row within its store, and per-column zone maps — ndv, min, max — so
-    readers can validate a file, check its place in a store and prune it
-    against predicates without faulting in any data page.  Reads go
+    readers can validate a file, check its place in a store and merge
+    the store's statistics without faulting in any data page.  Reads go
     through a {!Bigarray} mmap; writes are atomic (tmp + rename). *)
 
 (** Raised by {!openf} on any validation failure: bad magic, checksum
@@ -17,7 +17,6 @@
 exception Corrupt of string
 
 val magic : string
-val format_version : int
 
 (** [write ?first_row ~path tbl ~lo ~hi] writes rows [lo, hi)] of [tbl]
     (cells and, when weighted, weights) as a segment file at [path],

@@ -46,7 +46,6 @@ let dir t = t.dir
 let name t = t.name
 let cols t = t.cols
 let weighted t = t.weighted
-let segment_rows t = t.segment_rows
 let stats t = t.stats
 let nsegments t = Array.length t.seg_files
 let rows t = Array.fold_left ( + ) 0 t.seg_rows

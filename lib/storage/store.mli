@@ -19,7 +19,6 @@ type t
 exception Corrupt of string
 
 val default_segment_rows : int
-val format_version : int
 
 (** [spill ?segment_rows ?tail ~dir tbl] writes [tbl] as segments of
     [segment_rows] rows under [dir] (created if needed) and returns the
@@ -63,7 +62,6 @@ val dir : t -> string
 val name : t -> string
 val cols : t -> string array
 val weighted : t -> bool
-val segment_rows : t -> int
 
 (** Table-level statistics over the stored rows (persisted; merged from
     segment headers). *)

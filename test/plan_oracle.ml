@@ -1,27 +1,15 @@
 (* The materializing plan executor, a test oracle: every node of a
    [Relational.Plan.t] is materialized bottom-up, one table per node,
-   with the public operators ([Table.filter], [Join.hash_join],
-   [Ops.distinct], [Sort.sort], [Segsrc.to_table]) and a row loop for
-   projections.  It shares nothing with the pipelined executor it checks
-   but the plan's schema and cardinality estimates: a join builds on the
-   input with the smaller estimate (ties build left), which fixes the
-   order of its output rows.  [Plan.run] must reproduce its tables —
-   rows, order and weights — bit for bit, at any pool size. *)
+   with the public operators ([Join.hash_join], [Ops.distinct]) and a
+   row loop for projections.  It shares nothing with the pipelined
+   executor it checks but the plan's schema and cardinality estimates: a
+   join builds on the input with the smaller estimate (ties build left),
+   which fixes the order of its output rows.  [Plan.run] must reproduce
+   its tables — rows, order and weights — bit for bit. *)
 
 module Table = Relational.Table
 module Plan = Relational.Plan
 module Join = Relational.Join
-
-let holds tbl pred r =
-  let rec eval = function
-    | Plan.Eq_const (c, v) -> Table.get tbl r c = v
-    | Plan.Eq_cols (a, b) -> Table.get tbl r a = Table.get tbl r b
-    | Plan.Lt_const (c, v) -> Table.get tbl r c < v
-    | Plan.And (a, b) -> eval a && eval b
-    | Plan.Or (a, b) -> eval a || eval b
-    | Plan.Not a -> not (eval a)
-  in
-  eval pred
 
 let project tbl cols =
   let out =
@@ -36,16 +24,12 @@ let project tbl cols =
     tbl;
   out
 
-(* [run ?pool p] is [p]'s result table; a bare scan is its own table. *)
-let run ?pool p =
+(* [run p] is [p]'s result table; a bare scan is its own table. *)
+let run p =
   ignore (Plan.columns p);
   let rec go p =
     match p with
     | Plan.Scan tbl -> tbl
-    | Plan.Scan_segments s -> Relational.Segsrc.to_table s
-    | Plan.Select (pred, child) ->
-      let input = go child in
-      Table.filter input (holds input pred)
     | Plan.Project (cols, child) -> project (go child) cols
     | Plan.Equi_join { left; right; lkey; rkey } ->
       (* The output columns are the left input's, then the right
@@ -56,15 +40,14 @@ let run ?pool p =
       if Plan.estimate_rows left <= Plan.estimate_rows right then
         join
           ~out:(Array.append (side Join.Build l) (side Join.Probe r))
-          ~oweight:Join.No_weight ?pool (l, lkey) (r, rkey)
+          ~oweight:Join.No_weight (l, lkey) (r, rkey)
       else
         join
           ~out:(Array.append (side Join.Probe l) (side Join.Build r))
-          ~oweight:Join.No_weight ?pool (r, rkey) (l, lkey)
+          ~oweight:Join.No_weight (r, rkey) (l, lkey)
     | Plan.Distinct (key, child) ->
       let input = go child in
-      Relational.Ops.distinct ?pool input
+      Relational.Ops.distinct input
         (Option.value key ~default:(Array.init (Table.width input) Fun.id))
-    | Plan.Order_by (key, child) -> Relational.Sort.sort (go child) key
   in
   go p

@@ -1,6 +1,9 @@
 (* Differential tests for the pipelined plan executor: every generated
-   plan must produce, on the morsel-driven engine at any pool size, the
-   byte-identical table the materializing oracle (Plan_oracle) produces. *)
+   plan must produce the byte-identical table the materializing oracle
+   (Plan_oracle) produces.  A pipeline runs on the calling domain; the
+   pool's parallelism is whole pipelines run as the tasks of one region
+   (grounding runs its per-pattern queries so), so the differentials run
+   their pipelines as the tasks of a 1- and a 4-domain region. *)
 
 module Table = Relational.Table
 module Batch = Relational.Batch
@@ -54,43 +57,26 @@ let base_tables st =
     mk "v" ~weighted:false 800 3 40;
   |]
 
-let gen_pred st width =
-  let rec go depth =
-    let c = Random.State.int st width in
-    match if depth > 1 then 2 else Random.State.int st 6 with
-    | 0 -> Plan.And (go (depth + 1), go (depth + 1))
-    | 1 -> Plan.Or (go (depth + 1), go (depth + 1))
-    | 2 | 3 -> Plan.Lt_const (c, Random.State.int st 30)
-    | 4 -> Plan.Not (go (depth + 1))
-    | _ -> Plan.Eq_const (c, Random.State.int st 15)
-  in
-  go 0
-
-(* A random plan of bounded depth.  Order_by at the top of some plans
-   keeps comparisons meaningful even where engines could legitimately
-   diverge (they must not anyway — identity is checked bit-exact). *)
+(* A random plan of bounded depth. *)
 let rec gen_plan st tables depth =
   let width p = Array.length (Plan.columns p) in
   if depth = 0 then
     Plan.Scan tables.(Random.State.int st (Array.length tables))
   else
-    match Random.State.int st 10 with
+    match Random.State.int st 8 with
     | 0 | 1 ->
-      let child = gen_plan st tables (depth - 1) in
-      Plan.Select (gen_pred st (width child), child)
-    | 2 | 3 ->
       let child = gen_plan st tables (depth - 1) in
       let w = width child in
       let keep = 1 + Random.State.int st w in
       Plan.Project (Array.init keep (fun _ -> Random.State.int st w), child)
-    | 4 | 5 | 6 ->
+    | 2 | 3 | 4 ->
       let left = gen_plan st tables (depth - 1) in
       let right = gen_plan st tables (depth - 1) in
       let k = 1 + Random.State.int st 2 in
       let pick w = Array.init k (fun _ -> Random.State.int st w) in
       Plan.Equi_join
         { left; right; lkey = pick (width left); rkey = pick (width right) }
-    | 7 | 8 ->
+    | _ ->
       let child = gen_plan st tables (depth - 1) in
       let w = width child in
       let key =
@@ -99,12 +85,6 @@ let rec gen_plan st tables depth =
                        Random.State.int st w))
       in
       Plan.Distinct (key, child)
-    | _ ->
-      let child = gen_plan st tables (depth - 1) in
-      let w = width child in
-      Plan.Order_by
-        (Array.init (1 + Random.State.int st w) (fun _ -> Random.State.int st w),
-         child)
 
 let with_pools f =
   let p1 = Pool.create 1 and p4 = Pool.create 4 in
@@ -114,34 +94,37 @@ let with_pools f =
       Pool.shutdown p4)
     (fun () -> f p1 p4)
 
+(* [check_in_pools labels expected f]: every [f i], run as a task of a
+   1- and of a 4-domain region, is [expected.(i)] bit for bit. *)
+let check_in_pools labels expected f =
+  with_pools (fun p1 p4 ->
+      List.iter
+        (fun (pname, pool) ->
+          Array.iteri
+            (fun i got ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s identical (%s)" labels.(i) pname)
+                true
+                (tables_identical expected.(i) got))
+            (Tutil.in_region pool (Array.length expected) f))
+        [ ("pool 1", p1); ("pool 4", p4) ])
+
 let test_random_plans_differential () =
   let st = Tutil.rng 421 in
   let tables = base_tables st in
-  with_pools (fun p1 p4 ->
-      for i = 1 to 60 do
-        let plan = gen_plan st tables (1 + Random.State.int st 3) in
-        let reference = Plan_oracle.run ~pool:p1 plan in
-        List.iter
-          (fun (label, pool) ->
-            let got = Plan.run ~pool plan in
-            Alcotest.(check bool)
-              (Printf.sprintf "plan %d %s identical" i label)
-              true
-              (tables_identical reference got))
-          [ ("pipelined/1", p1); ("pipelined/4", p4) ];
-        (* The materializing oracle itself must be pool-size invariant. *)
-        Alcotest.(check bool)
-          (Printf.sprintf "plan %d materializing/4 identical" i)
-          true
-          (tables_identical reference (Plan_oracle.run ~pool:p4 plan))
-      done)
+  let plans =
+    Array.init 60 (fun _ -> gen_plan st tables (1 + Random.State.int st 3))
+  in
+  check_in_pools
+    (Array.mapi (fun i _ -> Printf.sprintf "plan %d" (i + 1)) plans)
+    (Array.map Plan_oracle.run plans)
+    (fun i -> Plan.run plans.(i))
 
-(* The driver's other two sources against materialized references, at
-   pools 1 and 4: rows [lo, hi) of a table with lo > 0, whose probe
-   residual must see the table's own row indices, and a segmented source
-   whose keep predicate skips the segments the chain's select rejects.
-   The table's column 0 ascends (i / 4), so zone maps can exclude
-   segments; column 1 is the join key. *)
+(* The driver's two sources against materialized references: rows
+   [lo, hi) of a table with lo > 0, whose probe residual must see the
+   table's own row indices, and a segmented source of ragged segments
+   (an empty one among them), whose row ids are the unspilled table's.
+   Both span several batches. *)
 let test_sources_differential () =
   let st = Tutil.rng 433 in
   let w = (base_tables st).(2) in
@@ -153,23 +136,15 @@ let test_sources_differential () =
   let out = Pipeline.[| Col (Build, 1); Col (Probe, 0); Col (Probe, 1) |] in
   let oweight = Pipeline.Weight_of Build in
   let keep br rid = (br + Table.get s rid 0) mod 3 <> 0 in
-  let run pool source ~select =
+  let run source =
     let sink =
       Sink.create ~dedup_key:[| 0; 1; 2 |] ~weighted:true ~name:"out"
         [| "b"; "s0"; "s1" |]
     in
-    let chain sk =
-      let next =
-        Pipeline.probe idx ~pkey:[| 1 |] ~out ~oweight ~residual:keep
-          ~next:(Pipeline.into_sink sk) ()
-      in
-      if select then Pipeline.select (fun b r -> Batch.get b r 0 < 400) ~next
-      else next
-    in
     ignore
-      (Pipeline.run ~pool ~source
-         ~make_sink:(fun () -> Sink.clone_empty sink)
-         ~chain ~sink ());
+      (Pipeline.run ~source
+         (Pipeline.probe idx ~pkey:[| 1 |] ~out ~oweight ~residual:keep
+            ~next:(Pipeline.into_sink sink) ()));
     Sink.table sink
   in
   let reference ~residual probe =
@@ -182,50 +157,31 @@ let test_sources_differential () =
       ~residual:(fun br row -> keep br (lo + row))
       (Table.sub s (Array.init (hi - lo) (( + ) lo)))
   in
-  let rejected = ref 0 in
+  let bounds = [ 0; 375; 375; 1200; 2250; 2251; 3000 ] in
+  let rec segs = function
+    | lo :: (hi :: _ as rest) ->
+      Relational.Segsrc.seg_of_table ~lo ~hi s :: segs rest
+    | _ -> []
+  in
   let segments =
     Pipeline.Segments
       {
-        src =
-          {
-            Relational.Segsrc.name = "s";
-            cols = Table.cols s;
-            weighted = false;
-            stats = Relational.Colstats.stats_for s;
-            segs =
-              Array.init 8 (fun i ->
-                  Relational.Segsrc.seg_of_table ~lo:(i * 375)
-                    ~hi:((i + 1) * 375) s);
-          };
-        keep =
-          (fun seg ->
-            let k = seg.Relational.Segsrc.mins.(0) < 400 in
-            if not k then incr rejected;
-            k);
+        Relational.Segsrc.name = "s";
+        cols = Table.cols s;
+        weighted = false;
+        stats = Relational.Colstats.stats_for s;
+        segs = Array.of_list (segs bounds);
       }
   in
-  let segs_ref =
-    reference ~residual:(fun br row -> Table.get s row 0 < 400 && keep br row) s
-  in
-  with_pools (fun p1 p4 ->
-      List.iter
-        (fun (label, pool) ->
-          Alcotest.(check bool)
-            (label ^ ": rows [lo, hi) identical")
-            true
-            (tables_identical rows_ref
-               (run pool (Pipeline.Rows { table = s; lo; hi }) ~select:false));
-          Alcotest.(check bool)
-            (label ^ ": kept segments identical")
-            true
-            (tables_identical segs_ref (run pool segments ~select:true)))
-        [ ("pool 1", p1); ("pool 4", p4) ]);
-  check_int "segments skipped, twice" 6 !rejected
+  let sources = [| Pipeline.Rows { table = s; lo; hi }; segments |] in
+  check_in_pools
+    [| "rows [lo, hi)"; "segments" |]
+    [| rows_ref; reference ~residual:keep s |]
+    (fun i -> run sources.(i))
 
 (* The grounding workload itself: every Query 1-i plan over a grounded
-   ReVerb-Sherlock TΠ.  At scale 0.005 after 4 iterations TΠ holds 3,812
-   facts, above the 2,048-row threshold where the pipelined engine splits
-   scans into parallel morsels. *)
+   ReVerb-Sherlock TΠ, run as grounding runs its queries, one pattern per
+   task.  At scale 0.005 after 4 iterations TΠ holds 3,812 facts. *)
 let test_query_plans_differential () =
   let g =
     Workload.Reverb_sherlock.generate
@@ -249,24 +205,12 @@ let test_query_plans_differential () =
               Grounding.Queries.atoms_plan prepared pat pi )
         else None)
       Mln.Pattern.all
+    |> Array.of_list
   in
-  check_int "active patterns" 6 (List.length plans);
-  with_pools (fun p1 p4 ->
-      List.iter
-        (fun (pat, plan) ->
-          let reference = Plan_oracle.run ~pool:p1 plan in
-          List.iter
-            (fun (label, got) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s %s identical" pat label)
-                true
-                (tables_identical reference got))
-            [
-              ("pipelined/1", Plan.run ~pool:p1 plan);
-              ("pipelined/4", Plan.run ~pool:p4 plan);
-              ("materializing/4", Plan_oracle.run ~pool:p4 plan);
-            ])
-        plans)
+  check_int "active patterns" 6 (Array.length plans);
+  check_in_pools (Array.map fst plans)
+    (Array.map (fun (_, plan) -> Plan_oracle.run plan) plans)
+    (fun i -> Plan.run (snd plans.(i)))
 
 let test_analyze_matches_run () =
   (* EXPLAIN ANALYZE's metered execution must not perturb results, and
@@ -309,32 +253,20 @@ let boundary_sizes =
   ]
 
 let test_batch_boundaries () =
-  with_pools (fun p1 p4 ->
+  List.iter
+    (fun n ->
+      let t = seq_table n in
       List.iter
-        (fun n ->
-          let t = seq_table n in
-          let plan =
-            Plan.Select
-              (Plan.Not (Plan.Eq_const (1, 3)), Plan.Scan t)
-          in
-          let reference = Plan_oracle.run ~pool:p1 plan in
-          List.iter
-            (fun pool ->
-              Alcotest.(check bool)
-                (Printf.sprintf "select boundary n=%d" n)
-                true
-                (tables_identical reference (Plan.run ~pool plan)))
-            [ p1; p4 ];
-          let dplan = Plan.Distinct (Some [| 1 |], Plan.Scan t) in
-          let dref = Plan_oracle.run ~pool:p1 dplan in
-          List.iter
-            (fun pool ->
-              Alcotest.(check bool)
-                (Printf.sprintf "distinct boundary n=%d" n)
-                true
-                (tables_identical dref (Plan.run ~pool dplan)))
-            [ p1; p4 ])
-        boundary_sizes)
+        (fun (what, plan) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s boundary n=%d" what n)
+            true
+            (tables_identical (Plan_oracle.run plan) (Plan.run plan)))
+        [
+          ("project", Plan.Project ([| 1; 0 |], Plan.Scan t));
+          ("distinct", Plan.Distinct (Some [| 1 |], Plan.Scan t));
+        ])
+    boundary_sizes
 
 let test_scan_returns_base_table () =
   (* A bare scan materializes nothing on either engine. *)
@@ -346,42 +278,12 @@ let test_scan_returns_base_table () =
 
 (* --- direct kernel-level boundary checks --- *)
 
-let test_sink_absorb_dedup_order () =
-  (* Absorbing morsel-local sinks must keep the global first occurrence:
-     a duplicate arriving in a later local sink loses to the earlier
-     global row. *)
-  let mk () = Sink.create ~dedup_key:[| 0 |] ~name:"s" [| "k"; "v" |] in
-  let global = mk () in
-  let local1 = Sink.clone_empty global and local2 = Sink.clone_empty global in
-  let push s rows =
-    let b = Batch.create ~capacity:8 ~weighted:false 2 in
-    List.iter
-      (fun (k, v) ->
-        let r = Batch.alloc_row b ~rid:0 in
-        Batch.set b r 0 k;
-        Batch.set b r 1 v)
-      rows;
-    Sink.push_batch s b
-  in
-  push local1 [ (1, 10); (2, 20) ];
-  push local2 [ (2, 99); (3, 30) ];
-  Sink.absorb global (Sink.table local1);
-  Sink.absorb global (Sink.table local2);
-  let t = Sink.table global in
-  check_int "rows" 3 (Table.nrows t);
-  check_int "winner for key 2" 20 (Table.get t 1 1);
-  check_int "key 3 kept" 30 (Table.get t 2 1)
-
 let test_pipeline_empty_flush () =
   (* flush with nothing buffered must still propagate to the sink and
      produce an empty, well-formed table. *)
   let t = Table.create ~name:"empty" [| "a" |] in
   let sink = Sink.create ~name:"out" [| "a" |] in
-  let n =
-    Pipeline.run ~source:(Pipeline.of_table t)
-      ~make_sink:(fun () -> Sink.clone_empty sink)
-      ~chain:Pipeline.into_sink ~sink ()
-  in
+  let n = Pipeline.run ~source:(Pipeline.of_table t) (Pipeline.into_sink sink) in
   check_int "batches" 0 n;
   check_int "rows" 0 (Table.nrows (Sink.table sink))
 
@@ -405,8 +307,6 @@ let () =
             test_batch_boundaries;
           Alcotest.test_case "scan returns base table" `Quick
             test_scan_returns_base_table;
-          Alcotest.test_case "sink absorb keeps first occurrence" `Quick
-            test_sink_absorb_dedup_order;
           Alcotest.test_case "empty pipeline flush" `Quick
             test_pipeline_empty_flush;
         ] );

@@ -128,6 +128,109 @@ let test_ban_prevents_rederivation () =
        ~x:(Gamma.entity kb "a") ~c1:(Gamma.cls kb "A")
        ~y:(Gamma.entity kb "b") ~c2:(Gamma.cls kb "B"))
 
+(* --- Query 3 against an independent count --- *)
+
+(* A random TΠ of 2,048–8,000 facts over a few relations and classes,
+   its entity pool sized so a group holds a quarter of a fact to two on
+   average, and a random Ω of both types with degrees 1–3 (a relation
+   may carry several constraints of one type). *)
+let random_query3_kb seed =
+  let st = Tutil.rng seed in
+  let pi = Storage.create () in
+  let n = 2048 + Random.State.int st (8000 - 2048 + 1) in
+  let nrel = 2 + Random.State.int st 4 and ncls = 2 + Random.State.int st 3 in
+  let pick k = Random.State.int st k in
+  let per_group = [| 0.25; 0.5; 1.; 2. |].(pick 4) in
+  let nent =
+    max 4 (truncate (float n /. (float (nrel * ncls * ncls) *. per_group)))
+  in
+  while Storage.size pi < n do
+    ignore
+      (Storage.add pi ~r:(pick nrel) ~x:(pick nent) ~c1:(pick ncls)
+         ~y:(pick nent) ~c2:(pick ncls) ~w:(Random.State.float st 1.))
+  done;
+  let omega =
+    List.init
+      (1 + pick 6)
+      (fun _ ->
+        Funcon.make ~rel:(pick nrel)
+          ~ftype:(if Random.State.bool st then Funcon.Type_I else Funcon.Type_II)
+          ~degree:(1 + pick 3))
+  in
+  (pi, omega)
+
+(* Query 3 recounted over the live facts: per (R, entity, entity class,
+   other class), the groups above the relation's smallest degree of that
+   type, as (entity, class, R, type, count, degree), sorted. *)
+let reference_violations pi omega =
+  List.concat_map
+    (fun ftype ->
+      let degree = Hashtbl.create 8 in
+      List.iter
+        (fun (c : Funcon.t) ->
+          if c.ftype = ftype then
+            Hashtbl.replace degree c.rel
+              (min c.degree
+                 (Option.value ~default:max_int (Hashtbl.find_opt degree c.rel))))
+        omega;
+      let counts = Hashtbl.create 1024 in
+      Storage.iter
+        (fun ~id:_ ~r ~x ~c1 ~y ~c2 ~w:_ ->
+          if Hashtbl.mem degree r then begin
+            let key =
+              match ftype with
+              | Funcon.Type_I -> (r, x, c1, c2)
+              | Funcon.Type_II -> (r, y, c2, c1)
+            in
+            Hashtbl.replace counts key
+              (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+          end)
+        pi;
+      Hashtbl.fold
+        (fun (r, e, ce, _) count acc ->
+          let d = Hashtbl.find degree r in
+          if count > d then (e, ce, r, ftype, count, d) :: acc else acc)
+        counts [])
+    [ Funcon.Type_I; Funcon.Type_II ]
+  |> List.sort compare
+
+let live_ids pi =
+  let ids = ref [] in
+  Storage.iter (fun ~id ~r:_ ~x:_ ~c1:_ ~y:_ ~c2:_ ~w:_ -> ids := id :: !ids) pi;
+  List.rev !ids
+
+let test_query3_reference =
+  Tutil.qcheck_case ~count:30 "Query 3 = independent count"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let pi, omega = random_query3_kb seed in
+      let expected = reference_violations pi omega in
+      let got =
+        List.map
+          (fun (v : Semantic.violation) ->
+            (v.entity, v.cls, v.rel, v.ftype, v.count, v.degree))
+          (Semantic.violations pi omega)
+        |> List.sort compare
+      in
+      (* apply deletes exactly the live facts whose (x, C1) is a violating
+         Type-I pair or whose (y, C2) a violating Type-II pair. *)
+      let bad = Hashtbl.create 64 in
+      List.iter
+        (fun (e, ce, _, ftype, _, _) -> Hashtbl.replace bad (ftype, e, ce) ())
+        expected;
+      let survivors = ref [] and doomed = ref 0 in
+      Storage.iter
+        (fun ~id ~r:_ ~x ~c1 ~y ~c2 ~w:_ ->
+          if
+            Hashtbl.mem bad (Funcon.Type_I, x, c1)
+            || Hashtbl.mem bad (Funcon.Type_II, y, c2)
+          then incr doomed
+          else survivors := id :: !survivors)
+        pi;
+      let deleted = Semantic.apply pi omega in
+      got = expected && deleted = !doomed
+      && live_ids pi = List.rev !survivors)
+
 (* --- ambiguity --- *)
 
 let test_ambiguity_suspects () =
@@ -379,6 +482,7 @@ let () =
             test_unconstrained_relation_ignored;
           Alcotest.test_case "ban prevents re-derivation" `Quick
             test_ban_prevents_rederivation;
+          test_query3_reference;
         ] );
       ( "ambiguity",
         [

@@ -475,38 +475,55 @@ let tables_identical a b =
   done;
   !ok
 
+let with_pool4 f =
+  let p4 = Pool.create 4 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p4) (fun () -> f p4)
+
 let test_parallel_join_deterministic () =
-  (* Above the parallel threshold (2048 probe rows), a pool of 4 must
-     produce the byte-identical table a pool of 1 does — with and without
-     inline dedup, with and without weights. *)
+  (* The pool runs whole joins, one per task of a region (as grounding
+     runs its per-pattern queries).  Over a 6,000-row probe side, with
+     and without inline dedup and weights, each join must produce on a
+     worker domain the byte-identical table it produces on the calling
+     domain, and the nested-loop oracle's rows. *)
   let st = Tutil.rng 23 in
   let a = random_table st "a" 500 40 in
   let b = random_table st "b" 6000 40 in
-  let p1 = Pool.create 1 and p4 = Pool.create 4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown p1;
-      Pool.shutdown p4)
-    (fun () ->
-      List.iter
-        (fun dedup ->
-          List.iter
-            (fun oweight ->
-              let run pool =
-                Join.hash_join ~name:"j" ~cols:[| "k"; "va"; "vb" |]
-                  ~out:join_out ~oweight ~dedup ~pool (a, [| 0 |]) (b, [| 0 |])
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "dedup=%b identical" dedup)
-                true
-                (tables_identical (run p1) (run p4)))
-            [ Join.No_weight; Join.Weight_of Join.Build ])
-        [ false; true ])
+  let cases =
+    Array.of_list
+      (List.concat_map
+         (fun dedup ->
+           List.map
+             (fun oweight -> (dedup, oweight))
+             [ Join.No_weight; Join.Weight_of Join.Build ])
+         [ false; true ])
+  in
+  let join (dedup, oweight) =
+    Join.hash_join ~name:"j" ~cols:[| "k"; "va"; "vb" |] ~out:join_out
+      ~oweight ~dedup (a, [| 0 |]) (b, [| 0 |])
+  in
+  let parallel =
+    with_pool4 (fun p4 ->
+        Tutil.in_region p4 (Array.length cases) (fun i -> join cases.(i)))
+  in
+  Array.iteri
+    (fun i ((dedup, oweight) as case) ->
+      let label = Printf.sprintf "dedup=%b weighted=%b" dedup (oweight <> Join.No_weight) in
+      Alcotest.(check bool)
+        (label ^ " identical")
+        true
+        (tables_identical (join case) parallel.(i));
+      Alcotest.(check bool)
+        (label ^ " = nested loop")
+        true
+        (Tutil.table_rows_equal parallel.(i)
+           (Join_oracle.nested_loop ~name:"j" ~cols:[| "k"; "va"; "vb" |]
+              ~out:join_out ~oweight ~dedup (a, [| 0 |]) (b, [| 0 |]))))
+    cases
 
 (* [hash_join_pre] over a segmented source — ragged segments, an empty
-   one among them — is the same join over the resident table, bit for
-   bit: rows, order, weights, dedup winners and the row ids a residual
-   sees, at pools 1 and 4. *)
+   one among them, 6,000 rows in all — is the same join over the
+   resident table, bit for bit: rows, order, weights, dedup winners and
+   the row ids a residual sees. *)
 let test_join_segmented_source () =
   let st = Tutil.rng 31 in
   let a = random_table st "a" 500 40 in
@@ -526,53 +543,52 @@ let test_join_segmented_source () =
     }
   in
   let residual br prow = (Table.get b prow 1 + br) mod 3 <> 0 in
-  let p1 = Pool.create 1 and p4 = Pool.create 4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown p1;
-      Pool.shutdown p4)
-    (fun () ->
+  List.iter
+    (fun dedup ->
       List.iter
-        (fun dedup ->
-          List.iter
-            (fun oweight ->
-              let join pool source =
-                Join.hash_join_pre ~name:"j" ~cols:[| "k"; "va"; "vb" |]
-                  ~out:join_out ~oweight ~dedup ~residual ~pool
-                  (Index.build a [| 0 |])
-                  (source, [| 0 |])
-              in
-              let resident = join p1 (Relational.Pipeline.of_table b) in
-              List.iter
-                (fun pool ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "dedup=%b segmented = resident" dedup)
-                    true
-                    (tables_identical resident
-                       (join pool
-                          (Relational.Pipeline.Segments
-                             { src; keep = (fun _ -> true) }))))
-                [ p1; p4 ])
-            Join.[ No_weight; Weight_of Build; Weight_of Probe ])
-        [ false; true ])
+        (fun oweight ->
+          let join source =
+            Join.hash_join_pre ~name:"j" ~cols:[| "k"; "va"; "vb" |]
+              ~out:join_out ~oweight ~dedup ~residual
+              (Index.build a [| 0 |])
+              (source, [| 0 |])
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "dedup=%b segmented = resident" dedup)
+            true
+            (tables_identical
+               (join (Relational.Pipeline.of_table b))
+               (join (Relational.Pipeline.Segments src))))
+        Join.[ No_weight; Weight_of Build; Weight_of Probe ])
+    [ false; true ]
 
 let test_parallel_distinct_deterministic () =
+  (* DISTINCT over 10,000 rows, run on the calling domain and as the
+     tasks of a 4-domain region, keeps exactly each key's first row, in
+     row order. *)
   let st = Tutil.rng 29 in
-  let t = Table.create ~name:"t" [| "k"; "v" |] in
-  for _ = 1 to 10_000 do
-    Table.append t [| Random.State.int st 50; Random.State.int st 20 |]
+  let t = Table.create ~name:"t" [| "k"; "v"; "u" |] in
+  for i = 1 to 10_000 do
+    Table.append t [| Random.State.int st 50; Random.State.int st 20; i |]
   done;
-  let p1 = Pool.create 1 and p4 = Pool.create 4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown p1;
-      Pool.shutdown p4)
-    (fun () ->
+  let seen = Hashtbl.create 1024 in
+  let first =
+    Table.filter t (fun r ->
+        let key = (Table.get t r 0, Table.get t r 1) in
+        (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+  in
+  let key = [| 0; 1 |] in
+  let parallel =
+    with_pool4 (fun p4 -> Tutil.in_region p4 4 (fun _ -> Ops.distinct t key))
+  in
+  Alcotest.(check bool)
+    "distinct = first occurrences" true
+    (tables_identical first (Ops.distinct t key));
+  Array.iter
+    (fun d ->
       Alcotest.(check bool)
-        "distinct identical" true
-        (tables_identical
-           (Ops.distinct ~pool:p1 t [| 0; 1 |])
-           (Ops.distinct ~pool:p4 t [| 0; 1 |])))
+        "distinct on a worker identical" true (tables_identical first d))
+    parallel
 
 let test_nested_loop_dedup () =
   let a = Table.create ~name:"a" [| "k"; "v" |] in
@@ -619,22 +635,28 @@ let plan_fixture () =
 
 let test_plan_join_select_project () =
   let people, cities = plan_fixture () in
-  (* SELECT people.id FROM people JOIN cities ON city WHERE country = 100
-     ORDER BY id *)
+  (* SELECT people.id FROM people JOIN cities ON city WHERE country = 100,
+     the WHERE clause a join with the one-row table {100}, as the
+     grounding queries select rules by joining the partition tables *)
+  let wanted = Table.create ~name:"wanted" [| "country" |] in
+  Table.append wanted [| 100 |];
   let p =
     Relational.Plan.(
-      Order_by
+      Project
         ( [| 0 |],
-          Project
-            ( [| 0 |],
-              Select
-                ( Eq_const (3, 100),
-                  Equi_join
-                    { left = Scan people; right = Scan cities;
-                      lkey = [| 1 |]; rkey = [| 0 |] } ) ) ))
+          Equi_join
+            {
+              left =
+                Equi_join
+                  { left = Scan people; right = Scan cities;
+                    lkey = [| 1 |]; rkey = [| 0 |] };
+              right = Scan wanted;
+              lkey = [| 3 |];
+              rkey = [| 0 |];
+            } ))
   in
   Alcotest.(check (array string)) "schema" [| "id" |] (Relational.Plan.columns p);
-  let result = Relational.Plan.run p in
+  let result = Relational.Sort.sort (Relational.Plan.run p) [| 0 |] in
   Alcotest.(check (list (list int))) "ids in country 100"
     [ [ 1 ]; [ 2 ]; [ 3 ] ]
     (List.init (Table.nrows result) (fun r -> Array.to_list (Table.row result r)))
@@ -668,21 +690,6 @@ let test_plan_matches_direct_operators =
           [| 0; 1; 2; 3 |]
       in
       Tutil.table_rows_equal via_plan direct)
-
-let test_plan_predicates () =
-  let t = Table.create ~name:"t" [| "a"; "b" |] in
-  List.iter (fun (a, b) -> Table.append t [| a; b |])
-    [ (1, 1); (1, 2); (2, 2); (5, 0) ];
-  let run_pred pred =
-    Table.nrows (Relational.Plan.(run (Select (pred, Scan t))))
-  in
-  check_int "eq_cols" 2 (run_pred (Relational.Plan.Eq_cols (0, 1)));
-  check_int "lt" 2 (run_pred (Relational.Plan.Lt_const (0, 2)));
-  check_int "and" 1
-    (run_pred (Relational.Plan.(And (Eq_cols (0, 1), Eq_const (0, 2)))));
-  check_int "or" 3
-    (run_pred (Relational.Plan.(Or (Eq_const (0, 1), Eq_const (1, 0)))));
-  check_int "not" 2 (run_pred (Relational.Plan.(Not (Eq_cols (0, 1)))))
 
 let test_plan_rejects_bad_columns () =
   let t = Table.create ~name:"t" [| "a" |] in
@@ -718,6 +725,8 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
+(* EXPLAIN ANALYZE as [probkb expand --explain] prints it: one line per
+   node with its estimate beside the rows it produced. *)
 let test_plan_explain_renders () =
   let people, cities = plan_fixture () in
   let p =
@@ -725,9 +734,12 @@ let test_plan_explain_renders () =
       Equi_join
         { left = Scan people; right = Scan cities; lkey = [| 1 |]; rkey = [| 0 |] })
   in
-  let text = Fmt.str "%a" Relational.Plan.explain p in
-  Alcotest.(check bool) "mentions scans" true
-    (contains_sub text "Seq Scan on people" && contains_sub text "Hash Join")
+  let table, a = Relational.Plan.analyze p in
+  let text = Fmt.str "%a" Relational.Plan.pp_analysis a in
+  Alcotest.(check bool) "mentions scans, join and observed rows" true
+    (contains_sub text "Seq Scan on people"
+    && contains_sub text "Hash Join"
+    && contains_sub text (Printf.sprintf "rows=%d" (Table.nrows table)))
 
 let () =
   Alcotest.run "relational"
@@ -785,7 +797,6 @@ let () =
           Alcotest.test_case "join-select-project" `Quick
             test_plan_join_select_project;
           test_plan_matches_direct_operators;
-          Alcotest.test_case "predicates" `Quick test_plan_predicates;
           Alcotest.test_case "bad columns rejected" `Quick
             test_plan_rejects_bad_columns;
           Alcotest.test_case "join estimate" `Quick test_plan_estimates_join;

@@ -1,13 +1,16 @@
 (* The out-of-core columnar store: segment round-trips through the mmap
-   reader, store spill/append, zone-map pruning (results invariant, only
-   counters move), corruption detection, and end-to-end differentials —
-   spilled grounding and spilled MPP shards must be bit-identical to the
-   fully in-memory runs. *)
+   reader, store spill/append, corruption detection, and end-to-end
+   differentials — spilled scans and joins, spilled grounding and
+   spilled MPP shards must be bit-identical to the fully in-memory
+   runs. *)
 
 module Table = Relational.Table
 module Segsrc = Relational.Segsrc
 module Colstats = Relational.Colstats
 module Plan = Relational.Plan
+module Pipeline = Relational.Pipeline
+module Sink = Relational.Sink
+module Join = Relational.Join
 module Segment = Storage.Segment
 module Store = Storage.Store
 module Spill = Storage.Spill
@@ -382,29 +385,9 @@ let prop_segment_header_fuzz =
             !ok
           | exception Segment.Corrupt _ -> true))
 
-(* --- segmented scans through the plan executor --- *)
+(* --- segmented scans through the pipelines --- *)
 
-let with_pools f =
-  let p1 = Pool.create 1 and p4 = Pool.create 4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown p1;
-      Pool.shutdown p4)
-    (fun () -> f p1 p4)
-
-let gen_pred rng width =
-  let rec go depth =
-    let c = Random.State.int rng width in
-    match if depth > 1 then 2 else Random.State.int rng 6 with
-    | 0 -> Plan.And (go (depth + 1), go (depth + 1))
-    | 1 -> Plan.Or (go (depth + 1), go (depth + 1))
-    | 2 | 3 -> Plan.Lt_const (c, Random.State.int rng 40)
-    | 4 -> Plan.Not (go (depth + 1))
-    | _ -> Plan.Eq_const (c, Random.State.int rng 15)
-  in
-  go 0
-
-(* Small-domain tables so selections and joins actually hit. *)
+(* Small-domain tables so joins actually hit. *)
 let plan_table rng n width kmax =
   let t =
     Table.create ~weighted:(Random.State.bool rng) ~name:"t"
@@ -420,93 +403,51 @@ let plan_table rng n width kmax =
   done;
   t
 
+(* A spilled table of 2,100–4,000 rows streams through a pipeline as its
+   resident copy does: its scan reads every segment and is the table
+   itself, and a join probing its segments is the plan that joins the
+   resident table with itself, bit for bit. *)
 let test_spilled_scan_differential () =
   let rng = Tutil.rng 101 in
-  with_pools (fun p1 p4 ->
-      for _ = 1 to 25 do
-        with_tmpdir (fun dir ->
-            let n = Random.State.int rng 900 in
-            let width = 1 + Random.State.int rng 3 in
-            let tbl = plan_table rng n width 50 in
-            let st = Store.spill ~segment_rows:64 ~dir tbl in
-            let src = Store.source st in
-            let pred = gen_pred rng width in
-            let mem = Plan.Select (pred, Plan.Scan tbl) in
-            let spl = Plan.Select (pred, Plan.Scan_segments src) in
-            let expected = Plan_oracle.run mem in
-            List.iter
-              (fun pool ->
-                check_bool "spilled select ≡ in-memory" true
-                  (tables_identical expected (Plan.run ~pool spl));
-                (* Join with the spilled source on the probe side. *)
-                let probe =
-                  Plan.Equi_join
-                    {
-                      left = Plan.Scan tbl;
-                      right = Plan.Scan_segments src;
-                      lkey = [| 0 |];
-                      rkey = [| 0 |];
-                    }
-                in
-                let probe_mem =
-                  Plan.Equi_join
-                    {
-                      left = Plan.Scan tbl;
-                      right = Plan.Scan tbl;
-                      lkey = [| 0 |];
-                      rkey = [| 0 |];
-                    }
-                in
-                check_bool "spilled probe join ≡ in-memory" true
-                  (tables_identical
-                     (Plan_oracle.run probe_mem)
-                     (Plan.run ~pool probe)))
-              [ p1; p4 ])
-      done)
-
-let test_pruning_invariant_and_counted () =
-  with_tmpdir (fun dir ->
-      (* Ascending key column → disjoint per-segment zone maps. *)
-      let t = Table.create ~name:"t" [| "k"; "v" |] in
-      for i = 0 to 999 do
-        Table.append t [| i; i mod 17 |]
-      done;
-      let st = Store.spill ~segment_rows:64 ~dir t in
-      let run plan =
+  for _ = 1 to 25 do
+    with_tmpdir (fun dir ->
+        let n = 2100 + Random.State.int rng 1900 in
+        let width = 1 + Random.State.int rng 3 in
+        let tbl = plan_table rng n width 500 in
+        let st = Store.spill ~segment_rows:64 ~dir tbl in
+        let src = Pipeline.Segments (Store.source st) in
+        let sink =
+          Sink.create ~weighted:(Table.weighted tbl) ~name:"scan"
+            (Table.cols tbl)
+        in
         let obs = Obs.create ~config:Obs.Config.enabled () in
-        let out = Obs.with_ambient obs (fun () -> Plan.run plan) in
-        (out, Summary.of_trace obs)
-      in
-      (* 16 segments of 64 keys: k = 321 and k = 700 each fall in one
-         segment, k < 100 in the first two. *)
-      check_int "segments" 16 (Store.nsegments st);
-      List.iter
-        (fun (name, pred, skipped) ->
-          let spilled, s =
-            run (Plan.Select (pred, Plan.Scan_segments (Store.source st)))
-          in
-          let expected = Plan_oracle.run (Plan.Select (pred, Plan.Scan t)) in
-          check_bool (name ^ ": pruning never changes results") true
-            (tables_identical expected spilled);
-          check_int (name ^ ": segments skipped") skipped
-            (Summary.counter s "storage.segments_skipped");
-          check_int
-            (name ^ ": scanned + skipped = segments")
-            (Store.nsegments st)
-            (Summary.counter s "storage.segments_scanned"
-            + Summary.counter s "storage.segments_skipped"))
-        [
-          ("eq", Plan.Eq_const (0, 321), 15);
-          ("lt", Plan.Lt_const (0, 100), 14);
-          ("conj", Plan.And (Plan.Eq_const (0, 700), Plan.Lt_const (1, 40)), 15);
-        ];
-      (* An unprunable predicate scans everything. *)
-      let _, s =
-        run
-          (Plan.Select (Plan.Lt_const (1, 40), Plan.Scan_segments (Store.source st)))
-      in
-      check_int "unprunable: nothing skipped" 0
-        (Summary.counter s "storage.segments_skipped"))
+        Obs.with_ambient obs (fun () ->
+            ignore (Pipeline.run ~source:src (Pipeline.into_sink sink)));
+        check_bool "spilled scan ≡ in-memory" true
+          (tables_identical tbl (Sink.table sink));
+        check_int "every segment scanned" (Store.nsegments st)
+          (Summary.counter (Summary.of_trace obs) "storage.segments_scanned");
+        (* Join with the spilled source on the probe side. *)
+        let plan =
+          Plan.Equi_join
+            {
+              left = Plan.Scan tbl;
+              right = Plan.Scan tbl;
+              lkey = [| 0 |];
+              rkey = [| 0 |];
+            }
+        in
+        let side s = Array.init width (fun c -> Join.Col (s, c)) in
+        let probe =
+          Join.hash_join_pre ~name:"join" ~cols:(Plan.columns plan)
+            ~out:(Array.append (side Join.Build) (side Join.Probe))
+            ~oweight:Join.No_weight
+            (Join.build tbl [| 0 |])
+            (src, [| 0 |])
+        in
+        check_bool "spilled probe join ≡ in-memory" true
+          (tables_identical (Plan_oracle.run plan) probe))
+  done
 
 (* --- spilled grounding differentials --- *)
 
@@ -677,8 +618,6 @@ let () =
         [
           Alcotest.test_case "spilled scan differential" `Quick
             test_spilled_scan_differential;
-          Alcotest.test_case "zone-map pruning" `Quick
-            test_pruning_invariant_and_counted;
         ] );
       ( "grounding",
         [

@@ -137,6 +137,13 @@ let rec rm_rf path =
 (* A deterministic RNG for tests. *)
 let rng seed = Random.State.make [| seed |]
 
+(* [in_region pool n f] is [[| f 0; ..; f (n - 1) |]], each run as one
+   task of a region on [pool], as grounding runs its per-pattern
+   queries. *)
+let in_region pool n f =
+  Pool.map_reduce pool ~n ~map:f ~fold:(fun acc t -> t :: acc) ~init:[]
+  |> List.rev |> Array.of_list
+
 let qcheck_case ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
