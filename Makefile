@@ -22,9 +22,8 @@ test:
 # snapshots (the same script CI runs), a `probkb session` must run DRed
 # retract and ingest epochs with the same replies at pools 1 and 4,
 # `expand --sc` must report the same expansion with and without `--mpp`
-# and with a spilled fact table (leaving one fact-table store in its
-# spill directory), at pools 1 and 4, and write each route's facts in
-# the same order at both pools, `query --local` must
+# at pools 1 and 4, converged and capped, and write each route's facts
+# in the same order at both pools, `query --local` must
 # print the full pipeline's
 # marginal with and without `--theta` at pools 1 and 4, and a live
 # `probkb serve` must answer /metrics +

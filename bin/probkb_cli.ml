@@ -74,41 +74,11 @@ let iterations_arg =
     value & opt int 15
     & info [ "max-iterations" ] ~docv:"N" ~doc:"Grounding iteration budget.")
 
-let spill_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "spill-dir" ] ~docv:"DIR"
-        ~doc:
-          "Out-of-core storage root: once the fact table outgrows the \
-           spill threshold (64 MiB), grounding keeps an mmap-backed \
-           columnar copy under DIR and probes its joins from it. Results \
-           are identical to the fully in-memory run.")
-
-let segment_rows_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "segment-rows" ] ~docv:"N"
-        ~doc:
-          "Rows per on-disk column segment for $(b,--spill-dir) \
-           (default 65536).")
-
-let spill_threshold_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "spill-threshold" ] ~docv:"BYTES"
-        ~doc:
-          "Resident byte size at which a table spills to \
-           $(b,--spill-dir) (default 64 MiB).")
-
 let config ?(obs = Probkb.Obs.Config.default) ?target_r_hat ?min_ess
-    ?exact_max_vars ?max_width ?spill_dir ?segment_rows ?spill_threshold_bytes
-    ~sc ~theta ~mpp ~iterations ~inference () =
+    ?exact_max_vars ?max_width ~sc ~theta ~mpp ~iterations ~inference () =
   (* [Config.make] rejects out-of-range knobs (--max-width, \
-     --exact-max-vars, --segment-rows) with [Invalid_argument]; surface \
-     those as a clean usage error instead of an "internal error" crash. *)
+     --exact-max-vars) with [Invalid_argument]; surface those as a clean \
+     usage error instead of an "internal error" crash. *)
   try
     Probkb.Config.make
       ~engine:
@@ -116,8 +86,7 @@ let config ?(obs = Probkb.Obs.Config.default) ?target_r_hat ?min_ess
            Probkb.Config.Mpp { cluster = Mpp.Cluster.default; views = true }
          else Probkb.Config.Single_node)
       ~semantic_constraints:sc ~rule_theta:theta ~max_iterations:iterations
-      ~inference ~obs ?target_r_hat ?min_ess ?exact_max_vars ?max_width
-      ?spill_dir ?segment_rows ?spill_threshold_bytes ()
+      ~inference ~obs ?target_r_hat ?min_ess ?exact_max_vars ?max_width ()
   with Invalid_argument msg ->
     Format.eprintf "probkb: %s@." msg;
     exit 2
@@ -337,18 +306,16 @@ let lint_report kb =
       issues
   end
 
-let expand facts rules constraints sc theta mpp iterations spill_dir
-    segment_rows spill_threshold_bytes out trace metrics explain progress
-    snapshots verbose =
+let expand facts rules constraints sc theta mpp iterations out trace metrics
+    explain progress snapshots verbose =
   setup_logs verbose;
   let kb = load_kb facts rules constraints in
   lint_report kb;
   let engine =
     Probkb.Engine.create
       ~config:
-        (config ~obs:(obs_config ~trace ~metrics) ?spill_dir ?segment_rows
-           ?spill_threshold_bytes ~sc ~theta ~mpp ~iterations ~inference:None
-           ())
+        (config ~obs:(obs_config ~trace ~metrics) ~sc ~theta ~mpp ~iterations
+           ~inference:None ())
       kb
   in
   let detach = install_snapshots engine ~progress ~snapshots in
@@ -392,8 +359,7 @@ let expand_cmd =
     (Cmd.info "expand" ~doc:"Run knowledge expansion over a KB.")
     Term.(
       const expand $ facts_arg $ rules_arg $ constraints_arg $ sc_arg
-      $ theta_arg $ mpp_arg $ iterations_arg $ spill_dir_arg
-      $ segment_rows_arg $ spill_threshold_arg $ out_arg $ trace_arg
+      $ theta_arg $ mpp_arg $ iterations_arg $ out_arg $ trace_arg
       $ metrics_arg $ explain_arg $ progress_arg $ snapshots_arg
       $ verbose_arg)
 

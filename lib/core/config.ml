@@ -76,16 +76,6 @@ let solver c =
 let no_inference c = { c with inference = None }
 let with_obs obs c = { c with obs }
 
-let with_spill ?spill_dir ?segment_rows ?spill_threshold_bytes c =
-  let segment_rows = Option.value segment_rows ~default:c.segment_rows in
-  let spill_threshold_bytes =
-    Option.value spill_threshold_bytes ~default:c.spill_threshold_bytes
-  in
-  if segment_rows < 1 then invalid_arg "Config.with_spill: segment_rows < 1";
-  if spill_threshold_bytes < 0 then
-    invalid_arg "Config.with_spill: spill_threshold_bytes < 0";
-  { c with spill_dir; segment_rows; spill_threshold_bytes }
-
 (* The shared spill policy of one engine run — its atomic directory
    counter is what keeps concurrent spills from colliding, so build it
    once per run, not per spill site. *)

@@ -53,16 +53,17 @@ type t = {
           (default {!Inference.Chromatic.default_checkpoint}) *)
   spill_dir : string option;
       (** out-of-core storage root (default [None] — fully in-memory).
-          When set, grounding keeps an on-disk segment-store copy of
-          [TΠ] once it crosses [spill_threshold_bytes] and probes the
-          closure/factor joins from it (single node), or flushes the
-          distributed fact shards to per-segment stores (MPP, pn mode).
-          Results are bit-identical either way *)
+          Read only by the pn MPP executor ([Mpp { views = false }]):
+          once the fact table crosses [spill_threshold_bytes], each
+          distributed fact shard is written to a segment store of its
+          own under this root and dropped from memory.  The single node
+          and views mode never spill.  Results are bit-identical either
+          way *)
   segment_rows : int;
-      (** rows per column segment in spilled stores (default
+      (** rows per column segment in spilled shards (default
           {!Storage.Spill.default_segment_rows}) *)
   spill_threshold_bytes : int;
-      (** resident byte size at which a table is spilled (default
+      (** fact-table byte size at which pn shards are spilled (default
           {!Storage.Spill.default_threshold_bytes} = 64 MiB) *)
 }
 
@@ -77,6 +78,7 @@ type t = {
     only inference route; the argument stays for callers that still
     pass it.
     @raise Invalid_argument when [checkpoint_sweeps < 1],
+    [segment_rows < 1], [spill_threshold_bytes < 0],
     [exact_max_vars] is outside [[0, 30]], or [max_width] is outside
     [[0, Inference.Jtree.max_clique_vars - 1]] (elimination cliques hold
     width + 1 variables, so larger bounds could only abort on the
@@ -112,16 +114,6 @@ val solver : t -> Inference.Hybrid.options
 val no_inference : t -> t
 
 val with_obs : Obs.Config.t -> t -> t
-
-(** [with_spill ?spill_dir ?segment_rows ?spill_threshold_bytes c]
-    reconfigures out-of-core storage; an absent [spill_dir] clears it
-    (back to fully in-memory), absent size knobs keep their current
-    values.
-    @raise Invalid_argument on [segment_rows < 1] or a negative
-    threshold. *)
-val with_spill :
-  ?spill_dir:string -> ?segment_rows:int -> ?spill_threshold_bytes:int ->
-  t -> t
 
 (** [spill_policy c] is the spill policy of one engine run ([None] when
     [spill_dir] is unset).  Build it once per run and share it: the

@@ -50,7 +50,6 @@ let expand t =
   in
   let max_iterations = t.config.Config.max_iterations
   and apply_constraints = constraint_hook t
-  and spill = Config.spill_policy t.config
   and obs = t.trace in
   let t0 = Obs.now () in
   let (r : Grounding.Ground.result), sim_seconds =
@@ -62,7 +61,6 @@ let expand t =
               Grounding.Ground.default_options with
               max_iterations;
               apply_constraints;
-              spill;
               obs;
             }
           t.kb,
@@ -75,7 +73,7 @@ let expand t =
               Grounding.Ground_mpp.default_options with
               max_iterations;
               apply_constraints;
-              spill;
+              spill = Config.spill_policy t.config;
               obs;
             }
           ~mode:

@@ -32,8 +32,6 @@ let create n =
     spawn_failed = false;
   }
 
-let size t = t.size
-
 (* [gen0] is the generation at spawn time, captured while the spawner held
    the mutex: the worker must treat any later generation as new work, even
    one published before it first acquires the mutex. *)

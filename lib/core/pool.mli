@@ -32,9 +32,6 @@ type t
     @raise Invalid_argument if [n < 1] or [n > 1024]. *)
 val create : int -> t
 
-(** [size t] is the number of domains the pool schedules over (>= 1). *)
-val size : t -> int
-
 (** [shutdown t] stops and joins the worker domains.  Subsequent
     submissions run inline sequentially.  Idempotent. *)
 val shutdown : t -> unit

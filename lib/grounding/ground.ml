@@ -1,11 +1,5 @@
 module Table = Relational.Table
-module Pipeline = Relational.Pipeline
 module Pattern = Mln.Pattern
-
-(* The segment-store aliases must precede the [Kb.Storage] rebinding:
-   [Storage] names the out-of-core library only up to the next line. *)
-module Seg_store = Storage.Store
-module Spill = Storage.Spill
 module Storage = Kb.Storage
 module Fgraph = Factor_graph.Fgraph
 
@@ -19,7 +13,6 @@ type options = {
   build_factors : bool;
   delta_from : int option;
   on_iteration : (iteration:int -> new_facts:int -> unit) option;
-  spill : Spill.t option;
   obs : Obs.t;
 }
 
@@ -30,7 +23,6 @@ let default_options =
     build_factors = true;
     delta_from = None;
     on_iteration = None;
-    spill = None;
     obs = Obs.null;
   }
 
@@ -240,37 +232,12 @@ let drive options exec kb =
 
 (* The local executor: the M1..M6 queries run concurrently on the domain
    pool — they only read TΠ and their own rule partition — probing the
-   partial-key indexes of TΠ from the delta, or scanning a spilled
-   segment store or the resident table. *)
+   partial-key indexes of TΠ from the delta, or scanning the resident
+   table. *)
 let local_executor options kb =
   let obs = options.obs in
   let pi = Kb.Gamma.pi kb in
   let prepared = Queries.prepare (Kb.Gamma.partitions kb) in
-  (* Out-of-core scans: once [TΠ] crosses the spill threshold, the one
-     phase that scans it — a run's first query, which joins all of TΠ —
-     probes an on-disk segment-store copy instead of the resident table
-     (whole segments; the partial tail stays resident).  The resident
-     store remains the authority — merges, head resolution, constraint
-     passes and the delta probes are untouched — and segmented probes
-     are bit-identical to resident ones, so spilling changes I/O, never
-     results.  The source is shared read-only by the per-pattern workers
-     (mmap'd segments are position-independent; each worker scans with
-     its own batches). *)
-  let fact_src () =
-    let facts = Storage.table pi in
-    match options.spill with
-    | Some policy when Spill.should_spill policy facts ->
-      let st =
-        Obs.timed obs "storage.spill_seconds" (fun () ->
-            Seg_store.spill
-              ~segment_rows:(Spill.segment_rows policy)
-              ~tail:false
-              ~dir:(Spill.fresh_dir policy ~prefix:"tpi")
-              facts)
-      in
-      Pipeline.Segments (Seg_store.source ~tail:facts st)
-    | Some _ | None -> Pipeline.of_table facts
-  in
   let atoms ~delta_from patterns =
     let pats = Array.of_list patterns in
     let query =
@@ -281,9 +248,7 @@ let local_executor options kb =
            workers share it.  Δ is read in place. *)
         Storage.build_partial_indexes pi;
         fun pat -> Queries.derivations_delta prepared pat pi ~from:id
-      | None ->
-        let src = fact_src () in
-        fun pat -> Queries.derivations ~src prepared pat pi
+      | None -> fun pat -> Queries.derivations prepared pat pi
     in
     Pool.map_reduce (Pool.get_default ()) ~n:(Array.length pats)
       ~map:(fun i ->

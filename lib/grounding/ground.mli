@@ -45,16 +45,6 @@ type options = {
           raises [Invalid_argument] otherwise *)
   on_iteration : (iteration:int -> new_facts:int -> unit) option;
       (** progress callback *)
-  spill : Storage.Spill.t option;
-      (** out-of-core scans (default [None]): once [TΠ] crosses the
-          policy's byte threshold, the one phase that scans it — the
-          first iteration (or, with no iteration run, the factor pass)
-          — probes an on-disk segment-store copy via mmap instead of the
-          resident table (whole segments, the partial tail resident).
-          Delta iterations probe the resident partial-key indexes and
-          read no segment, so a run leaves one store.  The resident
-          store stays the authority; results are bit-identical with or
-          without spilling *)
   obs : Obs.t;
       (** trace context (default {!Obs.null}).  When enabled, the run
           emits a [closure > iteration i > M1..M6/merge] span tree, a
@@ -127,8 +117,7 @@ type executor = {
 }
 
 (** [drive options exec kb] runs Algorithm 1 on [kb], with [exec]
-    running the joins.  It does not read [options.spill]: spilling
-    belongs to the executor.
+    running the joins.
 
     With [build_factors], the factor phase (lines 8-10) joins nothing
     it has joined before.  A closure that stopped at [max_iterations]

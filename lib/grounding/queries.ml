@@ -225,8 +225,8 @@ let atoms_plan p pat pi =
     in
     Plan.Distinct (None, Plan.Project ([| 0; 6; 2; 8 + s.y_src; 3 |], join2))
 
-(* Step 1 of two-atom patterns: J = Mi ⋈ q, where [q] is TΠ — resident
-   or spilled — or the delta facts under semi-naive evaluation. *)
+(* Step 1 of two-atom patterns: J = Mi ⋈ q, where [q] is TΠ or the
+   delta facts under semi-naive evaluation. *)
 let step1 midx pat (s : Shape.t) q =
   match s with
   | One_atom _ -> invalid_arg "step1"
@@ -238,10 +238,7 @@ let step1 midx pat (s : Shape.t) q =
       ~dedup:true midx (q, s2.t_key1)
 
 (* Query 1-i or 2-i under the projection [out], every body atom probing
-   [src]: TΠ, resident or spilled, or — for a one-atom pattern's only
-   atom — the delta.  A spilled TΠ streams segment by segment, never
-   materialized, with the resident table's rows in its order and its row
-   ids, so the output is the same bit for bit. *)
+   [src]: TΠ or — for a one-atom pattern's only atom — the delta. *)
 let run_query p pat ~name ~cols ~out ~oweight ~dedup src =
   let midx = p.m_index.(Pattern.index pat) in
   match shape_of pat with
@@ -262,8 +259,7 @@ let atoms_query p pat src =
     ~out:(atoms_out (shape_of pat))
     ~oweight:Join.No_weight ~dedup:true src
 
-let ground_atoms ?src p pat pi =
-  atoms_query p pat (Option.value src ~default:(resident pi))
+let ground_atoms p pat pi = atoms_query p pat (resident pi)
 
 (* Resolve heads against TΠ and emit factor rows, in [order] when one is
    given. *)
@@ -509,10 +505,8 @@ let factors_query p pat ~name src =
     ~out:(factors_out (shape_of pat))
     ~oweight:(Join.Weight_of Join.Build) ~dedup:false src
 
-let derivations ?src p pat pi =
-  factors_query p pat
-    ~name:("factors_" ^ Pattern.to_string pat)
-    (Option.value src ~default:(resident pi))
+let derivations p pat pi =
+  factors_query p pat ~name:("factors_" ^ Pattern.to_string pat) (resident pi)
 
 (* Δ is the suffix of TΠ from [from]: a q fact of id [from] or more is in
    Δ, so the r term keeps only older ones, and a derivation with both
@@ -537,10 +531,7 @@ let derivations_delta p pat pi ~from =
     end;
     Sink.table sink
 
-(* Head resolution looks heads up in the resident store (the authority),
-   whichever source the joins probed. *)
-let ground_factors ?src p pat pi g =
-  resolve_heads (derivations ?src p pat pi) pi g
+let ground_factors p pat pi g = resolve_heads (derivations p pat pi) pi g
 
 let singleton_factors pi g =
   let n = ref 0 in

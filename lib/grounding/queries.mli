@@ -100,32 +100,25 @@ val partitions : prepared -> Mln.Partition.t
     observed rows) for [probkb expand --explain]'s EXPLAIN ANALYZE. *)
 val atoms_plan : prepared -> Mln.Pattern.t -> Kb.Storage.t -> Relational.Plan.t
 
-(** [ground_atoms ?src p pat pi] is Query 1-i: the head atoms derivable
-    by the rules of partition [pat] from the current facts.  The result
-    has columns [R, x, C1, y, C2] and may contain duplicates (the caller
-    deduplicates when merging into [TΠ]).  The joins probe [src]
-    (default: the resident [TΠ] of [pi]), which must cover exactly the
-    current facts — e.g. the segments of a spilled copy of [TΠ] plus the
-    resident tail ([Storage.Store.source ~tail]); the output is the same
-    bit for bit whichever source it is.  Scans all of [TΠ], so [pi] must
-    have no tombstoned rows ({!Kb.Storage.flush_deletes} first); the
-    same holds for {!ground_factors}. *)
+(** [ground_atoms p pat pi] is Query 1-i: the head atoms derivable by
+    the rules of partition [pat] from the current facts.  The result has
+    columns [R, x, C1, y, C2] and may contain duplicates (the caller
+    deduplicates when merging into [TΠ]).  Scans all of [TΠ], so [pi]
+    must have no tombstoned rows ({!Kb.Storage.flush_deletes} first);
+    the same holds for {!ground_factors}. *)
 val ground_atoms :
-  ?src:Relational.Pipeline.source ->
   prepared ->
   Mln.Pattern.t ->
   Kb.Storage.t ->
   Relational.Table.t
 
-(** [derivations ?src p pat pi] is Query 2-i's join before head
-    resolution: one row per ground rule of partition [pat] whose body
-    facts exist in [TΠ] — head key, body ids and rule weight, columns
-    {!atom_i_cols} — in the scan join's order, every row kept (a rule
-    stated twice derives twice).  The joins probe [src] as in
-    {!ground_atoms}.  Its first occurrences over columns 0–4 are
+(** [derivations p pat pi] is Query 2-i's join before head resolution:
+    one row per ground rule of partition [pat] whose body facts exist in
+    [TΠ] — head key, body ids and rule weight, columns {!atom_i_cols} —
+    in the scan join's order, every row kept (a rule stated twice
+    derives twice).  Its first occurrences over columns 0–4 are
     {!ground_atoms}'s rows. *)
 val derivations :
-  ?src:Relational.Pipeline.source ->
   prepared ->
   Mln.Pattern.t ->
   Kb.Storage.t ->
@@ -149,15 +142,13 @@ val derivations :
 val derivations_delta :
   prepared -> Mln.Pattern.t -> Kb.Storage.t -> from:int -> Relational.Table.t
 
-(** [ground_factors ?src p pat pi g] is Query 2-i: for every ground
-    rule of partition [pat] whose body facts and head fact all exist in
-    [TΠ], append the factor [(I1, I2, I3, w)] to [g]; [w] is the rule
-    weight.  It is {!resolve_heads} over {!derivations}; heads are
-    resolved against the resident store [pi].  Returns the number of
+(** [ground_factors p pat pi g] is Query 2-i: for every ground rule of
+    partition [pat] whose body facts and head fact all exist in [TΠ],
+    append the factor [(I1, I2, I3, w)] to [g]; [w] is the rule weight.
+    It is {!resolve_heads} over {!derivations}.  Returns the number of
     factors produced.  Per Proposition 1 of the paper, a deduplicated
     [Mi] produces no duplicate [(I1, I2, I3)] within the partition. *)
 val ground_factors :
-  ?src:Relational.Pipeline.source ->
   prepared ->
   Mln.Pattern.t ->
   Kb.Storage.t ->

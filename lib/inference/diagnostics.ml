@@ -55,8 +55,6 @@ module Online = struct
       cross = Array.make n 0.;
     }
 
-  let sweeps t = t.sweeps
-
   (* Must be called before the sweep's [observe]s, from the coordinating
      domain (it may allocate a fresh segment). *)
   let begin_sweep t =

@@ -37,9 +37,6 @@ module Online : sig
       accumulation window (default 20 — match the checkpoint cadence). *)
   val create : ?segment:int -> int -> t
 
-  (** Sweeps observed so far. *)
-  val sweeps : t -> int
-
   (** Starts a sweep; call before that sweep's {!observe}s, from the
       coordinating domain. *)
   val begin_sweep : t -> unit

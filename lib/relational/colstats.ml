@@ -1,29 +1,20 @@
-type t = {
-  rows : int;
-  ndv : int array;
-  mins : int array;
-  maxs : int array;
-}
+(* The number of distinct values of each column. *)
+type t = int array
 
 let analyze tbl =
   let width = Table.width tbl in
-  let n = Table.nrows tbl in
   let ndv = Array.make width 0 in
-  let mins = Array.make width max_int in
-  let maxs = Array.make width min_int in
   let seen = Array.init width (fun _ -> Hashtbl.create 64) in
-  for r = 0 to n - 1 do
+  for r = 0 to Table.nrows tbl - 1 do
     for c = 0 to width - 1 do
       let v = Table.get tbl r c in
       if not (Hashtbl.mem seen.(c) v) then begin
         Hashtbl.replace seen.(c) v ();
         ndv.(c) <- ndv.(c) + 1
-      end;
-      if v < mins.(c) then mins.(c) <- v;
-      if v > maxs.(c) then maxs.(c) <- v
+      end
     done
   done;
-  { rows = n; ndv; mins; maxs }
+  ndv
 
 (* A small cache keyed by physical table identity and the row count at
    analysis time, so repeated plan estimates (every EXPLAIN, every
@@ -57,26 +48,4 @@ let stats_for tbl =
     Mutex.unlock cache_mutex;
     st
 
-(* Rebuild statistics from persisted parts (the segment store serializes
-   them with its headers so reopening a spilled table never rescans). *)
-let of_parts ~rows ~ndv ~mins ~maxs =
-  let w = Array.length ndv in
-  if Array.length mins <> w || Array.length maxs <> w then
-    invalid_arg "Colstats.of_parts: array length mismatch";
-  { rows; ndv = Array.copy ndv; mins = Array.copy mins; maxs = Array.copy maxs }
-
-let rows st = st.rows
-let ndv st c = st.ndv.(c)
-let min_value st c = if st.rows = 0 then None else Some st.mins.(c)
-let max_value st c = if st.rows = 0 then None else Some st.maxs.(c)
-
-let ndv_key st key =
-  if st.rows = 0 then 0
-  else
-    let product =
-      Array.fold_left
-        (fun acc c ->
-          if acc > st.rows then acc else acc * max 1 st.ndv.(c))
-        1 key
-    in
-    min st.rows product
+let ndv st c = st.(c)

@@ -1,7 +1,7 @@
 (** Per-column table statistics.
 
-    The number of distinct values (NDV), minimum and maximum per column —
-    the inputs to {!Plan}'s cardinality estimates, playing the role of
+    The number of distinct values (NDV) per column of a resident table —
+    the input to {!Plan}'s cardinality estimates, playing the role of
     PostgreSQL's [pg_statistic] for this engine.  NDV is computed exactly
     (the engine is in-memory; a scan is cheap relative to the joins the
     estimates guard). *)
@@ -17,27 +17,5 @@ val analyze : Table.t -> t
     Thread-safe. *)
 val stats_for : Table.t -> t
 
-(** [of_parts ~rows ~ndv ~mins ~maxs] rebuilds statistics from persisted
-    per-column figures (the segment store serializes them alongside its
-    zone maps, so reopening a spilled table costs no rescan).  Arrays are
-    copied; one entry per column.
-    @raise Invalid_argument on length mismatches. *)
-val of_parts :
-  rows:int -> ndv:int array -> mins:int array -> maxs:int array -> t
-
-(** [rows st] is the row count at analysis time. *)
-val rows : t -> int
-
 (** [ndv st c] is the number of distinct values in column [c]. *)
 val ndv : t -> int -> int
-
-(** [min_value st c] / [max_value st c] are the column extrema
-    ([None] on an empty table). *)
-val min_value : t -> int -> int option
-
-val max_value : t -> int -> int option
-
-(** [ndv_key st key] is the number of distinct composite values over the
-    given columns (computed during {!analyze} only for single columns;
-    composite keys are bounded by the product, capped at [rows]). *)
-val ndv_key : t -> int array -> int

@@ -1,17 +1,14 @@
 (** Segmented scan sources: spilled tables as the executor sees them.
 
     A source is an ordered array of immutable segments, each knowing its
-    row count, per-column min/max zone maps, and how to stream its rows
-    out as {!Batch.t} chunks.  The storage layer ([lib/storage]) builds
-    these over mmap'd column-segment files and {!Pipeline.run} streams
-    them in order.  Row ids handed out by a segmented scan equal the row
-    indices of the unspilled table, so downstream residual predicates
-    behave identically. *)
+    row count and how to stream its rows out as {!Batch.t} chunks.  The
+    storage layer ([lib/storage]) builds these over mmap'd column-segment
+    files and {!Pipeline.run} streams them in order.  Row ids handed out
+    by a segmented scan equal the row indices of the unspilled table, so
+    downstream residual predicates behave identically. *)
 
 type seg = {
   rows : int;
-  mins : int array;  (** per-column minima; [[||]] when [rows = 0] *)
-  maxs : int array;  (** per-column maxima; [[||]] when [rows = 0] *)
   scan : capacity:int -> base_rid:int -> (Batch.t -> unit) -> int;
       (** [scan ~capacity ~base_rid push] streams the segment's rows in
           order as batches of at most [capacity] rows, with row ids
@@ -23,19 +20,11 @@ type t = {
   name : string;
   cols : string array;
   weighted : bool;
-  stats : Colstats.t;
-      (** whole-table statistics (persisted by the store, so reopening
-          never rescans) *)
   segs : seg array;
 }
 
 (** [rows t] is the total row count over all segments. *)
 val rows : t -> int
-
-(** [seg_of_table ?lo ?hi tbl] wraps rows [lo, hi)] (default: all) of an
-    in-memory table as one segment — the tail of a partially spilled
-    table, or a test double. *)
-val seg_of_table : ?lo:int -> ?hi:int -> Table.t -> seg
 
 (** [to_table t] materializes the source back into an in-memory table
     (identity checks; the materializing executor). *)

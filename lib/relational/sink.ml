@@ -27,7 +27,6 @@ let create ?dedup_key ?reserve ?(weighted = false) ~name cols =
 
 let table s = s.table
 let rows_out s = Table.nrows s.table
-let pushed s = s.pushed
 
 let push_batch s b =
   let n = Batch.length b in

@@ -30,10 +30,6 @@ val table : t -> Table.t
 (** [rows_out s] is the number of rows kept so far. *)
 val rows_out : t -> int
 
-(** [pushed s] is the number of rows offered so far ([>= rows_out];
-    the difference is the dedup hits). *)
-val pushed : t -> int
-
 (** [push_batch s b] offers every row of [b] to the sink. *)
 val push_batch : t -> Batch.t -> unit
 

@@ -2,16 +2,15 @@
 
    A segment holds a fixed slice of a table's rows in columnar form: one
    compressed lane per integer column plus an optional raw weight lane.
-   The header is versioned, checksummed and carries per-column zone maps
-   (ndv/min/max), so a reader can validate a file and merge a store's
-   statistics without touching the data pages; reads go through a
-   [Bigarray] mmap ({!Unix.map_file}), so the header reads fault no
-   data page in.
+   The header is versioned, checksummed and holds only what a scan
+   decodes, so a reader can validate a file without touching the data
+   pages; reads go through a [Bigarray] mmap ({!Unix.map_file}), so the
+   header reads fault no data page in.
 
    Layout (all fixed-width fields little-endian 64-bit unless noted):
 
    {v
-     0   magic       "pkbseg02"
+     0   magic       "pkbseg03"
      8   checksum    FNV-1a 64 over bytes [16, header_len)
      16  header_len
      24  file_len    expected total size (truncation check)
@@ -19,8 +18,8 @@
      40  width       number of integer columns
      48  weighted    0 | 1
      56  first_row   the segment's first row within its store
-     64  width x column entry (64 bytes each):
-           ndv, min, max, mode (0=frame-of-reference, 1=dictionary),
+     64  width x column entry (40 bytes each):
+           mode (0=frame-of-reference, 1=dictionary),
            param (FOR base | dictionary length), code_width (1|2|4|8),
            dict_off (0 for FOR), lane_off
      ..  weight_off  0 when unweighted
@@ -43,7 +42,7 @@ module Segsrc = Relational.Segsrc
 exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
-let magic = "pkbseg02"
+let magic = "pkbseg03"
 
 (* --- little-endian primitives --- *)
 
@@ -128,9 +127,6 @@ let dict_code dict v =
   !lo
 
 type col_entry = {
-  ndv : int;
-  cmin : int;
-  cmax : int;
   mode : int; (* 0 = frame-of-reference, 1 = dictionary *)
   param : int; (* FOR base | dictionary length *)
   code_width : int;
@@ -141,10 +137,11 @@ type col_entry = {
 let mode_for = 0
 let mode_dict = 1
 
-let header_len ~width = 72 + (width * 64)
+let entry_len = 40
+let header_len ~width = 72 + (width * entry_len)
 
 (* Byte offset of column [c]'s header entry. *)
-let entry_off c = 64 + (c * 64)
+let entry_off c = 64 + (c * entry_len)
 
 let write ?(first_row = 0) ~path tbl ~lo ~hi =
   let n = hi - lo in
@@ -178,9 +175,6 @@ let write ?(first_row = 0) ~path tbl ~lo ~hi =
         let e =
           if for_cost <= dict_cost then
             {
-              ndv;
-              cmin;
-              cmax;
               mode = mode_for;
               param = cmin;
               code_width = fw;
@@ -189,9 +183,6 @@ let write ?(first_row = 0) ~path tbl ~lo ~hi =
             }
           else
             {
-              ndv;
-              cmin;
-              cmax;
               mode = mode_dict;
               param = ndv;
               code_width = dw;
@@ -237,14 +228,11 @@ let write ?(first_row = 0) ~path tbl ~lo ~hi =
   Array.iteri
     (fun c e ->
       let o = entry_off c in
-      bytes_set_i64 hdr o e.ndv;
-      bytes_set_i64 hdr (o + 8) e.cmin;
-      bytes_set_i64 hdr (o + 16) e.cmax;
-      bytes_set_i64 hdr (o + 24) e.mode;
-      bytes_set_i64 hdr (o + 32) e.param;
-      bytes_set_i64 hdr (o + 40) e.code_width;
-      bytes_set_i64 hdr (o + 48) e.dict_off;
-      bytes_set_i64 hdr (o + 56) e.lane_off)
+      bytes_set_i64 hdr o e.mode;
+      bytes_set_i64 hdr (o + 8) e.param;
+      bytes_set_i64 hdr (o + 16) e.code_width;
+      bytes_set_i64 hdr (o + 24) e.dict_off;
+      bytes_set_i64 hdr (o + 32) e.lane_off)
     entries;
   bytes_set_i64 hdr (entry_off width) weight_off;
   bytes_set_i64 hdr 8 (Int64.to_int (fnv1a_bytes hdr 16 (hlen - 16)));
@@ -263,7 +251,6 @@ let write ?(first_row = 0) ~path tbl ~lo ~hi =
 
 type t = {
   map : map;
-  file_len : int;
   nrows : int;
   width : int;
   weighted : bool;
@@ -328,14 +315,11 @@ let openf path =
         let o = entry_off c in
         let e =
           {
-            ndv = get_i64 map o;
-            cmin = get_i64 map (o + 8);
-            cmax = get_i64 map (o + 16);
-            mode = get_i64 map (o + 24);
-            param = get_i64 map (o + 32);
-            code_width = get_i64 map (o + 40);
-            dict_off = get_i64 map (o + 48);
-            lane_off = get_i64 map (o + 56);
+            mode = get_i64 map o;
+            param = get_i64 map (o + 8);
+            code_width = get_i64 map (o + 16);
+            dict_off = get_i64 map (o + 24);
+            lane_off = get_i64 map (o + 32);
           }
         in
         if e.mode <> mode_for && e.mode <> mode_dict then
@@ -356,7 +340,6 @@ let openf path =
     corrupt "%s: weight lane out of bounds" path;
   {
     map;
-    file_len = size;
     nrows;
     width;
     weighted;
@@ -369,10 +352,6 @@ let rows t = t.nrows
 let first_row t = t.first_row
 let width t = t.width
 let weighted t = t.weighted
-let byte_size t = t.file_len
-let ndv t = Array.map (fun e -> e.ndv) t.entries
-let mins t = Array.map (fun e -> e.cmin) t.entries
-let maxs t = Array.map (fun e -> e.cmax) t.entries
 
 let get_packed (a : map) off w =
   match w with
@@ -399,8 +378,6 @@ let weight t r =
 let to_seg t =
   {
     Segsrc.rows = t.nrows;
-    mins = (if t.nrows = 0 then [||] else mins t);
-    maxs = (if t.nrows = 0 then [||] else maxs t);
     scan =
       (fun ~capacity ~base_rid push ->
         let b =

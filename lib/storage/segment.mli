@@ -6,10 +6,10 @@
     column) plus an optional raw weight lane storing IEEE bits (the NaN
     null weight survives).  The versioned header is checksummed
     (FNV-1a) and records the expected file length, the segment's first
-    row within its store, and per-column zone maps — ndv, min, max — so
-    readers can validate a file, check its place in a store and merge
-    the store's statistics without faulting in any data page.  Reads go
-    through a {!Bigarray} mmap; writes are atomic (tmp + rename). *)
+    row within its store and each column's encoding, so readers can
+    validate a file and check its place in a store without faulting in
+    any data page.  Reads go through a {!Bigarray} mmap; writes are
+    atomic (tmp + rename). *)
 
 (** Raised by {!openf} on any validation failure: bad magic, checksum
     mismatch (torn header), length mismatch (truncation), out-of-bounds
@@ -40,15 +40,6 @@ val first_row : t -> int
 
 val width : t -> int
 val weighted : t -> bool
-
-(** File length in bytes (the on-disk, compressed size). *)
-val byte_size : t -> int
-
-(** Per-column zone maps, decoded from the header alone. *)
-val ndv : t -> int array
-
-val mins : t -> int array
-val maxs : t -> int array
 
 (** [get t r c] decodes one cell; [weight t r] one weight
     ({!Relational.Table.null_weight} when the segment is unweighted). *)

@@ -1,7 +1,7 @@
-(* Spill policy: when a working table crosses the byte threshold it is
-   flushed to a segment store under the spill root.  One policy value is
-   shared by an engine run; directory allocation is atomic so concurrent
-   spills (per-pattern workers) cannot collide. *)
+(* Spill policy: when the fact table crosses the byte threshold, the pn
+   MPP executor flushes each of its shards to a segment store under the
+   spill root.  One policy value is shared by an engine run; directory
+   allocation is atomic so concurrent spills cannot collide. *)
 
 module Table = Relational.Table
 

@@ -1,4 +1,5 @@
-(** Spill policy: where segment stores live and when tables go there.
+(** Spill policy: where the pn MPP executor's shard stores live and when
+    a fact table's shards go there.
 
     One value is shared by an engine run; {!fresh_dir} allocates
     distinct store directories atomically, so concurrent spills from

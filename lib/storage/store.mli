@@ -1,16 +1,13 @@
 (** A spilled table: a directory of column {!Segment}s plus a manifest.
 
     The manifest (text, written last, atomic tmp+rename) records the
-    schema, the ordered segment list and the table-level {!Colstats}
-    merged from the per-segment zone maps, so {!open_dir} never rescans
-    data.  Each segment records its first row within the store, so
-    segments listed out of order end in {!Corrupt}.  Stores are
-    append-only at segment granularity: a full {!spill} also writes the
-    final partial segment, and so does {!append}, while
-    {!spill}[ ~tail:false], used by the grounding loop, writes whole
-    segments only and leaves the tail resident — {!source}[ ~tail]
-    stitches the stored prefix and the in-memory tail into one scan
-    source whose row ids equal the backing table's row indices. *)
+    schema and the ordered segment list with each segment's row count.
+    Each segment records its first row within the store, so segments
+    listed out of order end in {!Corrupt}.  Stores are append-only at
+    segment granularity: {!spill} writes every row of a table, the final
+    partial segment included, and {!append} writes more rows as the
+    segments after the stored ones, so nothing stays resident — the
+    pn MPP executor's shards ([Mpp.Dtable.partition_spilled]). *)
 
 type t
 
@@ -20,13 +17,10 @@ exception Corrupt of string
 
 val default_segment_rows : int
 
-(** [spill ?segment_rows ?tail ~dir tbl] writes [tbl] as segments of
+(** [spill ?segment_rows ~dir tbl] writes [tbl] as segments of
     [segment_rows] rows under [dir] (created if needed) and returns the
-    open store.  With [tail:false] the trailing partial segment is kept
-    out (the caller keeps those rows resident and passes them to
-    {!source}). *)
-val spill :
-  ?segment_rows:int -> ?tail:bool -> dir:string -> Relational.Table.t -> t
+    open store. *)
+val spill : ?segment_rows:int -> dir:string -> Relational.Table.t -> t
 
 (** [append st tbl] writes every row of [tbl] (same width and weight
     lane as [st]) as the store's next rows — one more segment, or
@@ -43,12 +37,10 @@ val append : t -> Relational.Table.t -> t
     segments that disagree with them. *)
 val open_dir : string -> t
 
-(** [source ?tail st] is the store as a segmented scan source.  [tail]
-    supplies the resident rows beyond the stored prefix (its row indices
-    [>= rows st] become one extra segment).  Segments are opened afresh
-    and checked as by {!open_dir}.
+(** [source st] is the store as a segmented scan source.  Segments are
+    opened afresh and checked as by {!open_dir}.
     @raise Corrupt when a segment disagrees with the manifest. *)
-val source : ?tail:Relational.Table.t -> t -> Relational.Segsrc.t
+val source : t -> Relational.Segsrc.t
 
 (** [remove st] deletes the store's segment files and MANIFEST, then its
     directory if nothing else is left in it; files already gone are
@@ -58,18 +50,12 @@ val remove : t -> unit
 (** [to_table st] materializes the stored rows back into memory. *)
 val to_table : t -> Relational.Table.t
 
-val dir : t -> string
 val name : t -> string
 val cols : t -> string array
 val weighted : t -> bool
-
-(** Table-level statistics over the stored rows (persisted; merged from
-    segment headers). *)
-val stats : t -> Relational.Colstats.t
-
 val nsegments : t -> int
 
-(** [rows st] counts the stored rows (excludes any resident tail). *)
+(** [rows st] counts the stored rows. *)
 val rows : t -> int
 
 (** Total on-disk bytes across segment files. *)

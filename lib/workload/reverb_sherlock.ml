@@ -82,7 +82,6 @@ type t = {
 let kb g = g.kb
 let config g = g.config
 let domain_of g rel = g.dom.(rel)
-let range_of g rel = g.rng_cls.(rel)
 let entities_of_class g cls = g.by_class.(cls)
 
 (* --- generation --- *)

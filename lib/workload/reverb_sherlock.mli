@@ -57,11 +57,9 @@ val kb : t -> Kb.Gamma.t
 (** [config g] is the generating configuration. *)
 val config : t -> config
 
-(** [domain_of g rel] / [range_of g rel] are the signature classes of a
-    generated relation. *)
+(** [domain_of g rel] is the domain class of a generated relation's
+    signature. *)
 val domain_of : t -> int -> int
-
-val range_of : t -> int -> int
 
 (** [entities_of_class g cls] is the entity population of a class. *)
 val entities_of_class : t -> int -> int array

@@ -1,17 +1,11 @@
 #!/usr/bin/env python3
-"""One closure loop, three routes: `probkb expand --sc` on the single
-node, on the single node with an out-of-core fact table, and on the
-simulated MPP cluster.
+"""One closure loop, two executors: `probkb expand --sc` on the single
+node and on the simulated MPP cluster.
 
 Expands a generated KB with its semantic constraints enforced on each
 route at PROBKB_DOMAINS=1 and 4, once to convergence and once capped at
-`--max-iterations 2`.  The spilled route runs with
-`--spill-threshold 0 --segment-rows 128`, so the fact table spills
-before the first join and every constraint pass compacts the resident
-table; its spill directory must hold exactly one fact-table store
-(`tpi-*`) at the end: only the first iteration scans TΠ, so the run
-spills it once.  The six runs of one budget must write the same file
-(`--out`), line for line: it lists TΠ in row order, so the comparison
+`--max-iterations 2`.  The four runs of one budget must write the same
+file (`--out`), line for line: it lists TΠ in row order, so the comparison
 covers every fact's id as well as the facts, and the MPP executor
 returns every query's rows in the single node's order.  They must also
 report the same `new_fact_count`, `removed_by_constraints`,
@@ -37,7 +31,7 @@ import tempfile
 FIELDS = ("new_fact_count", "removed_by_constraints", "n_factors",
           "iterations", "trajectory")
 
-ROUTES = ("single", "spilled", "mpp")
+ROUTES = ("single", "mpp")
 
 # The iteration budgets: the default (the closure converges) and a cap
 # it stops at.
@@ -59,23 +53,13 @@ def run(exe, data, out_dir, route, domains, cap):
            "--sc", "--metrics", "json", "--out", out]
     if cap is not None:
         cmd += ["--max-iterations", str(cap)]
-    spill_dir = os.path.join(out_dir, name + ".spill")
     if route == "mpp":
         cmd.append("--mpp")
-    elif route == "spilled":
-        os.mkdir(spill_dir)
-        cmd += ["--spill-dir", spill_dir, "--spill-threshold", "0",
-                "--segment-rows", "128"]
     env = dict(os.environ, PROBKB_DOMAINS=str(domains))
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
                           timeout=600)
     if proc.returncode != 0:
         fail(f"{name} exited {proc.returncode}:\n{proc.stderr}")
-    if route == "spilled":
-        stores = [e for e in os.listdir(spill_dir) if e.startswith("tpi-")]
-        if len(stores) != 1:
-            fail(f"{name}: {len(stores)} fact-table stores left in "
-                 f"{spill_dir}, not one: {sorted(stores)}")
     expansion = json.loads(proc.stdout)["expansion"]
     if cap is not None and expansion["converged"]:
         fail(f"{name}: converged within {cap} iterations, so the capped "
@@ -117,8 +101,7 @@ def main():
           f"{full['removed_by_constraints']} removed by constraints, "
           f"{full['n_factors']} factors; capped at {CAPS[1]} iterations: "
           f"{capped['new_fact_count']} new facts, {capped['n_factors']} "
-          f"factors; single node, spilled single node and MPP agree at "
-          f"pools 1 and 4)")
+          f"factors; single node and MPP agree at pools 1 and 4)")
 
 
 if __name__ == "__main__":

@@ -404,7 +404,7 @@ let test_semi_naive_transitive_chain () =
    rows in table order (ids, weight bits) and the trajectory.  The
    digests were recorded before the single-node and MPP drivers became
    two executors of one closure loop (x86-64 Linux); every route must
-   reproduce them bit for bit at pool sizes 1 and 4, each spilled route
+   reproduce them bit for bit at pool sizes 1 and 4, the spilled route
    its resident route's, and each MPP route the single node's: the MPP
    executor returns every query's rows in the single node's order.  An
    MPP route also pins a clock digest: the bits of its simulated clock,
@@ -445,12 +445,10 @@ let route_digests () =
            trajectory)
   in
   (* [f] under a zero-threshold spill policy in a fresh directory, which
-     must have received segments and must be left holding [count] stores
-     whose names start with [prefix]: on the single node one TΠ store (a
-     copy made stale by a compaction is removed), on MPP pn one store per
-     shard of the last distribution (each earlier one is removed when the
-     next replaces it). *)
-  let with_spill ~stores:(prefix, count) spilled f =
+     must have received segments and must be left holding one [pn-*]
+     store per shard of the last distribution (each earlier one is
+     removed when the next replaces it). *)
+  let with_spill ~shards spilled f =
     if not spilled then f None
     else begin
       let dir = Filename.temp_dir "probkb-routes" "" in
@@ -458,26 +456,22 @@ let route_digests () =
         f (Some (Storage.Spill.create ~segment_rows:128 ~threshold_bytes:0 ~root:dir ()))
       in
       check_bool "segments written" true (Array.length (Sys.readdir dir) > 0);
-      check_int
-        (Printf.sprintf "%s* stores left" prefix)
-        count
+      check_int "pn-* stores left" shards
         (List.length
            (List.filter
-              (String.starts_with ~prefix)
+              (String.starts_with ~prefix:"pn-")
               (Array.to_list (Sys.readdir dir))));
       ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
       d
     end
   in
-  let single ?(spilled = false) ?(omega = false) () =
+  let single ?(omega = false) () =
     let kb = Tutil.copy_gamma kb in
-    with_spill ~stores:("tpi-", 1) spilled @@ fun spill ->
     let r =
       Grounding.Ground.run
         ~options:
           {
             Grounding.Ground.default_options with
-            spill;
             apply_constraints = (if omega then hook kb else None);
           }
         kb
@@ -508,7 +502,7 @@ let route_digests () =
     let kb = Tutil.copy_gamma kb in
     let cluster = { Mpp.Cluster.default with Mpp.Cluster.nseg = 4 } in
     let obs = Obs.create ~config:Obs.Config.enabled () in
-    with_spill ~stores:("pn-", cluster.Mpp.Cluster.nseg) spilled @@ fun spill ->
+    with_spill ~shards:cluster.Mpp.Cluster.nseg spilled @@ fun spill ->
     let r =
       Grounding.Ground_mpp.run
         ~options:
@@ -553,8 +547,6 @@ let route_digests () =
     ("single-node", single ());
     ("single-node + omega", single ~omega:true ());
     ("initial delta", incremental ());
-    ("single-node spilled", single ~spilled:true ());
-    ("single-node spilled + omega", single ~spilled:true ~omega:true ());
   ]
   @ mpp_route "mpp views" (mpp Grounding.Ground_mpp.Views)
   @ mpp_route "mpp pn" (mpp Grounding.Ground_mpp.No_views)
@@ -566,8 +558,6 @@ let pinned_route_digests =
     ("single-node", "f6834a99dfaa0dfafe6429dcb7ae81dd");
     ("single-node + omega", "d4ae831b87b13d19ec511026c76e02cc");
     ("initial delta", "fcee6992548bce4795863995705f9f0f");
-    ("single-node spilled", "f6834a99dfaa0dfafe6429dcb7ae81dd");
-    ("single-node spilled + omega", "d4ae831b87b13d19ec511026c76e02cc");
     ("mpp views", "f6834a99dfaa0dfafe6429dcb7ae81dd");
     ("mpp views clock", "258795f432acacdd377d1b5b2e802884");
     ("mpp pn", "f6834a99dfaa0dfafe6429dcb7ae81dd");

@@ -227,16 +227,15 @@ let test_matview_views_hold_all_facts () =
 
 (* --- every grounding route ≡ the single node ≡ Query 2, bit for bit --- *)
 
-(* [kb] grounded on its own copy by [Ground.run], resident and with TΠ
-   spilled, and by [Ground_mpp.run] for every route — views, pn, and pn
-   with every shard spilled from the start — at 1, 4 and 32 segments,
-   with and without the Ω hook, converged and capped at one and two
-   iterations: the configurations whose TΠ rows (ids, keys, weight
-   bits), TΦ rows or trajectory differ from the resident single node's,
-   and those whose single-node TΦ differs from the Query 2 oracle over
-   the final TΠ ({!Tutil.query2_oracle}).  Every route's TΦ, built from
-   the closure's own derivation rows, is so Query 2's row for row, in
-   its order, with the same factor ids. *)
+(* [kb] grounded on its own copy by [Ground.run], and by [Ground_mpp.run]
+   for every route — views, pn, and pn with every shard spilled from the
+   start — at 1, 4 and 32 segments, with and without the Ω hook,
+   converged and capped at one and two iterations: the configurations
+   whose TΠ rows (ids, keys, weight bits), TΦ rows or trajectory differ
+   from the single node's, and those whose single-node TΦ differs from
+   the Query 2 oracle over the final TΠ ({!Tutil.query2_oracle}).  Every
+   route's TΦ, built from the closure's own derivation rows, is so
+   Query 2's row for row, in its order, with the same factor ids. *)
 let mpp_mismatches kb =
   let hook ~omega kb =
     if omega then Some (Quality.Semantic.hook (Kb.Gamma.omega kb)) else None
@@ -250,11 +249,10 @@ let mpp_mismatches kb =
       Some (Storage.Spill.create ~segment_rows:64 ~threshold_bytes:0 ~root:dir ())
     else None
   in
-  (* The route's bits and, for the resident single node, the oracle's. *)
-  let single ~omega ~max_iterations ~spilled =
+  (* The single node's bits and the oracle's. *)
+  let single ~omega ~max_iterations =
     let kb = Tutil.copy_gamma kb in
     let apply_constraints = hook ~omega kb in
-    in_tmp @@ fun dir ->
     let r =
       Grounding.Ground.run
         ~options:
@@ -262,7 +260,6 @@ let mpp_mismatches kb =
             Grounding.Ground.default_options with
             max_iterations;
             apply_constraints;
-            spill = spill ~spilled dir;
           }
         kb
     in
@@ -297,15 +294,12 @@ let mpp_mismatches kb =
           (if omega then "omega, " else "")
           max_iterations
       in
-      let expected, oracle = single ~omega ~max_iterations ~spilled:false in
+      let expected, oracle = single ~omega ~max_iterations in
       let differs what bits =
         if bits = expected then None else Some (what ^ ", " ^ config)
       in
       (if expected = oracle then []
        else [ "single node TΦ vs the Query 2 oracle, " ^ config ])
-      @ Option.to_list
-          (differs "single node spilled"
-             (fst (single ~omega ~max_iterations ~spilled:true)))
       @ List.concat_map
           (fun (route, mode, spilled) ->
             List.filter_map

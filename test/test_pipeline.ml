@@ -158,21 +158,7 @@ let test_sources_differential () =
       (Table.sub s (Array.init (hi - lo) (( + ) lo)))
   in
   let bounds = [ 0; 375; 375; 1200; 2250; 2251; 3000 ] in
-  let rec segs = function
-    | lo :: (hi :: _ as rest) ->
-      Relational.Segsrc.seg_of_table ~lo ~hi s :: segs rest
-    | _ -> []
-  in
-  let segments =
-    Pipeline.Segments
-      {
-        Relational.Segsrc.name = "s";
-        cols = Table.cols s;
-        weighted = false;
-        stats = Relational.Colstats.stats_for s;
-        segs = Array.of_list (segs bounds);
-      }
-  in
+  let segments = Pipeline.Segments (Tutil.segmented s bounds) in
   let sources = [| Pipeline.Rows { table = s; lo; hi }; segments |] in
   check_in_pools
     [| "rows [lo, hi)"; "segments" |]

@@ -1,12 +1,11 @@
 (* The out-of-core columnar store: segment round-trips through the mmap
    reader, store spill/append, corruption detection, and end-to-end
-   differentials — spilled scans and joins, spilled grounding and
-   spilled MPP shards must be bit-identical to the fully in-memory
-   runs. *)
+   differentials — spilled scans and joins and spilled MPP shards must
+   be bit-identical to the fully in-memory runs, and only the pn MPP
+   executor spills. *)
 
 module Table = Relational.Table
 module Segsrc = Relational.Segsrc
-module Colstats = Relational.Colstats
 module Plan = Relational.Plan
 module Pipeline = Relational.Pipeline
 module Sink = Relational.Sink
@@ -82,6 +81,12 @@ let random_table ?(weighted = true) rng n width =
   done;
   t
 
+(* A ReVerb-Sherlock KB at scale 0.008. *)
+let workload_kb seed =
+  Workload.Reverb_sherlock.kb
+    (Workload.Reverb_sherlock.generate
+       { Workload.Reverb_sherlock.default_config with scale = 0.008; seed })
+
 (* --- segments --- *)
 
 let test_segment_roundtrip () =
@@ -104,30 +109,8 @@ let test_segment_roundtrip () =
               check_bool "weight" true
                 (compare (Table.weight t r) (Segment.weight s r) = 0)
           done;
-          (* Zone maps decode to the true column ranges. *)
-          for c = 0 to width - 1 do
-            let lo = ref max_int and hi = ref min_int in
-            for r = 0 to n - 1 do
-              lo := min !lo (Table.get t r c);
-              hi := max !hi (Table.get t r c)
-            done;
-            check_int "min" !lo (Segment.mins s).(c);
-            check_int "max" !hi (Segment.maxs s).(c)
-          done;
           Sys.remove path)
         [ (1, 1, false); (200, 3, true); (500, 2, false); (64, 4, true) ])
-
-let test_segment_ndv_exact () =
-  with_tmpdir (fun dir ->
-      let t = Table.create ~name:"t" [| "a"; "b" |] in
-      for i = 0 to 99 do
-        Table.append t [| i mod 7; i |]
-      done;
-      let path = Filename.concat dir "seg.pkb" in
-      Segment.write ~path t ~lo:0 ~hi:100;
-      let s = Segment.openf path in
-      check_int "ndv col 0" 7 (Segment.ndv s).(0);
-      check_int "ndv col 1" 100 (Segment.ndv s).(1))
 
 let corrupt_file path f =
   let ic = open_in_bin path in
@@ -186,37 +169,23 @@ let test_store_roundtrip () =
             (tables_identical t (Store.to_table st2))))
     [ (0, true); (63, false); (64, true); (777, true) ]
 
-let test_store_stats_persisted () =
-  with_tmpdir (fun dir ->
-      let t = Table.create ~name:"t" [| "a"; "b" |] in
-      for i = 0 to 499 do
-        Table.append t [| i; 1000 - i |]
-      done;
-      let st = Store.open_dir (Store.dir (Store.spill ~segment_rows:100 ~dir t)) in
-      let stats = Store.stats st in
-      Alcotest.(check (option int)) "min a" (Some 0) (Colstats.min_value stats 0);
-      Alcotest.(check (option int)) "max a" (Some 499) (Colstats.max_value stats 0);
-      Alcotest.(check (option int)) "min b" (Some 501) (Colstats.min_value stats 1);
-      Alcotest.(check (option int)) "max b" (Some 1000) (Colstats.max_value stats 1))
-
+(* A spill writes its partial last segment too, and an append writes
+   more rows as the segments after it. *)
 let test_store_spill_tail_append () =
   let rng = Tutil.rng 31 in
   with_tmpdir (fun dir ->
       let t = random_table rng 150 3 in
-      (* Whole segments only: 150 rows at 64/segment stores 128. *)
-      let st = Store.spill ~segment_rows:64 ~tail:false ~dir t in
-      check_int "whole segments stored" 128 (Store.rows st);
-      check_bool "prefix + tail ≡ table" true
-        (tables_identical t (Segsrc.to_table (Store.source ~tail:t st)));
-      (* Grow, append the rows past the stored prefix, check again. *)
+      (* 150 rows at 64/segment: two whole segments and a 22-row tail. *)
+      let st = Store.spill ~segment_rows:64 ~dir t in
+      check_int "tail segment stored" 3 (Store.nsegments st);
+      check_bool "spilled ≡ table" true
+        (tables_identical t (Segsrc.to_table (Store.source st)));
+      (* Append 200 more rows, check again. *)
       let extra = random_table (Tutil.rng 37) 200 3 in
+      let st = Store.append st extra in
       Table.iter
         (fun r -> Table.append_w t (Table.row extra r) (Table.weight extra r))
         extra;
-      let st =
-        Store.append st
-          (Table.sub t (Array.init (Table.nrows t - 128) (( + ) 128)))
-      in
       check_int "appended rows stored" 350 (Store.rows st);
       check_bool "appended store ≡ table" true
         (tables_identical t (Segsrc.to_table (Store.source st)));
@@ -341,7 +310,7 @@ let prop_segment_header_fuzz =
           in
           let s = Segment.openf path in
           let first = Segment.first_row s and rows = Segment.rows s in
-          let hlen = 72 + (64 * Table.width t) in
+          let hlen = 72 + (40 * Table.width t) in
           let text, _ =
             List.fold_left
               (fun (text, hlen) (op, pos, c) ->
@@ -384,6 +353,20 @@ let prop_segment_header_fuzz =
             done;
             !ok
           | exception Segment.Corrupt _ -> true))
+
+(* Column compression pays on a grounded TΠ. *)
+let test_store_grounded_pi_smaller () =
+  List.iter
+    (fun seed ->
+      let kb = workload_kb seed in
+      ignore (Grounding.Ground.run kb);
+      let tpi = Kb.Storage.table (Kb.Gamma.pi kb) in
+      with_tmpdir (fun dir ->
+          let st = Store.spill ~dir tpi in
+          check_int "every row stored" (Table.nrows tpi) (Store.rows st);
+          check_bool "smaller on disk than in memory" true
+            (Store.byte_size st < Table.byte_size tpi)))
+    [ 1; 2 ]
 
 (* --- segmented scans through the pipelines --- *)
 
@@ -452,46 +435,6 @@ let test_spilled_scan_differential () =
 (* --- spilled grounding differentials --- *)
 
 let spilled_policy dir = Spill.create ~segment_rows:128 ~threshold_bytes:0 ~root:dir ()
-
-let workload_kb seed =
-  Workload.Reverb_sherlock.kb
-    (Workload.Reverb_sherlock.generate
-       { Workload.Reverb_sherlock.default_config with scale = 0.008; seed })
-
-let test_ground_spilled_differential () =
-  List.iter
-    (fun seed ->
-      let kb = workload_kb seed in
-      let kb1 = Tutil.copy_gamma kb in
-      let r1 = Grounding.Ground.run kb1 in
-      with_tmpdir (fun dir ->
-          let kb2 = Tutil.copy_gamma kb in
-          let r2 =
-            Grounding.Ground.run
-              ~options:
-                {
-                  Grounding.Ground.default_options with
-                  spill = Some (spilled_policy dir);
-                }
-              kb2
-          in
-          check_bool "a store was written" true
-            (Array.length (Sys.readdir dir) > 0);
-          Alcotest.(check (list string))
-            "same facts"
-            (Tutil.fact_strings kb1) (Tutil.fact_strings kb2);
-          check_int "same factor count"
-            (Factor_graph.Fgraph.size r1.Grounding.Ground.graph)
-            (Factor_graph.Fgraph.size r2.Grounding.Ground.graph);
-          check_int "same iterations" r1.Grounding.Ground.iterations
-            r2.Grounding.Ground.iterations;
-          (* Column compression pays on the grounded TΠ. *)
-          let tpi = Kb.Storage.table (Kb.Gamma.pi kb1) in
-          let st = Store.spill ~dir:(Filename.concat dir "tpi") tpi in
-          check_int "every row stored" (Table.nrows tpi) (Store.rows st);
-          check_bool "smaller on disk than in memory" true
-            (Store.byte_size st < Table.byte_size tpi)))
-    [ 1; 2 ]
 
 let test_mpp_spilled_differential () =
   let cluster = { Mpp.Cluster.default with Mpp.Cluster.nseg = 4 } in
@@ -565,30 +508,49 @@ let test_dtable_spilled_shards () =
           (Mpp.Dtable.spilled grown_spilled i)
       done)
 
+(* The engine spills through [Config.spill_policy] on the pn MPP route
+   only: with the spill knobs set, that run grounds what the in-memory
+   run grounds and leaves one [pn-*] store per shard under the spill
+   root, while the single node and views mode, which never spill, leave
+   the root empty. *)
 let test_engine_spill_config () =
   let kb = workload_kb 4 in
-  let kb1 = Tutil.copy_gamma kb in
-  let e1 =
-    Probkb.Engine.expand
-      (Probkb.Engine.create ~config:(Probkb.Config.make ~inference:None ()) kb1)
+  let expand config kb =
+    Probkb.Engine.expand (Probkb.Engine.create ~config kb)
   in
-  with_tmpdir (fun dir ->
-      let kb2 = Tutil.copy_gamma kb in
-      let config =
-        Probkb.Config.make ~inference:None ~spill_dir:dir
-          ~spill_threshold_bytes:0 ~segment_rows:128 ()
-      in
-      let e2 = Probkb.Engine.expand (Probkb.Engine.create ~config kb2) in
-      Alcotest.(check (list string))
-        "same facts through the engine"
-        (Tutil.fact_strings kb1) (Tutil.fact_strings kb2);
-      check_int "same factors" e1.Probkb.Engine.n_factors
-        e2.Probkb.Engine.n_factors);
+  let kb1 = Tutil.copy_gamma kb in
+  let e1 = expand (Probkb.Config.make ~inference:None ()) kb1 in
+  let cluster = { Mpp.Cluster.default with Mpp.Cluster.nseg = 4 } in
+  List.iter
+    (fun (route, engine, stores) ->
+      with_tmpdir (fun dir ->
+          let kb2 = Tutil.copy_gamma kb in
+          let config =
+            Probkb.Config.make ~engine ~inference:None ~spill_dir:dir
+              ~spill_threshold_bytes:0 ~segment_rows:128 ()
+          in
+          let e2 = expand config kb2 in
+          Alcotest.(check (list string))
+            (route ^ ": same facts through the engine")
+            (Tutil.fact_strings kb1) (Tutil.fact_strings kb2);
+          check_int (route ^ ": same factors") e1.Probkb.Engine.n_factors
+            e2.Probkb.Engine.n_factors;
+          let left = Array.to_list (Sys.readdir dir) in
+          check_int (route ^ ": stores left") stores (List.length left);
+          check_bool (route ^ ": every store a pn shard") true
+            (List.for_all (String.starts_with ~prefix:"pn-") left)))
+    [
+      ( "pn",
+        Probkb.Config.Mpp { cluster; views = false },
+        cluster.Mpp.Cluster.nseg );
+      ("single node", Probkb.Config.Single_node, 0);
+      ("views", Probkb.Config.Mpp { cluster; views = true }, 0);
+    ];
   (* Knob validation. *)
   (match Probkb.Config.make ~segment_rows:0 () with
   | _ -> Alcotest.fail "segment_rows 0 accepted"
   | exception Invalid_argument _ -> ());
-  match Probkb.Config.with_spill ~spill_threshold_bytes:(-1) Probkb.Config.default with
+  match Probkb.Config.make ~spill_threshold_bytes:(-1) () with
   | _ -> Alcotest.fail "negative threshold accepted"
   | exception Invalid_argument _ -> ()
 
@@ -598,13 +560,11 @@ let () =
       ( "segment",
         [
           Alcotest.test_case "round-trip" `Quick test_segment_roundtrip;
-          Alcotest.test_case "ndv" `Quick test_segment_ndv_exact;
           Alcotest.test_case "corruption" `Quick test_segment_corruption_detected;
         ] );
       ( "store",
         [
           Alcotest.test_case "round-trip" `Quick test_store_roundtrip;
-          Alcotest.test_case "stats persisted" `Quick test_store_stats_persisted;
           Alcotest.test_case "spill + tail, append" `Quick
             test_store_spill_tail_append;
           Alcotest.test_case "manifest corruption" `Quick
@@ -613,6 +573,8 @@ let () =
             test_store_segments_out_of_order;
           prop_manifest_fuzz;
           prop_segment_header_fuzz;
+          Alcotest.test_case "grounded TΠ smaller on disk" `Quick
+            test_store_grounded_pi_smaller;
         ] );
       ( "plan",
         [
@@ -621,8 +583,6 @@ let () =
         ] );
       ( "grounding",
         [
-          Alcotest.test_case "spilled ≡ in-memory" `Quick
-            test_ground_spilled_differential;
           Alcotest.test_case "mpp spilled shards ≡ in-memory" `Quick
             test_mpp_spilled_differential;
           Alcotest.test_case "dtable spilled shards" `Quick

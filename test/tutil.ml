@@ -124,6 +124,48 @@ let sorted_rows ?(distinct = false) t =
 let table_rows_equal a b =
   Table.nrows a = Table.nrows b && sorted_rows a = sorted_rows b
 
+(* Rows [lo, hi)] of an in-memory table as one segment of a segmented
+   source: the test double for a spilled store.  Its row ids are the
+   table's own row indices, so [base_rid] is implied by [lo]. *)
+let seg_of_table ~lo ~hi tbl =
+  let n = max 0 (hi - lo) in
+  let scan ~capacity ~base_rid:_ push =
+    let b =
+      Relational.Batch.create
+        ~capacity:(max 1 (min capacity n))
+        ~weighted:(Table.weighted tbl) (Table.width tbl)
+    in
+    let batches = ref 0 in
+    for r = lo to hi - 1 do
+      if Relational.Batch.is_full b then begin
+        incr batches;
+        push b;
+        Relational.Batch.clear b
+      end;
+      Relational.Batch.push_from_table b tbl r
+    done;
+    if not (Relational.Batch.is_empty b) then begin
+      incr batches;
+      push b
+    end;
+    !batches
+  in
+  { Relational.Segsrc.rows = n; scan }
+
+(* [tbl] as a segmented source cut at [bounds] (ascending, from 0 to
+   its row count; equal neighbours make an empty segment). *)
+let segmented tbl bounds =
+  let rec segs = function
+    | lo :: (hi :: _ as rest) -> seg_of_table ~lo ~hi tbl :: segs rest
+    | _ -> []
+  in
+  {
+    Relational.Segsrc.name = Table.name tbl;
+    cols = Table.cols tbl;
+    weighted = Table.weighted tbl;
+    segs = Array.of_list (segs bounds);
+  }
+
 (* Deletes [path] and, for a directory, everything under it; a path
    already gone is skipped. *)
 let rec rm_rf path =
